@@ -14,16 +14,8 @@
 //
 //	spatialjoinrouter -addr :7460 -shards http://127.0.0.1:7461,http://127.0.0.1:7462
 //
-// Endpoints:
-//
-//	POST /update  JSON [{"xl":..,"yl":..,"xu":..,"yu":..,"data":1}, ...]
-//	POST /round   commit staged mutations on every shard
-//	POST /join    JSON {"workers":4,"discard_pairs":false} (body optional)
-//	GET  /stats   per-shard server counters and coverage summaries
-//
-// Error mapping: a shard failing after retries yields 502 with the failed
-// shard names; if every shard was shedding, the router sheds too (503 with
-// the largest shard Retry-After); a deadline maps to 504.
+// The endpoints and the error mapping are router.NewHandler's; this command
+// owns the flags, shard discovery and the serve/drain loop.
 package main
 
 import (
@@ -38,7 +30,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -184,7 +175,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		logger.Printf("shard %s owns %s", sh.URL, sh.Range)
 	}
 
-	httpSrv := &http.Server{Addr: cfg.addr, Handler: newHandler(rt)}
+	httpSrv := &http.Server{Addr: cfg.addr, Handler: router.NewHandler(rt)}
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err
@@ -207,127 +198,4 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	return nil
-}
-
-// joinResponseWire is the router's POST /join response: the merged pair
-// set plus the per-shard outcomes a client needs to reason about tail
-// latency and retries.
-type joinResponseWire struct {
-	Count  int                   `json:"count"`
-	Pairs  [][2]int32            `json:"pairs,omitempty"`
-	Shards []router.ShardOutcome `json:"shards"`
-}
-
-func newHandler(rt *router.Router) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /update", func(w http.ResponseWriter, r *http.Request) {
-		var ops []server.OpWire
-		if err := json.NewDecoder(r.Body).Decode(&ops); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-			return
-		}
-		staged, err := rt.Update(r.Context(), ops)
-		if err != nil {
-			writeRouterError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, map[string]int{"staged": staged})
-	})
-	mux.HandleFunc("POST /round", func(w http.ResponseWriter, r *http.Request) {
-		if err := rt.Round(r.Context()); err != nil {
-			writeRouterError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
-	})
-	mux.HandleFunc("POST /join", func(w http.ResponseWriter, r *http.Request) {
-		var req server.JoinRequestWire
-		if r.ContentLength != 0 {
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-				return
-			}
-		}
-		res, err := rt.Join(r.Context(), router.JoinRequest{
-			Method:       req.Method,
-			Workers:      req.Workers,
-			Predicate:    req.Predicate,
-			DiscardPairs: req.DiscardPairs,
-		})
-		if err != nil {
-			writeRouterError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, joinResponseWire{Count: res.Count, Pairs: res.Pairs, Shards: res.Shards})
-	})
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		stats, err := rt.Stats(r.Context())
-		if err != nil {
-			writeRouterError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, stats)
-	})
-	return mux
-}
-
-// writeRouterError maps the router's typed errors onto gateway semantics:
-// every shard shedding means the deployment is overloaded, so the router
-// sheds too (503 with the largest shard Retry-After); any other partial
-// fan-out is a 502 naming the failed shards; a deadline is a 504.
-func writeRouterError(w http.ResponseWriter, err error) {
-	var perr *router.PartialError
-	switch {
-	case errors.As(err, &perr):
-		if after, allShed := allShedding(perr); allShed {
-			secs := int(after / time.Second)
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-				"error": "all shards shedding", "failed": shardNames(perr),
-			})
-			return
-		}
-		writeJSON(w, http.StatusBadGateway, map[string]any{
-			"error":     err.Error(),
-			"failed":    shardNames(perr),
-			"succeeded": perr.Succeeded,
-		})
-	case errors.Is(err, context.DeadlineExceeded):
-		writeJSON(w, http.StatusGatewayTimeout, map[string]string{"error": err.Error()})
-	default:
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-	}
-}
-
-// allShedding reports whether every failed shard's terminal error was a
-// 503 shed, and the largest Retry-After any of them asked for.
-func allShedding(perr *router.PartialError) (time.Duration, bool) {
-	var after time.Duration
-	for _, f := range perr.Failures {
-		var se *router.StatusError
-		if !errors.As(f, &se) || se.Code != http.StatusServiceUnavailable {
-			return 0, false
-		}
-		if se.RetryAfter > after {
-			after = se.RetryAfter
-		}
-	}
-	return after, len(perr.Failures) > 0
-}
-
-func shardNames(perr *router.PartialError) []string {
-	names := make([]string, len(perr.Failures))
-	for i, f := range perr.Failures {
-		names[i] = f.Shard
-	}
-	return names
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
 }

@@ -119,7 +119,7 @@ func TestRouterEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := newHandler(rt)
+	h := router.NewHandler(rt)
 
 	ops := []server.OpWire{
 		{XL: 0.10, YL: 0.10, XU: 0.12, YU: 0.12, Data: 1},
@@ -137,7 +137,11 @@ func TestRouterEndToEnd(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("join: %d %s", w.Code, w.Body)
 	}
-	var resp joinResponseWire
+	var resp struct {
+		Count  int                   `json:"count"`
+		Pairs  [][2]int32            `json:"pairs"`
+		Shards []router.ShardOutcome `json:"shards"`
+	}
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +206,7 @@ func TestPartialFailureMapsTo502(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := doJSON(t, newHandler(rt), "POST", "/join", nil)
+	w := doJSON(t, router.NewHandler(rt), "POST", "/join", nil)
 	if w.Code != http.StatusBadGateway {
 		t.Fatalf("join over half-dead deployment: %d, want 502", w.Code)
 	}
@@ -240,7 +244,7 @@ func TestAllShedMapsTo503(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := doJSON(t, newHandler(rt), "POST", "/join", nil)
+	w := doJSON(t, router.NewHandler(rt), "POST", "/join", nil)
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("all-shed join: %d, want 503", w.Code)
 	}

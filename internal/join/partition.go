@@ -566,15 +566,3 @@ func contiguousSplit(order []int32, est []float64, bins int) [][]int32 {
 	}
 	return split
 }
-
-// SortPairs sorts result pairs by (R, S).  ParallelJoin's pair order depends
-// on the schedule, so tests and golden comparisons sort both sides before
-// comparing against the sequential result.
-func SortPairs(pairs []Pair) {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].R != pairs[j].R {
-			return pairs[i].R < pairs[j].R
-		}
-		return pairs[i].S < pairs[j].S
-	})
-}

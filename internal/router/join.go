@@ -2,6 +2,7 @@ package router
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -58,17 +59,25 @@ type JoinResult struct {
 	Shards []ShardOutcome
 }
 
+// ErrBadRequest marks a join the router rejected before contacting any
+// shard: a malformed predicate or a method number naming no algorithm.
+var ErrBadRequest = errors.New("router: bad join request")
+
 // Join fans the join out to every shard and merges the sorted shard
 // streams into one deterministic pair set.  Every shard must answer:
 // each holds a disjoint slice of R, so a missing shard would silently
 // truncate the result.  If any shard fails after retries, Join returns a
 // *PartialError naming the failed and succeeded shards — and no pairs.
 func (rt *Router) Join(ctx context.Context, req JoinRequest) (*JoinResult, error) {
-	// Parse the predicate up front so a malformed one fails here, with a
-	// clear error, instead of as N identical shard rejections.
+	// Parse the predicate and check the method up front so a malformed
+	// request fails here, with a clear error, instead of as N identical
+	// shard rejections.
 	pred, err := join.ParsePredicate(req.Predicate)
+	if err == nil {
+		err = server.CheckMethod(req.Method)
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
 	// Plan orders the fan-out longest-first; with goroutine fan-out the
 	// order matters only under client-side connection limits, but it costs
@@ -150,25 +159,38 @@ func (rt *Router) Join(ctx context.Context, req JoinRequest) (*JoinResult, error
 
 // verifyKNNStreams checks the two invariants the kNN union rests on: no R
 // identifier appears in more than one shard's stream, and no R identifier
-// carries more than K neighbours.
+// carries more than K neighbours.  The streams are already verified
+// (R, S)-sorted, so one pass in merge order sees both: an R's neighbours are
+// one run of one stream, and a second shard answering the same R shows up as
+// an equal R at the head of another stream.
 func verifyKNNStreams(streams [][][2]int32, shards []Shard, k int) error {
-	owner := make(map[int32]int)
-	counts := make(map[int32]int)
-	for idx, stream := range streams {
-		for _, p := range stream {
-			if prev, ok := owner[p[0]]; ok && prev != idx {
-				return fmt.Errorf("router: kNN merge: R item %d answered by both %s and %s — R is not disjoint across shards",
-					p[0], shards[prev].Name, shards[idx].Name)
+	pos := make([]int, len(streams))
+	for {
+		// The stream whose head has the lowest R; ties to the lowest shard.
+		best := -1
+		for i, s := range streams {
+			if pos[i] < len(s) && (best < 0 || s[pos[i]][0] < streams[best][pos[best]][0]) {
+				best = i
 			}
-			owner[p[0]] = idx
-			counts[p[0]]++
-			if counts[p[0]] > k {
-				return fmt.Errorf("router: kNN merge: R item %d carries %d neighbours, more than k=%d",
-					p[0], counts[p[0]], k)
+		}
+		if best < 0 {
+			return nil
+		}
+		s := streams[best]
+		r := s[pos[best]][0]
+		for run := 1; pos[best] < len(s) && s[pos[best]][0] == r; run++ {
+			if run > k {
+				return fmt.Errorf("router: kNN merge: R item %d carries %d neighbours, more than k=%d", r, run, k)
+			}
+			pos[best]++
+		}
+		for i := best + 1; i < len(streams); i++ {
+			if pos[i] < len(streams[i]) && streams[i][pos[i]][0] == r {
+				return fmt.Errorf("router: kNN merge: R item %d answered by both %s and %s — R is not disjoint across shards",
+					r, shards[best].Name, shards[i].Name)
 			}
 		}
 	}
-	return nil
 }
 
 // verifySorted checks the wire contract behind the merge: each shard's

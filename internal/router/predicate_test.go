@@ -111,19 +111,35 @@ func TestRouterRejectsBadPredicate(t *testing.T) {
 	}
 }
 
-// TestVerifyKNNStreams pins the merge bound's failure modes directly.
+// TestVerifyKNNStreams pins the merge bound's failure modes directly,
+// messages included: they name the item and the shards an operator has to
+// look at.
 func TestVerifyKNNStreams(t *testing.T) {
-	shards := []Shard{{Name: "a"}, {Name: "b"}}
-	ok := [][][2]int32{{{1, 10}, {1, 11}}, {{2, 10}}}
-	if err := verifyKNNStreams(ok, shards, 2); err != nil {
-		t.Fatalf("disjoint streams rejected: %v", err)
-	}
-	dup := [][][2]int32{{{1, 10}}, {{1, 11}}}
-	if err := verifyKNNStreams(dup, shards, 2); err == nil {
-		t.Fatal("double-homed R item not detected")
-	}
-	over := [][][2]int32{{{1, 10}, {1, 11}, {1, 12}}, nil}
-	if err := verifyKNNStreams(over, shards, 2); err == nil {
-		t.Fatal("over-k item not detected")
+	shards := []Shard{{Name: "a"}, {Name: "b"}, {Name: "c"}}
+	const dupMsg = "router: kNN merge: R item 1 answered by both %s and %s — R is not disjoint across shards"
+	const overMsg = "router: kNN merge: R item 1 carries 3 neighbours, more than k=2"
+	for _, tc := range []struct {
+		name    string
+		streams [][][2]int32
+		want    string
+	}{
+		{"disjoint", [][][2]int32{{{1, 10}, {1, 11}}, {{2, 10}}, nil}, ""},
+		{"interleaved", [][][2]int32{{{1, 10}, {4, 10}}, {{2, 10}, {5, 11}}, {{-3, 1}, {3, 10}, {3, 11}}}, ""},
+		{"double-homed", [][][2]int32{{{1, 10}}, {{1, 11}}, nil}, fmt.Sprintf(dupMsg, "a", "b")},
+		// The duplicate's two homes are not neighbours in shard order, and
+		// other items sit before it in both streams.
+		{"double-homed, shards apart", [][][2]int32{{{0, 10}, {1, 10}}, {{2, 10}}, {{-5, 10}, {1, 11}}}, fmt.Sprintf(dupMsg, "a", "c")},
+		{"over k", [][][2]int32{{{1, 10}, {1, 11}, {1, 12}}, nil, nil}, overMsg},
+		{"over k, last stream", [][][2]int32{{{0, 10}}, nil, {{1, 10}, {1, 11}, {1, 12}}}, overMsg},
+		// Both at once on one item: the lowest shard's run is seen first.
+		{"over k and double-homed", [][][2]int32{{{1, 10}, {1, 11}, {1, 12}}, {{1, 13}}, nil}, overMsg},
+	} {
+		err := verifyKNNStreams(tc.streams, shards, 2)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && (err == nil || err.Error() != tc.want):
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

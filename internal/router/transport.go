@@ -9,7 +9,10 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
+
+	"repro/internal/server"
 )
 
 // ErrPartialFailure marks a fan-out where some shards answered and at least
@@ -95,6 +98,27 @@ func (rt *Router) do(ctx context.Context, sh Shard, method, path string, body, o
 	}
 }
 
+// bodyPool recycles the buffers /join bodies are read into and the
+// gateway's /join replies are assembled in.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// readAll is io.ReadAll appending to a caller-owned buffer.
+func readAll(dst []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		n, err := r.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
+}
+
 // once issues a single attempt bounded by ShardTimeout and classifies the
 // outcome: nil on 2xx (with out decoded), *retryableError on transport
 // failures and 5xx, a permanent error otherwise.
@@ -131,10 +155,21 @@ func (rt *Router) once(ctx context.Context, sh Shard, method, path string, body,
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-		if out == nil {
-			return nil
+		var err error
+		switch out := out.(type) {
+		case nil:
+		case *server.JoinResponseWire:
+			// The body is mostly integer pairs: read it whole and hand it to
+			// the pair codec instead of reflecting over it.
+			buf := bodyPool.Get().(*[]byte)
+			if *buf, err = readAll((*buf)[:0], resp.Body); err == nil {
+				err = server.DecodeJoinResponse(*buf, out)
+			}
+			bodyPool.Put(buf)
+		default:
+			err = json.NewDecoder(resp.Body).Decode(out)
 		}
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		if err != nil {
 			return fmt.Errorf("decoding %s response: %w", path, err)
 		}
 		return nil

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -166,6 +167,49 @@ func TestDoRejectsUnsortedShardStream(t *testing.T) {
 	_, err = rt.Join(context.Background(), JoinRequest{})
 	if !errors.Is(err, ErrPartialFailure) {
 		t.Fatalf("err = %v, want ErrPartialFailure for an unsorted stream", err)
+	}
+}
+
+// TestDoDecodesJoinBodiesLikeEncodingJSON: the pair codec reads the body a
+// shard normally writes, encoding/json reads any other valid one, and a body
+// neither accepts is a permanent "decoding /join response" failure — one
+// request, no retry.
+func TestDoDecodesJoinBodiesLikeEncodingJSON(t *testing.T) {
+	for _, tc := range []struct {
+		body  string
+		count int // -1: the body must be rejected
+	}{
+		{`{"epoch":2,"count":1,"pairs":[[1,2]]}` + "\n", 1},
+		{"{ \"Epoch\": 2, \"count\": 1, \"extra\": [true], \"pairs\": [[1, 2]] }", 1},
+		{`{"epoch":2,"count":1,"pairs":[[1,2]]`, -1},
+		{`{"epoch":2,"count":1,"pairs":[[1,2147483648]]}`, -1},
+		{`{"epoch":2,"count":1}trailing`, -1},
+		{``, -1},
+	} {
+		var hits int
+		mux := http.NewServeMux()
+		mux.HandleFunc("POST /join", func(w http.ResponseWriter, r *http.Request) {
+			hits++
+			fmt.Fprint(w, tc.body)
+		})
+		mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, `{}`) })
+		rt, err := New(Config{Shards: []Shard{stubShard(t, mux)}, RetryAttempts: 3, sleep: (&sleepRecorder{}).sleep})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := rt.Join(context.Background(), JoinRequest{})
+		if tc.count >= 0 {
+			if err != nil || res.Count != tc.count || len(res.Pairs) != tc.count || res.Shards[0].Epoch != 2 {
+				t.Errorf("%q: result %+v, err %v", tc.body, res, err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrPartialFailure) || !strings.Contains(err.Error(), "decoding /join response") {
+			t.Errorf("%q: err = %v, want a decoding failure", tc.body, err)
+		}
+		if hits != 1 {
+			t.Errorf("%q: %d requests, want 1 (a decode failure is permanent)", tc.body, hits)
+		}
 	}
 }
 

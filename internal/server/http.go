@@ -87,6 +87,48 @@ type HandlerConfig struct {
 // the unit square.
 var UnitWorld = geom.Rect{XL: 0, YL: 0, XU: 1, YU: 1}
 
+// Request body caps.  A /join body is four small fields; an /update batch
+// of a thousand ops is about 100 KB.  Anything past the cap is answered 413
+// before it is buffered.
+const (
+	MaxJoinBody   = 1 << 20
+	MaxUpdateBody = 8 << 20
+)
+
+// MethodError rejects a wire method number that names no join algorithm.
+type MethodError struct{ Method int }
+
+func (e *MethodError) Error() string {
+	return fmt.Sprintf("method %d out of range: want 0 (the server's default) or %d..%d (SJ1..SJ5)",
+		e.Method, int(join.SJ1), int(join.SJ5))
+}
+
+// CheckMethod validates a JoinRequestWire.Method before it is cast to
+// join.Method.
+func CheckMethod(m int) error {
+	if m != 0 && (m < int(join.SJ1) || m > int(join.SJ5)) {
+		return &MethodError{Method: m}
+	}
+	return nil
+}
+
+// DecodeRequest decodes a JSON request body of at most limit bytes into v.
+// On failure it writes the error response — 413 for an oversize body, 400
+// for a malformed one — and reports false.
+func DecodeRequest(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, code, err)
+	return false
+}
+
 func (c HandlerConfig) withDefaults() HandlerConfig {
 	if c.World == (geom.Rect{}) {
 		c.World = UnitWorld
@@ -100,8 +142,7 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /update", func(w http.ResponseWriter, r *http.Request) {
 		var ops []OpWire
-		if err := json.NewDecoder(r.Body).Decode(&ops); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		if !DecodeRequest(w, r, MaxUpdateBody, &ops) {
 			return
 		}
 		batch := make([]Op, len(ops))
@@ -132,13 +173,13 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 	})
 	mux.HandleFunc("POST /join", func(w http.ResponseWriter, r *http.Request) {
 		var req JoinRequestWire
-		if r.ContentLength != 0 {
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				httpError(w, http.StatusBadRequest, err)
-				return
-			}
+		if r.ContentLength != 0 && !DecodeRequest(w, r, MaxJoinBody, &req) {
+			return
 		}
 		pred, err := join.ParsePredicate(req.Predicate)
+		if err == nil {
+			err = CheckMethod(req.Method)
+		}
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
@@ -153,18 +194,18 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 			WriteJoinError(w, err)
 			return
 		}
-		out := JoinResponseWire{Epoch: resp.Epoch, Count: resp.Count, Retries: resp.Retries}
+		var pairs []join.Pair
 		if !req.DiscardPairs {
 			// The worker split makes the in-memory order schedule-dependent;
 			// the wire order is pinned to (R, S) so shard responses merge
 			// deterministically.
 			join.SortPairs(resp.Pairs)
-			out.Pairs = make([][2]int32, len(resp.Pairs))
-			for i, p := range resp.Pairs {
-				out.Pairs[i] = [2]int32{p.R, p.S}
-			}
+			pairs = resp.Pairs
 		}
-		writeJSON(w, http.StatusOK, out)
+		buf := wireBufPool.Get().(*[]byte)
+		*buf = appendJoinResponse((*buf)[:0], resp.Epoch, resp.Count, resp.Retries, pairs)
+		WriteJSONBytes(w, http.StatusOK, *buf)
+		wireBufPool.Put(buf)
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		out := StatsWire{
@@ -208,6 +249,15 @@ func WriteJoinError(w http.ResponseWriter, err error) {
 
 func httpError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
+}
+
+// WriteJSONBytes writes an already encoded JSON body, with its length: the
+// pair codec's side of writeJSON.
+func WriteJSONBytes(w http.ResponseWriter, code int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(code)
+	w.Write(body)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -104,3 +104,66 @@ func TestHandlerStatsCarriesCoverage(t *testing.T) {
 		t.Fatalf("degenerate R MBR: %+v", cov.RMBR)
 	}
 }
+
+// TestHandlerRejectsUnknownMethod is the regression for the unvalidated
+// cast: a method number naming no algorithm is the client's mistake (400,
+// typed message), not a 500 from deep inside the join.
+func TestHandlerRejectsUnknownMethod(t *testing.T) {
+	fx := newFixture(t, Config{})
+	h := NewHandler(fx.srv, HandlerConfig{})
+	for _, tc := range []struct {
+		method int
+		code   int
+	}{
+		{-1, http.StatusBadRequest},
+		{0, http.StatusOK},
+		{1, http.StatusOK},
+		{5, http.StatusOK},
+		{6, http.StatusBadRequest},
+		{1 << 40, http.StatusBadRequest},
+	} {
+		w := doHTTP(t, h, "POST", "/join", map[string]any{"method": tc.method, "discard_pairs": true})
+		if w.Code != tc.code {
+			t.Errorf("method %d: %d %s, want %d", tc.method, w.Code, w.Body, tc.code)
+		}
+		if tc.code == http.StatusBadRequest {
+			want := (&MethodError{Method: tc.method}).Error()
+			var body struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil || body.Error != want {
+				t.Errorf("method %d: body %s, want error %q", tc.method, w.Body, want)
+			}
+		}
+	}
+}
+
+// TestHandlerCapsRequestBodies: a body past the endpoint's cap is answered
+// 413 with the usual error object; one just under it is still read.
+func TestHandlerCapsRequestBodies(t *testing.T) {
+	fx := newFixture(t, Config{})
+	h := NewHandler(fx.srv, HandlerConfig{})
+	// JSON lets whitespace pad a body to any size without changing it.
+	pad := func(body string, size int) []byte {
+		return append([]byte(body), bytes.Repeat([]byte{' '}, size-len(body))...)
+	}
+	for _, tc := range []struct {
+		path string
+		body []byte
+		code int
+	}{
+		{"/join", pad(`{"discard_pairs":true}`, MaxJoinBody), http.StatusOK},
+		{"/join", pad(`{"discard_pairs":true`, MaxJoinBody+1), http.StatusRequestEntityTooLarge},
+		{"/update", pad(`[]`, MaxUpdateBody), http.StatusAccepted},
+		{"/update", pad(`[`, MaxUpdateBody+1), http.StatusRequestEntityTooLarge},
+	} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", tc.path, bytes.NewReader(tc.body)))
+		if w.Code != tc.code {
+			t.Errorf("%s with %d bytes: %d, want %d", tc.path, len(tc.body), w.Code, tc.code)
+		}
+		if tc.code == http.StatusRequestEntityTooLarge && !bytes.HasPrefix(w.Body.Bytes(), []byte(`{"error":`)) {
+			t.Errorf("%s: 413 body %q is not an error object", tc.path, w.Body)
+		}
+	}
+}
