@@ -118,6 +118,15 @@ func TestTable3And4Shape(t *testing.T) {
 		if row.V1Sort == 0 || row.V2Sort == 0 {
 			t.Errorf("page %d: sorting comparisons missing", row.PageSize)
 		}
+		// The repeat factor is priced in whole sorting passes over both
+		// trees, the paper's unit.
+		if row.SortPass == 0 || row.RepeatFactor <= 0 {
+			t.Errorf("page %d: sorting pass %d, repeat factor %.2f", row.PageSize, row.SortPass, row.RepeatFactor)
+		}
+	}
+	if first, last := t4[0], t4[len(t4)-1]; last.RepeatFactor <= first.RepeatFactor {
+		t.Errorf("repeat factor should grow with the page size: %.2f at %d, %.2f at %d",
+			first.RepeatFactor, first.PageSize, last.RepeatFactor, last.PageSize)
 	}
 }
 

@@ -71,70 +71,6 @@ func appendAllIdx(idx []int32, n int) []int32 {
 	return idx
 }
 
-// gatherRects appends the rectangles of the selected entries, in index order.
-//
-//repro:hotpath
-func gatherRects(dst []geom.Rect, entries []rtree.Entry, idx []int32) []geom.Rect {
-	for _, i := range idx {
-		dst = append(dst, entries[i].Rect)
-	}
-	return dst
-}
-
-// gatherRectsEps appends the epsilon-expanded rectangles of the selected
-// entries — the R-side view of the within-distance filter.  With eps == 0 it
-// is gatherRects.
-//
-//repro:hotpath
-func gatherRectsEps(dst []geom.Rect, entries []rtree.Entry, idx []int32, eps float64) []geom.Rect {
-	if eps == 0 {
-		return gatherRects(dst, entries, idx)
-	}
-	for _, i := range idx {
-		dst = append(dst, geom.ExpandRect(entries[i].Rect, eps))
-	}
-	return dst
-}
-
-// --- stable index sort ------------------------------------------------------
-//
-// The paper sorts the entries of a node by the lower x-corner every time the
-// node takes part in a sweep, and charges the comparisons to the "sorting"
-// cost measure (Table 4).  The seed implementation used sort.SliceStable over
-// a copy of the entry slice, which allocates (closure, reflection header,
-// symmerge bookkeeping) on every node pair and moves 48-byte entries around.
-// This implementation sorts a reusable []int32 index vector instead and
-// replicates sort.SliceStable's exact algorithm -- insertion sort on blocks
-// of 20 followed by SymMerge (Kim & Kutzner) -- so the number of key
-// comparisons charged is bit-identical to the slice sort it replaces.
-
-// sortBlockSize matches the insertion-sort block size of the stdlib's stable
-// sort; changing it would change the charged comparison counts.
-const sortBlockSize = 20
-
-// lessSwapper is the minimal sorting contract.  It is instantiated with
-// concrete pointer types only, so all calls are devirtualised and the sorters
-// can live inside the executor without escaping.
-type lessSwapper interface {
-	Less(i, j int) bool
-	Swap(i, j int)
-}
-
-// idxSorter stable-sorts idx so that entries[idx[k]].Rect.XL ascends,
-// counting every key comparison in Comps.
-type idxSorter struct {
-	idx     []int32
-	entries []rtree.Entry
-	comps   int64
-}
-
-func (d *idxSorter) Less(i, j int) bool {
-	d.comps++
-	return d.entries[d.idx[i]].Rect.XL < d.entries[d.idx[j]].Rect.XL
-}
-
-func (d *idxSorter) Swap(i, j int) { d.idx[i], d.idx[j] = d.idx[j], d.idx[i] }
-
 // zkeySorter stable-sorts the qualifying pairs of one node pair by the
 // z-order key of their intersection rectangles (SpatialJoin5's read
 // schedule).  The z-order sort is a scheduling decision, not a cost the paper
@@ -144,141 +80,11 @@ type zkeySorter struct {
 	zkeys []uint64
 }
 
+func (d *zkeySorter) Len() int { return len(d.pairs) }
+
 func (d *zkeySorter) Less(i, j int) bool { return d.zkeys[i] < d.zkeys[j] }
 
 func (d *zkeySorter) Swap(i, j int) {
 	d.pairs[i], d.pairs[j] = d.pairs[j], d.pairs[i]
 	d.zkeys[i], d.zkeys[j] = d.zkeys[j], d.zkeys[i]
-}
-
-// stableSort sorts data[0:n] stably: insertion sort on blocks of
-// sortBlockSize, then repeated SymMerge rounds, mirroring the stdlib's
-// sort.SliceStable so comparison counts (and therefore the charged sorting
-// cost) match it exactly.
-func stableSort[T lessSwapper](data T, n int) {
-	blockSize := sortBlockSize
-	a, b := 0, blockSize
-	for b <= n {
-		insertionSort(data, a, b)
-		a = b
-		b += blockSize
-	}
-	insertionSort(data, a, n)
-
-	for blockSize < n {
-		a, b = 0, 2*blockSize
-		for b <= n {
-			symMerge(data, a, a+blockSize, b)
-			a = b
-			b += 2 * blockSize
-		}
-		if m := a + blockSize; m < n {
-			symMerge(data, a, m, n)
-		}
-		blockSize *= 2
-	}
-}
-
-func insertionSort[T lessSwapper](data T, a, b int) {
-	for i := a + 1; i < b; i++ {
-		for j := i; j > a && data.Less(j, j-1); j-- {
-			data.Swap(j, j-1)
-		}
-	}
-}
-
-// symMerge merges the two sorted subsequences data[a:m] and data[m:b] using
-// the SymMerge algorithm (Kim & Kutzner, "Stable Minimum Storage Merging by
-// Symmetric Comparisons"), with the stdlib's special cases for subsequences
-// of length one.
-func symMerge[T lessSwapper](data T, a, m, b int) {
-	if m-a == 1 {
-		// data[a] into data[m:b]: binary search for the lowest index i such
-		// that data[i] >= data[a], then rotate.
-		i := m
-		j := b
-		for i < j {
-			h := int(uint(i+j) >> 1)
-			if data.Less(h, a) {
-				i = h + 1
-			} else {
-				j = h
-			}
-		}
-		for k := a; k < i-1; k++ {
-			data.Swap(k, k+1)
-		}
-		return
-	}
-	if b-m == 1 {
-		// data[m] into data[a:m]: binary search for the lowest index i such
-		// that data[i] > data[m], then rotate.
-		i := a
-		j := m
-		for i < j {
-			h := int(uint(i+j) >> 1)
-			if !data.Less(m, h) {
-				i = h + 1
-			} else {
-				j = h
-			}
-		}
-		for k := m; k > i; k-- {
-			data.Swap(k, k-1)
-		}
-		return
-	}
-
-	mid := int(uint(a+b) >> 1)
-	n := mid + m
-	var start, r int
-	if m > mid {
-		start = n - b
-		r = mid
-	} else {
-		start = a
-		r = m
-	}
-	p := n - 1
-	for start < r {
-		c := int(uint(start+r) >> 1)
-		if !data.Less(p-c, c) {
-			start = c + 1
-		} else {
-			r = c
-		}
-	}
-	end := n - start
-	if start < m && m < end {
-		rotate(data, start, m, end)
-	}
-	if a < start && start < mid {
-		symMerge(data, a, start, mid)
-	}
-	if mid < end && end < b {
-		symMerge(data, mid, end, b)
-	}
-}
-
-// rotate exchanges the consecutive blocks data[a:m] and data[m:b] using the
-// juggling scheme of the stdlib implementation (no comparisons).
-func rotate[T lessSwapper](data T, a, m, b int) {
-	i := m - a
-	j := b - m
-	for i != j {
-		if i > j {
-			swapRange(data, m-i, m, j)
-			i -= j
-		} else {
-			swapRange(data, m-i, m+j-i, i)
-			j -= i
-		}
-	}
-	swapRange(data, m-i, m, i)
-}
-
-func swapRange[T lessSwapper](data T, a, b, n int) {
-	for i := 0; i < n; i++ {
-		data.Swap(a+i, b+i)
-	}
 }

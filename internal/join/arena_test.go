@@ -5,56 +5,11 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/geom"
-	"repro/internal/rtree"
 	"repro/internal/sweep"
 )
 
 // pairOf builds a distinguishable pair for position i.
 func pairOf(i int) sweep.Pair { return sweep.Pair{R: i, S: ^i} }
-
-// TestStableSortMatchesSliceStable asserts that the manual stable sort
-// charges exactly as many key comparisons as sort.SliceStable and produces
-// the same permutation, across sizes below, at and far above the insertion
-// block size.  The join's sorting cost measure (paper Table 4) depends on
-// this equivalence.
-func TestStableSortMatchesSliceStable(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{0, 1, 2, 5, 19, 20, 21, 40, 57, 100, 333, 1000} {
-		for trial := 0; trial < 20; trial++ {
-			entries := make([]rtree.Entry, n)
-			for i := range entries {
-				// Coarse keys force ties, exercising stability.
-				x := float64(rng.Intn(n/4 + 1))
-				entries[i] = rtree.Entry{Rect: geom.Rect{XL: x, XU: x + 1}, Data: int32(i)}
-			}
-
-			// Reference: sort.SliceStable over a copy, counting comparisons.
-			ref := append([]rtree.Entry(nil), entries...)
-			var refComps int64
-			sort.SliceStable(ref, func(i, j int) bool {
-				refComps++
-				return ref[i].Rect.XL < ref[j].Rect.XL
-			})
-
-			idx := make([]int32, n)
-			for i := range idx {
-				idx[i] = int32(i)
-			}
-			s := idxSorter{idx: idx, entries: entries}
-			stableSort(&s, n)
-
-			if s.comps != refComps {
-				t.Fatalf("n=%d trial=%d: %d comparisons, sort.SliceStable charged %d", n, trial, s.comps, refComps)
-			}
-			for i, id := range idx {
-				if entries[id].Data != ref[i].Data {
-					t.Fatalf("n=%d trial=%d: permutation differs from sort.SliceStable at %d", n, trial, i)
-				}
-			}
-		}
-	}
-}
 
 // TestZkeySorterIsStable asserts the z-order schedule sort keeps the sweep
 // order of pairs with equal keys, as the stable slice sort it replaced did.
@@ -74,7 +29,7 @@ func TestZkeySorterIsStable(t *testing.T) {
 		}
 		sort.SliceStable(refPairs, func(i, j int) bool { return refKeys[refPairs[i]] < refKeys[refPairs[j]] })
 
-		stableSort(z, n)
+		sort.Stable(z)
 		for i := 0; i < n; i++ {
 			if z.pairs[i] != pairOf(refPairs[i]) {
 				t.Fatalf("trial=%d: order differs from stable reference at %d", trial, i)

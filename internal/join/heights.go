@@ -57,10 +57,16 @@ func (e *executor) joinLeafWithDirectory(leaf, dir *rtree.Node, dirTree *rtree.T
 	if swapped {
 		leafEps, dirEps = 0, e.eps
 	}
-	if rect != nil {
-		h.leafIdx = e.restrictIdxEps(leaf.Entries, *rect, h.leafIdx[:0], leafEps)
-		h.dirIdx = e.restrictIdxEps(dir.Entries, *rect, h.dirIdx[:0], dirEps)
-	} else {
+	switch {
+	case e.opts.HeightPolicy == PolicySweepOrder:
+		// Policy (c) sweeps the pair, so it takes the restricted entries in
+		// xl-order; both pages were sorted when readPair read them.
+		h.leafIdx, h.leafRects = restrictSorted(leaf, rect, leafEps, h.leafIdx[:0], h.leafRects[:0], &e.local)
+		h.dirIdx, h.dirRects = restrictSorted(dir, rect, dirEps, h.dirIdx[:0], h.dirRects[:0], &e.local)
+	case rect != nil:
+		h.leafIdx = e.restrictIdx(leaf.Entries, *rect, h.leafIdx[:0], leafEps)
+		h.dirIdx = e.restrictIdx(dir.Entries, *rect, h.dirIdx[:0], dirEps)
+	default:
 		h.leafIdx = appendAllIdx(h.leafIdx[:0], len(leaf.Entries))
 		h.dirIdx = appendAllIdx(h.dirIdx[:0], len(dir.Entries))
 	}
@@ -119,10 +125,17 @@ func (e *executor) joinLeafWithDirectory(leaf, dir *rtree.Node, dirTree *rtree.T
 		// Policy (c): determine the intersecting (data, directory) pairs with
 		// the sorted intersection test and run the window queries in that
 		// spatially local order; the shared LRU buffer provides the reuse.
-		e.sortIdxByXL(h.leafIdx, leaf.Entries)
-		e.sortIdxByXL(h.dirIdx, dir.Entries)
-		h.leafRects = gatherRectsEps(h.leafRects[:0], leaf.Entries, h.leafIdx, e.eps)
-		h.dirRects = gatherRects(h.dirRects[:0], dir.Entries, h.dirIdx)
+		if swapped && e.eps > 0 {
+			// The restriction expanded the R side, which is the directory
+			// here; the sweep, like the window queries it orders, expands the
+			// data rectangles whichever tree they belong to.
+			for i := range h.leafRects {
+				h.leafRects[i] = geom.ExpandRect(h.leafRects[i], e.eps)
+			}
+			for i, id := range h.dirIdx {
+				h.dirRects[i] = dir.Entries[id].Rect
+			}
+		}
 		h.pairs = sweep.AppendPairs(h.leafRects, h.dirRects, &e.local, h.pairs[:0])
 		e.local.PairsTested += int64(len(h.pairs))
 		e.local.FlushTo(e.metrics)

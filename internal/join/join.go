@@ -445,7 +445,6 @@ type executor struct {
 	opts    Options
 	arena   *arena
 	cancel  *cancelWatch
-	sorter  idxSorter
 	zsorter zkeySorter
 
 	// eps and eps2 cache the within-distance threshold (and its square) of
@@ -471,22 +470,8 @@ func (e *executor) emit(p Pair) {
 	}
 }
 
-// sortIdxByXL stable-sorts idx so the referenced entries ascend by their
-// lower x-corner, charging one node sort and the exact key comparisons the
-// entry-slice sort it replaces would have charged.
-func (e *executor) sortIdxByXL(idx []int32, entries []rtree.Entry) {
-	e.local.NodeSorts++
-	e.sorter.idx = idx
-	e.sorter.entries = entries
-	e.sorter.comps = 0
-	stableSort(&e.sorter, len(idx))
-	e.local.SortComparisons += e.sorter.comps
-	e.sorter.idx, e.sorter.entries = nil, nil
-}
-
 // accessRoots charges the initial read of both root pages, which every
 // tree-based join performs exactly once.
 func (e *executor) accessRoots() {
-	e.r.AccessNode(e.tracker, e.r.Root())
-	e.s.AccessNode(e.tracker, e.s.Root())
+	e.readPair(e.r.Root(), e.s.Root())
 }

@@ -94,8 +94,7 @@ func (e *executor) sj1(nr, ns *rtree.Node) {
 			if !ok {
 				continue
 			}
-			e.r.AccessNode(e.tracker, er.Child)
-			e.s.AccessNode(e.tracker, es.Child)
+			e.readPair(er.Child, es.Child)
 			e.sj1(er.Child, es.Child)
 		}
 	}
@@ -150,8 +149,8 @@ func (e *executor) sj2(nr, ns *rtree.Node, rect geom.Rect, depth int) {
 		return
 	}
 	f := e.arena.frame(depth)
-	f.rIdx = e.restrictIdxEps(nr.Entries, rect, f.rIdx[:0], e.eps)
-	f.sIdx = e.restrictIdx(ns.Entries, rect, f.sIdx[:0])
+	f.rIdx = e.restrictIdx(nr.Entries, rect, f.rIdx[:0], e.eps)
+	f.sIdx = e.restrictIdx(ns.Entries, rect, f.sIdx[:0], 0)
 	if nr.IsLeaf() && ns.IsLeaf() {
 		var comps, tested int64
 		for _, is := range f.sIdx {
@@ -183,41 +182,22 @@ func (e *executor) sj2(nr, ns *rtree.Node, rect geom.Rect, depth int) {
 				continue
 			}
 			childRect, _ := erRect.Intersection(es.Rect)
-			e.r.AccessNode(e.tracker, er.Child)
-			e.s.AccessNode(e.tracker, es.Child)
+			e.readPair(er.Child, es.Child)
 			e.sj2(er.Child, es.Child, childRect, depth+1)
 		}
 	}
 	e.local.FlushTo(e.metrics)
 }
 
-// restrictIdx appends to idx the indices of the entries whose rectangle
-// intersects rect, charging one intersection predicate per entry for the
-// marking scan.
-func (e *executor) restrictIdx(entries []rtree.Entry, rect geom.Rect, idx []int32) []int32 {
+// restrictIdx appends to idx, in entry order, the indices of the entries whose
+// rectangle intersects rect, charging one intersection predicate per entry
+// for the marking scan.  eps is non-zero only for entries of the R tree under
+// the within-distance predicate, whose rectangles are epsilon-expanded in
+// every test they take part in.
+func (e *executor) restrictIdx(entries []rtree.Entry, rect geom.Rect, idx []int32, eps float64) []int32 {
 	var comps int64
 	for i := range entries {
-		ok, cost := geom.IntersectsCost(entries[i].Rect, rect)
-		comps += cost
-		if ok {
-			idx = append(idx, int32(i))
-		}
-	}
-	e.local.Comparisons += comps
-	return idx
-}
-
-// restrictIdxEps is restrictIdx for entries of the R tree: under the
-// within-distance predicate the R-side rectangles are epsilon-expanded in
-// every test they take part in, including the marking scan against the
-// parents' intersection rectangle.  With eps == 0 it is restrictIdx.
-func (e *executor) restrictIdxEps(entries []rtree.Entry, rect geom.Rect, idx []int32, eps float64) []int32 {
-	if eps == 0 {
-		return e.restrictIdx(entries, rect, idx)
-	}
-	var comps int64
-	for i := range entries {
-		ok, cost := geom.IntersectsCost(geom.ExpandRect(entries[i].Rect, eps), rect)
+		ok, cost := geom.IntersectsCost(expandEps(entries[i].Rect, eps), rect)
 		comps += cost
 		if ok {
 			idx = append(idx, int32(i))

@@ -155,10 +155,11 @@ func getParallelWorker(bufferBytes, pageSize int, usePathBuffer bool) *parallelW
 // Options.BufferBytes — the whole buffer, since planning precedes the
 // partitioning — so a node inspected for several qualifying pairs is charged
 // one disk read, exactly as the sequential join would charge it.  When the
-// planner splits, the node pairs it expands are charged the restriction,
-// sorting and sweep comparisons the CPU-tuned sequential algorithms would
-// charge (but no PairsTested accounting), so CPU measures are comparable
-// only between runs with the same effective task depth.
+// planner splits, the node pairs it expands are charged the restriction and
+// sweep comparisons the CPU-tuned sequential algorithms would charge, and
+// their counted reads the sorting (but no PairsTested accounting), so CPU
+// measures are comparable only between runs with the same effective task
+// depth.
 func ParallelJoin(r, s *rtree.Tree, popts ParallelOptions) (*Result, error) {
 	if r == nil || s == nil {
 		return nil, ErrNilTree
@@ -403,8 +404,7 @@ func ParallelJoin(r, s *rtree.Tree, popts ParallelOptions) (*Result, error) {
 				if !ok {
 					return
 				}
-				e.r.AccessNode(e.tracker, t.er.Child)
-				e.s.AccessNode(e.tracker, t.es.Child)
+				e.readPair(t.er.Child, t.es.Child)
 				switch opts.Method {
 				case SJ1:
 					e.sj1(t.er.Child, t.es.Child)
@@ -562,70 +562,27 @@ func attachReaders(tr *buffer.Tracker, r, s *rtree.Tree, opts Options) {
 }
 
 // splitScratch holds the buffers splitTasks reuses across split rounds: the
-// restricted, x-sorted entry and rectangle sequences of the two nodes being
-// expanded, the sweep's output pairs, and the index-sort machinery shared
-// with the executor (arena.go's idxSorter/stableSort), so repeated split
-// rounds charge the same comparison counts as the worker-side sorts and
+// restricted, x-sorted entry indices and rectangle sequences of the two nodes
+// being expanded and the sweep's output pairs, so repeated split rounds
 // allocate nothing per node pair.
 type splitScratch struct {
-	rEnts, sEnts   []rtree.Entry
+	rIdx, sIdx     []int32
 	rRects, sRects []geom.Rect
 	pairs          []sweep.Pair
-	idx            []int32
-	sorted         []rtree.Entry
-	sorter         idxSorter
-}
-
-// restrict appends the entries of n intersecting the parent intersection
-// rectangle (the section-4.2 search-space restriction), charging the
-// comparisons to plan, and returns them sorted by lower x-corner together
-// with the parallel rectangle sequence the sweep consumes.  eps, non-zero
-// only on the R side of a within-distance plan, expands every entry
-// rectangle before it is tested and gathered, mirroring the executor's
-// restrictIdxEps/gatherRectsEps pair; the x-sort order is unchanged by the
-// constant shift.
-func (sc *splitScratch) restrict(n *rtree.Node, inter geom.Rect, ents []rtree.Entry, rects []geom.Rect, plan *metrics.Local, eps float64) ([]rtree.Entry, []geom.Rect) {
-	ents = ents[:0]
-	var comps int64
-	for _, e := range n.Entries {
-		ok, cost := geom.IntersectsCost(expandEps(e.Rect, eps), inter)
-		comps += cost
-		if ok {
-			ents = append(ents, e)
-		}
-	}
-	plan.Comparisons += comps
-	plan.NodeSorts++
-	sc.idx = sc.idx[:0]
-	for i := range ents {
-		sc.idx = append(sc.idx, int32(i))
-	}
-	sc.sorter.idx, sc.sorter.entries, sc.sorter.comps = sc.idx, ents, 0
-	stableSort(&sc.sorter, len(sc.idx))
-	plan.SortComparisons += sc.sorter.comps
-	sc.sorter.idx, sc.sorter.entries = nil, nil
-	sc.sorted = sc.sorted[:0]
-	rects = rects[:0]
-	for _, i := range sc.idx {
-		sc.sorted = append(sc.sorted, ents[i])
-		rects = append(rects, expandEps(ents[i].Rect, eps))
-	}
-	copy(ents, sc.sorted)
-	return ents, rects
 }
 
 // expandTasks is the CPU half of one split round over a contiguous chunk of
 // the task list: every task whose two subtrees are directory nodes is
 // replaced by the qualifying pairs of their children, charging the
-// restriction, sorting and sweep comparisons to plan but performing no I/O
-// accounting.  It appends to out and reports whether anything was split.
+// restriction and sweep comparisons to plan but performing no I/O
+// accounting (the reads, and the sorts they pay for, are chargeSplitReads').
+// It appends to out and reports whether anything was split.
 //
 // The qualifying child pairs are found the way the CPU-tuned sequential
-// algorithms find them — restrict both entry sets to the parents'
-// intersection rectangle, sort by lower x-corner and run the sorted
-// intersection test — so splitting a level of bulk-loaded trees with
-// page-capacity fan-outs costs O(n log n) planning comparisons per node
-// pair instead of the n² of the naive pairing.
+// algorithms find them — restrict both nodes' xl-orders to the parents'
+// intersection rectangle and run the sorted intersection test — so splitting
+// a level of bulk-loaded trees with page-capacity fan-outs costs far fewer
+// planning comparisons per node pair than the n² of the naive pairing.
 //
 // Splitting preserves the result set: a child pair whose rectangles do not
 // intersect cannot contribute any result, and the search-space restriction
@@ -645,11 +602,12 @@ func expandTasks(tasks []parallelTask, sc *splitScratch, plan *metrics.Local, ou
 			continue // qualifying tasks always intersect; degenerate guard
 		}
 		split = true
-		sc.rEnts, sc.rRects = sc.restrict(t.er.Child, inter, sc.rEnts, sc.rRects, plan, eps)
-		sc.sEnts, sc.sRects = sc.restrict(t.es.Child, inter, sc.sEnts, sc.sRects, plan, 0)
+		nr, ns := t.er.Child, t.es.Child
+		sc.rIdx, sc.rRects = restrictSorted(nr, &inter, eps, sc.rIdx[:0], sc.rRects[:0], plan)
+		sc.sIdx, sc.sRects = restrictSorted(ns, &inter, 0, sc.sIdx[:0], sc.sRects[:0], plan)
 		sc.pairs = sweep.AppendPairs(sc.rRects, sc.sRects, plan, sc.pairs[:0])
 		for _, p := range sc.pairs {
-			out = append(out, parallelTask{er: sc.rEnts[p.R], es: sc.sEnts[p.S]})
+			out = append(out, parallelTask{er: nr.Entries[sc.rIdx[p.R]], es: ns.Entries[sc.sIdx[p.S]]})
 		}
 	}
 	return out, split
@@ -658,9 +616,9 @@ func expandTasks(tasks []parallelTask, sc *splitScratch, plan *metrics.Local, ou
 // chargeSplitReads is the I/O half of one split round: it charges the node
 // reads of every expanded task to the plan tracker serially, in task order —
 // exactly the access sequence the sequential split performed — so the
-// planning I/O accounting is bit-identical no matter how many goroutines ran
-// the CPU half.
-func chargeSplitReads(r, s *rtree.Tree, tasks []parallelTask, tracker *buffer.Tracker, eps float64) {
+// planning I/O accounting, and the sorts charged on its counted reads, are
+// bit-identical no matter how many goroutines ran the CPU half.
+func chargeSplitReads(r, s *rtree.Tree, tasks []parallelTask, tracker *buffer.Tracker, plan *metrics.Local, eps float64) {
 	for _, t := range tasks {
 		if t.er.Child.IsLeaf() || t.es.Child.IsLeaf() {
 			continue
@@ -668,8 +626,8 @@ func chargeSplitReads(r, s *rtree.Tree, tasks []parallelTask, tracker *buffer.Tr
 		if !expandEps(t.er.Rect, eps).Intersects(t.es.Rect) {
 			continue
 		}
-		r.AccessNode(tracker, t.er.Child)
-		s.AccessNode(tracker, t.es.Child)
+		readSorted(r, tracker, t.er.Child, plan)
+		readSorted(s, tracker, t.es.Child, plan)
 	}
 }
 
@@ -681,7 +639,7 @@ func splitTasks(r, s *rtree.Tree, tasks []parallelTask, tracker *buffer.Tracker,
 	if !split {
 		return tasks, false
 	}
-	chargeSplitReads(r, s, tasks, tracker, eps)
+	chargeSplitReads(r, s, tasks, tracker, plan, eps)
 	return out, true
 }
 
@@ -754,13 +712,11 @@ func splitTasksParallel(r, s *rtree.Tree, tasks []parallelTask, tracker *buffer.
 	for c := range locals {
 		split = split || splits[c]
 		plan.Comparisons += locals[c].Comparisons
-		plan.SortComparisons += locals[c].SortComparisons
-		plan.NodeSorts += locals[c].NodeSorts
 	}
 	if !split {
 		return tasks, false
 	}
-	chargeSplitReads(r, s, tasks, tracker, eps)
+	chargeSplitReads(r, s, tasks, tracker, plan, eps)
 	out := outs[0]
 	for _, o := range outs[1:] {
 		out = append(out, o...)

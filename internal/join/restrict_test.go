@@ -1,0 +1,220 @@
+package join
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"sync"
+	"testing"
+	"testing/quick"
+
+	"repro/internal/datagen"
+	"repro/internal/geom"
+	"repro/internal/metrics"
+	"repro/internal/rtree"
+	"repro/internal/storage"
+)
+
+// refRestrictSorted is the three-step formulation restrictSorted replaced,
+// kept as the reference: the marking scan over the entries in entry order
+// (restrictIdx, one counted intersection predicate per entry), a stable sort
+// of the surviving indices by lower x-corner, and the gather of their
+// (expanded) rectangles.  It returns the comparisons the scan charges.
+func refRestrictSorted(entries []rtree.Entry, rect *geom.Rect, eps float64) ([]int32, []geom.Rect, int64) {
+	var e executor
+	var idx []int32
+	if rect == nil {
+		idx = appendAllIdx(nil, len(entries))
+	} else {
+		idx = e.restrictIdx(entries, *rect, nil, eps)
+	}
+	sort.SliceStable(idx, func(i, j int) bool { return entries[idx[i]].Rect.XL < entries[idx[j]].Rect.XL })
+	var rects []geom.Rect
+	for _, i := range idx {
+		rects = append(rects, expandEps(entries[i].Rect, eps))
+	}
+	return idx, rects, e.local.Comparisons
+}
+
+// checkRestrictSorted runs both formulations over one node and fails on any
+// difference in the survivor indices, the gathered rectangles or the
+// comparisons charged (which covers the early exit's O(1) tail charge).
+func checkRestrictSorted(t testing.TB, entries []rtree.Entry, rect *geom.Rect, eps float64) {
+	t.Helper()
+	wantIdx, wantRects, wantComps := refRestrictSorted(entries, rect, eps)
+	var local metrics.Local
+	node := &rtree.Node{Entries: entries}
+	// Dirty prefixes check that the routine appends rather than overwrites.
+	idx, rects := restrictSorted(node, rect, eps, []int32{-7}, []geom.Rect{{XL: -7}}, &local)
+	idx, rects = idx[1:], rects[1:]
+	if local.Comparisons != wantComps {
+		t.Fatalf("charged %d comparisons, reference %d (n=%d rect=%v eps=%g)", local.Comparisons, wantComps, len(entries), rect, eps)
+	}
+	if local.SortComparisons != 0 || local.NodeSorts != 0 {
+		t.Fatalf("restriction charged sorting: %+v", local)
+	}
+	if len(idx) != len(wantIdx) || len(rects) != len(wantRects) {
+		t.Fatalf("%d survivors / %d rects, reference %d / %d (rect=%v eps=%g)", len(idx), len(rects), len(wantIdx), len(wantRects), rect, eps)
+	}
+	for k := range wantIdx {
+		if idx[k] != wantIdx[k] || rects[k] != wantRects[k] {
+			t.Fatalf("survivor %d: entry %d %v, reference entry %d %v", k, idx[k], rects[k], wantIdx[k], wantRects[k])
+		}
+	}
+}
+
+// gridEntries decodes four bytes per entry onto a coarse grid, so duplicate
+// lower x-corners (the stability cases) are the rule, not the exception.
+func gridEntries(data []byte) []rtree.Entry {
+	entries := make([]rtree.Entry, 0, len(data)/4)
+	for ; len(data) >= 4; data = data[4:] {
+		xl, yl := float64(data[0]%32), float64(data[2]%32)
+		entries = append(entries, rtree.Entry{
+			Rect: geom.Rect{XL: xl, YL: yl, XU: xl + float64(data[1]%8), YU: yl + float64(data[3]%8)},
+			Data: int32(len(entries)),
+		})
+	}
+	return entries
+}
+
+func TestRestrictSortedShapes(t *testing.T) {
+	full := gridEntries([]byte{
+		5, 2, 5, 2, 5, 0, 9, 1, 1, 7, 0, 7, 30, 1, 30, 1, 5, 3, 1, 1, 12, 4, 12, 4,
+		12, 0, 3, 3, 0, 0, 0, 0, 31, 7, 31, 7, 5, 2, 5, 2, 20, 1, 8, 6, 12, 4, 12, 4,
+	})
+	nodes := map[string][]rtree.Entry{"empty": nil, "single": full[:1], "full": full}
+	rects := map[string]*geom.Rect{
+		"none":         nil,
+		"left of":      {XL: -10, YL: 0, XU: -1, YU: 40},
+		"right of":     {XL: 50, YL: 0, XU: 60, YU: 40},
+		"covering":     {XL: -1, YL: -1, XU: 100, YU: 100},
+		"inside":       {XL: 5, YL: 2, XU: 12, YU: 13},
+		"on a key":     {XL: 12, YL: 0, XU: 12, YU: 40},
+		"degenerate":   {XL: 5, YL: 5, XU: 5, YU: 5},
+		"just outside": {XL: 0, YL: 0, XU: 4.5, YU: 40},
+	}
+	for nodeName, entries := range nodes {
+		for rectName, rect := range rects {
+			for _, eps := range []float64{0, 0.5, 3} {
+				t.Run(fmt.Sprintf("%s/%s/eps=%g", nodeName, rectName, eps), func(t *testing.T) {
+					checkRestrictSorted(t, entries, rect, eps)
+				})
+			}
+		}
+	}
+}
+
+// TestRestrictSortedQuick crosses the stable sort's insertion block size
+// (20) with nodes of up to 300 entries on a grid coarse enough for long runs
+// of equal keys.
+func TestRestrictSortedQuick(t *testing.T) {
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 4*rng.Intn(300))
+		rng.Read(data)
+		entries := gridEntries(data)
+		var rect *geom.Rect
+		if rng.Intn(8) > 0 {
+			xl, yl := float64(rng.Intn(48)-8), float64(rng.Intn(48)-8)
+			rect = &geom.Rect{XL: xl, YL: yl, XU: xl + float64(rng.Intn(24)), YU: yl + float64(rng.Intn(24))}
+		}
+		checkRestrictSorted(t, entries, rect, []float64{0, 0, 0.25, 2}[rng.Intn(4)])
+		return !t.Failed()
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzRestrictSorted decodes a node, a restriction rectangle (or none) and an
+// expansion from the fuzz bytes.
+func FuzzRestrictSorted(f *testing.F) {
+	f.Add([]byte{}, byte(0), byte(0), byte(0), byte(0), byte(0), byte(0))
+	f.Add([]byte{5, 2, 5, 2}, byte(1), byte(0), byte(0), byte(40), byte(40), byte(0))
+	f.Add([]byte{5, 2, 5, 2, 5, 0, 9, 1, 1, 7, 0, 7, 30, 1, 30, 1, 5, 3, 1, 1}, byte(1), byte(4), byte(0), byte(8), byte(40), byte(2))
+	f.Add([]byte{5, 2, 5, 2, 5, 0, 9, 1, 1, 7, 0, 7, 30, 1, 30, 1, 5, 3, 1, 1}, byte(1), byte(36), byte(0), byte(8), byte(40), byte(1))
+	f.Add([]byte{3, 1, 3, 1, 3, 1, 3, 1, 3, 1, 3, 1, 3, 1, 3, 1}, byte(0), byte(0), byte(0), byte(0), byte(0), byte(3))
+	f.Fuzz(func(t *testing.T, node []byte, restricted, xl, yl, w, h, epsQ byte) {
+		if len(node) > 4*400 {
+			node = node[:4*400]
+		}
+		var rect *geom.Rect
+		if restricted%2 == 1 {
+			// xl ranges over [-8, 56): left of, inside and right of the grid.
+			x, y := float64(xl%64)-8, float64(yl%64)-8
+			rect = &geom.Rect{XL: x, YL: y, XU: x + float64(w%64), YU: y + float64(h%64)}
+		}
+		checkRestrictSorted(t, gridEntries(node), rect, float64(epsQ%8)/4)
+	})
+}
+
+// TestConcurrentJoinsBuildOrdersOnce starts a ParallelJoin with eight workers
+// and several sequential joins at the same moment over freshly bulk-loaded
+// trees, none of whose nodes has an xl-order yet, so every goroutine races to
+// build and publish them (run under -race in CI).  The orders are a pure
+// function of the entries: every join must return the same pairs, and the
+// sequential joins the same counters as a join run alone afterwards —
+// including the sorting charge, which is the node's stored count no matter
+// who built the order.
+func TestConcurrentJoinsBuildOrdersOnce(t *testing.T) {
+	itemsR := datagen.Generate(datagen.Config{Kind: datagen.Streets, Count: 6000, Seed: 42})
+	itemsS := datagen.Generate(datagen.Config{Kind: datagen.Rivers, Count: 6000, Seed: 43})
+	for _, pred := range []Predicate{{}, {Kind: PredWithinDist, Epsilon: 0.002}} {
+		r, err := rtree.BulkLoadSTR(rtree.Options{PageSize: storage.PageSize1K}, itemsR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := rtree.BulkLoadSTR(rtree.Options{PageSize: storage.PageSize1K}, itemsS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Method: SJ4, BufferBytes: 64 << 10, UsePathBuffer: true, Predicate: pred}
+		const sequential = 4
+		results := make([]*Result, sequential+1)
+		errs := make([]error, sequential+1)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range results {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				if i == sequential {
+					results[i], errs[i] = ParallelJoin(r, s, ParallelOptions{Options: opts, Workers: 8, MinTasksPerWorker: 4})
+				} else {
+					results[i], errs[i] = Join(r, s, opts)
+				}
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		alone, err := Join(r, s, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		SortPairs(alone.Pairs)
+		for i, res := range results {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if i < sequential && res.Metrics != alone.Metrics {
+				t.Fatalf("%+v: concurrent join %d counted %+v, alone %+v", pred, i, res.Metrics, alone.Metrics)
+			}
+			SortPairs(res.Pairs)
+			if len(res.Pairs) != len(alone.Pairs) {
+				t.Fatalf("%+v: join %d found %d pairs, alone %d", pred, i, len(res.Pairs), len(alone.Pairs))
+			}
+			for k := range alone.Pairs {
+				if res.Pairs[k] != alone.Pairs[k] {
+					t.Fatalf("%+v: join %d pair %d is %v, alone %v", pred, i, k, res.Pairs[k], alone.Pairs[k])
+				}
+			}
+		}
+		if err := r.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -1,7 +1,11 @@
 package join
 
 import (
+	"sort"
+
+	"repro/internal/buffer"
 	"repro/internal/geom"
+	"repro/internal/metrics"
 	"repro/internal/rtree"
 	"repro/internal/sweep"
 	"repro/internal/zorder"
@@ -39,32 +43,22 @@ func (e *executor) sweepJoin(nr, ns *rtree.Node, rect geom.Rect, method Method, 
 		return
 	}
 
-	// Restrict the search space to the parents' intersection rectangle, then
-	// sort the surviving entries by their lower x-corner.  In the paper the
-	// entries are sorted each time a page is read into the buffer; the
-	// sorting comparisons are charged separately (Table 4).  Version (I) of
-	// Table 4 skips the restriction to isolate the effect of sorting.  The
-	// entries themselves are never copied or reordered: the sort permutes a
-	// reusable index vector.
+	// Restrict the search space to the parents' intersection rectangle and
+	// gather the survivors sorted by their lower x-corner.  Both nodes were
+	// sorted when they were read (readPair), so the restriction is a filter
+	// over each node's xl-order.  Version (I) of Table 4 skips the
+	// restriction to isolate the effect of sorting.
 	f := e.arena.frame(depth)
+	restrict := &rect
 	if e.opts.DisableRestriction {
-		f.rIdx = appendAllIdx(f.rIdx[:0], len(nr.Entries))
-		f.sIdx = appendAllIdx(f.sIdx[:0], len(ns.Entries))
-	} else {
-		f.rIdx = e.restrictIdxEps(nr.Entries, rect, f.rIdx[:0], e.eps)
-		f.sIdx = e.restrictIdx(ns.Entries, rect, f.sIdx[:0])
+		restrict = nil
 	}
+	f.rIdx, f.rRects = restrictSorted(nr, restrict, e.eps, f.rIdx[:0], f.rRects[:0], &e.local)
+	f.sIdx, f.sRects = restrictSorted(ns, restrict, 0, f.sIdx[:0], f.sRects[:0], &e.local)
 	if len(f.rIdx) == 0 || len(f.sIdx) == 0 {
 		e.local.FlushTo(e.metrics)
 		return
 	}
-	// Sorting by the lower x-corner is expansion-invariant (the expansion
-	// shifts every key by the same eps), so the sort runs on the stored
-	// entries for every predicate; only the gathered sweep input differs.
-	e.sortIdxByXL(f.rIdx, nr.Entries)
-	e.sortIdxByXL(f.sIdx, ns.Entries)
-	f.rRects = gatherRectsEps(f.rRects[:0], nr.Entries, f.rIdx, e.eps)
-	f.sRects = gatherRects(f.sRects[:0], ns.Entries, f.sIdx)
 
 	// The sorted intersection test produces the qualifying pairs in local
 	// plane-sweep order.
@@ -112,7 +106,7 @@ func (e *executor) sweepJoin(nr, ns *rtree.Node, rect geom.Rect, method Method, 
 		}
 		e.zsorter.pairs = f.pairs
 		e.zsorter.zkeys = f.zkeys
-		stableSort(&e.zsorter, len(f.pairs))
+		sort.Stable(&e.zsorter)
 		e.zsorter.pairs, e.zsorter.zkeys = nil, nil
 	}
 	e.local.FlushTo(e.metrics)
@@ -135,9 +129,82 @@ func (e *executor) descend(er, es rtree.Entry, method Method, depth int) {
 	if !ok {
 		return
 	}
-	e.r.AccessNode(e.tracker, er.Child)
-	e.s.AccessNode(e.tracker, es.Child)
+	e.readPair(er.Child, es.Child)
 	e.sweepJoin(er.Child, es.Child, childRect, method, depth+1)
+}
+
+// restrictSorted appends to idx the entries of n that intersect rect, in the
+// node's xl-order, and to rects their rectangles expanded by eps (non-zero
+// only on the R side of a within-distance join; the expansion shifts every
+// sort key by the same amount, so one stored order serves every predicate).
+// A filter of a stably sorted sequence is the stable sort of the filtered
+// set, so this is the section-4.2 "restrict, then sort the survivors" in one
+// pass.  The marking scan is charged as if it had tested every entry: the
+// walk stops at the first entry lying right of rect, because each entry
+// after it lies right of rect too and would fail IntersectsCost's first
+// test at a cost of one comparison.  A nil rect takes the whole node.
+//
+//repro:hotpath
+func restrictSorted(n *rtree.Node, rect *geom.Rect, eps float64, idx []int32, rects []geom.Rect, local *metrics.Local) ([]int32, []geom.Rect) {
+	perm := n.XLOrder().Perm
+	entries := n.Entries
+	if rect == nil {
+		idx = append(idx, perm...)
+		for _, i := range perm {
+			rects = append(rects, expandEps(entries[i].Rect, eps))
+		}
+		return idx, rects
+	}
+	var comps int64
+	for k, i := range perm {
+		r := expandEps(entries[i].Rect, eps)
+		if r.XL > rect.XU {
+			comps += int64(len(perm) - k)
+			break
+		}
+		ok, cost := geom.IntersectsCost(r, *rect)
+		comps += cost
+		if ok {
+			idx = append(idx, i)
+			rects = append(rects, r)
+		}
+	}
+	local.Comparisons += comps
+	return idx, rects
+}
+
+// readSorted charges one read of n for a sweep.  Section 4.2 sorts a page's
+// entries "each time a page is read into the buffer" and Table 4 prices one
+// sorting pass per page read, so a counted disk read also charges the node's
+// sort — the comparison count stored with its xl-order, whoever built it —
+// and a buffer hit finds the page already sorted.
+//
+//repro:hotpath
+func readSorted(t *rtree.Tree, tr *buffer.Tracker, n *rtree.Node, local *metrics.Local) {
+	if !t.AccessNode(tr, n) {
+		local.NodeSorts++
+		local.SortComparisons += n.XLOrder().SortComparisons
+	}
+}
+
+// readPair reads the two nodes of a qualifying pair.  The reads sort the
+// pages when the pair is about to be swept: by SJ3-SJ5 for two nodes of the
+// same kind, by height policy (c) under any method for a data node paired
+// with a directory node.
+//
+//repro:hotpath
+func (e *executor) readPair(nr, ns *rtree.Node) {
+	swept := e.opts.Method >= SJ3
+	if nr.IsLeaf() != ns.IsLeaf() {
+		swept = e.opts.HeightPolicy == PolicySweepOrder
+	}
+	if !swept {
+		e.r.AccessNode(e.tracker, nr)
+		e.s.AccessNode(e.tracker, ns)
+		return
+	}
+	readSorted(e.r, e.tracker, nr, &e.local)
+	readSorted(e.s, e.tracker, ns, &e.local)
 }
 
 // processWithPinning processes the qualifying pairs in schedule order and,

@@ -42,7 +42,10 @@ func (c *Collector) AddComparisons(n int64) {
 }
 
 // AddSortComparisons charges n comparisons spent on sorting node entries
-// (the "sorting" row of the paper's Table 4).
+// (the "sorting" row of the paper's Table 4).  The sweep joins charge a
+// node's whole stable sort by lower x-corner on every counted disk read that
+// brings the node in for a sweep, as section 4.2 sorts a page "each time it
+// is read into the buffer"; a buffer hit finds the page sorted.
 func (c *Collector) AddSortComparisons(n int64) {
 	if c == nil {
 		return
@@ -145,7 +148,8 @@ func (c *Collector) BytesRead() int64 { return c.bytesRead.Load() }
 // BytesWritten returns the number of bytes written to secondary storage.
 func (c *Collector) BytesWritten() int64 { return c.bytesWritten.Load() }
 
-// NodeSorts returns how many times a node was sorted after being read.
+// NodeSorts returns how many times a node was sorted after being read: once
+// per counted disk read that brought a node in for a sweep.
 func (c *Collector) NodeSorts() int64 { return c.nodeSorts.Load() }
 
 // PairsTested returns the number of entry pairs tested for the join condition.
@@ -190,6 +194,9 @@ func (c *Collector) Reset() {
 }
 
 // Snapshot is an immutable copy of all counters, suitable for reporting.
+// SortComparisons and NodeSorts follow the on-counted-read rule documented at
+// Collector.AddSortComparisons, so they vary with the buffer like DiskReads
+// and are exact for a given join, tree pair and buffer configuration.
 type Snapshot struct {
 	Comparisons     int64
 	SortComparisons int64

@@ -213,8 +213,8 @@ func rebalanceTail(t *Tree, nodes []*Node) {
 	if deficit := t.minEnt - len(last.Entries); deficit > 0 && len(prev.Entries)-deficit >= t.minEnt {
 		cut := len(prev.Entries) - deficit
 		moved := append([]Entry(nil), prev.Entries[cut:]...)
-		prev.Entries = prev.Entries[:cut]
-		last.Entries = append(moved, last.Entries...)
+		prev.setEntries(prev.Entries[:cut])
+		last.setEntries(append(moved, last.Entries...))
 	}
 }
 

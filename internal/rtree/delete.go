@@ -50,7 +50,7 @@ func (t *Tree) deleteRec(n *Node, rect geom.Rect, data int32, orphans *[]pending
 	if n.IsLeaf() {
 		for i, e := range n.Entries {
 			if e.Data == data && e.Rect.Equal(rect) {
-				n.Entries = append(n.Entries[:i], n.Entries[i+1:]...)
+				n.setEntries(append(n.Entries[:i], n.Entries[i+1:]...))
 				t.maintEntries(n.Level, -1)
 				// Deletes never split, so without this the reservoir would
 				// keep describing the removed geometry indefinitely.
@@ -81,10 +81,10 @@ func (t *Tree) deleteRec(n *Node, rect geom.Rect, data int32, orphans *[]pending
 			}
 			t.maintRemoveNode(child)
 			t.maintEntries(child.Level, -len(child.Entries))
-			n.Entries = append(n.Entries[:i], n.Entries[i+1:]...)
+			n.setEntries(append(n.Entries[:i], n.Entries[i+1:]...))
 			t.maintEntries(n.Level, -1)
 		} else {
-			n.Entries[i].Rect = child.MBR()
+			n.setRect(i, child.MBR())
 		}
 		return true
 	}

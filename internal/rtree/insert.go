@@ -48,11 +48,10 @@ func (t *Tree) insertEntry(e Entry, level int) {
 	// The root was split: grow the tree by one level.
 	oldRoot := t.root
 	newRoot := t.newNode(oldRoot.Level + 1)
-	newRoot.Entries = make([]Entry, 0, t.maxEnt+1)
-	newRoot.Entries = append(newRoot.Entries,
+	newRoot.setEntries(append(make([]Entry, 0, t.maxEnt+1),
 		Entry{Rect: oldRoot.MBR(), Child: oldRoot},
 		split,
-	)
+	))
 	t.root = newRoot
 	t.height++
 	t.maintAddNode(newRoot)
@@ -64,7 +63,7 @@ func (t *Tree) insertEntry(e Entry, level int) {
 // created sibling (and true) if n itself was split.
 func (t *Tree) insertRec(n *Node, e Entry, level int) (Entry, bool) {
 	if n.Level == level {
-		n.Entries = append(n.Entries, e)
+		n.setEntries(append(n.Entries, e))
 		t.maintEntries(n.Level, 1)
 		if n.Level == 0 {
 			// Remember the leaf that received the entry: the insertion
@@ -75,9 +74,9 @@ func (t *Tree) insertRec(n *Node, e Entry, level int) (Entry, bool) {
 		idx := t.chooseSubtree(n, e.Rect)
 		child := t.ownChild(n, idx)
 		split, ok := t.insertRec(child, e, level)
-		n.Entries[idx].Rect = child.MBR()
+		n.setRect(idx, child.MBR())
 		if ok {
-			n.Entries = append(n.Entries, split)
+			n.setEntries(append(n.Entries, split))
 			t.maintEntries(n.Level, 1)
 		}
 	}
@@ -217,10 +216,11 @@ func (t *Tree) forcedReinsert(n *Node) bool {
 	a.distSorter.d = nil
 
 	removed := dists[:p]
-	n.Entries = n.Entries[:0]
+	kept := n.Entries[:0]
 	for _, d := range dists[p:] {
-		n.Entries = append(n.Entries, d.e)
+		kept = append(kept, d.e)
 	}
+	n.setEntries(kept)
 	t.maintEntries(n.Level, -p)
 	t.maintResample(n)
 	// Close reinsert: queue the removed entries ordered by increasing

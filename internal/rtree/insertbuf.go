@@ -248,7 +248,7 @@ func (b *InsertBuffer) applyOne(it Item) {
 		// room: appending it changes no directory rectangle (every ancestor
 		// already covers the leaf MBR) and overflows nothing, so the R-tree
 		// invariants hold without touching the path above the leaf.
-		b.hint.Entries = append(b.hint.Entries, Entry{Rect: it.Rect, Data: it.Data})
+		b.hint.setEntries(append(b.hint.Entries, Entry{Rect: it.Rect, Data: it.Data}))
 		t.size++
 		t.muts++
 		t.maintEntries(0, 1)

@@ -183,7 +183,10 @@ func TestInsertBufferSurvivesInterleavedMutations(t *testing.T) {
 
 // FuzzInsertBuffer drives a mixed op stream (stage / flush / plain insert /
 // delete) decoded from fuzz bytes and checks the invariants, the contents and
-// the maintained catalog after every flush boundary.
+// the maintained catalog after every flush boundary.  Every op starts from a
+// tree whose nodes all carry an xl-order, as after a join, and must leave no
+// stale one behind (CheckInvariants); at every explicit flush and at the end
+// the sweep joins over the tree must still match the nested loop.
 func FuzzInsertBuffer(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 0, 0, 4, 5})
 	f.Add(int64(42), []byte{2, 2, 2, 1, 0, 3, 3, 3, 3, 1})
@@ -197,7 +200,8 @@ func FuzzInsertBuffer(f *testing.F) {
 		buf := NewInsertBuffer(tr, 16)
 		var live, staged []Item
 		next := int32(0)
-		for _, op := range ops {
+		for i, op := range ops {
+			touchOrders(tr)
 			switch op % 4 {
 			case 0: // stage
 				it := randomItem(rng, next)
@@ -212,6 +216,9 @@ func FuzzInsertBuffer(f *testing.F) {
 				buf.Flush()
 				live = append(live, staged...)
 				staged = staged[:0]
+				if i < 64 {
+					JoinCheck(t, tr)
+				}
 			case 2: // plain insert, bypassing the buffer
 				it := randomItem(rng, next)
 				next++
@@ -229,12 +236,17 @@ func FuzzInsertBuffer(f *testing.F) {
 					t.Fatal("delete of live item failed")
 				}
 			}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatalf("op %d (%d): %v", i, op%4, err)
+			}
 		}
+		touchOrders(tr)
 		buf.Flush()
 		live = append(live, staged...)
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
+		JoinCheck(t, tr)
 		if tr.Len() != len(live) {
 			t.Fatalf("tree holds %d, want %d", tr.Len(), len(live))
 		}

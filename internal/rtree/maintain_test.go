@@ -67,11 +67,22 @@ func checkMaintained(t *testing.T, tr *Tree, label string) {
 	}
 }
 
+// checkOrders fails the test if any node carries an xl-order that does not
+// match its entries.
+func checkOrders(t *testing.T, tr *Tree) {
+	t.Helper()
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestMaintainedCatalogMatchesWalkAfterRandomMutations drives randomized
 // insert/delete/buffered-insert sequences over both variants and small pages
 // (deep trees, frequent splits, forced re-insertions and condenses) and
 // checks after every batch that the maintained populations are exact and no
-// walk fired.
+// walk fired.  Every mutation starts from a fully swept tree (all xl-orders
+// built) and must leave no stale order behind; every batch ends with the
+// sweep joins checked against the nested loop.
 func TestMaintainedCatalogMatchesWalkAfterRandomMutations(t *testing.T) {
 	for _, variant := range []Variant{RStar, Quadratic} {
 		for _, pageSize := range []int{8 * storage.EntrySize, storage.PageSize1K} {
@@ -87,8 +98,10 @@ func TestMaintainedCatalogMatchesWalkAfterRandomMutations(t *testing.T) {
 					for i := 0; i < 30; i++ {
 						it := randomItem(rng, next)
 						next++
+						touchOrders(tr)
 						tr.Insert(it.Rect, it.Data)
 						live = append(live, it)
+						checkOrders(t, tr)
 					}
 				case op == 1:
 					// Buffered inserts (staged, Hilbert-sorted, hint applied).
@@ -98,6 +111,7 @@ func TestMaintainedCatalogMatchesWalkAfterRandomMutations(t *testing.T) {
 						buf.Stage(it.Rect, it.Data)
 						live = append(live, it)
 					}
+					touchOrders(tr)
 					buf.Flush()
 				default:
 					// Deletes, including enough to trigger condenses.
@@ -106,15 +120,20 @@ func TestMaintainedCatalogMatchesWalkAfterRandomMutations(t *testing.T) {
 						it := live[j]
 						live[j] = live[len(live)-1]
 						live = live[:len(live)-1]
+						touchOrders(tr)
 						if !tr.Delete(it.Rect, it.Data) {
 							t.Fatalf("delete of live item %d failed", it.Data)
 						}
+						checkOrders(t, tr)
 					}
 				}
 				if err := tr.CheckInvariants(); err != nil {
 					t.Fatalf("batch %d: %v", batch, err)
 				}
 				checkMaintained(t, tr, "random-mutations")
+				if batch%8 == 7 {
+					JoinCheck(t, tr)
+				}
 			}
 			// Drain to empty: root shrinks all the way down.
 			for _, it := range live {

@@ -8,13 +8,14 @@ import (
 )
 
 // AccessNode charges one read of the node to the tracker (path buffer, LRU
-// buffer or disk).  A nil tracker is a no-op, so query code can be written
-// once for tracked and untracked execution.
-func (t *Tree) AccessNode(tr *buffer.Tracker, n *Node) {
+// buffer or disk) and reports whether a buffer satisfied it; false is a
+// counted disk read.  A nil tracker is a no-op that reads nothing (true), so
+// query code can be written once for tracked and untracked execution.
+func (t *Tree) AccessNode(tr *buffer.Tracker, n *Node) bool {
 	if tr == nil {
-		return
+		return true
 	}
-	tr.Access(t.id, n.Level, n.ID)
+	return tr.Access(t.id, n.Level, n.ID)
 }
 
 // Search reports every data entry whose rectangle intersects query to fn.

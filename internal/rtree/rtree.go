@@ -114,13 +114,16 @@ type Node struct {
 	// nodes whose epoch predates the tree's latest snapshot fence are shared
 	// with that snapshot and must be copied before mutation (see snapshot.go).
 	epoch int64
+	// xlOrder caches the entries' stable ascending-XL order for the sweep
+	// joins; nil until first used and again after every mutation (xlorder.go).
+	xlOrder atomic.Pointer[XLOrder]
 }
 
 // IsLeaf reports whether the node is a leaf (level 0).
 func (n *Node) IsLeaf() bool { return n.Level == 0 }
 
-// MBR returns the minimum bounding rectangle of all entries of the node.
-// It panics on an empty node other than an empty tree root, which has no MBR.
+// MBR returns the minimum bounding rectangle of all entries of the node, or
+// the zero Rect for a node without entries (the root of an empty tree).
 func (n *Node) MBR() geom.Rect {
 	if len(n.Entries) == 0 {
 		return geom.Rect{}

@@ -15,7 +15,7 @@ func (t *Tree) splitNode(n *Node) Entry {
 		second = t.rstarSplit(n)
 	}
 	sibling := t.newNode(n.Level)
-	sibling.Entries = second
+	sibling.setEntries(second)
 	t.maintAddNode(sibling)
 	t.maintResample(n)
 	return Entry{Rect: sibling.MBR(), Child: sibling}
@@ -25,7 +25,7 @@ func (t *Tree) splitNode(n *Node) Entry {
 // arena scratch, so the copy cannot alias n's backing array) and returns a
 // tree-owned copy of the second group with room to overflow once more.
 func (t *Tree) keepFirstGroup(n *Node, groupA, groupB []Entry) []Entry {
-	n.Entries = append(n.Entries[:0], groupA...)
+	n.setEntries(append(n.Entries[:0], groupA...))
 	second := make([]Entry, len(groupB), t.maxEnt+1)
 	copy(second, groupB)
 	return second

@@ -14,6 +14,7 @@ var (
 	ErrLevelMismatch  = errors.New("rtree: child level inconsistent")
 	ErrEntryCountDrop = errors.New("rtree: data entry count mismatch")
 	ErrRootInvalid    = errors.New("rtree: root violates minimum children requirement")
+	ErrStaleOrder     = errors.New("rtree: node's xl-order does not match its entries")
 )
 
 // CheckInvariants verifies the structural invariants of the R-tree definition
@@ -24,7 +25,10 @@ var (
 //   - all leaves are at the same distance from the root,
 //   - every directory rectangle covers all rectangles of its child node
 //     (and is exactly the child's MBR),
-//   - the stored data-entry count matches the tree's size.
+//   - the stored data-entry count matches the tree's size,
+//   - every node that has an xl-order (see XLOrder) has the one a fresh sort
+//     of its current entries produces — a mutation that forgot to drop the
+//     order shows up here.
 //
 // It returns nil if the tree is structurally sound.
 func (t *Tree) CheckInvariants() error {
@@ -56,6 +60,11 @@ func (t *Tree) checkNode(n *Node, wantLevel int) (int, error) {
 	if n != t.root && len(n.Entries) < t.minEnt {
 		return 0, fmt.Errorf("%w: node %d holds %d < %d entries", ErrUnderflow, n.ID, len(n.Entries), t.minEnt)
 	}
+	if o := n.xlOrder.Load(); o != nil {
+		if err := checkXLOrder(n, o); err != nil {
+			return 0, err
+		}
+	}
 	if n.IsLeaf() {
 		return len(n.Entries), nil
 	}
@@ -76,4 +85,34 @@ func (t *Tree) checkNode(n *Node, wantLevel int) (int, error) {
 		total += sub
 	}
 	return total, nil
+}
+
+// checkXLOrder verifies a published order against the node's current
+// entries: a permutation of the entry indices, ascending in XL with ties in
+// index order, carrying the comparison count a fresh sort.Stable needs.
+func checkXLOrder(n *Node, o *XLOrder) error {
+	if len(o.Perm) != len(n.Entries) {
+		return fmt.Errorf("%w: node %d orders %d of %d entries", ErrStaleOrder, n.ID, len(o.Perm), len(n.Entries))
+	}
+	seen := make([]bool, len(n.Entries))
+	for k, i := range o.Perm {
+		if i < 0 || int(i) >= len(seen) || seen[i] {
+			return fmt.Errorf("%w: node %d position %d: entry %d out of range or repeated", ErrStaleOrder, n.ID, k, i)
+		}
+		seen[i] = true
+		if k == 0 {
+			continue
+		}
+		prev := o.Perm[k-1]
+		a, b := n.Entries[prev].Rect.XL, n.Entries[i].Rect.XL
+		if a > b || (a == b && prev > i) {
+			return fmt.Errorf("%w: node %d positions %d,%d: entry %d (xl %g) before entry %d (xl %g)",
+				ErrStaleOrder, n.ID, k-1, k, prev, a, i, b)
+		}
+	}
+	if want := buildXLOrder(n.Entries).SortComparisons; o.SortComparisons != want {
+		return fmt.Errorf("%w: node %d stores %d sort comparisons, a fresh sort needs %d",
+			ErrStaleOrder, n.ID, o.SortComparisons, want)
+	}
+	return nil
 }

@@ -1,0 +1,183 @@
+package rtree
+
+import (
+	"errors"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"repro/internal/geom"
+)
+
+// touchOrders makes every node's xl-order exist, the state a tree is in after
+// a join swept it; a mutation that fails to drop one is then visible to
+// CheckInvariants as ErrStaleOrder.
+func touchOrders(tr *Tree) {
+	tr.Walk(func(n *Node) { n.XLOrder() })
+}
+
+// TestXLOrderMatchesSliceStable asserts that a node's order is the
+// permutation sort.SliceStable applies to a copy of the entries and that the
+// stored count is exactly the key comparisons that sort performs, across
+// sizes below, at and far above the stable sort's insertion block size.  The
+// join's sorting cost measure (paper Table 4) is this count.
+func TestXLOrderMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 2, 5, 19, 20, 21, 40, 57, 100, 333, 1000} {
+		for trial := 0; trial < 20; trial++ {
+			entries := make([]Entry, n)
+			for i := range entries {
+				// Coarse keys force ties, exercising stability.
+				x := float64(rng.Intn(n/4 + 1))
+				entries[i] = Entry{Rect: geom.Rect{XL: x, XU: x + 1}, Data: int32(i)}
+			}
+			ref := append([]Entry(nil), entries...)
+			var refComps int64
+			sort.SliceStable(ref, func(i, j int) bool {
+				refComps++
+				return ref[i].Rect.XL < ref[j].Rect.XL
+			})
+
+			node := &Node{Entries: entries}
+			o := node.XLOrder()
+			if o.SortComparisons != refComps {
+				t.Fatalf("n=%d trial=%d: %d comparisons, sort.SliceStable charged %d", n, trial, o.SortComparisons, refComps)
+			}
+			if len(o.Perm) != n {
+				t.Fatalf("n=%d: order lists %d entries", n, len(o.Perm))
+			}
+			for k, i := range o.Perm {
+				if entries[i].Data != ref[k].Data {
+					t.Fatalf("n=%d trial=%d: permutation differs from sort.SliceStable at %d", n, trial, k)
+				}
+			}
+			if node.XLOrder() != o {
+				t.Fatalf("n=%d: second call rebuilt the order", n)
+			}
+		}
+	}
+}
+
+// TestCheckInvariantsDetectsStaleOrder corrupts a swept node behind the
+// mutators' back in each way an order can be wrong.
+func TestCheckInvariantsDetectsStaleOrder(t *testing.T) {
+	build := func() (*Tree, *Node) {
+		tr := MustNew(smallOpts(RStar))
+		tr.InsertItems(randomItems(rand.New(rand.NewSource(9)), 300, 0.02))
+		touchOrders(tr)
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("swept tree invalid: %v", err)
+		}
+		var leaf *Node
+		tr.Walk(func(n *Node) {
+			if leaf == nil && n.IsLeaf() && len(n.Entries) > 2 {
+				leaf = n
+			}
+		})
+		return tr, leaf
+	}
+	cases := []struct {
+		name    string
+		corrupt func(n *Node)
+	}{
+		{"rect moved in place", func(n *Node) {
+			// Move the leftmost entry to the far right without touching its
+			// parent's rectangle check (a leaf's parent covers a shrunk MBR).
+			i := n.XLOrder().Perm[0]
+			last := n.Entries[n.XLOrder().Perm[len(n.Entries)-1]].Rect
+			n.Entries[i].Rect.XL, n.Entries[i].Rect.XU = last.XL, last.XU
+		}},
+		{"entries swapped", func(n *Node) {
+			o := n.XLOrder()
+			a, b := o.Perm[0], o.Perm[len(o.Perm)-1]
+			n.Entries[a], n.Entries[b] = n.Entries[b], n.Entries[a]
+		}},
+		{"count corrupted", func(n *Node) {
+			o := n.XLOrder()
+			n.xlOrder.Store(&XLOrder{Perm: o.Perm, SortComparisons: o.SortComparisons + 1})
+		}},
+		{"not a permutation", func(n *Node) {
+			o := n.XLOrder()
+			perm := append([]int32(nil), o.Perm...)
+			perm[1] = perm[0]
+			n.xlOrder.Store(&XLOrder{Perm: perm, SortComparisons: o.SortComparisons})
+		}},
+		{"tie out of index order", func(n *Node) {
+			n.Entries[1].Rect.XL = n.Entries[0].Rect.XL
+			n.xlOrder.Store(nil)
+			o := n.XLOrder()
+			perm := append([]int32(nil), o.Perm...)
+			for k := range perm[:len(perm)-1] {
+				if perm[k] == 0 && perm[k+1] == 1 {
+					perm[k], perm[k+1] = 1, 0
+				}
+			}
+			n.xlOrder.Store(&XLOrder{Perm: perm, SortComparisons: o.SortComparisons})
+		}},
+	}
+	for _, c := range cases {
+		tr, leaf := build()
+		c.corrupt(leaf)
+		if err := tr.CheckInvariants(); !errors.Is(err, ErrStaleOrder) {
+			t.Errorf("%s: CheckInvariants = %v, want ErrStaleOrder", c.name, err)
+		}
+	}
+
+	// Shrinking the node drops out of the order's range.
+	tr, leaf := build()
+	leaf.Entries = leaf.Entries[:len(leaf.Entries)-1]
+	tr.size--
+	if err := tr.CheckInvariants(); !errors.Is(err, ErrStaleOrder) {
+		t.Errorf("entry removed in place: CheckInvariants = %v, want ErrStaleOrder", err)
+	}
+}
+
+// TestCopyNodeStartsWithoutOrder: a copy-on-write copy is made to be mutated,
+// so it never inherits the shared node's order, and building an order on the
+// shared node later does not leak into the copy.
+func TestCopyNodeStartsWithoutOrder(t *testing.T) {
+	tr := MustNew(smallOpts(RStar))
+	tr.InsertItems(randomItems(rand.New(rand.NewSource(3)), 200, 0.02))
+	snap := tr.Snapshot()
+	touchOrders(snap)
+	shared := snap.Root()
+	own := tr.ownRoot()
+	if own == shared {
+		t.Fatal("root not copied after a snapshot")
+	}
+	if own.xlOrder.Load() != nil {
+		t.Fatal("copyNode carried the xl-order over")
+	}
+	if shared.xlOrder.Load() == nil {
+		t.Fatal("copying dropped the shared node's order")
+	}
+}
+
+// TestHintAppendDropsOrder: the insertion buffer's leaf-hint fast path
+// appends to a leaf without descending to it, so it is the one mutation that
+// reaches a node a join may have swept since the previous flush.
+func TestHintAppendDropsOrder(t *testing.T) {
+	tr := MustNew(Options{PageSize: 1024})
+	tr.InsertItems(randomItems(rand.New(rand.NewSource(21)), 300, 0.02))
+	buf := NewInsertBuffer(tr, 8)
+	buf.Stage(geom.Rect{XL: 0.5, YL: 0.5, XU: 0.51, YU: 0.51}, 1000)
+	buf.Flush() // a full descent; seeds the hint
+	for id := int32(1001); id < 1050; id++ {
+		if buf.hint == nil {
+			t.Fatal("flush left no leaf hint")
+		}
+		touchOrders(tr)
+		c := buf.hintMBR.Center()
+		hits := buf.HintHits()
+		buf.Stage(geom.Rect{XL: c.X, YL: c.Y, XU: c.X, YU: c.Y}, id)
+		buf.Flush()
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if buf.HintHits() > hits {
+			JoinCheck(t, tr)
+			return
+		}
+	}
+	t.Fatal("no staged rectangle took the hint path")
+}
