@@ -2,9 +2,9 @@ package join
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/geom"
+	"repro/internal/metrics"
 	"repro/internal/rtree"
 )
 
@@ -13,20 +13,29 @@ import (
 //
 // The traversal is best-first over node pairs: a priority queue keyed by the
 // squared MBR distance of the pair (ties broken by insertion sequence, so the
-// schedule is deterministic) repeatedly pops the closest pair, descends it,
-// and stops once the popped distance exceeds every item's current kth-best
-// distance — from then on no remaining pair can improve any result heap,
-// because a child pair is never closer than its parent.  Each R item carries
-// a bounded max-heap of its best (distance, S id) candidates; ties on
-// distance are broken towards the smaller S identifier, which makes the
-// result set independent of the traversal order and therefore identical
-// across sequential, parallel and sharded executions.
+// schedule is deterministic) repeatedly pops the closest pair and descends
+// it.  Each R item carries a bounded max-heap of its best (distance, S id)
+// candidates, whose root is the item's pruning bound tau; ties on distance
+// are broken towards the smaller S identifier, which makes the result set
+// independent of the traversal order and therefore identical across
+// sequential, parallel and sharded executions.
+//
+// Nothing is tested that the R items it can reach no longer need, at three
+// levels (section 4 of the paper: restrict the search space, sort, sweep):
+// every node of the R subtree keeps the maximum tau of the items below it,
+// and a node pair further apart than its own R node's bound is dropped
+// unread; inside a leaf pair an item skips an S leaf whose MBR lies beyond
+// its tau; and an item that does meet the leaf scans only its current
+// x-window of the leaf's cached xl-order (leafPair).  Every prune is strict
+// — `lower bound > tau`, never `>=`, and only once the heap holds K
+// candidates — because an equidistant candidate with a smaller S identifier
+// must still be offered, and every lower bound is exact in floating point.
 //
 // Distances stay squared end to end (no square root is ever taken or
 // charged); every distance computation is charged through the counted
-// geom.RectDistSquaredCost and every heap admission test charges one
-// threshold comparison, extending the paper's comparison-based CPU measure
-// to the new predicate.
+// geom.RectDistSquaredCost and every bound test, binary-search step and heap
+// admission test charges one comparison, extending the paper's
+// comparison-based CPU measure to the new predicate.
 
 // nnCand is one candidate neighbour in an item's result heap.
 type nnCand struct {
@@ -76,35 +85,58 @@ func (h nnHeap) siftDown(i int) {
 	}
 }
 
-// knnItem is the per-R-item result state.
-type knnItem struct {
-	id   int32
-	heap nnHeap
-}
-
-// tau returns the item's pruning bound: the distance of its kth-best
-// candidate, or +Inf while the heap is not full.
-func (it *knnItem) tau(k int) float64 {
-	if len(it.heap) < k {
-		return math.Inf(1)
-	}
-	return it.heap[0].d2
-}
-
-// offer admits the candidate if it ranks among the item's K best, charging
-// one threshold comparison for the admission test (the distance computation
-// itself is charged by the caller).
-func (it *knnItem) offer(c nnCand, k int, comps *int64) {
-	if len(it.heap) < k {
-		it.heap = append(it.heap, c)
-		it.heap.siftUp(len(it.heap) - 1)
-		return
+// offer admits c into the heap held in the first n slots of slab (n <=
+// len(slab), the heap's capacity) if it ranks among the len(slab) best, and
+// returns the new n.  A full heap charges one threshold comparison for the
+// admission test; the distance computation is charged by the caller.
+func offer(slab []nnCand, n int, c nnCand, comps *int64) int {
+	if n < len(slab) {
+		slab[n] = c
+		nnHeap(slab[:n+1]).siftUp(n)
+		return n + 1
 	}
 	*comps++
-	if !c.worse(it.heap[0]) && c != it.heap[0] {
-		it.heap[0] = c
-		it.heap.siftDown(0)
+	if !c.worse(slab[0]) && c != slab[0] {
+		slab[0] = c
+		nnHeap(slab).siftDown(0)
 	}
+	return n
+}
+
+// sortCands orders a finished heap ascending by (distance, S id) for
+// emission.  It holds at most K candidates, so an insertion sort beats a
+// general sort and allocates nothing.
+func sortCands(h []nnCand) {
+	for i := 1; i < len(h); i++ {
+		c := h[i]
+		j := i
+		for ; j > 0 && h[j-1].worse(c); j-- {
+			h[j] = h[j-1]
+		}
+		h[j] = c
+	}
+}
+
+// knnItem is the per-R-entry result state.  Items are addressed by position
+// (their leaf's first item plus the entry index), never by identifier, so R
+// entries that share an identifier keep separate heaps.
+type knnItem struct {
+	id int32 // the entry's R identifier, for emission
+	n  int32 // candidates currently held, at most knnState.k
+}
+
+// knnNode is the per-run pruning state of one node of the R subtree.  It
+// lives here and not on rtree.Node: a node is shared by every reader of its
+// copy-on-write epoch and by every task of a parallel join.
+type knnNode struct {
+	// bound is no smaller than the kth-best distance of every item below the
+	// node (+Inf while one of them holds fewer than k candidates).  It may
+	// lag behind the heaps (stale-high) but is never below them: it is only
+	// ever recomputed as a maximum.
+	bound  float64
+	parent int32 // index into knnState.nodes; -1 at the subtree's root
+	first  int32 // leaf: its first item; directory: its first child's node
+	n      int32 // number of entries
 }
 
 // knnPair is one entry of the best-first queue.
@@ -113,6 +145,7 @@ type knnPair struct {
 	seq int64
 	rn  *rtree.Node
 	sn  *rtree.Node
+	ri  int32 // rn's index into knnState.nodes
 }
 
 // knnQueue is a min-heap of node pairs keyed by (distance, insertion
@@ -166,45 +199,241 @@ func (q *knnQueue) pop() knnPair {
 
 // knnState bundles the traversal state of one kNN run over one R subtree.
 type knnState struct {
-	k     int
-	items []knnItem
-	slot  map[int32]int32 // R item id -> index into items
+	k     int       // neighbours kept per item: min(K, |S|)
+	items []knnItem // in registration (depth-first R entry) order
+	cands []nnCand  // item i's heap is cands[i*k : i*k+items[i].n]
+	nodes []knnNode // the R subtree's nodes; nodes[0] is its root
 	queue knnQueue
 	seq   int64
 }
 
-// registerItems collects the R items of the subtree rooted at rn in
-// depth-first entry order, so the emission order is deterministic and
-// independent of the traversal.
-func (st *knnState) registerItems(rn *rtree.Node) {
+// newKNNState registers the R subtree rooted at rn: one slab of k
+// candidates per item instead of a heap grown per item, and every slice
+// sized by a counting pass, so a run's allocations do not grow with |R|.
+func newKNNState(k int, rn *rtree.Node) *knnState {
+	nodes, items := countSubtree(rn)
+	st := &knnState{
+		k:     k,
+		items: make([]knnItem, 0, items),
+		cands: make([]nnCand, items*k),
+		nodes: make([]knnNode, 1, nodes),
+	}
+	st.register(rn, 0, -1)
+	return st
+}
+
+// countSubtree returns the number of nodes and of data entries below rn.
+func countSubtree(rn *rtree.Node) (nodes, items int) {
 	if rn.IsLeaf() {
+		return 1, len(rn.Entries)
+	}
+	nodes = 1
+	for i := range rn.Entries {
+		n, it := countSubtree(rn.Entries[i].Child)
+		nodes += n
+		items += it
+	}
+	return nodes, items
+}
+
+// register enters the subtree rooted at rn, whose slot in nodes the caller
+// has already made at index self.  Items are collected in depth-first
+// entry order, so the emission order is deterministic and independent of the
+// traversal and a leaf's items are one contiguous range; a directory node's
+// children take consecutive slots, so entry i's node is first+i.
+func (st *knnState) register(rn *rtree.Node, self, parent int32) {
+	nd := knnNode{bound: math.Inf(1), parent: parent, n: int32(len(rn.Entries))}
+	if rn.IsLeaf() {
+		nd.first = int32(len(st.items))
+		st.nodes[self] = nd
 		for i := range rn.Entries {
-			id := rn.Entries[i].Data
-			st.slot[id] = int32(len(st.items))
-			st.items = append(st.items, knnItem{id: id})
+			st.items = append(st.items, knnItem{id: rn.Entries[i].Data})
 		}
 		return
 	}
+	nd.first = int32(len(st.nodes))
+	st.nodes[self] = nd
+	st.nodes = st.nodes[:len(st.nodes)+len(rn.Entries)]
 	for i := range rn.Entries {
-		st.registerItems(rn.Entries[i].Child)
+		st.register(rn.Entries[i].Child, nd.first+int32(i), self)
 	}
 }
 
-// tauMax returns the exact current maximum pruning bound over all items.
-// The popped distances are non-decreasing (a child pair is at least as far
-// apart as its parent), so once a popped distance exceeds this bound the
-// traversal can stop: no remaining pair can improve any heap.
-func (st *knnState) tauMax() float64 {
-	worst := 0.0
-	for i := range st.items {
-		if t := st.items[i].tau(st.k); t > worst {
-			worst = t
-			if math.IsInf(worst, 1) {
-				return worst
+// heap returns item i's candidates.
+func (st *knnState) heap(i int) []nnCand {
+	return st.cands[i*st.k : i*st.k+int(st.items[i].n)]
+}
+
+// push queues a node pair unless it already lies strictly beyond its R
+// node's bound: every item pair below it is at least d2 apart (a child pair
+// is never closer than its parent, in floating point too — the entry
+// rectangles bound their children exactly and rounding is monotone), and
+// bounds only fall, so the pair could never feed a heap.  The caller charges
+// the test.
+func (st *knnState) push(d2 float64, ri int32, rn, sn *rtree.Node) {
+	if d2 > st.nodes[ri].bound {
+		return
+	}
+	st.queue.push(knnPair{d2: d2, seq: st.seq, rn: rn, sn: sn, ri: ri})
+	st.seq++
+}
+
+// tau returns item i's pruning bound: the distance of its kth-best
+// candidate, or +Inf while it holds fewer than k.
+func (st *knnState) tau(i int) float64 {
+	if int(st.items[i].n) < st.k {
+		return math.Inf(1)
+	}
+	return st.cands[i*st.k].d2
+}
+
+// tighten recomputes the bound of R leaf ri from its items' heaps after a
+// leaf pair fed them, then each ancestor's from its children for as long as
+// the maximum moves.  One comparison is charged per value inspected.
+func (st *knnState) tighten(ri int32, local *metrics.Local) {
+	nd := &st.nodes[ri]
+	var comps int64
+	bound := 0.0
+	for i := int(nd.first); i < int(nd.first+nd.n); i++ {
+		comps++
+		if t := st.tau(i); t > bound {
+			bound = t
+		}
+	}
+	for {
+		comps++
+		if bound >= nd.bound {
+			break
+		}
+		nd.bound = bound
+		if nd.parent < 0 {
+			break
+		}
+		nd = &st.nodes[nd.parent]
+		bound = 0
+		for _, c := range st.nodes[nd.first : nd.first+nd.n] {
+			comps++
+			if c.bound > bound {
+				bound = c.bound
 			}
 		}
 	}
-	return worst
+	local.Comparisons += comps
+}
+
+// leafPair offers the entries of S leaf sn to the heaps of R leaf rn's items
+// (the first of which is item base), visiting for each item only the part of
+// sn it can still use.  Three exact prunes replace the leaf x leaf product,
+// all of them strict (an equidistant candidate with a smaller S identifier
+// must still be offered) and armed only once the item's heap is full:
+//
+//   - the item skips the leaf when its distance to the leaf's MBR exceeds its
+//     kth-best distance tau;
+//   - otherwise the scan starts at the item's own XL in the leaf's xl-order
+//     and runs rightwards until an entry begins more than sqrt(tau) right of
+//     the item — every later entry begins further right still —
+//   - and leftwards until the running maximum of XU says that no entry at or
+//     before the position reaches within sqrt(tau) of the item.
+//
+// Each bound is the x-term of the distance RectDistSquaredCost would compute
+// for the pruned entries, taken with the same subtraction on operands that
+// dominate theirs, so by monotone rounding it never exceeds their computed
+// distance (which adds a non-negative y-term).  tau is re-read at every test
+// because it falls as the scan admits candidates.  Rectangles are assumed
+// valid (XL <= XU), as everywhere in the sweep code.  Every test made here —
+// leaf-MBR distance, binary-search step, gap check, admission — is charged.
+//
+//repro:hotpath
+func (st *knnState) leafPair(rn *rtree.Node, base int, sn *rtree.Node, local *metrics.Local) {
+	k := st.k
+	sMBR := sn.MBR()
+	order := sn.XLOrder()
+	perm, maxXU := order.Perm, order.PrefixMaxXU
+	sEntries := sn.Entries
+	var comps, tested int64
+	for ir := range rn.Entries {
+		r := rn.Entries[ir].Rect
+		it := &st.items[base+ir]
+		slab := st.cands[(base+ir)*k : (base+ir+1)*k]
+		n := int(it.n)
+		if n == k {
+			d2, cost := geom.RectDistSquaredCost(r, sMBR)
+			comps += cost + 1
+			if d2 > slab[0].d2 {
+				continue
+			}
+		}
+		// start is the first position whose entry begins right of r.XL.
+		start, hi := 0, len(perm)
+		for start < hi {
+			mid := int(uint(start+hi) >> 1)
+			comps++
+			if sEntries[perm[mid]].Rect.XL <= r.XL {
+				start = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		for j := start; j < len(perm); j++ {
+			es := &sEntries[perm[j]]
+			if n == k {
+				comps++
+				if r.XU < es.Rect.XL {
+					gap := es.Rect.XL - r.XU
+					comps++
+					if gap*gap > slab[0].d2 {
+						break
+					}
+				}
+			}
+			d2, cost := geom.RectDistSquaredCost(r, es.Rect)
+			comps += cost
+			tested++
+			n = offer(slab, n, nnCand{d2: d2, sID: es.Data}, &comps)
+		}
+		for j := start - 1; j >= 0; j-- {
+			if n == k {
+				comps++
+				if maxXU[j] < r.XL {
+					gap := r.XL - maxXU[j]
+					comps++
+					if gap*gap > slab[0].d2 {
+						break
+					}
+				}
+			}
+			es := &sEntries[perm[j]]
+			d2, cost := geom.RectDistSquaredCost(r, es.Rect)
+			comps += cost
+			tested++
+			n = offer(slab, n, nnCand{d2: d2, sID: es.Data}, &comps)
+		}
+		it.n = int32(n)
+	}
+	local.Comparisons += comps
+	local.PairsTested += tested
+}
+
+// productPair is the leaf x leaf product leafPair replaced: every entry of
+// sn is offered to every item of rn.  The index-free oracle runs on it, and
+// FuzzKNNLeafKernel holds leafPair to it.
+func (st *knnState) productPair(rn *rtree.Node, base int, sn *rtree.Node, local *metrics.Local) {
+	k := st.k
+	var comps int64
+	for ir := range rn.Entries {
+		it := &st.items[base+ir]
+		slab := st.cands[(base+ir)*k : (base+ir+1)*k]
+		n := int(it.n)
+		for is := range sn.Entries {
+			es := &sn.Entries[is]
+			d2, cost := geom.RectDistSquaredCost(rn.Entries[ir].Rect, es.Rect)
+			comps += cost
+			n = offer(slab, n, nnCand{d2: d2, sID: es.Data}, &comps)
+		}
+		it.n = int32(n)
+	}
+	local.Comparisons += comps
+	local.PairsTested += int64(len(rn.Entries) * len(sn.Entries))
 }
 
 // runKNN executes the kNN join with the best-first node-pair traversal.
@@ -214,111 +443,114 @@ func (e *executor) runKNN() {
 	e.knnFrom(e.r.Root(), e.s.Root())
 }
 
-// knnFrom joins the R subtree rooted at rn against the S subtree rooted at
-// sn and emits K nearest neighbours for every R item of the subtree.  Pages
-// are read when their pair is popped — the queue's priority order is the
-// read schedule, and pairs the stop bound prunes are never charged.
-// ParallelJoin calls it once per R root entry, so the per-task results are
-// disjoint in R and merge by concatenation under any schedule.
+// knnFrom joins the R subtree rooted at rn against the S tree, whose root is
+// sn, and emits the nearest neighbours of every R entry of the subtree.
+// Pages are read when their pair is popped — the queue's priority order is
+// the read schedule, and a pair is dropped unread, at push or at pop, once
+// its distance strictly exceeds the bound of its own R node; the subtree
+// root's bound is the global stop.  ParallelJoin calls knnFrom once per R
+// root entry, so the per-task results are disjoint in R and merge by
+// concatenation under any schedule.
 func (e *executor) knnFrom(rn, sn *rtree.Node) {
-	st := knnState{
-		k:    e.opts.Predicate.K,
-		slot: make(map[int32]int32),
+	k := e.knnK()
+	if k == 0 {
+		return
 	}
-	st.registerItems(rn)
+	st := newKNNState(k, rn)
 	if len(st.items) == 0 {
 		return
 	}
 
 	d2, cost := geom.RectDistSquaredCost(rn.MBR(), sn.MBR())
 	e.local.Comparisons += cost
-	st.queue.push(knnPair{d2: d2, seq: st.seq, rn: rn, sn: sn})
-	st.seq++
+	st.push(d2, 0, rn, sn)
 
 	for len(st.queue) > 0 {
 		if e.cancel.cancelled() {
 			return
 		}
 		p := st.queue.pop()
-		if p.d2 > st.tauMax() {
+		// Popped distances never decrease, so beyond the root's bound
+		// nothing left in the queue can improve any heap.
+		e.local.Comparisons += 2
+		if p.d2 > st.nodes[0].bound {
 			break
 		}
+		if p.d2 > st.nodes[p.ri].bound {
+			continue
+		}
 		e.r.AccessNode(e.tracker, p.rn)
-		e.s.AccessNode(e.tracker, p.sn)
-		e.knnProcess(&st, p)
+		if p.rn.IsLeaf() && p.sn.IsLeaf() {
+			// The leaf kernel scans sn in xl-order: a counted read sorts it.
+			readSorted(e.s, e.tracker, p.sn, &e.local)
+			st.leafPair(p.rn, int(st.nodes[p.ri].first), p.sn, &e.local)
+			st.tighten(p.ri, &e.local)
+		} else {
+			e.s.AccessNode(e.tracker, p.sn)
+			e.knnExpand(st, p)
+		}
 		e.local.FlushTo(e.metrics)
 	}
 
-	// Emit in registration (depth-first R entry) order, each item's
-	// neighbours ascending by (distance, S id).
+	e.emitKNN(st)
+}
+
+// emitKNN reports the finished heaps in registration order, each item's
+// neighbours ascending by (distance, S id).
+func (e *executor) emitKNN(st *knnState) {
 	for i := range st.items {
-		it := &st.items[i]
-		sort.Slice(it.heap, func(a, b int) bool { return it.heap[b].worse(it.heap[a]) })
-		for _, c := range it.heap {
-			e.emit(Pair{R: it.id, S: c.sID})
+		h := st.heap(i)
+		sortCands(h)
+		for _, c := range h {
+			e.emit(Pair{R: st.items[i].id, S: c.sID})
 		}
 	}
 	e.local.FlushTo(e.metrics)
 }
 
-// knnProcess expands one popped node pair: leaf-leaf pairs feed the result
-// heaps, directory levels push their child pairs keyed by entry-rectangle
-// distance (the entry rectangles are in the already-read parent, so pushing
-// costs no I/O).
-func (e *executor) knnProcess(st *knnState, p knnPair) {
-	rLeaf, sLeaf := p.rn.IsLeaf(), p.sn.IsLeaf()
+// knnK returns the number of neighbours kept per item: the predicate's K,
+// capped at |S| because a heap never holds more candidates than S has items.
+func (e *executor) knnK() int {
+	return min(e.opts.Predicate.K, e.s.Len())
+}
+
+// knnExpand pushes the child pairs of a popped pair with a directory node on
+// at least one side, keyed by entry-rectangle distance (the entry rectangles
+// are in the already-read parent, so pushing costs no I/O).  Each push is
+// charged its distance computation and its bound test.
+func (e *executor) knnExpand(st *knnState, p knnPair) {
+	var comps int64
+	first := st.nodes[p.ri].first
 	switch {
-	case rLeaf && sLeaf:
-		var comps int64
-		for ir := range p.rn.Entries {
-			er := &p.rn.Entries[ir]
-			it := &st.items[st.slot[er.Data]]
-			for is := range p.sn.Entries {
-				es := &p.sn.Entries[is]
-				d2, cost := geom.RectDistSquaredCost(er.Rect, es.Rect)
-				comps += cost
-				it.offer(nnCand{d2: d2, sID: es.Data}, st.k, &comps)
-			}
-		}
-		e.local.Comparisons += comps
-		e.local.PairsTested += int64(len(p.rn.Entries) * len(p.sn.Entries))
-	case rLeaf:
+	case p.rn.IsLeaf():
 		// Heights differ: only the S side descends.
 		rMBR := p.rn.MBR()
-		var comps int64
 		for is := range p.sn.Entries {
 			es := &p.sn.Entries[is]
 			d2, cost := geom.RectDistSquaredCost(rMBR, es.Rect)
-			comps += cost
-			st.queue.push(knnPair{d2: d2, seq: st.seq, rn: p.rn, sn: es.Child})
-			st.seq++
+			comps += cost + 1
+			st.push(d2, p.ri, p.rn, es.Child)
 		}
-		e.local.Comparisons += comps
-	case sLeaf:
+	case p.sn.IsLeaf():
 		sMBR := p.sn.MBR()
-		var comps int64
 		for ir := range p.rn.Entries {
 			er := &p.rn.Entries[ir]
 			d2, cost := geom.RectDistSquaredCost(er.Rect, sMBR)
-			comps += cost
-			st.queue.push(knnPair{d2: d2, seq: st.seq, rn: er.Child, sn: p.sn})
-			st.seq++
+			comps += cost + 1
+			st.push(d2, first+int32(ir), er.Child, p.sn)
 		}
-		e.local.Comparisons += comps
 	default:
-		var comps int64
 		for ir := range p.rn.Entries {
 			er := &p.rn.Entries[ir]
 			for is := range p.sn.Entries {
 				es := &p.sn.Entries[is]
 				d2, cost := geom.RectDistSquaredCost(er.Rect, es.Rect)
-				comps += cost
-				st.queue.push(knnPair{d2: d2, seq: st.seq, rn: er.Child, sn: es.Child})
-				st.seq++
+				comps += cost + 1
+				st.push(d2, first+int32(ir), er.Child, es.Child)
 			}
 		}
-		e.local.Comparisons += comps
 	}
+	e.local.Comparisons += comps
 }
 
 // nestedLoopKNN is the index-free kNN baseline and oracle: every R item is
@@ -335,42 +567,28 @@ func (e *executor) nestedLoopKNN() {
 			sLeaves = append(sLeaves, n)
 		}
 	})
-	k := e.opts.Predicate.K
-	var items []knnItem
+	k := e.knnK()
+	if k == 0 {
+		return
+	}
+	st := &knnState{k: k, items: make([]knnItem, 0, e.r.Len()), cands: make([]nnCand, e.r.Len()*k)}
 	for _, rn := range rLeaves {
 		if e.cancel.cancelled() {
 			return
 		}
 		e.r.AccessNode(e.tracker, rn)
-		base := len(items)
+		base := len(st.items)
 		for i := range rn.Entries {
-			items = append(items, knnItem{id: rn.Entries[i].Data})
+			st.items = append(st.items, knnItem{id: rn.Entries[i].Data})
 		}
 		for _, sn := range sLeaves {
 			if e.cancel.cancelled() {
 				return
 			}
 			e.s.AccessNode(e.tracker, sn)
-			var comps int64
-			for ir := range rn.Entries {
-				it := &items[base+ir]
-				for is := range sn.Entries {
-					es := &sn.Entries[is]
-					d2, cost := geom.RectDistSquaredCost(rn.Entries[ir].Rect, es.Rect)
-					comps += cost
-					it.offer(nnCand{d2: d2, sID: es.Data}, k, &comps)
-				}
-			}
-			e.local.Comparisons += comps
+			st.productPair(rn, base, sn, &e.local)
 			e.local.FlushTo(e.metrics)
 		}
 	}
-	for i := range items {
-		it := &items[i]
-		sort.Slice(it.heap, func(a, b int) bool { return it.heap[b].worse(it.heap[a]) })
-		for _, c := range it.heap {
-			e.emit(Pair{R: it.id, S: c.sID})
-		}
-	}
-	e.local.FlushTo(e.metrics)
+	e.emitKNN(st)
 }

@@ -1,0 +1,458 @@
+package join
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/metrics"
+	"repro/internal/rtree"
+	"repro/internal/storage"
+)
+
+// ledgerKNNPair rebuilds the shape of the ledger's kNN op (bench/gen.go,
+// bench/batch.go): a uniform R against an S with an empty square in the
+// middle, sides up to 0.002, float32-exact corners, STR-loaded on 4 KiB pages.
+func ledgerKNNPair(tb testing.TB, nR, nS int, seed int64) (r, s *rtree.Tree) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	f32 := func(v float64) float64 { return float64(float32(v)) }
+	rect := func() geom.Rect {
+		const maxSide = 0.002
+		w := maxSide * (1 - rng.Float64())
+		h := maxSide * (1 - rng.Float64())
+		x := rng.Float64() * (1 - maxSide)
+		y := rng.Float64() * (1 - maxSide)
+		return geom.Rect{XL: f32(x), YL: f32(y), XU: f32(x + w), YU: f32(y + h)}
+	}
+	rItems := make([]rtree.Item, nR)
+	for i := range rItems {
+		rItems[i] = rtree.Item{Rect: rect(), Data: int32(i)}
+	}
+	sItems := make([]rtree.Item, 0, nS)
+	for len(sItems) < nS {
+		q := rect()
+		if q.XL >= 0.45 && q.XL < 0.55 && q.YL >= 0.45 && q.YL < 0.55 {
+			continue
+		}
+		sItems = append(sItems, rtree.Item{Rect: q, Data: int32(len(sItems))})
+	}
+	var err error
+	if r, err = rtree.BulkLoadSTR(rtree.Options{PageSize: storage.PageSize4K}, rItems); err != nil {
+		tb.Fatal(err)
+	}
+	if s, err = rtree.BulkLoadSTR(rtree.Options{PageSize: storage.PageSize4K}, sItems); err != nil {
+		tb.Fatal(err)
+	}
+	return r, s
+}
+
+// ledgerKNNOptions are the ledger's join options for its kNN op.
+func ledgerKNNOptions() Options {
+	return Options{Method: SJ4, BufferBytes: 128 << 10, UsePathBuffer: true, Predicate: NearestNeighbors(4), DiscardPairs: true}
+}
+
+// knnComparisonsBefore is Metrics.Comparisons of the best-first kNN join on
+// ledgerKNNPair(2000, 2000, seed 1) under ledgerKNNOptions at the commit
+// before the per-item prunes (PR 22, 66866da): every popped leaf pair paid
+// the full |R leaf| x |S leaf| product of distance computations (2-4
+// comparisons each) plus one admission test per product cell.
+const knnComparisonsBefore = 7837245
+
+// TestKNNComparisonsStayPruned is the counted-cost guard: the windowed leaf
+// kernel and the per-node bounds brought the ledger-shaped join to under a
+// fifth of the product's comparisons, and a change that lets it back over
+// that line has lost one of the prunes.
+func TestKNNComparisonsStayPruned(t *testing.T) {
+	r, s := ledgerKNNPair(t, 2000, 2000, 1)
+	res, err := Join(r, s, ledgerKNNOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Count != 2000*4 {
+		t.Fatalf("%d pairs, want %d", res.Count, 2000*4)
+	}
+	if limit := int64(knnComparisonsBefore / 5); res.Metrics.Comparisons > limit {
+		t.Fatalf("kNN join charged %d comparisons, more than a fifth (%d) of the %d the leaf x leaf product cost",
+			res.Metrics.Comparisons, limit, knnComparisonsBefore)
+	}
+}
+
+// TestKNNAllocationsDoNotGrowWithR pins the flat candidate slab and the
+// sort-free emission: a counting kNN join allocates its state in a fixed
+// number of slices, not per R item.
+func TestKNNAllocationsDoNotGrowWithR(t *testing.T) {
+	const ceiling = 64
+	for _, nR := range []int{250, 2000} {
+		r, s := ledgerKNNPair(t, nR, 2000, 1)
+		opts := ledgerKNNOptions()
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := Join(r, s, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > ceiling {
+			t.Errorf("|R|=%d: %.0f allocations per kNN join, ceiling %d", nR, allocs, ceiling)
+		}
+	}
+}
+
+// TestKNNPairsTested pins what PairsTested means under kNN: the item-pair
+// distance computations actually made.  The oracle makes all |R|·|S|; the
+// best-first join at least one per reported neighbour and, on the ledger's
+// shape, a small fraction of the product.
+func TestKNNPairsTested(t *testing.T) {
+	r, s := ledgerKNNPair(t, 2000, 2000, 1)
+	opts := ledgerKNNOptions()
+	best, err := Join(r, s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Method = NestedLoop
+	oracle, err := Join(r, s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(2000 * 2000); oracle.Metrics.PairsTested != want {
+		t.Errorf("nested loop tested %d pairs, want the full product %d", oracle.Metrics.PairsTested, want)
+	}
+	if got := best.Metrics.PairsTested; got < int64(best.Count) || got > oracle.Metrics.PairsTested/10 {
+		t.Errorf("best-first join tested %d pairs for %d neighbours (product %d)", got, best.Count, oracle.Metrics.PairsTested)
+	}
+	// Two to four comparisons per distance computation, all of them charged.
+	if best.Metrics.Comparisons < 2*best.Metrics.PairsTested {
+		t.Errorf("%d comparisons cannot cover %d distance computations", best.Metrics.Comparisons, best.Metrics.PairsTested)
+	}
+}
+
+// TestKNNDuplicateRIdentifiers: R entries that share an identifier are still
+// separate entries — each reports the neighbours of its own rectangle.  (The
+// traversal used to find an item's heap through a map keyed by identifier,
+// so the later entry collected both rectangles' candidates and the earlier
+// one reported nothing.)
+func TestKNNDuplicateRIdentifiers(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	point := func() geom.Rect {
+		x, y := rng.Float64(), rng.Float64()
+		return geom.Rect{XL: x, YL: y, XU: x + 0.01, YU: y + 0.01}
+	}
+	rItems := make([]rtree.Item, 300)
+	for i := range rItems {
+		rItems[i] = rtree.Item{Rect: point(), Data: int32(i % 50)}
+	}
+	sItems := make([]rtree.Item, 200)
+	for i := range sItems {
+		sItems[i] = rtree.Item{Rect: point(), Data: int32(i)}
+	}
+	r, err := rtree.Build(rtree.Options{PageSize: storage.PageSize1K}, rItems, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := rtree.Build(rtree.Options{PageSize: storage.PageSize1K}, sItems, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{3, 250} {
+		var want []Pair
+		for _, a := range rItems {
+			for p := range bruteForceKNN([]rtree.Item{a}, sItems, k) {
+				want = append(want, p)
+			}
+		}
+		want = sortedCopy(want)
+		if n := len(rItems) * min(k, len(sItems)); len(want) != n {
+			t.Fatalf("oracle: %d pairs, want %d", len(want), n)
+		}
+		check := func(label string, res *Result, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			got := sortedCopy(res.Pairs)
+			if len(got) != len(want) {
+				t.Fatalf("%s k=%d: %d pairs, want %d", label, k, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s k=%d: pair %d is %v, want %v", label, k, i, got[i], want[i])
+				}
+			}
+		}
+		opts := Options{Method: SJ4, BufferBytes: 64 << 10, Predicate: NearestNeighbors(k)}
+		res, err := Join(r, s, opts)
+		check("best-first", res, err)
+		res, err = ParallelJoin(r, s, ParallelOptions{Options: opts, Workers: 3, Strategy: PartitionStealing, MinTasksPerWorker: 4})
+		check("parallel", res, err)
+		opts.Method = NestedLoop
+		res, err = Join(r, s, opts)
+		check("nested loop", res, err)
+	}
+}
+
+// knnTieCase is one hand-built neighbourhood in which more than K
+// candidates tie; all coordinates are dyadic, so the tied distances are
+// equal bit for bit.
+type knnTieCase struct {
+	name string
+	r    []geom.Rect
+	s    []geom.Rect
+}
+
+// knnTieCases builds the cases for neighbour count k around the R item
+// [0.5, 0.53125]².
+func knnTieCases(k int) []knnTieCase {
+	const lo, hi, g = 0.5, 0.53125, 0.0625
+	item := geom.Rect{XL: lo, YL: lo, XU: hi, YU: hi}
+	var overlapping, ring, edge []geom.Rect
+	for i := 0; i < k+3; i++ {
+		// All intersect the item: distance zero, however they are shifted.
+		d := float64(i) / 1024
+		overlapping = append(overlapping, geom.Rect{XL: lo - d, YL: lo + d, XU: hi - d, YU: hi + d})
+	}
+	for i := 0; i < k+2; i++ {
+		// Points at distance exactly g on all four sides, repeated.
+		ring = append(ring,
+			geom.Rect{XL: hi + g, YL: lo, XU: hi + g, YU: lo},
+			geom.Rect{XL: lo - g, YL: hi, XU: lo - g, YU: hi},
+			geom.Rect{XL: lo, YL: hi + g, XU: hi, YU: hi + g},
+			geom.Rect{XL: hi, YL: lo - g, XU: hi, YU: lo - g})
+	}
+	for i := 0; i < k+2; i++ {
+		// Overlapping the item in y and a gap of exactly g in x: once the
+		// heap is full of them the next one sits on the window's edge,
+		// gap² == tau, on the right (XL) and on the left (XU) alike.
+		d := float64(i) / 512
+		edge = append(edge,
+			geom.Rect{XL: hi + g, YL: lo - d, XU: hi + g + d, YU: hi + d},
+			geom.Rect{XL: lo - g - d, YL: lo - d, XU: lo - g, YU: hi + d})
+	}
+	return []knnTieCase{
+		{"overlapping at distance zero", []geom.Rect{item}, overlapping},
+		{"equal positive distance", []geom.Rect{item, {XL: lo, YL: lo, XU: lo, YU: lo}}, ring},
+		{"on the window edge", []geom.Rect{item}, edge},
+	}
+}
+
+// knnFiller is a deterministic lattice of n small rectangles inside
+// [x0, x0+0.2] x [0.05, 0.95], far from the tie neighbourhoods.
+func knnFiller(n int, x0 float64) []geom.Rect {
+	out := make([]geom.Rect, n)
+	for i := range out {
+		x := x0 + float64(i%16)/80
+		y := 0.05 + float64(i/16)/64
+		out[i] = geom.Rect{XL: x, YL: y, XU: x + 1.0/256, YU: y + 1.0/256}
+	}
+	return out
+}
+
+// checkNeighbourOrder asserts the emission contract of one sequential kNN
+// result: every R item's neighbours form one run, ascending by (distance,
+// S id).
+func checkNeighbourOrder(t *testing.T, label string, pairs []Pair, rRects, sRects map[int32]geom.Rect) {
+	t.Helper()
+	seen := make(map[int32]bool)
+	for i, p := range pairs {
+		if i > 0 && pairs[i-1].R == p.R {
+			a := nnCand{d2: rectDist2(rRects[p.R], sRects[pairs[i-1].S]), sID: pairs[i-1].S}
+			b := nnCand{d2: rectDist2(rRects[p.R], sRects[p.S]), sID: p.S}
+			if !b.worse(a) {
+				t.Fatalf("%s: R item %d lists neighbour %v before %v", label, p.R, a, b)
+			}
+			continue
+		}
+		if seen[p.R] {
+			t.Fatalf("%s: R item %d's neighbours are not one run", label, p.R)
+		}
+		seen[p.R] = true
+	}
+}
+
+// TestKNNTieWall runs the tie and boundary cases — more than K equidistant
+// candidates, S identifiers inserted in descending order so that every later
+// candidate must displace an earlier one — through the oracle, the
+// sequential join and the parallel join under all five strategies, on trees
+// of every height combination and with k > |S|.  Each prune is exact only
+// because it is strict: making the leaf skip, either gap check or either
+// pop-time bound test non-strict fails here (the push-time test has
+// TestKNNPushBoundIsStrict).
+func TestKNNTieWall(t *testing.T) {
+	pageSize := 8 * storage.EntrySize
+	for _, fill := range [][2]int{{0, 0}, {300, 0}, {0, 300}, {300, 300}} {
+		for _, kCase := range []int{1, 4} {
+			for _, tc := range knnTieCases(kCase) {
+				rRects := append(append([]geom.Rect(nil), tc.r...), knnFiller(fill[0], 0.75)...)
+				sRects := append(append([]geom.Rect(nil), tc.s...), knnFiller(fill[1], 0.05)...)
+				rItems := make([]rtree.Item, len(rRects))
+				rByID := make(map[int32]geom.Rect)
+				for i, q := range rRects {
+					rItems[i] = rtree.Item{Rect: q, Data: int32(i)}
+					rByID[int32(i)] = q
+				}
+				sItems := make([]rtree.Item, len(sRects))
+				sByID := make(map[int32]geom.Rect)
+				for i, q := range sRects {
+					id := int32(len(sRects) - 1 - i) // descending
+					sItems[i] = rtree.Item{Rect: q, Data: id}
+					sByID[id] = q
+				}
+				r, err := rtree.Build(rtree.Options{PageSize: pageSize}, rItems, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := rtree.Build(rtree.Options{PageSize: pageSize}, sItems, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range []int{kCase, len(sItems) + 3} {
+					label := fmt.Sprintf("%s/fill=%v/heights=%d,%d/k=%d", tc.name, fill, r.Height(), s.Height(), k)
+					want := bruteForceKNN(rItems, sItems, k)
+					for _, method := range []Method{NestedLoop, SJ4} {
+						res, err := Join(r, s, Options{Method: method, BufferBytes: 8 << 10, Predicate: NearestNeighbors(k)})
+						if err != nil {
+							t.Fatalf("%s/%v: %v", label, method, err)
+						}
+						comparePairSets(t, label+"/"+method.String(), res.Pairs, want)
+						checkNeighbourOrder(t, label+"/"+method.String(), res.Pairs, rByID, sByID)
+					}
+					for _, strategy := range parallelVariants {
+						res, err := ParallelJoin(r, s, ParallelOptions{
+							Options:           Options{Method: SJ4, BufferBytes: 8 << 10, Predicate: NearestNeighbors(k)},
+							Workers:           3,
+							Strategy:          strategy,
+							MinTasksPerWorker: 2,
+						})
+						if err != nil {
+							t.Fatalf("%s/%v: %v", label, strategy, err)
+						}
+						comparePairSets(t, label+"/"+strategy.String(), res.Pairs, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKNNPushBoundIsStrict: a child pair exactly as far away as its R node's
+// bound can still hold an equidistant candidate with a smaller S identifier,
+// so only a strictly larger distance drops it; and a bound, once tightened,
+// is never raised by a later recomputation.
+func TestKNNPushBoundIsStrict(t *testing.T) {
+	rn := &rtree.Node{Entries: []rtree.Entry{{Data: 0}, {Data: 1}}}
+	sn := &rtree.Node{}
+	st := newKNNState(2, rn)
+	var local metrics.Local
+	var comps int64
+	seed := func(i int, d2 float64, sID int32) {
+		st.items[i].n = int32(offer(st.cands[i*2:(i+1)*2], int(st.items[i].n), nnCand{d2: d2, sID: sID}, &comps))
+	}
+	seed(0, 0.25, 10)
+	seed(0, 0.0625, 11)
+	seed(1, 0.125, 12)
+	st.tighten(0, &local)
+	if !math.IsInf(st.nodes[0].bound, 1) {
+		t.Fatalf("bound %g with an unfilled heap, want +Inf", st.nodes[0].bound)
+	}
+	seed(1, 0.5, 13)
+	st.tighten(0, &local)
+	if st.nodes[0].bound != 0.5 {
+		t.Fatalf("bound %g, want the largest kth-best distance 0.5", st.nodes[0].bound)
+	}
+	st.push(0.5, 0, rn, sn)
+	if len(st.queue) != 1 {
+		t.Fatal("a pair at exactly the bound was dropped")
+	}
+	st.push(math.Nextafter(0.5, 1), 0, rn, sn)
+	if len(st.queue) != 1 {
+		t.Fatal("a pair strictly beyond the bound was queued")
+	}
+	seed(1, 0.03125, 14)
+	st.tighten(0, &local)
+	if st.nodes[0].bound != 0.25 {
+		t.Fatalf("bound %g after item 1 improved, want item 0's 0.25", st.nodes[0].bound)
+	}
+	if local.Comparisons == 0 {
+		t.Fatal("recomputing a bound was not charged")
+	}
+}
+
+// fuzzLeaf decodes four bytes per entry onto a 1/16 lattice with sides up to
+// 3/16, so that equal corners, equal distances and duplicate rectangles are
+// the common case.
+func fuzzLeaf(data []byte, max int, firstID, idStep int32) *rtree.Node {
+	n := &rtree.Node{}
+	for i := 0; len(data) >= 4 && i < max; i++ {
+		x, y := float64(data[0]%16)/16, float64(data[1]%16)/16
+		w, h := float64(data[2]%4)/16, float64(data[3]%4)/16
+		n.Entries = append(n.Entries, rtree.Entry{
+			Rect: geom.Rect{XL: x, YL: y, XU: x + w, YU: y + h},
+			Data: firstID + int32(i)*idStep,
+		})
+		data = data[4:]
+	}
+	return n
+}
+
+// FuzzKNNLeafKernel pins the windowed leaf kernel against the plain leaf x
+// leaf product it replaced: from any heaps — empty, partly filled or full of
+// candidates other leaves left behind — both must arrive at the same K best
+// per R item.
+func FuzzKNNLeafKernel(f *testing.F) {
+	f.Add([]byte{8, 8, 1, 1}, []byte{9, 8, 0, 0, 9, 8, 0, 0, 9, 8, 0, 0, 2, 8, 1, 1}, []byte{1, 1, 1}, uint8(2))
+	f.Add([]byte{4, 4, 0, 0, 4, 4, 0, 0}, []byte{4, 4, 0, 0, 4, 4, 0, 0, 4, 4, 0, 0, 4, 4, 0, 0}, []byte{}, uint8(1))
+	f.Add([]byte{0, 0, 3, 3, 15, 15, 0, 0}, []byte{12, 1, 2, 0, 1, 12, 0, 2, 7, 7, 3, 3}, []byte{0, 16, 200, 16, 16}, uint8(3))
+	f.Fuzz(func(t *testing.T, rData, sData, seedData []byte, kByte uint8) {
+		rn := fuzzLeaf(rData, 24, 0, 1)
+		sn := fuzzLeaf(sData, 40, 0, 2) // even identifiers
+		if len(rn.Entries) == 0 || len(sn.Entries) == 0 {
+			return
+		}
+		k := 1 + int(kByte)%5
+		newState := func() *knnState {
+			st := newKNNState(k, rn)
+			// Pre-seed the heaps with odd identifiers at lattice distances,
+			// the candidates earlier leaf pairs would have left.
+			var comps int64
+			for j, b := range seedData {
+				i := j % len(st.items)
+				d := float64(b%8) / 16
+				st.items[i].n = int32(offer(st.cands[i*k:(i+1)*k], int(st.items[i].n), nnCand{d2: d * d, sID: int32(2*j + 1)}, &comps))
+			}
+			return st
+		}
+
+		got, want := newState(), newState()
+		var local metrics.Local
+		got.leafPair(rn, 0, sn, &local)
+		var product metrics.Local
+		want.productPair(rn, 0, sn, &product)
+		if local.PairsTested > product.PairsTested {
+			t.Fatalf("kernel tested %d pairs of a %d product", local.PairsTested, product.PairsTested)
+		}
+		for i := range got.items {
+			g, w := got.heap(i), want.heap(i)
+			sortCands(g)
+			sortCands(w)
+			if len(g) != len(w) {
+				t.Fatalf("item %d: %d candidates, product keeps %d", i, len(g), len(w))
+			}
+			for j := range g {
+				if g[j] != w[j] {
+					t.Fatalf("item %d neighbour %d: %v, product keeps %v\nkernel  %v\nproduct %v", i, j, g[j], w[j], g, w)
+				}
+			}
+		}
+
+		// The node bound the traversal derives from the heaps is never below
+		// any item's kth-best distance.
+		got = newState()
+		got.leafPair(rn, 0, sn, &local)
+		got.tighten(0, &local)
+		for i := range got.items {
+			if got.nodes[0].bound < got.tau(i) {
+				t.Fatalf("leaf bound %g below item %d's tau %g", got.nodes[0].bound, i, got.tau(i))
+			}
+		}
+	})
+}

@@ -89,7 +89,8 @@ func (t *Tree) checkNode(n *Node, wantLevel int) (int, error) {
 
 // checkXLOrder verifies a published order against the node's current
 // entries: a permutation of the entry indices, ascending in XL with ties in
-// index order, carrying the comparison count a fresh sort.Stable needs.
+// index order, carrying the comparison count a fresh sort.Stable needs and
+// the running maximum of XU along that permutation.
 func checkXLOrder(n *Node, o *XLOrder) error {
 	if len(o.Perm) != len(n.Entries) {
 		return fmt.Errorf("%w: node %d orders %d of %d entries", ErrStaleOrder, n.ID, len(o.Perm), len(n.Entries))
@@ -113,6 +114,15 @@ func checkXLOrder(n *Node, o *XLOrder) error {
 	if want := buildXLOrder(n.Entries).SortComparisons; o.SortComparisons != want {
 		return fmt.Errorf("%w: node %d stores %d sort comparisons, a fresh sort needs %d",
 			ErrStaleOrder, n.ID, o.SortComparisons, want)
+	}
+	if len(o.PrefixMaxXU) != len(o.Perm) {
+		return fmt.Errorf("%w: node %d keeps %d running XU maxima for %d entries", ErrStaleOrder, n.ID, len(o.PrefixMaxXU), len(o.Perm))
+	}
+	for k, want := range prefixMaxXU(n.Entries, o.Perm) {
+		if o.PrefixMaxXU[k] != want {
+			return fmt.Errorf("%w: node %d position %d: running XU maximum %g, entries give %g",
+				ErrStaleOrder, n.ID, k, o.PrefixMaxXU[k], want)
+		}
 	}
 	return nil
 }

@@ -15,6 +15,11 @@ type XLOrder struct {
 	// Perm is the permutation of 0..len(Entries)-1 that lists the entries in
 	// stable ascending Rect.XL order.
 	Perm []int32
+	// PrefixMaxXU[j] is the largest Rect.XU among the entries at positions
+	// 0..j of Perm.  A scan leftwards from some position can stop at j once
+	// PrefixMaxXU[j] lies far enough left of the query: no entry at or before
+	// j reaches further right (the kNN leaf kernel's left window edge).
+	PrefixMaxXU []float64
 	// SortComparisons is the exact number of key comparisons sort.Stable
 	// needed to produce Perm from entry order: the cost of sorting the page
 	// once, which the join charges on every counted read of the page
@@ -38,14 +43,27 @@ func (n *Node) XLOrder() *XLOrder {
 }
 
 // buildXLOrder stable-sorts the entry indices by lower x-corner, counting the
-// key comparisons.
+// key comparisons, and takes the running maximum of XU along the result.
 func buildXLOrder(entries []Entry) *XLOrder {
 	s := xlSorter{perm: make([]int32, len(entries)), entries: entries}
 	for i := range s.perm {
 		s.perm[i] = int32(i)
 	}
 	sort.Stable(&s)
-	return &XLOrder{Perm: s.perm, SortComparisons: s.comps}
+	return &XLOrder{Perm: s.perm, PrefixMaxXU: prefixMaxXU(entries, s.perm), SortComparisons: s.comps}
+}
+
+// prefixMaxXU is one pass over an already sorted page; it is not part of the
+// sort Table 4 prices, so SortComparisons does not include it.
+func prefixMaxXU(entries []Entry, perm []int32) []float64 {
+	out := make([]float64, len(perm))
+	for j, i := range perm {
+		out[j] = entries[i].Rect.XU
+		if j > 0 && out[j-1] > out[j] {
+			out[j] = out[j-1]
+		}
+	}
+	return out
 }
 
 type xlSorter struct {

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -28,8 +29,10 @@ func TestXLOrderMatchesSliceStable(t *testing.T) {
 			entries := make([]Entry, n)
 			for i := range entries {
 				// Coarse keys force ties, exercising stability.
+				// Widths vary, so the running maximum of XU is not simply the
+				// current entry's.
 				x := float64(rng.Intn(n/4 + 1))
-				entries[i] = Entry{Rect: geom.Rect{XL: x, XU: x + 1}, Data: int32(i)}
+				entries[i] = Entry{Rect: geom.Rect{XL: x, XU: x + float64(rng.Intn(8))}, Data: int32(i)}
 			}
 			ref := append([]Entry(nil), entries...)
 			var refComps int64
@@ -46,9 +49,17 @@ func TestXLOrderMatchesSliceStable(t *testing.T) {
 			if len(o.Perm) != n {
 				t.Fatalf("n=%d: order lists %d entries", n, len(o.Perm))
 			}
+			if len(o.PrefixMaxXU) != n {
+				t.Fatalf("n=%d: %d running XU maxima", n, len(o.PrefixMaxXU))
+			}
+			maxXU := math.Inf(-1)
 			for k, i := range o.Perm {
 				if entries[i].Data != ref[k].Data {
 					t.Fatalf("n=%d trial=%d: permutation differs from sort.SliceStable at %d", n, trial, k)
+				}
+				maxXU = math.Max(maxXU, ref[k].Rect.XU)
+				if o.PrefixMaxXU[k] != maxXU {
+					t.Fatalf("n=%d trial=%d: running XU maximum %g at %d, want %g", n, trial, o.PrefixMaxXU[k], k, maxXU)
 				}
 			}
 			if node.XLOrder() != o {
@@ -94,13 +105,31 @@ func TestCheckInvariantsDetectsStaleOrder(t *testing.T) {
 		}},
 		{"count corrupted", func(n *Node) {
 			o := n.XLOrder()
-			n.xlOrder.Store(&XLOrder{Perm: o.Perm, SortComparisons: o.SortComparisons + 1})
+			n.xlOrder.Store(&XLOrder{Perm: o.Perm, PrefixMaxXU: o.PrefixMaxXU, SortComparisons: o.SortComparisons + 1})
 		}},
 		{"not a permutation", func(n *Node) {
 			o := n.XLOrder()
 			perm := append([]int32(nil), o.Perm...)
 			perm[1] = perm[0]
-			n.xlOrder.Store(&XLOrder{Perm: perm, SortComparisons: o.SortComparisons})
+			n.xlOrder.Store(&XLOrder{Perm: perm, PrefixMaxXU: o.PrefixMaxXU, SortComparisons: o.SortComparisons})
+		}},
+		{"XU grown in place", func(n *Node) {
+			// The permutation and its sort cost only depend on XL, so a
+			// rectangle widened behind the mutators' back leaves both valid
+			// and only the running maximum stale — too low, the direction
+			// in which the kNN window would cut off a neighbour.
+			i := n.XLOrder().Perm[0]
+			n.Entries[i].Rect.XU = n.Entries[n.XLOrder().Perm[len(n.Entries)-1]].Rect.XU
+		}},
+		{"running maximum missing", func(n *Node) {
+			o := n.XLOrder()
+			n.xlOrder.Store(&XLOrder{Perm: o.Perm, SortComparisons: o.SortComparisons})
+		}},
+		{"running maximum from another node", func(n *Node) {
+			o := n.XLOrder()
+			stale := append([]float64(nil), o.PrefixMaxXU...)
+			stale[len(stale)-1] = stale[0]
+			n.xlOrder.Store(&XLOrder{Perm: o.Perm, PrefixMaxXU: stale, SortComparisons: o.SortComparisons})
 		}},
 		{"tie out of index order", func(n *Node) {
 			n.Entries[1].Rect.XL = n.Entries[0].Rect.XL
@@ -112,7 +141,7 @@ func TestCheckInvariantsDetectsStaleOrder(t *testing.T) {
 					perm[k], perm[k+1] = 1, 0
 				}
 			}
-			n.xlOrder.Store(&XLOrder{Perm: perm, SortComparisons: o.SortComparisons})
+			n.xlOrder.Store(&XLOrder{Perm: perm, PrefixMaxXU: o.PrefixMaxXU, SortComparisons: o.SortComparisons})
 		}},
 	}
 	for _, c := range cases {
@@ -180,4 +209,29 @@ func TestHintAppendDropsOrder(t *testing.T) {
 		}
 	}
 	t.Fatal("no staged rectangle took the hint path")
+}
+
+// TestMutationDropsRunningMaximum: the running maximum of XU lives in the
+// order, so the mutators that drop the order drop it too, and the next use
+// sees the widened rectangle.
+func TestMutationDropsRunningMaximum(t *testing.T) {
+	n := &Node{Entries: []Entry{
+		{Rect: geom.Rect{XL: 0, XU: 1}},
+		{Rect: geom.Rect{XL: 2, XU: 3}},
+		{Rect: geom.Rect{XL: 4, XU: 5}},
+	}}
+	if got := n.XLOrder().PrefixMaxXU; got[0] != 1 || got[1] != 3 || got[2] != 5 {
+		t.Fatalf("running maxima %v, want [1 3 5]", got)
+	}
+	n.setRect(0, geom.Rect{XL: 0, XU: 4.5})
+	if n.xlOrder.Load() != nil {
+		t.Fatal("setRect kept the order")
+	}
+	if got := n.XLOrder().PrefixMaxXU; got[0] != 4.5 || got[1] != 4.5 || got[2] != 5 {
+		t.Fatalf("running maxima %v after widening entry 0, want [4.5 4.5 5]", got)
+	}
+	n.setEntries(n.Entries[1:])
+	if got := n.XLOrder().PrefixMaxXU; len(got) != 2 || got[0] != 3 || got[1] != 5 {
+		t.Fatalf("running maxima %v after removing entry 0, want [3 5]", got)
+	}
 }
