@@ -485,6 +485,31 @@ func BenchmarkLargeJoinSequential(b *testing.B) {
 	}
 }
 
+// BenchmarkLargeJoinWithin is the within-distance SweepJoin on the large tree
+// pair with its pairs materialised (about ten times the intersection join's):
+// the expanded-rectangle sweep, the exact refinement of every candidate and
+// the result slice.  B/op is the price of materialising.
+func BenchmarkLargeJoinWithin(b *testing.B) {
+	skipLargeInShort(b)
+	r, s := largeTreesForBench()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := TreeJoin(r, s, JoinOptions{
+			Method:        SpatialJoin4,
+			BufferBytes:   1 << 20,
+			UsePathBuffer: true,
+			Predicate:     WithinDistancePredicate(0.0025),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Pairs) != res.Count || res.Count == 0 {
+			b.Fatalf("%d pairs, count %d", len(res.Pairs), res.Count)
+		}
+	}
+}
+
 // BenchmarkLargeJoinParallel sweeps the worker count on the large tree pair;
 // the 8-worker configuration is the scaling target recorded in BENCH_2.json.
 func BenchmarkLargeJoinParallel(b *testing.B) {

@@ -7,6 +7,20 @@ type ComparisonCounter interface {
 	AddComparisons(n int64)
 }
 
+// Bit returns 1 if b holds and 0 otherwise.  The compiler turns it into a
+// flag-to-register move, not a jump, so the hot loops of the join can
+// evaluate every conjunct of a predicate, charge the paper's short-circuit
+// cost arithmetically (a failed conjunct zeroes the terms behind it) and
+// advance their write index by the outcome, without a data-dependent branch
+// for the predictor to miss.
+func Bit(b bool) int64 {
+	var v int64
+	if b {
+		v = 1
+	}
+	return v
+}
+
 // IntersectsCounted evaluates the join condition "r intersects s" and charges
 // the exact number of floating-point comparisons to c, following the paper's
 // accounting: a fulfilled join condition costs exactly four comparisons, a

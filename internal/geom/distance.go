@@ -1,5 +1,7 @@
 package geom
 
+import "math"
+
 // Distance primitives for the within-distance and kNN join predicates.
 //
 // The paper's CPU cost measure is the number of floating-point comparisons
@@ -59,7 +61,25 @@ func RectDistSquaredCost(r, s Rect) (float64, int64) {
 // between r and s is at most sqrt(eps2)" and returns the comparison cost: the
 // distance computation of RectDistSquaredCost plus one threshold comparison.
 // Callers pass eps*eps so the threshold test needs no square root.
+//
+// The distance and the cost are RectDistSquaredCost's bit for bit, computed
+// without a jump: both gaps of an axis are subtracted, the one the
+// comparisons pick is selected by mask (neither leaves +0), and an axis
+// costs two comparisons unless its low-side test held.  The refinement of a
+// within-distance join meets its candidates in sweep order, where the side
+// the gap lies on changes from pair to pair and the jumps of
+// RectDistSquaredCost mispredict; the kNN scans walk one leaf outwards from
+// an item, meet the gap on one side in long runs and are faster with the
+// jumps, so that function keeps them.
 func WithinDistSquaredCost(r, s Rect, eps2 float64) (bool, int64) {
-	d2, n := RectDistSquaredCost(r, s)
-	return d2 <= eps2, n + 1
+	lowX, lowY := Bit(s.XU < r.XL), Bit(s.YU < r.YL)
+	dx := gap(r.XL-s.XU, lowX, s.XL-r.XU, Bit(r.XU < s.XL)&^lowX)
+	dy := gap(r.YL-s.YU, lowY, s.YL-r.YU, Bit(r.YU < s.YL)&^lowY)
+	return dx*dx+dy*dy <= eps2, 5 - lowX - lowY
+}
+
+// gap returns low if pickLow is 1, high if pickHigh is 1 and +0 if both are
+// 0.
+func gap(low float64, pickLow int64, high float64, pickHigh int64) float64 {
+	return math.Float64frombits(math.Float64bits(low)&uint64(-pickLow) | math.Float64bits(high)&uint64(-pickHigh))
 }

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -78,5 +79,61 @@ func TestWithinDistSquaredCost(t *testing.T) {
 		if within && !ExpandRect(r, eps).Intersects(s) {
 			t.Fatalf("eps=%v: filter rejected a qualifying pair", eps)
 		}
+	}
+}
+
+// TestWithinDistSquaredCostIsRectDistSquaredCost pins the jump-free
+// formulation to the one with jumps bit for bit — outcome and cost for every
+// threshold, which fixes the distance itself — over rectangles in every
+// relative position, touching, degenerate, inverted, infinite and NaN.
+func TestWithinDistSquaredCostIsRectDistSquaredCost(t *testing.T) {
+	coords := []float64{-3, -1, math.Copysign(0, -1), 0, 1, 1.5, 2, 4, math.Inf(-1), math.Inf(1), math.NaN()}
+	rng := rand.New(rand.NewSource(21))
+	pick := func() Rect {
+		if rng.Intn(4) == 0 {
+			return randomRect(rng)
+		}
+		c := func() float64 { return coords[rng.Intn(len(coords))] }
+		return Rect{XL: c(), YL: c(), XU: c(), YU: c()}
+	}
+	for i := 0; i < 200000; i++ {
+		r, s := pick(), pick()
+		d2, n := RectDistSquaredCost(r, s)
+		for _, eps2 := range []float64{d2, math.Nextafter(d2, math.Inf(-1)), math.Nextafter(d2, math.Inf(1)), 0, math.Inf(1)} {
+			ok, cost := WithinDistSquaredCost(r, s, eps2)
+			if ok != (d2 <= eps2) || cost != n+1 {
+				t.Fatalf("r=%v s=%v eps2=%v: within (%v, %d), distance %v at cost %d", r, s, eps2, ok, cost, d2, n)
+			}
+		}
+	}
+}
+
+// BenchmarkDistanceKernels runs both formulations of the distance over
+// rectangle pairs in random relative position, where the side the gap lies
+// on — what RectDistSquaredCost jumps on — cannot be predicted: the case of
+// the within-distance refinement, not of the kNN scans.
+func BenchmarkDistanceKernels(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	pairs := make([][2]Rect, 1<<14)
+	for i := range pairs {
+		pairs[i] = [2]Rect{randomRect(rng), randomRect(rng)}
+	}
+	var comps int64
+	b.Run("RectDistSquaredCost", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			p := &pairs[i%len(pairs)]
+			_, n := RectDistSquaredCost(p[0], p[1])
+			comps += n
+		}
+	})
+	b.Run("WithinDistSquaredCost", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			p := &pairs[i%len(pairs)]
+			_, n := WithinDistSquaredCost(p[0], p[1], 25)
+			comps += n
+		}
+	})
+	if comps < 0 {
+		b.Fatal("unreachable")
 	}
 }

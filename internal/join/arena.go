@@ -47,7 +47,16 @@ type heightsScratch struct {
 type arena struct {
 	frames  []*frame
 	heights heightsScratch
+	// chunks are the blocks of pairChunk pairs a sequential join collects its
+	// result in (executor.emit); like the frames they are reused, so a
+	// materialising join allocates its result once, at its final size.  A
+	// pooled arena therefore holds the largest result it has collected (one
+	// more copy of it) until a garbage collection clears the pool.
+	chunks [][]Pair
 }
+
+// pairChunk is the capacity of one result chunk: 64 KiB of pairs.
+const pairChunk = 1 << 13
 
 var arenaPool = sync.Pool{New: func() any { return new(arena) }}
 

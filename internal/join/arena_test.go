@@ -9,7 +9,7 @@ import (
 )
 
 // pairOf builds a distinguishable pair for position i.
-func pairOf(i int) sweep.Pair { return sweep.Pair{R: i, S: ^i} }
+func pairOf(i int) sweep.Pair { return sweep.Pair{R: int32(i), S: int32(^i)} }
 
 // TestZkeySorterIsStable asserts the z-order schedule sort keeps the sweep
 // order of pairs with equal keys, as the stable slice sort it replaced did.

@@ -374,6 +374,7 @@ func Join(r, s *rtree.Tree, opts Options) (*Result, error) {
 	watch := newCancelWatch(opts.Context)
 	defer watch.stop()
 	ar := arenaPool.Get().(*arena)
+	defer arenaPool.Put(ar)
 	e := &executor{
 		r:       r,
 		s:       s,
@@ -384,6 +385,7 @@ func Join(r, s *rtree.Tree, opts Options) (*Result, error) {
 		cancel:  watch,
 		onPair:  opts.OnPair,
 		discard: opts.DiscardPairs,
+		chunked: true,
 	}
 	if opts.Predicate.Kind == PredWithinDist {
 		e.eps = opts.Predicate.Epsilon
@@ -412,11 +414,9 @@ func Join(r, s *rtree.Tree, opts Options) (*Result, error) {
 	case opts.Method == SJ4:
 		e.runSweep(SJ4)
 	default:
-		arenaPool.Put(ar)
 		return nil, fmt.Errorf("join: unknown method %v", opts.Method)
 	}
 	e.local.FlushTo(collector)
-	arenaPool.Put(ar)
 
 	if opts.Context != nil && opts.Context.Err() != nil {
 		return nil, cancelErr(opts.Context)
@@ -424,7 +424,7 @@ func Join(r, s *rtree.Tree, opts Options) (*Result, error) {
 	if err := tracker.ReadErr(); err != nil {
 		return nil, fmt.Errorf("join: physical page read failed: %w", err)
 	}
-	res := &Result{Method: opts.Method, Predicate: opts.Predicate, Pairs: e.pairs, Count: e.count}
+	res := &Result{Method: opts.Method, Predicate: opts.Predicate, Pairs: e.collectPairs(), Count: e.count}
 	res.Metrics = collector.Snapshot().Sub(before)
 	return res, nil
 }
@@ -436,7 +436,7 @@ func Join(r, s *rtree.Tree, opts Options) (*Result, error) {
 // done; only the buffer tracker charges the collector directly, once per
 // page access.  Scratch space comes from the per-depth arena, so after the
 // first descent the join loop performs no allocations at all (results are
-// appended to pairs unless Options.DiscardPairs was set).
+// collected in pairs unless Options.DiscardPairs was set).
 type executor struct {
 	r, s    *rtree.Tree
 	tracker *buffer.Tracker
@@ -454,8 +454,15 @@ type executor struct {
 
 	onPair  func(Pair)
 	discard bool
-	pairs   []Pair
 	count   int
+	// pairs is where emit appends.  A sequential join (chunked) fills the
+	// arena's fixed-size chunks one after the other — pairs is the one being
+	// filled, full of them are behind it — and copies them once into an
+	// exactly sized result, so a large result is never regrown and recopied.
+	// A worker of a parallel join appends to its pooled buffer instead.
+	pairs   []Pair
+	chunked bool
+	full    int
 }
 
 // emit reports one result pair.
@@ -466,8 +473,38 @@ func (e *executor) emit(p Pair) {
 		e.onPair(p)
 	}
 	if !e.discard {
+		if e.chunked && len(e.pairs) == cap(e.pairs) {
+			e.nextChunk()
+		}
 		e.pairs = append(e.pairs, p)
 	}
+}
+
+// nextChunk retires the chunk emit has filled, if any, and points pairs at
+// the arena's next one.
+func (e *executor) nextChunk() {
+	a := e.arena
+	if e.pairs != nil {
+		e.full++
+	}
+	if e.full == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]Pair, 0, pairChunk))
+	}
+	e.pairs = a.chunks[e.full]
+}
+
+// collectPairs copies a sequential join's chunks into its result.  Join calls
+// it after its error checks, so a cancelled or failed join copies nothing,
+// and before the arena goes back to the pool.
+func (e *executor) collectPairs() []Pair {
+	if e.pairs == nil {
+		return nil
+	}
+	out := make([]Pair, 0, e.full*pairChunk+len(e.pairs))
+	for _, c := range e.arena.chunks[:e.full] {
+		out = append(out, c[:pairChunk]...)
+	}
+	return append(out, e.pairs...)
 }
 
 // accessRoots charges the initial read of both root pages, which every

@@ -126,6 +126,38 @@ func TestRestrictSortedQuick(t *testing.T) {
 	}
 }
 
+// TestRestrictSortedRounding leaves the grid: float32-rounded coordinates, as
+// pages store them, under expansions that do not round exactly.  The window's
+// cuts compare x-eps and x+eps computed from the running maximum and the
+// sort keys, the body compares them computed from each entry; they agree
+// because rounding is monotone.
+func TestRestrictSortedRounding(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	coord := func() float64 { return float64(float32(rng.Float64())) }
+	for trial := 0; trial < 3000; trial++ {
+		entries := make([]rtree.Entry, rng.Intn(120))
+		for i := range entries {
+			x, y := coord(), coord()
+			entries[i] = rtree.Entry{
+				Rect: geom.Rect{XL: x, YL: y, XU: float64(float32(x + 0.05*rng.Float64())), YU: float64(float32(y + 0.05*rng.Float64()))},
+				Data: int32(i),
+			}
+		}
+		// Half the rectangles take their edges from entries: ties at both cuts.
+		x, y := coord(), coord()
+		rect := geom.Rect{XL: x, YL: y, XU: x + 0.2*rng.Float64(), YU: y + 0.5*rng.Float64()}
+		if len(entries) > 0 && trial%2 == 0 {
+			a, b := entries[rng.Intn(len(entries))].Rect, entries[rng.Intn(len(entries))].Rect
+			rect.XL, rect.XU = min(a.XU, b.XL), max(a.XU, b.XL)
+		}
+		eps := []float64{0, 0.0025, 0.1 * rng.Float64()}[trial%3]
+		if eps > 0 && trial%2 == 0 {
+			rect.XL += eps // so that some entry's XU + eps meets it
+		}
+		checkRestrictSorted(t, entries, &rect, eps)
+	}
+}
+
 // FuzzRestrictSorted decodes a node, a restriction rectangle (or none) and an
 // expansion from the fuzz bytes.
 func FuzzRestrictSorted(f *testing.F) {
@@ -134,6 +166,24 @@ func FuzzRestrictSorted(f *testing.F) {
 	f.Add([]byte{5, 2, 5, 2, 5, 0, 9, 1, 1, 7, 0, 7, 30, 1, 30, 1, 5, 3, 1, 1}, byte(1), byte(4), byte(0), byte(8), byte(40), byte(2))
 	f.Add([]byte{5, 2, 5, 2, 5, 0, 9, 1, 1, 7, 0, 7, 30, 1, 30, 1, 5, 3, 1, 1}, byte(1), byte(36), byte(0), byte(8), byte(40), byte(1))
 	f.Add([]byte{3, 1, 3, 1, 3, 1, 3, 1, 3, 1, 3, 1, 3, 1, 3, 1}, byte(0), byte(0), byte(0), byte(0), byte(0), byte(3))
+	// The window's edges.  Twelve entries with lower corners 1, 5 and 20.
+	window := []byte{5, 2, 5, 2, 1, 1, 9, 1, 20, 3, 0, 7, 5, 0, 1, 1, 1, 0, 3, 3, 20, 0, 20, 0, 5, 7, 0, 0, 1, 6, 30, 1, 20, 7, 2, 2, 5, 2, 5, 2, 1, 1, 9, 1, 20, 3, 0, 7}
+	// Every entry ends left of rect: both cuts at the end, all charged 2.
+	f.Add(window, byte(1), byte(63), byte(0), byte(5), byte(63), byte(0))
+	// Every entry begins right of rect: both cuts at 0, all charged 1.
+	f.Add(window, byte(1), byte(0), byte(0), byte(7), byte(63), byte(0))
+	// An empty window between a group left of rect and a group right of it.
+	f.Add([]byte{1, 1, 5, 2, 20, 3, 5, 2, 1, 0, 5, 2, 20, 0, 5, 2}, byte(1), byte(13), byte(0), byte(5), byte(63), byte(0))
+	// Ties at the lower cut: entries ending exactly at rect.XL (7)...
+	f.Add(window, byte(1), byte(15), byte(0), byte(9), byte(63), byte(0))
+	// ...and at the upper cut: entries beginning exactly at rect.XU (5, 20).
+	f.Add(window, byte(1), byte(8), byte(0), byte(5), byte(63), byte(0))
+	f.Add(window, byte(1), byte(10), byte(0), byte(18), byte(63), byte(0))
+	// The same ties met by the expansion: XU + 1 == rect.XL, XL - 1 == rect.XU.
+	f.Add(window, byte(1), byte(16), byte(0), byte(9), byte(63), byte(4))
+	f.Add(window, byte(1), byte(8), byte(0), byte(4), byte(63), byte(4))
+	// An expansion that does not fall on the grid, and a degenerate rect.
+	f.Add(window, byte(1), byte(14), byte(3), byte(0), byte(0), byte(7))
 	f.Fuzz(func(t *testing.T, node []byte, restricted, xl, yl, w, h, epsQ byte) {
 		if len(node) > 4*400 {
 			node = node[:4*400]
@@ -146,6 +196,27 @@ func FuzzRestrictSorted(f *testing.F) {
 		}
 		checkRestrictSorted(t, gridEntries(node), rect, float64(epsQ%8)/4)
 	})
+}
+
+// TestRestrictSortedWarmBuffersDoNotAllocate pins the reservation: buffers
+// that went through one restriction of a full node hold any window of it.
+func TestRestrictSortedWarmBuffersDoNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	data := make([]byte, 4*204)
+	rng.Read(data)
+	node := &rtree.Node{Entries: gridEntries(data)}
+	var local metrics.Local
+	idx, rects := restrictSorted(node, nil, 0.5, nil, nil, &local)
+	rect := &geom.Rect{XL: 6, YL: 3, XU: 22, YU: 30}
+	if got, _ := restrictSorted(node, rect, 0.5, idx[:0], rects[:0], &local); len(got) == 0 || len(got) == len(node.Entries) {
+		t.Fatalf("%d of %d survivors: the window is not a proper one", len(got), len(node.Entries))
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		idx, rects = restrictSorted(node, rect, 0.5, idx[:0], rects[:0], &local)
+	})
+	if allocs != 0 {
+		t.Fatalf("restrictSorted allocated %.0f times per run on warm buffers", allocs)
+	}
 }
 
 // TestConcurrentJoinsBuildOrdersOnce starts a ParallelJoin with eight workers

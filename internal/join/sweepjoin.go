@@ -1,6 +1,7 @@
 package join
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/buffer"
@@ -70,7 +71,8 @@ func (e *executor) sweepJoin(nr, ns *rtree.Node, rect geom.Rect, method Method, 
 	}
 
 	if nr.IsLeaf() && ns.IsLeaf() {
-		if e.eps > 0 {
+		switch {
+		case e.eps > 0:
 			// The sweep filtered on expanded rectangles (a Chebyshev ball);
 			// the predicate is Euclidean, so corner pairs need the exact
 			// counted distance test before emission.
@@ -85,7 +87,7 @@ func (e *executor) sweepJoin(nr, ns *rtree.Node, rect geom.Rect, method Method, 
 				}
 			}
 			e.local.Comparisons += comps
-		} else {
+		default:
 			for _, p := range f.pairs {
 				e.emit(Pair{R: nr.Entries[f.rIdx[p.R]].Data, S: ns.Entries[f.sIdx[p.S]].Data})
 			}
@@ -135,18 +137,31 @@ func (e *executor) descend(er, es rtree.Entry, method Method, depth int) {
 
 // restrictSorted appends to idx the entries of n that intersect rect, in the
 // node's xl-order, and to rects their rectangles expanded by eps (non-zero
-// only on the R side of a within-distance join; the expansion shifts every
-// sort key by the same amount, so one stored order serves every predicate).
-// A filter of a stably sorted sequence is the stable sort of the filtered
-// set, so this is the section-4.2 "restrict, then sort the survivors" in one
-// pass.  The marking scan is charged as if it had tested every entry: the
-// walk stops at the first entry lying right of rect, because each entry
-// after it lies right of rect too and would fail IntersectsCost's first
-// test at a cost of one comparison.  A nil rect takes the whole node.
+// only on the R side of a within-distance join).  A filter of a stably sorted
+// sequence is the stable sort of the filtered set, so this is the section-4.2
+// "restrict, then sort the survivors" in one pass.  A nil rect takes the
+// whole node.
+//
+// The marking scan is charged as if IntersectsCost had tested every entry,
+// but only a window of the order is visited.  Entries from position hi on
+// begin right of rect and fail the first conjunct: one comparison each.
+// Before position lo the running maximum of XU has not reached rect.XL, so
+// those entries end left of rect: they pass the first conjunct and fail the
+// second, two comparisons each.  Both cuts are binary searches, and both
+// survive the expansion: rounding x-eps and x+eps is monotone in x, so the
+// expanded lower corners are still in order and the expanded running maximum
+// is the running maximum of the expanded corners — one stored order serves
+// every predicate.  Inside the window the first conjunct holds and the other
+// three are evaluated as 0/1 integers b, c, d: the short-circuit cost is
+// 2 + b + b&c, every entry is stored unconditionally into room reserved
+// before the loop, and the write index moves on by b&c&d — no comparison is
+// a jump.  Coordinates are assumed ordered (no NaN), as the xl-order itself
+// assumes.
 //
 //repro:hotpath
 func restrictSorted(n *rtree.Node, rect *geom.Rect, eps float64, idx []int32, rects []geom.Rect, local *metrics.Local) ([]int32, []geom.Rect) {
-	perm := n.XLOrder().Perm
+	order := n.XLOrder()
+	perm := order.Perm
 	entries := n.Entries
 	if rect == nil {
 		idx = append(idx, perm...)
@@ -155,22 +170,45 @@ func restrictSorted(n *rtree.Node, rect *geom.Rect, eps float64, idx []int32, re
 		}
 		return idx, rects
 	}
-	var comps int64
-	for k, i := range perm {
-		r := expandEps(entries[i].Rect, eps)
-		if r.XL > rect.XU {
-			comps += int64(len(perm) - k)
-			break
-		}
-		ok, cost := geom.IntersectsCost(r, *rect)
-		comps += cost
-		if ok {
-			idx = append(idx, i)
-			rects = append(rects, r)
+	// hi is the first position whose entry begins right of rect.
+	hi := 0
+	for end := len(perm); hi < end; {
+		mid := int(uint(hi+end) >> 1)
+		if entries[perm[mid]].Rect.XL-eps > rect.XU {
+			end = mid
+		} else {
+			hi = mid + 1
 		}
 	}
+	// lo is the first position before hi that some entry at or before it
+	// reaches.
+	lo := 0
+	for end := hi; lo < end; {
+		mid := int(uint(lo+end) >> 1)
+		if order.PrefixMaxXU[mid]+eps < rect.XL {
+			lo = mid + 1
+		} else {
+			end = mid
+		}
+	}
+	comps := int64(2*lo + len(perm) - hi)
+
+	wi, wr := len(idx), len(rects)
+	idx = slices.Grow(idx, hi-lo)[:wi+hi-lo]
+	rects = slices.Grow(rects, hi-lo)[:wr+hi-lo]
+	keptIdx, keptRects := idx[wi:], rects[wr:]
+	w := 0
+	for _, i := range perm[lo:hi] {
+		r := expandEps(entries[i].Rect, eps)
+		b := geom.Bit(rect.XL <= r.XU)
+		c := b & geom.Bit(r.YL <= rect.YU)
+		comps += 2 + b + c
+		keptIdx[w] = i
+		keptRects[w] = r
+		w += int(c & geom.Bit(rect.YL <= r.YU))
+	}
 	local.Comparisons += comps
-	return idx, rects
+	return idx[:wi+w], rects[:wr+w]
 }
 
 // readSorted charges one read of n for a sweep.  Section 4.2 sorts a page's

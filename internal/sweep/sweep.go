@@ -12,6 +12,7 @@
 package sweep
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -19,9 +20,11 @@ import (
 )
 
 // Pair identifies one rectangle of the R sequence and one of the S sequence
-// by their positions in the input slices.
+// by their positions in the input slices.  The positions are 32 bits wide,
+// like the object identifiers of a relation: the join sweeps node-sized
+// sequences millions of times and stores a Pair per position it looks at.
 type Pair struct {
-	R, S int
+	R, S int32
 }
 
 // SortByXL sorts rects in place by their lower x-corner and charges the
@@ -71,13 +74,13 @@ func SortedIntersectionTest(rseq, sseq []geom.Rect, c geom.ComparisonCounter, em
 		if geom.CompareCounted(rseq[i].XL, sseq[j].XL, c) {
 			// The sweep line stops at t = rseq[i]; scan sseq from j.
 			internalLoop(rseq[i], sseq, j, c, func(k int) {
-				emit(Pair{R: i, S: k})
+				emit(Pair{R: int32(i), S: int32(k)})
 			})
 			i++
 		} else {
 			// The sweep line stops at t = sseq[j]; scan rseq from i.
 			internalLoop(sseq[j], rseq, i, c, func(k int) {
-				emit(Pair{R: k, S: j})
+				emit(Pair{R: int32(k), S: int32(j)})
 			})
 			j++
 		}
@@ -100,56 +103,82 @@ func internalLoop(t geom.Rect, seq []geom.Rect, unmarked int, c geom.ComparisonC
 	}
 }
 
-// AppendPairs is the allocation-free form of SortedIntersectionTest used by
-// the join hot path: instead of invoking a callback per pair (whose closure
-// would escape and allocate once per node pair) it appends the pairs to out
-// and returns the extended slice.  The comparison cost is accumulated in a
-// plain local integer and charged to c exactly once, so a node pair costs one
-// counter update instead of one per comparison.  The pair order and the total
-// number of comparisons charged are identical to SortedIntersectionTest.
+// AppendPairs is the form of SortedIntersectionTest the join hot path runs:
+// it appends the pairs to out and returns the extended slice, and charges c
+// once with the total.  The pair order and the number of comparisons charged
+// are identical to SortedIntersectionTest.
 //
 //repro:hotpath
 func AppendPairs(rseq, sseq []geom.Rect, c geom.ComparisonCounter, out []Pair) []Pair {
-	var n int64
-	i, j := 0, 0
-	for i < len(rseq) && j < len(sseq) {
-		n++
-		if rseq[i].XL < sseq[j].XL {
-			// The sweep line stops at t = rseq[i]; scan sseq from j.
-			t := rseq[i]
-			for k := j; k < len(sseq); k++ {
-				n++
-				if t.XU < sseq[k].XL {
-					break
-				}
-				ok, cost := geom.IntersectsIntervalCost(t, sseq[k])
-				n += cost
-				if ok {
-					out = append(out, Pair{R: i, S: k})
-				}
-			}
-			i++
-		} else {
-			// The sweep line stops at t = sseq[j]; scan rseq from i.
-			t := sseq[j]
-			for k := i; k < len(rseq); k++ {
-				n++
-				if t.XU < rseq[k].XL {
-					break
-				}
-				ok, cost := geom.IntersectsIntervalCost(t, rseq[k])
-				n += cost
-				if ok {
-					out = append(out, Pair{R: k, S: j})
-				}
-			}
-			j++
-		}
-	}
+	out, n := appendPairs(rseq, sseq, out)
 	if c != nil && n != 0 {
 		c.AddComparisons(n)
 	}
 	return out
+}
+
+// appendPairs is AppendPairs without the counter: it returns the comparisons
+// to charge, so the interface value is not live across the loops, which need
+// every register they can get.
+//
+// The outer loop is the paper's: the sweep line stops at t, the unprocessed
+// rectangle with the smallest xl, and InternalLoop walks the other sequence
+// from its first unprocessed rectangle while the x-projections overlap.  The
+// walk's y-interval test is arithmetic, not a jump: both conjuncts are
+// evaluated as 0/1 integers, every position is stored as a pair
+// unconditionally and the write index moves on by their product, so the only
+// jump in the walk that depends on the data is its exit.  The cost is what
+// the short-circuit evaluation charges: one comparison to pick t; per
+// position one x test and 1 + a for the y-interval test (its second conjunct
+// is only charged when the first, a, held); and the x test that ended the
+// walk, unless the sequence ran out first.  The room a walk can need — the
+// rest of the other sequence — is reserved before it starts, so a call over
+// the same input with a buffer a previous call returned never allocates.
+//
+//repro:hotpath
+func appendPairs(rseq, sseq []geom.Rect, out []Pair) ([]Pair, int64) {
+	var n int64
+	w := len(out)
+	out = out[:cap(out)]
+	i, j := 0, 0
+	for i < len(rseq) && j < len(sseq) {
+		if rseq[i].XL < sseq[j].XL {
+			// The sweep line stops at t = rseq[i]; walk sseq from j.
+			out = reserve(out, w, len(sseq)-j)
+			xu, yl, yu := rseq[i].XU, rseq[i].YL, rseq[i].YU
+			k := j
+			for ; k < len(sseq) && !(xu < sseq[k].XL); k++ {
+				a := geom.Bit(yl <= sseq[k].YU)
+				n += a
+				out[w] = Pair{R: int32(i), S: int32(k)}
+				w += int(a & geom.Bit(yu >= sseq[k].YL))
+			}
+			n += 1 + 2*int64(k-j) + geom.Bit(k < len(sseq))
+			i++
+		} else {
+			// The sweep line stops at t = sseq[j]; walk rseq from i.
+			out = reserve(out, w, len(rseq)-i)
+			xu, yl, yu := sseq[j].XU, sseq[j].YL, sseq[j].YU
+			k := i
+			for ; k < len(rseq) && !(xu < rseq[k].XL); k++ {
+				a := geom.Bit(yl <= rseq[k].YU)
+				n += a
+				out[w] = Pair{R: int32(k), S: int32(j)}
+				w += int(a & geom.Bit(yu >= rseq[k].YL))
+			}
+			n += 1 + 2*int64(k-i) + geom.Bit(k < len(rseq))
+			j++
+		}
+	}
+	return out[:w], n
+}
+
+// reserve returns out at its full capacity, regrown if that does not leave
+// room for need pairs behind the first w.  A buffer that went through a run
+// once never regrows on the same input.
+func reserve(out []Pair, w, need int) []Pair {
+	out = slices.Grow(out[:w], need)
+	return out[:cap(out)]
 }
 
 // Pairs runs the sorted intersection test and collects the result into a
@@ -167,7 +196,7 @@ func NestedLoopPairs(rseq, sseq []geom.Rect, c geom.ComparisonCounter) []Pair {
 	for i, r := range rseq {
 		for j, s := range sseq {
 			if geom.IntersectsCounted(r, s, c) {
-				out = append(out, Pair{R: i, S: j})
+				out = append(out, Pair{R: int32(i), S: int32(j)})
 			}
 		}
 	}

@@ -17,7 +17,7 @@ func rectSet(coords ...[4]float64) []geom.Rect {
 	return out
 }
 
-func pairKey(p Pair) [2]int { return [2]int{p.R, p.S} }
+func pairKey(p Pair) [2]int { return [2]int{int(p.R), int(p.S)} }
 
 func asSet(pairs []Pair) map[[2]int]bool {
 	set := make(map[[2]int]bool, len(pairs))
