@@ -539,7 +539,7 @@ func BenchmarkLargeJoinParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkLargeJoinParallelStatic runs the deterministic static schedule
+// BenchmarkLargeJoinParallelStatic runs the deterministic spatial schedule
 // and reports "est-speedup": the cost-model (section 5) speedup of the
 // partitioned execution's critical path — planning plus the slowest worker —
 // over the sequential SJ4 baseline.  This is the paper's simulation-style
@@ -569,7 +569,7 @@ func BenchmarkLargeJoinParallelStatic(b *testing.B) {
 				res, err := ParallelTreeJoin(r, s, ParallelJoinOptions{
 					Options:  opts,
 					Workers:  workers,
-					Strategy: RoundRobinPartition,
+					Strategy: SpatialPartition,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -584,21 +584,24 @@ func BenchmarkLargeJoinParallelStatic(b *testing.B) {
 	}
 }
 
-// BenchmarkLargeJoinPartition compares the partition strategies — the three
-// static schedules plus the work-stealing scheduler — on the large pair at 8
-// workers.  Besides wall clock it reports the counted-cost quality of each
-// schedule: the cost-model est-speedup, the per-worker task, comparison and
-// disk skew, the buffer-locality hit rate, the steal count and the
-// disk-access overhead over the sequential join (the price of the
-// partitioned buffer, which the spatial-region schedule is built to shrink).
+// BenchmarkLargeJoinPartition compares the two partition strategies — the
+// spatial schedule and the work-stealing scheduler — on the large pair at 2
+// and 8 workers, in the ledger's join_par configuration (bench/batch.go:
+// SJ4, 128 KiB buffer plus path buffer, pairs materialised, the default task
+// granularity), so strategy=stealing/workers=2 on a two-core host reproduces
+// join_par outside the ledger.  Besides wall clock it reports the
+// counted-cost quality of each schedule: the cost-model est-speedup, the
+// per-worker task, comparison and disk skew, the buffer-locality hit rate,
+// the steal count and the disk-access overhead over the sequential join (the
+// price of the partitioned buffer, which the spatial-region schedule is
+// built to shrink).
 func BenchmarkLargeJoinPartition(b *testing.B) {
 	skipLargeInShort(b)
 	r, s := largeTreesForBench()
 	opts := JoinOptions{
 		Method:        SpatialJoin4,
-		BufferBytes:   1 << 20,
+		BufferBytes:   128 << 10,
 		UsePathBuffer: true,
-		DiscardPairs:  true,
 	}
 	seq, err := TreeJoin(r, s, opts)
 	if err != nil {
@@ -607,45 +610,43 @@ func BenchmarkLargeJoinPartition(b *testing.B) {
 	model := DefaultCostModel()
 	seqEst := model.EstimateSnapshot(seq.Metrics, r.PageSize())
 	seqDisk := float64(seq.Metrics.DiskAccesses())
-	for _, strategy := range []PartitionStrategy{RoundRobinPartition, LPTPartition, SpatialPartition, StealingPartition} {
-		b.Run(fmt.Sprintf("strategy=%v/workers=8", strategy), func(b *testing.B) {
-			b.ReportAllocs()
-			var res *JoinResult
-			for i := 0; i < b.N; i++ {
-				res, err = ParallelTreeJoin(r, s, ParallelJoinOptions{
-					Options:  opts,
-					Workers:  8,
-					Strategy: strategy,
-					// STR-loaded roots yield under a dozen giant root-entry
-					// tasks; planning one level finer is what gives the
-					// schedules room to balance and cluster.
-					MinTasksPerWorker: 16,
-				})
-				if err != nil {
-					b.Fatal(err)
+	for _, strategy := range []PartitionStrategy{SpatialPartition, StealingPartition} {
+		for _, workers := range []int{2, 8} {
+			b.Run(fmt.Sprintf("strategy=%v/workers=%d", strategy, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				var res *JoinResult
+				for i := 0; i < b.N; i++ {
+					res, err = ParallelTreeJoin(r, s, ParallelJoinOptions{
+						Options:  opts,
+						Workers:  workers,
+						Strategy: strategy,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.Count != seq.Count {
+						b.Fatalf("%d pairs, sequential %d", res.Count, seq.Count)
+					}
 				}
-				if res.Count == 0 {
-					b.Fatal("empty result")
+				par := experiments.ParallelEstimate(model, res, r.PageSize())
+				if par.TotalSeconds() > 0 {
+					b.ReportMetric(seqEst.TotalSeconds()/par.TotalSeconds(), "est-speedup")
 				}
-			}
-			par := experiments.ParallelEstimate(model, res, r.PageSize())
-			if par.TotalSeconds() > 0 {
-				b.ReportMetric(seqEst.TotalSeconds()/par.TotalSeconds(), "est-speedup")
-			}
-			if seqDisk > 0 {
-				b.ReportMetric(float64(res.Metrics.DiskAccesses())/seqDisk, "disk-overhead")
-			}
-			b.ReportMetric(res.TaskSkew(), "task-skew")
-			b.ReportMetric(res.ComparisonSkew(), "comp-skew")
-			b.ReportMetric(res.DiskSkew(), "disk-skew")
-			b.ReportMetric(res.TimeSkew(model, r.PageSize()), "time-skew")
-			b.ReportMetric(res.WorkerBufferHitRate(), "hit-rate")
-			steals := 0
-			for _, n := range res.WorkerSteals {
-				steals += n
-			}
-			b.ReportMetric(float64(steals), "steals")
-		})
+				if seqDisk > 0 {
+					b.ReportMetric(float64(res.Metrics.DiskAccesses())/seqDisk, "disk-overhead")
+				}
+				b.ReportMetric(res.TaskSkew(), "task-skew")
+				b.ReportMetric(res.ComparisonSkew(), "comp-skew")
+				b.ReportMetric(res.DiskSkew(), "disk-skew")
+				b.ReportMetric(res.TimeSkew(model, r.PageSize()), "time-skew")
+				b.ReportMetric(res.WorkerBufferHitRate(), "hit-rate")
+				steals := 0
+				for _, n := range res.WorkerSteals {
+					steals += n
+				}
+				b.ReportMetric(float64(steals), "steals")
+			})
+		}
 	}
 }
 

@@ -103,8 +103,6 @@ func run(args []string, out io.Writer) error {
 		experiments.PrintTableUpdates(out, suite.TableUpdates())
 	case *parallel:
 		experiments.PrintTableParallel(out, suite.TableParallel())
-		fmt.Fprintln(out)
-		experiments.PrintTableEstimator(out, suite.TableEstimator())
 	case *table == 0 && *figure == 0:
 		suite.RunAll(out)
 	case *table != 0:

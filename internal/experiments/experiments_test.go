@@ -352,7 +352,7 @@ func TestTableParallelShape(t *testing.T) {
 	var buf bytes.Buffer
 	PrintTableParallel(&buf, rows)
 	out := buf.String()
-	for _, want := range []string{"round-robin", "lpt", "spatial", "stealing", "steals", "est speedup"} {
+	for _, want := range []string{"spatial", "stealing", "steals", "est speedup"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("PrintTableParallel output is missing %q", want)
 		}
@@ -362,7 +362,7 @@ func TestTableParallelShape(t *testing.T) {
 func TestTableUpdatesShape(t *testing.T) {
 	s := tinySuite()
 	rows := s.TableUpdates()
-	strategies := len(join.PartitionStrategies) + 1 // + dynamic
+	strategies := len(join.PartitionStrategies)
 	want := 2 * UpdateRounds * strategies
 	if len(rows) != want {
 		t.Fatalf("TableUpdates returned %d rows, want %d", len(rows), want)
@@ -417,33 +417,6 @@ func TestTableUpdatesShape(t *testing.T) {
 	for _, want := range []string{"maintained", "recollect", "hint rate", "walked pages", "stealing"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("PrintTableUpdates output is missing %q", want)
-		}
-	}
-}
-
-func TestTableEstimatorShape(t *testing.T) {
-	s := tinySuite()
-	rows := s.TableEstimator()
-	if len(rows) != 4 {
-		t.Fatalf("TableEstimator returned %d rows, want 4", len(rows))
-	}
-	for _, row := range rows {
-		if row.Workers <= 0 || row.Workers > EstimatorWorkers {
-			t.Errorf("%v sampled=%v: %d workers outside (0,%d]", row.Strategy, row.Sampled, row.Workers, EstimatorWorkers)
-		}
-		if row.MeanAbsErrPct < 0 || row.CompSkew < 1 || row.EstSpeedup <= 0 {
-			t.Errorf("%v sampled=%v: degenerate row %+v", row.Strategy, row.Sampled, row)
-		}
-		if rate := row.HitRate; rate != rate || rate < 0 || rate > 1 {
-			t.Errorf("%v sampled=%v: hit rate %v outside [0,1]", row.Strategy, row.Sampled, rate)
-		}
-	}
-	var buf bytes.Buffer
-	PrintTableEstimator(&buf, rows)
-	out := buf.String()
-	for _, want := range []string{"catalog-avg", "sampled", "est err"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("PrintTableEstimator output is missing %q", want)
 		}
 	}
 }

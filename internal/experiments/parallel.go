@@ -54,7 +54,7 @@ type ParallelRow struct {
 	TimeSkew float64
 	// Steals is the number of successful steal operations and StolenTasks the
 	// number of tasks that changed owners (stealing strategy only; both 0 for
-	// the static schedules).
+	// the spatial schedule).
 	Steals      int
 	StolenTasks int
 	// EstSpeedup is the speedup in estimated execution time (the paper's
@@ -67,13 +67,13 @@ type ParallelRow struct {
 }
 
 // TableParallel joins the main pair with ParallelJoin (SJ4) for each
-// partition strategy (the three static schedules plus the work-stealing
-// scheduler) and worker count, and reports per-worker load-balance skew,
-// buffer locality, steal counts and the disk-access overhead over the
-// sequential join, using the per-worker snapshots the parallel executor
-// publishes.  The static rows are deterministic machine properties of the
-// plan; the stealing rows depend on runtime scheduling and show how the
-// rebalancing trades a little locality for balance.
+// partition strategy (the spatial schedule and the work-stealing scheduler)
+// and worker count, and reports per-worker load-balance skew, buffer
+// locality, steal counts and the disk-access overhead over the sequential
+// join, using the per-worker snapshots the parallel executor publishes.  The
+// spatial rows are deterministic machine properties of the plan; the
+// stealing rows depend on runtime scheduling and show how the rebalancing
+// trades a little locality for wall-clock balance.
 func (s *Suite) TableParallel() []ParallelRow {
 	r, t := s.mainPair(ParallelPageSize)
 	seq := s.runJoin(r, t, join.SJ4, ParallelBufferKB, nil)
@@ -89,8 +89,8 @@ func (s *Suite) TableParallel() []ParallelRow {
 					DiscardPairs:  true,
 				},
 				Workers: w,
-				// The static schedules make the per-worker split
-				// deterministic, so skew and estimated speedup are
+				// The spatial schedule makes the per-worker split
+				// deterministic, so its skew and estimated speedup are
 				// reproducible properties of the plan rather than of
 				// goroutine scheduling.
 				Strategy: strategy,
@@ -133,8 +133,8 @@ func (s *Suite) TableParallel() []ParallelRow {
 // worker's initial schedule (Result.WorkerEstSeconds) and actual the
 // cost-model time of its measured counters.  It reports false when the
 // result carries no predictions or no worker measured a positive cost.
-// This is the estimator-fidelity measure shared by TableEstimator,
-// TableUpdates and the update benchmark.
+// This is the estimator-fidelity measure shared by TableUpdates and the
+// update benchmark.
 func MeanEstErrPct(model costmodel.Model, res *join.Result, pageSize int) (float64, bool) {
 	var errSum float64
 	var counted int
@@ -193,99 +193,4 @@ func PrintTableParallel(w io.Writer, rows []ParallelRow) {
 		"\n overhead = disk accesses over the sequential join's; steals = successful"+
 		"\n steal operations of the work-stealing scheduler; est speedup = estimated"+
 		"\n sequential time over the parallel critical path, section-5 cost model)")
-}
-
-// ---------------------------------------------------------------------------
-// Task-estimator fidelity: catalog averages vs sampled statistics.
-// ---------------------------------------------------------------------------
-
-// EstimatorWorkers is the worker count of the estimator-fidelity experiment.
-const EstimatorWorkers = 8
-
-// EstimatorRow compares the planner's predicted per-worker loads against the
-// measured ones for one strategy and one estimator, quantifying how much the
-// sampled catalog statistics tighten the schedule cuts over the
-// catalog-average subtree model.
-type EstimatorRow struct {
-	Strategy join.PartitionStrategy
-	// Sampled is true for the reservoir-sampled statistics, false for the
-	// catalog-average ablation.
-	Sampled bool
-	Workers int
-	// MeanAbsErrPct is the mean over the workers of
-	// |predicted - actual| / actual (in percent), where predicted is the
-	// cost-model estimate of the worker's schedule and actual the cost-model
-	// time of its measured counters.  It measures estimator fidelity at the
-	// granularity the partitioner actually cuts at.
-	MeanAbsErrPct float64
-	// CompSkew, TimeSkew and EstSpeedup show what the fidelity buys: a
-	// tighter estimator packs the static schedules more evenly.
-	CompSkew   float64
-	TimeSkew   float64
-	HitRate    float64
-	EstSpeedup float64
-}
-
-// TableEstimator runs the estimate-driven static strategies at
-// EstimatorWorkers workers with both estimators and reports the est-vs-actual
-// error alongside the resulting balance.  (The stealing strategy is excluded:
-// its executed split is rebalanced at run time, so predicted initial loads
-// and measured loads diverge by design.)
-func (s *Suite) TableEstimator() []EstimatorRow {
-	r, t := s.mainPair(ParallelPageSize)
-	seq := s.runJoin(r, t, join.SJ4, ParallelBufferKB, nil)
-	seqEst := s.model.EstimateSnapshot(seq.Metrics, ParallelPageSize)
-	var rows []EstimatorRow
-	for _, sampled := range []bool{false, true} {
-		for _, strategy := range []join.PartitionStrategy{join.PartitionLPT, join.PartitionSpatial} {
-			res, err := join.ParallelJoin(r, t, join.ParallelOptions{
-				Options: join.Options{
-					Method:        join.SJ4,
-					BufferBytes:   ParallelBufferKB << 10,
-					UsePathBuffer: s.cfg.UsePathBuffer,
-					DiscardPairs:  true,
-				},
-				Workers:             EstimatorWorkers,
-				Strategy:            strategy,
-				DisableSampledStats: !sampled,
-			})
-			if err != nil {
-				panic(fmt.Sprintf("experiments: estimator table %v sampled=%v: %v", strategy, sampled, err))
-			}
-			row := EstimatorRow{
-				Strategy: strategy,
-				Sampled:  sampled,
-				Workers:  len(res.WorkerMetrics),
-				CompSkew: res.ComparisonSkew(),
-				TimeSkew: res.TimeSkew(s.model, ParallelPageSize),
-				HitRate:  res.WorkerBufferHitRate(),
-			}
-			if err, ok := MeanEstErrPct(s.model, res, ParallelPageSize); ok {
-				row.MeanAbsErrPct = err
-			}
-			if par := ParallelEstimate(s.model, res, ParallelPageSize); par.TotalSeconds() > 0 {
-				row.EstSpeedup = seqEst.TotalSeconds() / par.TotalSeconds()
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows
-}
-
-// PrintTableEstimator writes the estimator-fidelity rows.
-func PrintTableEstimator(w io.Writer, rows []EstimatorRow) {
-	writeHeader(w, "Task estimator: catalog averages vs sampled statistics (SJ4, 8 workers)")
-	fmt.Fprintf(w, "%-12s %-16s %12s %10s %10s %9s %11s\n",
-		"strategy", "estimator", "est err %", "comp skew", "time skew", "hit rate", "est speedup")
-	for _, row := range rows {
-		estimator := "catalog-avg"
-		if row.Sampled {
-			estimator = "sampled"
-		}
-		fmt.Fprintf(w, "%-12s %-16s %12.1f %10.2f %10.2f %9.2f %11.2f\n",
-			row.Strategy, estimator, row.MeanAbsErrPct, row.CompSkew, row.TimeSkew, row.HitRate, row.EstSpeedup)
-	}
-	fmt.Fprintln(w, "(est err = mean over workers of |predicted - measured| / measured, cost-model"+
-		"\n seconds; the sampled statistics replace the fan-out^level catalog-average model"+
-		"\n with per-level populations and leaf extents collected by reservoir sampling)")
 }

@@ -45,11 +45,10 @@ type UpdateRow struct {
 	// leaf-hint fast path (one value per round, repeated on each row).
 	HintHitRate float64
 	// EstErrPct is the mean over workers of |predicted - actual| / actual in
-	// per cent, for the estimate-driven static strategies (LPT, spatial).  It
-	// is -1 for strategies whose split is not the predicted schedule (dynamic,
-	// round-robin, stealing).  This is the estimator-freshness measure: the
-	// maintained catalog must keep it in the PR-4 band without ever walking
-	// the tree.
+	// per cent, for the spatial schedule.  It is -1 for stealing, whose split
+	// is not the predicted schedule.  This is the estimator-freshness
+	// measure: the maintained catalog must keep it in the PR-4 band without
+	// ever walking the tree.
 	EstErrPct float64
 	TimeSkew  float64
 	Steals    int
@@ -106,15 +105,9 @@ func (u *UpdatePair) TurnOver(round int) (hits, applied int) {
 	return buf.HintHits(), buf.Applied()
 }
 
-// updateStrategies is the full strategy sweep of the update experiment: the
-// dynamic shared queue plus every per-worker schedule.
-func updateStrategies() []join.PartitionStrategy {
-	return append([]join.PartitionStrategy{join.PartitionDynamic}, join.PartitionStrategies...)
-}
-
 // TableUpdates interleaves batched updates (Hilbert-buffered inserts plus
 // oldest-first deletes, UpdateBatchPercent of each relation per round) with
-// SJ4 parallel joins across all five partition strategies, twice: once with
+// SJ4 parallel joins under both partition strategies, twice: once with
 // incremental catalog maintenance (the default) and once with it ablated.
 // Every join's result is verified against the sequential join on the mutated
 // trees; the CatalogWalks column isolates the recollection stall the
@@ -156,7 +149,7 @@ func (s *Suite) updateBlock(maintained bool) []UpdateRow {
 		seq := s.runJoin(r.Tree, t.Tree, join.SJ4, ParallelBufferKB, nil)
 		pagesR := int64(r.Tree.Stats().TotalPages())
 		pagesT := int64(t.Tree.Stats().TotalPages())
-		for _, strategy := range updateStrategies() {
+		for _, strategy := range join.PartitionStrategies {
 			walksR0, walksT0 := r.Tree.CatalogRecollections(), t.Tree.CatalogRecollections()
 			res, err := join.ParallelJoin(r.Tree, t.Tree, join.ParallelOptions{
 				Options: join.Options{
@@ -194,7 +187,7 @@ func (s *Suite) updateBlock(maintained bool) []UpdateRow {
 			for _, n := range res.WorkerSteals {
 				row.Steals += n
 			}
-			if strategy == join.PartitionLPT || strategy == join.PartitionSpatial {
+			if strategy == join.PartitionSpatial {
 				if err, ok := MeanEstErrPct(s.model, res, ParallelPageSize); ok {
 					row.EstErrPct = err
 				}
@@ -235,7 +228,7 @@ func PrintTableUpdates(w io.Writer, rows []UpdateRow) {
 	fmt.Fprintln(w, "(each round deletes the oldest batch and Hilbert-buffer-inserts a fresh one on"+
 		"\n both relations, then joins with every partition strategy; hint rate = share of"+
 		"\n buffered inserts that skipped the ChooseSubtree descent; est err = mean per-"+
-		"\n worker |predicted-actual|/actual for the estimate-driven static schedules;"+
+		"\n worker |predicted-actual|/actual for the spatial schedule;"+
 		"\n walks = full-tree statistics recollections during planning — the stall the"+
 		"\n incremental catalog maintenance eliminates)")
 }

@@ -116,10 +116,7 @@ func TestJoinContextCompletesUnchanged(t *testing.T) {
 // partition strategy, recycles their state, and yields the typed error.
 func TestParallelJoinCancel(t *testing.T) {
 	r, s := cancelTestTrees(t, 2000)
-	strategies := []PartitionStrategy{
-		PartitionDynamic, PartitionRoundRobin, PartitionLPT, PartitionSpatial, PartitionStealing,
-	}
-	for _, strat := range strategies {
+	for _, strat := range PartitionStrategies {
 		ctx, cancel := context.WithCancel(context.Background())
 		fired := 0
 		res, err := ParallelJoin(r, s, ParallelOptions{

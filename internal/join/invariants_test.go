@@ -20,13 +20,6 @@ func sortedPairHash(pairs []Pair) uint64 {
 	return h
 }
 
-// parallelVariants enumerates the schedule dimension of the invariant suite:
-// the dynamic queue, the three static strategies and the work-stealing
-// scheduler.
-var parallelVariants = []PartitionStrategy{
-	PartitionDynamic, PartitionRoundRobin, PartitionLPT, PartitionSpatial, PartitionStealing,
-}
-
 // checkParallelAgainst runs ParallelJoin in both pair modes (materialised
 // and OnPair+DiscardPairs) and checks the result-set invariants against the
 // sequential golden hash and count.
@@ -68,8 +61,7 @@ func checkParallelAgainst(t *testing.T, label string, wantHash uint64, wantCount
 
 // TestParallelJoinInvariants checks result-set equality of ParallelJoin with
 // the sequential join over the full matrix: every tree algorithm SJ1-SJ5,
-// every partition strategy (dynamic queue plus the three static schedules),
-// and both pair modes.  Equality is by sorted-pair golden hash, since the
+// both partition strategies, and both pair modes.  Equality is by sorted-pair golden hash, since the
 // parallel pair order is schedule-dependent.
 func TestParallelJoinInvariants(t *testing.T) {
 	r, s, _, _ := buildPair(t, 1500, 1500, storage.PageSize1K)
@@ -80,7 +72,7 @@ func TestParallelJoinInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantHash := sortedPairHash(seq.Pairs)
-		for _, strategy := range parallelVariants {
+		for _, strategy := range PartitionStrategies {
 			label := fmt.Sprintf("%v/%v", method, strategy)
 			checkParallelAgainst(t, label, wantHash, seq.Count,
 				func(onPair func(Pair), discard bool) (*Result, error) {
@@ -94,10 +86,10 @@ func TestParallelJoinInvariants(t *testing.T) {
 }
 
 // TestStealingJoinInvariants is the stealing strategy's own wall: SJ1-SJ5,
-// worker counts 1, 2 and 8, both pair modes, a fine task granularity so that
-// steals actually fire, and the catalog-average estimator ablation — the
-// result set must equal the sequential join's in every cell no matter how
-// the nondeterministic steal/pop interleaving plays out.  CI runs the
+// worker counts 1, 2 and 8, both pair modes and a fine task granularity so
+// that steals actually fire — the result set must equal the sequential
+// join's in every cell no matter how the nondeterministic steal/pop
+// interleaving plays out.  CI runs the
 // package under -race, which turns this into the stealing data-race wall.
 func TestStealingJoinInvariants(t *testing.T) {
 	r, s, _, _ := buildPair(t, 1500, 1500, storage.PageSize1K)
@@ -108,21 +100,18 @@ func TestStealingJoinInvariants(t *testing.T) {
 		}
 		wantHash := sortedPairHash(seq.Pairs)
 		for _, workers := range []int{1, 2, 8} {
-			for _, catalogAvg := range []bool{false, true} {
-				label := fmt.Sprintf("%v/stealing/workers=%d/catalogAvg=%v", method, workers, catalogAvg)
-				checkParallelAgainst(t, label, wantHash, seq.Count,
-					func(onPair func(Pair), discard bool) (*Result, error) {
-						o := Options{Method: method, BufferBytes: 64 << 10, UsePathBuffer: true,
-							OnPair: onPair, DiscardPairs: discard}
-						return ParallelJoin(r, s, ParallelOptions{
-							Options:             o,
-							Workers:             workers,
-							Strategy:            PartitionStealing,
-							MinTasksPerWorker:   4,
-							DisableSampledStats: catalogAvg,
-						})
+			label := fmt.Sprintf("%v/stealing/workers=%d", method, workers)
+			checkParallelAgainst(t, label, wantHash, seq.Count,
+				func(onPair func(Pair), discard bool) (*Result, error) {
+					o := Options{Method: method, BufferBytes: 64 << 10, UsePathBuffer: true,
+						OnPair: onPair, DiscardPairs: discard}
+					return ParallelJoin(r, s, ParallelOptions{
+						Options:           o,
+						Workers:           workers,
+						Strategy:          PartitionStealing,
+						MinTasksPerWorker: 4,
 					})
-			}
+				})
 		}
 	}
 }
@@ -175,8 +164,8 @@ func TestStealingExecutesEveryTaskOnce(t *testing.T) {
 }
 
 // TestParallelJoinInvariantsHeights runs the same invariants on trees of
-// different heights, sweeping the section-4.4 height policies against every
-// partition strategy.
+// different heights, sweeping the section-4.4 height policies against both
+// partition strategies.
 func TestParallelJoinInvariantsHeights(t *testing.T) {
 	r, s := buildHeightPair(t)
 	for _, policy := range []HeightPolicy{PolicyWindowPerPair, PolicyBatchedWindows, PolicySweepOrder} {
@@ -186,7 +175,7 @@ func TestParallelJoinInvariantsHeights(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantHash := sortedPairHash(seq.Pairs)
-		for _, strategy := range parallelVariants {
+		for _, strategy := range PartitionStrategies {
 			label := fmt.Sprintf("heights/%v/%v", policy, strategy)
 			checkParallelAgainst(t, label, wantHash, seq.Count,
 				func(onPair func(Pair), discard bool) (*Result, error) {

@@ -190,25 +190,21 @@ type Result struct {
 	// sequential algorithm).  The experiments use it to report load-balance
 	// skew across workers.
 	WorkerMetrics []metrics.Snapshot
-	// WorkerTasks[i] is the number of sub-join tasks worker i executed
-	// (pulled from the shared queue, or assigned by the static schedule); it
-	// is aligned with WorkerMetrics.
+	// WorkerTasks[i] is the number of sub-join tasks worker i executed (its
+	// own region queue plus any runs it stole); it is aligned with
+	// WorkerMetrics.
 	WorkerTasks []int
-	// Strategy records the partition strategy of a ParallelJoin (zero for
-	// sequential joins and sequential fallbacks).
-	Strategy PartitionStrategy
 	// WorkerSteals[i] is the number of successful steal operations worker i
-	// performed as a thief (PartitionStealing only; nil otherwise).
+	// performed as a thief (all zero under PartitionSpatial).
 	WorkerSteals []int
 	// StolenTasks is the total number of tasks that changed owners through
-	// stealing (PartitionStealing only).
+	// stealing (zero under PartitionSpatial).
 	StolenTasks int
-	// WorkerEstSeconds[i] is the cost-model estimate of worker i's initial
-	// schedule (the sum of its tasks' estimates), published by the
-	// estimate-driven strategies (LPT, spatial, stealing; nil otherwise).
-	// Comparing it against the measured per-worker costs gives the
-	// estimator's error; for PartitionStealing it describes the initial
-	// queues, before any run-time rebalancing.
+	// WorkerEstSeconds[i] is the cost-model estimate of worker i's spatial
+	// schedule (the sum of its tasks' estimates).  Comparing it against the
+	// measured per-worker costs gives the estimator's error; under
+	// PartitionStealing it describes the initial queues, before any run-time
+	// rebalancing.
 	WorkerEstSeconds []float64
 	// PlanMetrics is the planning-only slice of Metrics for a ParallelJoin:
 	// the root and split reads plus the qualifying-pair comparisons charged

@@ -316,7 +316,7 @@ func TestKNNTieWall(t *testing.T) {
 						comparePairSets(t, label+"/"+method.String(), res.Pairs, want)
 						checkNeighbourOrder(t, label+"/"+method.String(), res.Pairs, rByID, sByID)
 					}
-					for _, strategy := range parallelVariants {
+					for _, strategy := range PartitionStrategies {
 						res, err := ParallelJoin(r, s, ParallelOptions{
 							Options:           Options{Method: SJ4, BufferBytes: 8 << 10, Predicate: NearestNeighbors(k)},
 							Workers:           3,

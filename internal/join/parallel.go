@@ -3,14 +3,10 @@ package join
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
-	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/buffer"
-	"repro/internal/costmodel"
 	"repro/internal/geom"
 	"repro/internal/metrics"
 	"repro/internal/rtree"
@@ -28,33 +24,24 @@ type ParallelOptions struct {
 	// Workers is clamped to the number of tasks, so small joins never spin up
 	// idle goroutines with starved buffer partitions.
 	Workers int
-	// Strategy selects how tasks are assigned to workers.  The default,
-	// PartitionDynamic, lets workers pull from a shared queue; the static
-	// strategies (PartitionRoundRobin, PartitionLPT, PartitionSpatial)
-	// compute a deterministic per-worker schedule, which makes the
-	// per-worker snapshots reproducible and the cost-model speedup of a
-	// simulated N-worker execution meaningful on any machine.
+	// Strategy selects whether workers steal.  The default,
+	// PartitionStealing, rebalances the spatial region queues at run time
+	// for wall clock; PartitionSpatial runs the schedule as planned, which
+	// makes the per-worker snapshots reproducible and the cost-model speedup
+	// of a simulated N-worker execution meaningful on any machine.
 	Strategy PartitionStrategy
 	// MinTasksPerWorker, when above 1, makes the planner keep splitting
 	// tasks one level deeper until it has at least MinTasksPerWorker tasks
 	// per worker (or only leaf-level tasks remain).  Bulk-loaded trees have
 	// root fan-outs near the page capacity, so the root level often yields a
 	// handful of giant tasks; finer tasks cost extra planning work but let
-	// the static strategies balance load and, for PartitionSpatial, give
-	// each worker enough neighbouring tasks to share subtrees.  0 or 1
-	// keeps the default: split only while there are fewer tasks than
-	// workers.  The split rounds themselves run on the worker goroutines
-	// (restriction and plane-sweep in parallel, I/O charged deterministically
-	// afterwards), so fine granularities no longer make planning the
-	// critical-path floor.
+	// the spatial schedule balance load and give each worker enough
+	// neighbouring tasks to share subtrees.  0 or 1 keeps the default:
+	// split only while there are fewer tasks than workers.  The split
+	// rounds themselves run on the worker goroutines (restriction and
+	// plane-sweep in parallel, I/O charged deterministically afterwards), so
+	// fine granularities no longer make planning the critical-path floor.
 	MinTasksPerWorker int
-	// DisableSampledStats makes the task estimator fall back to the
-	// catalog-average subtree model even when the trees carry sampled
-	// catalog statistics (rtree.Tree.CatalogStats).  By default the
-	// estimate-driven strategies (LPT, spatial, stealing) use the sampled
-	// per-level node counts and leaf extents, which track the tree as built;
-	// the flag exists for the estimator ablation in the experiments.
-	DisableSampledStats bool
 }
 
 // parallelTask is one independent sub-join: the pair of subtrees referenced
@@ -132,16 +119,17 @@ func getParallelWorker(bufferBytes, pageSize int, usePathBuffer bool) *parallelW
 // parallel R-trees); it is an extension beyond the published algorithms.
 //
 // The execution is contention-free in steady state: every worker owns its
-// collector, its LRU buffer and its result buffer, and pulls tasks off a
-// shared, pre-materialised task list with a single atomic fetch-add per
-// task.  Worker state is resident: collectors, LRU frame pools, trackers and
-// pair buffers are recycled through a pool across joins, so repeated joins
-// reach a steady state without per-run buffer construction.  The per-worker
-// results and counters are merged into the shared result exactly once at the
-// end, and the per-worker snapshots are published as Result.WorkerMetrics /
-// Result.WorkerTasks for load-balance diagnostics.  When the root fan-out is
-// smaller than the worker count, the planner splits the qualifying pairs one
-// level deeper (repeatedly, while it helps) so every worker has work to do.
+// collector, its LRU buffer, its result buffer and its queue of
+// Hilbert-contiguous regions (scheduleSpatial), which only a thief touches
+// besides the owner.  Worker state is resident: collectors, LRU frame pools,
+// trackers and pair buffers are recycled through a pool across joins, so
+// repeated joins reach a steady state without per-run buffer construction.
+// The per-worker results and counters are merged into the shared result
+// exactly once at the end, and the per-worker snapshots are published as
+// Result.WorkerMetrics / Result.WorkerTasks for load-balance diagnostics.
+// When the root fan-out is smaller than the worker count, the planner splits
+// the qualifying pairs one level deeper (repeatedly, while it helps) so
+// every worker has work to do.
 //
 // The result set is identical to the sequential join; the order of the
 // materialised pairs depends on the scheduling (SortPairs restores a
@@ -175,7 +163,7 @@ func ParallelJoin(r, s *rtree.Tree, popts ParallelOptions) (*Result, error) {
 		return nil, err
 	}
 	switch popts.Strategy {
-	case PartitionDynamic, PartitionRoundRobin, PartitionLPT, PartitionSpatial, PartitionStealing:
+	case PartitionStealing, PartitionSpatial:
 	default:
 		return nil, fmt.Errorf("join: %w: %v", ErrUnknownPartitionStrategy, popts.Strategy)
 	}
@@ -285,62 +273,39 @@ func ParallelJoin(r, s *rtree.Tree, popts ParallelOptions) (*Result, error) {
 		return nil, fmt.Errorf("join: physical page read failed while planning: %w", planErr)
 	}
 
-	res := &Result{Method: opts.Method, Strategy: popts.Strategy, Predicate: opts.Predicate}
+	res := &Result{Method: opts.Method, Predicate: opts.Predicate}
 	res.PlanMetrics = collector.Snapshot().Sub(before)
 	if len(tasks) == 0 {
 		res.Metrics = res.PlanMetrics
 		return res, nil
 	}
-	if popts.Strategy == PartitionDynamic || popts.Strategy == PartitionRoundRobin {
-		// Larger intersection areas first gives a better load balance for
-		// the queue and the round-robin deal; the LPT and spatial strategies
-		// define their own task orders.
-		sort.SliceStable(tasks, func(i, j int) bool {
-			return expandEps(tasks[i].er.Rect, eps).IntersectionArea(tasks[i].es.Rect) >
-				expandEps(tasks[j].er.Rect, eps).IntersectionArea(tasks[j].es.Rect)
-		})
-	}
 
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
-	// The estimate-driven strategies need per-task cost estimates; the
-	// estimator reads only the trees' catalog statistics (sampled, or
-	// catalog averages as a fallback), never the unvisited child pages, so
-	// estimation charges no I/O.  The estimates are (io, cpu) vectors: the
-	// spatial/stealing region packing balances the components separately,
-	// while the scalar views below (LPT, queue loads, pacing bias) use the
-	// io+cpu totals.
-	var vecs []costVec
-	var est []float64
-	switch popts.Strategy {
-	case PartitionLPT, PartitionSpatial, PartitionStealing:
-		vecs = newTaskEstimator(r, s, !popts.DisableSampledStats, opts.Predicate).vectors(tasks)
-		est = scalars(vecs)
-	}
-	schedule := buildSchedule(popts.Strategy, r, s, tasks, vecs, workers)
-	if schedule != nil && est != nil {
-		// Publish the predicted per-worker loads of the initial schedule so
-		// the experiments can report estimator error against the measured
-		// per-worker costs.
-		res.WorkerEstSeconds = make([]float64, workers)
-		for w, idxs := range schedule {
-			for _, i := range idxs {
-				res.WorkerEstSeconds[w] += est[i]
-			}
+	// The estimator reads only the trees' catalog statistics, never the
+	// unvisited child pages, so estimation charges no I/O.  The estimates are
+	// (io, cpu) vectors: the region packing balances the components
+	// separately, while the queue loads use the io+cpu totals.
+	vecs := newTaskEstimator(r, s, opts.Predicate).vectors(tasks)
+	est := scalars(vecs)
+	schedule := scheduleSpatial(r, s, tasks, vecs, workers)
+	// Publish the predicted per-worker loads of the schedule so the
+	// experiments can report estimator error against the measured per-worker
+	// costs; under stealing they describe the initial queues.
+	res.WorkerEstSeconds = make([]float64, workers)
+	for w, idxs := range schedule {
+		for _, i := range idxs {
+			res.WorkerEstSeconds[w] += est[i]
 		}
 	}
-	var queues []*stealQueue
-	var pacer *stealPacer
+	// The schedule becomes the workers' region queues; from here on a steal
+	// may move task runs between queues, so the schedule slices must no
+	// longer be read.  Without a flight tracker nobody steals.
+	queues := newStealQueues(schedule, est)
 	var flight *stealFlight
 	if popts.Strategy == PartitionStealing {
-		// The spatial schedule becomes the workers' initial region queues;
-		// from here on ownership of task runs moves between queues at run
-		// time, so the static schedule slices must no longer be read.
-		queues = newStealQueues(schedule, est)
-		pacer = newStealPacer(workers, est)
 		flight = newStealFlight()
-		schedule = nil
 	}
 	perWorkerBuffer := opts.BufferBytes / workers
 	if opts.BufferBytes > 0 && perWorkerBuffer < r.PageSize() {
@@ -349,11 +314,9 @@ func ParallelJoin(r, s *rtree.Tree, popts ParallelOptions) (*Result, error) {
 		perWorkerBuffer = r.PageSize()
 	}
 
-	// Workers pull tasks with one atomic fetch-add each and accumulate pairs
-	// and counters privately; everything is merged once below.  Only an
-	// OnPair callback reintroduces a shared lock, since the caller asked to
-	// observe the stream as it is produced.
-	var next atomic.Int64
+	// Workers accumulate pairs and counters privately; everything is merged
+	// once below.  Only an OnPair callback reintroduces a shared lock, since
+	// the caller asked to observe the stream as it is produced.
 	ws := make([]*parallelWorker, workers)
 	workerCounts := make([]int, workers)
 	onPair := opts.OnPair
@@ -389,20 +352,30 @@ func ParallelJoin(r, s *rtree.Tree, popts ParallelOptions) (*Result, error) {
 				eps:     eps,
 				eps2:    eps * eps,
 			}
-			runTask := func(t parallelTask) {
-				if watch.cancelled() {
-					return
+			// Consume the owned region queue front to back; once it drains,
+			// a stealing worker refills it with the tail half of the
+			// most-loaded victim's queue (see stealing.go).
+			q := queues[w]
+			var stealBuf []int32
+			for !watch.cancelled() {
+				i, ok := q.pop(est)
+				if !ok {
+					if flight == nil || !steal(queues, w, &stealBuf, est, flight) {
+						break
+					}
+					continue
 				}
 				worker.tasks++
+				t := tasks[i]
 				if knn {
 					// The best-first traversal reads its pages on pop,
 					// including the task's two subtree roots.
 					e.knnFrom(t.er.Child, t.es.Child)
-					return
+					continue
 				}
 				rect, ok := e.expandR(t.er.Rect).Intersection(t.es.Rect)
 				if !ok {
-					return
+					continue
 				}
 				e.readPair(t.er.Child, t.es.Child)
 				switch opts.Method {
@@ -414,91 +387,6 @@ func ParallelJoin(r, s *rtree.Tree, popts ParallelOptions) (*Result, error) {
 					e.sweepJoin(t.er.Child, t.es.Child, rect, opts.Method, 0)
 				}
 			}
-			switch {
-			case queues != nil:
-				// Stealing: consume the owned region queue front to back,
-				// then refill by stealing the tail half of the most-loaded
-				// victim.  Progress is paced in counted-cost virtual time
-				// (see stealing.go): each task advances this worker's clock
-				// by the cost-model seconds of its actual counted work, and
-				// the worker yields while more than a bounded window ahead
-				// of the slowest active worker, so queues drain at
-				// cost-proportional rates on any host.
-				q := queues[w]
-				stealModel := costmodel.Default()
-				pageSize := r.PageSize()
-				var stealBuf []int32
-				var drainedEst, actualSec float64
-				// The pacing clock advances on the same (io, cpu) vector the
-				// region packing balances: the worker's virtual time is the
-				// max of its accumulated I/O seconds and accumulated CPU
-				// seconds, so a comparison-heavy worker and an I/O-heavy
-				// worker with the same bottleneck progress at the same rate
-				// instead of the I/O-heavy one (whose scalar total is larger)
-				// being throttled first.  Both sums are monotone, so the max
-				// never decreases and advance() always receives a
-				// non-negative delta.
-				var vio, vcpu, vclock float64
-				for {
-					if watch.cancelled() {
-						break
-					}
-					i, ok := q.pop(est)
-					if !ok {
-						if !steal(queues, w, &stealBuf, est, flight) {
-							break
-						}
-						// A fresh region was installed (carrying the victim's
-						// published bias); start its ratio from scratch so the
-						// published value describes this run, not the region
-						// this worker just finished.
-						drainedEst, actualSec = 0, 0
-						continue
-					}
-					pacer.wait(w)
-					c0 := worker.col.Snapshot()
-					l0c, l0s := e.local.Comparisons, e.local.SortComparisons
-					runTask(tasks[i])
-					// The per-node-pair flushes move local counts into the
-					// collector, so the collector delta plus the (possibly
-					// negative) local delta is the task's true cost.
-					c1 := worker.col.Snapshot()
-					disk := c1.DiskAccesses() - c0.DiskAccesses()
-					comps := c1.TotalComparisons() - c0.TotalComparisons() +
-						(e.local.Comparisons - l0c) + (e.local.SortComparisons - l0s)
-					cost := stealModel.Estimate(disk, pageSize, comps)
-					sec := cost.TotalSeconds()
-					vio += cost.IOSeconds
-					vcpu += cost.CPUSeconds
-					if c := math.Max(vio, vcpu); c > vclock {
-						pacer.advance(w, c-vclock)
-						vclock = c
-					}
-					// Publish the observed actual/estimated ratio so victim
-					// selection can correct this region's estimate bias.
-					drainedEst += est[i]
-					actualSec += sec
-					if drainedEst > 0 {
-						q.setBiasRatio(actualSec / drainedEst)
-					}
-				}
-				pacer.finish(w)
-			case schedule != nil:
-				for _, i := range schedule[w] {
-					if watch.cancelled() {
-						break
-					}
-					runTask(tasks[i])
-				}
-			default:
-				for {
-					i := next.Add(1) - 1
-					if i >= int64(len(tasks)) || watch.cancelled() {
-						break
-					}
-					runTask(tasks[i])
-				}
-			}
 			e.local.FlushTo(worker.col)
 			arenaPool.Put(ar)
 			worker.pairs = e.pairs
@@ -507,12 +395,10 @@ func ParallelJoin(r, s *rtree.Tree, popts ParallelOptions) (*Result, error) {
 	}
 	wg.Wait()
 
-	if queues != nil {
-		res.WorkerSteals = make([]int, workers)
-		for w, q := range queues {
-			res.WorkerSteals[w] = q.steals
-			res.StolenTasks += q.stolenTasks
-		}
+	res.WorkerSteals = make([]int, workers)
+	for w, q := range queues {
+		res.WorkerSteals[w] = q.steals
+		res.StolenTasks += q.stolenTasks
 	}
 	res.WorkerMetrics = make([]metrics.Snapshot, workers)
 	res.WorkerTasks = make([]int, workers)

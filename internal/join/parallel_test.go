@@ -2,6 +2,8 @@ package join
 
 import (
 	"errors"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/geom"
@@ -163,7 +165,7 @@ func TestParallelPlanningChargesNodesOnce(t *testing.T) {
 	res, err := ParallelJoin(r, s, ParallelOptions{
 		Options:  Options{Method: SJ4, BufferBytes: 128 << 10, UsePathBuffer: true, DiscardPairs: true},
 		Workers:  rootPairs + 1, // more workers than root pairs forces a split
-		Strategy: PartitionRoundRobin,
+		Strategy: PartitionSpatial,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -220,6 +222,43 @@ func TestParallelPlanningMatchesSequential(t *testing.T) {
 	}
 	if oneTasks != manyTasks {
 		t.Errorf("task lists differ: %d vs %d tasks", oneTasks, manyTasks)
+	}
+}
+
+// TestSpatialPartitionIsHostIndependent pins why PartitionSpatial survives
+// next to stealing: its per-worker split is a property of the plan, not of
+// the host.  Eight workers on one core and on four, twice each, must report
+// bit-identical per-worker counters, task counts, estimates and planning
+// costs — the contract the counted tables (time skew, est-speedup) rest on.
+func TestSpatialPartitionIsHostIndependent(t *testing.T) {
+	r, s, _, _ := buildPair(t, 3000, 3000, storage.PageSize1K)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var ref *Result
+	for _, procs := range []int{1, 1, 4, 4} {
+		runtime.GOMAXPROCS(procs)
+		res, err := ParallelJoin(r, s, ParallelOptions{
+			Options:           Options{Method: SJ4, BufferBytes: 64 << 10, UsePathBuffer: true, DiscardPairs: true},
+			Workers:           8,
+			Strategy:          PartitionSpatial,
+			MinTasksPerWorker: 8,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = res
+			if len(ref.WorkerMetrics) != 8 {
+				t.Fatalf("want 8 workers, got %d", len(ref.WorkerMetrics))
+			}
+			continue
+		}
+		if !reflect.DeepEqual(res.WorkerMetrics, ref.WorkerMetrics) ||
+			!reflect.DeepEqual(res.WorkerTasks, ref.WorkerTasks) ||
+			!reflect.DeepEqual(res.WorkerEstSeconds, ref.WorkerEstSeconds) ||
+			res.PlanMetrics != ref.PlanMetrics {
+			t.Fatalf("GOMAXPROCS=%d changed the spatial split:\ntasks %v vs %v\nest %v vs %v",
+				procs, res.WorkerTasks, ref.WorkerTasks, res.WorkerEstSeconds, ref.WorkerEstSeconds)
+		}
 	}
 }
 

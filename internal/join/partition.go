@@ -11,182 +11,78 @@ import (
 	"repro/internal/zorder"
 )
 
-// PartitionStrategy selects how ParallelJoin assigns the planned sub-join
-// tasks to workers.  The zero value is the dynamic shared queue; the three
-// static strategies produce a deterministic per-worker schedule, which makes
-// the per-worker snapshots (Result.WorkerMetrics) reproducible machine
-// properties of the plan rather than of goroutine scheduling.
+// PartitionStrategy selects how ParallelJoin runs the planned sub-join tasks.
+// Both strategies start from the same schedule — every worker owns one queue
+// of Hilbert-contiguous regions (scheduleSpatial) — and share one worker loop;
+// they differ only in whether a worker whose queue drains may steal.
 type PartitionStrategy int
 
 const (
-	// PartitionDynamic lets workers pull tasks off a shared queue with one
-	// atomic fetch-add per task.  It balances best on real multi-core
-	// machines but its per-worker split depends on scheduling (on a single
-	// core one worker may drain the whole queue before the others start).
-	PartitionDynamic PartitionStrategy = iota
-	// PartitionRoundRobin deals the tasks, sorted by descending intersection
-	// area, round-robin over the workers.  This was the original static
-	// schedule; it balances task counts but ignores both cost and locality.
-	PartitionRoundRobin
-	// PartitionLPT packs tasks onto workers greedily by descending cost-model
-	// estimate (longest-processing-time bin packing): each task goes to the
-	// currently least-loaded worker.  It minimises the estimated critical
-	// path but, like round-robin, scatters spatially adjacent tasks across
-	// workers.
-	PartitionLPT
-	// PartitionSpatial tiles the joint root intersection into contiguous
-	// spatial regions: tasks are ordered along the Hilbert curve of their
-	// intersection-rectangle centres (the same curve the Hilbert bulk loader
-	// packs with) and cut into one contiguous, estimate-balanced run per
-	// worker.  Tasks that share a subtree have nearby intersection centres,
-	// so they land on the same worker and its private LRU partition actually
-	// gets reuse — the shared-nothing region assignment the paper's
-	// future-work section points at.
+	// PartitionStealing, the default, lets a worker whose region queue
+	// drains steal half of the *tail* of the queue with the largest
+	// remaining estimated load.  Tail-stealing keeps the victim's Hilbert
+	// prefix intact, so locality degrades by one region split per steal,
+	// while the stealing supplies the wall-clock load balance no static cut
+	// can guarantee.  The result set is identical to the sequential join;
+	// the per-worker split (and therefore the worker snapshots) depends on
+	// runtime scheduling.  Judge it by wall clock.
+	PartitionStealing PartitionStrategy = iota
+	// PartitionSpatial is the same loop with stealing switched off: each
+	// worker runs exactly the regions the spatial schedule gave it.  Tasks
+	// that share a subtree have nearby intersection centres, so they land
+	// on the same worker and its private LRU partition gets reuse — the
+	// shared-nothing region assignment the paper's future-work section
+	// points at.  The per-worker split is a deterministic property of the
+	// plan on any host, which is what the counted tables (time skew,
+	// est-speedup) need.
 	PartitionSpatial
-	// PartitionStealing starts from the spatial schedule — each worker owns
-	// one Hilbert-contiguous region queue — and lets a worker whose queue
-	// drains steal half of the *tail* of the most-loaded victim's queue.
-	// Tail-stealing keeps the victim's Hilbert prefix intact, so locality
-	// degrades gracefully under estimation error instead of collapsing to the
-	// shared dynamic queue, while the stealing supplies the wall-clock load
-	// balance no static cut can guarantee.  The result set is identical to
-	// the sequential join; the per-worker split (and therefore the worker
-	// snapshots) depends on runtime scheduling, unlike the static strategies.
-	PartitionStealing
 )
 
 // String implements fmt.Stringer.
 func (s PartitionStrategy) String() string {
 	switch s {
-	case PartitionDynamic:
-		return "dynamic"
-	case PartitionRoundRobin:
-		return "round-robin"
-	case PartitionLPT:
-		return "lpt"
-	case PartitionSpatial:
-		return "spatial"
 	case PartitionStealing:
 		return "stealing"
+	case PartitionSpatial:
+		return "spatial"
 	default:
 		return fmt.Sprintf("PartitionStrategy(%d)", int(s))
 	}
 }
 
-// StaticPartitionStrategies lists the deterministic strategies in the order
-// the experiments sweep them.
-var StaticPartitionStrategies = []PartitionStrategy{PartitionRoundRobin, PartitionLPT, PartitionSpatial}
-
-// PartitionStrategies lists every strategy with a per-worker schedule (the
-// static schedules plus the stealing scheduler); the experiments sweep them
-// in this order.
-var PartitionStrategies = []PartitionStrategy{PartitionRoundRobin, PartitionLPT, PartitionSpatial, PartitionStealing}
-
-// subtreeModel estimates the size of a subtree from catalog statistics (the
-// tree's page and entry counts), the kind of metadata a query planner has
-// without performing any I/O.
-type subtreeModel struct {
-	fanout  float64 // average directory fan-out
-	leafEnt float64 // average data entries per leaf
-}
-
-func newSubtreeModel(t *rtree.Tree) subtreeModel {
-	st := t.Stats()
-	m := subtreeModel{fanout: float64(t.MaxEntries()), leafEnt: float64(t.MaxEntries())}
-	if st.DirPages > 0 {
-		m.fanout = float64(st.DirEntries) / float64(st.DirPages)
-	}
-	if st.DataPages > 0 {
-		m.leafEnt = float64(st.DataEntries) / float64(st.DataPages)
-	}
-	return m
-}
-
-// pages returns the expected page count of a subtree whose root node sits at
-// the given level (0 = leaf).
-func (m subtreeModel) pages(level int) float64 {
-	pages, width := 1.0, 1.0
-	for l := 0; l < level; l++ {
-		width *= m.fanout
-		pages += width
-	}
-	return pages
-}
-
-// entries returns the expected data-entry count below a node at the given
-// level.
-func (m subtreeModel) entries(level int) float64 {
-	width := m.leafEnt
-	for l := 0; l < level; l++ {
-		width *= m.fanout
-	}
-	return width
-}
-
-// sideModel estimates one tree's side of a task: from sampled catalog
-// statistics when the tree carries them (the default), falling back to the
-// catalog-average subtreeModel otherwise.  The sampled per-level node counts
-// replace the fan-out^level geometric model with the tree as actually built,
-// and the sampled leaf extents feed a plane-sweep selectivity estimate
-// instead of the all-pairs product.
-type sideModel struct {
-	avg     subtreeModel
-	cat     costmodel.Catalog
-	sampled bool
-}
-
-func newSideModel(t *rtree.Tree, useSampled bool) sideModel {
-	m := sideModel{avg: newSubtreeModel(t)}
-	if useSampled {
-		if cat := t.CatalogStats(); cat.Valid() {
-			m.cat, m.sampled = cat, true
-		}
-	}
-	return m
-}
-
-func (m sideModel) pages(level int) float64 {
-	if m.sampled {
-		return m.cat.SubtreePages(level)
-	}
-	return m.avg.pages(level)
-}
-
-func (m sideModel) entries(level int) float64 {
-	if m.sampled {
-		return m.cat.SubtreeEntries(level)
-	}
-	return m.avg.entries(level)
-}
+// PartitionStrategies lists both strategies in the order the experiments
+// sweep them.
+var PartitionStrategies = []PartitionStrategy{PartitionSpatial, PartitionStealing}
 
 // taskEstimator converts one planned task into an estimated execution time
-// under the paper's cost model.  The expected I/O is the share of each
-// subtree's pages overlapping the task's intersection rectangle.  The
-// expected CPU is, with sampled statistics on both sides, a plane-sweep
-// selectivity estimate (sort cost plus the expected x-overlapping pairs,
-// derived from the sampled mean data-rectangle extents); without samples it
-// falls back to the product of the expected data entries on either side.
-// The estimates only rank tasks for scheduling, so fidelity matters less
-// than determinism: identical inputs always produce identical schedules
-// (the sampling RNG is deterministically seeded).
+// under the paper's cost model, from the two trees' sampled catalog
+// statistics (rtree.Tree.CatalogStats).  The expected I/O is the share of
+// each subtree's pages overlapping the task's intersection rectangle, with
+// the sampled per-level node counts describing the tree as built.  The
+// expected CPU is a plane-sweep selectivity estimate: sort cost plus the
+// expected x-overlapping pairs, derived from the sampled mean data-rectangle
+// extents.  The estimates only rank tasks for scheduling, so fidelity
+// matters less than determinism: identical inputs always produce identical
+// schedules (the sampling RNG is deterministically seeded).
 type taskEstimator struct {
 	model    costmodel.Model
 	pageSize int
-	r, s     sideModel
-	sampled  bool      // both sides carry sampled statistics
+	r, s     costmodel.Catalog
 	pred     Predicate // the predicate the tasks will execute
 }
 
-func newTaskEstimator(r, s *rtree.Tree, useSampled bool, pred Predicate) taskEstimator {
-	e := taskEstimator{
+// newTaskEstimator reads both trees' catalogs.  CatalogStats is invalid only
+// for an empty tree, whose root is a leaf; ParallelJoin sends every pair with
+// a leaf root to the sequential join before planning, so the estimator
+// always sees two valid catalogs and needs no fallback model.
+func newTaskEstimator(r, s *rtree.Tree, pred Predicate) taskEstimator {
+	return taskEstimator{
 		model:    costmodel.Default(),
 		pageSize: r.PageSize(),
-		r:        newSideModel(r, useSampled),
-		s:        newSideModel(s, useSampled),
+		r:        r.CatalogStats(),
+		s:        s.CatalogStats(),
 		pred:     pred,
 	}
-	e.sampled = e.r.sampled && e.s.sampled
-	return e
 }
 
 // areaFraction returns the share of an entry rectangle covered by the
@@ -216,9 +112,9 @@ func extentFraction(sum, extent float64) float64 {
 }
 
 // costVec is a per-task cost estimate split into its I/O and CPU components.
-// The scalar LPT packing balances the sum io+cpu, which lets a worker collect
-// all the comparison-heavy tasks as long as another worker absorbs the I/O:
-// the totals match but the comparison skew does not.  Packing on the vector
+// Packing on the scalar sum io+cpu lets a worker collect all the
+// comparison-heavy tasks as long as another worker absorbs the I/O: the
+// totals match but the comparison skew does not.  Packing on the vector
 // with a max-of-components objective balances each resource separately.
 type costVec struct {
 	io, cpu float64
@@ -248,31 +144,28 @@ func (e taskEstimator) vec(t parallelTask) costVec {
 	inter := erRect.IntersectionArea(t.es.Rect)
 	fr := areaFraction(inter, erRect.Area())
 	fs := areaFraction(inter, t.es.Rect.Area())
-	pages := fr*e.r.pages(t.er.Child.Level) + fs*e.s.pages(t.es.Child.Level)
+	pages := fr*e.r.SubtreePages(t.er.Child.Level) + fs*e.s.SubtreePages(t.es.Child.Level)
 	if pages < 2 {
 		// Every task reads at least its two subtree roots.
 		pages = 2
 	}
-	er := fr * e.r.entries(t.er.Child.Level)
-	es := fs * e.s.entries(t.es.Child.Level)
-	comps := er * es
-	if e.sampled {
-		// Plane-sweep selectivity: the CPU-tuned algorithms sort both
-		// restricted entry sequences and test only the x-overlapping pairs.
-		// The sampled mean data-rectangle extents give the probability that
-		// two entries drawn uniformly from the task's intersection rectangle
-		// overlap in x, turning the all-pairs product into the sweep's
-		// expected test count; the n·log n term models the sorting.
-		wr, _, _ := e.r.cat.LeafExtent()
-		ws, _, _ := e.s.cat.LeafExtent()
-		var ix float64
-		if rect, ok := erRect.Intersection(t.es.Rect); ok {
-			ix = rect.Width()
-		}
-		tests := er * es * extentFraction(wr+ws, ix)
-		sorts := (er + es) * math.Log2(er+es+2)
-		comps = sorts + tests
+	er := fr * e.r.SubtreeEntries(t.er.Child.Level)
+	es := fs * e.s.SubtreeEntries(t.es.Child.Level)
+	// Plane-sweep selectivity: the CPU-tuned algorithms sort both restricted
+	// entry sequences and test only the x-overlapping pairs.  The sampled
+	// mean data-rectangle extents give the probability that two entries drawn
+	// uniformly from the task's intersection rectangle overlap in x, turning
+	// the all-pairs product into the sweep's expected test count; the
+	// n·log n term models the sorting.
+	wr, _, _ := e.r.LeafExtent()
+	ws, _, _ := e.s.LeafExtent()
+	var ix float64
+	if rect, ok := erRect.Intersection(t.es.Rect); ok {
+		ix = rect.Width()
 	}
+	tests := er * es * extentFraction(wr+ws, ix)
+	sorts := (er + es) * math.Log2(er+es+2)
+	comps := sorts + tests
 	c := e.model.Estimate(int64(pages+0.5), e.pageSize, int64(comps+0.5))
 	return costVec{io: c.IOSeconds, cpu: c.CPUSeconds}
 }
@@ -284,19 +177,16 @@ func (e taskEstimator) vec(t parallelTask) costVec {
 // the R-side differences.  The CPU estimate charges each expected R data
 // entry a near-logarithmic descent of S plus its K heap admissions.
 func (e taskEstimator) vecKNN(t parallelTask) costVec {
-	pages := e.r.pages(t.er.Child.Level) + e.s.pages(t.es.Child.Level)
+	pages := e.r.SubtreePages(t.er.Child.Level) + e.s.SubtreePages(t.es.Child.Level)
 	if pages < 2 {
 		pages = 2
 	}
-	er := e.r.entries(t.er.Child.Level)
-	es := e.s.entries(t.es.Child.Level)
+	er := e.r.SubtreeEntries(t.er.Child.Level)
+	es := e.s.SubtreeEntries(t.es.Child.Level)
 	comps := er * (math.Log2(es+2) + float64(e.pred.K))
 	c := e.model.Estimate(int64(pages+0.5), e.pageSize, int64(comps+0.5))
 	return costVec{io: c.IOSeconds, cpu: c.CPUSeconds}
 }
-
-// seconds estimates the total cost-model execution time of one task.
-func (e taskEstimator) seconds(t parallelTask) float64 { return e.vec(t).total() }
 
 // vectors returns the per-task (io, cpu) cost vectors.
 func (e taskEstimator) vectors(tasks []parallelTask) []costVec {
@@ -307,15 +197,6 @@ func (e taskEstimator) vectors(tasks []parallelTask) []costVec {
 	return vecs
 }
 
-// estimates returns the per-task scalar cost estimates.
-func (e taskEstimator) estimates(tasks []parallelTask) []float64 {
-	est := make([]float64, len(tasks))
-	for i, t := range tasks {
-		est[i] = e.seconds(t)
-	}
-	return est
-}
-
 // scalars projects cost vectors onto their io+cpu totals.
 func scalars(vecs []costVec) []float64 {
 	est := make([]float64, len(vecs))
@@ -323,71 +204,6 @@ func scalars(vecs []costVec) []float64 {
 		est[i] = v.total()
 	}
 	return est
-}
-
-// buildSchedule returns the per-worker schedule of one strategy: for each
-// worker the ordered indices into tasks it executes.  It returns nil for
-// PartitionDynamic, where workers pull from the shared queue instead.  vecs
-// holds the per-task (io, cpu) cost vectors for the estimate-driven
-// strategies (LPT, spatial, stealing) and may be nil for the others; LPT
-// packs on the scalar total while the spatial/stealing region packing
-// balances the components separately.  The stealing strategy starts from the
-// spatial schedule; the queues built over it are then rebalanced at run
-// time.  workers must already be clamped to len(tasks), so every worker
-// receives at least one task.  ParallelJoin validates the strategy before
-// planning, so an unknown value cannot reach this switch.
-func buildSchedule(strategy PartitionStrategy, r, s *rtree.Tree, tasks []parallelTask, vecs []costVec, workers int) [][]int32 {
-	switch strategy {
-	case PartitionRoundRobin:
-		return scheduleRoundRobin(tasks, workers)
-	case PartitionLPT:
-		return scheduleLPT(scalars(vecs), workers)
-	case PartitionSpatial, PartitionStealing:
-		return scheduleSpatial(r, s, tasks, vecs, workers)
-	default:
-		return nil
-	}
-}
-
-// scheduleRoundRobin deals the area-sorted tasks round-robin; task i goes to
-// worker i mod workers, preserving the descending-area order within each
-// worker.
-func scheduleRoundRobin(tasks []parallelTask, workers int) [][]int32 {
-	schedule := make([][]int32, workers)
-	per := (len(tasks) + workers - 1) / workers
-	for w := range schedule {
-		schedule[w] = make([]int32, 0, per)
-	}
-	for i := range tasks {
-		w := i % workers
-		schedule[w] = append(schedule[w], int32(i))
-	}
-	return schedule
-}
-
-// scheduleLPT performs greedy longest-processing-time bin packing: tasks in
-// descending estimate order each go to the currently least-loaded worker
-// (ties to the lowest worker index, so the schedule is deterministic).
-func scheduleLPT(est []float64, workers int) [][]int32 {
-	order := make([]int32, len(est))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.SliceStable(order, func(a, b int) bool { return est[order[a]] > est[order[b]] })
-
-	schedule := make([][]int32, workers)
-	loads := make([]float64, workers)
-	for _, i := range order {
-		w := 0
-		for v := 1; v < workers; v++ {
-			if loads[v] < loads[w] {
-				w = v
-			}
-		}
-		schedule[w] = append(schedule[w], i)
-		loads[w] += est[i]
-	}
-	return schedule
 }
 
 // spatialRegionsPerWorker is how many contiguous Hilbert regions the spatial

@@ -59,14 +59,9 @@ func TestBuildScheduleCoversAllTasks(t *testing.T) {
 	if len(tasks) < 4 {
 		t.Fatalf("want at least 4 root tasks, got %d", len(tasks))
 	}
-	vecs := newTaskEstimator(r, s, true, Intersects()).vectors(tasks)
-	for _, strategy := range PartitionStrategies {
-		for _, workers := range []int{1, 2, 3, len(tasks)} {
-			checkSchedule(t, buildSchedule(strategy, r, s, tasks, vecs, workers), len(tasks), workers)
-		}
-	}
-	if schedule := buildSchedule(PartitionDynamic, r, s, tasks, vecs, 4); schedule != nil {
-		t.Fatalf("dynamic strategy must return a nil schedule, got %v", schedule)
+	vecs := newTaskEstimator(r, s, Intersects()).vectors(tasks)
+	for _, workers := range []int{1, 2, 3, len(tasks)} {
+		checkSchedule(t, scheduleSpatial(r, s, tasks, vecs, workers), len(tasks), workers)
 	}
 	if _, err := ParallelJoin(r, s, ParallelOptions{
 		Options:  Options{Method: SJ4},
@@ -79,58 +74,16 @@ func TestBuildScheduleCoversAllTasks(t *testing.T) {
 func TestBuildScheduleIsDeterministic(t *testing.T) {
 	r, s, _, _ := buildPair(t, 3000, 3000, storage.PageSize1K)
 	tasks := planTasks(r, s)
-	vecs := newTaskEstimator(r, s, true, Intersects()).vectors(tasks)
-	for _, strategy := range PartitionStrategies {
-		a := buildSchedule(strategy, r, s, tasks, vecs, 4)
-		b := buildSchedule(strategy, r, s, tasks, vecs, 4)
-		for w := range a {
-			if len(a[w]) != len(b[w]) {
-				t.Fatalf("%v: worker %d sizes differ between runs", strategy, w)
-			}
-			for i := range a[w] {
-				if a[w][i] != b[w][i] {
-					t.Fatalf("%v: worker %d schedule differs between runs", strategy, w)
-				}
-			}
+	a := scheduleSpatial(r, s, tasks, newTaskEstimator(r, s, Intersects()).vectors(tasks), 4)
+	b := scheduleSpatial(r, s, tasks, newTaskEstimator(r, s, Intersects()).vectors(tasks), 4)
+	for w := range a {
+		if len(a[w]) != len(b[w]) {
+			t.Fatalf("worker %d sizes differ between runs", w)
 		}
-	}
-}
-
-// TestLPTBalancesEstimates checks the defining property of the greedy LPT
-// packing: its maximum per-worker estimated load never exceeds the
-// round-robin deal's.
-func TestLPTBalancesEstimates(t *testing.T) {
-	r, s, _, _ := buildPair(t, 4000, 4000, storage.PageSize1K)
-	tasks := planTasks(r, s)
-	est := newTaskEstimator(r, s, true, Intersects()).estimates(tasks)
-	for _, e := range est {
-		if e <= 0 {
-			t.Fatal("task estimates must be positive")
-		}
-	}
-	maxLoad := func(schedule [][]int32) float64 {
-		worst := 0.0
-		for _, idxs := range schedule {
-			load := 0.0
-			for _, i := range idxs {
-				load += est[i]
+		for i := range a[w] {
+			if a[w][i] != b[w][i] {
+				t.Fatalf("worker %d schedule differs between runs", w)
 			}
-			if load > worst {
-				worst = load
-			}
-		}
-		return worst
-	}
-	for _, workers := range []int{2, 4, 8} {
-		if workers > len(tasks) {
-			continue
-		}
-		lpt := scheduleLPT(est, workers)
-		rr := scheduleRoundRobin(tasks, workers)
-		checkSchedule(t, lpt, len(tasks), workers)
-		if maxLoad(lpt) > maxLoad(rr)+1e-12 {
-			t.Errorf("%d workers: LPT max load %.6f exceeds round-robin's %.6f",
-				workers, maxLoad(lpt), maxLoad(rr))
 		}
 	}
 }
@@ -154,7 +107,7 @@ func TestSpatialScheduleIsHilbertContiguous(t *testing.T) {
 	if len(tasks) < workers*spatialRegionsPerWorker {
 		t.Fatalf("want at least %d tasks, got %d", workers*spatialRegionsPerWorker, len(tasks))
 	}
-	schedule := scheduleSpatial(r, s, tasks, newTaskEstimator(r, s, true, Intersects()).vectors(tasks), workers)
+	schedule := scheduleSpatial(r, s, tasks, newTaskEstimator(r, s, Intersects()).vectors(tasks), workers)
 	checkSchedule(t, schedule, len(tasks), workers)
 
 	world := jointWorld(r, s)
@@ -255,6 +208,7 @@ func TestStealQueueProperties(t *testing.T) {
 			orig[i] = int32(n - 1 - i) // arbitrary task ids, not positions
 		}
 		q := &stealQueue{tasks: append([]int32(nil), orig...)}
+		flight := newStealFlight()
 		var load float64
 		for _, i := range orig {
 			load += est[i]
@@ -267,7 +221,7 @@ func TestStealQueueProperties(t *testing.T) {
 		var buf []int32
 		for _, stealOp := range ops {
 			if stealOp {
-				run, _ := q.stealTail(buf, est)
+				run, _ := q.stealTail(buf, est, flight)
 				if len(run) > 0 {
 					cp := append([]int32(nil), run...)
 					stolen = append(stolen, cp)
@@ -332,17 +286,18 @@ func TestStealQueueProperties(t *testing.T) {
 
 func TestPartitionStrategyString(t *testing.T) {
 	want := map[PartitionStrategy]string{
-		PartitionDynamic:      "dynamic",
-		PartitionRoundRobin:   "round-robin",
-		PartitionLPT:          "lpt",
-		PartitionSpatial:      "spatial",
 		PartitionStealing:     "stealing",
+		PartitionSpatial:      "spatial",
 		PartitionStrategy(42): "PartitionStrategy(42)",
 	}
 	for s, str := range want {
 		if s.String() != str {
 			t.Errorf("String(%d) = %q, want %q", int(s), s.String(), str)
 		}
+	}
+	// Stealing is the default: a zero ParallelOptions must steal.
+	if (ParallelOptions{}).Strategy != PartitionStealing {
+		t.Error("the zero strategy must be PartitionStealing")
 	}
 }
 

@@ -236,9 +236,8 @@ func TestIntersectionCostUnchangedByPredicatePlumbing(t *testing.T) {
 }
 
 // TestParallelPredicateInvariants runs the full schedule matrix over the new
-// predicates: every tree algorithm SJ1-SJ5 under every partition strategy
-// (dynamic queue, the static schedules and the stealing scheduler) must
-// produce exactly the brute-force within-distance and kNN result sets.
+// predicates: every tree algorithm SJ1-SJ5 under both partition strategies
+// must produce exactly the brute-force within-distance and kNN result sets.
 // MinTasksPerWorker forces split rounds, so the epsilon-expanded task
 // splitting and the R-side-only kNN splitting are exercised too.
 func TestParallelPredicateInvariants(t *testing.T) {
@@ -252,7 +251,7 @@ func TestParallelPredicateInvariants(t *testing.T) {
 	}
 	for _, pc := range preds {
 		for _, method := range Methods {
-			for _, strategy := range parallelVariants {
+			for _, strategy := range PartitionStrategies {
 				res, err := ParallelJoin(r, s, ParallelOptions{
 					Options: Options{
 						Method:      method,
@@ -284,7 +283,7 @@ func TestParallelPredicateHeights(t *testing.T) {
 		r, s, itemsR, itemsS := buildPair(t, sizes[0], sizes[1], storage.PageSize1K)
 		wantDist := bruteForceDistance(itemsR, itemsS, 0.01)
 		wantKNN := bruteForceKNN(itemsR, itemsS, 3)
-		for _, strategy := range parallelVariants {
+		for _, strategy := range PartitionStrategies {
 			res, err := ParallelJoin(r, s, ParallelOptions{
 				Options:  Options{Method: SJ4, BufferBytes: 64 << 10, Predicate: WithinDistance(0.01)},
 				Workers:  3,
@@ -329,7 +328,7 @@ func TestParallelIntersectionPlanUnchanged(t *testing.T) {
 		res, err := ParallelJoin(r, s, ParallelOptions{
 			Options:           Options{Method: SJ3, BufferBytes: 64 << 10, Predicate: p},
 			Workers:           4,
-			Strategy:          PartitionLPT,
+			Strategy:          PartitionSpatial,
 			MinTasksPerWorker: 4,
 		})
 		if err != nil {

@@ -12,153 +12,25 @@ import (
 // assigned to it and consumes it front to back, so as long as the estimates
 // hold, execution is exactly the spatial schedule: contiguous Hilbert runs
 // per worker, private-buffer reuse intact.  When a worker drains its queue it
-// becomes a thief: it picks the victim with the largest remaining load and
-// takes half of the *tail* of the victim's remaining run.  The victim keeps
-// the prefix it is already sweeping — its buffer keeps the subtrees of that
-// prefix resident — and the thief receives a run that is itself
-// Hilbert-contiguous, so locality degrades by one region split per steal
-// instead of collapsing to the interleaved shared queue.  Steals move whole
-// runs between queues under per-queue mutexes; a task is therefore executed
-// exactly once regardless of how steals and pops interleave (the
+// becomes a thief: it picks the victim with the largest remaining estimated
+// load and takes half of the *tail* of the victim's remaining run.  The
+// victim keeps the prefix it is already sweeping — its buffer keeps the
+// subtrees of that prefix resident — and the thief receives a run that is
+// itself Hilbert-contiguous, so locality degrades by one region split per
+// steal instead of collapsing to an interleaved shared queue.  Steals move
+// whole runs between queues under per-queue mutexes; a task is therefore
+// executed exactly once regardless of how steals and pops interleave (the
 // race/property tests in stealing_test.go pin this).
 //
-// Remaining load is the *estimated* seconds of the tasks still queued,
-// corrected by the owner's observed actual/estimated ratio: each worker
-// continuously compares its virtual clock (the cost-model seconds of the
-// counted work it actually executed) against the drained estimate of the
-// tasks it executed, and publishes the ratio.  A region whose estimates run
-// systematically low (dense data the sampled statistics under-predict) then
-// looks as heavy to thieves as it really is, so victim selection no longer
-// chases the raw estimate's bias.
-
-// The executed split must be a property of the queues, the estimates and the
-// steals — not of the host scheduler.  The repo measures parallel scaling in
-// counted-cost simulated time (est-speedup), because the bench host need not
-// have the cores; for the same reason the stealing workers advance in
-// *virtual* time: each worker keeps a clock of the cost-model seconds of the
-// work it has executed (actual counted comparisons and disk accesses, not
-// estimates) and waits while it is more than a bounded window ahead of the
-// slowest worker that still has work.  This is a conservative time-window
-// simulation: within the window workers run truly concurrently, so real
-// cores are still used, while across hosts the queues drain at rates
-// proportional to the cost model — which is what makes a drained queue's
-// steal pick the victim that a real N-core machine's laggard would be.
-// Without pacing the split collapses into host artifacts in both directions:
-// on one core with task-granular yielding the queues drain at equal *task*
-// rates (so cost-heavy regions never fall behind and steals never fire), and
-// with kernel timeslices far coarser than one sub-join a worker bursts
-// through its whole region and over-steals from workers that were merely
-// descheduled.
-//
-// A worker ahead of the window parks on a condition variable instead of
-// spinning in runtime.Gosched (the PR-4 implementation burned a full host
-// core per waiting worker): the admission predicate — clear() — is unchanged
-// bit for bit, only the idling mechanism differs, so the pacer admits
-// exactly the same executions it always did (stealing_test.go pins the
-// predicate against a reference implementation).  The fast path stays
-// lock-free: advance is one atomic store plus one atomic load; the mutex and
-// broadcast are touched only when some worker is actually parked.
-
-// stealPacingWindowTasks sizes the virtual-time window in units of the mean
-// task estimate: small enough that queue drain rates track the cost model,
-// large enough that workers within a region run concurrently on real cores.
-const stealPacingWindowTasks = 1
-
-// stealPacer is the shared virtual clock of a stealing execution.
-type stealPacer struct {
-	clocks []atomic.Uint64 // float64 bits of executed cost-model seconds
-	done   []atomic.Bool
-	window float64
-
-	mu      sync.Mutex
-	cond    sync.Cond
-	waiters atomic.Int32 // workers parked on cond; advance wakes only if > 0
-}
-
-func newStealPacer(workers int, est []float64) *stealPacer {
-	var total float64
-	for _, e := range est {
-		total += e
-	}
-	mean := 0.0
-	if len(est) > 0 {
-		mean = total / float64(len(est))
-	}
-	p := &stealPacer{
-		clocks: make([]atomic.Uint64, workers),
-		done:   make([]atomic.Bool, workers),
-		window: stealPacingWindowTasks * mean,
-	}
-	p.cond.L = &p.mu
-	return p
-}
-
-// clear reports whether worker w may proceed: it is at most the window ahead
-// of the slowest worker that still has work.  The slowest worker is always
-// clear, so the pacer cannot deadlock; when every other worker has finished,
-// min is +Inf and everyone is clear.  This predicate is the PR-4 spin
-// condition verbatim — the waiting mechanism around it must never change it.
-func (p *stealPacer) clear(w int) bool {
-	my := math.Float64frombits(p.clocks[w].Load())
-	min := math.Inf(1)
-	for i := range p.clocks {
-		if i == w || p.done[i].Load() {
-			continue
-		}
-		if v := math.Float64frombits(p.clocks[i].Load()); v < min {
-			min = v
-		}
-	}
-	return my <= min+p.window
-}
-
-// wait parks worker w until it is clear to proceed.  The common case — the
-// worker is within the window — is a lock-free check; only a worker actually
-// ahead of the window takes the mutex and sleeps on the condition variable,
-// to be woken by the next advance or finish of any other worker.
-func (p *stealPacer) wait(w int) {
-	if p.clear(w) {
-		return
-	}
-	p.mu.Lock()
-	p.waiters.Add(1)
-	for !p.clear(w) {
-		p.cond.Wait()
-	}
-	p.waiters.Add(-1)
-	p.mu.Unlock()
-}
-
-// advance adds dv executed cost-model seconds to worker w's clock and wakes
-// any parked workers, whose window may now have moved.
-func (p *stealPacer) advance(w int, dv float64) {
-	my := math.Float64frombits(p.clocks[w].Load())
-	p.clocks[w].Store(math.Float64bits(my + dv))
-	p.wake()
-}
-
-// finish marks worker w done so that others stop waiting for its clock.
-func (p *stealPacer) finish(w int) {
-	p.done[w].Store(true)
-	p.wake()
-}
-
-// wake broadcasts to parked workers.  Taking the mutex orders the broadcast
-// after any in-progress park: a waiter either saw the new clock value during
-// its predicate check under the mutex, or is already asleep on the condition
-// variable when the broadcast fires — a wakeup cannot fall between the two.
-func (p *stealPacer) wake() {
-	if p.waiters.Load() == 0 {
-		return
-	}
-	p.mu.Lock()
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
+// Workers run at whatever pace the host gives them, so which worker steals
+// what — and with it the counted per-worker split — depends on the host.
+// That is the point of stealing: it balances wall clock.  The counted
+// balance the experiments report belongs to PartitionSpatial, the same loop
+// with stealing switched off.
 
 // stealQueue is one worker's region queue.  The owner pops from the head;
 // thieves remove the tail half of the remaining run.  All fields are guarded
-// by mu except approx and bias, atomically readable copies that victim
+// by mu except approx, an atomically readable copy of load that victim
 // selection reads without locking every queue.
 type stealQueue struct {
 	mu     sync.Mutex
@@ -166,7 +38,6 @@ type stealQueue struct {
 	head   int
 	load   float64       // remaining estimated seconds of tasks[head:]
 	approx atomic.Uint64 // float64 bits of load, for lock-free victim scans
-	bias   atomic.Uint64 // float64 bits of the owner's actual/estimated ratio
 
 	// Owner-side steal accounting (written only by the owning worker).
 	steals      int // successful steal operations performed as thief
@@ -207,33 +78,6 @@ func (q *stealQueue) remainingApprox() float64 {
 	return math.Float64frombits(q.approx.Load())
 }
 
-// biasClamp bounds the published actual/estimated ratio: a worker's first
-// task or a degenerate estimate must not make its whole region look 100x
-// heavier (or lighter) to thieves than the estimator said.
-const biasClamp = 8
-
-// setBiasRatio publishes the owner's observed actual/estimated cost ratio.
-func (q *stealQueue) setBiasRatio(r float64) {
-	if !(r > 0) { // also catches NaN
-		return
-	}
-	if r < 1/float64(biasClamp) {
-		r = 1 / float64(biasClamp)
-	} else if r > biasClamp {
-		r = biasClamp
-	}
-	q.bias.Store(math.Float64bits(r))
-}
-
-// biasRatio returns the owner's published actual/estimated ratio (1 until
-// the owner has executed enough to publish one).
-func (q *stealQueue) biasRatio() float64 {
-	if b := q.bias.Load(); b != 0 {
-		return math.Float64frombits(b)
-	}
-	return 1
-}
-
 // pop removes the next task from the head of the queue, preserving the
 // Hilbert order of the owner's region.
 func (q *stealQueue) pop(est []float64) (int32, bool) {
@@ -252,14 +96,17 @@ func (q *stealQueue) pop(est []float64) (int32, bool) {
 // returns it with its estimated load.  The victim keeps the first half — the
 // prefix of its Hilbert run it is already processing.  Runs of fewer than two
 // tasks are not stealable: the victim's last task stays with its owner, which
-// bounds the steal churn at the very tail of the join.
-func (q *stealQueue) stealTail(buf []int32, est []float64) ([]int32, float64) {
+// bounds the steal churn at the very tail of the join.  A removed run is
+// counted in flight before it leaves, under the victim's lock, so a thief
+// that sees the victim's reduced load also sees the move in transit.
+func (q *stealQueue) stealTail(buf []int32, est []float64, flight *stealFlight) ([]int32, float64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	remaining := len(q.tasks) - q.head
 	if remaining < 2 {
 		return buf[:0], 0
 	}
+	flight.begin()
 	n := remaining / 2
 	cut := len(q.tasks) - n
 	buf = append(buf[:0], q.tasks[cut:]...)
@@ -291,9 +138,10 @@ func (q *stealQueue) install(run []int32, load float64) {
 // new owner would finish it alone.  The wait parks on a condition variable
 // (the PR-4 implementation re-scanned in a runtime.Gosched loop, burning a
 // core for as long as a move was in progress): moving counts the runs in
-// transit and seq bumps whenever one lands or aborts, so settle can
-// distinguish "rescan, something changed" from "nothing in transit, the
-// conclusion is final".
+// transit and seq bumps whenever one lands, so settle can distinguish
+// "rescan, something changed" from "nothing in transit, the conclusion is
+// final".  Only real moves are counted: a steal attempt that finds its
+// victim drained moves nothing and wakes nobody.
 type stealFlight struct {
 	mu     sync.Mutex
 	cond   sync.Cond
@@ -307,17 +155,17 @@ func newStealFlight() *stealFlight {
 	return f
 }
 
-// begin records a run leaving a victim's queue.
+// begin records a run leaving a victim's queue (stealTail calls it under
+// the victim's lock).
 func (f *stealFlight) begin() {
 	f.mu.Lock()
 	f.moving++
 	f.mu.Unlock()
 }
 
-// finishMove records the end of one move — landed in the thief's queue or
-// aborted because the victim drained between the scan and the lock.  Both
-// outcomes wake settled thieves: a landing may expose stealable work, an
-// abort may leave moving at 0, making their empty scan final.
+// finishMove records a run landed in the thief's queue and wakes settled
+// thieves: the landing may expose stealable work, or leave moving at 0,
+// making their empty scan final.
 func (f *stealFlight) finishMove() {
 	f.mu.Lock()
 	f.moving--
@@ -328,7 +176,7 @@ func (f *stealFlight) finishMove() {
 
 // settle is called by a thief that found nothing stealable.  It returns
 // false when no move is in transit — the conclusion is final, the thief can
-// exit.  Otherwise it parks until a move lands or aborts and returns true:
+// exit.  Otherwise it parks until a move lands and returns true:
 // the landed run may be stealable (or a skipped victim refilled), so the
 // thief must rescan from scratch.
 func (f *stealFlight) settle() bool {
@@ -345,14 +193,11 @@ func (f *stealFlight) settle() bool {
 }
 
 // steal refills worker w's drained queue from the victim with the largest
-// bias-corrected remaining load — the raw estimate times the victim owner's
-// published actual/estimated ratio, so systematically under- (or over-)
-// estimated regions are ranked by what they will really cost.  It returns
-// false when no stealable work remains: every other queue is either empty or
-// down to a single task, which its owner will finish.  Victim selection
-// reads the atomic load and bias shadows, so the scan takes no locks; only
-// the chosen victim is locked, and never while holding the thief's own lock,
-// so thieves cannot deadlock on each other.
+// remaining estimated load.  It returns false when no stealable work
+// remains: every other queue is either empty or down to a single task, which
+// its owner will finish.  Victim selection reads the atomic load shadows, so
+// the scan takes no locks; only the chosen victim is locked, and never while
+// holding the thief's own lock, so thieves cannot deadlock on each other.
 func steal(queues []*stealQueue, w int, buf *[]int32, est []float64, flight *stealFlight) bool {
 	skip := make([]bool, len(queues))
 	for {
@@ -361,7 +206,7 @@ func steal(queues []*stealQueue, w int, buf *[]int32, est []float64, flight *ste
 			if i == w || skip[i] {
 				continue
 			}
-			if l := q.remainingApprox() * q.biasRatio(); l > best {
+			if l := q.remainingApprox(); l > best {
 				best, victim = l, i
 			}
 		}
@@ -376,23 +221,19 @@ func steal(queues []*stealQueue, w int, buf *[]int32, est []float64, flight *ste
 			}
 			continue
 		}
-		flight.begin()
-		run, load := queues[victim].stealTail(*buf, est)
+		run, load := queues[victim].stealTail(*buf, est, flight)
 		*buf = run
 		if len(run) == 0 {
 			// The victim drained (or shrank to one task) between the scan and
 			// the lock; it can only shrink further, so skip it and rescan.
-			flight.finishMove()
+			// Nothing moved, so nobody is woken: with many workers, waking
+			// every settled thief per failed attempt kept them rescanning
+			// one-task queues instead of exiting.
 			skip[victim] = true
 			continue
 		}
 		self := queues[w]
 		self.install(run, load)
-		// The stolen run comes from the victim's region, so the victim's
-		// observed ratio is the best available bias for it; the thief's own
-		// ratio described the region it just finished.  The caller resets its
-		// accumulators so the published ratio stays scoped to the run at hand.
-		self.bias.Store(queues[victim].bias.Load())
 		flight.finishMove()
 		self.steals++
 		self.stolenTasks += len(run)

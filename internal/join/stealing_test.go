@@ -1,8 +1,6 @@
 package join
 
 import (
-	"math"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -116,104 +114,24 @@ func TestStealingJoinUnderContention(t *testing.T) {
 	}
 }
 
-// spinClearReference is the PR-4 busy-yield admission predicate, kept
-// verbatim as the reference: a worker may proceed while it is at most the
-// window ahead of the slowest not-yet-finished other worker.  The
-// condition-variable pacer must admit bit-identically — the waiting
-// mechanism changed, the executed split must not.
-func spinClearReference(p *stealPacer, w int) bool {
-	my := math.Float64frombits(p.clocks[w].Load())
-	min := math.Inf(1)
-	for i := range p.clocks {
-		if i == w || p.done[i].Load() {
-			continue
-		}
-		if v := math.Float64frombits(p.clocks[i].Load()); v < min {
-			min = v
-		}
+// TestStealPicksMostLoadedVictim: the thief takes the tail half of the queue
+// with the largest remaining estimate, never its own or a lighter one.
+func TestStealPicksMostLoadedVictim(t *testing.T) {
+	est := []float64{1, 1, 1, 1, 5, 5, 5, 5}
+	queues := newStealQueues([][]int32{{}, {0, 1, 2, 3}, {4, 5, 6, 7}}, est)
+	var buf []int32
+	if !steal(queues, 0, &buf, est, newStealFlight()) {
+		t.Fatal("steal found nothing with two loaded victims")
 	}
-	return my <= min+p.window
-}
-
-// TestStealPacerAdmissionMatchesSpinReference drives the pacer through
-// random clock/done states and checks the condition-variable predicate
-// against the spin reference on every worker.  This is the bit-identical
-// regression guard for the busy-wait fix: identical admissions mean identical
-// queue drain orders, steals and executed splits for any given interleaving.
-func TestStealPacerAdmissionMatchesSpinReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 2000; trial++ {
-		workers := 2 + rng.Intn(7)
-		est := make([]float64, 1+rng.Intn(20))
-		for i := range est {
-			est[i] = rng.Float64() * 10
-		}
-		p := newStealPacer(workers, est)
-		for w := 0; w < workers; w++ {
-			p.clocks[w].Store(math.Float64bits(rng.Float64() * 20))
-			if rng.Intn(4) == 0 {
-				p.done[w].Store(true)
-			}
-		}
-		for w := 0; w < workers; w++ {
-			if got, want := p.clear(w), spinClearReference(p, w); got != want {
-				t.Fatalf("trial %d worker %d: clear=%v, spin reference=%v (clocks=%v)",
-					trial, w, got, want, p.clocks)
-			}
-		}
+	if got := queues[0].tasks; len(got) != 2 || got[0] != 6 || got[1] != 7 {
+		t.Fatalf("thief installed %v, want the heavier victim's tail [6 7]", got)
 	}
-}
-
-// TestStealPacerWaitParksAndWakes: a worker ahead of the window must block in
-// wait (without burning CPU in a yield loop — it parks on the condition
-// variable) and must return promptly once the lagging worker advances past
-// the window, or finishes.
-func TestStealPacerWaitParksAndWakes(t *testing.T) {
-	est := []float64{1, 1} // window = mean = 1 cost-model second
-	p := newStealPacer(2, est)
-	p.clocks[0].Store(math.Float64bits(10)) // worker 0 is far ahead of worker 1 at 0
-
-	released := make(chan struct{})
-	go func() {
-		p.wait(0)
-		close(released)
-	}()
-	select {
-	case <-released:
-		t.Fatal("wait returned while worker 0 was 10 seconds ahead of a 1-second window")
-	case <-time.After(50 * time.Millisecond):
+	if queues[1].remainingApprox() != 4 || queues[2].remainingApprox() != 10 {
+		t.Fatalf("victim loads %.0f / %.0f after the steal, want 4 / 10",
+			queues[1].remainingApprox(), queues[2].remainingApprox())
 	}
-	p.advance(1, 5) // still ahead: 10 > 5+1
-	select {
-	case <-released:
-		t.Fatal("wait returned while still ahead of the window")
-	case <-time.After(50 * time.Millisecond):
-	}
-	p.advance(1, 4.5) // 10 <= 9.5+1: clear
-	select {
-	case <-released:
-	case <-time.After(2 * time.Second):
-		t.Fatal("wait did not wake after the lagging worker advanced past the window")
-	}
-
-	// A waiter must also wake when the last other worker finishes.
-	p2 := newStealPacer(2, est)
-	p2.clocks[0].Store(math.Float64bits(10))
-	released2 := make(chan struct{})
-	go func() {
-		p2.wait(0)
-		close(released2)
-	}()
-	select {
-	case <-released2:
-		t.Fatal("wait returned before the other worker finished")
-	case <-time.After(50 * time.Millisecond):
-	}
-	p2.finish(1)
-	select {
-	case <-released2:
-	case <-time.After(2 * time.Second):
-		t.Fatal("wait did not wake after finish")
+	if queues[0].steals != 1 || queues[0].stolenTasks != 2 {
+		t.Fatalf("steal accounting %d steals / %d tasks, want 1 / 2", queues[0].steals, queues[0].stolenTasks)
 	}
 }
 
@@ -240,38 +158,5 @@ func TestStealFlightSettle(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("settle did not wake on landing")
-	}
-}
-
-// TestStealVictimBiasCorrection: two victims with equal remaining estimates,
-// one of which has published that its region actually costs 4x its estimate
-// — the thief must steal from the under-estimated (really heavier) one.
-func TestStealVictimBiasCorrection(t *testing.T) {
-	est := []float64{1, 1, 1, 1, 1, 1, 1, 1}
-	schedule := [][]int32{{}, {0, 1, 2, 3}, {4, 5, 6, 7}}
-	queues := newStealQueues(schedule, est)
-	queues[2].setBiasRatio(4) // worker 2's region runs 4x over estimate
-	var buf []int32
-	if !steal(queues, 0, &buf, est, newStealFlight()) {
-		t.Fatal("steal found nothing with two loaded victims")
-	}
-	if queues[2].remainingApprox() >= 4 {
-		t.Fatalf("thief ignored the bias-corrected heavier victim: victim loads %.1f / %.1f",
-			queues[1].remainingApprox(), queues[2].remainingApprox())
-	}
-	// The stolen run came from victim 2's region, so the thief must now
-	// publish that region's ratio, not its own stale one.
-	if got := queues[0].biasRatio(); got != 4 {
-		t.Fatalf("thief publishes bias %v after the steal, want the victim's 4", got)
-	}
-	// And the clamp: a degenerate ratio must not poison victim selection.
-	var q stealQueue
-	q.setBiasRatio(math.NaN())
-	if q.biasRatio() != 1 {
-		t.Fatalf("NaN ratio published as %v, want the default 1", q.biasRatio())
-	}
-	q.setBiasRatio(1e9)
-	if q.biasRatio() != biasClamp {
-		t.Fatalf("ratio %v escaped the clamp %v", q.biasRatio(), float64(biasClamp))
 	}
 }

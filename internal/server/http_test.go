@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/zorder"
@@ -136,6 +137,67 @@ func TestHandlerRejectsUnknownMethod(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzJoinRequest drives arbitrary bodies through the shard's POST /join.
+// Every body is answered 200, 400 or 413 — a bad request is the client's
+// mistake, never a 500 or a panic — and every 200 decodes with the client
+// codec, carrying all its pairs unless the body asked to discard them.
+func FuzzJoinRequest(f *testing.F) {
+	for _, seed := range []string{
+		``,
+		`{}`,
+		`{"method":-1}`,
+		`{"method":0}`,
+		`{"method":1}`,
+		`{"method":5,"discard_pairs":true}`,
+		`{"method":6}`,
+		`{"method":1099511627776}`,
+		`{"method":1.5}`,
+		`{"predicate":"intersects"}`,
+		`{"predicate":"within:0.01"}`,
+		`{"predicate":"within:-1"}`,
+		`{"predicate":"within:1e300"}`,
+		`{"predicate":"knn:2","workers":4}`,
+		`{"predicate":"knn:0"}`,
+		`{"predicate":"knn:9223372036854775807"}`,
+		`{"predicate":"bogus"}`,
+		`{"workers":-3}`,
+		`{"workers":4}`,
+		`{"workers":1048576,"predicate":"within:0.05"}`,
+		`{"discard_pairs":true} trailing`,
+		`{"discard_pairs":true`,
+		`[]`,
+		`null`,
+		`{"discard_pairs":true}` + strings.Repeat(" ", MaxJoinBody),
+	} {
+		f.Add([]byte(seed))
+	}
+	fx := newFixture(f, Config{CostBudget: -1, DefaultDeadline: -1})
+	h := NewHandler(fx.srv, HandlerConfig{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/join", bytes.NewReader(body)))
+		switch w.Code {
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("body %q: status %d %s", body, w.Code, w.Body)
+		}
+		var resp JoinResponseWire
+		if err := DecodeJoinResponse(w.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("body %q: 200 response does not decode: %v", body, err)
+		}
+		// The handler decodes the first JSON value of the body the same way.
+		var req JoinRequestWire
+		if len(body) > 0 {
+			_ = json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+		}
+		if !req.DiscardPairs && resp.Count != len(resp.Pairs) {
+			t.Fatalf("body %q: count %d but %d pairs", body, resp.Count, len(resp.Pairs))
+		}
+	})
 }
 
 // TestHandlerCapsRequestBodies: a body past the endpoint's cap is answered

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,10 +115,9 @@ func (c Config) withDefaults() Config {
 type JoinRequest struct {
 	// Method overrides the configured join method when non-zero.
 	Method join.Method
-	// Workers > 1 runs a ParallelJoin with that many workers.
+	// Workers > 1 runs a ParallelJoin (the default stealing scheduler) with
+	// that many workers, clamped to GOMAXPROCS.
 	Workers int
-	// Strategy selects the parallel partition strategy (Workers > 1 only).
-	Strategy join.PartitionStrategy
 	// BufferBytes overrides the configured LRU budget when non-zero.
 	BufferBytes int
 	// Predicate selects the join condition; the zero value runs the
@@ -347,16 +347,21 @@ func (s *Server) Join(ctx context.Context, req JoinRequest) (*JoinResponse, erro
 		opts.BufferBytes = req.BufferBytes
 	}
 	opts.Predicate = pred
+	// Shard and gateway requests both arrive here, so this is where the
+	// wire's workers value is bounded: more workers than cores buys no
+	// parallelism, and ParallelJoin would otherwise split the plan towards
+	// leaf pairs and start a goroutine, a collector and a pooled LRU for
+	// every task.
+	workers := min(req.Workers, runtime.GOMAXPROCS(0))
 
 	var retries int
 	for attempt := 0; ; attempt++ {
 		var res *join.Result
 		var err error
-		if req.Workers > 1 {
+		if workers > 1 {
 			res, err = join.ParallelJoin(e.tree, s.cfg.S, join.ParallelOptions{
-				Options:  opts,
-				Workers:  req.Workers,
-				Strategy: req.Strategy,
+				Options: opts,
+				Workers: workers,
 			})
 		} else {
 			res, err = join.Join(e.tree, s.cfg.S, opts)

@@ -43,7 +43,7 @@ type fixture struct {
 	sItems []rtree.Item
 }
 
-func newFixture(t *testing.T, cfg Config) *fixture {
+func newFixture(t testing.TB, cfg Config) *fixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(61))
 	rItems := genItems(rng, 400, 0, 0.02)
@@ -155,6 +155,22 @@ func TestServerJoinMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	samePairs(t, pairSet(par.Pairs), want, "parallel server join")
+}
+
+// TestServerClampsWorkers is the regression for the unbounded wire value: a
+// request for a million workers used to plan down to leaf pairs and start one
+// goroutine, collector and pooled LRU per task.  The server clamps it to
+// GOMAXPROCS; the answer stays the sequential join's.
+func TestServerClampsWorkers(t *testing.T) {
+	f := newFixture(t, Config{})
+	resp, err := f.srv.Join(context.Background(), JoinRequest{Workers: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, procs := len(resp.WorkerMetrics), runtime.GOMAXPROCS(0); n > procs {
+		t.Fatalf("Workers: 1<<20 ran %d workers, want at most GOMAXPROCS = %d", n, procs)
+	}
+	samePairs(t, pairSet(resp.Pairs), brutePairs(f.rItems, f.sItems), "clamped parallel join")
 }
 
 func TestServerUpdateInvisibleUntilRound(t *testing.T) {

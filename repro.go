@@ -237,21 +237,18 @@ func TreeJoin(r, s *RTree, opts JoinOptions) (*JoinResult, error) { return join.
 // ParallelJoinOptions configures ParallelTreeJoin.
 type ParallelJoinOptions = join.ParallelOptions
 
-// PartitionStrategy selects how ParallelTreeJoin assigns sub-join tasks to
-// workers.
+// PartitionStrategy selects whether ParallelTreeJoin's workers steal.
 type PartitionStrategy = join.PartitionStrategy
 
-// Partition strategies: the dynamic shared queue, the three deterministic
-// schedules (round-robin dealing, greedy LPT bin packing over cost-model
-// estimates, and Hilbert-ordered contiguous spatial regions) and the
-// locality-preserving work-stealing scheduler (per-worker spatial region
-// queues rebalanced at run time by tail-half steals).
+// Partition strategies.  Both give every worker a queue of Hilbert-ordered,
+// contiguous spatial regions packed on cost-model estimates.
+// StealingPartition, the zero value, lets a worker whose queue drains steal
+// the tail half of the most-loaded queue: it balances wall clock, and its
+// per-worker split depends on the host.  SpatialPartition runs the regions as
+// planned: its per-worker split, and so every counted skew, is deterministic.
 const (
-	DynamicPartition    = join.PartitionDynamic
-	RoundRobinPartition = join.PartitionRoundRobin
-	LPTPartition        = join.PartitionLPT
-	SpatialPartition    = join.PartitionSpatial
-	StealingPartition   = join.PartitionStealing
+	StealingPartition = join.PartitionStealing
+	SpatialPartition  = join.PartitionSpatial
 )
 
 // ParallelTreeJoin computes the MBR-spatial-join with several workers, each

