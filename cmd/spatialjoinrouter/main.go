@@ -1,8 +1,8 @@
 // Command spatialjoinrouter fronts a deployment of Hilbert-range shards
 // (spatialjoind processes started with -shard lo:hi) and serves the same
 // HTTP surface a single daemon would: updates route to the shard owning
-// the rectangle's centre key, joins fan out to every shard and merge into
-// one deterministic, (R, S)-sorted pair set, and failures stay typed — a
+// the rectangle's centre key, joins fan out to every shard and gather into
+// one pair set in a deterministic order, and failures stay typed — a
 // partial fan-out is an error, never a silently truncated result.
 //
 // The shard layout is learned, not configured: at startup the router polls

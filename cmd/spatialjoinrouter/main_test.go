@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -91,9 +92,10 @@ func TestParseFlags(t *testing.T) {
 
 // TestRouterEndToEnd drives the full path a deployment sees: key ranges
 // discovered from the shards' /stats, updates routed by centre key, a
-// round committed everywhere, and a join merged over both shards.  One S
+// round committed everywhere, and a join gathered from both shards.  One S
 // rectangle covering the world makes the oracle trivial: every routed op
-// joins it, in ascending R order.
+// joins it once.  The wire order is deterministic, not sorted, so the test
+// sorts by R.
 func TestRouterEndToEnd(t *testing.T) {
 	sItems := []rtree.Item{{Rect: geom.Rect{XL: 0, YL: 0, XU: 1, YU: 1}, Data: 0}}
 	ranges := zorder.UniformKeyRanges(2)
@@ -146,6 +148,7 @@ func TestRouterEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := [][2]int32{{1, 0}, {2, 0}, {3, 0}, {4, 0}}
+	sort.Slice(resp.Pairs, func(i, j int) bool { return resp.Pairs[i][0] < resp.Pairs[j][0] })
 	if resp.Count != len(want) || len(resp.Pairs) != len(want) {
 		t.Fatalf("join count = %d (%d pairs), want %d", resp.Count, len(resp.Pairs), len(want))
 	}

@@ -92,7 +92,7 @@ func (e *executor) joinLeafWithDirectory(leaf, dir *rtree.Node, dirTree *rtree.T
 			e.emitLeafDir(h.ids[q], found.Data, swapped)
 		}
 		for _, id := range h.dirIdx {
-			if e.cancel.cancelled() {
+			if e.stopped() {
 				return
 			}
 			de := dir.Entries[id]
@@ -140,7 +140,7 @@ func (e *executor) joinLeafWithDirectory(leaf, dir *rtree.Node, dirTree *rtree.T
 		e.local.PairsTested += int64(len(h.pairs))
 		e.local.FlushTo(e.metrics)
 		for _, p := range h.pairs {
-			if e.cancel.cancelled() {
+			if e.stopped() {
 				return
 			}
 			le := leaf.Entries[h.leafIdx[p.R]]
@@ -166,7 +166,7 @@ func (e *executor) joinLeafWithDirectory(leaf, dir *rtree.Node, dirTree *rtree.T
 		for _, il := range h.leafIdx {
 			le := leaf.Entries[il]
 			for _, id := range h.dirIdx {
-				if e.cancel.cancelled() {
+				if e.stopped() {
 					return
 				}
 				de := dir.Entries[id]

@@ -162,7 +162,8 @@ type Options struct {
 	// (keyed by their node identifiers, as rtree.TreeStore serves them).
 	// When set, every counted disk read of the sequential join also performs
 	// a physical page read — the measured-I/O mode of the disk experiments.
-	// A physical read failure aborts the join with the wrapped error.
+	// A physical read failure stops the traversal at the next node pair and
+	// fails the join with the wrapped error.
 	PageReaderR buffer.PageReader
 	PageReaderS buffer.PageReader
 	// PageCache, if non-nil, attaches a shared byte cache below the counted
@@ -459,6 +460,14 @@ type executor struct {
 	pairs   []Pair
 	chunked bool
 	full    int
+}
+
+// stopped reports whether the traversal should unwind: its context fired,
+// or a physical page read failed.  Either way Join returns an error and no
+// Result, so the traversal polls it once per node pair and neither reads
+// further pages nor hands an OnPair observer further pairs.
+func (e *executor) stopped() bool {
+	return e.cancel.cancelled() || e.tracker.ReadErr() != nil
 }
 
 // emit reports one result pair.

@@ -466,7 +466,7 @@ func (e *executor) knnFrom(rn, sn *rtree.Node) {
 	st.push(d2, 0, rn, sn)
 
 	for len(st.queue) > 0 {
-		if e.cancel.cancelled() {
+		if e.stopped() {
 			return
 		}
 		p := st.queue.pop()
@@ -573,7 +573,7 @@ func (e *executor) nestedLoopKNN() {
 	}
 	st := &knnState{k: k, items: make([]knnItem, 0, e.r.Len()), cands: make([]nnCand, e.r.Len()*k)}
 	for _, rn := range rLeaves {
-		if e.cancel.cancelled() {
+		if e.stopped() {
 			return
 		}
 		e.r.AccessNode(e.tracker, rn)
@@ -582,7 +582,7 @@ func (e *executor) nestedLoopKNN() {
 			st.items = append(st.items, knnItem{id: rn.Entries[i].Data})
 		}
 		for _, sn := range sLeaves {
-			if e.cancel.cancelled() {
+			if e.stopped() {
 				return
 			}
 			e.s.AccessNode(e.tracker, sn)

@@ -23,12 +23,12 @@ func (e *executor) nestedLoop() {
 		}
 	})
 	for _, rn := range rLeaves {
-		if e.cancel.cancelled() {
+		if e.stopped() {
 			return
 		}
 		e.r.AccessNode(e.tracker, rn)
 		for _, sn := range sLeaves {
-			if e.cancel.cancelled() {
+			if e.stopped() {
 				return
 			}
 			e.s.AccessNode(e.tracker, sn)
@@ -59,7 +59,7 @@ func (e *executor) runSJ1() {
 func (e *executor) sj1(nr, ns *rtree.Node) {
 	// One cancellation poll per node pair: an abandoned descent unwinds here
 	// without touching further pages, and Join discards the partial result.
-	if e.cancel.cancelled() {
+	if e.stopped() {
 		return
 	}
 	if leafDir := e.handleHeightDifference(nr, ns, nil); leafDir {
@@ -141,7 +141,7 @@ func (e *executor) rootRect() (geom.Rect, bool) {
 // indices in the depth's scratch frame, so the restriction allocates nothing
 // in steady state.
 func (e *executor) sj2(nr, ns *rtree.Node, rect geom.Rect, depth int) {
-	if e.cancel.cancelled() {
+	if e.stopped() {
 		return
 	}
 	if leafDir := e.handleHeightDifference(nr, ns, &rect); leafDir {

@@ -36,7 +36,7 @@ func (e *executor) runSweep(method Method) {
 func (e *executor) sweepJoin(nr, ns *rtree.Node, rect geom.Rect, method Method, depth int) {
 	// One cancellation poll per node pair (see Options.Context): the descent
 	// unwinds without reading further pages and Join discards the partials.
-	if e.cancel.cancelled() {
+	if e.stopped() {
 		return
 	}
 	if handled := e.handleHeightDifference(nr, ns, &rect); handled {

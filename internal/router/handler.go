@@ -21,8 +21,8 @@ import (
 //	GET  /stats   per-shard server counters and coverage summaries
 //
 // A /join reply is {"count":N,"pairs":[[r,s],...],"shards":[...]}: the
-// merged pair set (left out when empty) plus the per-shard outcomes a
-// client needs to reason about tail latency and retries.
+// pair set in Router.Join's order (left out when empty) plus the per-shard
+// outcomes a client needs to reason about tail latency and retries.
 func NewHandler(rt *Router) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /update", func(w http.ResponseWriter, r *http.Request) {

@@ -50,12 +50,12 @@ type ShardOutcome struct {
 type JoinResult struct {
 	// Count is the total pair count over all shards.
 	Count int
-	// Pairs is the merged pair set in ascending (R, S) order — bit-identical
-	// to a sorted single-process join of the same data.  Nil when the
-	// request discarded pairs.
+	// Pairs is the exact pair set in a deterministic order: the shards'
+	// streams one after the other in ascending key range, each in its
+	// shard's wire order.  A kNN answer is merged into ascending (R, S)
+	// order instead.  Nil when the request discarded pairs.
 	Pairs [][2]int32
-	// Shards holds the per-shard outcomes in merge order (ascending key
-	// range).
+	// Shards holds the per-shard outcomes in key-range order.
 	Shards []ShardOutcome
 }
 
@@ -63,9 +63,12 @@ type JoinResult struct {
 // shard: a malformed predicate or a method number naming no algorithm.
 var ErrBadRequest = errors.New("router: bad join request")
 
-// Join fans the join out to every shard and merges the sorted shard
-// streams into one deterministic pair set.  Every shard must answer:
-// each holds a disjoint slice of R, so a missing shard would silently
+// Join fans the join out to every shard and joins the shard streams into
+// one deterministic pair set.  R is homed disjointly, so the streams
+// concatenate in key-range order into the exact union; only kNN streams,
+// which arrive (R, S)-sorted, are checked per R item and merged.  Every
+// shard must answer, with as many pairs as its count says: each holds a
+// disjoint slice of R, so a missing or short stream would silently
 // truncate the result.  If any shard fails after retries, Join returns a
 // *PartialError naming the failed and succeeded shards — and no pairs.
 func (rt *Router) Join(ctx context.Context, req JoinRequest) (*JoinResult, error) {
@@ -102,10 +105,8 @@ func (rt *Router) Join(ctx context.Context, req JoinRequest) (*JoinResult, error
 			start := rt.cfg.now()
 			sj.attempts, sj.err = rt.do(ctx, sh, http.MethodPost, "/join", wire, &sj.resp)
 			sj.wall = rt.cfg.now().Sub(start)
-			if sj.err == nil && !req.DiscardPairs {
-				if err := verifySorted(sj.resp.Pairs); err != nil {
-					sj.err = err
-				}
+			if sj.err == nil && !req.DiscardPairs && sj.resp.Count != len(sj.resp.Pairs) {
+				sj.err = fmt.Errorf("protocol violation: count %d but %d pairs", sj.resp.Count, len(sj.resp.Pairs))
 			}
 			mu.Lock()
 			results[sh.Name] = sj
@@ -114,8 +115,8 @@ func (rt *Router) Join(ctx context.Context, req JoinRequest) (*JoinResult, error
 	}
 	wg.Wait()
 
-	// Assemble in shard (key-range) order so outcomes, merge input order
-	// and tie-breaks are all deterministic whatever the plan order was.
+	// Assemble in shard (key-range) order so outcomes and the pair order are
+	// deterministic whatever the plan order was.
 	var perr PartialError
 	outcomes := make([]ShardOutcome, 0, len(rt.shards))
 	streams := make([][][2]int32, 0, len(rt.shards))
@@ -140,7 +141,10 @@ func (rt *Router) Join(ctx context.Context, req JoinRequest) (*JoinResult, error
 	if len(perr.Failures) > 0 {
 		return nil, &perr
 	}
-	if pred.Kind == join.PredKNN && !req.DiscardPairs {
+	res := &JoinResult{Count: total, Shards: outcomes}
+	switch {
+	case req.DiscardPairs:
+	case pred.Kind == join.PredKNN:
 		// The kNN merge is a plain union, and its correctness bound is
 		// R-disjointness: each R item's K-best heap is complete only on its
 		// home shard, so an R identifier answered by two shards means the
@@ -149,21 +153,31 @@ func (rt *Router) Join(ctx context.Context, req JoinRequest) (*JoinResult, error
 		if err := verifyKNNStreams(streams, rt.shards, pred.K); err != nil {
 			return nil, err
 		}
-	}
-	res := &JoinResult{Count: total, Shards: outcomes}
-	if !req.DiscardPairs {
 		res.Pairs = mergeSorted(streams, total)
+	default:
+		res.Pairs = make([][2]int32, 0, total)
+		for _, s := range streams {
+			res.Pairs = append(res.Pairs, s...)
+		}
 	}
 	return res, nil
 }
 
-// verifyKNNStreams checks the two invariants the kNN union rests on: no R
-// identifier appears in more than one shard's stream, and no R identifier
-// carries more than K neighbours.  The streams are already verified
-// (R, S)-sorted, so one pass in merge order sees both: an R's neighbours are
-// one run of one stream, and a second shard answering the same R shows up as
-// an equal R at the head of another stream.
+// verifyKNNStreams checks the invariants the kNN union rests on: each
+// shard's stream is (R, S)-sorted, no R identifier appears in more than one
+// shard's stream, and no R identifier carries more than K neighbours.  In
+// sorted streams one pass in merge order sees the last two: an R's
+// neighbours are one run of one stream, and a second shard answering the
+// same R shows up as an equal R at the head of another stream.  The streams
+// line up with shards.
 func verifyKNNStreams(streams [][][2]int32, shards []Shard, k int) error {
+	for i, s := range streams {
+		for j := 1; j < len(s); j++ {
+			if pairLess(s[j], s[j-1]) {
+				return fmt.Errorf("router: kNN merge: %s's pairs are not sorted by (R, S) at index %d", shards[i].Name, j)
+			}
+		}
+	}
 	pos := make([]int, len(streams))
 	for {
 		// The stream whose head has the lowest R; ties to the lowest shard.
@@ -193,19 +207,6 @@ func verifyKNNStreams(streams [][][2]int32, shards []Shard, k int) error {
 	}
 }
 
-// verifySorted checks the wire contract behind the merge: each shard's
-// pairs arrive in ascending (R, S) order.  An unsorted stream means the
-// shard is not speaking the protocol, which is a shard failure, not
-// something to paper over by re-sorting.
-func verifySorted(pairs [][2]int32) error {
-	for i := 1; i < len(pairs); i++ {
-		if pairLess(pairs[i], pairs[i-1]) {
-			return fmt.Errorf("protocol violation: pairs not sorted by (R, S) at index %d", i)
-		}
-	}
-	return nil
-}
-
 func pairLess(a, b [2]int32) bool {
 	if a[0] != b[0] {
 		return a[0] < b[0]
@@ -213,7 +214,7 @@ func pairLess(a, b [2]int32) bool {
 	return a[1] < b[1]
 }
 
-// mergeSorted k-way merges the sorted shard streams.  Ties break to the
+// mergeSorted k-way merges the sorted kNN shard streams.  Ties break to the
 // lowest stream index — the shard with the lowest key range — so the merge
 // is deterministic even if two shards ever emitted an equal pair.
 func mergeSorted(streams [][][2]int32, total int) [][2]int32 {

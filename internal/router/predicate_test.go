@@ -64,9 +64,10 @@ func bruteKNNWire(rOps []server.OpWire, sItems []rtree.Item, k int) [][2]int32 {
 }
 
 // TestRouterPredicateParity is the sharded parity contract for the new
-// predicates: for 1, 2, 3 and 4 shards, the merged within-distance and kNN
-// fan-outs equal their brute-force oracles bit for bit — same pairs, same
-// (R, S) order.  The kNN case exercises the R-disjointness merge bound on
+// predicates: for 1, 2, 3 and 4 shards, the within-distance fan-out's pair
+// set equals its brute-force oracle's (sorted on the test side: that wire
+// order is deterministic, not sorted), and the merged kNN fan-out equals its
+// oracle bit for bit — same pairs, same (R, S) order.  The kNN case exercises the R-disjointness merge bound on
 // real deployments: R items are homed by centre key, S is replicated, so
 // each home shard's per-item heap is already globally correct.
 func TestRouterPredicateParity(t *testing.T) {
@@ -88,7 +89,7 @@ func TestRouterPredicateParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("within workers=%d: %v", workers, err)
 				}
-				assertPairsEqual(t, fmt.Sprintf("within workers=%d", workers), res.Pairs, wantDist)
+				assertPairsEqual(t, fmt.Sprintf("within workers=%d", workers), sortedPairs(res.Pairs), wantDist)
 				res, err = rt.Join(ctx, JoinRequest{Predicate: fmt.Sprintf("knn:%d", k), Workers: workers})
 				if err != nil {
 					t.Fatalf("knn workers=%d: %v", workers, err)
@@ -133,6 +134,9 @@ func TestVerifyKNNStreams(t *testing.T) {
 		{"over k, last stream", [][][2]int32{{{0, 10}}, nil, {{1, 10}, {1, 11}, {1, 12}}}, overMsg},
 		// Both at once on one item: the lowest shard's run is seen first.
 		{"over k and double-homed", [][][2]int32{{{1, 10}, {1, 11}, {1, 12}}, {{1, 13}}, nil}, overMsg},
+		// The checks above read runs of sorted streams; an unsorted one could
+		// hide a double-homed item, so it fails first.
+		{"unsorted", [][][2]int32{{{1, 10}}, {{2, 10}, {1, 10}}, nil}, "router: kNN merge: b's pairs are not sorted by (R, S) at index 1"},
 	} {
 		err := verifyKNNStreams(tc.streams, shards, 2)
 		switch {

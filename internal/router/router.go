@@ -1,6 +1,6 @@
 // Package router fans spatial joins out over a set of Hilbert-range shard
-// servers and merges their answers into the single deterministic pair set a
-// one-process join would produce.
+// servers and gathers their answers into the pair set a one-process join
+// would produce, in a deterministic order.
 //
 // Each shard (a spatialjoind process started with -shard lo:hi) owns one
 // half-open range of the Hilbert key space and indexes the churned
@@ -8,9 +8,9 @@
 // replicated in full on every shard.  Because the ranges tile the key space
 // — New refuses a shard set that does not — every rectangle of R has
 // exactly one home, so the union of the per-shard joins is exactly the full
-// R ⋈ S with no duplicates, and a sorted merge of the shard responses
-// (each sorted by (R, S) on the wire) reproduces the single-process pair
-// order bit for bit.
+// R ⋈ S with no duplicates: the shard streams, each in its shard's
+// deterministic wire order, concatenate in key-range order into the answer.
+// kNN streams arrive (R, S)-sorted and are merged in that order.
 //
 // Routing is coverage-aware but never coverage-trusting: shards publish a
 // snapshot summary on GET /stats (item counts, R's MBR, sampled catalog
@@ -144,7 +144,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // Router routes updates and fans joins out over a shard deployment.
 type Router struct {
 	cfg    Config
-	shards []Shard // sorted by Range.Lo; the merge and routing order
+	shards []Shard // sorted by Range.Lo; the answer's and routing's order
 
 	mu    sync.Mutex
 	cache map[string]statsEntry // shard name -> last fetched summary
@@ -185,7 +185,7 @@ func New(cfg Config) (*Router, error) {
 	return &Router{cfg: cfg, shards: shards, cache: make(map[string]statsEntry, len(shards))}, nil
 }
 
-// Shards returns the deployment in merge order (ascending key range).
+// Shards returns the deployment in answer order (ascending key range).
 func (rt *Router) Shards() []Shard { return append([]Shard(nil), rt.shards...) }
 
 // PlannedShard is one shard of a query plan with the advisory statistics

@@ -162,10 +162,16 @@ func (rt *Router) once(ctx context.Context, sh Shard, method, path string, body,
 			// The body is mostly integer pairs: read it whole and hand it to
 			// the pair codec instead of reflecting over it.
 			buf := bodyPool.Get().(*[]byte)
-			if *buf, err = readAll((*buf)[:0], resp.Body); err == nil {
-				err = server.DecodeJoinResponse(*buf, out)
+			defer bodyPool.Put(buf)
+			if *buf, err = readAll((*buf)[:0], resp.Body); err != nil {
+				// A shard that fails after its first chunk aborts the body,
+				// so the failure shows only here, as a transport error.
+				if ctx.Err() != nil {
+					return ctx.Err()
+				}
+				return &retryableError{err: fmt.Errorf("reading %s response: %w", path, err)}
 			}
-			bodyPool.Put(buf)
+			err = server.DecodeJoinResponse(*buf, out)
 		default:
 			err = json.NewDecoder(resp.Body).Decode(out)
 		}

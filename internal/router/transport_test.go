@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -41,7 +42,7 @@ func (s *sleepRecorder) sleep(ctx context.Context, d time.Duration) error {
 
 func okJoin(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprint(w, `{"epoch":1,"count":1,"pairs":[[1,2]]}`)
+	fmt.Fprint(w, `{"pairs":[[1,2]],"epoch":1,"count":1}`)
 }
 
 // TestDoHonoursRetryAfterCapped: a shedding shard's Retry-After is obeyed
@@ -149,24 +150,67 @@ func TestDoTreats4xxAsPermanent(t *testing.T) {
 	}
 }
 
-// TestDoRejectsUnsortedShardStream: a shard answering out of (R, S) order
-// violates the wire contract the merge depends on; the router treats it as
-// a shard failure instead of silently re-sorting.
-func TestDoRejectsUnsortedShardStream(t *testing.T) {
+// TestDoRejectsCountMismatch: a shard whose pairs are not as many as its
+// count says is not speaking the protocol — count is the stream's own
+// check, sent after the pairs — and the router treats it as a permanent
+// shard failure instead of passing on a short or padded answer.
+func TestDoRejectsCountMismatch(t *testing.T) {
+	for _, body := range []string{
+		`{"pairs":[[2,1]],"epoch":1,"count":2}`,
+		`{"pairs":[[2,1],[1,2]],"epoch":1,"count":1}`,
+		`{"epoch":1,"count":1}`,
+	} {
+		var hits atomic.Int32
+		mux := http.NewServeMux()
+		mux.HandleFunc("POST /join", func(w http.ResponseWriter, r *http.Request) {
+			hits.Add(1)
+			w.Header().Set("Content-Type", "application/json")
+			fmt.Fprint(w, body)
+		})
+		mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, `{}`) })
+
+		rt, err := New(Config{Shards: []Shard{stubShard(t, mux)}, RetryAttempts: 3, sleep: (&sleepRecorder{}).sleep})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := rt.Join(context.Background(), JoinRequest{})
+		if !errors.Is(err, ErrPartialFailure) || res != nil || !strings.Contains(err.Error(), "protocol violation") {
+			t.Errorf("%s: result %v, err %v; want a protocol violation and no pairs", body, res, err)
+		}
+		if n := hits.Load(); n != 1 {
+			t.Errorf("%s: %d requests, want 1 (a protocol violation is permanent)", body, n)
+		}
+	}
+}
+
+// TestDoRejectsTruncatedBody: a shard that fails after its first chunk
+// aborts the connection.  The router reads that as a failed attempt, retries
+// it like a transport error, and when every attempt is cut short reports a
+// *PartialError with no pairs — never the pairs that did arrive.
+func TestDoRejectsTruncatedBody(t *testing.T) {
+	var hits atomic.Int32
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /join", func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
 		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"epoch":1,"count":2,"pairs":[[2,1],[1,2]]}`)
+		fmt.Fprint(w, `{"pairs":[[1,2],[3,4],`)
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, `{}`) })
 
-	rt, err := New(Config{Shards: []Shard{stubShard(t, mux)}, RetryAttempts: 1})
+	rec := &sleepRecorder{}
+	rt, err := New(Config{Shards: []Shard{stubShard(t, mux)}, RetryAttempts: 3, sleep: rec.sleep})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = rt.Join(context.Background(), JoinRequest{})
-	if !errors.Is(err, ErrPartialFailure) {
-		t.Fatalf("err = %v, want ErrPartialFailure for an unsorted stream", err)
+	res, err := rt.Join(context.Background(), JoinRequest{})
+	var perr *PartialError
+	if !errors.As(err, &perr) || res != nil || !strings.Contains(err.Error(), "reading /join response") {
+		t.Fatalf("result %v, err %v; want a *PartialError from the cut body and no pairs", res, err)
+	}
+	if n := hits.Load(); n != 3 || len(rec.slept) != 2 {
+		t.Fatalf("%d requests and %d backoffs, want 3 and 2: a cut body is retried", n, len(rec.slept))
 	}
 }
 

@@ -30,6 +30,13 @@ var (
 	// storage.ErrPagerBroken).  The state is sticky: only Reopen, which
 	// re-runs pager recovery and rebuilds the epoch, clears it.
 	ErrServerBroken = errors.New("server: storage broken, reopen required")
+	// ErrTransient marks a join that a storage fault ended after its pair
+	// observer (JoinRequest.OnPair) had seen part of the answer, and that a
+	// later attempt without the observer found gone.  Re-running it for the
+	// observer would replay that part, so the server leaves the re-run to
+	// the caller and stays healthy.  A fault that outlasts those attempts is
+	// ErrServerBroken, as for any join.
+	ErrTransient = errors.New("server: transient storage fault after pairs were observed")
 	// ErrClosed is returned once Close has begun.
 	ErrClosed = errors.New("server: closed")
 )

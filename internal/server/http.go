@@ -50,14 +50,18 @@ type JoinRequestWire struct {
 	DiscardPairs bool `json:"discard_pairs,omitempty"`
 }
 
-// JoinResponseWire is the POST /join response.  Pairs are sorted by (R, S) —
-// the SortJoinPairs order — so a router can merge shard streams with a
-// sorted merge and any client sees a deterministic order.
+// JoinResponseWire is the POST /join response.  The pair order is
+// deterministic: the same request on the same epoch gets the same bytes.  A
+// sequential intersection or within-distance join sends its pairs in
+// traversal order as it finds them, which is why Pairs comes first and the
+// fields known only at the end follow.  A kNN join, or one with Workers > 1,
+// sends its pairs sorted by (R, S): a parallel join's own order depends on
+// the schedule, and the router checks kNN answers one R at a time.
 type JoinResponseWire struct {
+	Pairs   [][2]int32 `json:"pairs,omitempty"`
 	Epoch   uint64     `json:"epoch"`
 	Count   int        `json:"count"`
 	Retries int        `json:"retries,omitempty"`
-	Pairs   [][2]int32 `json:"pairs,omitempty"`
 }
 
 // StatsWire is the GET /stats response: the server counters, the snapshot's
@@ -184,28 +188,51 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		resp, err := srv.Join(r.Context(), JoinRequest{
+		pred = srv.predicate(pred)
+		// A sequential traversal's pair order is fixed by the epoch and the
+		// request, so its pairs are encoded and sent as they are found.
+		stream := !req.DiscardPairs && req.Workers <= 1 && pred.Kind != join.PredKNN
+		ctx, cancel := srv.withDeadline(r.Context())
+		defer cancel()
+		enc := newPairEncoder(w, wireChunk)
+		defer enc.release()
+		enc.deadline, _ = ctx.Deadline()
+		enc.cancel = cancel
+		jr := JoinRequest{
 			Method:       join.Method(req.Method),
 			Workers:      req.Workers,
 			Predicate:    pred,
-			DiscardPairs: req.DiscardPairs,
-		})
+			DiscardPairs: req.DiscardPairs || stream,
+		}
+		if stream {
+			jr.OnPair = enc.pair
+		}
+		resp, err := srv.Join(ctx, jr)
+		if errors.Is(err, ErrTransient) && !enc.sent {
+			// The fault cut a stream that never left the buffer: run the
+			// join once more into a clean one, counting the cut attempt.
+			enc.reset()
+			if resp, err = srv.Join(ctx, jr); err == nil {
+				resp.Retries++
+			}
+		}
 		if err != nil {
+			if enc.sent {
+				// The status line and part of the body are out.  Ending the
+				// body normally would hand the client a well-formed partial
+				// answer; aborting the connection makes it a failed read.
+				panic(http.ErrAbortHandler)
+			}
 			WriteJoinError(w, err)
 			return
 		}
-		var pairs []join.Pair
-		if !req.DiscardPairs {
-			// The worker split makes the in-memory order schedule-dependent;
-			// the wire order is pinned to (R, S) so shard responses merge
-			// deterministically.
+		if !req.DiscardPairs && !stream {
 			join.SortPairs(resp.Pairs)
-			pairs = resp.Pairs
+			for _, p := range resp.Pairs {
+				enc.pair(p)
+			}
 		}
-		buf := wireBufPool.Get().(*[]byte)
-		*buf = appendJoinResponse((*buf)[:0], resp.Epoch, resp.Count, resp.Retries, pairs)
-		WriteJSONBytes(w, http.StatusOK, *buf)
-		wireBufPool.Put(buf)
+		enc.close(resp.Epoch, resp.Count, resp.Retries)
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		out := StatsWire{
@@ -240,7 +267,7 @@ func WriteJoinError(w http.ResponseWriter, err error) {
 	case errors.Is(err, join.ErrCancelled):
 		// 499: client closed request (nginx convention).
 		httpError(w, 499, err)
-	case errors.Is(err, ErrServerBroken), errors.Is(err, ErrClosed):
+	case errors.Is(err, ErrServerBroken), errors.Is(err, ErrClosed), errors.Is(err, ErrTransient):
 		httpError(w, http.StatusServiceUnavailable, err)
 	default:
 		httpError(w, http.StatusInternalServerError, err)

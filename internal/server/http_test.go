@@ -2,13 +2,22 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/join"
+	"repro/internal/storage"
 	"repro/internal/zorder"
 )
 
@@ -48,31 +57,272 @@ func TestHandlerRetryAfterIsIntegerSeconds(t *testing.T) {
 	}
 }
 
-// TestHandlerPairsAreSorted pins the wire contract the router's sorted merge
-// depends on: /join responses carry their pairs in ascending (R, S) order,
-// whatever worker split produced them.
-func TestHandlerPairsAreSorted(t *testing.T) {
+func decodeWire(t *testing.T, w *httptest.ResponseRecorder) JoinResponseWire {
+	t.Helper()
+	if w.Code != http.StatusOK {
+		t.Fatalf("join: %d %s", w.Code, w.Body)
+	}
+	var resp JoinResponseWire
+	if err := DecodeJoinResponse(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Pairs) != resp.Count {
+		t.Fatalf("count %d but %d pairs", resp.Count, len(resp.Pairs))
+	}
+	return resp
+}
+
+func sortedWire(pairs [][2]int32) [][2]int32 {
+	out := append([][2]int32(nil), pairs...)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i][0] != out[j][0] {
+			return out[i][0] < out[j][0]
+		}
+		return out[i][1] < out[j][1]
+	})
+	return out
+}
+
+// TestHandlerSortsParallelAndKNNPairs pins the responses that stay sorted:
+// a parallel join's own order depends on the schedule and the router checks
+// kNN answers one R item at a time, so those pairs go out in ascending
+// (R, S) order.  A sequential join's pairs, in traversal order, are the same
+// set.
+func TestHandlerSortsParallelAndKNNPairs(t *testing.T) {
 	fx := newFixture(t, Config{})
 	h := NewHandler(fx.srv, HandlerConfig{})
 
-	for _, workers := range []int{0, 4} {
-		w := doHTTP(t, h, "POST", "/join", JoinRequestWire{Workers: workers})
-		if w.Code != http.StatusOK {
-			t.Fatalf("join (workers=%d): %d %s", workers, w.Code, w.Body)
+	seq := decodeWire(t, doHTTP(t, h, "POST", "/join", JoinRequestWire{}))
+	if seq.Count == 0 {
+		t.Fatal("the sequential join found no pairs")
+	}
+	for _, req := range []JoinRequestWire{{Workers: 4}, {Predicate: "knn:3"}, {Predicate: "knn:3", Workers: 4}} {
+		resp := decodeWire(t, doHTTP(t, h, "POST", "/join", req))
+		if resp.Count == 0 {
+			t.Fatalf("%+v: no pairs", req)
 		}
-		var resp JoinResponseWire
-		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		if !reflect.DeepEqual(resp.Pairs, sortedWire(resp.Pairs)) {
+			t.Fatalf("%+v: pairs not in (R, S) order", req)
+		}
+		if req.Predicate == "" && !reflect.DeepEqual(resp.Pairs, sortedWire(seq.Pairs)) {
+			t.Fatalf("%+v: %d pairs, not the sequential join's %d", req, resp.Count, seq.Count)
+		}
+	}
+}
+
+// TestHandlerStreamsTraversalOrder pins what the streamed wire promises: a
+// sequential intersection or within-distance join's pairs in exactly the
+// order join.Join returns them for the same snapshot, for SJ1 to SJ5.
+func TestHandlerStreamsTraversalOrder(t *testing.T) {
+	fx := newWideFixture(t, Config{})
+	h := NewHandler(fx.srv, HandlerConfig{})
+	for _, predicate := range []string{"intersects", "within:0.01"} {
+		pred, err := join.ParsePredicate(predicate)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.Count == 0 || len(resp.Pairs) != resp.Count {
-			t.Fatalf("workers=%d: count=%d pairs=%d", workers, resp.Count, len(resp.Pairs))
-		}
-		for i := 1; i < len(resp.Pairs); i++ {
-			a, b := resp.Pairs[i-1], resp.Pairs[i]
-			if a[0] > b[0] || (a[0] == b[0] && a[1] > b[1]) {
-				t.Fatalf("workers=%d: pairs not in (R, S) order at %d: %v > %v", workers, i, a, b)
+		for m := join.SJ1; m <= join.SJ5; m++ {
+			resp := decodeWire(t, doHTTP(t, h, "POST", "/join", JoinRequestWire{Method: int(m), Predicate: predicate}))
+			want, err := join.Join(fx.srv.cfg.Store.Tree(), fx.srv.cfg.S, join.Options{Method: m, Predicate: pred})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(resp.Pairs, wirePairs(want.Pairs)) {
+				t.Errorf("%s %v: the wire's %d pairs are not join.Join's %d in its order", predicate, m, resp.Count, want.Count)
 			}
 		}
+	}
+}
+
+// firstWriteHook runs fn once the handler has written its first chunk.
+type firstWriteHook struct {
+	http.ResponseWriter
+	once sync.Once
+	fn   func()
+}
+
+func (h *firstWriteHook) Write(b []byte) (int, error) {
+	n, err := h.ResponseWriter.Write(b)
+	h.once.Do(h.fn)
+	return n, err
+}
+
+// TestHandlerAbortsFailedStreams: a join that fails before the handler has
+// written anything keeps its status code, with an error body; one that
+// fails after the first chunk went out — a storage fault, its deadline or
+// a cancel — aborts the connection, so the client's read fails and what it
+// did receive does not decode.  A failure is never a well-formed partial
+// answer.  Only a storage fault that outlasts the retries breaks the server.
+func TestHandlerAbortsFailedStreams(t *testing.T) {
+	dead := storage.FaultScript{ReadErrEvery: 1}
+	faultOnFirst := func(fx *fixture, _ context.Context, _ context.CancelFunc) { fx.fs.SetScript(dead) }
+	for _, tc := range []struct {
+		name string
+		// timeout is the request's deadline; negative means already expired.
+		timeout time.Duration
+		// before runs ahead of the request; onFirst once the first chunk
+		// is written, with the request's context and its cancel function.
+		before  func(fx *fixture)
+		onFirst func(fx *fixture, ctx context.Context, cancel context.CancelFunc)
+		heal    bool // the retry backoff heals the disk
+		code    int  // 0: the body must be aborted
+		broken  bool // the server ends broken
+	}{
+		{name: "fault before the first byte", before: func(fx *fixture) { fx.fs.SetScript(dead) }, code: http.StatusServiceUnavailable, broken: true},
+		{name: "expired before the first byte", timeout: -time.Second, code: http.StatusGatewayTimeout},
+		{name: "transient fault after the first chunk", onFirst: faultOnFirst, heal: true},
+		{name: "persistent fault after the first chunk", onFirst: faultOnFirst, broken: true},
+		{name: "deadline after the first chunk", timeout: 50 * time.Millisecond, onFirst: func(_ *fixture, ctx context.Context, _ context.CancelFunc) { <-ctx.Done() }},
+		{name: "cancel after the first chunk", onFirst: func(_ *fixture, _ context.Context, cancel context.CancelFunc) { cancel() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var fx *fixture
+			fx = newWideFixture(t, Config{DefaultDeadline: -1, Sleep: func(context.Context, time.Duration) {
+				if tc.heal {
+					fx.fs.SetScript(storage.FaultScript{})
+				}
+			}})
+			h := NewHandler(fx.srv, HandlerConfig{})
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				var ctx context.Context
+				var cancel context.CancelFunc
+				if tc.timeout != 0 {
+					ctx, cancel = context.WithTimeout(r.Context(), tc.timeout)
+				} else {
+					ctx, cancel = context.WithCancel(r.Context())
+				}
+				defer cancel()
+				if tc.onFirst != nil {
+					w = &firstWriteHook{ResponseWriter: w, fn: func() { tc.onFirst(fx, ctx, cancel) }}
+				}
+				h.ServeHTTP(w, r.WithContext(ctx))
+			}))
+			defer ts.Close()
+			if tc.before != nil {
+				tc.before(fx)
+			}
+			resp, err := http.Post(ts.URL+"/join", "application/json", strings.NewReader("{}"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, readErr := io.ReadAll(resp.Body)
+			if fx.srv.Broken() != tc.broken {
+				t.Fatalf("server broken %v, want %v", fx.srv.Broken(), tc.broken)
+			}
+			if tc.code != 0 {
+				if resp.StatusCode != tc.code || readErr != nil || !bytes.HasPrefix(body, []byte(`{"error":`)) {
+					t.Fatalf("status %d, read error %v, body %.80q: want %d and an error object", resp.StatusCode, readErr, body, tc.code)
+				}
+				return
+			}
+			if resp.StatusCode != http.StatusOK || readErr == nil {
+				t.Fatalf("status %d, read error %v after %d bytes: want 200 and an aborted body", resp.StatusCode, readErr, len(body))
+			}
+			if len(body) < wireChunk {
+				t.Fatalf("only %d bytes arrived before the abort, less than the first chunk", len(body))
+			}
+			var wire JoinResponseWire
+			if err := DecodeJoinResponse(body, &wire); err == nil {
+				t.Fatalf("the %d bytes before the abort decode as a response with %d pairs", len(body), len(wire.Pairs))
+			}
+		})
+	}
+}
+
+// TestHandlerRerunsUnsentStreams: a transient fault after the first pair
+// but before the first chunk cut a stream that never left the handler's
+// buffer, so the handler runs the join again and answers 200 with every pair
+// and the cut attempt counted as a retry.
+func TestHandlerRerunsUnsentStreams(t *testing.T) {
+	var fx *fixture
+	fx = newWideFixture(t, Config{Sleep: func(context.Context, time.Duration) {
+		fx.fs.SetScript(storage.FaultScript{})
+	}})
+	h := NewHandler(fx.srv, HandlerConfig{})
+	want := decodeWire(t, doHTTP(t, h, "POST", "/join", JoinRequestWire{}))
+
+	// The join's fifth page read and every later one fail, until the
+	// backoff heals the disk.
+	fx.fs.SetScript(storage.FaultScript{ReadErrAfter: 4})
+	resp := decodeWire(t, doHTTP(t, h, "POST", "/join", JoinRequestWire{}))
+	if !reflect.DeepEqual(resp.Pairs, want.Pairs) || resp.Epoch != want.Epoch {
+		t.Fatalf("the re-run sent %d pairs on epoch %d, want the clean join's %d on %d",
+			resp.Count, resp.Epoch, want.Count, want.Epoch)
+	}
+	st := fx.srv.Snapshot()
+	if resp.Retries != 1 || st.Failed != 1 || st.Done != 2 || st.Broken {
+		t.Fatalf("retries %d, failed %d, done %d, broken %v: want the cut join failed once and re-run",
+			resp.Retries, st.Failed, st.Done, st.Broken)
+	}
+}
+
+// pipeListener serves connections made with dial over net.Pipe, whose
+// writes block until the other end reads: a client that never reads stalls
+// the server's first write that is not buffered.
+type pipeListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+func newPipeListener() *pipeListener {
+	return &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+}
+
+func (l *pipeListener) dial() net.Conn {
+	client, server := net.Pipe()
+	l.conns <- server
+	return client
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
+
+// TestHandlerStalledClientReleasesJoin: a client that asks for a streamed
+// join and never reads the body must not keep the join, its admission slot
+// and its epoch past the join's deadline.  The blocked chunk write fails at
+// the deadline, the join ends, and Close does not wait on it.
+func TestHandlerStalledClientReleasesJoin(t *testing.T) {
+	const deadline = 200 * time.Millisecond
+	fx := newWideFixture(t, Config{DefaultDeadline: deadline})
+	ln := newPipeListener()
+	hs := &http.Server{Handler: NewHandler(fx.srv, HandlerConfig{})}
+	go hs.Serve(ln)
+	defer hs.Close()
+	conn := ln.dial()
+	defer conn.Close()
+	go io.WriteString(conn, "POST /join HTTP/1.1\r\nHost: shard\r\nContent-Length: 2\r\n\r\n{}")
+
+	start := time.Now()
+	for st := fx.srv.Snapshot(); st.Admitted == 0 || st.Inflight != 0; st = fx.srv.Snapshot() {
+		if time.Since(start) > 20*deadline {
+			t.Fatalf("after %v: admitted %d, inflight %d; the stalled write holds the join", time.Since(start), st.Admitted, st.Inflight)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := fx.srv.Snapshot(); st.Done != 0 || st.Deadlined+st.Cancelled != 1 {
+		t.Fatalf("done %d, deadlined %d, cancelled %d: want the join ended by its deadline", st.Done, st.Deadlined, st.Cancelled)
+	}
+	closed := make(chan struct{})
+	go func() { fx.srv.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(20 * deadline):
+		t.Fatal("Close is still waiting for the stalled join")
 	}
 }
 

@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"math"
+	"net/http"
 	"strconv"
 	"sync"
+	"time"
 
 	"repro/internal/join"
 )
@@ -12,40 +16,131 @@ import (
 // The pair codec.  A /join response is almost entirely integer pairs, and
 // reflecting over them — encoding/json walking a [][2]int32 element by
 // element — cost more than finding them.  This file is the one place that
-// knows the response's bytes: an encoder the shard handler and the gateway
-// append with, and a decoder the router reads shard bodies with.  It is a
-// replacement for encoding/json on this path, not an alternative to it: the
-// bytes are exactly json.NewEncoder(w).Encode(JoinResponseWire{...})'s, and
-// the decoder hands anything but that canonical shape (plus whitespace) to
-// json.Unmarshal, so it accepts and rejects what encoding/json does.
+// knows the response's bytes: a streaming encoder the shard handler writes
+// with, the pair array the gateway appends, and a decoder the router reads
+// shard bodies with.  It is a replacement for encoding/json on this path,
+// not an alternative to it: the bytes are exactly
+// json.NewEncoder(w).Encode(JoinResponseWire{...})'s, and the decoder hands
+// anything but that canonical shape (plus whitespace) to json.Unmarshal, so
+// it accepts and rejects what encoding/json does.
 
-// wireBufPool recycles response buffers; a full join's body is ~800 KB.
-var wireBufPool = sync.Pool{New: func() any { return new([]byte) }}
+// wireChunk is how many bytes of a /join body the shard gathers before it
+// writes them to the connection.  A body of at most one chunk goes out in
+// one piece with its Content-Length; a larger one is sent as it is encoded,
+// in chunks of exactly this size (chunked transfer).  Measured on the
+// ledger's sharded workload (EXPERIMENTS.md, "Stream the pair answer").
+const wireChunk = 32 << 10
 
-// appendJoinResponse appends the JSON encoding of
-// JoinResponseWire{epoch, count, retries, pairs} and the encoder's trailing
-// newline.  Like the struct's omitempty tags, it leaves out a zero retries
-// and an empty pairs.
-func appendJoinResponse(dst []byte, epoch uint64, count, retries int, pairs []join.Pair) []byte {
-	dst = append(dst, `{"epoch":`...)
-	dst = strconv.AppendUint(dst, epoch, 10)
-	dst = append(dst, `,"count":`...)
-	dst = strconv.AppendInt(dst, int64(count), 10)
+// encoderPool recycles encoders and their chunk buffers.
+var encoderPool = sync.Pool{New: func() any { return new(pairEncoder) }}
+
+// pairEncoder writes one /join response body while the pairs are still
+// arriving: pair appends one, close appends the fields that follow them and
+// writes the rest.  Pairs come first so that the fields known only at the
+// end of a join can follow them, and the bytes stay encoding/json's for the
+// struct.
+//
+// A chunk is written from inside the traversal, so a client that stops
+// reading must not hold the join there: from the first chunk on, writes
+// carry the join's deadline, and a failed write cancels the join.
+type pairEncoder struct {
+	w     http.ResponseWriter
+	chunk int
+	buf   []byte
+	pairs int
+	// sent reports whether a chunk has been written, which commits the
+	// response to 200 with no Content-Length.
+	sent bool
+	// deadline bounds every write once a chunk has gone out (zero: none);
+	// cancel, if set, is called when a write fails.
+	deadline time.Time
+	cancel   context.CancelFunc
+}
+
+// newPairEncoder takes an encoder from the pool; release returns it.
+func newPairEncoder(w http.ResponseWriter, chunk int) *pairEncoder {
+	e := encoderPool.Get().(*pairEncoder)
+	*e = pairEncoder{w: w, chunk: chunk, buf: e.buf[:0]}
+	return e
+}
+
+func (e *pairEncoder) release() {
+	e.w, e.cancel = nil, nil
+	encoderPool.Put(e)
+}
+
+// reset drops the pairs buffered so far; it is only valid before a chunk
+// has been written.
+func (e *pairEncoder) reset() {
+	e.buf, e.pairs = e.buf[:0], 0
+}
+
+// pair encodes one pair and writes every whole chunk buffered.
+func (e *pairEncoder) pair(p join.Pair) {
+	if e.pairs == 0 {
+		e.buf = append(e.buf, `{"pairs":[`...)
+	} else {
+		e.buf = append(e.buf, ',')
+	}
+	e.pairs++
+	e.buf = appendPair(e.buf, p.R, p.S)
+	if len(e.buf) >= e.chunk {
+		e.flush()
+	}
+}
+
+// close appends the trailing fields of
+// JoinResponseWire{pairs, epoch, count, retries} and the encoder's newline,
+// then writes what is buffered: with its Content-Length when no chunk has
+// gone out and it fits in one, else as the body's last chunks.  Like the
+// struct's omitempty tags it leaves out a zero retries and an empty pairs.
+func (e *pairEncoder) close(epoch uint64, count, retries int) {
+	if e.pairs > 0 {
+		e.buf = append(e.buf, `],"epoch":`...)
+	} else {
+		e.buf = append(e.buf, `{"epoch":`...)
+	}
+	e.buf = strconv.AppendUint(e.buf, epoch, 10)
+	e.buf = append(e.buf, `,"count":`...)
+	e.buf = strconv.AppendInt(e.buf, int64(count), 10)
 	if retries != 0 {
-		dst = append(dst, `,"retries":`...)
-		dst = strconv.AppendInt(dst, int64(retries), 10)
+		e.buf = append(e.buf, `,"retries":`...)
+		e.buf = strconv.AppendInt(e.buf, int64(retries), 10)
 	}
-	if len(pairs) > 0 {
-		dst = append(dst, `,"pairs":[`...)
-		for i, p := range pairs {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendPair(dst, p.R, p.S)
+	e.buf = append(e.buf, '}', '\n')
+	if !e.sent && len(e.buf) <= e.chunk {
+		WriteJSONBytes(e.w, http.StatusOK, e.buf)
+		return
+	}
+	e.flush()
+	if len(e.buf) > 0 {
+		e.send(e.buf)
+	}
+}
+
+// flush writes every whole chunk buffered and keeps the remainder.
+func (e *pairEncoder) flush() {
+	n := 0
+	for ; len(e.buf)-n >= e.chunk; n += e.chunk {
+		e.send(e.buf[n : n+e.chunk])
+	}
+	e.buf = e.buf[:copy(e.buf, e.buf[n:])]
+}
+
+func (e *pairEncoder) send(b []byte) {
+	if !e.sent {
+		e.sent = true
+		if !e.deadline.IsZero() {
+			// A writer that cannot take a deadline (a test recorder, a
+			// wrapper) writes without one.
+			_ = http.NewResponseController(e.w).SetWriteDeadline(e.deadline)
 		}
-		dst = append(dst, ']')
+		e.w.Header().Set("Content-Type", "application/json")
+		e.w.WriteHeader(http.StatusOK)
 	}
-	return append(dst, '}', '\n')
+	if _, err := e.w.Write(b); err != nil && e.cancel != nil {
+		e.cancel()
+	}
 }
 
 // AppendPairArray appends pairs as the JSON array [[r,s],...] — the bytes
@@ -119,12 +214,18 @@ func decodeJoinResponseFast(data []byte, out *JoinResponseWire) bool {
 				if seenPairs {
 					return false
 				}
-				// count usually precedes pairs; when it is plausible for the
-				// bytes that remain (a pair takes at least `[0,0]`) it sizes
-				// the slice exactly.
-				hint := 0
-				if res.Count > 0 && res.Count <= (len(d.b)-d.i)/5 {
-					hint = res.Count
+				// The slice is sized by the count when it is plausible for
+				// the bytes that remain — n pairs take at least 6n bytes,
+				// `[0,0]` and a separator each — and by that bound
+				// otherwise.  The shard sends count after the pairs, so it
+				// is read from the body's end; sizing every slice by the
+				// bound alone doubled the router's garbage per join.
+				hint, c := (len(d.b)-d.i)/6, res.Count
+				if !seenCount {
+					c = trailingCount(d.b)
+				}
+				if c >= 0 && c < hint {
+					hint = c
 				}
 				pairs, ok := d.pairs(hint)
 				if !ok {
@@ -149,6 +250,29 @@ func decodeJoinResponseFast(data []byte, out *JoinResponseWire) bool {
 	}
 	*out = res
 	return true
+}
+
+// trailingCount returns the N of the `"count":N` a /join body ends with —
+// the encoder writes it within the last 64 bytes — or -1.  It is only a
+// capacity hint: the decoder still checks every byte.
+func trailingCount(b []byte) int {
+	tail := b[max(0, len(b)-64):]
+	i := bytes.LastIndex(tail, []byte(`"count":`))
+	if i < 0 {
+		return -1
+	}
+	n, digits := 0, 0
+	for _, c := range tail[i+len(`"count":`):] {
+		if c < '0' || c > '9' || digits == 18 {
+			break
+		}
+		n = n*10 + int(c-'0')
+		digits++
+	}
+	if digits == 0 {
+		return -1
+	}
+	return n
 }
 
 // pairDecoder scans the canonical /join response grammar.  Every method

@@ -51,9 +51,10 @@ func checkDecodeMatchesJSON(t *testing.T, data []byte) {
 }
 
 // FuzzPairCodec is the differential wall against encoding/json: (i) for any
-// (epoch, count, retries, pairs) the encoder's bytes are json.Encoder's, and
-// the fast decoder reads them back without falling back; (ii) for any bytes
-// the decoder agrees with json.Unmarshal.
+// (epoch, count, retries, pairs) the streaming encoder's bytes are
+// json.Encoder's whatever the chunk size — so wherever a chunk boundary
+// falls — and the fast decoder reads them back without falling back; (ii)
+// for any bytes the decoder agrees with json.Unmarshal.
 func FuzzPairCodec(f *testing.F) {
 	for _, seed := range []string{
 		``,
@@ -87,6 +88,7 @@ func FuzzPairCodec(f *testing.F) {
 		`{"epoch":1,"count":0}{}`,
 		`[]`,
 		`null`,
+		`{"pairs":[[1,2],[-3,4]],"epoch":7,"count":2,"retries":1}` + "\n",
 	} {
 		f.Add([]byte(seed), uint64(0), 0, 0)
 	}
@@ -96,24 +98,24 @@ func FuzzPairCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, epoch uint64, count, retries int) {
 		checkDecodeMatchesJSON(t, data)
 
-		var pairs []join.Pair
+		var pairs [][2]int32
 		for b := data; len(b) >= 8; b = b[8:] {
-			pairs = append(pairs, join.Pair{
-				R: int32(binary.LittleEndian.Uint32(b[:4])),
-				S: int32(binary.LittleEndian.Uint32(b[4:8])),
-			})
+			pairs = append(pairs, [2]int32{int32(binary.LittleEndian.Uint32(b[:4])), int32(binary.LittleEndian.Uint32(b[4:8]))})
 		}
-		wire := JoinResponseWire{Epoch: epoch, Count: count, Retries: retries, Pairs: wirePairs(pairs)}
-		got := appendJoinResponse(nil, epoch, count, retries, pairs)
-		if want := referenceEncode(t, wire); !bytes.Equal(got, want) {
-			t.Fatalf("encoder wrote %q, encoding/json %q", got, want)
+		wire := JoinResponseWire{Epoch: epoch, Count: count, Retries: retries, Pairs: pairs}
+		want := referenceEncode(t, wire)
+		for _, c := range chunkSizes(len(want)) {
+			checkStreamed(t, wire, want, c)
 		}
 		var back JoinResponseWire
-		if !decodeJoinResponseFast(got, &back) {
-			t.Fatalf("fast path refused the encoder's own output %q", got)
+		if !decodeJoinResponseFast(want, &back) {
+			t.Fatalf("fast path refused the encoder's own output %q", want)
 		}
 		if !reflect.DeepEqual(back, wire) {
 			t.Fatalf("round trip: %#v, want %#v", back, wire)
+		}
+		if n := len(pairs); n > 0 && count == n && cap(back.Pairs) != n {
+			t.Fatalf("the body's trailing count %d sized a slice of capacity %d", n, cap(back.Pairs))
 		}
 		if wire.Pairs != nil {
 			arr, err := json.Marshal(wire.Pairs)
@@ -127,8 +129,82 @@ func FuzzPairCodec(f *testing.F) {
 	})
 }
 
-// TestJoinResponseBytesAreEncodingJSONs pins byte identity with the parent's
-// handler on fixed responses, with and without retries and pairs.
+// chunkRecorder is an http.ResponseWriter that remembers the size of every
+// Write, so a test sees where the encoder cut the body.
+type chunkRecorder struct {
+	header http.Header
+	code   int
+	body   []byte
+	writes []int
+}
+
+func (c *chunkRecorder) Header() http.Header { return c.header }
+
+func (c *chunkRecorder) WriteHeader(code int) {
+	if c.code == 0 {
+		c.code = code
+	}
+}
+
+func (c *chunkRecorder) Write(b []byte) (int, error) {
+	c.WriteHeader(http.StatusOK)
+	c.body = append(c.body, b...)
+	c.writes = append(c.writes, len(b))
+	return len(b), nil
+}
+
+// chunkSizes is every chunk size up to 16 bytes — 1 puts a boundary at every
+// position of the body — then a geometric ladder, and the sizes either side
+// of a body of n bytes, where the encoder switches between one piece with a
+// Content-Length and chunks.
+func chunkSizes(n int) []int {
+	var out []int
+	for c := 1; c <= n+1; c += 1 + c/16 {
+		out = append(out, c)
+	}
+	return append(out, max(n-1, 1), max(n, 1), n+1)
+}
+
+// checkStreamed encodes wire the way the /join handler does, cutting the
+// body every chunk bytes, and holds the result to want: the writes
+// concatenate to it, a body that fits one chunk is one write with its
+// Content-Length, and a longer one is written without one in pieces of
+// exactly chunk bytes but the last.
+func checkStreamed(t *testing.T, wire JoinResponseWire, want []byte, chunk int) {
+	t.Helper()
+	rec := &chunkRecorder{header: http.Header{}}
+	e := newPairEncoder(rec, chunk)
+	for _, p := range wire.Pairs {
+		e.pair(join.Pair{R: p[0], S: p[1]})
+	}
+	e.close(wire.Epoch, wire.Count, wire.Retries)
+	e.release()
+
+	if !bytes.Equal(rec.body, want) {
+		t.Fatalf("chunk %d: encoder wrote %q, encoding/json %q", chunk, rec.body, want)
+	}
+	if rec.code != http.StatusOK || rec.header.Get("Content-Type") != "application/json" {
+		t.Fatalf("chunk %d: status %d, Content-Type %q", chunk, rec.code, rec.header.Get("Content-Type"))
+	}
+	cl := rec.header.Get("Content-Length")
+	if len(want) <= chunk {
+		if len(rec.writes) != 1 || cl != strconv.Itoa(len(want)) {
+			t.Fatalf("chunk %d: a %d-byte body took %d writes, Content-Length %q", chunk, len(want), len(rec.writes), cl)
+		}
+		return
+	}
+	if cl != "" {
+		t.Fatalf("chunk %d: a %d-byte streamed body declared Content-Length %q", chunk, len(want), cl)
+	}
+	for i, n := range rec.writes {
+		if n != chunk && (i < len(rec.writes)-1 || n == 0 || n > chunk) {
+			t.Fatalf("chunk %d: write %d of %d is %d bytes", chunk, i, len(rec.writes), n)
+		}
+	}
+}
+
+// TestJoinResponseBytesAreEncodingJSONs pins byte identity with encoding/json
+// on fixed responses, with and without retries and pairs, at every chunking.
 func TestJoinResponseBytesAreEncodingJSONs(t *testing.T) {
 	for _, wire := range []JoinResponseWire{
 		{},
@@ -137,31 +213,33 @@ func TestJoinResponseBytesAreEncodingJSONs(t *testing.T) {
 		{Epoch: 4, Count: 1, Retries: 2, Pairs: [][2]int32{{0, 0}}},
 		{Epoch: 5, Count: 120, Retries: 1},
 	} {
-		var pairs []join.Pair
-		for _, p := range wire.Pairs {
-			pairs = append(pairs, join.Pair{R: p[0], S: p[1]})
-		}
-		got := appendJoinResponse(nil, wire.Epoch, wire.Count, wire.Retries, pairs)
-		if want := referenceEncode(t, wire); !bytes.Equal(got, want) {
-			t.Errorf("%+v: wrote %q, want %q", wire, got, want)
+		want := referenceEncode(t, wire)
+		for _, c := range chunkSizes(len(want)) {
+			checkStreamed(t, wire, want, c)
 		}
 	}
 }
 
 // TestHandlerJoinBodyIsCanonical drives the real handler: its /join body
-// must be exactly what encoding/json writes for the value it carries, must
-// declare its length, and must go through the decoder's fast path — a
-// fallback here would mean the router pays reflection on every request.
+// must be exactly what encoding/json writes for the value it carries,
+// declare its length exactly when it fits one wire chunk, go through the
+// decoder's fast path — a fallback here would mean the router pays
+// reflection on every request — and come back byte for byte when the same
+// request runs again on the same epoch.
 func TestHandlerJoinBodyIsCanonical(t *testing.T) {
-	fx := newFixture(t, Config{})
+	fx := newWideFixture(t, Config{})
 	h := NewHandler(fx.srv, HandlerConfig{})
-	for _, req := range []JoinRequestWire{{}, {Workers: 3}, {DiscardPairs: true}, {Predicate: "knn:2"}} {
+	for _, req := range []JoinRequestWire{{}, {Predicate: "within:0.01"}, {Workers: 3}, {DiscardPairs: true}, {Predicate: "knn:2"}} {
 		w := doHTTP(t, h, "POST", "/join", req)
 		if w.Code != http.StatusOK {
 			t.Fatalf("%+v: %d %s", req, w.Code, w.Body)
 		}
 		body := w.Body.Bytes()
-		if cl := w.Header().Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+		if req == (JoinRequestWire{}) && len(body) <= wireChunk {
+			t.Fatalf("the full join is %d bytes, not more than one %d-byte chunk: the streamed path is untested", len(body), wireChunk)
+		}
+		cl := w.Header().Get("Content-Length")
+		if fits := len(body) <= wireChunk; fits && cl != strconv.Itoa(len(body)) || !fits && cl != "" {
 			t.Errorf("%+v: Content-Length %q for a %d-byte body", req, cl, len(body))
 		}
 		var want JoinResponseWire
@@ -180,6 +258,9 @@ func TestHandlerJoinBodyIsCanonical(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%+v: fast path decoded a different value than encoding/json", req)
+		}
+		if again := doHTTP(t, h, "POST", "/join", req); !bytes.Equal(again.Body.Bytes(), body) {
+			t.Errorf("%+v: a second request on epoch %d got different bytes", req, want.Epoch)
 		}
 	}
 }

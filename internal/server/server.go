@@ -295,8 +295,9 @@ func (s *Server) Pending() int {
 // join's result — identical to a sequential join over the same snapshot —
 // or one of the typed errors: *ShedError (ErrShed) at admission,
 // ErrDeadline/join.ErrCancelled for expired or cancelled contexts,
-// ErrServerBroken once storage faults exhaust the retry budget, ErrClosed
-// after shutdown.
+// ErrServerBroken once storage faults exhaust the retry budget, ErrTransient
+// for a storage fault after req.OnPair had seen pairs that a later attempt
+// found gone, ErrClosed after shutdown.
 func (s *Server) Join(ctx context.Context, req JoinRequest) (*JoinResponse, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
@@ -308,10 +309,7 @@ func (s *Server) Join(ctx context.Context, req JoinRequest) (*JoinResponse, erro
 		ctx = context.Background()
 	}
 
-	pred := req.Predicate
-	if pred == (join.Predicate{}) {
-		pred = s.cfg.JoinDefaults.Predicate
-	}
+	pred := s.predicate(req.Predicate)
 	if err := pred.Validate(); err != nil {
 		return nil, err
 	}
@@ -326,11 +324,8 @@ func (s *Server) Join(ctx context.Context, req JoinRequest) (*JoinResponse, erro
 	s.wg.Add(1)
 	defer func() { s.inflight.Add(-1); s.wg.Done() }()
 
-	if _, ok := ctx.Deadline(); !ok && s.cfg.DefaultDeadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.DefaultDeadline)
-		defer cancel()
-	}
+	ctx, cancel := s.withDeadline(ctx)
+	defer cancel()
 
 	opts := s.cfg.JoinDefaults
 	opts.Context = ctx
@@ -339,7 +334,19 @@ func (s *Server) Join(ctx context.Context, req JoinRequest) (*JoinResponse, erro
 	opts.PageReaderS = nil
 	opts.PageCache = e.cache
 	opts.DiscardPairs = req.DiscardPairs
-	opts.OnPair = req.OnPair
+	// A retry would replay to the observer the pairs the failed attempt
+	// already handed it.  Once it has seen one, the remaining attempts run
+	// without it, keeping no pairs, only to learn whether the fault persists:
+	// if they exhaust the server is broken as after any other join, and if
+	// one succeeds the caller gets ErrTransient.
+	var observed bool
+	var cut error // the fault that ended an observed attempt
+	if onPair := req.OnPair; onPair != nil {
+		opts.OnPair = func(p join.Pair) {
+			observed = true
+			onPair(p)
+		}
+	}
 	if req.Method != 0 {
 		opts.Method = req.Method
 	}
@@ -367,6 +374,10 @@ func (s *Server) Join(ctx context.Context, req JoinRequest) (*JoinResponse, erro
 			res, err = join.Join(e.tree, s.cfg.S, opts)
 		}
 		if err == nil {
+			if cut != nil {
+				s.stats.Failed.Add(1)
+				return nil, fmt.Errorf("%w: %w", ErrTransient, cut)
+			}
 			s.stats.Done.Add(1)
 			return &JoinResponse{Result: res, Epoch: e.seq, Retries: retries}, nil
 		}
@@ -383,6 +394,10 @@ func (s *Server) Join(ctx context.Context, req JoinRequest) (*JoinResponse, erro
 			s.stats.Failed.Add(1)
 			return nil, fmt.Errorf("%w: %w", ErrServerBroken, err)
 		case errors.Is(err, storage.ErrQuarantined), errors.Is(err, storage.ErrReadExhausted):
+			if observed && cut == nil {
+				cut = err
+				opts.OnPair, opts.DiscardPairs = nil, true
+			}
 			if attempt < s.cfg.RetryAttempts {
 				retries++
 				s.stats.Retries.Add(1)
@@ -401,6 +416,24 @@ func (s *Server) Join(ctx context.Context, req JoinRequest) (*JoinResponse, erro
 			return nil, err
 		}
 	}
+}
+
+// withDeadline gives a context without a deadline the configured default
+// one.  The result is always cancellable.
+func (s *Server) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
+	if _, ok := ctx.Deadline(); !ok && s.cfg.DefaultDeadline > 0 {
+		return context.WithTimeout(ctx, s.cfg.DefaultDeadline)
+	}
+	return context.WithCancel(ctx)
+}
+
+// predicate resolves a request's predicate: the zero value means the
+// configured default.
+func (s *Server) predicate(p join.Predicate) join.Predicate {
+	if p == (join.Predicate{}) {
+		return s.cfg.JoinDefaults.Predicate
+	}
+	return p
 }
 
 // admit applies the load-shedding policy: a request is rejected when the

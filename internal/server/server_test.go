@@ -45,9 +45,21 @@ type fixture struct {
 
 func newFixture(t testing.TB, cfg Config) *fixture {
 	t.Helper()
+	return newFixtureWithSide(t, cfg, 0.02)
+}
+
+// newWideFixture's rectangles are five times as wide: its full join is
+// about 4 800 pairs, a /join body of several wire chunks.
+func newWideFixture(t testing.TB, cfg Config) *fixture {
+	t.Helper()
+	return newFixtureWithSide(t, cfg, 0.1)
+}
+
+func newFixtureWithSide(t testing.TB, cfg Config, side float64) *fixture {
+	t.Helper()
 	rng := rand.New(rand.NewSource(61))
-	rItems := genItems(rng, 400, 0, 0.02)
-	sItems := genItems(rng, 300, 1_000_000, 0.02)
+	rItems := genItems(rng, 400, 0, side)
+	sItems := genItems(rng, 300, 1_000_000, side)
 	rTree, err := rtree.BulkLoadSTR(testTreeOpts, rItems)
 	if err != nil {
 		t.Fatal(err)
@@ -543,6 +555,91 @@ func TestServerBrokenThenReopen(t *testing.T) {
 		t.Fatalf("join after reopen: %v", err)
 	}
 	samePairs(t, pairSet(resp.Pairs), want, "join after recovery")
+}
+
+// TestServerRetriesOnlyUnobservedJoins is the regression for the replayed
+// prefix: a join that a transient read fault ends is re-run only while its
+// OnPair observer has seen no pair.  A fault before the first pair is
+// retried away and the observer sees every pair once.  After it, the
+// remaining attempts run without the observer and only decide the outcome:
+// a fault the backoff heals is a typed ErrTransient with the server still
+// healthy, and one that never heals breaks the server, as it would any
+// join.  No pair is ever seen twice.
+func TestServerRetriesOnlyUnobservedJoins(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		afterPairs bool // the fault starts at the first pair, not before the join
+		persists   bool // the backoff does not heal the disk
+	}{
+		{"fault before the first pair", false, false},
+		{"fault after the first pair", true, false},
+		{"persistent fault after the first pair", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var f *fixture
+			f = newFixture(t, Config{RetryAttempts: 2, Sleep: func(context.Context, time.Duration) {
+				if !tc.persists {
+					f.fs.SetScript(storage.FaultScript{})
+				}
+			}})
+			want := brutePairs(f.rItems, f.sItems)
+			dead := storage.FaultScript{ReadErrEvery: 1}
+			if !tc.afterPairs {
+				f.fs.SetScript(dead)
+			}
+			seen := make(map[join.Pair]int)
+			resp, err := f.srv.Join(context.Background(), JoinRequest{
+				DiscardPairs: true,
+				OnPair: func(p join.Pair) {
+					if len(seen) == 0 && tc.afterPairs {
+						f.fs.SetScript(dead)
+					}
+					seen[p]++
+				},
+			})
+			for p, n := range seen {
+				if n > 1 {
+					t.Fatalf("the observer saw pair %v %d times", p, n)
+				}
+			}
+			if tc.afterPairs {
+				if len(seen) == 0 || len(seen) >= len(want) {
+					t.Fatalf("observer saw %d of %d pairs before the fault", len(seen), len(want))
+				}
+				if tc.persists {
+					if !errors.Is(err, ErrServerBroken) || !f.srv.Broken() || f.srv.Snapshot().Retries != 2 {
+						t.Fatalf("persistent fault: %v, broken %v, retries %d; want ErrServerBroken after both retries",
+							err, f.srv.Broken(), f.srv.Snapshot().Retries)
+					}
+					return
+				}
+				if !errors.Is(err, ErrTransient) {
+					t.Fatalf("fault after observed pairs returned %v, want ErrTransient", err)
+				}
+				if f.srv.Broken() || f.srv.Snapshot().Retries != 1 {
+					t.Fatalf("healed fault: broken %v, retries %d; want healthy after one retry", f.srv.Broken(), f.srv.Snapshot().Retries)
+				}
+				f.fs.SetScript(storage.FaultScript{})
+				resp, err = f.srv.Join(context.Background(), JoinRequest{})
+				if err != nil {
+					t.Fatalf("the next join: %v", err)
+				}
+				samePairs(t, pairSet(resp.Pairs), want, "join after the declined retry")
+				return
+			}
+			if err != nil {
+				t.Fatalf("fault before any pair: %v, want it retried away", err)
+			}
+			if resp.Retries != 1 || resp.Count != len(seen) {
+				t.Fatalf("retries %d, count %d, observed %d: want one retry and every pair once", resp.Retries, resp.Count, len(seen))
+			}
+			got := make(map[join.Pair]bool, len(seen))
+			for p := range seen {
+				got[p] = true
+			}
+			samePairs(t, got, want, "retried join")
+		})
+	}
 }
 
 // TestServerQuickSequences drives random op sequences (stage, delete, round,

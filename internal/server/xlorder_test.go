@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/join"
 	"repro/internal/metrics"
@@ -30,6 +31,7 @@ func TestServerJoinsAcrossFlipsBuildOrders(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var replies []reply
+	seen := map[uint64]int{} // replies per epoch
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < readers; r++ {
@@ -57,14 +59,28 @@ func TestServerJoinsAcrossFlipsBuildOrders(t *testing.T) {
 				}
 				mu.Lock()
 				replies = append(replies, rep)
+				seen[rep.epoch]++
 				mu.Unlock()
 			}
 		}(r)
+	}
+	// Each round first waits for a reply from the epoch it retires, so that
+	// readers starved by a busy machine cannot miss every flip.
+	awaitReply := func(epoch uint64) {
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			mu.Lock()
+			n := seen[epoch]
+			mu.Unlock()
+			if n > 0 {
+				return
+			}
+		}
 	}
 
 	rng := rand.New(rand.NewSource(71))
 	live := append([]rtree.Item{}, f.rItems...)
 	for round := 0; round < rounds; round++ {
+		awaitReply(f.srv.CurrentEpoch())
 		var ops []Op
 		for _, it := range live[:30] {
 			ops = append(ops, Op{Rect: it.Rect, Data: it.Data, Delete: true})

@@ -33,6 +33,10 @@ type FaultScript struct {
 	// the error must surface); larger values model transient errors that a
 	// retry recovers from.
 	ReadErrEvery int64
+	// ReadErrAfter, when positive, lets that many read attempts succeed
+	// after the script is set and fails every later one with
+	// ErrInjectedRead: a sector that dies in the middle of a run.
+	ReadErrAfter int64
 	// SyncErrEvery makes every k-th Sync fail with ErrInjectedSync without
 	// making anything durable.
 	SyncErrEvery int64
@@ -54,6 +58,8 @@ type FaultFS struct {
 	writes  int64
 	syncs   int64
 	crashed bool
+	// scriptReads counts the read attempts since the script was set.
+	scriptReads int64
 }
 
 // NewFaultFS wraps base with the given script.
@@ -63,13 +69,14 @@ func NewFaultFS(base *MemVFS, script FaultScript) *FaultFS {
 
 // SetScript replaces the fault script mid-run.  The operation counters keep
 // counting, so schedules like ReadErrEvery stay deterministic across the
-// switch; a fired crash is not un-fired.  The server torture harness uses
+// switch (ReadErrAfter alone counts from it); a fired crash is not un-fired.  The server torture harness uses
 // this to drive phased workloads (clean, then flaky reads, then a failing
 // sync) over one filesystem.
 func (f *FaultFS) SetScript(script FaultScript) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.script = script
+	f.scriptReads = 0
 }
 
 // Ops returns the number of file operations observed so far (including the
@@ -137,7 +144,9 @@ func (x *faultFile) ReadAt(p []byte, off int64) (int, error) {
 		return 0, err
 	}
 	x.fs.reads++
-	if k := x.fs.script.ReadErrEvery; k > 0 && x.fs.reads%k == 0 {
+	x.fs.scriptReads++
+	if k := x.fs.script.ReadErrEvery; (k > 0 && x.fs.reads%k == 0) ||
+		(x.fs.script.ReadErrAfter > 0 && x.fs.scriptReads > x.fs.script.ReadErrAfter) {
 		x.fs.mu.Unlock()
 		return 0, fmt.Errorf("%w: %s at %d", ErrInjectedRead, x.name, off)
 	}
