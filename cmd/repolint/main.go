@@ -3,7 +3,7 @@
 // contracts (determinism of the measured packages, counted-I/O accounting,
 // pin/unpin and latched-error lifecycle, allocation-free hot paths) together
 // with self-contained reimplementations of the staticcheck-class standard
-// passes (nilness, unusedresult, copylocks, sortslice).
+// passes (nilness, unusedresult, sortslice).
 //
 // Usage:
 //

@@ -4,7 +4,7 @@
 // measured packages, counted-I/O accounting, epoch pin/unpin and latched-
 // error lifecycle, allocation-free hot paths), alongside reimplementations
 // of the staticcheck-class standard passes (nilness, unusedresult,
-// copylocks, sortslice) so cmd/repolint is the single lint entrypoint.
+// sortslice) so cmd/repolint is the single lint entrypoint.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic, analysistest-style golden packages) but is

@@ -22,7 +22,6 @@ func TestLatchedErr(t *testing.T)   { analysistest.Run(t, "latchederr", analysis
 func TestHotPath(t *testing.T)      { analysistest.Run(t, "hotpath", analysis.HotPath) }
 func TestNilness(t *testing.T)      { analysistest.Run(t, "nilness", analysis.Nilness) }
 func TestUnusedResult(t *testing.T) { analysistest.Run(t, "unusedresult", analysis.UnusedResult) }
-func TestCopyLocks(t *testing.T)    { analysistest.Run(t, "copylocks", analysis.CopyLocks) }
 func TestSortSlice(t *testing.T)    { analysistest.Run(t, "sortslice", analysis.SortSlice) }
 
 // TestIgnoreWithoutReasonIsAFinding pins the mandatory-reason rule of the

@@ -8,8 +8,8 @@ import (
 
 // The analyzers in this file are self-contained reimplementations of the
 // staticcheck/x-tools standard passes the repo wants in its single lint
-// entrypoint (ISSUE 8 satellite: nilness, unusedresult, copylocks beyond
-// default vet, sortslice). They are deliberately narrower than the
+// entrypoint (nilness, unusedresult, sortslice); vet's own copylocks pass
+// runs in CI beside them. They are deliberately narrower than the
 // originals — no SSA, no full dataflow — but cover the bug shapes that
 // matter here, and ship with the same golden-test treatment as the
 // repo-contract analyzers.
@@ -171,111 +171,6 @@ func runUnusedResult(pass *Pass) error {
 	return nil
 }
 
-// CopyLocks flags copies of values whose type contains a lock
-// (sync.Mutex/RWMutex/Once/WaitGroup/Cond/Pool/Map) by value: assignments,
-// call arguments, and range value variables. It overlaps with
-// `go vet`'s copylocks on purpose — cmd/repolint is the single lint
-// entrypoint — and extends it to range-element copies.
-var CopyLocks = &Analyzer{
-	Name: "copylocks",
-	Doc:  "flag by-value copies of lock-containing values",
-	Run:  runCopyLocks,
-}
-
-func runCopyLocks(pass *Pass) error {
-	info := pass.TypesInfo
-	flag := func(pos token.Pos, what string, t types.Type) {
-		pass.Reportf(pos, "%s copies a value of type %s which contains a lock; use a pointer", what, t.String())
-	}
-	// addressable source expressions only: composite literals and call
-	// results are fresh values, copying them is fine.
-	copiesLock := func(e ast.Expr) (types.Type, bool) {
-		switch ast.Unparen(e).(type) {
-		case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		default:
-			return nil, false
-		}
-		t := info.TypeOf(e)
-		if t != nil && containsLock(t, nil) {
-			return t, true
-		}
-		return nil, false
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for i, rhs := range n.Rhs {
-					if len(n.Lhs) == len(n.Rhs) {
-						if id, ok := n.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-							continue // discarding is not copying into anything
-						}
-					}
-					if t, bad := copiesLock(rhs); bad {
-						flag(rhs.Pos(), "assignment", t)
-					}
-				}
-			case *ast.CallExpr:
-				if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
-					if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-						return true // len/cap/append on lock-bearing slices are fine
-					}
-				}
-				for _, arg := range n.Args {
-					if t, bad := copiesLock(arg); bad {
-						flag(arg.Pos(), "call argument", t)
-					}
-				}
-			case *ast.RangeStmt:
-				if n.Value == nil {
-					return true
-				}
-				if t := info.TypeOf(n.Value); t != nil && containsLock(t, nil) {
-					if id, ok := n.Value.(*ast.Ident); !ok || id.Name != "_" {
-						flag(n.Value.Pos(), "range value", t)
-					}
-				}
-			}
-			return true
-		})
-	}
-	return nil
-}
-
-var lockTypes = map[string]bool{
-	"Mutex": true, "RWMutex": true, "Once": true, "WaitGroup": true,
-	"Cond": true, "Pool": true, "Map": true,
-}
-
-func containsLock(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	if seen == nil {
-		seen = make(map[types.Type]bool)
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" && lockTypes[obj.Name()] {
-			return true
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLock(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLock(u.Elem(), seen)
-	case *types.Named:
-		return containsLock(u, seen)
-	}
-	return false
-}
-
 // SortSlice flags sort.Slice/SliceStable/SliceIsSorted whose first argument
 // is not a slice — at runtime that panics; statically it is always a bug.
 var SortSlice = &Analyzer{
@@ -325,6 +220,5 @@ var All = []*Analyzer{
 	HotPath,
 	Nilness,
 	UnusedResult,
-	CopyLocks,
 	SortSlice,
 }

@@ -207,18 +207,6 @@ func pairSetHash(pairs []join.Pair) uint64 {
 	return h.Sum64()
 }
 
-func (h *tortureHarness) brutePairs(items []rtree.Item) []join.Pair {
-	var out []join.Pair
-	for _, r := range items {
-		for _, s := range h.sItems {
-			if r.Rect.Intersects(s.Rect) {
-				out = append(out, join.Pair{R: r.Data, S: s.Data})
-			}
-		}
-	}
-	return out
-}
-
 func (h *tortureHarness) fail(format string, args ...any) {
 	h.failMu.Lock()
 	defer h.failMu.Unlock()
@@ -230,7 +218,7 @@ func (h *tortureHarness) recordModel(seq uint64, items []rtree.Item) {
 	cp := append([]rtree.Item(nil), items...)
 	h.modelMu.Lock()
 	h.models[seq] = cp
-	h.hashes[seq] = pairSetHash(h.brutePairs(cp))
+	h.hashes[seq] = pairSetHash(predicateOracle(cp, h.sItems, join.Intersects()))
 	h.modelMu.Unlock()
 }
 
@@ -405,15 +393,16 @@ func (h *tortureHarness) reopenAndVerify(res *ServerPhaseResult) {
 		return
 	}
 	got := pairSetHash(resp.Pairs)
+	committed := predicateOracle(h.live, h.sItems, join.Intersects())
 	switch {
-	case got == pairSetHash(h.brutePairs(h.live)):
+	case got == pairSetHash(committed):
 		// Recovered to the last acknowledged commit.
-	case h.pending != nil && got == pairSetHash(h.brutePairs(h.pending)):
+	case h.pending != nil && got == pairSetHash(predicateOracle(h.pending, h.sItems, join.Intersects())):
 		// The unacknowledged round proved durable after all; adopt it.
 		h.live = h.pending
 	default:
 		h.fail("%s: recovered state hash %x (%d pairs) matches neither the last committed (%d pairs) nor the pending round (pending=%v)",
-			res.Name, got, len(resp.Pairs), len(h.brutePairs(h.live)), h.pending != nil)
+			res.Name, got, len(resp.Pairs), len(committed), h.pending != nil)
 	}
 	h.pending = nil
 

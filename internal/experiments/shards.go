@@ -245,18 +245,6 @@ func itemsToOps(items []rtree.Item, del bool) []server.OpWire {
 	return ops
 }
 
-func shardOracleHash(rItems, sItems []rtree.Item) (uint64, int) {
-	var pairs []join.Pair
-	for _, r := range rItems {
-		for _, s := range sItems {
-			if r.Rect.Intersects(s.Rect) {
-				pairs = append(pairs, join.Pair{R: r.Data, S: s.Data})
-			}
-		}
-	}
-	return pairSetHash(pairs), len(pairs)
-}
-
 func wirePairsHash(pairs [][2]int32) uint64 {
 	jp := make([]join.Pair, len(pairs))
 	for i, p := range pairs {
@@ -327,7 +315,8 @@ func runShardScale(ctx context.Context, report *ShardBenchReport, cfg ShardBench
 		return res, fmt.Errorf("load round: %w", err)
 	}
 
-	wantHash, wantPairs := shardOracleHash(live, sItems)
+	oracle := predicateOracle(live, sItems, join.Intersects())
+	wantHash, wantPairs := pairSetHash(oracle), len(oracle)
 	res.Pairs = wantPairs
 	checkParity := func(label string) {
 		for _, m := range join.Methods {
@@ -367,7 +356,8 @@ func runShardScale(ctx context.Context, report *ShardBenchReport, cfg ShardBench
 		live = append(append([]rtree.Item(nil), live[k:]...), fresh...)
 		res.Rounds++
 	}
-	wantHash, wantPairs = shardOracleHash(live, sItems)
+	oracle = predicateOracle(live, sItems, join.Intersects())
+	wantHash, wantPairs = pairSetHash(oracle), len(oracle)
 	res.Pairs = wantPairs
 	checkParity("churned")
 
@@ -436,7 +426,8 @@ func runShardFaultPhase(ctx context.Context, report *ShardBenchReport, cfg Shard
 		report.fail("fault phase reopen: %v", err)
 		return
 	}
-	wantHash, wantPairs := shardOracleHash(rItems, sItems)
+	oracle := predicateOracle(rItems, sItems, join.Intersects())
+	wantHash, wantPairs := pairSetHash(oracle), len(oracle)
 	jr, err := rt.Join(ctx, router.JoinRequest{})
 	if err != nil {
 		report.fail("fault phase join after heal: %v", err)

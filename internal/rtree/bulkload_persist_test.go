@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -103,23 +104,29 @@ func TestBuildHelper(t *testing.T) {
 	}
 }
 
+// TestSaveLoadRoundTrip commits a tree to a pager and reopens it: the
+// reloaded tree has one page per node, the same shape and the same answers.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	items := randomItems(rand.New(rand.NewSource(14)), 3000, 0.01)
 	tr := MustNew(Options{PageSize: storage.PageSize2K})
 	tr.InsertItems(items)
 
-	file := storage.NewPageFile(storage.PageSize2K)
-	root, err := tr.Save(file)
+	p := memPager(t, storage.PageSize2K)
+	s, err := NewTreeStore(tr, p)
 	if err != nil {
-		t.Fatalf("Save: %v", err)
+		t.Fatal(err)
 	}
-	if file.Len() != tr.Stats().TotalPages() {
-		t.Fatalf("page file holds %d pages, tree has %d", file.Len(), tr.Stats().TotalPages())
+	if _, err := s.Commit(); err != nil {
+		t.Fatalf("Commit: %v", err)
 	}
-	loaded, err := Load(file, root, Options{PageSize: storage.PageSize2K})
+	if p.Len() != tr.Stats().TotalPages() {
+		t.Fatalf("pager holds %d pages, tree has %d", p.Len(), tr.Stats().TotalPages())
+	}
+	reopened, err := OpenTreeStore(p, Options{PageSize: storage.PageSize2K})
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("OpenTreeStore: %v", err)
 	}
+	loaded := reopened.Tree()
 	if loaded.Len() != tr.Len() || loaded.Height() != tr.Height() {
 		t.Fatalf("loaded tree len=%d height=%d, want len=%d height=%d",
 			loaded.Len(), loaded.Height(), tr.Len(), tr.Height())
@@ -139,20 +146,27 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestSaveLoadErrors(t *testing.T) {
-	tr := MustNew(Options{PageSize: storage.PageSize1K})
-	file := storage.NewPageFile(storage.PageSize2K)
-	if _, err := tr.Save(file); err == nil {
-		t.Fatal("expected page-size mismatch error on Save")
+	wide := memPager(t, storage.PageSize2K)
+	s, err := NewTreeStore(MustNew(Options{PageSize: storage.PageSize2K}), wide)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Load(file, 1, Options{PageSize: storage.PageSize1K}); err == nil {
-		t.Fatal("expected page-size mismatch error on Load")
+	if _, err := s.Commit(); err != nil {
+		t.Fatal(err)
 	}
-	good := storage.NewPageFile(storage.PageSize1K)
-	if _, err := Load(good, 42, Options{PageSize: storage.PageSize1K}); err == nil {
-		t.Fatal("expected unknown-page error on Load")
+	if _, err := OpenTreeStore(wide, Options{PageSize: storage.PageSize1K}); err == nil {
+		t.Fatal("expected page-size mismatch error on OpenTreeStore")
 	}
-	if _, err := Load(good, 1, Options{PageSize: 16}); err == nil {
-		t.Fatal("expected options error on Load")
+	dangling := memPager(t, storage.PageSize1K)
+	dangling.SetRoot(42)
+	if _, err := dangling.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenTreeStore(dangling, Options{PageSize: storage.PageSize1K}); !errors.Is(err, storage.ErrUnknownPage) {
+		t.Fatalf("expected unknown-page error on OpenTreeStore, got %v", err)
+	}
+	if _, err := OpenTreeStore(dangling, Options{PageSize: 16}); err == nil {
+		t.Fatal("expected options error on OpenTreeStore")
 	}
 }
 

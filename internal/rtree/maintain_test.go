@@ -288,22 +288,26 @@ func TestCatalogReadPathDoesNotPerturbDeterminism(t *testing.T) {
 	}
 }
 
-// TestMaintainedCatalogAfterLoad: a tree loaded from a page file carries
+// TestMaintainedCatalogAfterLoad: a tree reopened from a pager carries
 // maintained statistics from the load walk and stays walk-free under
 // subsequent mutations.
 func TestMaintainedCatalogAfterLoad(t *testing.T) {
 	items := sampleItems(900, 21)
 	orig := MustNew(Options{PageSize: storage.PageSize1K})
 	orig.InsertItems(items)
-	f := storage.NewPageFile(storage.PageSize1K)
-	root, err := orig.Save(f)
+	p := memPager(t, storage.PageSize1K)
+	s, err := NewTreeStore(orig, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(f, root, Options{PageSize: storage.PageSize1K})
+	if _, err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenTreeStore(p, Options{PageSize: storage.PageSize1K})
 	if err != nil {
 		t.Fatal(err)
 	}
+	loaded := reopened.Tree()
 	checkMaintained(t, loaded, "loaded-fresh")
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {

@@ -156,11 +156,11 @@ type Tree struct {
 	maxEnt  int // M
 	minEnt  int // m
 	root    *Node
-	height  int // number of levels; 1 while the root is a leaf
-	size    int // number of data entries
-	file    *storage.PageFile
-	build   buildArena   // reusable construction scratch (see arena.go)
-	catalog catalogCache // maintained catalog statistics (see sample.go)
+	height  int            // number of levels; 1 while the root is a leaf
+	size    int            // number of data entries
+	nextID  storage.PageID // last page identifier newNode handed out; never recycled
+	build   buildArena     // reusable construction scratch (see arena.go)
+	catalog catalogCache   // maintained catalog statistics (see sample.go)
 	// muts counts structural mutations (inserts, deletes, buffered appends);
 	// the insertion buffer's leaf hint uses it to detect that the tree changed
 	// underneath a cached leaf pointer (see insertbuf.go).
@@ -199,7 +199,6 @@ func New(opts Options) (*Tree, error) {
 		opts:   opts,
 		maxEnt: maxEnt,
 		minEnt: minEnt,
-		file:   storage.NewPageFile(opts.PageSize),
 		height: 1,
 	}
 	t.root = t.newNode(0)
@@ -218,10 +217,11 @@ func MustNew(opts Options) *Tree {
 	return t
 }
 
-// newNode allocates a node with a fresh page identifier, owned by the
-// current write epoch.
+// newNode allocates a node with a fresh page identifier (1, 2, 3, ... in
+// allocation order), owned by the current write epoch.
 func (t *Tree) newNode(level int) *Node {
-	return &Node{ID: t.file.Allocate(), Level: level, epoch: t.cowEpoch}
+	t.nextID++
+	return &Node{ID: t.nextID, Level: level, epoch: t.cowEpoch}
 }
 
 // ID returns the process-wide unique identifier of the tree, used to

@@ -68,7 +68,6 @@ func (t *Tree) Snapshot() *Tree {
 		root:   t.root,
 		height: t.height,
 		size:   t.size,
-		file:   t.file,
 	}
 	snap.catalog.cat = cat
 	snap.catalog.valid = true

@@ -91,7 +91,7 @@ func OpenTreeStore(p *storage.Pager, opts Options) (*TreeStore, error) {
 	if root == storage.InvalidPage {
 		return nil, fmt.Errorf("rtree: pager holds no committed tree root")
 	}
-	t, err := Load(p, root, opts)
+	t, err := New(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +99,10 @@ func OpenTreeStore(p *storage.Pager, opts Options) (*TreeStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Load validated the page graph (checksums, cycle guard, level
+	if err := t.load(p, root); err != nil {
+		return nil, err
+	}
+	// load validated the page graph (checksums, cycle guard, level
 	// discipline); a lockstep walk over the freshly built nodes and their
 	// source pages rebinds node ids to pager pages and seeds the checksum
 	// diff, so unchanged nodes are never rewritten.
@@ -107,6 +110,76 @@ func OpenTreeStore(p *storage.Pager, opts Options) (*TreeStore, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// load replaces the empty tree t with the tree committed to p under the
+// given root page.
+//
+// load never trusts the pages it reads: a decode failure is an error, a page
+// referenced twice is an error, and a child whose stored level does not sit
+// exactly one below its parent is an error.  Together these bound the
+// recursion by the root's level and make load terminate on any input —
+// corrupted or adversarial page graphs (cycles, diamonds, level loops)
+// produce a wrapped error, never a crash or an endless walk.
+func (t *Tree) load(p *storage.Pager, root storage.PageID) error {
+	node, size, err := t.loadNode(p, root, -1, make(map[storage.PageID]bool))
+	if err != nil {
+		return err
+	}
+	t.root = node
+	t.height = node.Level + 1
+	t.size = size
+	// Initialise the maintained catalog statistics with one sampling walk;
+	// loading already visited every page, so this keeps CatalogStats walk-free
+	// for the lifetime of the loaded tree.
+	t.adoptWalkSampler()
+	return nil
+}
+
+// loadNode reads the page with the given id, decodes it and recursively loads
+// its children.  wantLevel is the level the parent expects (-1 for the root,
+// whose level is read from its page); visited holds every page id already on
+// or below the walked path, so a cycle or shared subtree is detected the
+// moment it is re-entered.  It returns the node and the number of data
+// entries below it.  Loading runs once at open, before any measured join,
+// so its decodes bypass the tracker by design.
+//
+//repro:io-boundary
+func (t *Tree) loadNode(p *storage.Pager, id storage.PageID, wantLevel int, visited map[storage.PageID]bool) (*Node, int, error) {
+	if visited[id] {
+		return nil, 0, fmt.Errorf("rtree: page %d referenced twice (cycle or shared subtree): %w",
+			id, storage.ErrCorruptPage)
+	}
+	visited[id] = true
+	buf, err := p.Read(id)
+	if err != nil {
+		return nil, 0, fmt.Errorf("rtree: reading page %d: %w", id, err)
+	}
+	dn, err := storage.DecodeNode(buf, t.opts.PageSize)
+	if err != nil {
+		return nil, 0, fmt.Errorf("rtree: decoding page %d: %w", id, err)
+	}
+	if wantLevel >= 0 && int(dn.Level) != wantLevel {
+		return nil, 0, fmt.Errorf("rtree: page %d stores level %d, parent expects %d: %w",
+			id, dn.Level, wantLevel, storage.ErrCorruptPage)
+	}
+	n := t.newNode(int(dn.Level))
+	if dn.Level == 0 {
+		for _, de := range dn.Entries {
+			n.Entries = append(n.Entries, Entry{Rect: de.Rect, Data: int32(de.Ref)})
+		}
+		return n, len(n.Entries), nil
+	}
+	total := 0
+	for _, de := range dn.Entries {
+		child, sub, err := t.loadNode(p, storage.PageID(de.Ref), int(dn.Level)-1, visited)
+		if err != nil {
+			return nil, 0, err
+		}
+		n.Entries = append(n.Entries, Entry{Rect: de.Rect, Child: child})
+		total += sub
+	}
+	return n, total, nil
 }
 
 // bind walks the in-memory subtree and its on-disk image in lockstep,

@@ -35,6 +35,22 @@ func quantize(items []Item) []Item {
 	return out
 }
 
+// memPager opens an empty pager over a fresh in-memory file system, closed
+// when the test ends.
+func memPager(t *testing.T, pageSize int) *storage.Pager {
+	t.Helper()
+	p, err := storage.OpenPager(storage.NewMemVFS(), "tree.db", pageSize, storage.PagerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := p.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	return p
+}
+
 func newTestStore(t *testing.T, items []Item) (*TreeStore, *storage.MemVFS) {
 	t.Helper()
 	fs := storage.NewMemVFS()
@@ -191,71 +207,80 @@ func TestTreeStoreErrors(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsCorruptPageGraphs hand-crafts hostile page graphs and checks
-// that Load refuses each with a wrapped ErrCorruptPage instead of crashing or
-// walking forever: a self-cycle, a two-node cycle, a shared subtree (diamond)
-// and a child whose stored level breaks the level discipline.
+// TestLoadRejectsCorruptPageGraphs hand-crafts hostile page graphs in a
+// pager and checks that OpenTreeStore refuses each with a wrapped
+// ErrCorruptPage (or ErrUnknownPage) instead of crashing or walking forever:
+// a self-cycle, a two-node cycle, a shared subtree (diamond), a child whose
+// stored level breaks the level discipline, and a dangling child reference.
 func TestLoadRejectsCorruptPageGraphs(t *testing.T) {
 	const ps = storage.PageSize1K
-	opts := Options{PageSize: ps}
-	writeNode := func(f *storage.PageFile, id storage.PageID, dn storage.DiskNode) {
+	writeNode := func(p *storage.Pager, id storage.PageID, dn storage.DiskNode) {
 		buf, err := storage.EncodeNode(dn, ps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.Write(id, buf); err != nil {
+		if err := p.Write(id, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
 	entry := func(ref storage.PageID) storage.DiskEntry {
 		return storage.DiskEntry{Ref: uint32(ref)}
 	}
+	// open commits the hand-written pages under root and reopens them.
+	open := func(p *storage.Pager, root storage.PageID) error {
+		p.SetRoot(root)
+		if _, err := p.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenTreeStore(p, Options{PageSize: ps})
+		return err
+	}
 
 	t.Run("self-cycle", func(t *testing.T) {
-		f := storage.NewPageFile(ps)
-		root := f.Allocate()
-		writeNode(f, root, storage.DiskNode{Level: 1, Entries: []storage.DiskEntry{entry(root)}})
-		if _, err := Load(f, root, opts); !errors.Is(err, storage.ErrCorruptPage) {
-			t.Fatalf("Load: %v", err)
+		p := memPager(t, ps)
+		root := p.Allocate()
+		writeNode(p, root, storage.DiskNode{Level: 1, Entries: []storage.DiskEntry{entry(root)}})
+		if err := open(p, root); !errors.Is(err, storage.ErrCorruptPage) {
+			t.Fatalf("OpenTreeStore: %v", err)
 		}
 	})
 	t.Run("two-node-cycle", func(t *testing.T) {
-		f := storage.NewPageFile(ps)
-		a, b := f.Allocate(), f.Allocate()
-		writeNode(f, a, storage.DiskNode{Level: 2, Entries: []storage.DiskEntry{entry(b)}})
-		writeNode(f, b, storage.DiskNode{Level: 1, Entries: []storage.DiskEntry{entry(a)}})
-		if _, err := Load(f, a, opts); !errors.Is(err, storage.ErrCorruptPage) {
-			t.Fatalf("Load: %v", err)
+		p := memPager(t, ps)
+		a, b := p.Allocate(), p.Allocate()
+		writeNode(p, a, storage.DiskNode{Level: 2, Entries: []storage.DiskEntry{entry(b)}})
+		writeNode(p, b, storage.DiskNode{Level: 1, Entries: []storage.DiskEntry{entry(a)}})
+		if err := open(p, a); !errors.Is(err, storage.ErrCorruptPage) {
+			t.Fatalf("OpenTreeStore: %v", err)
 		}
 	})
 	t.Run("shared-subtree", func(t *testing.T) {
-		f := storage.NewPageFile(ps)
-		root, a, b, leaf := f.Allocate(), f.Allocate(), f.Allocate(), f.Allocate()
-		writeNode(f, leaf, storage.DiskNode{Level: 0, Entries: []storage.DiskEntry{entry(7)}})
-		writeNode(f, a, storage.DiskNode{Level: 1, Entries: []storage.DiskEntry{entry(leaf)}})
-		writeNode(f, b, storage.DiskNode{Level: 1, Entries: []storage.DiskEntry{entry(leaf)}})
-		writeNode(f, root, storage.DiskNode{Level: 2, Entries: []storage.DiskEntry{entry(a), entry(b)}})
-		if _, err := Load(f, root, opts); !errors.Is(err, storage.ErrCorruptPage) {
-			t.Fatalf("Load: %v", err)
+		p := memPager(t, ps)
+		root, a, b, leaf := p.Allocate(), p.Allocate(), p.Allocate(), p.Allocate()
+		writeNode(p, leaf, storage.DiskNode{Level: 0, Entries: []storage.DiskEntry{entry(7)}})
+		writeNode(p, a, storage.DiskNode{Level: 1, Entries: []storage.DiskEntry{entry(leaf)}})
+		writeNode(p, b, storage.DiskNode{Level: 1, Entries: []storage.DiskEntry{entry(leaf)}})
+		writeNode(p, root, storage.DiskNode{Level: 2, Entries: []storage.DiskEntry{entry(a), entry(b)}})
+		if err := open(p, root); !errors.Is(err, storage.ErrCorruptPage) {
+			t.Fatalf("OpenTreeStore: %v", err)
 		}
 	})
 	t.Run("level-discipline", func(t *testing.T) {
-		f := storage.NewPageFile(ps)
-		root, child := f.Allocate(), f.Allocate()
+		p := memPager(t, ps)
+		root, child := p.Allocate(), p.Allocate()
 		// The child claims level 3 under a level-2 root: a level loop that a
 		// depth-unaware loader would descend into forever.
-		writeNode(f, child, storage.DiskNode{Level: 3, Entries: []storage.DiskEntry{entry(child)}})
-		writeNode(f, root, storage.DiskNode{Level: 2, Entries: []storage.DiskEntry{entry(child)}})
-		if _, err := Load(f, root, opts); !errors.Is(err, storage.ErrCorruptPage) {
-			t.Fatalf("Load: %v", err)
+		writeNode(p, child, storage.DiskNode{Level: 3, Entries: []storage.DiskEntry{entry(child)}})
+		writeNode(p, root, storage.DiskNode{Level: 2, Entries: []storage.DiskEntry{entry(child)}})
+		if err := open(p, root); !errors.Is(err, storage.ErrCorruptPage) {
+			t.Fatalf("OpenTreeStore: %v", err)
 		}
 	})
 	t.Run("dangling-child", func(t *testing.T) {
-		f := storage.NewPageFile(ps)
-		root := f.Allocate()
-		writeNode(f, root, storage.DiskNode{Level: 1, Entries: []storage.DiskEntry{entry(99)}})
-		if _, err := Load(f, root, opts); !errors.Is(err, storage.ErrUnknownPage) {
-			t.Fatalf("Load: %v", err)
+		p := memPager(t, ps)
+		root := p.Allocate()
+		writeNode(p, root, storage.DiskNode{Level: 1, Entries: []storage.DiskEntry{entry(99)}})
+		if err := open(p, root); !errors.Is(err, storage.ErrUnknownPage) {
+			t.Fatalf("OpenTreeStore: %v", err)
 		}
 	})
 }

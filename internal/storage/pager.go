@@ -9,17 +9,6 @@ import (
 	"time"
 )
 
-// NodeStore is the persistence substrate an R*-tree serialises into: the
-// in-memory PageFile (the counted-I/O simulation) and the durable Pager (the
-// measured-I/O disk file) both implement it.
-type NodeStore interface {
-	PageSize() int
-	Allocate() PageID
-	Write(id PageID, buf []byte) error
-	Read(id PageID) ([]byte, error)
-	Free(id PageID)
-}
-
 // Pager errors.
 var (
 	// ErrReadExhausted marks a page read that kept failing after every
@@ -112,10 +101,10 @@ type PagerStats struct {
 	FreshAllocations int64
 }
 
-// Pager is a crash-safe file of fixed-size checksummed pages: the durable
-// replacement for the in-memory PageFile.  All mutations (Allocate, Write,
-// Free, SetRoot) are staged in memory and become durable atomically at
-// Commit, which appends one checksummed group of records to the write-ahead
+// Pager is a crash-safe file of fixed-size checksummed pages, the one page
+// store R*-trees persist into (see rtree.TreeStore).  All mutations
+// (Allocate, Write, Free, SetRoot) are staged in memory and become durable
+// atomically at Commit, which appends one checksummed group of records to the write-ahead
 // log, fsyncs it once, and only then writes the frames back to the main
 // file.  Opening a pager replays every committed transaction left in the WAL
 // (redo recovery), so a crash at any moment loses at most the uncommitted
@@ -426,7 +415,7 @@ func (p *Pager) Write(id PageID, buf []byte) error {
 
 // Free releases a live page.  The page joins the on-disk free chain at the
 // next Commit and is immediately available to Allocate after that commit.
-// Freeing an unknown or already freed page is a no-op, matching PageFile.
+// Freeing an unknown or already freed page is a no-op.
 // On a broken pager Free is also a no-op — the free could never commit.
 func (p *Pager) Free(id PageID) {
 	p.mu.Lock()

@@ -118,69 +118,6 @@ func TestDecodeNodeErrors(t *testing.T) {
 	}
 }
 
-func TestPageFileBasicLifecycle(t *testing.T) {
-	f := NewPageFile(PageSize1K)
-	if f.PageSize() != PageSize1K {
-		t.Fatalf("PageSize = %d", f.PageSize())
-	}
-	id1 := f.Allocate()
-	id2 := f.Allocate()
-	if id1 == id2 || id1 == InvalidPage {
-		t.Fatalf("allocation produced ids %d, %d", id1, id2)
-	}
-	if f.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", f.Len())
-	}
-	n := DiskNode{Level: 1, Entries: []DiskEntry{{Rect: geom.Rect{XL: 0, YL: 0, XU: 1, YU: 1}, Ref: 7}}}
-	buf, err := EncodeNode(n, PageSize1K)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Write(id1, buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := f.Read(id1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dn, err := DecodeNode(got, PageSize1K)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dn.Entries[0].Ref != 7 {
-		t.Fatalf("ref = %d, want 7", dn.Entries[0].Ref)
-	}
-	ids := f.IDs()
-	if len(ids) != 2 || ids[0] != id1 || ids[1] != id2 {
-		t.Fatalf("IDs = %v", ids)
-	}
-	f.Free(id2)
-	if _, err := f.Read(id2); !errors.Is(err, ErrUnknownPage) {
-		t.Fatalf("expected ErrUnknownPage after Free, got %v", err)
-	}
-}
-
-func TestPageFileWriteErrors(t *testing.T) {
-	f := NewPageFile(PageSize1K)
-	if err := f.Write(99, []byte{1}); !errors.Is(err, ErrUnknownPage) {
-		t.Fatalf("expected ErrUnknownPage, got %v", err)
-	}
-	id := f.Allocate()
-	tooBig := make([]byte, PageSize1K*2)
-	if err := f.Write(id, tooBig); !errors.Is(err, ErrPageOverflow) {
-		t.Fatalf("expected ErrPageOverflow, got %v", err)
-	}
-}
-
-func TestNewPageFilePanicsOnTinyPage(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for tiny page size")
-		}
-	}()
-	NewPageFile(8)
-}
-
 // Property: encoding never exceeds the physical frame and decoding recovers
 // the entry count for any count within capacity.
 func TestEncodeDecodeProperty(t *testing.T) {

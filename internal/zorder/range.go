@@ -119,10 +119,10 @@ func TilesKeySpace(ranges []KeyRange) bool {
 // so its keys form one contiguous run of length 4^k starting at the block
 // corner the curve enters through (the minimum of the four corner keys).
 func HilbertCover(rect geom.Rect, world geom.Rect, maxDepth int) []KeyRange {
-	cxl := CellOf(rect.XL, world.XL, world.XU)
-	cxu := CellOf(rect.XU, world.XL, world.XU)
-	cyl := CellOf(rect.YL, world.YL, world.YU)
-	cyu := CellOf(rect.YU, world.YL, world.YU)
+	cxl := cellOf(rect.XL, world.XL, world.XU)
+	cxu := cellOf(rect.XU, world.XL, world.XU)
+	cyl := cellOf(rect.YL, world.YL, world.YU)
+	cyu := cellOf(rect.YU, world.YL, world.YU)
 
 	var cover []KeyRange
 	var descend func(qx, qy uint32, size uint32, depth int)

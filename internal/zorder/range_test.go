@@ -127,10 +127,10 @@ func TestHilbertCoverContainsAllCells(t *testing.T) {
 			XU: xl + rng.Float64()*0.002,
 			YU: yl + rng.Float64()*0.002,
 		}
-		cxl := CellOf(rect.XL, 0, 1)
-		cxu := CellOf(rect.XU, 0, 1)
-		cyl := CellOf(rect.YL, 0, 1)
-		cyu := CellOf(rect.YU, 0, 1)
+		cxl := cellOf(rect.XL, 0, 1)
+		cxu := cellOf(rect.XU, 0, 1)
+		cyl := cellOf(rect.YL, 0, 1)
+		cyu := cellOf(rect.YU, 0, 1)
 		for _, depth := range []int{0, 4, 10, Resolution} {
 			cover := HilbertCover(rect, world, depth)
 			if len(cover) == 0 {

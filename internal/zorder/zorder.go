@@ -103,8 +103,3 @@ func HilbertKeyOfCell(cx, cy uint32) uint64 {
 	}
 	return d
 }
-
-// CellOf exposes the quantisation used by the curves so that callers (for
-// example the z-ordering join baseline) can decompose rectangles into the
-// same grid.
-func CellOf(v, lo, hi float64) uint32 { return cellOf(v, lo, hi) }

@@ -143,13 +143,13 @@ func TestSortingByKeyIsDeterministic(t *testing.T) {
 }
 
 func TestCellOfClamping(t *testing.T) {
-	if got := CellOf(0.5, 0, 1); got != maxCell/2 {
-		t.Errorf("CellOf(0.5) = %d, want %d", got, maxCell/2)
+	if got := cellOf(0.5, 0, 1); got != maxCell/2 {
+		t.Errorf("cellOf(0.5) = %d, want %d", got, maxCell/2)
 	}
-	if got := CellOf(-1, 0, 1); got != 0 {
-		t.Errorf("CellOf(-1) = %d, want 0", got)
+	if got := cellOf(-1, 0, 1); got != 0 {
+		t.Errorf("cellOf(-1) = %d, want 0", got)
 	}
-	if got := CellOf(2, 0, 1); got != maxCell {
-		t.Errorf("CellOf(2) = %d, want %d", got, maxCell)
+	if got := cellOf(2, 0, 1); got != maxCell {
+		t.Errorf("cellOf(2) = %d, want %d", got, maxCell)
 	}
 }

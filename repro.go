@@ -5,8 +5,8 @@
 // It provides
 //
 //   - an R*-tree (and classic Guttman R-tree) spatial index over
-//     two-dimensional rectangles with insertion, deletion, window queries,
-//     bulk loading and persistence,
+//     two-dimensional rectangles with insertion, deletion, window queries
+//     and bulk loading,
 //   - the paper's spatial-join algorithms SpatialJoin1 through SpatialJoin5
 //     (synchronized tree traversal, search-space restriction, plane-sweep
 //     intersection test, read schedules with pinning and z-ordering) plus the
@@ -27,7 +27,6 @@ package repro
 import (
 	"io"
 
-	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/datagen"
@@ -35,18 +34,12 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/geom"
 	"repro/internal/join"
-	"repro/internal/metrics"
 	"repro/internal/rtree"
 	"repro/internal/storage"
 )
 
-// Geometric primitives.
-type (
-	// Rect is an axis-aligned rectangle (the unit of the MBR-spatial-join).
-	Rect = geom.Rect
-	// Point is a location in the plane.
-	Point = geom.Point
-)
+// Rect is an axis-aligned rectangle (the unit of the MBR-spatial-join).
+type Rect = geom.Rect
 
 // NewRect returns the rectangle spanning the two corner points.
 func NewRect(x1, y1, x2, y2 float64) Rect { return geom.NewRect(x1, y1, x2, y2) }
@@ -65,10 +58,6 @@ type (
 	// TreeEntry is one slot of a tree node; window queries report data
 	// entries of this type.
 	TreeEntry = rtree.Entry
-	// TreeStats describes the structure of a tree (Table 1 of the paper).
-	TreeStats = rtree.Stats
-	// Variant selects the R-tree flavour.
-	Variant = rtree.Variant
 )
 
 // R-tree variants.
@@ -77,12 +66,11 @@ const (
 	Quadratic = rtree.Quadratic
 )
 
-// Page sizes studied by the paper.
+// Page sizes studied by the paper (its fourth, 8 KByte, is internal-only).
 const (
 	PageSize1K = storage.PageSize1K
 	PageSize2K = storage.PageSize2K
 	PageSize4K = storage.PageSize4K
-	PageSize8K = storage.PageSize8K
 )
 
 // NewRTree creates an empty tree.
@@ -114,68 +102,6 @@ func BuildRTreeBuffered(opts RTreeOptions, items []Item) (*RTree, error) {
 	return rtree.BuildBuffered(opts, items)
 }
 
-// Durable storage: the crash-safe pager and its virtual file system seam
-// (checksummed page frames, redo WAL with group commit, free-list reuse;
-// see DESIGN.md).
-type (
-	// Pager is a crash-safe on-disk page store: committed transactions
-	// survive a power cut at any file operation.
-	Pager = storage.Pager
-	// PagerOptions configures read retries, backoff and checkpoint cadence.
-	PagerOptions = storage.PagerOptions
-	// PagerStats counts the pager's physical I/O (measured, not simulated).
-	PagerStats = storage.PagerStats
-	// VFS is the file-system seam the pager runs on: the real OS, an
-	// in-memory power-cut model, or a fault injector.
-	VFS = storage.VFS
-	// OSVFS is the production VFS backed by the operating system.
-	OSVFS = storage.OSVFS
-	// MemVFS is the deterministic in-memory power-cut model: unsynced
-	// writes may survive a crash wholly or torn, or vanish; only synced
-	// writes are guaranteed to survive.
-	MemVFS = storage.MemVFS
-	// FaultFS wraps a MemVFS and injects scripted crashes, read errors,
-	// fsync failures and short writes.
-	FaultFS = storage.FaultFS
-	// FaultScript says which operations of a FaultFS fail and how.
-	FaultScript = storage.FaultScript
-	// RTreeStore binds an RTree to a Pager and commits it incrementally:
-	// only pages whose bytes changed are written, dissolved nodes' pages
-	// are freed and reused.
-	RTreeStore = rtree.TreeStore
-	// RTreeCommitStats describes one RTreeStore commit.
-	RTreeCommitStats = rtree.CommitStats
-	// PageReader is the measured-I/O hook of JoinOptions: attach an
-	// RTreeStore as PageReaderR/PageReaderS and every counted disk read of
-	// the join performs one physical, checksum-verified page read.
-	PageReader = buffer.PageReader
-)
-
-// OpenPager opens (or creates) a crash-safe page store at path on fs,
-// recovering any committed state a previous crash left in the write-ahead
-// log.
-func OpenPager(fs VFS, path string, pageSize int, opts PagerOptions) (*Pager, error) {
-	return storage.OpenPager(fs, path, pageSize, opts)
-}
-
-// NewMemVFS returns an empty in-memory power-cut file system.
-func NewMemVFS() *MemVFS { return storage.NewMemVFS() }
-
-// NewFaultFS wraps base with the scripted fault injector.
-func NewFaultFS(base *MemVFS, script FaultScript) *FaultFS {
-	return storage.NewFaultFS(base, script)
-}
-
-// NewRTreeStore binds a freshly built tree to an empty pager; the first
-// Commit writes every node.
-func NewRTreeStore(t *RTree, p *Pager) (*RTreeStore, error) { return rtree.NewTreeStore(t, p) }
-
-// OpenRTreeStore reloads the tree committed to p (validating checksums,
-// cycle freedom and level discipline) and binds it for incremental commits.
-func OpenRTreeStore(p *Pager, opts RTreeOptions) (*RTreeStore, error) {
-	return rtree.OpenTreeStore(p, opts)
-}
-
 // Spatial join of two R-trees (the filter step, the paper's core subject).
 type (
 	// JoinMethod selects one of the paper's algorithms.
@@ -188,8 +114,6 @@ type (
 	IDPair = join.Pair
 	// HeightPolicy selects the strategy for trees of different heights.
 	HeightPolicy = join.HeightPolicy
-	// Metrics is a snapshot of the cost counters.
-	Metrics = metrics.Snapshot
 )
 
 // Join algorithms (section 4 of the paper) and the index-free baseline.
@@ -216,16 +140,9 @@ const (
 // protocol and the shard router.
 type JoinPredicate = join.Predicate
 
-// IntersectsPredicate is the default MBR-intersection predicate.
-func IntersectsPredicate() JoinPredicate { return join.Intersects() }
-
 // WithinDistancePredicate keeps pairs whose MBRs come within eps of each
 // other (Chebyshev-expanded filter, exact counted Euclidean test).
 func WithinDistancePredicate(eps float64) JoinPredicate { return join.WithinDistance(eps) }
-
-// NearestNeighborsPredicate reports, for every R rectangle, its k nearest S
-// rectangles by MBR distance (ties broken by S identifier).
-func NearestNeighborsPredicate(k int) JoinPredicate { return join.NearestNeighbors(k) }
 
 // ParseJoinPredicate parses the textual predicate forms used on the command
 // lines and the wire: "intersects" (or empty), "within:EPS", "knn:K".
@@ -278,8 +195,6 @@ type (
 	SpatialJoinOptions = core.JoinOptions
 	// SpatialJoinResult is the outcome of a relation-level join.
 	SpatialJoinResult = core.Result
-	// JoinType selects MBR-, ID- or object-spatial-join.
-	JoinType = core.JoinType
 )
 
 // Join types.
@@ -288,11 +203,6 @@ const (
 	IDJoin     = core.IDJoin
 	ObjectJoin = core.ObjectJoin
 )
-
-// NewRelation creates an empty relation with an R*-tree index.
-func NewRelation(name string, opts RTreeOptions) (*Relation, error) {
-	return core.NewRelation(name, opts)
-}
 
 // BuildRelation creates a relation from objects.
 func BuildRelation(name string, objects []Object, opts RTreeOptions, bulk bool) (*Relation, error) {
@@ -312,8 +222,6 @@ var (
 	LineObjects = core.LineObjectsFromItems
 	// RegionObjects converts items into polygon objects (region data).
 	RegionObjects = core.RegionObjectsFromItems
-	// MBRObjects converts items into geometry-less objects.
-	MBRObjects = core.MBRObjectsFromItems
 )
 
 // Synthetic data sets (substitutes for the paper's TIGER/Line and region
@@ -345,16 +253,12 @@ func ReadDataset(path string) ([]Item, error) { return dataio.ReadFile(path) }
 type (
 	// CostModel converts counted costs into estimated times.
 	CostModel = costmodel.Model
-	// CostEstimate is an estimated execution time split into I/O and CPU.
-	CostEstimate = costmodel.Estimate
 	// TreeCatalog is the sampled per-level catalog statistics of an R-tree
 	// (RTree.CatalogStats): exact node/entry populations per level plus
 	// reservoir-sampled fan-out, entry-extent and density averages.  The
 	// parallel planner's task estimator consumes it in place of catalog
 	// averages.
 	TreeCatalog = costmodel.Catalog
-	// TreeCatalogLevel is one level's statistics within a TreeCatalog.
-	TreeCatalogLevel = costmodel.LevelStats
 )
 
 // DefaultCostModel returns the paper's cost constants.
