@@ -22,8 +22,14 @@
 //
 //	POST /update  JSON [{"xl":..,"yl":..,"xu":..,"yu":..,"data":1,"delete":false}, ...]
 //	POST /round   commit staged mutations and flip the snapshot now
-//	POST /join    JSON {"workers":4,"discard_pairs":false} (body optional)
+//	POST /join    JSON {"workers":4,"predicate":"knn:3","discard_pairs":false} (body optional)
 //	GET  /stats   server counters, epoch state and coverage summary
+//
+// Every join runs SJ4, the paper's recommended algorithm; a request picks
+// only the predicate (intersection when left out), the parallel workers and
+// whether pairs come back.  A body naming any other field is a 400.  Shard
+// keys are Hilbert keys over the unit square (server.UnitWorld), the same
+// grid the router routes by.
 package main
 
 import (
@@ -43,7 +49,6 @@ import (
 	"time"
 
 	"repro/internal/geom"
-	"repro/internal/join"
 	"repro/internal/rtree"
 	"repro/internal/server"
 	"repro/internal/storage"
@@ -71,7 +76,6 @@ type daemonConfig struct {
 	sItems      int
 	sSide       float64
 	seed        int64
-	predicate   join.Predicate
 	shard       *zorder.KeyRange
 }
 
@@ -90,12 +94,7 @@ func parseFlags(args []string) (daemonConfig, error) {
 	fs.Float64Var(&cfg.sSide, "s-side", 0.001, "rectangle side length of the synthetic S items")
 	fs.Int64Var(&cfg.seed, "seed", 42, "seed of the synthetic S relation")
 	shard := fs.String("shard", "", "half-open Hilbert key range lo:hi this process owns (empty serves the whole key space)")
-	pred := fs.String("predicate", "intersects", "default join predicate for requests that omit one: intersects, within:EPS or knn:K")
 	if err := fs.Parse(args); err != nil {
-		return cfg, err
-	}
-	var err error
-	if cfg.predicate, err = join.ParsePredicate(*pred); err != nil {
 		return cfg, err
 	}
 	if *shard != "" {
@@ -214,7 +213,6 @@ func buildServer(vfs storage.VFS, cfg daemonConfig) (*server.Server, func(), err
 		CostBudget:      cfg.costBudget,
 		DefaultDeadline: cfg.deadline,
 		CacheBytes:      cfg.cacheBytes,
-		JoinDefaults:    join.Options{Predicate: cfg.predicate},
 		Reopen: func() (*rtree.TreeStore, error) {
 			mu.Lock()
 			defer mu.Unlock()

@@ -8,7 +8,9 @@
 // The shard layout is learned, not configured: at startup the router polls
 // each shard's GET /stats (with retries, so shards may still be booting)
 // and reads the advertised key range.  The ranges must tile the Hilbert
-// key space exactly or the router refuses to start.
+// key space exactly or the router refuses to start.  After startup routing
+// is key-range only: a join goes to every shard and never waits on /stats,
+// which the gateway's own GET /stats merely fans out for operators.
 //
 // Usage:
 //
@@ -51,7 +53,6 @@ func main() {
 type routerFlags struct {
 	addr          string
 	shardURLs     []string
-	statsTTL      time.Duration
 	deadline      time.Duration
 	retries       int
 	backoff       time.Duration
@@ -65,7 +66,6 @@ func parseFlags(args []string) (routerFlags, error) {
 	var shards string
 	fs.StringVar(&cfg.addr, "addr", ":7460", "listen address")
 	fs.StringVar(&shards, "shards", "", "comma-separated shard base URLs (ranges are learned from each shard's /stats)")
-	fs.DurationVar(&cfg.statsTTL, "stats-ttl", 2*time.Second, "coverage summary cache TTL")
 	fs.DurationVar(&cfg.deadline, "deadline", 30*time.Second, "per-attempt shard request timeout")
 	fs.IntVar(&cfg.retries, "retries", 3, "attempts per shard request before the shard counts as failed")
 	fs.DurationVar(&cfg.backoff, "backoff", 50*time.Millisecond, "first retry delay (doubles per attempt)")
@@ -162,7 +162,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	rt, err := router.New(router.Config{
 		Shards:        shards,
 		Client:        client,
-		StatsTTL:      cfg.statsTTL,
 		ShardTimeout:  cfg.deadline,
 		RetryAttempts: cfg.retries,
 		RetryBackoff:  cfg.backoff,

@@ -26,8 +26,9 @@ import (
 // contracts are checked and measured:
 //
 //   - parity: the router's merged join is bit-identical to the brute-force
-//     oracle over the same item set, for every shard count and every join
-//     method SJ1..SJ5, before and after churn;
+//     oracle over the same item set, for every shard count and each of the
+//     three predicates (intersects, within-distance, kNN), before and after
+//     churn;
 //   - scaling: wall clock of the fan-out join and its critical path (the
 //     slowest shard) across 1/2/4 shards — on a single-core host the
 //     critical path is the honest multi-machine scaling indicator, the
@@ -88,8 +89,8 @@ type ShardScalingResult struct {
 	Shards int
 	// Pairs is the merged pair count (identical across shard counts).
 	Pairs int
-	// ParityOK: every method SJ1..SJ5 matched the oracle, before and after
-	// churn.
+	// ParityOK: every predicate in shardPredicates matched the oracle,
+	// before and after churn.
 	ParityOK bool
 	// Rounds is the number of churn rounds committed through the router.
 	Rounds int
@@ -253,6 +254,10 @@ func wirePairsHash(pairs [][2]int32) uint64 {
 	return pairSetHash(jp)
 }
 
+// shardPredicates are the join conditions the parity check sends through the
+// router, each checked against predicateOracle.
+var shardPredicates = []string{"intersects", "within:0.005", "knn:4"}
+
 // RunShardBench runs the full benchmark and returns the report.
 func RunShardBench(cfg ShardBenchConfig) *ShardBenchReport {
 	cfg = cfg.withDefaults()
@@ -295,8 +300,8 @@ func RunShardBench(cfg ShardBenchConfig) *ShardBenchReport {
 	return report
 }
 
-// runShardScale measures one deployment size: load, parity over SJ1..SJ5,
-// churn rounds with a parity check after, and the timed joins.
+// runShardScale measures one deployment size: load, parity over
+// shardPredicates, churn rounds with a parity check after, and the timed joins.
 func runShardScale(ctx context.Context, report *ShardBenchReport, cfg ShardBenchConfig,
 	n int, rItems, sItems []rtree.Item, sTree *rtree.Tree) (ShardScalingResult, error) {
 
@@ -315,20 +320,28 @@ func runShardScale(ctx context.Context, report *ShardBenchReport, cfg ShardBench
 		return res, fmt.Errorf("load round: %w", err)
 	}
 
-	oracle := predicateOracle(live, sItems, join.Intersects())
-	wantHash, wantPairs := pairSetHash(oracle), len(oracle)
-	res.Pairs = wantPairs
 	checkParity := func(label string) {
-		for _, m := range join.Methods {
-			jr, err := rt.Join(ctx, router.JoinRequest{Method: int(m)})
+		for _, p := range shardPredicates {
+			pred, err := join.ParsePredicate(p)
 			if err != nil {
-				report.fail("%d shards, %s, %v: %v", n, label, m, err)
+				report.fail("%s: %v", p, err)
+				res.ParityOK = false
+				continue
+			}
+			oracle := predicateOracle(live, sItems, pred)
+			wantHash, wantPairs := pairSetHash(oracle), len(oracle)
+			if pred.Kind == join.PredIntersects {
+				res.Pairs = wantPairs
+			}
+			jr, err := rt.Join(ctx, router.JoinRequest{Predicate: p})
+			if err != nil {
+				report.fail("%d shards, %s, %s: %v", n, label, p, err)
 				res.ParityOK = false
 				continue
 			}
 			if jr.Count != wantPairs || wirePairsHash(jr.Pairs) != wantHash {
-				report.fail("%d shards, %s, %v: %d pairs (hash %x), oracle %d (hash %x)",
-					n, label, m, jr.Count, wirePairsHash(jr.Pairs), wantPairs, wantHash)
+				report.fail("%d shards, %s, %s: %d pairs (hash %x), oracle %d (hash %x)",
+					n, label, p, jr.Count, wirePairsHash(jr.Pairs), wantPairs, wantHash)
 				res.ParityOK = false
 			}
 		}
@@ -356,12 +369,9 @@ func runShardScale(ctx context.Context, report *ShardBenchReport, cfg ShardBench
 		live = append(append([]rtree.Item(nil), live[k:]...), fresh...)
 		res.Rounds++
 	}
-	oracle = predicateOracle(live, sItems, join.Intersects())
-	wantHash, wantPairs = pairSetHash(oracle), len(oracle)
-	res.Pairs = wantPairs
 	checkParity("churned")
 
-	// Timed joins over the churned state (default method), medians reported.
+	// Timed joins over the churned state (intersection), medians reported.
 	walls := make([]time.Duration, 0, cfg.Repeats)
 	criticals := make([]time.Duration, 0, cfg.Repeats)
 	for i := 0; i < cfg.Repeats; i++ {
@@ -527,7 +537,7 @@ func medianDuration(ds []time.Duration) time.Duration {
 // PrintShardReport renders the benchmark report.
 func PrintShardReport(w io.Writer, r *ShardBenchReport) {
 	fmt.Fprintln(w, "Sharded deployment benchmark: Hilbert-range shards behind the query router")
-	fmt.Fprintf(w, "(R=%d x S=%d at scale %.2f, %d churn rounds x %d ops; parity = SJ1..SJ5 vs brute-force oracle)\n",
+	fmt.Fprintf(w, "(R=%d x S=%d at scale %.2f, %d churn rounds x %d ops; parity = intersects, within, kNN vs brute-force oracle)\n",
 		int(10000*r.Config.Scale), int(7500*r.Config.Scale), r.Config.Scale,
 		r.Config.ChurnRounds, r.Config.ChurnPerRound)
 	fmt.Fprintln(w)

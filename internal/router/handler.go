@@ -17,8 +17,10 @@ import (
 //
 //	POST /update  JSON [{"xl":..,"yl":..,"xu":..,"yu":..,"data":1}, ...]
 //	POST /round   commit staged mutations on every shard
-//	POST /join    JSON {"workers":4,"discard_pairs":false} (body optional)
+//	POST /join    JSON {"workers":4,"predicate":"knn:3","discard_pairs":false} (body optional)
 //	GET  /stats   per-shard server counters and coverage summaries
+//
+// Request bodies are strict: a field the server does not know is a 400.
 //
 // A /join reply is {"count":N,"pairs":[[r,s],...],"shards":[...]}: the
 // pair set in Router.Join's order (left out when empty) plus the per-shard
@@ -50,7 +52,6 @@ func NewHandler(rt *Router) http.Handler {
 			return
 		}
 		res, err := rt.Join(r.Context(), JoinRequest{
-			Method:       req.Method,
 			Workers:      req.Workers,
 			Predicate:    req.Predicate,
 			DiscardPairs: req.DiscardPairs,

@@ -104,9 +104,10 @@ func TestGatewayJoinOverDeployment(t *testing.T) {
 	}
 }
 
-// TestBadRequestsFailOnceAtTheRouter: a malformed predicate, an unknown
-// method and an oversize body are the client's mistake — typed at
-// Router.Join, 4xx at the gateway — and no shard ever sees them.
+// TestBadRequestsFailOnceAtTheRouter: a malformed predicate, a body naming
+// a field the wire does not have (a join method among them: every shard runs
+// SJ4) and an oversize body are the client's mistake — typed at Router.Join,
+// 4xx at the gateway — and no shard ever sees them.
 func TestBadRequestsFailOnceAtTheRouter(t *testing.T) {
 	var hits atomic.Int32
 	mux := http.NewServeMux()
@@ -118,17 +119,11 @@ func TestBadRequestsFailOnceAtTheRouter(t *testing.T) {
 		hits.Add(1)
 		fmt.Fprint(w, `{"staged":0}`)
 	})
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, `{}`) })
 	rt, err := New(Config{Shards: []Shard{stubShard(t, mux)}, RetryAttempts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	_, err = rt.Join(context.Background(), JoinRequest{Method: 6})
-	var merr *server.MethodError
-	if !errors.Is(err, ErrBadRequest) || !errors.As(err, &merr) || merr.Method != 6 {
-		t.Fatalf("Join(method 6) = %v, want ErrBadRequest wrapping *server.MethodError", err)
-	}
 	if _, err = rt.Join(context.Background(), JoinRequest{Predicate: "within:-1"}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("Join(within:-1) = %v, want ErrBadRequest", err)
 	}
@@ -138,8 +133,11 @@ func TestBadRequestsFailOnceAtTheRouter(t *testing.T) {
 		path, body string
 		code       int
 	}{
+		{"/join", `{"method":4}`, http.StatusBadRequest},
 		{"/join", `{"method":-1}`, http.StatusBadRequest},
 		{"/join", `{"method":6}`, http.StatusBadRequest},
+		{"/join", `{"workers":2,"world":[0,0,1,1]}`, http.StatusBadRequest},
+		{"/update", `[{"xl":0.1,"yl":0.1,"xu":0.2,"yu":0.2,"data":7,"method":4}]`, http.StatusBadRequest},
 		{"/join", `{"predicate":"nearest:3"}`, http.StatusBadRequest},
 		{"/join", `{"method":`, http.StatusBadRequest},
 		{"/join", `{"predicate":"` + strings.Repeat("a", server.MaxJoinBody) + `"}`, http.StatusRequestEntityTooLarge},
@@ -153,7 +151,47 @@ func TestBadRequestsFailOnceAtTheRouter(t *testing.T) {
 	if n := hits.Load(); n != 0 {
 		t.Fatalf("%d bad requests reached a shard", n)
 	}
-	if w := postJSON(h, "/join", `{"method":5}`); w.Code != http.StatusOK || hits.Load() != 1 {
+	if w := postJSON(h, "/join", `{"predicate":"knn:2"}`); w.Code != http.StatusOK || hits.Load() != 1 {
 		t.Fatalf("valid join: %d %s after %d shard requests", w.Code, w.Body, hits.Load())
+	}
+}
+
+// TestWriteRouterErrorMapping pins the gateway's status codes for the
+// router's typed errors: every failed shard shedding is a 503 carrying the
+// largest Retry-After (whole seconds, at least 1), any other partial fan-out
+// a 502 naming the failed shards, a deadline a 504, a bad request a 400.
+func TestWriteRouterErrorMapping(t *testing.T) {
+	shed := func(name string, after time.Duration) *ShardError {
+		return &ShardError{Shard: name, Err: fmt.Errorf("POST /join after 3 attempt(s): %w",
+			&StatusError{Code: http.StatusServiceUnavailable, RetryAfter: after})}
+	}
+	broken := &ShardError{Shard: "c", Err: &StatusError{Code: http.StatusInternalServerError}}
+	for _, tc := range []struct {
+		name       string
+		err        error
+		code       int
+		retryAfter string
+		failed     []string
+	}{
+		{"all shedding", &PartialError{Failures: []*ShardError{shed("a", 3*time.Second), shed("b", 1500*time.Millisecond)}}, http.StatusServiceUnavailable, "3", []string{"a", "b"}},
+		{"shedding under a second", &PartialError{Failures: []*ShardError{shed("a", 0)}, Succeeded: []string{"b"}}, http.StatusServiceUnavailable, "1", []string{"a"}},
+		{"shed and broken", &PartialError{Failures: []*ShardError{shed("a", time.Second), broken}, Succeeded: []string{"b"}}, http.StatusBadGateway, "", []string{"a", "c"}},
+		{"deadline", fmt.Errorf("POST /join: %w", context.DeadlineExceeded), http.StatusGatewayTimeout, "", nil},
+		{"bad request", fmt.Errorf("%w: knn:0", ErrBadRequest), http.StatusBadRequest, "", nil},
+		{"other", errors.New("boom"), http.StatusInternalServerError, "", nil},
+	} {
+		w := httptest.NewRecorder()
+		writeRouterError(w, tc.err)
+		var body struct {
+			Error  string   `json:"error"`
+			Failed []string `json:"failed"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil || body.Error == "" {
+			t.Errorf("%s: body %s is not an error object", tc.name, w.Body)
+		}
+		if w.Code != tc.code || w.Header().Get("Retry-After") != tc.retryAfter || fmt.Sprint(body.Failed) != fmt.Sprint(tc.failed) {
+			t.Errorf("%s: %d, Retry-After %q, failed %v; want %d, %q, %v",
+				tc.name, w.Code, w.Header().Get("Retry-After"), body.Failed, tc.code, tc.retryAfter, tc.failed)
+		}
 	}
 }

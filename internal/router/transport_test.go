@@ -12,8 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/geom"
-	"repro/internal/server"
 	"repro/internal/zorder"
 )
 
@@ -60,7 +58,6 @@ func TestDoHonoursRetryAfterCapped(t *testing.T) {
 		}
 		okJoin(w)
 	})
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, `{}`) })
 
 	rec := &sleepRecorder{}
 	rt, err := New(Config{
@@ -97,7 +94,6 @@ func TestDoBacksOffOn5xx(t *testing.T) {
 		}
 		okJoin(w)
 	})
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, `{}`) })
 
 	rec := &sleepRecorder{}
 	rt, err := New(Config{
@@ -131,7 +127,6 @@ func TestDoTreats4xxAsPermanent(t *testing.T) {
 		hits++
 		http.Error(w, `{"error":"no such method"}`, http.StatusBadRequest)
 	})
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, `{}`) })
 
 	rec := &sleepRecorder{}
 	rt, err := New(Config{Shards: []Shard{stubShard(t, mux)}, RetryAttempts: 3, sleep: rec.sleep})
@@ -167,7 +162,6 @@ func TestDoRejectsCountMismatch(t *testing.T) {
 			w.Header().Set("Content-Type", "application/json")
 			fmt.Fprint(w, body)
 		})
-		mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, `{}`) })
 
 		rt, err := New(Config{Shards: []Shard{stubShard(t, mux)}, RetryAttempts: 3, sleep: (&sleepRecorder{}).sleep})
 		if err != nil {
@@ -197,7 +191,6 @@ func TestDoRejectsTruncatedBody(t *testing.T) {
 		w.(http.Flusher).Flush()
 		panic(http.ErrAbortHandler)
 	})
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, `{}`) })
 
 	rec := &sleepRecorder{}
 	rt, err := New(Config{Shards: []Shard{stubShard(t, mux)}, RetryAttempts: 3, sleep: rec.sleep})
@@ -236,7 +229,6 @@ func TestDoDecodesJoinBodiesLikeEncodingJSON(t *testing.T) {
 			hits++
 			fmt.Fprint(w, tc.body)
 		})
-		mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, `{}`) })
 		rt, err := New(Config{Shards: []Shard{stubShard(t, mux)}, RetryAttempts: 3, sleep: (&sleepRecorder{}).sleep})
 		if err != nil {
 			t.Fatal(err)
@@ -257,129 +249,43 @@ func TestDoDecodesJoinBodiesLikeEncodingJSON(t *testing.T) {
 	}
 }
 
-// TestStatsTTLAndStaleFallback: Plan serves coverage from the TTL cache,
-// refreshes it once expired, and — when the shard stops answering /stats —
-// keeps planning with the stale summary rather than dropping the shard.
-func TestStatsTTLAndStaleFallback(t *testing.T) {
-	var mu sync.Mutex
-	statsHits, failStats := 0, false
+// TestJoinNeverCallsStats: routing is key-range only, so a shard whose
+// GET /stats hangs costs a join nothing.  The stub's /stats blocks until the
+// test ends and counts its hits; its /join answers at once.
+func TestJoinNeverCallsStats(t *testing.T) {
+	var statsHits atomic.Int32
+	release := make(chan struct{})
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		statsHits++
-		fail := failStats
-		mu.Unlock()
-		if fail {
-			http.Error(w, "down", http.StatusInternalServerError)
-			return
+		statsHits.Add(1)
+		select {
+		case <-release:
+		case <-r.Context().Done():
 		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"coverage":{"Epoch":3,"PageSize":1024,"RItems":42,"SItems":7}}`)
 	})
+	mux.HandleFunc("POST /join", func(w http.ResponseWriter, r *http.Request) { okJoin(w) })
+	sh := stubShard(t, mux)
+	t.Cleanup(func() { close(release) })
 
-	now := time.Unix(1000, 0)
-	rt, err := New(Config{
-		Shards:   []Shard{stubShard(t, mux)},
-		StatsTTL: 10 * time.Second,
-		now:      func() time.Time { return now },
-	})
+	rt, err := New(Config{Shards: []Shard{sh}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-
-	check := func(label string, wantHits int, wantFresh bool) {
-		t.Helper()
-		plans := rt.Plan(ctx, server.UnitWorld)
-		if len(plans) != 1 {
-			t.Fatalf("%s: planned %d shards, want 1", label, len(plans))
+	done := make(chan error, 1)
+	go func() {
+		_, err := rt.Join(context.Background(), JoinRequest{})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
 		}
-		p := plans[0]
-		if p.Coverage.RItems != 42 || p.Coverage.Epoch != 3 {
-			t.Fatalf("%s: coverage = %+v, want the stub's summary", label, p.Coverage)
-		}
-		if p.StatsFresh != wantFresh {
-			t.Fatalf("%s: StatsFresh = %v, want %v", label, p.StatsFresh, wantFresh)
-		}
-		if p.Est.TotalSeconds() <= 0 {
-			t.Fatalf("%s: no cost estimate from coverage", label)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if statsHits != wantHits {
-			t.Fatalf("%s: %d stats fetches, want %d", label, statsHits, wantHits)
-		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Join is still waiting after 5s: it blocks on the shard's /stats")
 	}
-
-	check("first plan", 1, true)
-	now = now.Add(5 * time.Second)
-	check("within TTL", 1, true) // cache hit, no refetch
-	now = now.Add(6 * time.Second)
-	check("expired", 2, true) // TTL passed, refetched
-	mu.Lock()
-	failStats = true
-	mu.Unlock()
-	now = now.Add(11 * time.Second)
-	check("stale fallback", 3, false) // refresh failed, stale summary kept
-}
-
-// TestPlanOrdersByEstimatedCost: with fresh coverage from both shards, the
-// plan starts the expensive one first — the fan-out's critical path.
-func TestPlanOrdersByEstimatedCost(t *testing.T) {
-	shardStub := func(name string, items int) Shard {
-		mux := http.NewServeMux()
-		mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			fmt.Fprintf(w, `{"coverage":{"Epoch":1,"PageSize":1024,"RItems":%d,"SItems":100}}`, items)
-		})
-		ts := httptest.NewServer(mux)
-		t.Cleanup(ts.Close)
-		return Shard{Name: name, URL: ts.URL}
-	}
-	half := zorder.KeySpace / 2
-	small := shardStub("small", 10)
-	small.Range = zorder.KeyRange{Lo: 0, Hi: half}
-	big := shardStub("big", 10000)
-	big.Range = zorder.KeyRange{Lo: half, Hi: zorder.KeySpace}
-
-	rt, err := New(Config{Shards: []Shard{small, big}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plans := rt.Plan(context.Background(), server.UnitWorld)
-	if len(plans) != 2 || plans[0].Shard.Name != "big" {
-		t.Fatalf("plan order = %v, want the big shard first", []string{plans[0].Shard.Name, plans[1].Shard.Name})
-	}
-}
-
-// TestPlanPrunesOnlyWithExtentBound: key-range pruning needs the
-// MaxItemExtent promise; without it every window fans out to every shard.
-func TestPlanPrunesOnlyWithExtentBound(t *testing.T) {
-	shards := make([]Shard, 4)
-	for i, kr := range zorder.UniformKeyRanges(4) {
-		// Unreachable URLs: planning must not require live shards.
-		shards[i] = Shard{Name: fmt.Sprintf("s%d", i), URL: fmt.Sprintf("http://127.0.0.1:1/s%d", i), Range: kr}
-	}
-	corner := geom.Rect{XL: 0.01, YL: 0.01, XU: 0.02, YU: 0.02}
-
-	rt, err := New(Config{Shards: shards, ShardTimeout: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(rt.Plan(context.Background(), corner)); got != 4 {
-		t.Fatalf("unbounded extents: planned %d shards, want all 4", got)
-	}
-
-	rt2, err := New(Config{Shards: shards, MaxItemExtent: 0.05, ShardTimeout: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned := rt2.Plan(context.Background(), corner)
-	if len(pruned) == 0 || len(pruned) >= 4 {
-		t.Fatalf("bounded extents: planned %d shards for a corner window, want a strict subset", len(pruned))
-	}
-	if got := len(rt2.Plan(context.Background(), server.UnitWorld)); got != 4 {
-		t.Fatalf("whole-world window: planned %d shards, want all 4", got)
+	if n := statsHits.Load(); n != 0 {
+		t.Fatalf("Join made %d GET /stats requests, want 0", n)
 	}
 }
 

@@ -35,16 +35,14 @@ func (o OpWire) Rect() geom.Rect {
 }
 
 // JoinRequestWire is the POST /join body.  All fields are optional; the
-// zero value runs the configured default join.
+// zero value is the intersection join with pairs.  A body naming any other
+// field is rejected (400).
 type JoinRequestWire struct {
-	// Method selects the join algorithm (join.SJ1 .. join.SJ5) when
-	// non-zero.
-	Method int `json:"method,omitempty"`
 	// Workers > 1 runs a parallel join with that many workers.
 	Workers int `json:"workers,omitempty"`
 	// Predicate selects the join condition in join.ParsePredicate's textual
-	// form: "intersects" (the default — old request bodies that omit the
-	// field keep their behaviour), "within:EPS" or "knn:K".
+	// form: "intersects" (the default when the field is left out),
+	// "within:EPS" or "knn:K".
 	Predicate string `json:"predicate,omitempty"`
 	// DiscardPairs suppresses materialising the pairs in the response.
 	DiscardPairs bool `json:"discard_pairs,omitempty"`
@@ -79,16 +77,13 @@ type HandlerConfig struct {
 	// Shard, when non-nil, is the half-open Hilbert key range this server
 	// owns.  POST /update rejects (400) any op whose rectangle centre keys
 	// outside the range: a misrouted op silently indexed on the wrong shard
-	// would be unreachable for the router's key-range planning, so the shard
+	// would break the router's one-home-per-rectangle routing, so the shard
 	// refuses it outright.
 	Shard *zorder.KeyRange
-	// World is the rectangle the Hilbert key grid covers; the zero value
-	// means the unit square.  Router and shards must agree on it.
-	World geom.Rect
 }
 
-// UnitWorld is the default key-grid world: the synthetic datasets live in
-// the unit square.
+// UnitWorld is the rectangle the Hilbert key grid covers, on every shard and
+// in the router: the synthetic datasets live in the unit square.
 var UnitWorld = geom.Rect{XL: 0, YL: 0, XU: 1, YU: 1}
 
 // Request body caps.  A /join body is four small fields; an /update batch
@@ -99,28 +94,14 @@ const (
 	MaxUpdateBody = 8 << 20
 )
 
-// MethodError rejects a wire method number that names no join algorithm.
-type MethodError struct{ Method int }
-
-func (e *MethodError) Error() string {
-	return fmt.Sprintf("method %d out of range: want 0 (the server's default) or %d..%d (SJ1..SJ5)",
-		e.Method, int(join.SJ1), int(join.SJ5))
-}
-
-// CheckMethod validates a JoinRequestWire.Method before it is cast to
-// join.Method.
-func CheckMethod(m int) error {
-	if m != 0 && (m < int(join.SJ1) || m > int(join.SJ5)) {
-		return &MethodError{Method: m}
-	}
-	return nil
-}
-
 // DecodeRequest decodes a JSON request body of at most limit bytes into v.
 // On failure it writes the error response — 413 for an oversize body, 400
-// for a malformed one — and reports false.
+// for a malformed one or one naming a field v does not have — and reports
+// false.
 func DecodeRequest(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
 	if err == nil {
 		return true
 	}
@@ -133,16 +114,8 @@ func DecodeRequest(w http.ResponseWriter, r *http.Request, limit int64, v any) b
 	return false
 }
 
-func (c HandlerConfig) withDefaults() HandlerConfig {
-	if c.World == (geom.Rect{}) {
-		c.World = UnitWorld
-	}
-	return c
-}
-
 // NewHandler builds the HTTP surface over a join server.
 func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
-	cfg = cfg.withDefaults()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /update", func(w http.ResponseWriter, r *http.Request) {
 		var ops []OpWire
@@ -153,7 +126,7 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 		for i, op := range ops {
 			rect := op.Rect()
 			if cfg.Shard != nil {
-				if key := zorder.HilbertKey(rect.Center(), cfg.World); !cfg.Shard.Contains(key) {
+				if key := zorder.HilbertKey(rect.Center(), UnitWorld); !cfg.Shard.Contains(key) {
 					httpError(w, http.StatusBadRequest,
 						fmt.Errorf("op %d: centre key %d outside shard range %s", i, key, cfg.Shard))
 					return
@@ -181,14 +154,10 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 			return
 		}
 		pred, err := join.ParsePredicate(req.Predicate)
-		if err == nil {
-			err = CheckMethod(req.Method)
-		}
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		pred = srv.predicate(pred)
 		// A sequential traversal's pair order is fixed by the epoch and the
 		// request, so its pairs are encoded and sent as they are found.
 		stream := !req.DiscardPairs && req.Workers <= 1 && pred.Kind != join.PredKNN
@@ -199,7 +168,6 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 		enc.deadline, _ = ctx.Deadline()
 		enc.cancel = cancel
 		jr := JoinRequest{
-			Method:       join.Method(req.Method),
 			Workers:      req.Workers,
 			Predicate:    pred,
 			DiscardPairs: req.DiscardPairs || stream,

@@ -112,7 +112,7 @@ func TestHandlerSortsParallelAndKNNPairs(t *testing.T) {
 
 // TestHandlerStreamsTraversalOrder pins what the streamed wire promises: a
 // sequential intersection or within-distance join's pairs in exactly the
-// order join.Join returns them for the same snapshot, for SJ1 to SJ5.
+// order join.Join's SJ4 returns them for the same snapshot.
 func TestHandlerStreamsTraversalOrder(t *testing.T) {
 	fx := newWideFixture(t, Config{})
 	h := NewHandler(fx.srv, HandlerConfig{})
@@ -121,15 +121,13 @@ func TestHandlerStreamsTraversalOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for m := join.SJ1; m <= join.SJ5; m++ {
-			resp := decodeWire(t, doHTTP(t, h, "POST", "/join", JoinRequestWire{Method: int(m), Predicate: predicate}))
-			want, err := join.Join(fx.srv.cfg.Store.Tree(), fx.srv.cfg.S, join.Options{Method: m, Predicate: pred})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(resp.Pairs, wirePairs(want.Pairs)) {
-				t.Errorf("%s %v: the wire's %d pairs are not join.Join's %d in its order", predicate, m, resp.Count, want.Count)
-			}
+		resp := decodeWire(t, doHTTP(t, h, "POST", "/join", JoinRequestWire{Predicate: predicate}))
+		want, err := join.Join(fx.srv.cfg.Store.Tree(), fx.srv.cfg.S, join.Options{Method: join.SJ4, Predicate: pred})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(resp.Pairs, wirePairs(want.Pairs)) {
+			t.Errorf("%s: the wire's %d pairs are not join.Join's %d in its order", predicate, resp.Count, want.Count)
 		}
 	}
 }
@@ -327,7 +325,7 @@ func TestHandlerStalledClientReleasesJoin(t *testing.T) {
 }
 
 // TestHandlerStatsCarriesCoverage checks that /stats publishes the snapshot
-// coverage a router plans with, including the shard range when configured.
+// coverage, including the shard range when configured.
 func TestHandlerStatsCarriesCoverage(t *testing.T) {
 	fx := newFixture(t, Config{})
 	shard := zorder.KeyRange{Lo: 0, Hi: zorder.KeySpace}
@@ -356,35 +354,40 @@ func TestHandlerStatsCarriesCoverage(t *testing.T) {
 	}
 }
 
-// TestHandlerRejectsUnknownMethod is the regression for the unvalidated
-// cast: a method number naming no algorithm is the client's mistake (400,
-// typed message), not a 500 from deep inside the join.
+// TestHandlerRejectsUnknownMethod: the server runs one join, so a body that
+// still picks a method — or names any field the wire does not have — is the
+// client's mistake (400 naming the field), not a silently different
+// traversal order.  The same holds for /update.
 func TestHandlerRejectsUnknownMethod(t *testing.T) {
 	fx := newFixture(t, Config{})
 	h := NewHandler(fx.srv, HandlerConfig{})
 	for _, tc := range []struct {
-		method int
-		code   int
+		path, body string
+		code       int
+		field      string // the unknown field the 400 must name
 	}{
-		{-1, http.StatusBadRequest},
-		{0, http.StatusOK},
-		{1, http.StatusOK},
-		{5, http.StatusOK},
-		{6, http.StatusBadRequest},
-		{1 << 40, http.StatusBadRequest},
+		{"/join", `{"method":4}`, http.StatusBadRequest, "method"},
+		{"/join", `{"method":0}`, http.StatusBadRequest, "method"},
+		{"/join", `{"discard_pairs":true,"method":6}`, http.StatusBadRequest, "method"},
+		{"/join", `{"buffer_bytes":65536}`, http.StatusBadRequest, "buffer_bytes"},
+		{"/join", `{"Workers":2}`, http.StatusOK, ""}, // encoding/json matches field names case-insensitively
+		{"/join", `{"discard_pairs":true}`, http.StatusOK, ""},
+		{"/update", `[{"xl":0.1,"yl":0.1,"xu":0.2,"yu":0.2,"data":7,"world":1}]`, http.StatusBadRequest, "world"},
+		{"/update", `[{"xl":0.1,"yl":0.1,"xu":0.2,"yu":0.2,"data":7}]`, http.StatusAccepted, ""},
 	} {
-		w := doHTTP(t, h, "POST", "/join", map[string]any{"method": tc.method, "discard_pairs": true})
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body)))
 		if w.Code != tc.code {
-			t.Errorf("method %d: %d %s, want %d", tc.method, w.Code, w.Body, tc.code)
+			t.Errorf("%s %s: %d %s, want %d", tc.path, tc.body, w.Code, w.Body, tc.code)
 		}
-		if tc.code == http.StatusBadRequest {
-			want := (&MethodError{Method: tc.method}).Error()
-			var body struct {
-				Error string `json:"error"`
-			}
-			if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil || body.Error != want {
-				t.Errorf("method %d: body %s, want error %q", tc.method, w.Body, want)
-			}
+		if tc.field == "" {
+			continue
+		}
+		var body struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil || !strings.Contains(body.Error, `unknown field "`+tc.field+`"`) {
+			t.Errorf("%s %s: body %s, want an error naming field %q", tc.path, tc.body, w.Body, tc.field)
 		}
 	}
 }
@@ -392,7 +395,9 @@ func TestHandlerRejectsUnknownMethod(t *testing.T) {
 // FuzzJoinRequest drives arbitrary bodies through the shard's POST /join.
 // Every body is answered 200, 400 or 413 — a bad request is the client's
 // mistake, never a 500 or a panic — and every 200 decodes with the client
-// codec, carrying all its pairs unless the body asked to discard them.
+// codec, carrying all its pairs unless the body asked to discard them.  A
+// 200 is only ever the answer to a body whose first value names no field
+// the wire lacks.
 func FuzzJoinRequest(f *testing.F) {
 	for _, seed := range []string{
 		``,
@@ -420,6 +425,7 @@ func FuzzJoinRequest(f *testing.F) {
 		`[]`,
 		`null`,
 		`{"discard_pairs":true}` + strings.Repeat(" ", MaxJoinBody),
+		`{"method":4}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -442,7 +448,11 @@ func FuzzJoinRequest(f *testing.F) {
 		// The handler decodes the first JSON value of the body the same way.
 		var req JoinRequestWire
 		if len(body) > 0 {
-			_ = json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+			dec := json.NewDecoder(bytes.NewReader(body))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&req); err != nil {
+				t.Fatalf("body %q: 200 for a body the strict decoder rejects: %v", body, err)
+			}
 		}
 		if !req.DiscardPairs && resp.Count != len(resp.Pairs) {
 			t.Fatalf("body %q: count %d but %d pairs", body, resp.Count, len(resp.Pairs))

@@ -68,10 +68,6 @@ type Config struct {
 	// (tree, node) key names different bytes in different epochs — and is
 	// dropped with it.  0 disables caching.
 	CacheBytes int
-	// JoinDefaults seeds every request's join options (method, buffer
-	// size, path buffer, height policy).  Per-request fields of
-	// JoinRequest override it.
-	JoinDefaults join.Options
 }
 
 func (c Config) withDefaults() Config {
@@ -93,11 +89,6 @@ func (c Config) withDefaults() Config {
 	if c.RetryBackoff == 0 {
 		c.RetryBackoff = time.Millisecond
 	}
-	if c.JoinDefaults.Method == join.NestedLoop {
-		// The zero method is the quadratic nested loop — never what a
-		// server wants as its default; SJ4 is the paper's best variant.
-		c.JoinDefaults.Method = join.SJ4
-	}
 	if c.Sleep == nil {
 		c.Sleep = func(ctx context.Context, d time.Duration) {
 			t := time.NewTimer(d)
@@ -111,18 +102,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// JoinRequest is one query: join the current snapshot against S.
+// JoinRequest is one query: join the current snapshot against S.  Every
+// request runs SJ4, the paper's recommended join (section 4.3).
 type JoinRequest struct {
-	// Method overrides the configured join method when non-zero.
-	Method join.Method
 	// Workers > 1 runs a ParallelJoin (the default stealing scheduler) with
 	// that many workers, clamped to GOMAXPROCS.
 	Workers int
-	// BufferBytes overrides the configured LRU budget when non-zero.
-	BufferBytes int
-	// Predicate selects the join condition; the zero value runs the
-	// configured default (normally intersection), keeping old callers and
-	// old wire requests bit-compatible.
+	// Predicate selects the join condition; the zero value is intersection.
 	Predicate join.Predicate
 	// DiscardPairs suppresses materialising the pairs.
 	DiscardPairs bool
@@ -182,8 +168,11 @@ type Server struct {
 
 	cur      atomic.Pointer[epoch]
 	inflight atomic.Int64
-	wg       sync.WaitGroup
-	closed   atomic.Bool
+	// closeMu orders Close against Join's registration in wg: a join either
+	// sees closed or is counted before Close starts waiting.
+	closeMu sync.Mutex
+	wg      sync.WaitGroup
+	closed  atomic.Bool
 
 	// wmu serializes the writer side: staged ops, rounds, reopen.
 	wmu     sync.Mutex
@@ -299,9 +288,10 @@ func (s *Server) Pending() int {
 // for a storage fault after req.OnPair had seen pairs that a later attempt
 // found gone, ErrClosed after shutdown.
 func (s *Server) Join(ctx context.Context, req JoinRequest) (*JoinResponse, error) {
-	if s.closed.Load() {
+	if !s.enter() {
 		return nil, ErrClosed
 	}
+	defer s.wg.Done()
 	if err := s.brokenCause(); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrServerBroken, err)
 	}
@@ -309,7 +299,7 @@ func (s *Server) Join(ctx context.Context, req JoinRequest) (*JoinResponse, erro
 		ctx = context.Background()
 	}
 
-	pred := s.predicate(req.Predicate)
+	pred := req.Predicate
 	if err := pred.Validate(); err != nil {
 		return nil, err
 	}
@@ -321,19 +311,19 @@ func (s *Server) Join(ctx context.Context, req JoinRequest) (*JoinResponse, erro
 	if err := s.admit(est); err != nil {
 		return nil, err
 	}
-	s.wg.Add(1)
-	defer func() { s.inflight.Add(-1); s.wg.Done() }()
+	defer s.inflight.Add(-1)
 
 	ctx, cancel := s.withDeadline(ctx)
 	defer cancel()
 
-	opts := s.cfg.JoinDefaults
-	opts.Context = ctx
-	opts.Collector = nil
-	opts.PageReaderR = e.reader
-	opts.PageReaderS = nil
-	opts.PageCache = e.cache
-	opts.DiscardPairs = req.DiscardPairs
+	opts := join.Options{
+		Method:       join.SJ4,
+		Context:      ctx,
+		PageReaderR:  e.reader,
+		PageCache:    e.cache,
+		DiscardPairs: req.DiscardPairs,
+		Predicate:    pred,
+	}
 	// A retry would replay to the observer the pairs the failed attempt
 	// already handed it.  Once it has seen one, the remaining attempts run
 	// without it, keeping no pairs, only to learn whether the fault persists:
@@ -347,13 +337,6 @@ func (s *Server) Join(ctx context.Context, req JoinRequest) (*JoinResponse, erro
 			onPair(p)
 		}
 	}
-	if req.Method != 0 {
-		opts.Method = req.Method
-	}
-	if req.BufferBytes != 0 {
-		opts.BufferBytes = req.BufferBytes
-	}
-	opts.Predicate = pred
 	// Shard and gateway requests both arrive here, so this is where the
 	// wire's workers value is bounded: more workers than cores buys no
 	// parallelism, and ParallelJoin would otherwise split the plan towards
@@ -425,15 +408,6 @@ func (s *Server) withDeadline(ctx context.Context) (context.Context, context.Can
 		return context.WithTimeout(ctx, s.cfg.DefaultDeadline)
 	}
 	return context.WithCancel(ctx)
-}
-
-// predicate resolves a request's predicate: the zero value means the
-// configured default.
-func (s *Server) predicate(p join.Predicate) join.Predicate {
-	if p == (join.Predicate{}) {
-		return s.cfg.JoinDefaults.Predicate
-	}
-	return p
 }
 
 // admit applies the load-shedding policy: a request is rejected when the
@@ -529,13 +503,27 @@ func (s *Server) Reopen() error {
 	return nil
 }
 
+// enter registers a join with Close.  It fails once Close has begun;
+// otherwise Close waits for the join's s.wg.Done.
+func (s *Server) enter() bool {
+	s.closeMu.Lock()
+	defer s.closeMu.Unlock()
+	if s.closed.Load() {
+		return false
+	}
+	s.wg.Add(1)
+	return true
+}
+
 // Close stops admitting work and waits for in-flight joins to drain.  The
 // pager stays open — its lifetime belongs to the caller.
 func (s *Server) Close() error {
-	if !s.closed.CompareAndSwap(false, true) {
-		return nil
+	s.closeMu.Lock()
+	already := s.closed.Swap(true)
+	s.closeMu.Unlock()
+	if !already {
+		s.wg.Wait()
 	}
-	s.wg.Wait()
 	return nil
 }
 
@@ -562,10 +550,7 @@ func (s *Server) CurrentEpoch() uint64 { return s.cur.Load().seq }
 
 // Coverage summarises what the published snapshot holds: item counts, the
 // churned relation's MBR, and both trees' sampled catalog statistics.  It is
-// the per-shard summary a query router plans with — enough to run the
-// sweep-selectivity cost estimate remotely without touching a page — and it
-// is advisory only: a router must never prune a shard on coverage (the next
-// round may move the MBR), only order and budget its fan-out with it.
+// published on GET /stats for operators; no join path reads it.
 type Coverage struct {
 	// Epoch is the snapshot generation the summary was read from.
 	Epoch uint64

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -737,6 +738,52 @@ func TestServerQuickSequences(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 12, Rand: rand.New(rand.NewSource(66))}
 	if err := quick.Check(run, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServerCloseWaitsForAdmittedJoins is the regression for the join that
+// outlived Close: Join checked closed first but joined Close's wait only
+// after pinning and admission, so a Close in between returned while the join
+// went on to run on a store its caller may already have closed.  Joiners
+// loop until ErrClosed; none may see a pair once Close has returned.
+func TestServerCloseWaitsForAdmittedJoins(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		f := newFixture(t, Config{CostBudget: -1, DefaultDeadline: -1})
+		var closed atomic.Bool
+		var late atomic.Int64
+		onPair := func(join.Pair) {
+			if closed.Load() {
+				late.Add(1)
+			}
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					_, err := f.srv.Join(context.Background(), JoinRequest{DiscardPairs: true, OnPair: onPair})
+					if errors.Is(err, ErrClosed) {
+						return
+					}
+					if err != nil {
+						t.Errorf("join before close: %v", err)
+						return
+					}
+				}
+			}()
+		}
+		for f.srv.Snapshot().Done < 4 {
+			runtime.Gosched()
+		}
+		if err := f.srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		closed.Store(true)
+		wg.Wait()
+		if n := late.Load(); n > 0 {
+			t.Fatalf("round %d: joins saw %d pairs after Close returned", round, n)
+		}
 	}
 }
 

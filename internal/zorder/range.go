@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"repro/internal/geom"
 )
 
 // KeySpace is the number of distinct Hilbert keys at the curve's resolution:
@@ -27,11 +25,6 @@ func (r KeyRange) Contains(key uint64) bool { return key >= r.Lo && key < r.Hi }
 
 // Empty reports whether the range holds no keys.
 func (r KeyRange) Empty() bool { return r.Hi <= r.Lo }
-
-// Overlaps reports whether the two half-open ranges share any key.
-func (r KeyRange) Overlaps(o KeyRange) bool {
-	return r.Lo < o.Hi && o.Lo < r.Hi && !r.Empty() && !o.Empty()
-}
 
 // String formats the range as "lo:hi", the form ParseKeyRange accepts and
 // the daemon's -shard flag takes.
@@ -65,8 +58,8 @@ func ParseKeyRange(s string) (KeyRange, error) {
 // UniformKeyRanges tiles [0, KeySpace) into n contiguous near-equal ranges,
 // the default shard assignment when nothing is known about the data
 // distribution.  Uniform key ranges are not uniform data shares — the
-// Hilbert curve clusters dense areas into key runs — but they are the
-// deterministic starting point the coverage statistics then inform.
+// Hilbert curve clusters dense areas into key runs — but they are a
+// deterministic assignment every process can compute on its own.
 func UniformKeyRanges(n int) []KeyRange {
 	if n < 1 {
 		n = 1
@@ -104,72 +97,4 @@ func TilesKeySpace(ranges []KeyRange) bool {
 		next = r.Hi
 	}
 	return next == KeySpace
-}
-
-// HilbertCover returns a sorted, coalesced set of key ranges that together
-// contain the Hilbert key of every grid cell a point of rect can quantise
-// to.  The cover is a superset: descending the Hilbert quadtree is cut off
-// at maxDepth levels (and at single cells), and any block still straddling
-// the rectangle's border at the cut-off is included whole.  A larger
-// maxDepth gives a tighter cover in exchange for more ranges; maxDepth <= 0
-// covers the whole key space with one range.
-//
-// The contiguity that makes this work: an axis-aligned 2^k x 2^k cell block
-// aligned to its own size is one full sub-quadrant of the Hilbert recursion,
-// so its keys form one contiguous run of length 4^k starting at the block
-// corner the curve enters through (the minimum of the four corner keys).
-func HilbertCover(rect geom.Rect, world geom.Rect, maxDepth int) []KeyRange {
-	cxl := cellOf(rect.XL, world.XL, world.XU)
-	cxu := cellOf(rect.XU, world.XL, world.XU)
-	cyl := cellOf(rect.YL, world.YL, world.YU)
-	cyu := cellOf(rect.YU, world.YL, world.YU)
-
-	var cover []KeyRange
-	var descend func(qx, qy uint32, size uint32, depth int)
-	descend = func(qx, qy, size uint32, depth int) {
-		// Disjoint from the quantised query block: nothing to cover.
-		if qx > cxu || qx+size-1 < cxl || qy > cyu || qy+size-1 < cyl {
-			return
-		}
-		inside := qx >= cxl && qx+size-1 <= cxu && qy >= cyl && qy+size-1 <= cyu
-		if inside || size == 1 || depth >= maxDepth {
-			cover = append(cover, blockRange(qx, qy, size))
-			return
-		}
-		half := size / 2
-		descend(qx, qy, half, depth+1)
-		descend(qx+half, qy, half, depth+1)
-		descend(qx, qy+half, half, depth+1)
-		descend(qx+half, qy+half, half, depth+1)
-	}
-	descend(0, 0, 1<<Resolution, 0)
-
-	sort.Slice(cover, func(i, j int) bool { return cover[i].Lo < cover[j].Lo })
-	out := cover[:0]
-	for _, r := range cover {
-		if n := len(out); n > 0 && out[n-1].Hi >= r.Lo {
-			if r.Hi > out[n-1].Hi {
-				out[n-1].Hi = r.Hi
-			}
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
-// blockRange returns the contiguous key range of the aligned size x size
-// cell block anchored at (qx, qy).
-func blockRange(qx, qy, size uint32) KeyRange {
-	lo := HilbertKeyOfCell(qx, qy)
-	for _, k := range [3]uint64{
-		HilbertKeyOfCell(qx+size-1, qy),
-		HilbertKeyOfCell(qx, qy+size-1),
-		HilbertKeyOfCell(qx+size-1, qy+size-1),
-	} {
-		if k < lo {
-			lo = k
-		}
-	}
-	return KeyRange{Lo: lo, Hi: lo + uint64(size)*uint64(size)}
 }
