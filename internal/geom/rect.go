@@ -89,20 +89,20 @@ func (r Rect) Center() Point {
 // Union returns the minimum bounding rectangle of r and s.
 func (r Rect) Union(s Rect) Rect {
 	return Rect{
-		XL: math.Min(r.XL, s.XL),
-		YL: math.Min(r.YL, s.YL),
-		XU: math.Max(r.XU, s.XU),
-		YU: math.Max(r.YU, s.YU),
+		XL: min(r.XL, s.XL),
+		YL: min(r.YL, s.YL),
+		XU: max(r.XU, s.XU),
+		YU: max(r.YU, s.YU),
 	}
 }
 
 // ExtendPoint returns the minimum bounding rectangle of r and the point p.
 func (r Rect) ExtendPoint(p Point) Rect {
 	return Rect{
-		XL: math.Min(r.XL, p.X),
-		YL: math.Min(r.YL, p.Y),
-		XU: math.Max(r.XU, p.X),
-		YU: math.Max(r.YU, p.Y),
+		XL: min(r.XL, p.X),
+		YL: min(r.YL, p.Y),
+		XU: max(r.XU, p.X),
+		YU: max(r.YU, p.Y),
 	}
 }
 
@@ -120,21 +120,21 @@ func (r Rect) Intersection(s Rect) (Rect, bool) {
 		return Rect{}, false
 	}
 	return Rect{
-		XL: math.Max(r.XL, s.XL),
-		YL: math.Max(r.YL, s.YL),
-		XU: math.Min(r.XU, s.XU),
-		YU: math.Min(r.YU, s.YU),
+		XL: max(r.XL, s.XL),
+		YL: max(r.YL, s.YL),
+		XU: min(r.XU, s.XU),
+		YU: min(r.YU, s.YU),
 	}, true
 }
 
 // IntersectionArea returns the area of the common rectangle of r and s, or 0
 // if they do not intersect.  It is used by the R*-tree overlap computations.
 func (r Rect) IntersectionArea(s Rect) float64 {
-	w := math.Min(r.XU, s.XU) - math.Max(r.XL, s.XL)
+	w := min(r.XU, s.XU) - max(r.XL, s.XL)
 	if w <= 0 {
 		return 0
 	}
-	h := math.Min(r.YU, s.YU) - math.Max(r.YL, s.YL)
+	h := min(r.YU, s.YU) - max(r.YL, s.YL)
 	if h <= 0 {
 		return 0
 	}

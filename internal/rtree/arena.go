@@ -34,8 +34,10 @@ type buildArena struct {
 	pending []pendingEntry
 	head    int
 
-	// orphans collects the entries of nodes dissolved by a Delete.
+	// orphans collects the entries of nodes dissolved by a Delete, and path
+	// the entry indexes from the root to the entry a Delete found.
 	orphans []pendingEntry
+	path    []int
 
 	// lastLeaf is the leaf that received the most recent data entry; the
 	// Hilbert insertion buffer seeds its next insert from it (insertbuf.go).

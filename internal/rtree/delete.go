@@ -6,13 +6,20 @@ import "repro/internal/geom"
 // identifier.  It reports whether such an entry was found.  Underflowing
 // nodes are dissolved and their entries re-inserted (Guttman's CondenseTree),
 // and the tree height shrinks when the root is left with a single child.
+//
+// The search is read-only: only the nodes on the path to the found entry are
+// taken over from a snapshot (copied), so every node the search merely looked
+// into stays shared, keeping its cached xl-order, and a delete that finds
+// nothing copies nothing.
 func (t *Tree) Delete(rect geom.Rect, data int32) bool {
 	a := &t.build
-	a.orphans = a.orphans[:0]
-	found := t.deleteRec(t.ownRoot(), rect, data, &a.orphans)
+	path, found := findEntry(t.root, rect, data, a.path[:0])
+	a.path = path
 	if !found {
 		return false
 	}
+	a.orphans = a.orphans[:0]
+	t.removeAt(t.ownRoot(), path, &a.orphans)
 	t.size--
 	t.muts++
 	t.invalidateCatalog()
@@ -44,49 +51,58 @@ func (t *Tree) Delete(rect geom.Rect, data int32) bool {
 	return true
 }
 
-// deleteRec removes the entry from the subtree rooted at n.  Underflowing
-// children are removed from n and their entries appended to orphans.
-func (t *Tree) deleteRec(n *Node, rect geom.Rect, data int32, orphans *[]pendingEntry) bool {
+// findEntry searches the subtree rooted at n, without changing anything, for
+// the first data entry in depth-first entry order with exactly the given
+// rectangle and object identifier.  If it finds one it returns path extended
+// by the entry index taken at every level below n, the index inside the leaf
+// last.
+func findEntry(n *Node, rect geom.Rect, data int32, path []int) ([]int, bool) {
 	if n.IsLeaf() {
 		for i, e := range n.Entries {
 			if e.Data == data && e.Rect.Equal(rect) {
-				n.setEntries(append(n.Entries[:i], n.Entries[i+1:]...))
-				t.maintEntries(n.Level, -1)
-				// Deletes never split, so without this the reservoir would
-				// keep describing the removed geometry indefinitely.
-				t.maintResample(n)
-				return true
+				return append(path, i), true
 			}
 		}
-		return false
+		return path, false
 	}
 	for i := range n.Entries {
 		if !n.Entries[i].Rect.Intersects(rect) {
 			continue
 		}
-		// Own the child before descending: the recursion mutates it when it
-		// finds the entry.  A child searched but not containing the entry is
-		// copied spuriously — same identifier, same bytes, so the incremental
-		// store commit still diffs it clean.
-		child := t.ownChild(n, i)
-		if !t.deleteRec(child, rect, data, orphans) {
-			continue
+		if found, ok := findEntry(n.Entries[i].Child, rect, data, append(path, i)); ok {
+			return found, true
 		}
-		if len(child.Entries) < t.minEnt && n != nil {
-			// Dissolve the underflowing child: remove its directory entry and
-			// queue its remaining entries for re-insertion at the child's
-			// level.
-			for _, ce := range child.Entries {
-				*orphans = append(*orphans, pendingEntry{entry: ce, level: child.Level})
-			}
-			t.maintRemoveNode(child)
-			t.maintEntries(child.Level, -len(child.Entries))
-			n.setEntries(append(n.Entries[:i], n.Entries[i+1:]...))
-			t.maintEntries(n.Level, -1)
-		} else {
-			n.setRect(i, child.MBR())
-		}
-		return true
 	}
-	return false
+	return path, false
+}
+
+// removeAt removes the entry path leads to from the subtree rooted at n,
+// which the caller owns, taking over each node on the path before changing
+// it.  Underflowing children are removed from n and their entries appended to
+// orphans.
+func (t *Tree) removeAt(n *Node, path []int, orphans *[]pendingEntry) {
+	i := path[0]
+	if n.IsLeaf() {
+		n.setEntries(append(n.Entries[:i], n.Entries[i+1:]...))
+		t.maintEntries(n.Level, -1)
+		// Deletes never split, so without this the reservoir would keep
+		// describing the removed geometry indefinitely.
+		t.maintResample(n)
+		return
+	}
+	child := t.ownChild(n, i)
+	t.removeAt(child, path[1:], orphans)
+	if len(child.Entries) < t.minEnt {
+		// Dissolve the underflowing child: remove its directory entry and
+		// queue its remaining entries for re-insertion at the child's level.
+		for _, ce := range child.Entries {
+			*orphans = append(*orphans, pendingEntry{entry: ce, level: child.Level})
+		}
+		t.maintRemoveNode(child)
+		t.maintEntries(child.Level, -len(child.Entries))
+		n.setEntries(append(n.Entries[:i], n.Entries[i+1:]...))
+		t.maintEntries(n.Level, -1)
+	} else {
+		n.setRect(i, child.MBR())
+	}
 }

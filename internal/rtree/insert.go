@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/geom"
@@ -99,14 +100,24 @@ func (t *Tree) chooseSubtree(n *Node, r geom.Rect) int {
 	// capacities only the chooseSubtreeCandidates entries with the least area
 	// enlargement are examined (the R*-tree paper's optimisation).
 	candidates := t.candidateIndexes(n.Entries, r)
+	if len(candidates) == 1 {
+		return candidates[0]
+	}
 	best := candidates[0]
 	bestOverlap := overlapEnlargement(n.Entries, best, r)
 	bestEnlarge := n.Entries[best].Rect.Enlargement(r)
 	bestArea := n.Entries[best].Rect.Area()
 	for _, i := range candidates[1:] {
-		o := overlapEnlargement(n.Entries, i, r)
 		enl := n.Entries[i].Rect.Enlargement(r)
 		area := n.Entries[i].Rect.Area()
+		if bestOverlap == 0 && !(enl < bestEnlarge || (enl == bestEnlarge && area < bestArea)) {
+			// Every term of an overlap enlargement is at least +0 (or NaN,
+			// which loses every comparison), so only the tie-breakers could
+			// beat a zero one, and this candidate loses on them: its scan
+			// could not change the choice.
+			continue
+		}
+		o := overlapEnlargement(n.Entries, i, r)
 		if o < bestOverlap ||
 			(o == bestOverlap && enl < bestEnlarge) ||
 			(o == bestOverlap && enl == bestEnlarge && area < bestArea) {
@@ -136,6 +147,11 @@ func leastEnlargement(entries []Entry, r geom.Rect) int {
 // overlap-minimising ChooseSubtree: all of them for small nodes, otherwise
 // the chooseSubtreeCandidates entries with the least area enlargement.  The
 // index and enlargement buffers live in the build arena.
+//
+// A large node whose least enlargement belongs to one entry alone, with a
+// zero overlap enlargement, yields that entry as the only candidate, unsorted:
+// the sort would put it first, and no later candidate can beat a zero
+// overlap enlargement with a larger area enlargement (see chooseSubtree).
 func (t *Tree) candidateIndexes(entries []Entry, r geom.Rect) []int {
 	a := &t.build
 	idx := a.candIdx[:0]
@@ -147,10 +163,21 @@ func (t *Tree) candidateIndexes(entries []Entry, r geom.Rect) []int {
 		return idx
 	}
 	enl := a.candEnl[:0]
+	least, sole, nan := 0, true, false
 	for i := range entries {
-		enl = append(enl, entries[i].Rect.Enlargement(r))
+		e := entries[i].Rect.Enlargement(r)
+		enl = append(enl, e)
+		nan = nan || math.IsNaN(e) // NaN keys leave the sorted order undefined
+		if e < enl[least] {
+			least, sole = i, true
+		} else if i > 0 && e == enl[least] {
+			sole = false
+		}
 	}
 	a.candEnl = enl
+	if sole && !nan && overlapEnlargement(entries, least, r) == 0 {
+		return idx[least : least+1]
+	}
 	a.candSorter.idx, a.candSorter.enl = idx, enl
 	sort.Sort(&a.candSorter)
 	a.candSorter.idx, a.candSorter.enl = nil, nil
@@ -158,16 +185,34 @@ func (t *Tree) candidateIndexes(entries []Entry, r geom.Rect) []int {
 }
 
 // overlapEnlargement returns the increase of the overlap between entry i and
-// its siblings if entry i's rectangle is enlarged to include r.
+// its siblings if entry i's rectangle is enlarged to include r: the sum, in
+// sibling order, of area(E ∩ Rj) − area(Ri ∩ Rj) with E = Ri ∪ r.
+//
+// It measures only the overlaps that exist, and returns the bits the full
+// sum does.  Ri lies inside E, so each extent of Ri ∩ Rj is at most the
+// matching extent of E ∩ Rj (rounding is monotonic): a sibling E does not
+// overlap with positive area contributes 0 − 0 = +0, and adding +0 leaves
+// the running sum unchanged (no term is ever −0).  When Ri already contains
+// r, E is Ri and every term is a − a = +0, so the sum is +0 without a scan;
+// a is finite because it is at most area(Ri), which the guard checks is
+// finite (siblings with a NaN coordinate, which CheckInvariants rejects,
+// are the one input this shortcut does not reproduce).
 func overlapEnlargement(entries []Entry, i int, r geom.Rect) float64 {
-	enlarged := entries[i].Rect.Union(r)
+	ri := entries[i].Rect
+	if ri.Contains(r) && ri.Area() <= math.MaxFloat64 {
+		return 0
+	}
+	enlarged := ri.Union(r)
 	var delta float64
 	for j := range entries {
 		if j == i {
 			continue
 		}
-		delta += enlarged.IntersectionArea(entries[j].Rect) -
-			entries[i].Rect.IntersectionArea(entries[j].Rect)
+		grown := enlarged.IntersectionArea(entries[j].Rect)
+		if grown == 0 {
+			continue
+		}
+		delta += grown - ri.IntersectionArea(entries[j].Rect)
 	}
 	return delta
 }

@@ -11,10 +11,15 @@ import (
 //
 // Dynamic R*-tree construction is CPU-bound in ChooseSubtree's
 // overlap-enlargement scan: every insert descends from the root and, at the
-// leaf-parent level, evaluates the overlap enlargement of up to 32 candidate
-// entries against all their siblings (O(candidates × fan-out) floating-point
-// work).  An arbitrary insertion order pays that full scan for every single
-// rectangle.
+// leaf-parent level, measures for up to 32 candidate entries how much their
+// overlap with the siblings would grow.  A scanned candidate tests every
+// sibling once (O(fan-out) intersection areas), but only the siblings its
+// enlarged rectangle overlaps cost a second one, a candidate that already
+// contains the rectangle costs nothing, and once a candidate with zero
+// overlap growth is found only candidates that could still win on the
+// tie-breakers are scanned (chooseSubtree, overlapEnlargement).  In the
+// worst case that is still O(candidates × fan-out) per insert, and an
+// arbitrary insertion order pays the descent for every single rectangle.
 //
 // The insertion buffer stages inserts, sorts each batch by the Hilbert key of
 // the rectangle centres — the same curve the Hilbert bulk loader and the

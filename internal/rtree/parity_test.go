@@ -90,7 +90,11 @@ func goldenItems(n int, seed int64) []Item {
 // (8 entries) forces deep trees and frequent splits; the 1 KByte page
 // exercises the candidate-limited ChooseSubtree (M > 32).  A linear-split
 // variant does not exist in this codebase, so the golden set pins the R* and
-// quadratic splits only.
+// quadratic splits only.  The server-path shapes pin the build the daemons
+// run: the Hilbert InsertBuffer at the served page size, staged deletes, and
+// copy-on-write snapshots between rounds, at three rectangle sizes.  Their
+// baselines come from the full ChooseSubtree scan, with no sibling or
+// candidate skipped, so they pin that the scan's shortcuts change no tree.
 type goldenShape struct {
 	label string
 	build func(testing.TB) *Tree
@@ -99,8 +103,63 @@ type goldenShape struct {
 
 func smallPage() int { return 8 * storage.EntrySize }
 
+// serverPathTree builds a tree the way spatialjoind's writer does: 4 KiB
+// pages and an InsertBuffer of 256 (server.Config's default BatchCapacity),
+// the 20 000-item ingest committed as one round, then 30 churn rounds of 100
+// staged deletes of live items and 100 staged inserts.  Every round ends with
+// a Snapshot, as the server's epoch flip does: it drops the leaf hint and
+// makes every later mutation copy the nodes it touches.
+func serverPathTree(tb testing.TB, side float64, seed int64) *Tree {
+	rng := rand.New(rand.NewSource(seed))
+	t := MustNew(Options{PageSize: storage.PageSize4K})
+	b := NewInsertBuffer(t, 256)
+	t.Snapshot() // the server publishes its first epoch over the empty tree
+	live := randomItems(rng, 20000, side)
+	for _, it := range live {
+		b.Stage(it.Rect, it.Data)
+	}
+	b.Flush()
+	t.Snapshot()
+	next := int32(len(live))
+	for round := 0; round < 30; round++ {
+		for i := 0; i < 100; i++ {
+			k := rng.Intn(len(live))
+			b.StageDelete(live[k].Rect, live[k].Data)
+			live[k] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		for _, it := range randomItems(rng, 100, side) {
+			it.Data = next
+			next++
+			b.Stage(it.Rect, it.Data)
+			live = append(live, it)
+		}
+		b.Flush()
+		t.Snapshot()
+	}
+	if b.DeleteMisses() != 0 {
+		tb.Fatalf("side %g: %d staged deletes missed their entry", side, b.DeleteMisses())
+	}
+	return t
+}
+
 func goldenShapes() []goldenShape {
 	return []goldenShape{
+		{
+			label: "server-path-4k-side0.004",
+			build: func(tb testing.TB) *Tree { return serverPathTree(tb, 0.004, 30) },
+			want:  shape{Height: 2, Nodes: 141, Size: 20000, Levels: []uint64{0xf9e5f4b427976f21, 0xfb74414b211c6489}},
+		},
+		{
+			label: "server-path-4k-side0.02",
+			build: func(tb testing.TB) *Tree { return serverPathTree(tb, 0.02, 31) },
+			want:  shape{Height: 2, Nodes: 143, Size: 20000, Levels: []uint64{0xa3e85315ff04b580, 0xc994f58b88a3329f}},
+		},
+		{
+			label: "server-path-4k-side0.1",
+			build: func(tb testing.TB) *Tree { return serverPathTree(tb, 0.1, 32) },
+			want:  shape{Height: 2, Nodes: 128, Size: 20000, Levels: []uint64{0xb8820d9633626476, 0x3b1fbbafb6f9fe33}},
+		},
 		{
 			label: "rstar-insert-smallpage",
 			build: func(tb testing.TB) *Tree {

@@ -1,0 +1,89 @@
+package server
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/rtree"
+	"repro/internal/storage"
+)
+
+// churnOps draws n inserts of rectangles with sides up to side, numbered
+// from base.
+func churnOps(rng *rand.Rand, n int, base int32, side float64) []Op {
+	ops := make([]Op, n)
+	for i := range ops {
+		x, y := rng.Float64(), rng.Float64()
+		ops[i] = Op{
+			Rect: geom.Rect{XL: x, YL: y, XU: x + rng.Float64()*side, YU: y + rng.Float64()*side},
+			Data: base + int32(i),
+		}
+	}
+	return ops
+}
+
+// BenchmarkChurnRound times one writer round in the shape of the ledger's
+// serve-churn workload: a store of 4 KiB pages holding 20 000 rectangles
+// with sides up to 0.004, ingested through Update and Round the way
+// spatialjoind builds it, then per iteration 100 deletes of live items and
+// 100 fresh inserts staged with Update and applied, committed and published
+// by Round.
+func BenchmarkChurnRound(b *testing.B) {
+	rng := rand.New(rand.NewSource(71))
+	opts := rtree.Options{PageSize: storage.PageSize4K}
+	p, err := storage.OpenPager(storage.NewMemVFS(), "r.db", storage.PageSize4K, storage.PagerOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	store, err := rtree.NewTreeStore(rtree.MustNew(opts), p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sTree, err := rtree.BulkLoadSTR(opts, genItems(rng, 1000, 1_000_000, 0.005))
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := New(Config{Store: store, S: sTree, CacheBytes: 128 << 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+
+	live := churnOps(rng, 20000, 0, 0.004)
+	if err := srv.Update(live); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := srv.Round(); err != nil {
+		b.Fatal(err)
+	}
+	next := int32(len(live))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		round := make([]Op, 0, 200)
+		for k := 0; k < 100; k++ {
+			j := rng.Intn(len(live))
+			round = append(round, Op{Rect: live[j].Rect, Data: live[j].Data, Delete: true})
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		fresh := churnOps(rng, 100, next, 0.004)
+		next += int32(len(fresh))
+		round = append(round, fresh...)
+		live = append(live, fresh...)
+		b.StartTimer()
+
+		if err := srv.Update(round); err != nil {
+			b.Fatal(err)
+		}
+		st, err := srv.Round()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.Applied != len(round) {
+			b.Fatalf("round applied %d of %d ops", st.Applied, len(round))
+		}
+	}
+}
