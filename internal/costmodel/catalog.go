@@ -1,44 +1,27 @@
 package costmodel
 
-// Catalog statistics: per-level structural summaries of an R-tree, collected
-// by reservoir sampling during tree construction (or by a one-pass sampling
-// walk for trees built before statistics existed).  They play the role of the
-// disk-resident statistics a query planner keeps in its catalog: the planner
-// may consult them at any time without touching the tree's pages, so feeding
+// Catalog statistics: per-level structural summaries of an R-tree, computed
+// exactly by one walk of the tree version they describe.  They play the role
+// of the statistics a query planner keeps in its catalog: the planner may
+// consult them at any time without touching the tree's pages, so feeding
 // them to a cost estimator charges no I/O.
-//
-// The per-level node and entry counts are exact (they cost one integer each
-// to maintain); the per-node shape statistics — fan-out, mean entry extents,
-// coverage density — are averages over a bounded reservoir sample, so the
-// catalog stays O(height) in size regardless of the tree.
 
 // LevelStats summarises one level of a tree.  Level 0 is the leaf level.
 type LevelStats struct {
 	// Level is the distance from the leaf level (0 = leaves).
 	Level int
-	// Nodes is the exact number of nodes at this level.
+	// Nodes is the number of nodes at this level.
 	Nodes int64
-	// Entries is the exact number of entries stored at this level; at level 0
-	// this is the number of data rectangles.
+	// Entries is the number of entries stored at this level; at level 0 this
+	// is the number of data rectangles.
 	Entries int64
-	// SampleSize is the number of nodes in the reservoir the averages below
-	// were computed from.
-	SampleSize int
-	// AvgFanout is the mean entry count over the sampled nodes.
-	AvgFanout float64
-	// AvgEntryWidth and AvgEntryHeight are the mean extents of the sampled
-	// nodes' entry rectangles.  At the leaf level these are the mean data-
-	// rectangle extents, the quantity a spatial-join selectivity estimate
-	// needs.
-	AvgEntryWidth  float64
-	AvgEntryHeight float64
-	// AvgDensity is the mean coverage of the sampled nodes: the sum of their
-	// entries' areas divided by the node MBR's area (can exceed 1 for
-	// overlapping entries; degenerate MBRs count as density 1).
-	AvgDensity float64
+	// AvgEntryWidth is the mean over the level's nodes of each node's mean
+	// entry width.  At the leaf level it is the mean data-rectangle width,
+	// the quantity a plane-sweep selectivity estimate needs.
+	AvgEntryWidth float64
 }
 
-// Catalog is the sampled statistics of one tree.
+// Catalog is the statistics of one tree.
 type Catalog struct {
 	// PageSize is the page size in bytes of the tree's nodes.
 	PageSize int
@@ -54,8 +37,8 @@ func (c Catalog) Valid() bool {
 	return len(c.Levels) > 0 && c.Levels[0].Nodes > 0
 }
 
-// DataEntries returns the exact number of data rectangles recorded by the
-// catalog (0 for an invalid catalog).
+// DataEntries returns the number of data rectangles recorded by the catalog
+// (0 for an invalid catalog).
 func (c Catalog) DataEntries() int64 {
 	if !c.Valid() {
 		return 0
@@ -77,7 +60,7 @@ func (c Catalog) clampLevel(level int) int {
 }
 
 // SubtreePages returns the expected number of pages of a subtree whose root
-// sits at the given level: the exact population of each level at or below it,
+// sits at the given level: the population of each level at or below it,
 // divided by the number of subtree roots.  Unlike the catalog-average
 // fan-out^level model this reflects the tree as built, including underfilled
 // levels and bulk-load packing.
@@ -111,21 +94,12 @@ func (c Catalog) SubtreeEntries(level int) float64 {
 	return float64(c.DataEntries()) / roots
 }
 
-// LeafExtent returns the sampled mean width and height of the data
-// rectangles and whether a leaf sample exists.  Selectivity estimates use it
-// to turn "entries in a region" into "expected intersecting pairs".
-func (c Catalog) LeafExtent() (w, h float64, ok bool) {
-	if !c.Valid() || c.Levels[0].SampleSize == 0 {
-		return 0, 0, false
+// LeafExtent returns the mean data-rectangle width (0 for an invalid
+// catalog).  Selectivity estimates use it to turn "entries in a region" into
+// "expected x-overlapping pairs".
+func (c Catalog) LeafExtent() float64 {
+	if !c.Valid() {
+		return 0
 	}
-	return c.Levels[0].AvgEntryWidth, c.Levels[0].AvgEntryHeight, true
-}
-
-// LeafDensity returns the sampled mean leaf coverage and whether a leaf
-// sample exists.
-func (c Catalog) LeafDensity() (float64, bool) {
-	if !c.Valid() || c.Levels[0].SampleSize == 0 {
-		return 0, false
-	}
-	return c.Levels[0].AvgDensity, true
+	return c.Levels[0].AvgEntryWidth
 }

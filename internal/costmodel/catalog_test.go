@@ -7,10 +7,9 @@ func testCatalog() Catalog {
 		PageSize: 1024,
 		Height:   3,
 		Levels: []LevelStats{
-			{Level: 0, Nodes: 100, Entries: 2000, SampleSize: 10,
-				AvgFanout: 20, AvgEntryWidth: 0.01, AvgEntryHeight: 0.02, AvgDensity: 0.4},
-			{Level: 1, Nodes: 10, Entries: 100, SampleSize: 10, AvgFanout: 10},
-			{Level: 2, Nodes: 1, Entries: 10, SampleSize: 1, AvgFanout: 10},
+			{Level: 0, Nodes: 100, Entries: 2000, AvgEntryWidth: 0.01},
+			{Level: 1, Nodes: 10, Entries: 100, AvgEntryWidth: 0.1},
+			{Level: 2, Nodes: 1, Entries: 10, AvgEntryWidth: 0.5},
 		},
 	}
 }
@@ -51,11 +50,8 @@ func TestCatalogSubtreeExpectations(t *testing.T) {
 	if got := c.SubtreeEntries(-1); got != 20 {
 		t.Errorf("SubtreeEntries(-1) = %v, want 20 (clamped)", got)
 	}
-	if w, h, ok := c.LeafExtent(); !ok || w != 0.01 || h != 0.02 {
-		t.Errorf("LeafExtent = (%v, %v, %v)", w, h, ok)
-	}
-	if d, ok := c.LeafDensity(); !ok || d != 0.4 {
-		t.Errorf("LeafDensity = (%v, %v)", d, ok)
+	if w := c.LeafExtent(); w != 0.01 {
+		t.Errorf("LeafExtent = %v, want 0.01", w)
 	}
 }
 
@@ -67,11 +63,8 @@ func TestCatalogInvalid(t *testing.T) {
 	if zero.DataEntries() != 0 || zero.SubtreePages(1) != 0 || zero.SubtreeEntries(1) != 0 {
 		t.Error("invalid catalog must report zero expectations")
 	}
-	if _, _, ok := zero.LeafExtent(); ok {
-		t.Error("invalid catalog must not report a leaf extent")
-	}
-	if _, ok := zero.LeafDensity(); ok {
-		t.Error("invalid catalog must not report a leaf density")
+	if w := zero.LeafExtent(); w != 0 {
+		t.Errorf("invalid catalog reports leaf extent %v, want 0", w)
 	}
 	empty := Catalog{Levels: []LevelStats{{Nodes: 0}}}
 	if empty.Valid() {

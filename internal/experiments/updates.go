@@ -10,8 +10,8 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Update-heavy workloads (extension): Hilbert-buffered maintenance batches
-// interleaved with parallel joins, with the catalog-recollection ablation.
+// Update-heavy workloads (extension): Hilbert-buffered update batches
+// interleaved with parallel joins.
 // ---------------------------------------------------------------------------
 
 // UpdateRounds is the number of update-then-join rounds the experiment runs.
@@ -26,14 +26,8 @@ const UpdateWorkers = 8
 // buffer.
 const UpdateBatchPercent = 10
 
-// UpdateRow is one strategy's join after one update round.  Rows come in two
-// blocks: Maintained=true runs with incremental catalog maintenance (the
-// default), Maintained=false ablates it, so every post-mutation planning pass
-// recollects the statistics with a full-tree sampling walk — the stall the
-// maintenance removes.
+// UpdateRow is one strategy's join after one update round.
 type UpdateRow struct {
-	// Maintained is false for the recollection-stall ablation block.
-	Maintained bool
 	// Round is the 1-based update round.
 	Round    int
 	Strategy join.PartitionStrategy
@@ -47,16 +41,11 @@ type UpdateRow struct {
 	// EstErrPct is the mean over workers of |predicted - actual| / actual in
 	// per cent, for the spatial schedule.  It is -1 for stealing, whose split
 	// is not the predicted schedule.  This is the estimator-freshness
-	// measure: the maintained catalog must keep it in the PR-4 band without
-	// ever walking the tree.
+	// measure: the catalog of a mutated tree must keep it in the band of a
+	// freshly built one.
 	EstErrPct float64
 	TimeSkew  float64
 	Steals    int
-	// CatalogWalks is how many from-scratch recollection walks the two trees
-	// performed during this row's planning, and WalkedPages the pages those
-	// walks touched.  With maintenance on both must be zero for every row.
-	CatalogWalks int
-	WalkedPages  int64
 }
 
 // UpdatePair is one relation under update churn: its tree, its live items
@@ -107,23 +96,12 @@ func (u *UpdatePair) TurnOver(round int) (hits, applied int) {
 
 // TableUpdates interleaves batched updates (Hilbert-buffered inserts plus
 // oldest-first deletes, UpdateBatchPercent of each relation per round) with
-// SJ4 parallel joins under both partition strategies, twice: once with
-// incremental catalog maintenance (the default) and once with it ablated.
-// Every join's result is verified against the sequential join on the mutated
-// trees; the CatalogWalks column isolates the recollection stall the
-// maintenance removes, and EstErrPct shows the estimator staying healthy on
-// statistics that were never recollected.
+// SJ4 parallel joins under both partition strategies, on freshly built trees
+// (the suite's cached trees must stay immutable for the other tables).  Every
+// join's result is verified against the sequential join on the mutated
+// trees, and EstErrPct shows the estimator staying healthy on the mutated
+// trees' statistics.
 func (s *Suite) TableUpdates() []UpdateRow {
-	var rows []UpdateRow
-	for _, maintained := range []bool{true, false} {
-		rows = append(rows, s.updateBlock(maintained)...)
-	}
-	return rows
-}
-
-// updateBlock runs the rounds for one maintenance mode on freshly built
-// trees (the suite's cached trees must stay immutable for the other tables).
-func (s *Suite) updateBlock(maintained bool) []UpdateRow {
 	r := &UpdatePair{
 		Live: append([]rtree.Item(nil), s.streets()...),
 		Kind: datagen.Streets, Seed: 7101, NextID: 1 << 20,
@@ -135,7 +113,6 @@ func (s *Suite) updateBlock(maintained bool) []UpdateRow {
 	for _, u := range []*UpdatePair{r, t} {
 		u.Tree = rtree.MustNew(rtree.Options{PageSize: ParallelPageSize})
 		u.Tree.InsertItems(u.Live)
-		u.Tree.SetCatalogMaintenance(maintained)
 	}
 
 	var rows []UpdateRow
@@ -147,10 +124,7 @@ func (s *Suite) updateBlock(maintained bool) []UpdateRow {
 			hintRate = float64(hitsR+hitsT) / float64(appliedR+appliedT)
 		}
 		seq := s.runJoin(r.Tree, t.Tree, join.SJ4, ParallelBufferKB, nil)
-		pagesR := int64(r.Tree.Stats().TotalPages())
-		pagesT := int64(t.Tree.Stats().TotalPages())
 		for _, strategy := range join.PartitionStrategies {
-			walksR0, walksT0 := r.Tree.CatalogRecollections(), t.Tree.CatalogRecollections()
 			res, err := join.ParallelJoin(r.Tree, t.Tree, join.ParallelOptions{
 				Options: join.Options{
 					Method:        join.SJ4,
@@ -168,18 +142,13 @@ func (s *Suite) updateBlock(maintained bool) []UpdateRow {
 				panic(fmt.Sprintf("experiments: update join %v round %d found %d pairs, sequential %d",
 					strategy, round, res.Count, seq.Count))
 			}
-			dWalksR := r.Tree.CatalogRecollections() - walksR0
-			dWalksT := t.Tree.CatalogRecollections() - walksT0
 			row := UpdateRow{
-				Maintained:   maintained,
-				Round:        round,
-				Strategy:     strategy,
-				Pairs:        res.Count,
-				HintHitRate:  hintRate,
-				EstErrPct:    -1,
-				TimeSkew:     res.TimeSkew(s.model, ParallelPageSize),
-				CatalogWalks: dWalksR + dWalksT,
-				WalkedPages:  int64(dWalksR)*pagesR + int64(dWalksT)*pagesT,
+				Round:       round,
+				Strategy:    strategy,
+				Pairs:       res.Count,
+				HintHitRate: hintRate,
+				EstErrPct:   -1,
+				TimeSkew:    res.TimeSkew(s.model, ParallelPageSize),
 			}
 			for _, n := range res.WorkerTasks {
 				row.Tasks += n
@@ -198,37 +167,25 @@ func (s *Suite) updateBlock(maintained bool) []UpdateRow {
 	return rows
 }
 
-// PrintTableUpdates writes the update-workload rows, grouped by maintenance
-// mode and round.
+// PrintTableUpdates writes the update-workload rows, one per round and
+// strategy.
 func PrintTableUpdates(w io.Writer, rows []UpdateRow) {
 	writeHeader(w, fmt.Sprintf(
-		"Update-heavy workload (SJ4, %d workers, %d%% turnover per round): catalog maintenance vs recollection",
+		"Update-heavy workload (SJ4, %d workers, %d%% turnover per round)",
 		UpdateWorkers, UpdateBatchPercent))
-	fmt.Fprintf(w, "%-11s %-6s %-12s %6s %8s %9s %10s %10s %7s %6s %12s\n",
-		"catalog", "round", "strategy", "tasks", "pairs", "hint rate", "est err %", "time skew",
-		"steals", "walks", "walked pages")
-	lastMode := true
-	for i, row := range rows {
-		if i > 0 && row.Maintained != lastMode {
-			fmt.Fprintln(w)
-		}
-		lastMode = row.Maintained
-		mode := "maintained"
-		if !row.Maintained {
-			mode = "recollect"
-		}
+	fmt.Fprintf(w, "%-6s %-12s %6s %8s %9s %10s %10s %7s\n",
+		"round", "strategy", "tasks", "pairs", "hint rate", "est err %", "time skew", "steals")
+	for _, row := range rows {
 		estErr := "-"
 		if row.EstErrPct >= 0 {
 			estErr = fmt.Sprintf("%.1f", row.EstErrPct)
 		}
-		fmt.Fprintf(w, "%-11s %-6d %-12s %6d %8d %9.2f %10s %10.2f %7d %6d %12d\n",
-			mode, row.Round, row.Strategy, row.Tasks, row.Pairs, row.HintHitRate,
-			estErr, row.TimeSkew, row.Steals, row.CatalogWalks, row.WalkedPages)
+		fmt.Fprintf(w, "%-6d %-12s %6d %8d %9.2f %10s %10.2f %7d\n",
+			row.Round, row.Strategy, row.Tasks, row.Pairs, row.HintHitRate,
+			estErr, row.TimeSkew, row.Steals)
 	}
 	fmt.Fprintln(w, "(each round deletes the oldest batch and Hilbert-buffer-inserts a fresh one on"+
 		"\n both relations, then joins with every partition strategy; hint rate = share of"+
 		"\n buffered inserts that skipped the ChooseSubtree descent; est err = mean per-"+
-		"\n worker |predicted-actual|/actual for the spatial schedule;"+
-		"\n walks = full-tree statistics recollections during planning — the stall the"+
-		"\n incremental catalog maintenance eliminates)")
+		"\n worker |predicted-actual|/actual for the spatial schedule)")
 }

@@ -55,15 +55,15 @@ func (s PartitionStrategy) String() string {
 var PartitionStrategies = []PartitionStrategy{PartitionSpatial, PartitionStealing}
 
 // taskEstimator converts one planned task into an estimated execution time
-// under the paper's cost model, from the two trees' sampled catalog
-// statistics (rtree.Tree.CatalogStats).  The expected I/O is the share of
-// each subtree's pages overlapping the task's intersection rectangle, with
-// the sampled per-level node counts describing the tree as built.  The
-// expected CPU is a plane-sweep selectivity estimate: sort cost plus the
-// expected x-overlapping pairs, derived from the sampled mean data-rectangle
-// extents.  The estimates only rank tasks for scheduling, so fidelity
-// matters less than determinism: identical inputs always produce identical
-// schedules (the sampling RNG is deterministically seeded).
+// under the paper's cost model, from the two trees' catalog statistics
+// (rtree.Tree.CatalogStats).  The expected I/O is the share of each
+// subtree's pages overlapping the task's intersection rectangle, with the
+// per-level node counts describing the tree as built.  The expected CPU is a
+// plane-sweep selectivity estimate: sort cost plus the expected
+// x-overlapping pairs, derived from the mean data-rectangle widths.  The
+// estimates only rank tasks for scheduling, so fidelity matters less than
+// determinism: the catalog is one walk of the tree, so identical trees
+// always produce identical schedules.
 type taskEstimator struct {
 	model    costmodel.Model
 	pageSize int
@@ -152,13 +152,12 @@ func (e taskEstimator) vec(t parallelTask) costVec {
 	er := fr * e.r.SubtreeEntries(t.er.Child.Level)
 	es := fs * e.s.SubtreeEntries(t.es.Child.Level)
 	// Plane-sweep selectivity: the CPU-tuned algorithms sort both restricted
-	// entry sequences and test only the x-overlapping pairs.  The sampled
-	// mean data-rectangle extents give the probability that two entries drawn
+	// entry sequences and test only the x-overlapping pairs.  The mean
+	// data-rectangle widths give the probability that two entries drawn
 	// uniformly from the task's intersection rectangle overlap in x, turning
 	// the all-pairs product into the sweep's expected test count; the
 	// n·log n term models the sorting.
-	wr, _, _ := e.r.LeafExtent()
-	ws, _, _ := e.s.LeafExtent()
+	wr, ws := e.r.LeafExtent(), e.s.LeafExtent()
 	var ix float64
 	if rect, ok := erRect.Intersection(t.es.Rect); ok {
 		ix = rect.Width()

@@ -89,9 +89,11 @@ func TestBuildScheduleIsDeterministic(t *testing.T) {
 }
 
 // TestSpatialScheduleIsHilbertContiguous checks the locality property of the
-// spatial strategy: every worker's task list is a concatenation of at most
-// spatialRegionsPerWorker runs, each contiguous in the global Hilbert order
-// of the task list.
+// spatial strategy: the Hilbert order of the task list is cut into at most
+// workers × spatialRegionsPerWorker contiguous regions, and every worker's
+// task list is a concatenation of whole regions, so the workers' lists
+// together form at most that many Hilbert runs.  How many regions one worker
+// receives is the vector packing's choice and is not capped.
 func TestSpatialScheduleIsHilbertContiguous(t *testing.T) {
 	r, s, _, _ := buildPair(t, 4000, 4000, storage.PageSize1K)
 	tasks := planTasks(r, s)
@@ -137,17 +139,17 @@ func TestSpatialScheduleIsHilbertContiguous(t *testing.T) {
 	for r, i := range order {
 		rank[i] = r
 	}
-	for w, idxs := range schedule {
-		runs := 1
+	runs := 0
+	for _, idxs := range schedule {
+		runs++
 		for k := 1; k < len(idxs); k++ {
 			if rank[idxs[k]] != rank[idxs[k-1]]+1 {
 				runs++
 			}
 		}
-		if runs > spatialRegionsPerWorker {
-			t.Errorf("worker %d: %d tasks form %d Hilbert runs, want at most %d",
-				w, len(idxs), runs, spatialRegionsPerWorker)
-		}
+	}
+	if want := workers * spatialRegionsPerWorker; runs > want {
+		t.Errorf("%d workers' task lists form %d Hilbert runs, want at most %d", workers, runs, want)
 	}
 }
 

@@ -101,18 +101,13 @@ func BulkLoadSTR(opts Options, items []Item) (*Tree, error) {
 	entries := b.fillEntries(items)
 	perNode := targetFill(t.maxEnt)
 
-	// Catalog statistics are collected as the levels are packed, so the
-	// finished tree carries them without a separate walk (see sample.go).
-	cs := newCatalogSampler()
 	level := 0
 	for {
 		b.nodes = t.packSTR(b.nodes[:0], &b, entries, level, perNode)
-		cs.observeLevel(b.nodes)
 		if len(b.nodes) == 1 {
 			t.root = b.nodes[0]
 			t.height = level + 1
 			t.size = len(items)
-			t.setCatalog(cs)
 			return t, nil
 		}
 		entries = b.nextLevel()
@@ -143,16 +138,13 @@ func BulkLoadHilbert(opts Options, items []Item) (*Tree, error) {
 	sort.Sort(&h)
 	perNode := targetFill(t.maxEnt)
 
-	cs := newCatalogSampler()
 	level := 0
 	for {
 		b.nodes = t.packRuns(b.nodes[:0], entries, level, perNode)
-		cs.observeLevel(b.nodes)
 		if len(b.nodes) == 1 {
 			t.root = b.nodes[0]
 			t.height = level + 1
 			t.size = len(items)
-			t.setCatalog(cs)
 			return t, nil
 		}
 		// Directory entries are already in curve order because their children

@@ -22,7 +22,6 @@ func (t *Tree) Delete(rect geom.Rect, data int32) bool {
 	t.removeAt(t.ownRoot(), path, &a.orphans)
 	t.size--
 	t.muts++
-	t.invalidateCatalog()
 
 	// Re-insert entries of dissolved nodes at their original level.  One
 	// "already re-inserted per level" record is shared across the whole
@@ -43,8 +42,6 @@ func (t *Tree) Delete(rect geom.Rect, data int32) bool {
 
 	// Shrink the tree while the root is a directory node with one child.
 	for !t.root.IsLeaf() && len(t.root.Entries) == 1 {
-		t.maintRemoveNode(t.root)
-		t.maintEntries(t.root.Level, -1)
 		t.root = t.root.Entries[0].Child
 		t.height--
 	}
@@ -84,10 +81,6 @@ func (t *Tree) removeAt(n *Node, path []int, orphans *[]pendingEntry) {
 	i := path[0]
 	if n.IsLeaf() {
 		n.setEntries(append(n.Entries[:i], n.Entries[i+1:]...))
-		t.maintEntries(n.Level, -1)
-		// Deletes never split, so without this the reservoir would keep
-		// describing the removed geometry indefinitely.
-		t.maintResample(n)
 		return
 	}
 	child := t.ownChild(n, i)
@@ -98,10 +91,7 @@ func (t *Tree) removeAt(n *Node, path []int, orphans *[]pendingEntry) {
 		for _, ce := range child.Entries {
 			*orphans = append(*orphans, pendingEntry{entry: ce, level: child.Level})
 		}
-		t.maintRemoveNode(child)
-		t.maintEntries(child.Level, -len(child.Entries))
 		n.setEntries(append(n.Entries[:i], n.Entries[i+1:]...))
-		t.maintEntries(n.Level, -1)
 	} else {
 		n.setRect(i, child.MBR())
 	}

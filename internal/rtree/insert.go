@@ -11,7 +11,6 @@ import (
 func (t *Tree) Insert(rect geom.Rect, data int32) {
 	t.size++
 	t.muts++
-	t.invalidateCatalog()
 	t.build.begin()
 	t.insertEntry(Entry{Rect: rect, Data: data}, 0)
 	// Forced re-insertion may have queued entries; process them until the
@@ -55,8 +54,6 @@ func (t *Tree) insertEntry(e Entry, level int) {
 	))
 	t.root = newRoot
 	t.height++
-	t.maintAddNode(newRoot)
-	t.maintEntries(newRoot.Level, 2)
 }
 
 // insertRec descends from n to the target level, inserts the entry and
@@ -65,7 +62,6 @@ func (t *Tree) insertEntry(e Entry, level int) {
 func (t *Tree) insertRec(n *Node, e Entry, level int) (Entry, bool) {
 	if n.Level == level {
 		n.setEntries(append(n.Entries, e))
-		t.maintEntries(n.Level, 1)
 		if n.Level == 0 {
 			// Remember the leaf that received the entry: the insertion
 			// buffer seeds its next descent from it (see insertbuf.go).
@@ -78,7 +74,6 @@ func (t *Tree) insertRec(n *Node, e Entry, level int) (Entry, bool) {
 		n.setRect(idx, child.MBR())
 		if ok {
 			n.setEntries(append(n.Entries, split))
-			t.maintEntries(n.Level, 1)
 		}
 	}
 	if len(n.Entries) > t.maxEnt {
@@ -266,8 +261,6 @@ func (t *Tree) forcedReinsert(n *Node) bool {
 		kept = append(kept, d.e)
 	}
 	n.setEntries(kept)
-	t.maintEntries(n.Level, -p)
-	t.maintResample(n)
 	// Close reinsert: queue the removed entries ordered by increasing
 	// distance from the centre.
 	for i := len(removed) - 1; i >= 0; i-- {

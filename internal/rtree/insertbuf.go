@@ -54,12 +54,6 @@ const DefaultInsertBufferCapacity = 4096
 // leaf the same headroom a packed leaf gets.
 const DefaultHintFillPercent = 90
 
-// hintResampleEvery is how many hint hits pass between reservoir refreshes of
-// the hinted leaf: frequent enough that leaf shape statistics track long hint
-// runs (maintain_test.go bounds the drift), rare enough that the fast path
-// stays O(1) amortised — one O(fan-out) summary per 8 appends.
-const hintResampleEvery = 8
-
 // stagedOp is one buffered mutation: an insert or, with del set, a delete of
 // exactly the given rectangle and object identifier.
 type stagedOp struct {
@@ -256,16 +250,8 @@ func (b *InsertBuffer) applyOne(it Item) {
 		b.hint.setEntries(append(b.hint.Entries, Entry{Rect: it.Rect, Data: it.Data}))
 		t.size++
 		t.muts++
-		t.maintEntries(0, 1)
 		b.hintEpoch = t.muts
 		b.hintHits++
-		if b.hintHits%hintResampleEvery == 0 {
-			// Long hint runs bypass the split path that normally refreshes
-			// leaf samples; an amortised resample keeps the reservoir's leaf
-			// shape statistics tracking the churn.
-			t.maintResample(b.hint)
-		}
-		t.invalidateCatalog()
 		return
 	}
 	t.Insert(it.Rect, it.Data)
@@ -276,10 +262,6 @@ func (b *InsertBuffer) applyOne(it Item) {
 	b.hint = t.build.lastLeaf
 	if b.hint != nil {
 		b.hintMBR = b.hint.MBR()
-		// Refresh the leaf's reservoir sample while it is hot; an O(fan-out)
-		// summary against a full descent is noise, and it keeps the sampled
-		// statistics tracking churn-heavy workloads.
-		t.maintResample(b.hint)
 	}
 	b.hintEpoch = t.muts
 }

@@ -182,8 +182,8 @@ func TestInsertBufferSurvivesInterleavedMutations(t *testing.T) {
 }
 
 // FuzzInsertBuffer drives a mixed op stream (stage / flush / plain insert /
-// delete) decoded from fuzz bytes and checks the invariants, the contents and
-// the maintained catalog after every flush boundary.  Every op starts from a
+// delete) decoded from fuzz bytes and checks the invariants after every op,
+// and the contents and the catalog at the end.  Every op starts from a
 // tree whose nodes all carry an xl-order, as after a join, and must leave no
 // stale one behind (CheckInvariants); at every explicit flush and at the end
 // the sweep joins over the tree must still match the nested loop.
@@ -255,20 +255,8 @@ func FuzzInsertBuffer(f *testing.F) {
 		if !itemsEqual(treeContents(tr), want) {
 			t.Fatal("tree contents diverged from the op stream")
 		}
-		// Maintained catalog stays exact and walk-free through it all.
-		cat := tr.CatalogStats()
-		if got := tr.CatalogRecollections(); got != 0 {
-			t.Fatalf("%d recollection walks, want 0", got)
-		}
-		nodes, entries := walkPopulations(tr)
-		if tr.Len() > 0 {
-			for l, stat := range cat.Levels {
-				if stat.Nodes != nodes[l] || stat.Entries != entries[l] {
-					t.Fatalf("level %d: maintained %d/%d, walk %d/%d",
-						l, stat.Nodes, stat.Entries, nodes[l], entries[l])
-				}
-			}
-		}
+		// The catalog equals the tree after it all.
+		checkCatalog(t, tr, "fuzz")
 	})
 }
 

@@ -160,10 +160,11 @@ type Tree struct {
 	size    int            // number of data entries
 	nextID  storage.PageID // last page identifier newNode handed out; never recycled
 	build   buildArena     // reusable construction scratch (see arena.go)
-	catalog catalogCache   // maintained catalog statistics (see sample.go)
+	catalog catalogCache   // statistics of the current version (see catalog.go)
 	// muts counts structural mutations (inserts, deletes, buffered appends);
 	// the insertion buffer's leaf hint uses it to detect that the tree changed
-	// underneath a cached leaf pointer (see insertbuf.go).
+	// underneath a cached leaf pointer (see insertbuf.go), and the catalog
+	// cache to detect that its walk is stale.
 	muts int64
 	// cowEpoch is the copy-on-write epoch fence: nodes stamped with an older
 	// epoch are shared with a published snapshot and are copied before any
@@ -202,8 +203,6 @@ func New(opts Options) (*Tree, error) {
 		height: 1,
 	}
 	t.root = t.newNode(0)
-	t.initCatalogMaintenance()
-	t.maintAddNode(t.root)
 	return t, nil
 }
 
@@ -278,18 +277,19 @@ type Stats struct {
 // TotalPages returns directory plus data pages (|R|).
 func (s Stats) TotalPages() int { return s.DirPages + s.DataPages }
 
-// Stats walks the tree and returns its structural statistics.
+// Stats returns the tree's structural statistics, read from the catalog
+// (CatalogStats), so a tree version is walked once for both.
 func (t *Tree) Stats() Stats {
-	s := Stats{Height: t.height}
-	t.walk(t.root, func(n *Node) {
-		if n.IsLeaf() {
-			s.DataPages++
-			s.DataEntries += len(n.Entries)
+	// An empty tree is one empty leaf page, which the catalog does not count.
+	s := Stats{Height: t.height, DataPages: 1}
+	for _, ls := range t.CatalogStats().Levels {
+		if ls.Level == 0 {
+			s.DataPages, s.DataEntries = int(ls.Nodes), int(ls.Entries)
 		} else {
-			s.DirPages++
-			s.DirEntries += len(n.Entries)
+			s.DirPages += int(ls.Nodes)
+			s.DirEntries += int(ls.Entries)
 		}
-	})
+	}
 	capTotal := s.DataPages * t.maxEnt
 	if capTotal > 0 {
 		s.Utilization = float64(s.DataEntries) / float64(capTotal)

@@ -49,17 +49,14 @@ func (t *Tree) SnapshotEpoch() int64 { return t.cowEpoch }
 //
 // The returned tree shares the receiver's identifier — its pages are the
 // same logical pages, so buffers and page caches key them identically — and
-// carries a pre-assembled catalog, so CatalogStats on the snapshot never
-// races the writer's maintenance state.  Mutating the snapshot itself is not
-// supported.
+// has a catalog cache of its own: its first CatalogStats walks the immutable
+// version once, never the writer's later state.  Mutating the snapshot
+// itself is not supported.
 //
 // Snapshot advances the mutation counter, which drops any insertion-buffer
 // leaf hint: the hinted leaf may now be shared, and the hint fast path must
 // not append to a published node.
 func (t *Tree) Snapshot() *Tree {
-	// Assemble the catalog while we still own the maintenance state; the
-	// snapshot gets an immutable copy with the sampler detached.
-	cat := t.CatalogStats()
 	snap := &Tree{
 		id:     t.id,
 		opts:   t.opts,
@@ -69,14 +66,6 @@ func (t *Tree) Snapshot() *Tree {
 		height: t.height,
 		size:   t.size,
 	}
-	snap.catalog.cat = cat
-	snap.catalog.valid = true
-	// The snapshot must never fall back to a maintained-sampler read or a
-	// recollection walk (its catalog is frozen), and its mutation hooks are
-	// unreachable because snapshots are not mutated.
-	snap.catalog.maintValid = false
-	snap.catalog.maintOff = true
-
 	t.cowEpoch++
 	t.muts++ // invalidate leaf hints: their leaf is now shared
 	return snap

@@ -16,8 +16,6 @@ func (t *Tree) splitNode(n *Node) Entry {
 	}
 	sibling := t.newNode(n.Level)
 	sibling.setEntries(second)
-	t.maintAddNode(sibling)
-	t.maintResample(n)
 	return Entry{Rect: sibling.MBR(), Child: sibling}
 }
 

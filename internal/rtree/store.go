@@ -129,10 +129,6 @@ func (t *Tree) load(p *storage.Pager, root storage.PageID) error {
 	t.root = node
 	t.height = node.Level + 1
 	t.size = size
-	// Initialise the maintained catalog statistics with one sampling walk;
-	// loading already visited every page, so this keeps CatalogStats walk-free
-	// for the lifetime of the loaded tree.
-	t.adoptWalkSampler()
 	return nil
 }
 

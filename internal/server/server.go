@@ -549,7 +549,7 @@ func (s *Server) markBroken(err error) {
 func (s *Server) CurrentEpoch() uint64 { return s.cur.Load().seq }
 
 // Coverage summarises what the published snapshot holds: item counts, the
-// churned relation's MBR, and both trees' sampled catalog statistics.  It is
+// churned relation's MBR, and both trees' catalog statistics.  It is
 // published on GET /stats for operators; no join path reads it.
 type Coverage struct {
 	// Epoch is the snapshot generation the summary was read from.
@@ -560,16 +560,17 @@ type Coverage struct {
 	RItems int
 	// RMBR is R's root MBR (zero when R is empty).
 	RMBR geom.Rect
-	// RCatalog holds R's sampled catalog statistics.
+	// RCatalog holds the catalog statistics of the epoch's R.
 	RCatalog costmodel.Catalog
 	// SItems is the number of rectangles in the static relation S.
 	SItems int
-	// SCatalog holds S's sampled catalog statistics.
+	// SCatalog holds S's catalog statistics.
 	SCatalog costmodel.Catalog
 }
 
 // Coverage returns the current epoch's coverage summary.  It pins the epoch
-// only while reading the catalogs, so it never blocks a round flip.
+// only while reading the catalogs (the epoch's first read walks its
+// snapshot once), so it never blocks a round flip.
 func (s *Server) Coverage() Coverage {
 	e := s.pin()
 	defer s.unpin(e)

@@ -253,11 +253,10 @@ func ReadDataset(path string) ([]Item, error) { return dataio.ReadFile(path) }
 type (
 	// CostModel converts counted costs into estimated times.
 	CostModel = costmodel.Model
-	// TreeCatalog is the sampled per-level catalog statistics of an R-tree
-	// (RTree.CatalogStats): exact node/entry populations per level plus
-	// reservoir-sampled fan-out, entry-extent and density averages.  The
-	// parallel planner's task estimator consumes it in place of catalog
-	// averages.
+	// TreeCatalog is the per-level catalog statistics of an R-tree
+	// (RTree.CatalogStats): node and entry counts and the mean entry width
+	// per level, computed by one walk of the tree version.  The parallel
+	// planner's task estimator consumes it.
 	TreeCatalog = costmodel.Catalog
 )
 

@@ -125,13 +125,14 @@ func TestFacadeBufferedInsertion(t *testing.T) {
 	if tr.Len() != len(items)-500 {
 		t.Fatalf("tree holds %d entries after deletes, want %d", tr.Len(), len(items)-500)
 	}
-	// Incremental catalog maintenance keeps CatalogStats walk-free through
-	// the whole update sequence.
-	if cat := tr.CatalogStats(); !cat.Valid() || cat.DataEntries() != int64(tr.Len()) {
+	// The catalog describes the tree after the whole update sequence.
+	cat := tr.CatalogStats()
+	if !cat.Valid() || cat.DataEntries() != int64(tr.Len()) || len(cat.Levels) != tr.Height() {
 		t.Fatalf("catalog stats stale after updates: %+v", cat)
 	}
-	if walks := tr.CatalogRecollections(); walks != 0 {
-		t.Fatalf("CatalogStats performed %d recollection walks, want 0", walks)
+	st := tr.Stats()
+	if int(cat.Levels[0].Nodes) != st.DataPages || cat.SubtreePages(tr.Height()-1) != float64(st.TotalPages()) {
+		t.Fatalf("catalog %+v disagrees with Stats %+v", cat, st)
 	}
 }
 
