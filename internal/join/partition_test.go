@@ -2,6 +2,7 @@ package join
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -89,11 +90,11 @@ func TestBuildScheduleIsDeterministic(t *testing.T) {
 }
 
 // TestSpatialScheduleIsHilbertContiguous checks the locality property of the
-// spatial strategy: the Hilbert order of the task list is cut into at most
-// workers × spatialRegionsPerWorker contiguous regions, and every worker's
-// task list is a concatenation of whole regions, so the workers' lists
-// together form at most that many Hilbert runs.  How many regions one worker
-// receives is the vector packing's choice and is not capped.
+// spatial strategy: the Hilbert order of the task list is cut into
+// workers × spatialRegionsPerWorker contiguous regions, every worker's task
+// list is exactly the concatenation of the regions the vector packing gave
+// it, and so forms no more Hilbert runs than it holds regions.  How many
+// regions one worker receives is the packing's choice and is not capped.
 func TestSpatialScheduleIsHilbertContiguous(t *testing.T) {
 	r, s, _, _ := buildPair(t, 4000, 4000, storage.PageSize1K)
 	tasks := planTasks(r, s)
@@ -109,7 +110,8 @@ func TestSpatialScheduleIsHilbertContiguous(t *testing.T) {
 	if len(tasks) < workers*spatialRegionsPerWorker {
 		t.Fatalf("want at least %d tasks, got %d", workers*spatialRegionsPerWorker, len(tasks))
 	}
-	schedule := scheduleSpatial(r, s, tasks, newTaskEstimator(r, s, Intersects()).vectors(tasks), workers)
+	vecs := newTaskEstimator(r, s, Intersects()).vectors(tasks)
+	schedule := scheduleSpatial(r, s, tasks, vecs, workers)
 	checkSchedule(t, schedule, len(tasks), workers)
 
 	world := jointWorld(r, s)
@@ -139,17 +141,34 @@ func TestSpatialScheduleIsHilbertContiguous(t *testing.T) {
 	for r, i := range order {
 		rank[i] = r
 	}
-	runs := 0
-	for _, idxs := range schedule {
-		runs++
-		for k := 1; k < len(idxs); k++ {
-			if rank[idxs[k]] != rank[idxs[k-1]]+1 {
+	// Recut the Hilbert order into the regions and repack them; every
+	// worker's list must be exactly its packed regions, concatenated.
+	regions := contiguousSplit(order, scalars(vecs), workers*spatialRegionsPerWorker)
+	loads := make([]costVec, len(regions))
+	for i, region := range regions {
+		for _, task := range region {
+			loads[i] = loads[i].add(vecs[task])
+		}
+	}
+	for w, packed := range packRegionsVector(loads, workers) {
+		var want []int32
+		for _, region := range packed {
+			want = append(want, regions[region]...)
+		}
+		if !slices.Equal(schedule[w], want) {
+			t.Errorf("worker %d: task list is not the concatenation of its %d packed regions", w, len(packed))
+			continue
+		}
+		runs := 1
+		for k := 1; k < len(want); k++ {
+			if rank[want[k]] != rank[want[k-1]]+1 {
 				runs++
 			}
 		}
-	}
-	if want := workers * spatialRegionsPerWorker; runs > want {
-		t.Errorf("%d workers' task lists form %d Hilbert runs, want at most %d", workers, runs, want)
+		if runs > len(packed) {
+			t.Errorf("worker %d: %d tasks form %d Hilbert runs, want at most its %d regions",
+				w, len(want), runs, len(packed))
+		}
 	}
 }
 
