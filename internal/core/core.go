@@ -81,7 +81,7 @@ func (r *Relation) Add(o Object) error {
 	if _, dup := r.objects[o.ID]; dup {
 		return fmt.Errorf("core: duplicate object id %d in %q", o.ID, r.name)
 	}
-	if !o.MBR.Valid() {
+	if !o.MBR.WellFormed() {
 		return fmt.Errorf("core: object %d has an invalid MBR %v", o.ID, o.MBR)
 	}
 	r.objects[o.ID] = o

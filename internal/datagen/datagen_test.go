@@ -17,7 +17,7 @@ func TestGenerateCountsAndBounds(t *testing.T) {
 		world := geom.WorldRect()
 		ids := make(map[int32]bool)
 		for i, it := range items {
-			if !it.Rect.Valid() {
+			if !it.Rect.WellFormed() {
 				t.Fatalf("%v: invalid rect %v at %d", kind, it.Rect, i)
 			}
 			if !world.Contains(it.Rect) {

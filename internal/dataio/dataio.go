@@ -90,7 +90,7 @@ func Read(r io.Reader) ([]rtree.Item, error) {
 			coords[i] = v
 		}
 		rect := geom.Rect{XL: coords[0], YL: coords[1], XU: coords[2], YU: coords[3]}
-		if !rect.Valid() {
+		if !rect.WellFormed() {
 			return nil, fmt.Errorf("dataio: line %d: invalid rectangle %v", line, rect)
 		}
 		items = append(items, rtree.Item{Rect: rect, Data: int32(id)})

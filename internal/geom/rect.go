@@ -56,9 +56,12 @@ func RectFromPoints(pts []Point) Rect {
 // synthetic data sets generated by internal/datagen live inside it.
 func WorldRect() Rect { return Rect{XL: 0, YL: 0, XU: 1, YU: 1} }
 
-// Valid reports whether the rectangle's corners are ordered (XL <= XU and
-// YL <= YU) and all coordinates are finite.
-func (r Rect) Valid() bool {
+// WellFormed reports whether all four corners are finite and ordered (XL <=
+// XU and YL <= YU).  Every index structure and join kernel in this module
+// assumes it of the rectangles it is given: the sweep's window, the kNN
+// leaf kernel's bounds on both axes and the R-tree's covering rectangles are
+// exact only on well-formed rectangles.
+func (r Rect) WellFormed() bool {
 	if math.IsNaN(r.XL) || math.IsNaN(r.YL) || math.IsNaN(r.XU) || math.IsNaN(r.YU) {
 		return false
 	}

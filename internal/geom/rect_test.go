@@ -47,8 +47,8 @@ func TestValid(t *testing.T) {
 		{"inf", Rect{0, 0, math.Inf(1), 1}, false},
 	}
 	for _, tt := range tests {
-		if got := tt.r.Valid(); got != tt.want {
-			t.Errorf("%s: Valid() = %v, want %v", tt.name, got, tt.want)
+		if got := tt.r.WellFormed(); got != tt.want {
+			t.Errorf("%s: WellFormed() = %v, want %v", tt.name, got, tt.want)
 		}
 	}
 }

@@ -25,8 +25,9 @@ import (
 // every node of the R subtree keeps the maximum tau of the items below it,
 // and a node pair further apart than its own R node's bound is dropped
 // unread; inside a leaf pair an item skips an S leaf whose MBR lies beyond
-// its tau; and an item that does meet the leaf scans only its current
-// x-window of the leaf's cached xl-order (leafPair).  Every prune is strict
+// its tau; and an item that does meet the leaf scans only the strips of the
+// leaf's cached xl-order that its current x-window reaches, and inside each
+// strip only its current y-window (leafPair).  Every prune is strict
 // — `lower bound > tau`, never `>=`, and only once the heap holds K
 // candidates — because an equidistant candidate with a smaller S identifier
 // must still be offered, and every lower bound is exact in floating point.
@@ -323,33 +324,45 @@ func (st *knnState) tighten(ri int32, local *metrics.Local) {
 
 // leafPair offers the entries of S leaf sn to the heaps of R leaf rn's items
 // (the first of which is item base), visiting for each item only the part of
-// sn it can still use.  Three exact prunes replace the leaf x leaf product,
-// all of them strict (an equidistant candidate with a smaller S identifier
-// must still be offered) and armed only once the item's heap is full:
+// sn it can still use.  The leaf's xl-order is cut into strips of
+// rtree.StripLen positions, each also sorted by YL (XLOrder.YPerm), and every
+// prune below is exact, strict (an equidistant candidate with a smaller S
+// identifier must still be offered) and armed only once the item's heap is
+// full:
 //
 //   - the item skips the leaf when its distance to the leaf's MBR exceeds its
 //     kth-best distance tau;
-//   - otherwise the scan starts at the item's own XL in the leaf's xl-order
-//     and runs rightwards until an entry begins more than sqrt(tau) right of
-//     the item — every later entry begins further right still —
-//   - and leftwards until the running maximum of XU says that no entry at or
-//     before the position reaches within sqrt(tau) of the item.
+//   - otherwise it scans its own strip — the last whose first entry begins at
+//     or left of the item's XL — then the strips to its right until one
+//     begins more than sqrt(tau) right of the item (every later strip begins
+//     further right still), then the strips to its left until the running
+//     maximum of XU at a strip's end says that no entry at or before it
+//     reaches within sqrt(tau) of the item;
+//   - inside a strip (scanStrip) the same two breaks run on the y-axis,
+//     upwards from the item's YL in YPerm and downwards on PrefixMaxYU.
 //
-// Each bound is the x-term of the distance RectDistSquaredCost would compute
-// for the pruned entries, taken with the same subtraction on operands that
-// dominate theirs, so by monotone rounding it never exceeds their computed
-// distance (which adds a non-negative y-term).  tau is re-read at every test
-// because it falls as the scan admits candidates.  Rectangles are assumed
-// valid (XL <= XU), as everywhere in the sweep code.  Every test made here —
-// leaf-MBR distance, binary-search step, gap check, admission — is charged.
+// Each bound is one axis's term of the distance RectDistSquaredCost would
+// compute for the pruned entries, taken with the same subtraction on
+// operands that dominate theirs, so by monotone rounding it never exceeds
+// their computed distance (which adds the other axis's non-negative term).
+// That holds only for well-formed rectangles (geom.Rect.WellFormed): with XL
+// > XU or YL > YU an entry's gap is not on the side its lower corner puts it,
+// and CheckInvariants reports such an entry as rtree.ErrMalformedEntry.  tau
+// is re-read at every test because it falls as the scan admits candidates.
+// Since every heap ends each leaf pair with the same K best as the plain
+// product (productPair), the node bounds, the read schedule and the emitted
+// pairs do not depend on the kernel.  Every test made here — leaf-MBR
+// distance, binary-search step, gap check, admission — is charged.
 //
 //repro:hotpath
 func (st *knnState) leafPair(rn *rtree.Node, base int, sn *rtree.Node, local *metrics.Local) {
+	const strip = rtree.StripLen
 	k := st.k
 	sMBR := sn.MBR()
 	order := sn.XLOrder()
 	perm, maxXU := order.Perm, order.PrefixMaxXU
 	sEntries := sn.Entries
+	strips := (len(perm) + strip - 1) / strip
 	var comps, tested int64
 	for ir := range rn.Entries {
 		r := rn.Entries[ir].Rect
@@ -363,55 +376,120 @@ func (st *knnState) leafPair(rn *rtree.Node, base int, sn *rtree.Node, local *me
 				continue
 			}
 		}
-		// start is the first position whose entry begins right of r.XL.
-		start, hi := 0, len(perm)
-		for start < hi {
-			mid := int(uint(start+hi) >> 1)
+		// own is the last strip whose first entry begins at or left of
+		// r.XL, or strip 0 when none does.
+		lo, hi := 1, strips
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
 			comps++
-			if sEntries[perm[mid]].Rect.XL <= r.XL {
-				start = mid + 1
+			if sEntries[perm[mid*strip]].Rect.XL <= r.XL {
+				lo = mid + 1
 			} else {
 				hi = mid
 			}
 		}
-		for j := start; j < len(perm); j++ {
-			es := &sEntries[perm[j]]
+		own := lo - 1
+		var c, t int64
+		n, c, t = scanStrip(r, sEntries, order, own*strip, min(own*strip+strip, len(perm)), slab, n)
+		comps += c
+		tested += t
+		for a := own*strip + strip; a < len(perm); a += strip {
 			if n == k {
+				xl := sEntries[perm[a]].Rect.XL
 				comps++
-				if r.XU < es.Rect.XL {
-					gap := es.Rect.XL - r.XU
+				if r.XU < xl {
+					gap := xl - r.XU
 					comps++
 					if gap*gap > slab[0].d2 {
 						break
 					}
 				}
 			}
-			d2, cost := geom.RectDistSquaredCost(r, es.Rect)
-			comps += cost
-			tested++
-			n = offer(slab, n, nnCand{d2: d2, sID: es.Data}, &comps)
+			n, c, t = scanStrip(r, sEntries, order, a, min(a+strip, len(perm)), slab, n)
+			comps += c
+			tested += t
 		}
-		for j := start - 1; j >= 0; j-- {
+		for a := own*strip - strip; a >= 0; a -= strip {
 			if n == k {
+				xu := maxXU[a+strip-1]
 				comps++
-				if maxXU[j] < r.XL {
-					gap := r.XL - maxXU[j]
+				if xu < r.XL {
+					gap := r.XL - xu
 					comps++
 					if gap*gap > slab[0].d2 {
 						break
 					}
 				}
 			}
-			es := &sEntries[perm[j]]
-			d2, cost := geom.RectDistSquaredCost(r, es.Rect)
-			comps += cost
-			tested++
-			n = offer(slab, n, nnCand{d2: d2, sID: es.Data}, &comps)
+			n, c, t = scanStrip(r, sEntries, order, a, a+strip, slab, n)
+			comps += c
+			tested += t
 		}
 		it.n = int32(n)
 	}
 	local.Comparisons += comps
 	local.PairsTested += tested
+}
+
+// scanStrip offers the entries at positions a..b-1 of order.YPerm, one strip,
+// to the heap held in the first n slots of slab and returns the new n with
+// the comparisons charged and the distances computed.  It starts at the
+// first entry that begins above r.YL and runs upwards until an entry begins
+// more than sqrt(tau) above the item — every later one begins higher still —
+// then downwards until the strip's running maximum of YU says that no entry
+// at or below the position reaches within sqrt(tau) of the item: leafPair's
+// x-window, on the y-axis of one strip.
+//
+//repro:hotpath
+func scanStrip(r geom.Rect, sEntries []rtree.Entry, order *rtree.XLOrder, a, b int, slab []nnCand, n int) (int, int64, int64) {
+	yperm, maxYU := order.YPerm[a:b], order.PrefixMaxYU[a:b]
+	k := len(slab)
+	var comps, tested int64
+	start, hi := 0, len(yperm)
+	for start < hi {
+		mid := int(uint(start+hi) >> 1)
+		comps++
+		if sEntries[yperm[mid]].Rect.YL <= r.YL {
+			start = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for j := start; j < len(yperm); j++ {
+		es := &sEntries[yperm[j]]
+		if n == k {
+			comps++
+			if r.YU < es.Rect.YL {
+				gap := es.Rect.YL - r.YU
+				comps++
+				if gap*gap > slab[0].d2 {
+					break
+				}
+			}
+		}
+		d2, cost := geom.RectDistSquaredCost(r, es.Rect)
+		comps += cost
+		tested++
+		n = offer(slab, n, nnCand{d2: d2, sID: es.Data}, &comps)
+	}
+	for j := start - 1; j >= 0; j-- {
+		if n == k {
+			comps++
+			if maxYU[j] < r.YL {
+				gap := r.YL - maxYU[j]
+				comps++
+				if gap*gap > slab[0].d2 {
+					break
+				}
+			}
+		}
+		es := &sEntries[yperm[j]]
+		d2, cost := geom.RectDistSquaredCost(r, es.Rect)
+		comps += cost
+		tested++
+		n = offer(slab, n, nnCand{d2: d2, sID: es.Data}, &comps)
+	}
+	return n, comps, tested
 }
 
 // productPair is the leaf x leaf product leafPair replaced: every entry of

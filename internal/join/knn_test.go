@@ -54,6 +54,99 @@ func ledgerKNNOptions() Options {
 	return Options{Method: SJ4, BufferBytes: 128 << 10, UsePathBuffer: true, Predicate: NearestNeighbors(4), DiscardPairs: true}
 }
 
+// daemonKNNPair rebuilds the shape a spatialjoind kNN request joins
+// (bench/serve.go): nR uniform R rectangles with sides up to rMaxSide and
+// float32-exact corners, inserted through a 256-op insert buffer as the
+// daemon's writer applies them, against nS STR-loaded squares of side sSide
+// (the daemon's synthetic S), both on 4 KiB pages.
+func daemonKNNPair(tb testing.TB, nR int, rMaxSide float64, nS int, sSide float64, seed int64) (r, s *rtree.Tree) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	f32 := func(v float64) float64 { return float64(float32(v)) }
+	r = rtree.MustNew(rtree.Options{PageSize: storage.PageSize4K})
+	buf := rtree.NewInsertBuffer(r, 256)
+	for i := 0; i < nR; i++ {
+		w := rMaxSide * (1 - rng.Float64())
+		h := rMaxSide * (1 - rng.Float64())
+		x := rng.Float64() * (1 - rMaxSide)
+		y := rng.Float64() * (1 - rMaxSide)
+		buf.Stage(geom.Rect{XL: f32(x), YL: f32(y), XU: f32(x + w), YU: f32(y + h)}, int32(i))
+	}
+	buf.Flush()
+	sItems := make([]rtree.Item, nS)
+	for i := range sItems {
+		x, y := rng.Float64(), rng.Float64()
+		sItems[i] = rtree.Item{Rect: geom.Rect{XL: x, YL: y, XU: x + sSide, YU: y + sSide}, Data: int32(i)}
+	}
+	var err error
+	if s, err = rtree.BulkLoadSTR(rtree.Options{PageSize: storage.PageSize4K}, sItems); err != nil {
+		tb.Fatal(err)
+	}
+	return r, s
+}
+
+// serveReadKNNPair is the serve-read workload's shape: 10 000 R rectangles
+// against 7 500 squares, both of side up to 0.02.
+func serveReadKNNPair(tb testing.TB) (r, s *rtree.Tree) {
+	return daemonKNNPair(tb, 10000, 0.02, 7500, 0.02, 11)
+}
+
+// knnSchedule is what the leaf kernel must not move: the best-first read
+// schedule (DiskReads, NodeSorts), the result size and the emitted pair
+// order.
+type knnSchedule struct {
+	diskReads, nodeSorts int64
+	count                int
+	hash                 uint64
+}
+
+// TestKNNReadScheduleIsPinned holds the kNN join's read schedule and pair
+// order to the values recorded before the two-dimensional leaf kernel: the
+// kernel leaves every item's heap, after every leaf pair, with the same K
+// best candidates the x-only scan left, so the node bounds, the pop order
+// and the emission cannot move.
+func TestKNNReadScheduleIsPinned(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(testing.TB) (*rtree.Tree, *rtree.Tree)
+		want  knnSchedule
+	}{
+		{"ledger 2000x2000", func(tb testing.TB) (*rtree.Tree, *rtree.Tree) { return ledgerKNNPair(tb, 2000, 2000, 1) },
+			knnSchedule{diskReads: 24, nodeSorts: 11, count: 8000, hash: 11366870705911383188}},
+		{"serve-read", serveReadKNNPair,
+			knnSchedule{diskReads: 232, nodeSorts: 151, count: 40000, hash: 11404072331007808983}},
+	}
+	for _, c := range cases {
+		r, s := c.build(t)
+		opts := ledgerKNNOptions()
+		var hash uint64
+		opts.OnPair = pairHash(&hash)
+		res, err := Join(r, s, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := knnSchedule{res.Metrics.DiskReads, res.Metrics.NodeSorts, res.Count, hash}
+		if got != c.want {
+			t.Errorf("%s: schedule %+v, want %+v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestKNNLeafKernelBoundsBothAxes is the guard on the serve-read shape:
+// an x-window that spans the S leaf's whole height made 115 distance
+// computations per R item there, the strips' y-windows about 26, and a
+// kernel that tests more than 40 has lost one of its bounds.
+func TestKNNLeafKernelBoundsBothAxes(t *testing.T) {
+	r, s := serveReadKNNPair(t)
+	res, err := Join(r, s, ledgerKNNOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perItem := float64(res.Metrics.PairsTested) / float64(r.Len()); perItem > 40 {
+		t.Errorf("%.1f distance computations per R item, want at most 40", perItem)
+	}
+}
+
 // knnComparisonsBefore is Metrics.Comparisons of the best-first kNN join on
 // ledgerKNNPair(2000, 2000, seed 1) under ledgerKNNOptions at the commit
 // before the per-item prunes (PR 22, 66866da): every popped leaf pair paid
@@ -274,9 +367,10 @@ func checkNeighbourOrder(t *testing.T, label string, pairs []Pair, rRects, sRect
 // candidate must displace an earlier one — through the oracle, the
 // sequential join and the parallel join under all five strategies, on trees
 // of every height combination and with k > |S|.  Each prune is exact only
-// because it is strict: making the leaf skip, either gap check or either
+// because it is strict: making the leaf skip, either y-gap check or either
 // pop-time bound test non-strict fails here (the push-time test has
-// TestKNNPushBoundIsStrict).
+// TestKNNPushBoundIsStrict; the 8-entry leaves are one strip each, so the
+// x-side strip breaks are FuzzKNNLeafKernel's seeds).
 func TestKNNTieWall(t *testing.T) {
 	pageSize := 8 * storage.EntrySize
 	for _, fill := range [][2]int{{0, 0}, {300, 0}, {0, 300}, {300, 300}} {
@@ -394,6 +488,29 @@ func fuzzLeaf(data []byte, max int, firstID, idStep int32) *rtree.Node {
 	return n
 }
 
+// leafBytes encodes n entries for fuzzLeaf, entry i's four bytes from at(i).
+func leafBytes(n int, at func(i int) [4]byte) []byte {
+	out := make([]byte, 0, 4*n)
+	for i := 0; i < n; i++ {
+		b := at(i)
+		out = append(out, b[:]...)
+	}
+	return out
+}
+
+// tieSeed is FuzzKNNLeafKernel seed data that leaves item 0's heap (K = 1,
+// one R item) holding a single candidate at distance d/16 with S id 41: the
+// first twenty bytes offer worse candidates, the last the kept one, so every
+// even S id below 42 at exactly that distance must still displace it.
+func tieSeed(d byte) []byte {
+	out := make([]byte, 21)
+	for i := range out[:20] {
+		out[i] = 7
+	}
+	out[20] = d
+	return out
+}
+
 // FuzzKNNLeafKernel pins the windowed leaf kernel against the plain leaf x
 // leaf product it replaced: from any heaps — empty, partly filled or full of
 // candidates other leaves left behind — both must arrive at the same K best
@@ -402,6 +519,58 @@ func FuzzKNNLeafKernel(f *testing.F) {
 	f.Add([]byte{8, 8, 1, 1}, []byte{9, 8, 0, 0, 9, 8, 0, 0, 9, 8, 0, 0, 2, 8, 1, 1}, []byte{1, 1, 1}, uint8(2))
 	f.Add([]byte{4, 4, 0, 0, 4, 4, 0, 0}, []byte{4, 4, 0, 0, 4, 4, 0, 0, 4, 4, 0, 0, 4, 4, 0, 0}, []byte{}, uint8(1))
 	f.Add([]byte{0, 0, 3, 3, 15, 15, 0, 0}, []byte{12, 1, 2, 0, 1, 12, 0, 2, 7, 7, 3, 3}, []byte{0, 16, 200, 16, 16}, uint8(3))
+	// Seeds for the strips (rtree.StripLen positions of the xl-order):
+	// forty entries, three strips, scanned from the middle one.
+	f.Add([]byte{7, 7, 1, 1, 2, 12, 0, 0}, leafBytes(40, func(i int) [4]byte {
+		return [4]byte{byte(i * 7 % 16), byte(i * 5 % 16), byte(i % 3), byte(i % 2)}
+	}), []byte{3, 5}, uint8(3))
+	// Twenty-one entries: a short last strip of five.
+	f.Add([]byte{14, 3, 1, 0, 15, 15, 0, 0}, leafBytes(21, func(i int) [4]byte {
+		return [4]byte{byte(i * 3 % 16), byte(i * 11 % 16), 0, byte(i % 4)}
+	}), []byte{}, uint8(1))
+	// Two entries per column and one YL for all: the strip boundary falls
+	// between two ties, in x and in y.
+	f.Add([]byte{8, 8, 0, 0, 0, 8, 3, 0}, leafBytes(32, func(i int) [4]byte {
+		return [4]byte{byte(i / 2), 8, byte(i % 2), 0}
+	}), []byte{1, 1, 1, 1}, uint8(2))
+	// y-gap² == tau: item 0 spans [8/16, 9/16]² and holds one candidate at
+	// distance 2/16 (S id 41); entry 0 (S id 0) lies exactly 2/16 above it,
+	// the other nineteen far below in other columns.  A non-strict y break
+	// loses entry 0.
+	f.Add([]byte{8, 8, 1, 1}, leafBytes(20, func(i int) [4]byte {
+		if i == 0 {
+			return [4]byte{8, 11, 0, 0}
+		}
+		return [4]byte{byte(i % 16), 0, 0, 0}
+	}), tieSeed(2), uint8(0))
+	// The downward y break reads the strip's running maximum of YU: entry 1
+	// lies 3/16 below the item and comes first downwards, entry 0 begins
+	// lower but reaches to 1/16 below it.
+	f.Add([]byte{4, 12, 1, 1}, []byte{4, 8, 0, 3, 4, 9, 0, 0}, tieSeed(2), uint8(0))
+	// x-gap² == tau at a strip's first entry: sixteen entries at x = 0 fill
+	// strip 0, entry 16 (S id 32) begins exactly 2/16 right of the item and
+	// opens strip 1.  A non-strict strip break loses it.
+	f.Add([]byte{0, 0, 1, 1}, leafBytes(20, func(i int) [4]byte {
+		switch {
+		case i < 16:
+			return [4]byte{0, 15, 0, 0}
+		case i == 16:
+			return [4]byte{3, 0, 0, 0}
+		}
+		return [4]byte{15, 15, 0, 0}
+	}), tieSeed(2), uint8(0))
+	// The same on the left: strip 1's entries lie at x = 15, strip 0's
+	// reach exactly 2/16 left of the item; the running maximum of XU at
+	// strip 0's end sits on the window's edge.
+	f.Add([]byte{15, 0, 0, 1}, leafBytes(20, func(i int) [4]byte {
+		switch {
+		case i < 15:
+			return [4]byte{0, 15, 0, 0}
+		case i == 15:
+			return [4]byte{10, 0, 3, 0}
+		}
+		return [4]byte{15, 15, 0, 0}
+	}), tieSeed(2), uint8(0))
 	f.Fuzz(func(t *testing.T, rData, sData, seedData []byte, kByte uint8) {
 		rn := fuzzLeaf(rData, 24, 0, 1)
 		sn := fuzzLeaf(sData, 40, 0, 2) // even identifiers
@@ -455,4 +624,37 @@ func FuzzKNNLeafKernel(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkKNNJoin times the best-first kNN join (K = 4, the ledger's join
+// options) on the shapes the ledger's kNN ops join: the serve-read and
+// serve-churn daemons' R against their synthetic S, and the batch
+// workload's uniform R against its holed S.  The nodes' orders are built by
+// the first iteration and reused, as on a daemon's immutable epoch.
+func BenchmarkKNNJoin(b *testing.B) {
+	shapes := []struct {
+		name  string
+		build func(testing.TB) (*rtree.Tree, *rtree.Tree)
+	}{
+		{"serve-read", serveReadKNNPair},
+		{"serve-churn", func(tb testing.TB) (*rtree.Tree, *rtree.Tree) {
+			return daemonKNNPair(tb, 20000, 0.004, 10000, 0.005, 12)
+		}},
+		{"ledger-10000", func(tb testing.TB) (*rtree.Tree, *rtree.Tree) { return ledgerKNNPair(tb, 10000, 10000, 1) }},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			r, s := sh.build(b)
+			opts := ledgerKNNOptions()
+			b.ReportAllocs()
+			var res *Result
+			for b.Loop() {
+				var err error
+				if res, err = Join(r, s, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(res.Metrics.PairsTested)/float64(r.Len()), "tested/item")
+		})
+	}
 }

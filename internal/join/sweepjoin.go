@@ -155,8 +155,12 @@ func (e *executor) descend(er, es rtree.Entry, method Method, depth int) {
 // three are evaluated as 0/1 integers b, c, d: the short-circuit cost is
 // 2 + b + b&c, every entry is stored unconditionally into room reserved
 // before the loop, and the write index moves on by b&c&d — no comparison is
-// a jump.  Coordinates are assumed ordered (no NaN), as the xl-order itself
-// assumes.
+// a jump.  Both cuts, like the sweep after them, are exact only on
+// well-formed rectangles (geom.Rect.WellFormed: finite corners, XL <= XU,
+// YL <= YU): on an entry with its corners swapped the nested loop and the
+// sweep joins return different pairs.  CheckInvariants reports such an
+// entry as rtree.ErrMalformedEntry, and the service rejects one at the way
+// in.
 //
 //repro:hotpath
 func restrictSorted(n *rtree.Node, rect *geom.Rect, eps float64, idx []int32, rects []geom.Rect, local *metrics.Local) ([]int32, []geom.Rect) {

@@ -57,8 +57,9 @@ type JoinResult struct {
 	Shards []ShardOutcome
 }
 
-// ErrBadRequest marks a join the router rejected before contacting any
-// shard: a malformed predicate.
+// ErrBadRequest marks a request the router rejected before contacting any
+// shard: a join with a malformed predicate, or an update batch holding a
+// malformed rectangle (server.ErrMalformedOp).
 var ErrBadRequest = errors.New("router: bad join request")
 
 // Join fans the join out to every shard and joins the shard streams into
@@ -228,6 +229,13 @@ func mergeSorted(streams [][][2]int32, total int) [][2]int32 {
 // visible at those shards' next rounds whether or not this call succeeded,
 // which is the same at-least-staged contract a retried direct update has).
 func (rt *Router) Update(ctx context.Context, ops []server.OpWire) (int, error) {
+	// The shards run the same check, but a batch split across them would be
+	// staged on the shards before the one that rejects its part.
+	for i, op := range ops {
+		if err := server.CheckOp(i, op.Rect()); err != nil {
+			return 0, fmt.Errorf("%w: %w", ErrBadRequest, err)
+		}
+	}
 	batches := make([][]server.OpWire, len(rt.shards))
 	for i, op := range ops {
 		key := zorder.HilbertKey(op.Rect().Center(), server.UnitWorld)

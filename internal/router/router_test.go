@@ -2,9 +2,11 @@ package router
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"sort"
 	"sync"
@@ -343,6 +345,36 @@ func assertPairsEqual(t *testing.T, label string, got, want [][2]int32) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("%s: pair %d = %v, want %v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestRouterRejectsMalformedUpdates: the gateway checks every op's
+// rectangle before it routes the batch, so a malformed one is a 400 at the
+// gateway (ErrBadRequest at Router.Update, naming the op) and no shard
+// stages any part of the batch.  The batch is the probe that showed joins
+// going silently wrong: 3 000 ops with XL and XU swapped on every seventh.
+func TestRouterRejectsMalformedUpdates(t *testing.T) {
+	rt, fixtures := newDeployment(t, 2, nil)
+	ops := genROps(3000, 16)
+	for i := 6; i < len(ops); i += 7 {
+		ops[i].XL, ops[i].XU = ops[i].XU, ops[i].XL
+	}
+	staged, err := rt.Update(context.Background(), ops)
+	var merr *server.MalformedOpError
+	if staged != 0 || !errors.Is(err, ErrBadRequest) || !errors.As(err, &merr) || merr.Index != 6 {
+		t.Fatalf("Update = %d, %v; want 0 staged and ErrBadRequest naming op 6", staged, err)
+	}
+	body, err := json.Marshal(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := postJSON(NewHandler(rt), "/update", string(body)); w.Code != http.StatusBadRequest {
+		t.Fatalf("gateway POST /update: %d %s, want 400", w.Code, w.Body)
+	}
+	for _, fx := range fixtures {
+		if n := fx.srv.Pending(); n != 0 {
+			t.Fatalf("%s has %d ops pending after a rejected batch", fx.name, n)
 		}
 	}
 }

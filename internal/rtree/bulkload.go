@@ -88,7 +88,8 @@ func (s *hilbertSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
 // by dynamic insertion); it is provided because packed trees are a common
 // baseline and the experiment harness uses it to build very large trees
 // quickly.  The resulting tree answers queries and participates in joins
-// exactly like a dynamically built one.
+// exactly like a dynamically built one.  Every item's rectangle must be well
+// formed, as for Tree.Insert; the loaders do not check it.
 func BulkLoadSTR(opts Options, items []Item) (*Tree, error) {
 	t, err := New(opts)
 	if err != nil {
@@ -117,6 +118,7 @@ func BulkLoadSTR(opts Options, items []Item) (*Tree, error) {
 
 // BulkLoadHilbert builds a tree by sorting the items along the Hilbert curve
 // of their centres and packing consecutive runs into nodes, level by level.
+// Its items carry BulkLoadSTR's precondition.
 func BulkLoadHilbert(opts Options, items []Item) (*Tree, error) {
 	t, err := New(opts)
 	if err != nil {

@@ -8,6 +8,9 @@ import (
 )
 
 // Insert adds a data rectangle with the given object identifier to the tree.
+// The rectangle must be well formed (geom.Rect.WellFormed); Insert does not
+// check it, and a malformed entry makes later joins wrong until
+// CheckInvariants reports it as ErrMalformedEntry.
 func (t *Tree) Insert(rect geom.Rect, data int32) {
 	t.size++
 	t.muts++

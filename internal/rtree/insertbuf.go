@@ -134,7 +134,8 @@ func (b *InsertBuffer) SetHintFillPercent(pct int) {
 }
 
 // Stage adds one rectangle to the buffer, flushing if the batch is full.  The
-// rectangle is not visible in the tree until the flush that applies it.
+// rectangle is not visible in the tree until the flush that applies it.  It
+// must be well formed, as for Tree.Insert; Stage does not check it.
 func (b *InsertBuffer) Stage(rect geom.Rect, data int32) {
 	b.ops = append(b.ops, stagedOp{item: Item{Rect: rect, Data: data}})
 	b.staged++

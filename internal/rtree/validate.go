@@ -15,6 +15,7 @@ var (
 	ErrEntryCountDrop = errors.New("rtree: data entry count mismatch")
 	ErrRootInvalid    = errors.New("rtree: root violates minimum children requirement")
 	ErrStaleOrder     = errors.New("rtree: node's xl-order does not match its entries")
+	ErrMalformedEntry = errors.New("rtree: entry rectangle is not well formed")
 )
 
 // CheckInvariants verifies the structural invariants of the R-tree definition
@@ -26,6 +27,9 @@ var (
 //   - every directory rectangle covers all rectangles of its child node
 //     (and is exactly the child's MBR),
 //   - the stored data-entry count matches the tree's size,
+//   - every entry rectangle is well formed (geom.Rect.WellFormed): the
+//     sweep's window and the kNN leaf kernel are exact only on such
+//     rectangles, and the insert paths take them on trust,
 //   - every node that has an xl-order (see XLOrder) has the one a fresh sort
 //     of its current entries produces — a mutation that forgot to drop the
 //     order shows up here.
@@ -60,6 +64,11 @@ func (t *Tree) checkNode(n *Node, wantLevel int) (int, error) {
 	if n != t.root && len(n.Entries) < t.minEnt {
 		return 0, fmt.Errorf("%w: node %d holds %d < %d entries", ErrUnderflow, n.ID, len(n.Entries), t.minEnt)
 	}
+	for i, e := range n.Entries {
+		if !e.Rect.WellFormed() {
+			return 0, fmt.Errorf("%w: node %d entry %d is %v", ErrMalformedEntry, n.ID, i, e.Rect)
+		}
+	}
 	if o := n.xlOrder.Load(); o != nil {
 		if err := checkXLOrder(n, o); err != nil {
 			return 0, err
@@ -89,8 +98,9 @@ func (t *Tree) checkNode(n *Node, wantLevel int) (int, error) {
 
 // checkXLOrder verifies a published order against the node's current
 // entries: a permutation of the entry indices, ascending in XL with ties in
-// index order, carrying the comparison count a fresh sort.Stable needs and
-// the running maximum of XU along that permutation.
+// index order, carrying the comparison count a fresh sort.Stable needs, the
+// running maximum of XU along that permutation, and the y-sorted strips with
+// their running maxima of YU that a fresh build produces.
 func checkXLOrder(n *Node, o *XLOrder) error {
 	if len(o.Perm) != len(n.Entries) {
 		return fmt.Errorf("%w: node %d orders %d of %d entries", ErrStaleOrder, n.ID, len(o.Perm), len(n.Entries))
@@ -111,17 +121,31 @@ func checkXLOrder(n *Node, o *XLOrder) error {
 				ErrStaleOrder, n.ID, k-1, k, prev, a, i, b)
 		}
 	}
-	if want := buildXLOrder(n.Entries).SortComparisons; o.SortComparisons != want {
+	// Perm is now the one stable order, so a fresh build is the reference
+	// for everything derived from it.
+	fresh := buildXLOrder(n.Entries)
+	if o.SortComparisons != fresh.SortComparisons {
 		return fmt.Errorf("%w: node %d stores %d sort comparisons, a fresh sort needs %d",
-			ErrStaleOrder, n.ID, o.SortComparisons, want)
+			ErrStaleOrder, n.ID, o.SortComparisons, fresh.SortComparisons)
 	}
-	if len(o.PrefixMaxXU) != len(o.Perm) {
-		return fmt.Errorf("%w: node %d keeps %d running XU maxima for %d entries", ErrStaleOrder, n.ID, len(o.PrefixMaxXU), len(o.Perm))
+	if len(o.PrefixMaxXU) != len(o.Perm) || len(o.YPerm) != len(o.Perm) || len(o.PrefixMaxYU) != len(o.Perm) {
+		return fmt.Errorf("%w: node %d keeps %d running XU maxima, %d strip positions and %d running YU maxima for %d entries",
+			ErrStaleOrder, n.ID, len(o.PrefixMaxXU), len(o.YPerm), len(o.PrefixMaxYU), len(o.Perm))
 	}
-	for k, want := range prefixMaxXU(n.Entries, o.Perm) {
+	for k, want := range fresh.PrefixMaxXU {
 		if o.PrefixMaxXU[k] != want {
 			return fmt.Errorf("%w: node %d position %d: running XU maximum %g, entries give %g",
 				ErrStaleOrder, n.ID, k, o.PrefixMaxXU[k], want)
+		}
+	}
+	for k, want := range fresh.YPerm {
+		if o.YPerm[k] != want {
+			return fmt.Errorf("%w: node %d strip %d position %d: entry %d, a fresh build lists entry %d",
+				ErrStaleOrder, n.ID, k/StripLen, k, o.YPerm[k], want)
+		}
+		if o.PrefixMaxYU[k] != fresh.PrefixMaxYU[k] {
+			return fmt.Errorf("%w: node %d strip %d position %d: running YU maximum %g, entries give %g",
+				ErrStaleOrder, n.ID, k/StripLen, k, o.PrefixMaxYU[k], fresh.PrefixMaxYU[k])
 		}
 	}
 	return nil

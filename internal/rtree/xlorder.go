@@ -11,6 +11,11 @@ import (
 // beside Node.Entries rather than in them, so entry order — and with it the
 // page layout, the structural goldens and exact-match deletes — is untouched.
 // Values are immutable once published.
+//
+// The order is also cut into strips of StripLen consecutive positions, each
+// kept a second time sorted on the other axis, which lets the kNN leaf kernel
+// bound its scan in y as well as in x (section 4's restrict, sort and sweep,
+// applied to the second axis).
 type XLOrder struct {
 	// Perm is the permutation of 0..len(Entries)-1 that lists the entries in
 	// stable ascending Rect.XL order.
@@ -20,12 +25,27 @@ type XLOrder struct {
 	// PrefixMaxXU[j] lies far enough left of the query: no entry at or before
 	// j reaches further right (the kNN leaf kernel's left window edge).
 	PrefixMaxXU []float64
+	// YPerm holds, for every strip Perm[a:b] (a a multiple of StripLen, b the
+	// next one or len(Perm)), the same entry indices at YPerm[a:b] in stable
+	// ascending Rect.YL order: ties keep their xl-order.
+	YPerm []int32
+	// PrefixMaxYU[j] is the largest Rect.YU among the entries at positions
+	// a..j of YPerm, where a is the first position of j's strip: the running
+	// maximum restarts at every strip, so it is PrefixMaxXU's counterpart for
+	// a downward scan inside one strip.
+	PrefixMaxYU []float64
 	// SortComparisons is the exact number of key comparisons sort.Stable
 	// needed to produce Perm from entry order: the cost of sorting the page
 	// once, which the join charges on every counted read of the page
 	// (Table 4 of the paper prices one sorting pass per page read).
 	SortComparisons int64
 }
+
+// StripLen is the number of consecutive xl-order positions one strip of
+// XLOrder.YPerm covers.  It is a constant, not a tuning knob: about a
+// square root of a 4 KiB leaf's 200 entries, so the kNN kernel's x-step
+// and y-scan stay short together.
+const StripLen = 16
 
 // XLOrder returns the node's xl-order, building it on first use.  The order
 // is a pure function of Entries, so concurrent readers of an immutable node
@@ -43,27 +63,65 @@ func (n *Node) XLOrder() *XLOrder {
 }
 
 // buildXLOrder stable-sorts the entry indices by lower x-corner, counting the
-// key comparisons, and takes the running maximum of XU along the result.
+// key comparisons, takes the running maximum of XU along the result and
+// builds the y-sorted strips.  Both index arrays share one allocation, as do
+// both running maxima.
 func buildXLOrder(entries []Entry) *XLOrder {
-	s := xlSorter{perm: make([]int32, len(entries)), entries: entries}
+	n := len(entries)
+	idx := make([]int32, 2*n)
+	s := xlSorter{perm: idx[:n:n], entries: entries}
 	for i := range s.perm {
 		s.perm[i] = int32(i)
 	}
 	sort.Stable(&s)
-	return &XLOrder{Perm: s.perm, PrefixMaxXU: prefixMaxXU(entries, s.perm), SortComparisons: s.comps}
+	maxima := make([]float64, 2*n)
+	o := &XLOrder{Perm: s.perm, PrefixMaxXU: maxima[:n:n], YPerm: idx[n:], PrefixMaxYU: maxima[n:], SortComparisons: s.comps}
+	prefixMaxXU(entries, o.Perm, o.PrefixMaxXU)
+	yStrips(entries, o.Perm, o.YPerm, o.PrefixMaxYU)
+	return o
 }
 
-// prefixMaxXU is one pass over an already sorted page; it is not part of the
-// sort Table 4 prices, so SortComparisons does not include it.
-func prefixMaxXU(entries []Entry, perm []int32) []float64 {
-	out := make([]float64, len(perm))
+// prefixMaxXU fills out with the running maximum of XU along perm.  It is
+// one pass over an already sorted page, not part of the sort Table 4 prices,
+// so SortComparisons does not include it.
+func prefixMaxXU(entries []Entry, perm []int32, out []float64) {
 	for j, i := range perm {
 		out[j] = entries[i].Rect.XU
 		if j > 0 && out[j-1] > out[j] {
 			out[j] = out[j-1]
 		}
 	}
-	return out
+}
+
+// yStrips fills yperm with every StripLen-position strip of perm re-sorted
+// stably by YL, and maxYU with each strip's running maximum of YU.  A strip
+// is short, so an insertion sort on a stack copy of its keys, which
+// allocates nothing, does it; like prefixMaxXU it stays out of
+// SortComparisons.
+func yStrips(entries []Entry, perm, yperm []int32, maxYU []float64) {
+	copy(yperm, perm)
+	var keys [StripLen]float64
+	for a := 0; a < len(yperm); a += StripLen {
+		strip := yperm[a:min(a+StripLen, len(yperm))]
+		for i, e := range strip {
+			keys[i] = entries[e].Rect.YL
+		}
+		for i := 1; i < len(strip); i++ {
+			e, yl := strip[i], keys[i]
+			j := i
+			for ; j > 0 && keys[j-1] > yl; j-- {
+				keys[j], strip[j] = keys[j-1], strip[j-1]
+			}
+			keys[j], strip[j] = yl, e
+		}
+		m := maxYU[a : a+len(strip)]
+		for j, e := range strip {
+			m[j] = entries[e].Rect.YU
+			if j > 0 && m[j-1] > m[j] {
+				m[j] = m[j-1]
+			}
+		}
+	}
 }
 
 type xlSorter struct {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/storage"
 )
 
 // touchOrders makes every node's xl-order exist, the state a tree is in after
@@ -29,10 +30,10 @@ func TestXLOrderMatchesSliceStable(t *testing.T) {
 			entries := make([]Entry, n)
 			for i := range entries {
 				// Coarse keys force ties, exercising stability.
-				// Widths vary, so the running maximum of XU is not simply the
-				// current entry's.
-				x := float64(rng.Intn(n/4 + 1))
-				entries[i] = Entry{Rect: geom.Rect{XL: x, XU: x + float64(rng.Intn(8))}, Data: int32(i)}
+				// Widths and heights vary, so neither running maximum is
+				// simply the current entry's.
+				x, y := float64(rng.Intn(n/4+1)), float64(rng.Intn(8))
+				entries[i] = Entry{Rect: geom.Rect{XL: x, YL: y, XU: x + float64(rng.Intn(8)), YU: y + float64(rng.Intn(8))}, Data: int32(i)}
 			}
 			ref := append([]Entry(nil), entries...)
 			var refComps int64
@@ -60,6 +61,25 @@ func TestXLOrderMatchesSliceStable(t *testing.T) {
 				maxXU = math.Max(maxXU, ref[k].Rect.XU)
 				if o.PrefixMaxXU[k] != maxXU {
 					t.Fatalf("n=%d trial=%d: running XU maximum %g at %d, want %g", n, trial, o.PrefixMaxXU[k], k, maxXU)
+				}
+			}
+			// Each strip of StripLen positions, stable-sorted by YL on its
+			// own, with its own running maximum of YU.
+			if len(o.YPerm) != n || len(o.PrefixMaxYU) != n {
+				t.Fatalf("n=%d: %d strip positions, %d running YU maxima", n, len(o.YPerm), len(o.PrefixMaxYU))
+			}
+			for a := 0; a < n; a += StripLen {
+				strip := append([]Entry(nil), ref[a:min(a+StripLen, n)]...)
+				sort.SliceStable(strip, func(i, j int) bool { return strip[i].Rect.YL < strip[j].Rect.YL })
+				maxYU := math.Inf(-1)
+				for k, e := range strip {
+					if entries[o.YPerm[a+k]].Data != e.Data {
+						t.Fatalf("n=%d trial=%d: strip %d differs from sort.SliceStable at %d", n, trial, a/StripLen, k)
+					}
+					maxYU = math.Max(maxYU, e.Rect.YU)
+					if o.PrefixMaxYU[a+k] != maxYU {
+						t.Fatalf("n=%d trial=%d: strip %d running YU maximum %g at %d, want %g", n, trial, a/StripLen, o.PrefixMaxYU[a+k], k, maxYU)
+					}
 				}
 			}
 			if node.XLOrder() != o {
@@ -132,7 +152,7 @@ func TestCheckInvariantsDetectsStaleOrder(t *testing.T) {
 			n.xlOrder.Store(&XLOrder{Perm: o.Perm, PrefixMaxXU: stale, SortComparisons: o.SortComparisons})
 		}},
 		{"tie out of index order", func(n *Node) {
-			n.Entries[1].Rect.XL = n.Entries[0].Rect.XL
+			n.Entries[1].Rect.XL, n.Entries[1].Rect.XU = n.Entries[0].Rect.XL, n.Entries[0].Rect.XU
 			n.xlOrder.Store(nil)
 			o := n.XLOrder()
 			perm := append([]int32(nil), o.Perm...)
@@ -159,6 +179,124 @@ func TestCheckInvariantsDetectsStaleOrder(t *testing.T) {
 	if err := tr.CheckInvariants(); !errors.Is(err, ErrStaleOrder) {
 		t.Errorf("entry removed in place: CheckInvariants = %v, want ErrStaleOrder", err)
 	}
+}
+
+// TestCheckInvariantsDetectsStaleStrips corrupts the y-sorted strips of a
+// swept leaf in each way they can go stale while the xl-order itself stays
+// right.  The leaves of 1 KiB pages hold three strips and more.
+func TestCheckInvariantsDetectsStaleStrips(t *testing.T) {
+	build := func() (*Tree, *Node) {
+		tr := MustNew(Options{PageSize: 1024})
+		tr.InsertItems(randomItems(rand.New(rand.NewSource(9)), 600, 0.02))
+		touchOrders(tr)
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("swept tree invalid: %v", err)
+		}
+		var leaf *Node
+		tr.Walk(func(n *Node) {
+			if leaf == nil && n.IsLeaf() && len(n.Entries) > 2*StripLen {
+				leaf = n
+			}
+		})
+		if leaf == nil {
+			t.Fatal("no leaf with three strips")
+		}
+		return tr, leaf
+	}
+	// restrip publishes the node's order with its strip fields edited.
+	restrip := func(n *Node, edit func(yperm []int32, maxYU []float64)) {
+		o := n.XLOrder()
+		yperm := append([]int32(nil), o.YPerm...)
+		maxYU := append([]float64(nil), o.PrefixMaxYU...)
+		edit(yperm, maxYU)
+		n.xlOrder.Store(&XLOrder{Perm: o.Perm, PrefixMaxXU: o.PrefixMaxXU, YPerm: yperm, PrefixMaxYU: maxYU, SortComparisons: o.SortComparisons})
+	}
+	cases := []struct {
+		name    string
+		corrupt func(n *Node)
+	}{
+		{"strip out of YL order", func(n *Node) {
+			restrip(n, func(yperm []int32, _ []float64) { yperm[0], yperm[StripLen-1] = yperm[StripLen-1], yperm[0] })
+		}},
+		{"index of another strip", func(n *Node) {
+			restrip(n, func(yperm []int32, _ []float64) { yperm[StripLen] = yperm[0] })
+		}},
+		{"strips missing", func(n *Node) {
+			o := n.XLOrder()
+			n.xlOrder.Store(&XLOrder{Perm: o.Perm, PrefixMaxXU: o.PrefixMaxXU, SortComparisons: o.SortComparisons})
+		}},
+		{"running YU maximum not restarted", func(n *Node) {
+			restrip(n, func(_ []int32, maxYU []float64) { maxYU[StripLen] = max(maxYU[StripLen], maxYU[StripLen-1]) + 1 })
+		}},
+		{"YU grown in place", func(n *Node) {
+			// Only the strip's running maximum depends on YU, and a
+			// rectangle grown inside its leaf's MBR leaves every other check
+			// passing: the running maximum is then too low, the direction in
+			// which the kNN strip scan would cut off a neighbour.
+			o := n.XLOrder()
+			top := n.MBR().YU
+			for _, i := range o.YPerm[:StripLen] {
+				if n.Entries[i].Rect.YU < top {
+					n.Entries[i].Rect.YU = top
+					return
+				}
+			}
+			t.Fatal("strip 0 already reaches the leaf's top")
+		}},
+	}
+	for _, c := range cases {
+		tr, leaf := build()
+		c.corrupt(leaf)
+		if err := tr.CheckInvariants(); !errors.Is(err, ErrStaleOrder) {
+			t.Errorf("%s: CheckInvariants = %v, want ErrStaleOrder", c.name, err)
+		}
+	}
+}
+
+// TestCheckInvariantsRejectsMalformedEntries: an entry with its corners out
+// of order passes every structural check (its parent's rectangle is built
+// from the same swapped corners) yet breaks every join's exactness.  The
+// tree is the shape that showed it: 3 000 rectangles on 1 KiB pages with XL
+// and XU swapped on every seventh.
+func TestCheckInvariantsRejectsMalformedEntries(t *testing.T) {
+	items := randomItems(rand.New(rand.NewSource(16)), 3000, 0.02)
+	for i := 0; i < len(items); i += 7 {
+		r := &items[i].Rect
+		r.XL, r.XU = r.XU, r.XL
+	}
+	for _, bulk := range []bool{false, true} {
+		tr, err := Build(Options{PageSize: 1024}, items, bulk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.CheckInvariants(); !errors.Is(err, ErrMalformedEntry) {
+			t.Errorf("bulk=%v: CheckInvariants = %v, want ErrMalformedEntry", bulk, err)
+		}
+	}
+	for _, r := range []geom.Rect{{XL: math.NaN(), XU: 1, YU: 1}, {XU: math.Inf(1), YU: 1}, {XU: 1, YL: 1}} {
+		tr := MustNew(Options{PageSize: 1024})
+		tr.Insert(geom.Rect{XU: 0.5, YU: 0.5}, 1)
+		tr.Root().Entries[0].Rect = r
+		if err := tr.CheckInvariants(); !errors.Is(err, ErrMalformedEntry) {
+			t.Errorf("entry %v: CheckInvariants = %v, want ErrMalformedEntry", r, err)
+		}
+	}
+}
+
+// BenchmarkXLOrder times building one full 4 KiB leaf's order: the stable
+// x-sort, both running maxima and the y-sorted strips.
+func BenchmarkXLOrder(b *testing.B) {
+	tr := MustNew(Options{PageSize: storage.PageSize4K})
+	items := randomItems(rand.New(rand.NewSource(31)), tr.maxEnt, 0.02)
+	entries := make([]Entry, len(items))
+	for i, it := range items {
+		entries[i] = Entry{Rect: it.Rect, Data: it.Data}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		buildXLOrder(entries)
+	}
+	b.ReportMetric(float64(len(entries)), "entries")
 }
 
 // TestCopyNodeStartsWithoutOrder: a copy-on-write copy is made to be mutated,
@@ -211,9 +349,9 @@ func TestHintAppendDropsOrder(t *testing.T) {
 	t.Fatal("no staged rectangle took the hint path")
 }
 
-// TestMutationDropsRunningMaximum: the running maximum of XU lives in the
-// order, so the mutators that drop the order drop it too, and the next use
-// sees the widened rectangle.
+// TestMutationDropsRunningMaximum: the running maxima of XU and of YU live
+// in the order, so the mutators that drop the order drop them too, and the
+// next use sees the widened rectangle.
 func TestMutationDropsRunningMaximum(t *testing.T) {
 	n := &Node{Entries: []Entry{
 		{Rect: geom.Rect{XL: 0, XU: 1}},
@@ -223,12 +361,15 @@ func TestMutationDropsRunningMaximum(t *testing.T) {
 	if got := n.XLOrder().PrefixMaxXU; got[0] != 1 || got[1] != 3 || got[2] != 5 {
 		t.Fatalf("running maxima %v, want [1 3 5]", got)
 	}
-	n.setRect(0, geom.Rect{XL: 0, XU: 4.5})
+	n.setRect(0, geom.Rect{XL: 0, XU: 4.5, YU: 2})
 	if n.xlOrder.Load() != nil {
 		t.Fatal("setRect kept the order")
 	}
 	if got := n.XLOrder().PrefixMaxXU; got[0] != 4.5 || got[1] != 4.5 || got[2] != 5 {
 		t.Fatalf("running maxima %v after widening entry 0, want [4.5 4.5 5]", got)
+	}
+	if got := n.XLOrder().PrefixMaxYU; got[0] != 2 || got[1] != 2 || got[2] != 2 {
+		t.Fatalf("running YU maxima %v after heightening entry 0, want [2 2 2]", got)
 	}
 	n.setEntries(n.Entries[1:])
 	if got := n.XLOrder().PrefixMaxXU; len(got) != 2 || got[0] != 3 || got[1] != 5 {

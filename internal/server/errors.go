@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"repro/internal/geom"
 )
 
 // Typed errors every admitted or rejected request resolves to.
@@ -39,7 +41,38 @@ var (
 	ErrTransient = errors.New("server: transient storage fault after pairs were observed")
 	// ErrClosed is returned once Close has begun.
 	ErrClosed = errors.New("server: closed")
+	// ErrMalformedOp rejects an Update batch holding an op whose rectangle
+	// is not well formed (geom.Rect.WellFormed).  The error is a
+	// *MalformedOpError naming the op; nothing of the batch is staged.
+	ErrMalformedOp = errors.New("server: malformed update op")
 )
+
+// MalformedOpError is the concrete type behind ErrMalformedOp.
+type MalformedOpError struct {
+	// Index is the position of the first malformed op in its batch.
+	Index int
+	// Rect is that op's rectangle.
+	Rect geom.Rect
+}
+
+func (e *MalformedOpError) Error() string {
+	return fmt.Sprintf("server: op %d: rectangle %v is not well formed (finite corners, xl <= xu, yl <= yu)", e.Index, e.Rect)
+}
+
+// Unwrap makes errors.Is(err, ErrMalformedOp) true for every *MalformedOpError.
+func (e *MalformedOpError) Unwrap() error { return ErrMalformedOp }
+
+// CheckOp returns a *MalformedOpError naming op i if its rectangle r is not
+// well formed, and nil if it is.  The trees take rectangles on trust — a
+// malformed one makes every later join over them wrong without an error — so
+// every way into the server checks a whole batch here first: Update, and the
+// router before it routes one.
+func CheckOp(i int, r geom.Rect) error {
+	if !r.WellFormed() {
+		return &MalformedOpError{Index: i, Rect: r}
+	}
+	return nil
+}
 
 // ShedError is the concrete type behind ErrShed.
 type ShedError struct {

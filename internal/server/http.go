@@ -230,6 +230,8 @@ func WriteJoinError(w http.ResponseWriter, err error) {
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 		httpError(w, http.StatusServiceUnavailable, err)
+	case errors.Is(err, ErrMalformedOp):
+		httpError(w, http.StatusBadRequest, err)
 	case errors.Is(err, ErrDeadline):
 		httpError(w, http.StatusGatewayTimeout, err)
 	case errors.Is(err, join.ErrCancelled):

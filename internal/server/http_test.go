@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"math"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/geom"
 	"repro/internal/join"
 	"repro/internal/storage"
 	"repro/internal/zorder"
@@ -487,5 +491,59 @@ func TestHandlerCapsRequestBodies(t *testing.T) {
 		if tc.code == http.StatusRequestEntityTooLarge && !bytes.HasPrefix(w.Body.Bytes(), []byte(`{"error":`)) {
 			t.Errorf("%s: 413 body %q is not an error object", tc.path, w.Body)
 		}
+	}
+}
+
+// malformedProbe is the batch that showed the server accepting rectangles
+// it cannot answer for: 3 000 ops with XL and XU swapped on every seventh
+// (op 6 is the first).
+func malformedProbe() []OpWire {
+	rng := rand.New(rand.NewSource(16))
+	ops := make([]OpWire, 3000)
+	for i := range ops {
+		x, y := rng.Float64()*0.98, rng.Float64()*0.98
+		ops[i] = OpWire{XL: x, YL: y, XU: x + 0.01, YU: y + 0.01, Data: int32(5000 + i)}
+		if i%7 == 6 {
+			ops[i].XL, ops[i].XU = ops[i].XU, ops[i].XL
+		}
+	}
+	return ops
+}
+
+// TestUpdateRejectsMalformedRectangles: a batch holding a rectangle with
+// its corners out of order — or a NaN or infinite corner — is refused whole
+// with a typed error naming the first such op, and nothing of it is staged;
+// POST /update answers 400.  Before the check, the batch was staged and
+// every later join over the tree was silently wrong.
+func TestUpdateRejectsMalformedRectangles(t *testing.T) {
+	fx := newFixture(t, Config{})
+	probe := malformedProbe()
+	ops := make([]Op, len(probe))
+	for i, o := range probe {
+		ops[i] = Op{Rect: o.Rect(), Data: o.Data}
+	}
+	var merr *MalformedOpError
+	if err := fx.srv.Update(ops); !errors.As(err, &merr) || !errors.Is(err, ErrMalformedOp) || merr.Index != 6 {
+		t.Fatalf("Update = %v, want a *MalformedOpError naming op 6", err)
+	}
+	for _, r := range []geom.Rect{{XL: math.NaN(), XU: 1, YU: 1}, {XU: 1, YU: math.Inf(1)}, {XU: 1, YL: 0.5, YU: 0.25}} {
+		if err := fx.srv.Update([]Op{{Rect: geom.Rect{XU: 0.1, YU: 0.1}}, {Rect: r, Delete: true}}); !errors.As(err, &merr) || merr.Index != 1 {
+			t.Errorf("Update with %v = %v, want a *MalformedOpError naming op 1", r, err)
+		}
+	}
+	if n := fx.srv.Pending(); n != 0 {
+		t.Fatalf("%d ops pending after rejected batches", n)
+	}
+
+	shard := zorder.KeyRange{Lo: 0, Hi: zorder.KeySpace}
+	h := NewHandler(fx.srv, HandlerConfig{Shard: &shard})
+	if w := doHTTP(t, h, "POST", "/update", probe); w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "op 6") {
+		t.Fatalf("POST /update of the probe: %d %s, want 400 naming op 6", w.Code, w.Body)
+	}
+	if n := fx.srv.Pending(); n != 0 {
+		t.Fatalf("%d ops pending after a rejected /update", n)
+	}
+	if w := doHTTP(t, h, "POST", "/update", probe[:6]); w.Code != http.StatusAccepted || fx.srv.Pending() != 6 {
+		t.Fatalf("POST /update of six well-formed ops: %d %s, %d pending", w.Code, w.Body, fx.srv.Pending())
 	}
 }

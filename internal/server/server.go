@@ -206,10 +206,17 @@ func New(cfg Config) (*Server, error) {
 // Update stages a batch of mutations for the next round.  Staged ops are
 // invisible to readers until Round commits and flips the snapshot; the
 // insert buffer may apply them to the writer's private tree earlier (in
-// Hilbert order, a full batch at a time) without affecting any epoch.
+// Hilbert order, a full batch at a time) without affecting any epoch.  A
+// batch with a malformed rectangle is rejected whole, with a
+// *MalformedOpError (ErrMalformedOp), before any op is staged.
 func (s *Server) Update(ops []Op) error {
 	if s.closed.Load() {
 		return ErrClosed
+	}
+	for i, op := range ops {
+		if err := CheckOp(i, op.Rect); err != nil {
+			return err
+		}
 	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
