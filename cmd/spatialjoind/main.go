@@ -10,7 +10,8 @@
 //
 // With -shard lo:hi the daemon serves one Hilbert key range of a sharded
 // deployment: /update rejects rectangles whose centre keys outside the
-// range, /stats reports the range and the snapshot's coverage summary, and
+// range (after it has checked every op of the batch well formed), /stats
+// reports the range and the snapshot's coverage summary, and
 // cmd/spatialjoinrouter fans queries out across the shard set.
 //
 // Usage:
@@ -29,7 +30,10 @@
 // only the predicate (intersection when left out), the parallel workers and
 // whether pairs come back.  A body naming any other field is a 400.  Shard
 // keys are Hilbert keys over the unit square (server.UnitWorld), the same
-// grid the router routes by.
+// grid the router routes by.  Rectangles need not lie in the unit square:
+// any well-formed rectangle is accepted, the join has no world, and a
+// centre outside it keys to the nearest edge cell of the grid, on the
+// daemon and the router alike, so it still has exactly one home.
 package main
 
 import (

@@ -1,7 +1,9 @@
 package join
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/metrics"
@@ -24,10 +26,12 @@ import (
 // levels (section 4 of the paper: restrict the search space, sort, sweep):
 // every node of the R subtree keeps the maximum tau of the items below it,
 // and a node pair further apart than its own R node's bound is dropped
-// unread; inside a leaf pair an item skips an S leaf whose MBR lies beyond
-// its tau; and an item that does meet the leaf scans only the strips of the
-// leaf's cached xl-order that its current x-window reaches, and inside each
-// strip only its current y-window (leafPair).  Every prune is strict
+// unread; the leaf pairs popped at one queue distance are run together, one
+// group per R leaf, and each item meets the group's S leaves nearest first,
+// stopping at the first whose MBR lies beyond its tau (leafGroup); and in a
+// leaf it does meet, an item scans only the strips of the leaf's cached
+// xl-order that its current x-window reaches, and inside each strip only its
+// current y-window (scanLeaf, scanStrip).  Every prune is strict
 // — `lower bound > tau`, never `>=`, and only once the heap holds K
 // candidates — because an equidistant candidate with a smaller S identifier
 // must still be offered, and every lower bound is exact in floating point.
@@ -206,6 +210,19 @@ type knnState struct {
 	nodes []knnNode // the R subtree's nodes; nodes[0] is its root
 	queue knnQueue
 	seq   int64
+	// band holds the leaf pairs popped at the current queue distance, read
+	// but not yet joined (runBand).
+	band []knnPair
+	// leafGroup's scratch, reused across bands: the MBRs of a group's S
+	// leaves and one item's leaf order.
+	mbrs []geom.Rect
+	near []leafDist
+}
+
+// leafDist is an item's distance to the MBR of S leaf i of its group.
+type leafDist struct {
+	d2 float64
+	i  int32
 }
 
 // newKNNState registers the R subtree rooted at rn: one slab of k
@@ -289,7 +306,7 @@ func (st *knnState) tau(i int) float64 {
 }
 
 // tighten recomputes the bound of R leaf ri from its items' heaps after a
-// leaf pair fed them, then each ancestor's from its children for as long as
+// leaf group fed them, then each ancestor's from its children for as long as
 // the maximum moves.  One comparison is charged per value inspected.
 func (st *knnState) tighten(ri int32, local *metrics.Local) {
 	nd := &st.nodes[ri]
@@ -322,19 +339,81 @@ func (st *knnState) tighten(ri int32, local *metrics.Local) {
 	local.Comparisons += comps
 }
 
-// leafPair offers the entries of S leaf sn to the heaps of R leaf rn's items
-// (the first of which is item base), visiting for each item only the part of
-// sn it can still use.  The leaf's xl-order is cut into strips of
-// rtree.StripLen positions, each also sorted by YL (XLOrder.YPerm), and every
-// prune below is exact, strict (an equidistant candidate with a smaller S
-// identifier must still be offered) and armed only once the item's heap is
-// full:
+// leafGroup offers the entries of the S leaves of pairs — the leaf pairs of
+// one band that share R leaf rn, in pop order — to the heaps of rn's items
+// (the first of which is item base).  Each item meets the leaves nearest first: it
+// computes its distance to every leaf's MBR, orders the leaves by (distance,
+// pop order), and scans them in that order (scanLeaf) until the next leaf's
+// MBR lies strictly beyond its kth-best distance tau — every later leaf lies
+// at least as far — so tau is as low as the group allows before each scan
+// and leaves the item cannot use are never entered.  The stop is strict and
+// armed only once the heap is full, like every prune of the kernel: an
+// equidistant candidate with a smaller S identifier must still be offered.
+// A single pair is a group of one.  Whatever order the leaves are scanned
+// in, every heap ends with the K best of the same offered set, the same as
+// one plain product (productPair) per leaf; so the node bounds, the read
+// schedule and the emitted pairs do not depend on the kernel.  Every test
+// made here — leaf-MBR distance, leaf-order step, stop test — is charged.
 //
-//   - the item skips the leaf when its distance to the leaf's MBR exceeds its
-//     kth-best distance tau;
-//   - otherwise it scans its own strip — the last whose first entry begins at
-//     or left of the item's XL — then the strips to its right until one
-//     begins more than sqrt(tau) right of the item (every later strip begins
+//repro:hotpath
+func (st *knnState) leafGroup(rn *rtree.Node, base int, pairs []knnPair, local *metrics.Local) {
+	k := st.k
+	mbrs := st.mbrs[:0]
+	for i := range pairs {
+		mbrs = append(mbrs, pairs[i].sn.MBR())
+	}
+	near := st.near[:0]
+	var comps, tested int64
+	for ir := range rn.Entries {
+		r := rn.Entries[ir].Rect
+		it := &st.items[base+ir]
+		slab := st.cands[(base+ir)*k : (base+ir+1)*k]
+		n := int(it.n)
+		// near ascends by (distance, pop order): an insertion sort that
+		// moves a leaf only past strictly further ones.
+		near = near[:0]
+		for j := range mbrs {
+			d2, cost := geom.RectDistSquaredCost(r, mbrs[j])
+			comps += cost
+			near = append(near, leafDist{d2: d2, i: int32(j)})
+			for m := len(near) - 1; m > 0; m-- {
+				comps++
+				if near[m-1].d2 <= d2 {
+					break
+				}
+				near[m], near[m-1] = near[m-1], near[m]
+			}
+		}
+		for _, l := range near {
+			if n == k {
+				comps++
+				if l.d2 > slab[0].d2 {
+					break
+				}
+			}
+			var c, t int64
+			n, c, t = scanLeaf(r, pairs[l.i].sn, slab, n)
+			comps += c
+			tested += t
+		}
+		it.n = int32(n)
+	}
+	st.mbrs, st.near = mbrs, near
+	local.Comparisons += comps
+	local.PairsTested += tested
+}
+
+// scanLeaf offers the entries of S leaf sn to the heap held in the first n
+// slots of slab, visiting only the part of sn the item r can still use, and
+// returns the new n with the comparisons charged and the distances computed.
+// The leaf's xl-order is cut into strips of rtree.StripLen positions, each
+// also sorted by YL (XLOrder.YPerm), and every prune below is exact, strict
+// (an equidistant candidate with a smaller S identifier must still be
+// offered) and armed only once the heap is full:
+//
+//   - the item scans its own strip — the last whose first entry begins at or
+//     left of the item's XL — then the strips to its right until one begins
+//     more than sqrt(tau) right of the item (every later strip begins
 //     further right still), then the strips to its left until the running
 //     maximum of XU at a strip's end says that no entry at or before it
 //     reaches within sqrt(tau) of the item;
@@ -349,86 +428,66 @@ func (st *knnState) tighten(ri int32, local *metrics.Local) {
 // > XU or YL > YU an entry's gap is not on the side its lower corner puts it,
 // and CheckInvariants reports such an entry as rtree.ErrMalformedEntry.  tau
 // is re-read at every test because it falls as the scan admits candidates.
-// Since every heap ends each leaf pair with the same K best as the plain
-// product (productPair), the node bounds, the read schedule and the emitted
-// pairs do not depend on the kernel.  Every test made here — leaf-MBR
-// distance, binary-search step, gap check, admission — is charged.
 //
 //repro:hotpath
-func (st *knnState) leafPair(rn *rtree.Node, base int, sn *rtree.Node, local *metrics.Local) {
+func scanLeaf(r geom.Rect, sn *rtree.Node, slab []nnCand, n int) (int, int64, int64) {
 	const strip = rtree.StripLen
-	k := st.k
-	sMBR := sn.MBR()
+	k := len(slab)
 	order := sn.XLOrder()
 	perm, maxXU := order.Perm, order.PrefixMaxXU
 	sEntries := sn.Entries
 	strips := (len(perm) + strip - 1) / strip
 	var comps, tested int64
-	for ir := range rn.Entries {
-		r := rn.Entries[ir].Rect
-		it := &st.items[base+ir]
-		slab := st.cands[(base+ir)*k : (base+ir+1)*k]
-		n := int(it.n)
+	// own is the last strip whose first entry begins at or left of r.XL, or
+	// strip 0 when none does.
+	lo, hi := 1, strips
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		comps++
+		if sEntries[perm[mid*strip]].Rect.XL <= r.XL {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	own := lo - 1
+	var c, t int64
+	n, c, t = scanStrip(r, sEntries, order, own*strip, min(own*strip+strip, len(perm)), slab, n)
+	comps += c
+	tested += t
+	for a := own*strip + strip; a < len(perm); a += strip {
 		if n == k {
-			d2, cost := geom.RectDistSquaredCost(r, sMBR)
-			comps += cost + 1
-			if d2 > slab[0].d2 {
-				continue
-			}
-		}
-		// own is the last strip whose first entry begins at or left of
-		// r.XL, or strip 0 when none does.
-		lo, hi := 1, strips
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
+			xl := sEntries[perm[a]].Rect.XL
 			comps++
-			if sEntries[perm[mid*strip]].Rect.XL <= r.XL {
-				lo = mid + 1
-			} else {
-				hi = mid
+			if r.XU < xl {
+				gap := xl - r.XU
+				comps++
+				if gap*gap > slab[0].d2 {
+					break
+				}
 			}
 		}
-		own := lo - 1
-		var c, t int64
-		n, c, t = scanStrip(r, sEntries, order, own*strip, min(own*strip+strip, len(perm)), slab, n)
+		n, c, t = scanStrip(r, sEntries, order, a, min(a+strip, len(perm)), slab, n)
 		comps += c
 		tested += t
-		for a := own*strip + strip; a < len(perm); a += strip {
-			if n == k {
-				xl := sEntries[perm[a]].Rect.XL
-				comps++
-				if r.XU < xl {
-					gap := xl - r.XU
-					comps++
-					if gap*gap > slab[0].d2 {
-						break
-					}
-				}
-			}
-			n, c, t = scanStrip(r, sEntries, order, a, min(a+strip, len(perm)), slab, n)
-			comps += c
-			tested += t
-		}
-		for a := own*strip - strip; a >= 0; a -= strip {
-			if n == k {
-				xu := maxXU[a+strip-1]
-				comps++
-				if xu < r.XL {
-					gap := r.XL - xu
-					comps++
-					if gap*gap > slab[0].d2 {
-						break
-					}
-				}
-			}
-			n, c, t = scanStrip(r, sEntries, order, a, a+strip, slab, n)
-			comps += c
-			tested += t
-		}
-		it.n = int32(n)
 	}
-	local.Comparisons += comps
-	local.PairsTested += tested
+	for a := own*strip - strip; a >= 0; a -= strip {
+		if n == k {
+			xu := maxXU[a+strip-1]
+			comps++
+			if xu < r.XL {
+				gap := r.XL - xu
+				comps++
+				if gap*gap > slab[0].d2 {
+					break
+				}
+			}
+		}
+		n, c, t = scanStrip(r, sEntries, order, a, a+strip, slab, n)
+		comps += c
+		tested += t
+	}
+	return n, comps, tested
 }
 
 // scanStrip offers the entries at positions a..b-1 of order.YPerm, one strip,
@@ -437,7 +496,7 @@ func (st *knnState) leafPair(rn *rtree.Node, base int, sn *rtree.Node, local *me
 // first entry that begins above r.YL and runs upwards until an entry begins
 // more than sqrt(tau) above the item — every later one begins higher still —
 // then downwards until the strip's running maximum of YU says that no entry
-// at or below the position reaches within sqrt(tau) of the item: leafPair's
+// at or below the position reaches within sqrt(tau) of the item: scanLeaf's
 // x-window, on the y-axis of one strip.
 //
 //repro:hotpath
@@ -492,9 +551,9 @@ func scanStrip(r geom.Rect, sEntries []rtree.Entry, order *rtree.XLOrder, a, b i
 	return n, comps, tested
 }
 
-// productPair is the leaf x leaf product leafPair replaced: every entry of
+// productPair is the leaf x leaf product the kernel replaced: every entry of
 // sn is offered to every item of rn.  The index-free oracle runs on it, and
-// FuzzKNNLeafKernel holds leafPair to it.
+// FuzzKNNLeafKernel and FuzzKNNLeafGroup hold leafGroup to it.
 func (st *knnState) productPair(rn *rtree.Node, base int, sn *rtree.Node, local *metrics.Local) {
 	k := st.k
 	var comps int64
@@ -526,9 +585,17 @@ func (e *executor) runKNN() {
 // Pages are read when their pair is popped — the queue's priority order is
 // the read schedule, and a pair is dropped unread, at push or at pop, once
 // its distance strictly exceeds the bound of its own R node; the subtree
-// root's bound is the global stop.  ParallelJoin calls knnFrom once per R
-// root entry, so the per-task results are disjoint in R and merge by
-// concatenation under any schedule.
+// root's bound is the global stop.  A popped leaf pair is read at once but
+// joined with the band of pairs popped at the same distance, once the
+// queue's head lies strictly further (runBand).  That keeps the schedule:
+// an item's distance to an entry of a leaf pair is never below the pair's
+// distance d, so the pairs of one band leave every tau that was at least d
+// at least d, and every bound a pop or push at d tests decides the same way
+// with or without them; a pair further than d that a stale-high bound lets
+// into the queue is dropped unread at its pop, when the band has been run
+// and the bounds are those the pair-at-a-time join would hold.
+// ParallelJoin calls knnFrom once per R root entry, so the per-task results
+// are disjoint in R and merge by concatenation under any schedule.
 func (e *executor) knnFrom(rn, sn *rtree.Node) {
 	k := e.knnK()
 	if k == 0 {
@@ -547,6 +614,9 @@ func (e *executor) knnFrom(rn, sn *rtree.Node) {
 		if e.stopped() {
 			return
 		}
+		if len(st.band) > 0 && st.queue[0].d2 > st.band[0].d2 {
+			e.runBand(st)
+		}
 		p := st.queue.pop()
 		// Popped distances never decrease, so beyond the root's bound
 		// nothing left in the queue can improve any heap.
@@ -561,16 +631,42 @@ func (e *executor) knnFrom(rn, sn *rtree.Node) {
 		if p.rn.IsLeaf() && p.sn.IsLeaf() {
 			// The leaf kernel scans sn in xl-order: a counted read sorts it.
 			readSorted(e.s, e.tracker, p.sn, &e.local)
-			st.leafPair(p.rn, int(st.nodes[p.ri].first), p.sn, &e.local)
-			st.tighten(p.ri, &e.local)
+			st.band = append(st.band, p)
 		} else {
 			e.s.AccessNode(e.tracker, p.sn)
 			e.knnExpand(st, p)
 		}
 		e.local.FlushTo(e.metrics)
 	}
+	e.runBand(st)
 
 	e.emitKNN(st)
+}
+
+// runBand joins the pending band of leaf pairs, all popped at one distance:
+// one leafGroup per R leaf over its S leaves in pop order, then one tighten.
+// Heaps of different R leaves are disjoint, so the groups' order does not
+// matter; they run in R node order.
+func (e *executor) runBand(st *knnState) {
+	band := st.band
+	// Within a band the pop order is the sequence order.
+	slices.SortFunc(band, func(a, b knnPair) int {
+		if a.ri != b.ri {
+			return cmp.Compare(a.ri, b.ri)
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	for i := 0; i < len(band); {
+		j := i + 1
+		for j < len(band) && band[j].ri == band[i].ri {
+			j++
+		}
+		ri := band[i].ri
+		st.leafGroup(band[i].rn, int(st.nodes[ri].first), band[i:j], &e.local)
+		st.tighten(ri, &e.local)
+		i = j
+	}
+	st.band = band[:0]
 }
 
 // emitKNN reports the finished heaps in registration order, each item's

@@ -132,18 +132,30 @@ func TestKNNReadScheduleIsPinned(t *testing.T) {
 	}
 }
 
-// TestKNNLeafKernelBoundsBothAxes is the guard on the serve-read shape:
-// an x-window that spans the S leaf's whole height made 115 distance
-// computations per R item there, the strips' y-windows about 26, and a
-// kernel that tests more than 40 has lost one of its bounds.
+// TestKNNLeafKernelBoundsBothAxes is the guard on the kernel's windows and
+// its leaf order.  On the serve-read shape an x-window that spans the S
+// leaf's whole height made 115 distance computations per R item, the
+// strips' y-windows about 26 with the leaves met in the queue's order, and
+// 14.4 nearest leaf first; on the ledger's shape (ledgerKNNPair(10000,
+// 10000)) 26.8 and 11.6.  A kernel over the caps has lost a bound or the
+// leaf order.
 func TestKNNLeafKernelBoundsBothAxes(t *testing.T) {
-	r, s := serveReadKNNPair(t)
-	res, err := Join(r, s, ledgerKNNOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perItem := float64(res.Metrics.PairsTested) / float64(r.Len()); perItem > 40 {
-		t.Errorf("%.1f distance computations per R item, want at most 40", perItem)
+	for _, c := range []struct {
+		name  string
+		build func(testing.TB) (*rtree.Tree, *rtree.Tree)
+		cap   float64
+	}{
+		{"serve-read", serveReadKNNPair, 18},
+		{"ledger-10000", func(tb testing.TB) (*rtree.Tree, *rtree.Tree) { return ledgerKNNPair(tb, 10000, 10000, 1) }, 15},
+	} {
+		r, s := c.build(t)
+		res, err := Join(r, s, ledgerKNNOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if perItem := float64(res.Metrics.PairsTested) / float64(r.Len()); perItem > c.cap {
+			t.Errorf("%s: %.1f distance computations per R item, want at most %g", c.name, perItem, c.cap)
+		}
 	}
 }
 
@@ -367,7 +379,7 @@ func checkNeighbourOrder(t *testing.T, label string, pairs []Pair, rRects, sRect
 // candidate must displace an earlier one — through the oracle, the
 // sequential join and the parallel join under all five strategies, on trees
 // of every height combination and with k > |S|.  Each prune is exact only
-// because it is strict: making the leaf skip, either y-gap check or either
+// because it is strict: making the leaf stop, either y-gap check or either
 // pop-time bound test non-strict fails here (the push-time test has
 // TestKNNPushBoundIsStrict; the 8-entry leaves are one strip each, so the
 // x-side strip breaks are FuzzKNNLeafKernel's seeds).
@@ -511,10 +523,10 @@ func tieSeed(d byte) []byte {
 	return out
 }
 
-// FuzzKNNLeafKernel pins the windowed leaf kernel against the plain leaf x
-// leaf product it replaced: from any heaps — empty, partly filled or full of
-// candidates other leaves left behind — both must arrive at the same K best
-// per R item.
+// FuzzKNNLeafKernel pins the windowed leaf kernel, on a group of one S leaf,
+// against the plain leaf x leaf product it replaced: from any heaps — empty,
+// partly filled or full of candidates other leaves left behind — both must
+// arrive at the same K best per R item.
 func FuzzKNNLeafKernel(f *testing.F) {
 	f.Add([]byte{8, 8, 1, 1}, []byte{9, 8, 0, 0, 9, 8, 0, 0, 9, 8, 0, 0, 2, 8, 1, 1}, []byte{1, 1, 1}, uint8(2))
 	f.Add([]byte{4, 4, 0, 0, 4, 4, 0, 0}, []byte{4, 4, 0, 0, 4, 4, 0, 0, 4, 4, 0, 0, 4, 4, 0, 0}, []byte{}, uint8(1))
@@ -572,58 +584,125 @@ func FuzzKNNLeafKernel(f *testing.F) {
 		return [4]byte{15, 15, 0, 0}
 	}), tieSeed(2), uint8(0))
 	f.Fuzz(func(t *testing.T, rData, sData, seedData []byte, kByte uint8) {
-		rn := fuzzLeaf(rData, 24, 0, 1)
 		sn := fuzzLeaf(sData, 40, 0, 2) // even identifiers
-		if len(rn.Entries) == 0 || len(sn.Entries) == 0 {
+		if len(sn.Entries) == 0 {
 			return
 		}
-		k := 1 + int(kByte)%5
-		newState := func() *knnState {
-			st := newKNNState(k, rn)
-			// Pre-seed the heaps with odd identifiers at lattice distances,
-			// the candidates earlier leaf pairs would have left.
-			var comps int64
-			for j, b := range seedData {
-				i := j % len(st.items)
-				d := float64(b%8) / 16
-				st.items[i].n = int32(offer(st.cands[i*k:(i+1)*k], int(st.items[i].n), nnCand{d2: d * d, sID: int32(2*j + 1)}, &comps))
-			}
-			return st
-		}
-
-		got, want := newState(), newState()
-		var local metrics.Local
-		got.leafPair(rn, 0, sn, &local)
-		var product metrics.Local
-		want.productPair(rn, 0, sn, &product)
-		if local.PairsTested > product.PairsTested {
-			t.Fatalf("kernel tested %d pairs of a %d product", local.PairsTested, product.PairsTested)
-		}
-		for i := range got.items {
-			g, w := got.heap(i), want.heap(i)
-			sortCands(g)
-			sortCands(w)
-			if len(g) != len(w) {
-				t.Fatalf("item %d: %d candidates, product keeps %d", i, len(g), len(w))
-			}
-			for j := range g {
-				if g[j] != w[j] {
-					t.Fatalf("item %d neighbour %d: %v, product keeps %v\nkernel  %v\nproduct %v", i, j, g[j], w[j], g, w)
-				}
-			}
-		}
-
-		// The node bound the traversal derives from the heaps is never below
-		// any item's kth-best distance.
-		got = newState()
-		got.leafPair(rn, 0, sn, &local)
-		got.tighten(0, &local)
-		for i := range got.items {
-			if got.nodes[0].bound < got.tau(i) {
-				t.Fatalf("leaf bound %g below item %d's tau %g", got.nodes[0].bound, i, got.tau(i))
-			}
-		}
+		checkLeafGroup(t, fuzzLeaf(rData, 24, 0, 1), []*rtree.Node{sn}, seedData, 1+int(kByte)%5)
 	})
+}
+
+// fuzzGroup splits the entries data encodes (fuzzLeaf's four bytes each, at
+// most 40) into 1 + cuts%4 S leaves of near-equal size, in order, as the
+// pop order of one band.  Entry p of n has S id 2p, or 2(n-1-p) when cuts&4
+// is set, so a tie's smaller identifier can sit in an earlier or a later
+// leaf.
+func fuzzGroup(data []byte, cuts uint8) []*rtree.Node {
+	all := fuzzLeaf(data, 40, 0, 2)
+	n := len(all.Entries)
+	if cuts&4 != 0 {
+		for p := range all.Entries {
+			all.Entries[p].Data = int32(2 * (n - 1 - p))
+		}
+	}
+	leaves := make([]*rtree.Node, min(1+int(cuts%4), n))
+	for j := range leaves {
+		leaves[j] = &rtree.Node{Entries: all.Entries[j*n/len(leaves) : (j+1)*n/len(leaves)]}
+	}
+	return leaves
+}
+
+// FuzzKNNLeafGroup holds the grouped kernel — each item meets the group's
+// S leaves nearest first and stops at the first beyond its tau — to one
+// plain product per leaf: from any heaps, both must arrive at the same K
+// best per R item.
+func FuzzKNNLeafGroup(f *testing.F) {
+	// Two leaves at the same MBR distance 2/16 from the item, right and
+	// left of it; the later leaf's candidate ties the earlier one's with a
+	// smaller S id.
+	f.Add([]byte{8, 8, 1, 1}, []byte{11, 8, 0, 0, 6, 8, 0, 0}, []byte{}, uint8(0), uint8(1|4))
+	// Overlapping leaves: columns 4, 6, 8, 10 and 5, 7, 9, 11, one unit
+	// wide, both leaves at distance zero from every item.
+	f.Add([]byte{8, 8, 1, 1, 3, 8, 0, 0}, leafBytes(8, func(i int) [4]byte {
+		return [4]byte{byte(4 + 2*(i%4) + i/4), 8, 1, byte(i % 2)}
+	}), []byte{}, uint8(2), uint8(1))
+	// K = 3, and the nearer leaf holds two entries: the heap fills only in
+	// the second leaf, so its stop is not armed before it.
+	f.Add([]byte{8, 8, 0, 0}, []byte{8, 9, 0, 0, 8, 12, 0, 0, 8, 13, 0, 0, 8, 14, 0, 0, 8, 15, 0, 0}, []byte{}, uint8(2), uint8(1))
+	// The leaf at MBR distance 0 (the second, ids 2 and 4) leaves tau at
+	// (2/16)²; the first leaf's MBR lies exactly 2/16 above the item and
+	// holds id 0 at that distance.  A non-strict stop loses it.
+	f.Add([]byte{8, 8, 1, 1}, []byte{8, 11, 0, 0, 11, 8, 0, 0, 0, 15, 0, 0}, []byte{}, uint8(0), uint8(1))
+	// Four leaves of ten, ids descending, heaps pre-seeded.
+	f.Add([]byte{7, 7, 1, 1, 2, 12, 0, 0, 13, 3, 2, 1}, leafBytes(40, func(i int) [4]byte {
+		return [4]byte{byte(i * 7 % 16), byte(i * 5 % 16), byte(i % 3), byte(i % 2)}
+	}), []byte{3, 5, 9}, uint8(3), uint8(3|4))
+	f.Fuzz(func(t *testing.T, rData, sData, seedData []byte, kByte, cuts uint8) {
+		sns := fuzzGroup(sData, cuts)
+		if len(sns) == 0 {
+			return
+		}
+		checkLeafGroup(t, fuzzLeaf(rData, 24, 0, 1), sns, seedData, 1+int(kByte)%5)
+	})
+}
+
+// checkLeafGroup runs leafGroup over S leaves sns and the plain product over
+// each of them in turn, both from the same pre-seeded heaps (odd S ids at
+// lattice distances, the candidates earlier bands would have left), and
+// fails unless every item keeps the same K best and the kernel tested no
+// more pairs.  The node bound derived from the heaps must not be below any
+// item's kth-best distance.
+func checkLeafGroup(t *testing.T, rn *rtree.Node, sns []*rtree.Node, seedData []byte, k int) {
+	t.Helper()
+	if len(rn.Entries) == 0 {
+		return
+	}
+	newState := func() *knnState {
+		st := newKNNState(k, rn)
+		var comps int64
+		for j, b := range seedData {
+			i := j % len(st.items)
+			d := float64(b%8) / 16
+			st.items[i].n = int32(offer(st.cands[i*k:(i+1)*k], int(st.items[i].n), nnCand{d2: d * d, sID: int32(2*j + 1)}, &comps))
+		}
+		return st
+	}
+
+	pairs := make([]knnPair, len(sns))
+	for i, sn := range sns {
+		pairs[i] = knnPair{rn: rn, sn: sn, seq: int64(i)}
+	}
+	got, want := newState(), newState()
+	var local, product metrics.Local
+	got.leafGroup(rn, 0, pairs, &local)
+	for _, sn := range sns {
+		want.productPair(rn, 0, sn, &product)
+	}
+	if local.PairsTested > product.PairsTested {
+		t.Fatalf("kernel tested %d pairs of a %d product", local.PairsTested, product.PairsTested)
+	}
+	for i := range got.items {
+		g, w := got.heap(i), want.heap(i)
+		sortCands(g)
+		sortCands(w)
+		if len(g) != len(w) {
+			t.Fatalf("item %d: %d candidates, product keeps %d", i, len(g), len(w))
+		}
+		for j := range g {
+			if g[j] != w[j] {
+				t.Fatalf("item %d neighbour %d: %v, product keeps %v\nkernel  %v\nproduct %v", i, j, g[j], w[j], g, w)
+			}
+		}
+	}
+
+	got = newState()
+	got.leafGroup(rn, 0, pairs, &local)
+	got.tighten(0, &local)
+	for i := range got.items {
+		if got.nodes[0].bound < got.tau(i) {
+			t.Fatalf("leaf bound %g below item %d's tau %g", got.nodes[0].bound, i, got.tau(i))
+		}
+	}
 }
 
 // BenchmarkKNNJoin times the best-first kNN join (K = 4, the ledger's join

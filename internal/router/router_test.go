@@ -378,3 +378,73 @@ func TestRouterRejectsMalformedUpdates(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterHomesOutOfWorldRectangles: rectangles partly or wholly outside
+// server.UnitWorld are accepted and routed like any other.  The key grid
+// clamps a centre outside the world to the edge cell nearest it, on the
+// router and on every shard alike, so each op has exactly one home; the
+// join itself has no world.  A two-shard deployment answers intersects and
+// knn:4 exactly as a single daemon does on the same data, and both equal
+// their brute-force oracles.
+func TestRouterHomesOutOfWorldRectangles(t *testing.T) {
+	rOps := genROps(200, 9)
+	outside := []server.OpWire{
+		{XL: -0.5, YL: 0.4, XU: 0.01, YU: 0.45},       // over the left edge, centre outside
+		{XL: 0.98, YL: 0.98, XU: 1.3, YU: 1.1},        // over the top-right corner
+		{XL: 2, YL: 2, XU: 2.5, YU: 3},                // wholly outside, up and right
+		{XL: -40, YL: -40, XU: -39, YU: -39},          // wholly outside, down and left
+		{XL: 0.3, YL: -1, XU: 0.35, YU: -0.99},        // under the bottom edge
+		{XL: -1e6, YL: 0.5, XU: 1e6, YU: 0.51},        // far past both sides, centre inside
+		{XL: 1.5, YL: 0.2, XU: 1.5, YU: 0.2},          // a point right of the world
+		{XL: -1e300, YL: -1e300, XU: -1e299, YU: 0.5}, // huge, finite
+	}
+	ranges := zorder.UniformKeyRanges(2)
+	homes := make([]int, len(ranges))
+	for i := range outside {
+		outside[i].Data = int32(10000 + i)
+		key := zorder.HilbertKey(outside[i].Rect().Center(), server.UnitWorld)
+		for j, r := range ranges {
+			if r.Contains(key) {
+				homes[j]++
+			}
+		}
+	}
+	if homes[0] == 0 || homes[1] == 0 {
+		t.Fatalf("out-of-world ops home on shards %v: want some on each", homes)
+	}
+	rOps = append(rOps, outside...)
+	sItems := genSItems(200, 5)
+	oracle := map[string][][2]int32{
+		"intersects": bruteForcePairs(rOps, sItems),
+		"knn:4":      sortedPairs(bruteKNNWire(rOps, sItems, 4)),
+	}
+
+	ctx := context.Background()
+	single, _ := newDeployment(t, 1, nil)
+	loadDeployment(t, single, rOps)
+	two, fixtures := newDeployment(t, 2, nil)
+	loadDeployment(t, two, rOps)
+	stats, err := two.Stats(ctx)
+	if err != nil {
+		t.Fatalf("Stats: %v", err)
+	}
+	total := 0
+	for _, fx := range fixtures {
+		total += stats[fx.name].Coverage.RItems
+	}
+	if total != len(rOps) {
+		t.Fatalf("the two shards hold %d items, want %d", total, len(rOps))
+	}
+	for _, pred := range []string{"intersects", "knn:4"} {
+		want, err := single.Join(ctx, JoinRequest{Predicate: pred})
+		if err != nil {
+			t.Fatalf("single daemon %s: %v", pred, err)
+		}
+		got, err := two.Join(ctx, JoinRequest{Predicate: pred})
+		if err != nil {
+			t.Fatalf("two shards %s: %v", pred, err)
+		}
+		assertPairsEqual(t, pred+" single daemon vs oracle", sortedPairs(want.Pairs), oracle[pred])
+		assertPairsEqual(t, pred+" two shards vs single daemon", sortedPairs(got.Pairs), sortedPairs(want.Pairs))
+	}
+}

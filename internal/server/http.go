@@ -78,12 +78,14 @@ type HandlerConfig struct {
 	// owns.  POST /update rejects (400) any op whose rectangle centre keys
 	// outside the range: a misrouted op silently indexed on the wrong shard
 	// would break the router's one-home-per-rectangle routing, so the shard
-	// refuses it outright.
+	// refuses it outright.  The range is checked only once every op of the
+	// batch is well formed (CheckOp); a malformed op gets that typed 400.
 	Shard *zorder.KeyRange
 }
 
 // UnitWorld is the rectangle the Hilbert key grid covers, on every shard and
-// in the router: the synthetic datasets live in the unit square.
+// in the router: the synthetic datasets live in the unit square.  It does
+// not bound the data: a centre outside it keys to the nearest edge cell.
 var UnitWorld = geom.Rect{XL: 0, YL: 0, XU: 1, YU: 1}
 
 // Request body caps.  A /join body is four small fields; an /update batch
@@ -124,15 +126,22 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 		}
 		batch := make([]Op, len(ops))
 		for i, op := range ops {
-			rect := op.Rect()
-			if cfg.Shard != nil {
-				if key := zorder.HilbertKey(rect.Center(), UnitWorld); !cfg.Shard.Contains(key) {
+			batch[i] = Op{Rect: op.Rect(), Data: op.Data, Delete: op.Delete}
+			if err := CheckOp(i, batch[i].Rect); err != nil {
+				WriteJoinError(w, err)
+				return
+			}
+		}
+		// A malformed op gets the typed 400 wherever its centre keys (a
+		// NaN corner keys nowhere), so the whole batch is checked first.
+		if cfg.Shard != nil {
+			for i, op := range batch {
+				if key := zorder.HilbertKey(op.Rect.Center(), UnitWorld); !cfg.Shard.Contains(key) {
 					httpError(w, http.StatusBadRequest,
 						fmt.Errorf("op %d: centre key %d outside shard range %s", i, key, cfg.Shard))
 					return
 				}
 			}
-			batch[i] = Op{Rect: rect, Data: op.Data, Delete: op.Delete}
 		}
 		if err := srv.Update(batch); err != nil {
 			WriteJoinError(w, err)

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,6 +22,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/join"
+	"repro/internal/rtree"
 	"repro/internal/storage"
 	"repro/internal/zorder"
 )
@@ -546,4 +548,169 @@ func TestUpdateRejectsMalformedRectangles(t *testing.T) {
 	if w := doHTTP(t, h, "POST", "/update", probe[:6]); w.Code != http.StatusAccepted || fx.srv.Pending() != 6 {
 		t.Fatalf("POST /update of six well-formed ops: %d %s, %d pending", w.Code, w.Body, fx.srv.Pending())
 	}
+}
+
+// TestHandlerShardChecksOpsBeforeKeys: a sharded daemon checks every op of
+// a batch well formed before it keys any, so a malformed op whose centre
+// falls outside the shard gets the typed malformed-op 400, not a key-range
+// one; a well-formed op outside the range still gets the key-range 400.
+// Neither batch stages anything.
+func TestHandlerShardChecksOpsBeforeKeys(t *testing.T) {
+	fx := newFixture(t, Config{})
+	inside := OpWire{XL: 0.1, YL: 0.1, XU: 0.12, YU: 0.12, Data: 7001}
+	key := zorder.HilbertKey(inside.Rect().Center(), UnitWorld)
+	shard := zorder.KeyRange{Lo: key, Hi: key + 1}
+	h := NewHandler(fx.srv, HandlerConfig{Shard: &shard})
+
+	// Corners swapped in x; the centre (0.85, 0.9) keys far from the shard.
+	malformed := OpWire{XL: 0.9, YL: 0.88, XU: 0.8, YU: 0.92, Data: 7002}
+	if k := zorder.HilbertKey(malformed.Rect().Center(), UnitWorld); shard.Contains(k) {
+		t.Fatalf("the malformed op's centre keys inside the shard (%d)", k)
+	}
+	w := doHTTP(t, h, "POST", "/update", []OpWire{inside, malformed})
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "op 1: rectangle") ||
+		!strings.Contains(w.Body.String(), "not well formed") {
+		t.Fatalf("POST /update with a malformed op outside the shard: %d %s, want the malformed-op 400 naming op 1", w.Code, w.Body)
+	}
+	if n := fx.srv.Pending(); n != 0 {
+		t.Fatalf("%d ops pending after a rejected /update", n)
+	}
+
+	outside := OpWire{XL: 0.8, YL: 0.88, XU: 0.9, YU: 0.92, Data: 7003}
+	w = doHTTP(t, h, "POST", "/update", []OpWire{inside, outside})
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "outside shard range") {
+		t.Fatalf("POST /update with an op outside the shard: %d %s, want the key-range 400", w.Code, w.Body)
+	}
+	if n := fx.srv.Pending(); n != 0 {
+		t.Fatalf("%d ops pending after a rejected /update", n)
+	}
+	if w := doHTTP(t, h, "POST", "/update", []OpWire{inside}); w.Code != http.StatusAccepted || fx.srv.Pending() != 1 {
+		t.Fatalf("POST /update of an op inside the shard: %d %s, %d pending", w.Code, w.Body, fx.srv.Pending())
+	}
+}
+
+// applyOpWires is the model of an accepted /update batch: inserts add an
+// entry, a delete removes one entry with exactly its rectangle and
+// identifier if there is one.  Applying in staging order is enough, because
+// the round applies a batch in an order that keeps an insert and a delete
+// of the same entry in staging order (both key the same centre).
+func applyOpWires(items []rtree.Item, ops []OpWire) []rtree.Item {
+	out := append([]rtree.Item(nil), items...)
+	for _, op := range ops {
+		it := rtree.Item{Rect: op.Rect(), Data: op.Data}
+		if !op.Delete {
+			out = append(out, it)
+			continue
+		}
+		for i := range out {
+			if out[i] == it {
+				out = append(out[:i], out[i+1:]...)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// FuzzUpdateRequest feeds arbitrary bodies to POST /update.  Every body is
+// answered 202, 400 or 413; a rejected batch stages nothing, an accepted
+// one stages every op it decodes to; and after POST /round the daemon's
+// join (SJ4) holds exactly the pairs a nested loop finds over the fixture's
+// R with the accepted ops applied.  The seeds are well-formed inserts and
+// deletes of fixture entries, swapped corners, zero-area rectangles, huge
+// finite and out-of-world coordinates, and bodies with unknown fields.
+func FuzzUpdateRequest(f *testing.F) {
+	fx := newFixture(f, Config{})
+	del := func(i int) OpWire {
+		r := fx.rItems[i].Rect
+		return OpWire{XL: r.XL, YL: r.YL, XU: r.XU, YU: r.YU, Data: fx.rItems[i].Data, Delete: true}
+	}
+	for _, ops := range [][]OpWire{
+		{},
+		{{XL: 0.1, YL: 0.2, XU: 0.13, YU: 0.21, Data: 9000}, {XL: 0.5, YL: 0.5, XU: 0.52, YU: 0.52, Data: 9001}},
+		{del(0), del(17), {XL: 0.3, YL: 0.3, XU: 0.31, YU: 0.31, Data: 9002}},
+		{del(3), del(3)},
+		{{XL: 0.4, YL: 0.4, XU: 0.41, YU: 0.41, Data: 9003}, {XL: 0.4, YL: 0.4, XU: 0.41, YU: 0.41, Data: 9003, Delete: true}},
+		{{XL: 0.4, YL: 0.4, XU: 0.3, YU: 0.41, Data: 9004}},
+		{{XL: 0.6, YL: 0.7, XU: 0.6, YU: 0.7, Data: 9005}, {XL: 0.2, YL: 0.25, XU: 0.6, YU: 0.25, Data: 9006}},
+		{{XL: -1e300, YL: -1e300, XU: 1e300, YU: 1e300, Data: 9007}},
+		{{XL: 1.7e308, YL: 1.7e308, XU: 1.7e308, YU: 1.7e308, Data: 9008}},
+		{{XL: -3, YL: 0.5, XU: -2.5, YU: 0.6, Data: 9009}, {XL: 0.95, YL: 0.95, XU: 1.4, YU: 1.2, Data: 9010}},
+	} {
+		body, err := json.Marshal(ops)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	for _, s := range []string{
+		``,
+		`null`,
+		`{}`,
+		`[{"xl":0.1,"yl":0.1,"xu":0.2,"yu":0.2,"data":1,"colour":3}]`,
+		`[{"xl":0.1,"yl":0.1,"xu":0.2,"yu":0.2,"data":1}] [{"xl":0.9}]`,
+		`[{"xl":1e400,"yl":0,"xu":1,"yu":1}]`,
+		`[{"xl":0.1,"yl":0.1,"xu":0.2,"yu":0.2,"data":4294967296}]`,
+		`[{"xl":0.2,"yl":0.1,"xu":0.1,"yu":0.2,"data":1,"delete":true}]`,
+		`[{"xl":0.1,"yl":0.1,"xu":0.2,"yu":0.2`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		fx := newFixture(t, Config{CostBudget: -1, DefaultDeadline: -1})
+		h := NewHandler(fx.srv, HandlerConfig{})
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/update", bytes.NewReader(body)))
+		rItems := fx.rItems
+		switch w.Code {
+		case http.StatusAccepted:
+			// The handler decodes the first JSON value of the body the
+			// same way.
+			var ops []OpWire
+			dec := json.NewDecoder(bytes.NewReader(body))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&ops); err != nil {
+				t.Fatalf("body %q: 202 for a body the strict decoder rejects: %v", body, err)
+			}
+			if n := fx.srv.Pending(); n != len(ops) {
+				t.Fatalf("body %q: %d ops pending, %d accepted", body, n, len(ops))
+			}
+			rItems = applyOpWires(rItems, ops)
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			if n := fx.srv.Pending(); n != 0 {
+				t.Fatalf("body %q: %d ops pending after a %d", body, n, w.Code)
+			}
+		default:
+			t.Fatalf("body %q: status %d %s", body, w.Code, w.Body)
+		}
+
+		if w := doHTTP(t, h, "POST", "/round", nil); w.Code != http.StatusOK {
+			t.Fatalf("body %q: round %d %s", body, w.Code, w.Body)
+		}
+		w = doHTTP(t, h, "POST", "/join", nil)
+		if w.Code != http.StatusOK {
+			t.Fatalf("body %q: join %d %s", body, w.Code, w.Body)
+		}
+		var resp JoinResponseWire
+		if err := DecodeJoinResponse(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		var want []join.Pair
+		for _, r := range rItems {
+			for _, s := range fx.sItems {
+				if r.Rect.Intersects(s.Rect) {
+					want = append(want, join.Pair{R: r.Data, S: s.Data})
+				}
+			}
+		}
+		got := make([]join.Pair, len(resp.Pairs))
+		for i, p := range resp.Pairs {
+			got[i] = join.Pair{R: p[0], S: p[1]}
+		}
+		join.SortPairs(got)
+		join.SortPairs(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("body %q: join has %d pairs, nested loop %d", body, len(got), len(want))
+		}
+	})
 }
