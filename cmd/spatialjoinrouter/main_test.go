@@ -182,7 +182,7 @@ func stubShardPair(t *testing.T, brokenJoin http.HandlerFunc) []router.Shard {
 	healthy.HandleFunc("GET /stats", mkStats(ranges[0]))
 	healthy.HandleFunc("POST /join", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"epoch":1,"count":0}`)
+		fmt.Fprint(w, `{"epoch":1,"count":0}`+"\n")
 	})
 	broken := http.NewServeMux()
 	broken.HandleFunc("GET /stats", mkStats(ranges[1]))

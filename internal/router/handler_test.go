@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -17,43 +18,113 @@ import (
 	"repro/internal/server"
 )
 
-// gatewayJoinWire is the struct the gateway encoded its /join reply from
-// before the pair codec; encoding/json over it is the reference the
-// hand-assembled reply must match byte for byte.
+// gatewayJoinWire is the value the gateway's /join reply encodes, in field
+// order; encoding/json over it is the reference the forwarded reply must
+// match byte for byte.
 type gatewayJoinWire struct {
-	Count  int            `json:"count"`
 	Pairs  [][2]int32     `json:"pairs,omitempty"`
+	Count  int            `json:"count"`
 	Shards []ShardOutcome `json:"shards"`
 }
 
 func referenceJoinReply(t *testing.T, res *JoinResult) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(gatewayJoinWire{Count: res.Count, Pairs: res.Pairs, Shards: res.Shards}); err != nil {
+	if err := json.NewEncoder(&buf).Encode(gatewayJoinWire{Pairs: res.Pairs, Count: res.Count, Shards: res.Shards}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
+// pairBytes is a shard stream's pair bytes, as the scanner hands them on:
+// the elements of the pair array without its brackets.
+func pairBytes(t *testing.T, pairs [][2]int32) []byte {
+	t.Helper()
+	if len(pairs) == 0 {
+		return nil
+	}
+	arr, err := json.Marshal(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return arr[1 : len(arr)-1]
+}
+
+// TestJoinReplyBytesAreEncodingJSONs drives the gateway's reply writer as
+// the fan-out does — each shard's pair bytes in pieces, then the outcomes —
+// and holds the reply to encoding/json's bytes for {Pairs, Count, Shards},
+// with its Content-Length exactly when it fits one wire chunk.
 func TestJoinReplyBytesAreEncodingJSONs(t *testing.T) {
 	outcomes := []ShardOutcome{
 		{Shard: "shard0@http://127.0.0.1:7461", Epoch: 3, Count: 2, Attempts: 1, Wall: 1500 * time.Microsecond},
 		{Shard: "<b>&", Epoch: 4, Count: 0, Attempts: 2, Wall: time.Second},
 	}
-	for _, res := range []*JoinResult{
-		{},
-		{Shards: []ShardOutcome{}},
-		{Count: 2, Shards: outcomes},
-		{Count: 2, Pairs: [][2]int32{}, Shards: outcomes},
-		{Count: 2, Pairs: [][2]int32{{-1, 7}, {1 << 30, -5}}, Shards: outcomes},
+	var many [][2]int32
+	for i := int32(0); i < 5000; i++ {
+		many = append(many, [2]int32{i * 7919, -i})
+	}
+	for _, tc := range []struct {
+		name    string
+		streams [][][2]int32 // per shard
+		shards  []ShardOutcome
+	}{
+		{"no shards", nil, nil},
+		{"no pairs", [][][2]int32{nil, nil}, outcomes},
+		{"first shard only", [][][2]int32{{{-1, 7}, {1 << 30, -5}}, nil}, outcomes},
+		{"second shard only", [][][2]int32{nil, {{-1, 7}, {1 << 30, -5}}}, outcomes},
+		{"both shards", [][][2]int32{{{-1, 7}}, {{1 << 30, -5}}}, outcomes},
+		{"past one chunk", [][][2]int32{many[:3000], many[3000:]}, outcomes},
 	} {
-		got, err := appendJoinReply(nil, res)
-		if err != nil {
-			t.Fatal(err)
+		for _, cut := range []int{1, 7, server.WireChunk} {
+			rec := httptest.NewRecorder()
+			rw := replyWriter{w: rec, shard: -1}
+			res := &JoinResult{Shards: tc.shards}
+			for i, stream := range tc.streams {
+				res.Pairs = append(res.Pairs, stream...)
+				for b := pairBytes(t, stream); len(b) > 0; b = b[min(cut, len(b)):] {
+					if err := rw.pairs(i, b[:min(cut, len(b))]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			res.Count = len(res.Pairs)
+			if err := rw.close(res.Shards, res.Count); err != nil {
+				t.Fatal(err)
+			}
+			want := referenceJoinReply(t, res)
+			if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
+				t.Fatalf("%s, pieces of %d: reply %.200q, want %.200q", tc.name, cut, got, want)
+			}
+			cl := rec.Header().Get("Content-Length")
+			if fits := len(want) <= server.WireChunk; fits != (cl == strconv.Itoa(len(want))) || !fits && cl != "" {
+				t.Errorf("%s, pieces of %d: Content-Length %q for %d bytes", tc.name, cut, cl, len(want))
+			}
 		}
-		if want := referenceJoinReply(t, res); !bytes.Equal(got, want) {
-			t.Errorf("reply %q, want %q", got, want)
-		}
+	}
+}
+
+// TestReplyWriterSendsAtAFullChunk: the gateway holds back less than one
+// wire chunk, so the reply's first byte goes out as soon as the pair bytes
+// fill one — with a shard's first chunk — and not one shard chunk later.
+func TestReplyWriterSendsAtAFullChunk(t *testing.T) {
+	pairs := make([][2]int32, 0, 5459)
+	for len(pairs) < 5454 {
+		pairs = append(pairs, [2]int32{1, 2})
+	}
+	for len(pairs) < 5459 {
+		pairs = append(pairs, [2]int32{10, 2})
+	}
+	b := pairBytes(t, pairs)
+	if n := len(`{"pairs":[`) + len(b); n != server.WireChunk {
+		t.Fatalf("the reply's head is %d bytes, want exactly one chunk", n)
+	}
+	rec := httptest.NewRecorder()
+	rw := replyWriter{w: rec, shard: -1}
+	if err := rw.pairs(0, b[:len(b)-1]); err != nil || rw.sent {
+		t.Fatalf("a chunk less one byte: sent %v, %v", rw.sent, err)
+	}
+	if err := rw.pairs(0, b[len(b)-1:]); err != nil || !rw.sent || rec.Body.Len() != server.WireChunk {
+		t.Fatalf("a full chunk: sent %v, %d bytes out, %v", rw.sent, rec.Body.Len(), err)
 	}
 }
 
@@ -65,8 +136,9 @@ func postJSON(h http.Handler, path, body string) *httptest.ResponseRecorder {
 
 // TestGatewayJoinOverDeployment drives NewHandler over real shards: the
 // reply carries the oracle's pair set (sorted on the test side: the wire
-// order is deterministic, not sorted), declares its length, and is the
-// bytes encoding/json writes for the value it decodes to.
+// order is deterministic, not sorted) in Router.Join's order, declares its
+// length exactly when it fits one wire chunk, and is the bytes
+// encoding/json writes for {Pairs, Count, Shards} — the pairs first.
 func TestGatewayJoinOverDeployment(t *testing.T) {
 	rt, _ := newDeployment(t, 3, nil)
 	rOps := genROps(300, 9)
@@ -80,7 +152,8 @@ func TestGatewayJoinOverDeployment(t *testing.T) {
 			t.Fatalf("join %s: %d %s", body, w.Code, w.Body)
 		}
 		raw := w.Body.Bytes()
-		if cl := w.Header().Get("Content-Length"); cl != strconv.Itoa(len(raw)) {
+		cl := w.Header().Get("Content-Length")
+		if fits := len(raw) <= server.WireChunk; fits && cl != strconv.Itoa(len(raw)) || !fits && cl != "" {
 			t.Errorf("join %s: Content-Length %q for %d bytes", body, cl, len(raw))
 		}
 		var reply gatewayJoinWire
@@ -90,16 +163,27 @@ func TestGatewayJoinOverDeployment(t *testing.T) {
 		if reply.Count != len(want) || len(reply.Shards) != 3 {
 			t.Fatalf("join %s: count %d over %d shards, want %d over 3", body, reply.Count, len(reply.Shards), len(want))
 		}
-		if strings.Contains(body, "discard") {
+		var req server.JoinRequestWire
+		json.Unmarshal([]byte(body), &req)
+		res, err := rt.Join(context.Background(), JoinRequest{Workers: req.Workers, DiscardPairs: req.DiscardPairs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if req.DiscardPairs {
 			if reply.Pairs != nil {
 				t.Fatalf("join %s: %d pairs in a discard reply", body, len(reply.Pairs))
 			}
 		} else {
 			assertPairsEqual(t, "gateway "+body, sortedPairs(reply.Pairs), want)
+			assertPairsEqual(t, "gateway vs Router.Join "+body, reply.Pairs, res.Pairs)
 		}
 		ref := referenceJoinReply(t, &JoinResult{Count: reply.Count, Pairs: reply.Pairs, Shards: reply.Shards})
 		if !bytes.Equal(raw, ref) {
 			t.Errorf("join %s: body differs from encoding/json's encoding of the same value", body)
+		}
+		wall := regexp.MustCompile(`"Wall":\d+`)
+		if again := postJSON(h, "/join", body).Body.Bytes(); !bytes.Equal(wall.ReplaceAll(again, nil), wall.ReplaceAll(raw, nil)) {
+			t.Errorf("join %s: a replay on the same epochs got different bytes", body)
 		}
 	}
 }

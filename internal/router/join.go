@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/join"
 	"repro/internal/server"
 	"repro/internal/zorder"
 )
@@ -30,7 +29,7 @@ type JoinRequest struct {
 	DiscardPairs bool
 }
 
-// ShardOutcome is one shard's contribution to a merged join.
+// ShardOutcome is one shard's contribution to a gathered join.
 type ShardOutcome struct {
 	Shard string
 	// Epoch is the shard snapshot the join ran against.
@@ -40,18 +39,20 @@ type ShardOutcome struct {
 	// Attempts is the number of HTTP attempts the request took (1 = no
 	// retries).
 	Attempts int
-	// Wall is the shard request's wall-clock time including retries.
+	// Wall is the shard request's wall-clock time including retries, up to
+	// the end of its body.
 	Wall time.Duration
 }
 
-// JoinResult is a merged fan-out join.
+// JoinResult is a gathered fan-out join.
 type JoinResult struct {
 	// Count is the total pair count over all shards.
 	Count int
 	// Pairs is the exact pair set in a deterministic order: the shards'
 	// streams one after the other in ascending key range, each in its
-	// shard's wire order.  A kNN answer is merged into ascending (R, S)
-	// order instead.  Nil when the request discarded pairs.
+	// shard's wire order — traversal order for intersects and within, (R, S)
+	// order for kNN and parallel joins.  It is the order of the gateway's
+	// reply.  Nil when the request discarded pairs.
 	Pairs [][2]int32
 	// Shards holds the per-shard outcomes in key-range order.
 	Shards []ShardOutcome
@@ -62,133 +63,82 @@ type JoinResult struct {
 // malformed rectangle (server.ErrMalformedOp).
 var ErrBadRequest = errors.New("router: bad join request")
 
-// Join fans the join out to every shard and joins the shard streams into
+// Join fans the join out to every shard and collects the shard streams into
 // one deterministic pair set.  R is homed disjointly, so the streams
-// concatenate in key-range order into the exact union; only kNN streams,
-// which arrive (R, S)-sorted, are checked per R item and merged.  Every
-// shard must answer, with as many pairs as its count says: each holds a
-// disjoint slice of R, so a missing or short stream would silently
-// truncate the result.  If any shard fails after retries, Join returns a
-// *PartialError naming the failed and succeeded shards — and no pairs.
+// concatenate in key-range order into the exact union; kNN streams are also
+// checked per R item and across shards (see knnStream).  Every shard must
+// answer, in the canonical reply form and with as many pairs as its count
+// says: each holds a disjoint slice of R, so a missing or short stream
+// would silently truncate the result.  If any shard fails after retries,
+// Join returns a *PartialError naming the failed and succeeded shards — and
+// no pairs.  The gateway's /join reads the same streams through the same
+// checks and forwards their bytes instead.
 func (rt *Router) Join(ctx context.Context, req JoinRequest) (*JoinResult, error) {
-	// Parse the predicate up front so a malformed request fails here, with a
-	// clear error, instead of as N identical shard rejections.
-	pred, err := join.ParsePredicate(req.Predicate)
+	fo, err := rt.fanOut(ctx, req, false)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
+		return nil, err
 	}
-
-	type shardJoin struct {
-		resp     server.JoinResponseWire
-		attempts int
-		wall     time.Duration
-		err      error
+	defer fo.close()
+	if err := fo.each(nil); err != nil {
+		return nil, err
 	}
-	results := make([]shardJoin, len(rt.shards))
-	var wg sync.WaitGroup
-	wire := server.JoinRequestWire{Workers: req.Workers, Predicate: req.Predicate, DiscardPairs: req.DiscardPairs}
-	for i, sh := range rt.shards {
-		wg.Add(1)
-		go func(sj *shardJoin, sh Shard) {
-			defer wg.Done()
-			start := rt.cfg.now()
-			sj.attempts, sj.err = rt.do(ctx, sh, http.MethodPost, "/join", wire, &sj.resp)
-			sj.wall = rt.cfg.now().Sub(start)
-			if sj.err == nil && !req.DiscardPairs && sj.resp.Count != len(sj.resp.Pairs) {
-				sj.err = fmt.Errorf("protocol violation: count %d but %d pairs", sj.resp.Count, len(sj.resp.Pairs))
-			}
-		}(&results[i], sh)
-	}
-	wg.Wait()
-
-	var perr PartialError
-	outcomes := make([]ShardOutcome, 0, len(rt.shards))
-	streams := make([][][2]int32, 0, len(rt.shards))
-	total := 0
-	for i, sh := range rt.shards {
-		sj := results[i]
-		if sj.err != nil {
-			perr.Failures = append(perr.Failures, &ShardError{Shard: sh.Name, Err: sj.err})
-			continue
-		}
-		perr.Succeeded = append(perr.Succeeded, sh.Name)
-		outcomes = append(outcomes, ShardOutcome{
-			Shard:    sh.Name,
-			Epoch:    sj.resp.Epoch,
-			Count:    sj.resp.Count,
-			Attempts: sj.attempts,
-			Wall:     sj.wall,
-		})
-		streams = append(streams, sj.resp.Pairs)
-		total += sj.resp.Count
-	}
-	if len(perr.Failures) > 0 {
-		return nil, &perr
-	}
-	res := &JoinResult{Count: total, Shards: outcomes}
-	switch {
-	case req.DiscardPairs:
-	case pred.Kind == join.PredKNN:
-		// The kNN merge is a plain union, and its correctness bound is
-		// R-disjointness: each R item's K-best heap is complete only on its
-		// home shard, so an R identifier answered by two shards means the
-		// deployment double-homed an item and the union would mix two
-		// partial heaps.  Fail loudly instead of merging wrong answers.
-		if err := verifyKNNStreams(streams, rt.shards, pred.K); err != nil {
-			return nil, err
-		}
-		res.Pairs = mergeSorted(streams, total)
-	default:
-		res.Pairs = make([][2]int32, 0, total)
-		for _, s := range streams {
-			res.Pairs = append(res.Pairs, s...)
+	res := &JoinResult{}
+	res.Shards, res.Count = fo.outcomes()
+	if !req.DiscardPairs {
+		res.Pairs = make([][2]int32, 0, res.Count)
+		for _, st := range fo.streams {
+			res.Pairs = append(res.Pairs, st.pairs...)
 		}
 	}
 	return res, nil
 }
 
-// verifyKNNStreams checks the invariants the kNN union rests on: each
-// shard's stream is (R, S)-sorted, no R identifier appears in more than one
-// shard's stream, and no R identifier carries more than K neighbours.  In
-// sorted streams one pass in merge order sees the last two: an R's
-// neighbours are one run of one stream, and a second shard answering the
-// same R shows up as an equal R at the head of another stream.  The streams
-// line up with shards.
-func verifyKNNStreams(streams [][][2]int32, shards []Shard, k int) error {
-	for i, s := range streams {
-		for j := 1; j < len(s); j++ {
-			if pairLess(s[j], s[j-1]) {
-				return fmt.Errorf("router: kNN merge: %s's pairs are not sorted by (R, S) at index %d", shards[i].Name, j)
-			}
+// knnStream checks one shard's kNN stream as it is scanned: the pairs come
+// (R, S)-sorted and no R carries more than k neighbours.  It keeps the
+// stream's R identifiers, ascending, for the check across shards
+// (sharedR).  The checks are what the concatenation rests on: each R
+// item's K-best heap is complete only on its home shard, so an R answered
+// by two shards means the deployment double-homed an item, and the reply
+// would carry two partial heaps.
+type knnStream struct {
+	k    int
+	n    int
+	last [2]int32
+	run  int
+	rIDs []int32
+}
+
+func (c *knnStream) add(r, s int32) error {
+	switch p := [2]int32{r, s}; {
+	case c.n > 0 && pairLess(p, c.last):
+		return fmt.Errorf("kNN: pairs not sorted by (R, S) at index %d", c.n)
+	case c.n == 0 || r != c.last[0]:
+		c.rIDs = append(c.rIDs, r)
+		c.run = 0
+	}
+	c.run++
+	if c.run > c.k {
+		return fmt.Errorf("kNN: R item %d carries %d neighbours, more than k=%d", r, c.run, c.k)
+	}
+	c.last = [2]int32{r, s}
+	c.n++
+	return nil
+}
+
+// sharedR merge-walks two ascending R identifier lists and returns the
+// first identifier both hold.
+func sharedR(a, b []int32) (int32, bool) {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			return a[i], true
 		}
 	}
-	pos := make([]int, len(streams))
-	for {
-		// The stream whose head has the lowest R; ties to the lowest shard.
-		best := -1
-		for i, s := range streams {
-			if pos[i] < len(s) && (best < 0 || s[pos[i]][0] < streams[best][pos[best]][0]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return nil
-		}
-		s := streams[best]
-		r := s[pos[best]][0]
-		for run := 1; pos[best] < len(s) && s[pos[best]][0] == r; run++ {
-			if run > k {
-				return fmt.Errorf("router: kNN merge: R item %d carries %d neighbours, more than k=%d", r, run, k)
-			}
-			pos[best]++
-		}
-		for i := best + 1; i < len(streams); i++ {
-			if pos[i] < len(streams[i]) && streams[i][pos[i]][0] == r {
-				return fmt.Errorf("router: kNN merge: R item %d answered by both %s and %s — R is not disjoint across shards",
-					r, shards[best].Name, shards[i].Name)
-			}
-		}
-	}
+	return 0, false
 }
 
 func pairLess(a, b [2]int32) bool {
@@ -196,30 +146,6 @@ func pairLess(a, b [2]int32) bool {
 		return a[0] < b[0]
 	}
 	return a[1] < b[1]
-}
-
-// mergeSorted k-way merges the sorted kNN shard streams.  Ties break to the
-// lowest stream index — the shard with the lowest key range — so the merge
-// is deterministic even if two shards ever emitted an equal pair.
-func mergeSorted(streams [][][2]int32, total int) [][2]int32 {
-	out := make([][2]int32, 0, total)
-	idx := make([]int, len(streams))
-	for {
-		best := -1
-		for k, s := range streams {
-			if idx[k] >= len(s) {
-				continue
-			}
-			if best < 0 || pairLess(s[idx[k]], streams[best][idx[best]]) {
-				best = k
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		out = append(out, streams[best][idx[best]])
-		idx[best]++
-	}
 }
 
 // Update routes each op to the shard owning its rectangle's centre key and
@@ -253,7 +179,7 @@ func (rt *Router) Update(ctx context.Context, ops []server.OpWire) (int, error) 
 		var resp struct {
 			Staged int `json:"staged"`
 		}
-		if _, err := rt.do(ctx, rt.shards[i], http.MethodPost, "/update", batch, &resp); err != nil {
+		if _, err := rt.do(ctx, rt.shards[i], http.MethodPost, "/update", batch, decodeJSON(&resp)); err != nil {
 			return staged, &ShardError{Shard: rt.shards[i].Name, Err: err}
 		}
 		staged += resp.Staged
@@ -303,7 +229,7 @@ func (rt *Router) Stats(ctx context.Context) (map[string]server.StatsWire, error
 		go func(i int, sh Shard) {
 			defer wg.Done()
 			var wire server.StatsWire
-			if _, err := rt.do(ctx, sh, http.MethodGet, "/stats", nil, &wire); err != nil {
+			if _, err := rt.do(ctx, sh, http.MethodGet, "/stats", nil, decodeJSON(&wire)); err != nil {
 				errs[i] = err
 				return
 			}

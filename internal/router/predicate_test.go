@@ -4,12 +4,16 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/rtree"
 	"repro/internal/server"
+	"repro/internal/zorder"
 )
 
 // rectDist2 is the oracle's squared rectangle distance (clamp formulation).
@@ -64,12 +68,14 @@ func bruteKNNWire(rOps []server.OpWire, sItems []rtree.Item, k int) [][2]int32 {
 }
 
 // TestRouterPredicateParity is the sharded parity contract for the new
-// predicates: for 1, 2, 3 and 4 shards, the within-distance fan-out's pair
-// set equals its brute-force oracle's (sorted on the test side: that wire
-// order is deterministic, not sorted), and the merged kNN fan-out equals its
-// oracle bit for bit — same pairs, same (R, S) order.  The kNN case exercises the R-disjointness merge bound on
-// real deployments: R items are homed by centre key, S is replicated, so
-// each home shard's per-item heap is already globally correct.
+// predicates: for 1, 2, 3 and 4 shards, the within-distance and kNN
+// fan-outs' pair sets equal their brute-force oracles' (sorted on the test
+// side: the wire order is deterministic, not sorted).  A kNN answer is the
+// shards' (R, S)-sorted streams concatenated in key-range order, each
+// shard's run as long as its count.  The kNN case exercises the
+// R-disjointness bound on real deployments: R items are homed by centre
+// key, S is replicated, so each home shard's per-item heap is already
+// globally correct.
 func TestRouterPredicateParity(t *testing.T) {
 	rOps := genROps(300, 9)
 	sItems := genSItems(200, 5)
@@ -94,7 +100,13 @@ func TestRouterPredicateParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("knn workers=%d: %v", workers, err)
 				}
-				assertPairsEqual(t, fmt.Sprintf("knn workers=%d", workers), res.Pairs, wantKNN)
+				assertPairsEqual(t, fmt.Sprintf("knn workers=%d", workers), sortedPairs(res.Pairs), wantKNN)
+				rest := res.Pairs
+				for _, o := range res.Shards {
+					run := rest[:o.Count]
+					assertPairsEqual(t, fmt.Sprintf("knn workers=%d, %s's run", workers, o.Shard), run, sortedPairs(run))
+					rest = rest[o.Count:]
+				}
 			}
 		})
 	}
@@ -112,13 +124,40 @@ func TestRouterRejectsBadPredicate(t *testing.T) {
 	}
 }
 
-// TestVerifyKNNStreams pins the merge bound's failure modes directly,
-// messages included: they name the item and the shards an operator has to
-// look at.
+// stubDeployment serves each handler as one shard of a deployment whose
+// ranges tile the key space uniformly.
+func stubDeployment(t *testing.T, cfg Config, handlers ...http.Handler) *Router {
+	t.Helper()
+	ranges := zorder.UniformKeyRanges(len(handlers))
+	for i, h := range handlers {
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		cfg.Shards = append(cfg.Shards, Shard{Name: string(rune('a' + i)), URL: ts.URL, Range: ranges[i]})
+	}
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
+}
+
+// streamShard answers every /join with pairs, as a shard writes them.
+func streamShard(pairs [][2]int32) http.Handler {
+	body := shardBody(pairs)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		server.WriteJSONBytes(w, http.StatusOK, body)
+	})
+}
+
+// TestVerifyKNNStreams pins the checks a kNN fan-out makes while it scans
+// the shard streams, messages included: they name the item and the shards
+// an operator has to look at.  Each stream must be (R, S)-sorted with at
+// most K neighbours per R — a shard breaking that fails, permanently — and
+// no R may be answered by two shards.  Router.Join and the gateway read the
+// streams through the same checks.
 func TestVerifyKNNStreams(t *testing.T) {
-	shards := []Shard{{Name: "a"}, {Name: "b"}, {Name: "c"}}
-	const dupMsg = "router: kNN merge: R item 1 answered by both %s and %s — R is not disjoint across shards"
-	const overMsg = "router: kNN merge: R item 1 carries 3 neighbours, more than k=2"
+	const dupMsg = "router: kNN: R item 1 answered by both %s and %s — R is not disjoint across shards"
+	const overMsg = "shard %s: POST /join after 1 attempt(s): protocol violation: kNN: R item 1 carries 3 neighbours, more than k=2"
 	for _, tc := range []struct {
 		name    string
 		streams [][][2]int32
@@ -130,20 +169,30 @@ func TestVerifyKNNStreams(t *testing.T) {
 		// The duplicate's two homes are not neighbours in shard order, and
 		// other items sit before it in both streams.
 		{"double-homed, shards apart", [][][2]int32{{{0, 10}, {1, 10}}, {{2, 10}}, {{-5, 10}, {1, 11}}}, fmt.Sprintf(dupMsg, "a", "c")},
-		{"over k", [][][2]int32{{{1, 10}, {1, 11}, {1, 12}}, nil, nil}, overMsg},
-		{"over k, last stream", [][][2]int32{{{0, 10}}, nil, {{1, 10}, {1, 11}, {1, 12}}}, overMsg},
-		// Both at once on one item: the lowest shard's run is seen first.
-		{"over k and double-homed", [][][2]int32{{{1, 10}, {1, 11}, {1, 12}}, {{1, 13}}, nil}, overMsg},
-		// The checks above read runs of sorted streams; an unsorted one could
-		// hide a double-homed item, so it fails first.
-		{"unsorted", [][][2]int32{{{1, 10}}, {{2, 10}, {1, 10}}, nil}, "router: kNN merge: b's pairs are not sorted by (R, S) at index 1"},
+		{"over k", [][][2]int32{{{1, 10}, {1, 11}, {1, 12}}, nil, nil}, fmt.Sprintf(overMsg, "a")},
+		{"over k, last stream", [][][2]int32{{{0, 10}}, nil, {{1, 10}, {1, 11}, {1, 12}}}, fmt.Sprintf(overMsg, "c")},
+		// Both at once on one item: the stream that breaks its own order
+		// fails first.
+		{"over k and double-homed", [][][2]int32{{{1, 10}, {1, 11}, {1, 12}}, {{1, 13}}, nil}, fmt.Sprintf(overMsg, "a")},
+		// The checks read runs of sorted streams; an unsorted one could hide
+		// a double-homed item, so it fails.
+		{"unsorted", [][][2]int32{{{1, 10}}, {{2, 10}, {1, 10}}, nil}, "shard b: POST /join after 1 attempt(s): protocol violation: kNN: pairs not sorted by (R, S) at index 1"},
 	} {
-		err := verifyKNNStreams(tc.streams, shards, 2)
+		handlers := make([]http.Handler, len(tc.streams))
+		for i, s := range tc.streams {
+			handlers[i] = streamShard(s)
+		}
+		rt := stubDeployment(t, Config{RetryAttempts: 3}, handlers...)
+		res, err := rt.Join(context.Background(), JoinRequest{Predicate: "knn:2"})
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: rejected: %v", tc.name, err)
-		case tc.want != "" && (err == nil || err.Error() != tc.want):
+		case tc.want == "" && len(res.Pairs) != res.Count:
+			t.Errorf("%s: %d pairs, count %d", tc.name, len(res.Pairs), res.Count)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		case tc.want != "" && res != nil:
+			t.Errorf("%s: a rejected fan-out returned %d pairs", tc.name, len(res.Pairs))
 		}
 	}
 }

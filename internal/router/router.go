@@ -9,8 +9,13 @@
 // — New refuses a shard set that does not — every rectangle of R has
 // exactly one home, so the union of the per-shard joins is exactly the full
 // R ⋈ S with no duplicates: the shard streams, each in its shard's
-// deterministic wire order, concatenate in key-range order into the answer.
-// kNN streams arrive (R, S)-sorted and are merged in that order.
+// deterministic wire order, concatenate in key-range order into the answer,
+// for every predicate (kNN streams arrive (R, S)-sorted, and are checked
+// for that and for R items answered twice, not merged).
+//
+// The gateway (NewHandler) does not decode and re-encode that answer: it
+// checks each shard body with server.PairScanner as it arrives and passes
+// the pair bytes through, the first shard's while the others still join.
 //
 // Routing is key-range only.  An op goes to the shard whose range holds its
 // centre key, and a join goes to every shard, in key-range order.  Join never

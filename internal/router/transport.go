@@ -9,10 +9,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
-
-	"repro/internal/server"
 )
 
 // ErrPartialFailure marks a fan-out where some shards answered and at least
@@ -71,12 +68,14 @@ func (e *retryableError) Unwrap() error { return e.err }
 // do issues one shard request with the router's retry policy: transport
 // errors and 5xx responses retry with doubling backoff, a shedding shard's
 // Retry-After is honoured (capped at MaxRetryAfter), 4xx responses are
-// permanent, and context cancellation stops everything.  It returns the
-// number of attempts made.
-func (rt *Router) do(ctx context.Context, sh Shard, method, path string, body, out any) (int, error) {
+// permanent, and context cancellation stops everything.  read, if set,
+// consumes a 2xx body within the attempt's deadline; it reports a failure
+// worth another attempt as a *retryableError.  do returns the number of
+// attempts made.
+func (rt *Router) do(ctx context.Context, sh Shard, method, path string, body any, read bodyReader) (int, error) {
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		err := rt.once(ctx, sh, method, path, body, out)
+		err := rt.once(ctx, sh, method, path, body, read)
 		if err == nil {
 			return attempt, nil
 		}
@@ -98,31 +97,24 @@ func (rt *Router) do(ctx context.Context, sh Shard, method, path string, body, o
 	}
 }
 
-// bodyPool recycles the buffers /join bodies are read into and the
-// gateway's /join replies are assembled in.
-var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+// bodyReader consumes a 2xx response body; ctx is the attempt's.
+type bodyReader func(ctx context.Context, body io.Reader) error
 
-// readAll is io.ReadAll appending to a caller-owned buffer.
-func readAll(dst []byte, r io.Reader) ([]byte, error) {
-	for {
-		if len(dst) == cap(dst) {
-			dst = append(dst, 0)[:len(dst)]
+// decodeJSON is the bodyReader of the small replies: /update, /stats.
+func decodeJSON(out any) bodyReader {
+	return func(_ context.Context, body io.Reader) error {
+		if err := json.NewDecoder(body).Decode(out); err != nil {
+			return fmt.Errorf("decoding response: %w", err)
 		}
-		n, err := r.Read(dst[len(dst):cap(dst)])
-		dst = dst[:len(dst)+n]
-		if err == io.EOF {
-			return dst, nil
-		}
-		if err != nil {
-			return dst, err
-		}
+		return nil
 	}
 }
 
 // once issues a single attempt bounded by ShardTimeout and classifies the
-// outcome: nil on 2xx (with out decoded), *retryableError on transport
-// failures and 5xx, a permanent error otherwise.
-func (rt *Router) once(ctx context.Context, sh Shard, method, path string, body, out any) error {
+// outcome: nil on 2xx (with the body read), *retryableError on transport
+// failures, 5xx and bodies read says are worth another try, a permanent
+// error otherwise.
+func (rt *Router) once(ctx context.Context, sh Shard, method, path string, body any, read bodyReader) error {
 	attemptCtx := ctx
 	if rt.cfg.ShardTimeout > 0 {
 		var cancel context.CancelFunc
@@ -155,30 +147,14 @@ func (rt *Router) once(ctx context.Context, sh Shard, method, path string, body,
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-		var err error
-		switch out := out.(type) {
-		case nil:
-		case *server.JoinResponseWire:
-			// The body is mostly integer pairs: read it whole and hand it to
-			// the pair codec instead of reflecting over it.
-			buf := bodyPool.Get().(*[]byte)
-			defer bodyPool.Put(buf)
-			if *buf, err = readAll((*buf)[:0], resp.Body); err != nil {
-				// A shard that fails after its first chunk aborts the body,
-				// so the failure shows only here, as a transport error.
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				return &retryableError{err: fmt.Errorf("reading %s response: %w", path, err)}
-			}
-			err = server.DecodeJoinResponse(*buf, out)
-		default:
-			err = json.NewDecoder(resp.Body).Decode(out)
+		if read == nil {
+			return nil
 		}
-		if err != nil {
-			return fmt.Errorf("decoding %s response: %w", path, err)
+		err := read(attemptCtx, resp.Body)
+		if err != nil && ctx.Err() != nil {
+			return ctx.Err()
 		}
-		return nil
+		return err
 	}
 	herr := &StatusError{Code: resp.StatusCode, Msg: errorBody(resp.Body)}
 	switch {

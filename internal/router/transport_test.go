@@ -40,7 +40,7 @@ func (s *sleepRecorder) sleep(ctx context.Context, d time.Duration) error {
 
 func okJoin(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprint(w, `{"pairs":[[1,2]],"epoch":1,"count":1}`)
+	fmt.Fprint(w, `{"pairs":[[1,2]],"epoch":1,"count":1}`+"\n")
 }
 
 // TestDoHonoursRetryAfterCapped: a shedding shard's Retry-After is obeyed
@@ -207,20 +207,24 @@ func TestDoRejectsTruncatedBody(t *testing.T) {
 	}
 }
 
-// TestDoDecodesJoinBodiesLikeEncodingJSON: the pair codec reads the body a
-// shard normally writes, encoding/json reads any other valid one, and a body
-// neither accepts is a permanent "decoding /join response" failure — one
-// request, no retry.
-func TestDoDecodesJoinBodiesLikeEncodingJSON(t *testing.T) {
+// TestDoAcceptsOnlyCanonicalJoinBodies: the router reads a shard's body
+// with the canonical-only scanner, so it takes the bytes a shard writes and
+// nothing else — not even a body encoding/json would decode, in another key
+// order, with whitespace or with a key spelt another way.  A body outside
+// the grammar is a permanent "protocol violation": one request, no retry.
+func TestDoAcceptsOnlyCanonicalJoinBodies(t *testing.T) {
 	for _, tc := range []struct {
 		body  string
 		count int // -1: the body must be rejected
 	}{
-		{`{"epoch":2,"count":1,"pairs":[[1,2]]}` + "\n", 1},
-		{"{ \"Epoch\": 2, \"count\": 1, \"extra\": [true], \"pairs\": [[1, 2]] }", 1},
-		{`{"epoch":2,"count":1,"pairs":[[1,2]]`, -1},
-		{`{"epoch":2,"count":1,"pairs":[[1,2147483648]]}`, -1},
-		{`{"epoch":2,"count":1}trailing`, -1},
+		{`{"pairs":[[1,2]],"epoch":2,"count":1}` + "\n", 1},
+		{`{"pairs":[[1,2]],"epoch":2,"count":1,"retries":1}` + "\n", 1},
+		{`{"epoch":2,"count":1,"pairs":[[1,2]]}` + "\n", -1},
+		{"{ \"Epoch\": 2, \"count\": 1, \"extra\": [true], \"pairs\": [[1, 2]] }", -1},
+		{`{"pairs":[[1,2]],"epoch":2,"count":1}`, -1},
+		{`{"pairs":[[1,2147483648]],"epoch":2,"count":1}` + "\n", -1},
+		{`{"pairs":[[01,2]],"epoch":2,"count":1}` + "\n", -1},
+		{`{"epoch":2,"count":0}` + "\ntrailing", -1},
 		{``, -1},
 	} {
 		var hits int
@@ -240,11 +244,11 @@ func TestDoDecodesJoinBodiesLikeEncodingJSON(t *testing.T) {
 			}
 			continue
 		}
-		if !errors.Is(err, ErrPartialFailure) || !strings.Contains(err.Error(), "decoding /join response") {
-			t.Errorf("%q: err = %v, want a decoding failure", tc.body, err)
+		if !errors.Is(err, ErrPartialFailure) || !strings.Contains(err.Error(), "protocol violation") {
+			t.Errorf("%q: err = %v, want a protocol violation", tc.body, err)
 		}
 		if hits != 1 {
-			t.Errorf("%q: %d requests, want 1 (a decode failure is permanent)", tc.body, hits)
+			t.Errorf("%q: %d requests, want 1 (a protocol violation is permanent)", tc.body, hits)
 		}
 	}
 }
@@ -320,18 +324,4 @@ func TestNewRejectsBadDeployments(t *testing.T) {
 			t.Errorf("%s: New accepted a broken deployment", name)
 		}
 	}
-}
-
-// TestMergeSorted pins the k-way merge on a hand-checkable case, including
-// an equal pair in two streams (kept from both — shards with disjoint R
-// cannot produce one, but the merge must stay deterministic if they did).
-func TestMergeSorted(t *testing.T) {
-	streams := [][][2]int32{
-		{{1, 1}, {1, 3}, {4, 0}},
-		{},
-		{{1, 2}, {1, 3}, {2, 0}},
-	}
-	want := [][2]int32{{1, 1}, {1, 2}, {1, 3}, {1, 3}, {2, 0}, {4, 0}}
-	got := mergeSorted(streams, 6)
-	assertPairsEqual(t, "merge", got, want)
 }

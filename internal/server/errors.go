@@ -45,6 +45,10 @@ var (
 	// is not well formed (geom.Rect.WellFormed).  The error is a
 	// *MalformedOpError naming the op; nothing of the batch is staged.
 	ErrMalformedOp = errors.New("server: malformed update op")
+	// ErrBacklogFull rejects an Update batch that would take the ops staged
+	// since the last round past MaxStagedOps.  Nothing of the batch is
+	// staged; it can be sent again after the next round.
+	ErrBacklogFull = errors.New("server: staged backlog full")
 )
 
 // MalformedOpError is the concrete type behind ErrMalformedOp.

@@ -172,7 +172,7 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 		stream := !req.DiscardPairs && req.Workers <= 1 && pred.Kind != join.PredKNN
 		ctx, cancel := srv.withDeadline(r.Context())
 		defer cancel()
-		enc := newPairEncoder(w, wireChunk)
+		enc := newPairEncoder(w, WireChunk)
 		defer enc.release()
 		enc.deadline, _ = ctx.Deadline()
 		enc.cancel = cancel
@@ -192,6 +192,13 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 			if resp, err = srv.Join(ctx, jr); err == nil {
 				resp.Retries++
 			}
+		}
+		if err == nil && enc.sent {
+			// The traversal sees its context through an asynchronous watch,
+			// so a deadline or cancel can land after its last look.  A
+			// streamed reply must not end normally then either: its writes
+			// carry that deadline, and a cancel means the client left.
+			err = ctx.Err()
 		}
 		if err != nil {
 			if enc.sent {
@@ -238,6 +245,10 @@ func WriteJoinError(w http.ResponseWriter, err error) {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		httpError(w, http.StatusServiceUnavailable, err)
+	case errors.Is(err, ErrBacklogFull):
+		// The backlog drains at the next round, which the writer drives.
+		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, ErrMalformedOp):
 		httpError(w, http.StatusBadRequest, err)

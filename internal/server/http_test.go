@@ -68,8 +68,8 @@ func decodeWire(t *testing.T, w *httptest.ResponseRecorder) JoinResponseWire {
 	if w.Code != http.StatusOK {
 		t.Fatalf("join: %d %s", w.Code, w.Body)
 	}
-	var resp JoinResponseWire
-	if err := DecodeJoinResponse(w.Body.Bytes(), &resp); err != nil {
+	resp, err := scanJoinBody(w.Body.Bytes(), false, WireChunk)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(resp.Pairs) != resp.Count {
@@ -151,6 +151,10 @@ func (h *firstWriteHook) Write(b []byte) (int, error) {
 	return n, err
 }
 
+// Unwrap lets http.ResponseController reach the connection, so the join's
+// write deadline applies behind the hook as it does without one.
+func (h *firstWriteHook) Unwrap() http.ResponseWriter { return h.ResponseWriter }
+
 // TestHandlerAbortsFailedStreams: a join that fails before the handler has
 // written anything keeps its status code, with an error body; one that
 // fails after the first chunk went out — a storage fault, its deadline or
@@ -223,11 +227,10 @@ func TestHandlerAbortsFailedStreams(t *testing.T) {
 			if resp.StatusCode != http.StatusOK || readErr == nil {
 				t.Fatalf("status %d, read error %v after %d bytes: want 200 and an aborted body", resp.StatusCode, readErr, len(body))
 			}
-			if len(body) < wireChunk {
+			if len(body) < WireChunk {
 				t.Fatalf("only %d bytes arrived before the abort, less than the first chunk", len(body))
 			}
-			var wire JoinResponseWire
-			if err := DecodeJoinResponse(body, &wire); err == nil {
+			if wire, err := scanJoinBody(body, false, WireChunk); err == nil {
 				t.Fatalf("the %d bytes before the abort decode as a response with %d pairs", len(body), len(wire.Pairs))
 			}
 		})
@@ -447,10 +450,6 @@ func FuzzJoinRequest(f *testing.F) {
 		default:
 			t.Fatalf("body %q: status %d %s", body, w.Code, w.Body)
 		}
-		var resp JoinResponseWire
-		if err := DecodeJoinResponse(w.Body.Bytes(), &resp); err != nil {
-			t.Fatalf("body %q: 200 response does not decode: %v", body, err)
-		}
 		// The handler decodes the first JSON value of the body the same way.
 		var req JoinRequestWire
 		if len(body) > 0 {
@@ -460,8 +459,9 @@ func FuzzJoinRequest(f *testing.F) {
 				t.Fatalf("body %q: 200 for a body the strict decoder rejects: %v", body, err)
 			}
 		}
-		if !req.DiscardPairs && resp.Count != len(resp.Pairs) {
-			t.Fatalf("body %q: count %d but %d pairs", body, resp.Count, len(resp.Pairs))
+		// The scanner checks the count against the pairs.
+		if _, err := scanJoinBody(w.Body.Bytes(), req.DiscardPairs, WireChunk); err != nil {
+			t.Fatalf("body %q: 200 response does not scan: %v", body, err)
 		}
 	})
 }
@@ -547,6 +547,54 @@ func TestUpdateRejectsMalformedRectangles(t *testing.T) {
 	}
 	if w := doHTTP(t, h, "POST", "/update", probe[:6]); w.Code != http.StatusAccepted || fx.srv.Pending() != 6 {
 		t.Fatalf("POST /update of six well-formed ops: %d %s, %d pending", w.Code, w.Body, fx.srv.Pending())
+	}
+}
+
+// TestUpdateCapsStagedBacklog: a batch that would take the ops staged since
+// the last round past the cap is refused whole — ErrBacklogFull from
+// Update, 503 with Retry-After from POST /update — and stages nothing.  Ops
+// the insert buffer already applied to the writer's tree count until the
+// round commits them; after it the same batch is taken.
+func TestUpdateCapsStagedBacklog(t *testing.T) {
+	fx := newFixture(t, Config{BatchCapacity: 4, stagedCap: 10})
+	batch := func(n int) []Op {
+		ops := make([]Op, n)
+		for i := range ops {
+			x := 0.05 * float64(i)
+			ops[i] = Op{Rect: geom.Rect{XL: x, YL: x, XU: x + 0.01, YU: x + 0.01}, Data: int32(5000 + i)}
+		}
+		return ops
+	}
+	if err := fx.srv.Update(batch(6)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fx.srv.Update(batch(5)); !errors.Is(err, ErrBacklogFull) {
+		t.Fatalf("Update past the cap = %v, want ErrBacklogFull", err)
+	}
+	if n := fx.srv.Pending(); n != 6 {
+		t.Fatalf("%d ops pending after a refused batch, want 6", n)
+	}
+
+	h := NewHandler(fx.srv, HandlerConfig{})
+	wire := make([]OpWire, 5)
+	for i, op := range batch(5) {
+		wire[i] = OpWire{XL: op.Rect.XL, YL: op.Rect.YL, XU: op.Rect.XU, YU: op.Rect.YU, Data: op.Data}
+	}
+	w := doHTTP(t, h, "POST", "/update", wire)
+	if w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") != "1" || !strings.Contains(w.Body.String(), "backlog") {
+		t.Fatalf("POST /update past the cap: %d, Retry-After %q, %s; want 503, 1 and the backlog error", w.Code, w.Header().Get("Retry-After"), w.Body)
+	}
+	if n := fx.srv.Pending(); n != 6 {
+		t.Fatalf("%d ops pending after a refused /update, want 6", n)
+	}
+	if err := fx.srv.Update(batch(4)); err != nil {
+		t.Fatalf("a batch that reaches the cap exactly: %v", err)
+	}
+	if _, err := fx.srv.Round(); err != nil {
+		t.Fatal(err)
+	}
+	if w := doHTTP(t, h, "POST", "/update", wire); w.Code != http.StatusAccepted || fx.srv.Pending() != 5 {
+		t.Fatalf("POST /update after the round: %d %s, %d pending", w.Code, w.Body, fx.srv.Pending())
 	}
 }
 
@@ -691,8 +739,8 @@ func FuzzUpdateRequest(f *testing.F) {
 		if w.Code != http.StatusOK {
 			t.Fatalf("body %q: join %d %s", body, w.Code, w.Body)
 		}
-		var resp JoinResponseWire
-		if err := DecodeJoinResponse(w.Body.Bytes(), &resp); err != nil {
+		resp, err := scanJoinBody(w.Body.Bytes(), false, WireChunk)
+		if err != nil {
 			t.Fatal(err)
 		}
 		var want []join.Pair

@@ -1,9 +1,8 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"strconv"
@@ -17,19 +16,20 @@ import (
 // reflecting over them — encoding/json walking a [][2]int32 element by
 // element — cost more than finding them.  This file is the one place that
 // knows the response's bytes: a streaming encoder the shard handler writes
-// with, the pair array the gateway appends, and a decoder the router reads
-// shard bodies with.  It is a replacement for encoding/json on this path,
-// not an alternative to it: the bytes are exactly
-// json.NewEncoder(w).Encode(JoinResponseWire{...})'s, and the decoder hands
-// anything but that canonical shape (plus whitespace) to json.Unmarshal, so
-// it accepts and rejects what encoding/json does.
+// with, and a scanner the router reads shard bodies with as they arrive.
+// The encoder's bytes are exactly
+// json.NewEncoder(w).Encode(JoinResponseWire{...})'s.  The scanner is
+// canonical-only: it accepts the encoder's bytes and no others, so what it
+// accepts encoding/json decodes to the same value, and the gateway can pass
+// the pair bytes on as they are.
 
-// wireChunk is how many bytes of a /join body the shard gathers before it
-// writes them to the connection.  A body of at most one chunk goes out in
-// one piece with its Content-Length; a larger one is sent as it is encoded,
-// in chunks of exactly this size (chunked transfer).  Measured on the
+// WireChunk is how many bytes of a /join body the shard, or the gateway,
+// gathers before it writes them to the connection.  A body of at most one
+// chunk goes out in one piece with its Content-Length; a larger one is sent
+// as it is encoded (chunked transfer), by the shard in chunks of exactly
+// this size.  Measured on the
 // ledger's sharded workload (EXPERIMENTS.md, "Stream the pair answer").
-const wireChunk = 32 << 10
+const WireChunk = 32 << 10
 
 // encoderPool recycles encoders and their chunk buffers.
 var encoderPool = sync.Pool{New: func() any { return new(pairEncoder) }}
@@ -143,19 +143,6 @@ func (e *pairEncoder) send(b []byte) {
 	}
 }
 
-// AppendPairArray appends pairs as the JSON array [[r,s],...] — the bytes
-// encoding/json produces for a non-nil [][2]int32.
-func AppendPairArray(dst []byte, pairs [][2]int32) []byte {
-	dst = append(dst, '[')
-	for i, p := range pairs {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendPair(dst, p[0], p[1])
-	}
-	return append(dst, ']')
-}
-
 func appendPair(dst []byte, r, s int32) []byte {
 	dst = append(dst, '[')
 	dst = strconv.AppendInt(dst, int64(r), 10)
@@ -164,237 +151,286 @@ func appendPair(dst []byte, r, s int32) []byte {
 	return append(dst, ']')
 }
 
-// DecodeJoinResponse is json.Unmarshal(data, out) for a /join response
-// body.  A body of the canonical shape is decoded in one pass without
-// reflection; anything else — an unknown or repeated key, a null, a float,
-// a leading zero, an out-of-range integer, a pair that is not two numbers,
-// trailing bytes — is json.Unmarshal's to accept or reject.
-func DecodeJoinResponse(data []byte, out *JoinResponseWire) error {
-	if decodeJoinResponseFast(data, out) {
-		return nil
-	}
-	return json.Unmarshal(data, out)
+// PairScanner reads a shard's /join body as it arrives, chunk by chunk, and
+// accepts exactly the bytes pairEncoder writes and nothing else:
+//
+//	{"pairs":[[r,s],...],"epoch":E,"count":N,"retries":R}\n
+//
+// with the pairs left out when there are none and the retries when they are
+// zero; every number in its shortest form (no leading zero, no sign on a
+// zero), r and s int32s, E a uint64, N and R non-negative ints.  Whatever it
+// accepts json.Unmarshal decodes to the same JoinResponseWire; a body in any
+// other form — whitespace, another key order, a key spelt another way — is
+// rejected even where encoding/json would take it, because a shard never
+// writes one.
+//
+// Scan hands back the part of each chunk that lies inside the pair array —
+// the [r,s] elements and the commas between them — as a sub-slice of the
+// chunk, so the gateway can forward the pairs without a copy.  Close checks
+// that the body ended where the reply does and that count is the number of
+// pairs scanned.
+type PairScanner struct {
+	// Discard says the request asked for no pairs: the body must carry
+	// none, and its count is taken as it stands.
+	Discard bool
+	// OnPair, if set, sees every pair in body order; an error it returns
+	// ends the scan with that error.
+	OnPair func(r, s int32) error
+
+	state  scanState
+	lit    string    // what scanLit has left to match
+	then   scanState // the state after lit
+	neg    bool      // the number being read has a minus sign,
+	digits int       // this many digits so far,
+	v      uint64    // and this magnitude
+	r      int32     // the pair's R, once read
+	pairs  int
+	off    int // the body offset of the chunk being scanned
+	wire   JoinResponseWire
+	err    error
 }
 
-// decodeJoinResponseFast decodes the canonical shape and reports whether it
-// did; on false *out is untouched.
-func decodeJoinResponseFast(data []byte, out *JoinResponseWire) bool {
-	d := pairDecoder{b: data}
-	res := *out
-	var seenEpoch, seenCount, seenRetries, seenPairs bool
-	if !d.consume('{') {
-		return false
+type scanState uint8
+
+const (
+	scanStart    scanState = iota // before the opening brace
+	scanLit                       // matching a fixed run of bytes
+	scanKey                       // after `{"`: the pairs or the epoch
+	scanPairOpen                  // the '[' of a pair
+	scanR                         // a pair's numbers
+	scanS
+	scanPairSep // ',' before the next pair, or the array's ']'
+	scanEpoch
+	scanCount
+	scanRetries
+	scanDone // after the closing newline
+)
+
+// Scan checks the body's next chunk and returns its pair bytes.  After an
+// error every later call returns the same error.
+func (sc *PairScanner) Scan(chunk []byte) ([]byte, error) {
+	if sc.err != nil {
+		return nil, sc.err
 	}
-	if !d.consume('}') {
-		for {
-			key, ok := d.key()
-			if !ok || !d.consume(':') {
-				return false
+	from, to := len(chunk), len(chunk)
+	if sc.state >= scanPairOpen && sc.state <= scanPairSep { // inside the pair array
+		from = 0
+	}
+	for i := 0; i < len(chunk); i++ {
+		if sc.state == scanPairOpen {
+			n, err := sc.scanPairs(chunk[i:])
+			if err != nil {
+				sc.err = err
+				return nil, err
 			}
-			switch string(key) {
-			case "epoch":
-				v, ok := d.uint()
-				if !ok || seenEpoch {
-					return false
-				}
-				seenEpoch, res.Epoch = true, v
-			case "count":
-				v, ok := d.int(math.MinInt, math.MaxInt)
-				if !ok || seenCount {
-					return false
-				}
-				seenCount, res.Count = true, int(v)
-			case "retries":
-				v, ok := d.int(math.MinInt, math.MaxInt)
-				if !ok || seenRetries {
-					return false
-				}
-				seenRetries, res.Retries = true, int(v)
-			case "pairs":
-				if seenPairs {
-					return false
-				}
-				// The slice is sized by the count when it is plausible for
-				// the bytes that remain — n pairs take at least 6n bytes,
-				// `[0,0]` and a separator each — and by that bound
-				// otherwise.  The shard sends count after the pairs, so it
-				// is read from the body's end; sizing every slice by the
-				// bound alone doubled the router's garbage per join.
-				hint, c := (len(d.b)-d.i)/6, res.Count
-				if !seenCount {
-					c = trailingCount(d.b)
-				}
-				if c >= 0 && c < hint {
-					hint = c
-				}
-				pairs, ok := d.pairs(hint)
-				if !ok {
-					return false
-				}
-				seenPairs, res.Pairs = true, pairs
-			default:
-				return false
-			}
-			if d.consume(',') {
-				continue
-			}
-			if d.consume('}') {
+			if i += n; i == len(chunk) {
 				break
 			}
-			return false
+		}
+		switch sc.step(chunk[i]) {
+		case stepPairsBegin:
+			from = i + 1
+		case stepPairsEnd:
+			to = i
+		case stepFail:
+			if sc.err == nil {
+				sc.err = fmt.Errorf("server: /join body byte %d: %q breaks the canonical reply", sc.off+i, chunk[i])
+			}
+			return nil, sc.err
 		}
 	}
-	d.skipSpace()
-	if d.i != len(d.b) {
-		return false
-	}
-	*out = res
-	return true
+	sc.off += len(chunk)
+	return chunk[from:to], nil
 }
 
-// trailingCount returns the N of the `"count":N` a /join body ends with —
-// the encoder writes it within the last 64 bytes — or -1.  It is only a
-// capacity hint: the decoder still checks every byte.
-func trailingCount(b []byte) int {
-	tail := b[max(0, len(b)-64):]
-	i := bytes.LastIndex(tail, []byte(`"count":`))
-	if i < 0 {
-		return -1
+// Close ends the scan: the body must have ended with the reply, and unless
+// the request discarded its pairs, count must be the number of pairs.  The
+// result carries no pairs; they went to OnPair.
+func (sc *PairScanner) Close() (JoinResponseWire, error) {
+	switch {
+	case sc.err != nil:
+	case sc.state != scanDone:
+		sc.err = fmt.Errorf("server: /join body ends after %d bytes, inside the reply", sc.off)
+	case !sc.Discard && sc.wire.Count != sc.pairs:
+		sc.err = fmt.Errorf("server: /join body has count %d but %d pairs", sc.wire.Count, sc.pairs)
 	}
-	n, digits := 0, 0
-	for _, c := range tail[i+len(`"count":`):] {
-		if c < '0' || c > '9' || digits == 18 {
+	return sc.wire, sc.err
+}
+
+// scanPairs is the scan's inner loop: it takes the whole `[r,s],` elements
+// at the front of b and reports how many bytes they span.  The last element,
+// one a chunk boundary cuts and anything outside the grammar are left to
+// step, a byte at a time.
+func (sc *PairScanner) scanPairs(b []byte) (int, error) {
+	i := 0
+	for i < len(b) && b[i] == '[' {
+		r, j, ok := scanInt32(b, i+1)
+		if !ok || j >= len(b) || b[j] != ',' {
 			break
 		}
-		n = n*10 + int(c-'0')
-		digits++
-	}
-	if digits == 0 {
-		return -1
-	}
-	return n
-}
-
-// pairDecoder scans the canonical /join response grammar.  Every method
-// reports false on input outside that grammar; the caller then falls back.
-type pairDecoder struct {
-	b []byte
-	i int
-}
-
-func (d *pairDecoder) skipSpace() {
-	for d.i < len(d.b) {
-		switch d.b[d.i] {
-		case ' ', '\t', '\r', '\n':
-			d.i++
-		default:
-			return
+		s, j, ok := scanInt32(b, j+1)
+		if !ok || j+1 >= len(b) || b[j] != ']' || b[j+1] != ',' {
+			break
 		}
+		if err := sc.pair(r, s); err != nil {
+			return i, err
+		}
+		i = j + 2
 	}
+	return i, nil
 }
 
-// consume skips whitespace and then c, if c is next.
-func (d *pairDecoder) consume(c byte) bool {
-	d.skipSpace()
-	if d.i < len(d.b) && d.b[d.i] == c {
-		d.i++
-		return true
-	}
-	return false
-}
-
-// key reads an object key made of lower-case letters — all the wire's keys
-// are — so escapes, and the case folding encoding/json matches keys with,
-// never reach the fast path.
-func (d *pairDecoder) key() ([]byte, bool) {
-	if !d.consume('"') {
-		return nil, false
-	}
-	from := d.i
-	for d.i < len(d.b) && d.b[d.i] >= 'a' && d.b[d.i] <= 'z' {
-		d.i++
-	}
-	if d.i >= len(d.b) || d.b[d.i] != '"' {
-		return nil, false
-	}
-	d.i++
-	return d.b[from : d.i-1], true
-}
-
-// digits reads `0` or a run of digits without a leading zero, as a
-// magnitude of at most limit, and requires that the JSON number ends there
-// (no fraction, no exponent).
-func (d *pairDecoder) digits(limit uint64) (uint64, bool) {
-	b, from := d.b, d.i
-	i, v := from, uint64(0)
-	for i < len(b) && b[i]-'0' <= 9 {
-		v = v*10 + uint64(b[i]-'0')
+// scanInt32 reads an int32 in its shortest form at b[i:], stopping at the
+// first byte that is not a digit; ok is false if there is none, or the
+// number is not canonical or out of range.
+func scanInt32(b []byte, i int) (v int32, end int, ok bool) {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
-	d.i = i
-	n := i - from
-	if n > 18 {
-		// The accumulator may have wrapped; strconv checks the range.
-		var err error
-		if v, err = strconv.ParseUint(string(b[from:i]), 10, 64); err != nil {
-			return 0, false
-		}
+	from := i
+	var n int64
+	for i < len(b) && i-from <= 10 && b[i]-'0' <= 9 {
+		n = n*10 + int64(b[i]-'0')
+		i++
 	}
-	if n == 0 || v > limit || (n > 1 && b[from] == '0') {
-		return 0, false
+	switch d := i - from; {
+	case d == 0, d > 10, b[from] == '0' && (d > 1 || neg):
+		return 0, i, false
 	}
-	if i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E') {
-		return 0, false
+	if neg {
+		n = -n
 	}
-	return v, true
+	return int32(n), i, n == int64(int32(n))
 }
 
-func (d *pairDecoder) uint() (uint64, bool) {
-	d.skipSpace()
-	return d.digits(math.MaxUint64)
+func (sc *PairScanner) pair(r, s int32) error {
+	sc.pairs++
+	if sc.OnPair != nil {
+		return sc.OnPair(r, s)
+	}
+	return nil
 }
 
-// int reads an integer in [lo, hi], lo < 0 <= hi.
-func (d *pairDecoder) int(lo, hi int64) (int64, bool) {
-	d.skipSpace()
-	if d.i < len(d.b) && d.b[d.i] == '-' {
-		d.i++
-		v, ok := d.digits(-uint64(lo))
-		return -int64(v), ok
+type stepResult uint8
+
+const (
+	stepOK         stepResult = iota
+	stepPairsBegin            // the pair array's contents start after this byte
+	stepPairsEnd              // this byte closes the pair array
+	stepFail
+)
+
+// step advances the scan by one byte.
+func (sc *PairScanner) step(c byte) stepResult {
+	switch sc.state {
+	case scanStart:
+		if c == '{' {
+			sc.expect(`"`, scanKey)
+			return stepOK
+		}
+	case scanLit:
+		if c == sc.lit[0] {
+			if sc.lit = sc.lit[1:]; sc.lit == "" {
+				if sc.state = sc.then; sc.then == scanPairOpen {
+					return stepPairsBegin
+				}
+			}
+			return stepOK
+		}
+	case scanKey:
+		switch {
+		case c == 'p' && !sc.Discard:
+			sc.expect(`airs":[`, scanPairOpen)
+			return stepOK
+		case c == 'e':
+			sc.expect(`poch":`, scanEpoch)
+			return stepOK
+		}
+	case scanPairOpen:
+		if c == '[' {
+			sc.number(scanR)
+			return stepOK
+		}
+	case scanPairSep:
+		switch c {
+		case ',':
+			sc.state = scanPairOpen
+			return stepOK
+		case ']':
+			sc.expect(`,"epoch":`, scanEpoch)
+			return stepPairsEnd
+		}
+	case scanR, scanS, scanEpoch, scanCount, scanRetries:
+		return sc.numberByte(c)
 	}
-	v, ok := d.digits(uint64(hi))
-	return int64(v), ok
+	return stepFail
 }
 
-// pairs reads [[r,s],...] into a non-nil slice, as encoding/json does for a
-// present, non-null array.
-func (d *pairDecoder) pairs(hint int) ([][2]int32, bool) {
-	if !d.consume('[') {
-		return nil, false
+// expect matches lit, then goes on in state then; a number there starts
+// from nothing.
+func (sc *PairScanner) expect(lit string, then scanState) {
+	sc.state, sc.lit, sc.then = scanLit, lit, then
+	sc.neg, sc.digits, sc.v = false, 0, 0
+}
+
+func (sc *PairScanner) number(st scanState) {
+	sc.state, sc.neg, sc.digits, sc.v = st, false, 0, 0
+}
+
+// numberByte takes one byte of a number, or the byte after it.
+func (sc *PairScanner) numberByte(c byte) stepResult {
+	limit := uint64(math.MaxInt)
+	switch sc.state {
+	case scanR, scanS:
+		limit = math.MaxInt32
+		if sc.neg {
+			limit++
+		}
+	case scanEpoch:
+		limit = math.MaxUint64
 	}
-	out := make([][2]int32, 0, hint)
-	if d.consume(']') {
-		return out, true
+	if d := uint64(c - '0'); d <= 9 {
+		if sc.digits == 1 && sc.v == 0 || sc.v > (limit-d)/10 {
+			return stepFail // a leading zero, or out of range
+		}
+		sc.v, sc.digits = sc.v*10+d, sc.digits+1
+		return stepOK
 	}
-	for {
-		if !d.consume('[') {
-			return nil, false
-		}
-		r, ok := d.int(math.MinInt32, math.MaxInt32)
-		if !ok || !d.consume(',') {
-			return nil, false
-		}
-		s, ok := d.int(math.MinInt32, math.MaxInt32)
-		if !ok || !d.consume(']') {
-			return nil, false
-		}
-		out = append(out, [2]int32{int32(r), int32(s)})
-		if d.consume(',') {
-			continue
-		}
-		if d.consume(']') {
-			return out, true
-		}
-		return nil, false
+	if c == '-' && sc.digits == 0 && !sc.neg && (sc.state == scanR || sc.state == scanS) {
+		sc.neg = true
+		return stepOK
 	}
+	if sc.digits == 0 || sc.neg && sc.v == 0 {
+		return stepFail
+	}
+	v := int64(sc.v)
+	if sc.neg {
+		v = -v
+	}
+	switch {
+	case sc.state == scanR && c == ',':
+		sc.r = int32(v)
+		sc.number(scanS)
+	case sc.state == scanS && c == ']':
+		if sc.err = sc.pair(sc.r, int32(v)); sc.err != nil {
+			return stepFail
+		}
+		sc.state = scanPairSep
+	case sc.state == scanEpoch && c == ',':
+		sc.wire.Epoch = sc.v
+		sc.expect(`"count":`, scanCount)
+	case sc.state == scanCount && c == '}':
+		sc.wire.Count = int(v)
+		sc.expect("\n", scanDone)
+	case sc.state == scanCount && c == ',':
+		sc.wire.Count = int(v)
+		sc.expect(`"retries":`, scanRetries)
+	case sc.state == scanRetries && c == '}' && v != 0:
+		sc.wire.Retries = int(v)
+		sc.expect("\n", scanDone)
+	default:
+		return stepFail
+	}
+	return stepOK
 }

@@ -68,7 +68,17 @@ type Config struct {
 	// (tree, node) key names different bytes in different epochs — and is
 	// dropped with it.  0 disables caching.
 	CacheBytes int
+
+	// stagedCap replaces MaxStagedOps in tests; 0 means MaxStagedOps.
+	stagedCap int
 }
+
+// MaxStagedOps caps the staged backlog: ops staged since the last round,
+// applied to the writer's tree or not.  Update rejects a batch that would
+// take the backlog past it (ErrBacklogFull).  It is far above what a round
+// of the bench ledger stages (20 000 ops at ingest) and bounds the memory a
+// writer that never calls Round can make the server hold.
+const MaxStagedOps = 1 << 20
 
 func (c Config) withDefaults() Config {
 	if c.BatchCapacity == 0 {
@@ -88,6 +98,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryBackoff == 0 {
 		c.RetryBackoff = time.Millisecond
+	}
+	if c.stagedCap == 0 {
+		c.stagedCap = MaxStagedOps
 	}
 	if c.Sleep == nil {
 		c.Sleep = func(ctx context.Context, d time.Duration) {
@@ -208,7 +221,9 @@ func New(cfg Config) (*Server, error) {
 // insert buffer may apply them to the writer's private tree earlier (in
 // Hilbert order, a full batch at a time) without affecting any epoch.  A
 // batch with a malformed rectangle is rejected whole, with a
-// *MalformedOpError (ErrMalformedOp), before any op is staged.
+// *MalformedOpError (ErrMalformedOp), before any op is staged, and so is a
+// batch that would take the staged backlog past MaxStagedOps
+// (ErrBacklogFull).
 func (s *Server) Update(ops []Op) error {
 	if s.closed.Load() {
 		return ErrClosed
@@ -222,6 +237,10 @@ func (s *Server) Update(ops []Op) error {
 	defer s.wmu.Unlock()
 	if err := s.brokenCause(); err != nil {
 		return fmt.Errorf("%w: %w", ErrServerBroken, err)
+	}
+	if backlog := s.pending(); backlog+len(ops) > s.cfg.stagedCap {
+		return fmt.Errorf("%w: %d ops staged, %d more would pass the cap of %d",
+			ErrBacklogFull, backlog, len(ops), s.cfg.stagedCap)
 	}
 	for _, op := range ops {
 		if op.Delete {
@@ -284,6 +303,11 @@ func (s *Server) opsProcessed() int {
 func (s *Server) Pending() int {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
+	return s.pending()
+}
+
+// pending is Pending with wmu held.
+func (s *Server) pending() int {
 	return s.buf.Len() + (s.opsProcessed() - s.applied)
 }
 

@@ -18,8 +18,10 @@
 // parent's interquartile distance and a verdict: "better" or "worse" when
 // the medians differ by more than the metric's bound (as a fraction of the
 // parent's median, in the metric's better direction), "inside" when they do
-// not.  Per-layer metrics (traced runs) are listed without a verdict.  Per
-// workload it prints the failed-op share of each side.
+// not.  Per-layer metrics (traced runs) are listed without a verdict, except
+// the exact counts (exactCounts), which read "equal" when every run of both
+// sides has the same value and "changed" otherwise.  Per workload it prints
+// the failed-op share of each side.
 //
 // It exits 1 when any metric is worse outside its bound, when the change's
 // failed-op share is higher than the parent's, or when a change run is not
@@ -61,6 +63,16 @@ type result struct {
 	Metrics   map[string]struct {
 		Value float64 `json:"value"`
 	} `json:"metrics"`
+}
+
+// exactCounts are the per-layer metrics a traced run counts rather than
+// times: a change must leave them equal or explain why they moved.
+var exactCounts = []string{
+	"join.comparisons",
+	"join.disk_reads",
+	"join.pairs",
+	"join.knn_dist_computations",
+	"storage.syncs_per_round",
 }
 
 // runs maps a workload to its results in file order.
@@ -169,7 +181,7 @@ func diff(cfg config, parent, change runs, w io.Writer) (regressed bool) {
 					continue
 				}
 				pm, cm := quantile(pv, 0.5), quantile(cv, 0.5)
-				v := verdict(m, pm, cm)
+				v := verdict(m, pv, cv)
 				if v == "worse" {
 					regressed = true
 				}
@@ -182,12 +194,22 @@ func diff(cfg config, parent, change runs, w io.Writer) (regressed bool) {
 }
 
 // verdict places the change's median against the parent's: "better" or
-// "worse" by more than the bound, "inside" it, or "-" without a bound.
-func verdict(m metricSpec, parent, change float64) string {
+// "worse" by more than the bound, "inside" it, or "-" without a bound.  An
+// exact count is "equal" or "changed" instead.
+func verdict(m metricSpec, parent, change []float64) string {
+	if slices.Contains(exactCounts, m.Name) {
+		for _, v := range append(slices.Clone(parent), change...) {
+			if v != parent[0] {
+				return "changed"
+			}
+		}
+		return "equal"
+	}
 	if m.Bound == 0 {
 		return "-"
 	}
-	worse := (change - parent) / parent // the relative change, positive when worse
+	parentMed, changeMed := quantile(parent, 0.5), quantile(change, 0.5)
+	worse := (changeMed - parentMed) / parentMed // the relative change, positive when worse
 	if m.Better == "higher" {
 		worse = -worse
 	}

@@ -32,6 +32,11 @@ knn_p50_ms                                      %g ms
 
 func runDiff(t *testing.T, parent, change string) (int, string) {
 	t.Helper()
+	return runDiffConfig(t, cannedConfig, parent, change)
+}
+
+func runDiffConfig(t *testing.T, config, parent, change string) (int, string) {
+	t.Helper()
 	dir := t.TempDir()
 	write := func(name, body string) string {
 		p := filepath.Join(dir, name)
@@ -40,7 +45,7 @@ func runDiff(t *testing.T, parent, change string) (int, string) {
 		}
 		return p
 	}
-	cfg := write("BENCHMARK.json", cannedConfig)
+	cfg := write("BENCHMARK.json", config)
 	var out, errOut bytes.Buffer
 	code := realMain([]string{"-config", cfg, write("parent", parent), write("change", change)}, &out, &errOut)
 	return code, out.String() + errOut.String()
@@ -119,6 +124,43 @@ func TestBenchDiffRejectsBadInput(t *testing.T) {
 	} {
 		if code, out := runDiff(t, run, change); code != 2 {
 			t.Errorf("%s: exit %d, want 2:\n%s", name, code, out)
+		}
+	}
+}
+
+// tracedRun is a traced run's result line carrying two exact counts.
+func tracedRun(pairs, comparisons float64) string {
+	return fmt.Sprintf(`# workload=batch seed=1 window=24s trace=true
+{"correct":true,"attempted":100,"failed":0,"metrics":{"join_p50_ms":{"value":18,"unit":"ms"},"join.pairs":{"value":%g,"unit":"count"},"join.comparisons":{"value":%g,"unit":"count"}}}
+`, pairs, comparisons)
+}
+
+// TestBenchDiffExactCounts: an exact count of traced runs reads "equal"
+// when every run of both sides has the same value and "changed" when any
+// differs — between the sides or within one — and neither verdict is a
+// regression.
+func TestBenchDiffExactCounts(t *testing.T) {
+	cfg := strings.Replace(cannedConfig, `"per_layer": [{"name": "join.pairs", "better": "lower"}]`,
+		`"per_layer": [{"name": "join.pairs", "better": "lower"}, {"name": "join.comparisons", "better": "lower"}]`, 1)
+	for name, tc := range map[string]struct {
+		parent, change     string
+		pairs, comparisons string
+	}{
+		"equal":                 {tracedRun(100, 7) + tracedRun(100, 7), tracedRun(100, 7) + tracedRun(100, 7), "equal", "equal"},
+		"changed by the change": {tracedRun(100, 7) + tracedRun(100, 7), tracedRun(100, 7) + tracedRun(101, 6), "changed", "changed"},
+		"changed within a side": {tracedRun(100, 7) + tracedRun(100, 8), tracedRun(100, 7) + tracedRun(100, 7), "equal", "changed"},
+	} {
+		code, out := runDiffConfig(t, cfg, tc.parent, tc.change)
+		if code != 0 {
+			t.Errorf("%s: exit %d, want 0:\n%s", name, code, out)
+		}
+		for m, want := range map[string]string{"join.pairs": tc.pairs, "join.comparisons": tc.comparisons} {
+			if f := row(t, out, m); f[len(f)-1] != want {
+				t.Errorf("%s: row %v, want verdict %s", name, f, want)
+			}
+		}
+		if f := row(t, out, "join_p50_ms"); f[len(f)-1] != "inside" {
+			t.Errorf("%s: row %v, want verdict inside", name, f)
 		}
 	}
 }
