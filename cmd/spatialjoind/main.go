@@ -18,6 +18,7 @@
 //
 //	spatialjoind -db r.db -s-items 10000 -addr :7453 -round 500ms
 //	spatialjoind -db shard0.db -addr :7461 -shard 0:2147483648
+//	spatialjoind -db r.db -pprof 127.0.0.1:6060
 //
 // Endpoints (see internal/server's wire types):
 //
@@ -25,6 +26,11 @@
 //	POST /round   commit staged mutations and flip the snapshot now
 //	POST /join    JSON {"workers":4,"predicate":"knn:3","discard_pairs":false} (body optional)
 //	GET  /stats   server counters, epoch state and coverage summary
+//
+// -pprof ADDR serves net/http/pprof's profiles under /debug/pprof/ on a
+// listener of its own (off by default), so the join surface never exposes
+// them: `go tool pprof http://ADDR/debug/pprof/profile?seconds=10` profiles
+// the daemon under load.
 //
 // Every join runs SJ4, the paper's recommended algorithm; a request picks
 // only the predicate (intersection when left out), the parallel workers and
@@ -46,6 +52,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"sync"
@@ -81,6 +88,7 @@ type daemonConfig struct {
 	sSide       float64
 	seed        int64
 	shard       *zorder.KeyRange
+	pprofAddr   string
 }
 
 func parseFlags(args []string) (daemonConfig, error) {
@@ -97,6 +105,7 @@ func parseFlags(args []string) (daemonConfig, error) {
 	fs.IntVar(&cfg.sItems, "s-items", 10000, "cardinality of the synthetic static relation S")
 	fs.Float64Var(&cfg.sSide, "s-side", 0.001, "rectangle side length of the synthetic S items")
 	fs.Int64Var(&cfg.seed, "seed", 42, "seed of the synthetic S relation")
+	fs.StringVar(&cfg.pprofAddr, "pprof", "", "listen address of the net/http/pprof profiles (empty disables)")
 	shard := fs.String("shard", "", "half-open Hilbert key range lo:hi this process owns (empty serves the whole key space)")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
@@ -137,8 +146,22 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	logger.Printf("serving on %s (db %s, S=%d items, round every %v, %s)",
 		ln.Addr(), cfg.db, cfg.sItems, cfg.roundEvery, shardDesc)
 
-	errCh := make(chan error, 1)
+	var pprofSrv *http.Server
+	var pln net.Listener
+	if cfg.pprofAddr != "" {
+		if pln, err = net.Listen("tcp", cfg.pprofAddr); err != nil {
+			ln.Close()
+			return err
+		}
+		pprofSrv = &http.Server{Handler: pprofHandler()}
+		logger.Printf("profiles on http://%s/debug/pprof/", pln.Addr())
+	}
+
+	errCh := make(chan error, 2)
 	go func() { errCh <- httpSrv.Serve(ln) }()
+	if pprofSrv != nil {
+		go func() { errCh <- pprofSrv.Serve(pln) }()
+	}
 
 	var wg sync.WaitGroup
 	if cfg.roundEvery > 0 {
@@ -162,6 +185,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		logger.Printf("shutdown: %v", err)
 	}
+	if pprofSrv != nil {
+		if err := pprofSrv.Shutdown(shutdownCtx); err != nil {
+			logger.Printf("pprof shutdown: %v", err)
+		}
+	}
 	wg.Wait()
 	// One final round so staged mutations become durable before exit.
 	if srv.Pending() > 0 && !srv.Broken() {
@@ -170,6 +198,18 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 	return srv.Close()
+}
+
+// pprofHandler serves net/http/pprof's endpoints on a mux of its own, not on
+// http.DefaultServeMux, so nothing else reaches them.
+func pprofHandler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 // buildServer opens (or creates) the pager-backed R relation, synthesises

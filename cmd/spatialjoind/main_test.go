@@ -2,11 +2,16 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"regexp"
 	"strconv"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/server"
 	"repro/internal/storage"
@@ -272,6 +277,80 @@ func TestParseShardFlag(t *testing.T) {
 	if _, err := parseFlags([]string{"-shard", "5:4"}); err == nil {
 		t.Fatal("parseFlags accepted an empty shard range")
 	}
+}
+
+// TestPprofIsOptInAndApart: -pprof is off by default, and the profiles are
+// served by their own handler, never by the join surface.
+func TestPprofIsOptInAndApart(t *testing.T) {
+	if cfg, err := parseFlags(nil); err != nil || cfg.pprofAddr != "" {
+		t.Fatalf("default pprof address %q (err %v), want none", cfg.pprofAddr, err)
+	}
+	cfg, err := parseFlags([]string{"-pprof", "127.0.0.1:6060"})
+	if err != nil || cfg.pprofAddr != "127.0.0.1:6060" {
+		t.Fatalf("pprof address %q (err %v)", cfg.pprofAddr, err)
+	}
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/goroutine?debug=1", "/debug/pprof/cmdline"} {
+		w := httptest.NewRecorder()
+		pprofHandler().ServeHTTP(w, httptest.NewRequest("GET", path, nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("pprof %s: %d", path, w.Code)
+		}
+	}
+	if w := doJSON(t, newTestDaemon(t), "GET", "/debug/pprof/", nil); w.Code == http.StatusOK {
+		t.Fatal("the join surface serves the profiles")
+	}
+}
+
+// TestDaemonRunServesPprof starts the daemon with -pprof on a free port and
+// reads a profile index from it.
+func TestDaemonRunServesPprof(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := &syncBuffer{}
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-pprof", "127.0.0.1:0", "-db", filepath.Join(t.TempDir(), "r.db"),
+			"-s-items", "100", "-round", "0"}, out)
+	}()
+	var addr string
+	for deadline := time.Now().Add(10 * time.Second); addr == ""; {
+		if m := regexp.MustCompile(`profiles on (http://\S+)`).FindStringSubmatch(out.String()); m != nil {
+			addr = m[1]
+		} else if time.Now().After(deadline) {
+			t.Fatalf("no pprof address logged: %q", out.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	resp, err := http.Get(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %d", addr, resp.StatusCode)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("run: %v", err)
+	}
+}
+
+// syncBuffer is a bytes.Buffer the daemon's logger and the test can share.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 // TestDaemonPersistsAcrossRestart commits via the HTTP surface, tears the

@@ -14,12 +14,31 @@ import (
 // the pinning schedule.  Frames are reused across all node pairs visited at
 // the same depth, so the steady-state join performs no allocations.
 type frame struct {
+	sweepScratch
+	zkeys      []uint64
+	processed  []bool
+	degR, degS []int32
+}
+
+// sweepScratch holds the sweep of one node pair (sweepNodes): the restricted
+// entries of both nodes in xl-order, their gathered rectangles, and the
+// qualifying pairs.
+type sweepScratch struct {
 	rIdx, sIdx     []int32
 	rRects, sRects []geom.Rect
 	pairs          []sweep.Pair
-	zkeys          []uint64
-	processed      []bool
-	degR, degS     []int32
+}
+
+// leafScratch is the scratch space of one runner of the leaf stage — the
+// coordinator's lives in its arena, each helper's in the crew (helpers.go):
+// the sweep of a leaf x leaf pair (joinLeaves) with the pairs it accepts,
+// and the S-leaf MBRs and one item's leaf order of a kNN leaf group
+// (leafGroup).
+type leafScratch struct {
+	sweepScratch
+	out  []Pair
+	mbrs []geom.Rect
+	near []leafDist
 }
 
 // heightsScratch is the scratch space of joinLeafWithDirectory.  The routine
@@ -46,6 +65,7 @@ type heightsScratch struct {
 // parallel workers) reach a steady state without any per-run slice growth.
 type arena struct {
 	frames  []*frame
+	leaf    leafScratch
 	heights heightsScratch
 	// chunks are the blocks of pairChunk pairs a sequential join collects its
 	// result in (executor.emit); like the frames they are reused, so a

@@ -18,6 +18,9 @@ import (
 // rect optionally restricts the search space (it is the intersection of the
 // parents' rectangles); SJ1 passes nil.
 func (e *executor) handleHeightDifference(nr, ns *rtree.Node, rect *geom.Rect) bool {
+	// The window queries below emit directly, with no leaf job queued before
+	// them: trees of different heights never pair two leaves, so a join that
+	// gets here has no crew (helpers.go).
 	switch {
 	case nr.IsLeaf() == ns.IsLeaf():
 		return false

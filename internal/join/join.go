@@ -13,6 +13,13 @@
 // a metrics.Collector as floating-point comparisons and I/O cost as page
 // accesses through a shared LRU buffer, mirroring the paper's cost measures.
 //
+// The sequential join keeps one schedule but not one core: past a gate of
+// leaf pairs it hands its leaf stage — the leaf x leaf sweeps of SJ3-SJ5 and
+// the leaf groups of a kNN band — to helper goroutines, while the calling
+// goroutine keeps the traversal, every read, every pinning decision and
+// every emitted pair, in schedule order (helpers.go).  ParallelJoin is the
+// partitioned alternative.
+//
 //repro:measured
 package join
 
@@ -337,6 +344,14 @@ var (
 )
 
 // Join computes the MBR-spatial-join of the two trees.
+//
+// The traversal, the page reads and the emission run on the calling
+// goroutine.  On a host with GOMAXPROCS > 1 a join that meets enough leaf
+// pairs (256; 32 under kNN) also runs leaf sweeps and kNN leaf groups on up
+// to three helper goroutines.  It emits their pairs in the order the inline
+// join would.  The pairs, their order, the OnPair sequence, the read schedule
+// and every counter are those of the join without helpers; only the wall
+// time moves.  The helpers are gone when Join returns.
 func Join(r, s *rtree.Tree, opts Options) (*Result, error) {
 	if r == nil || s == nil {
 		return nil, ErrNilTree
@@ -388,6 +403,7 @@ func Join(r, s *rtree.Tree, opts Options) (*Result, error) {
 		e.eps = opts.Predicate.Epsilon
 		e.eps2 = e.eps * e.eps
 	}
+	e.helpers, e.gate = joinHelpers(opts.Predicate.Kind)
 
 	switch {
 	case opts.Predicate.Kind == PredKNN:
@@ -413,6 +429,8 @@ func Join(r, s *rtree.Tree, opts Options) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("join: unknown method %v", opts.Method)
 	}
+	e.drain()
+	e.dismiss()
 	e.local.FlushTo(collector)
 
 	if opts.Context != nil && opts.Context.Err() != nil {
@@ -460,6 +478,13 @@ type executor struct {
 	pairs   []Pair
 	chunked bool
 	full    int
+
+	// helpers is the number of helper goroutines the join may start, once
+	// it has met gate leaf pairs (leafPairs counts them; a gate of 0 never
+	// opens).  crew is non-nil while they run (helpers.go).  Only Join sets
+	// them: a ParallelJoin worker already owns a core.
+	helpers, gate, leafPairs int
+	crew                     *crew
 }
 
 // stopped reports whether the traversal should unwind: its context fired,
@@ -482,6 +507,35 @@ func (e *executor) emit(p Pair) {
 			e.nextChunk()
 		}
 		e.pairs = append(e.pairs, p)
+	}
+}
+
+// emitPairs reports a run of result pairs in order, as emit would one by
+// one, but counts them at once and copies them into the result a chunk at a
+// time.
+//
+//repro:hotpath
+func (e *executor) emitPairs(ps []Pair) {
+	e.count += len(ps)
+	e.local.PairsReported += int64(len(ps))
+	if e.onPair != nil {
+		for _, p := range ps {
+			e.onPair(p)
+		}
+	}
+	if e.discard {
+		return
+	}
+	for len(ps) > 0 {
+		if e.chunked && len(e.pairs) == cap(e.pairs) {
+			e.nextChunk()
+		}
+		n := len(ps)
+		if e.chunked {
+			n = min(n, cap(e.pairs)-len(e.pairs))
+		}
+		e.pairs = append(e.pairs, ps[:n]...)
+		ps = ps[n:]
 	}
 }
 

@@ -213,10 +213,6 @@ type knnState struct {
 	// band holds the leaf pairs popped at the current queue distance, read
 	// but not yet joined (runBand).
 	band []knnPair
-	// leafGroup's scratch, reused across bands: the MBRs of a group's S
-	// leaves and one item's leaf order.
-	mbrs []geom.Rect
-	near []leafDist
 }
 
 // leafDist is an item's distance to the MBR of S leaf i of its group.
@@ -341,12 +337,13 @@ func (st *knnState) tighten(ri int32, local *metrics.Local) {
 
 // leafGroup offers the entries of the S leaves of pairs — the leaf pairs of
 // one band that share R leaf rn, in pop order — to the heaps of rn's items
-// (the first of which is item base).  Each item meets the leaves nearest first: it
-// computes its distance to every leaf's MBR, orders the leaves by (distance,
-// pop order), and scans them in that order (scanLeaf) until the next leaf's
-// MBR lies strictly beyond its kth-best distance tau — every later leaf lies
-// at least as far — so tau is as low as the group allows before each scan
-// and leaves the item cannot use are never entered.  The stop is strict and
+// (the first of which is item base), with sc's mbrs and near as scratch.
+// Each item meets the leaves nearest first: it computes its distance to
+// every leaf's MBR, orders the leaves by (distance, pop order), and scans
+// them in that order (scanLeaf) until the next leaf's MBR lies strictly
+// beyond its kth-best distance tau — every later leaf lies at least as far —
+// so tau is as low as the group allows before each scan and leaves the item
+// cannot use are never entered.  The stop is strict and
 // armed only once the heap is full, like every prune of the kernel: an
 // equidistant candidate with a smaller S identifier must still be offered.
 // A single pair is a group of one.  Whatever order the leaves are scanned
@@ -354,15 +351,17 @@ func (st *knnState) tighten(ri int32, local *metrics.Local) {
 // one plain product (productPair) per leaf; so the node bounds, the read
 // schedule and the emitted pairs do not depend on the kernel.  Every test
 // made here — leaf-MBR distance, leaf-order step, stop test — is charged.
+// It writes only the heaps of rn's items and reads no node bound, so the
+// groups of one band can run concurrently (runBand).
 //
 //repro:hotpath
-func (st *knnState) leafGroup(rn *rtree.Node, base int, pairs []knnPair, local *metrics.Local) {
+func (st *knnState) leafGroup(rn *rtree.Node, base int, pairs []knnPair, sc *leafScratch, local *metrics.Local) {
 	k := st.k
-	mbrs := st.mbrs[:0]
+	mbrs := sc.mbrs[:0]
 	for i := range pairs {
 		mbrs = append(mbrs, pairs[i].sn.MBR())
 	}
-	near := st.near[:0]
+	near := sc.near[:0]
 	var comps, tested int64
 	for ir := range rn.Entries {
 		r := rn.Entries[ir].Rect
@@ -398,7 +397,7 @@ func (st *knnState) leafGroup(rn *rtree.Node, base int, pairs []knnPair, local *
 		}
 		it.n = int32(n)
 	}
-	st.mbrs, st.near = mbrs, near
+	sc.mbrs, sc.near = mbrs, near
 	local.Comparisons += comps
 	local.PairsTested += tested
 }
@@ -632,6 +631,7 @@ func (e *executor) knnFrom(rn, sn *rtree.Node) {
 			// The leaf kernel scans sn in xl-order: a counted read sorts it.
 			readSorted(e.s, e.tracker, p.sn, &e.local)
 			st.band = append(st.band, p)
+			e.crewed()
 		} else {
 			e.s.AccessNode(e.tracker, p.sn)
 			e.knnExpand(st, p)
@@ -640,13 +640,20 @@ func (e *executor) knnFrom(rn, sn *rtree.Node) {
 	}
 	e.runBand(st)
 
+	// A stop during the last band may have left heaps unfed; emit nothing.
+	if e.stopped() {
+		return
+	}
 	e.emitKNN(st)
 }
 
 // runBand joins the pending band of leaf pairs, all popped at one distance:
 // one leafGroup per R leaf over its S leaves in pop order, then one tighten.
 // Heaps of different R leaves are disjoint, so the groups' order does not
-// matter; they run in R node order.
+// matter; they run in R node order.  Past the helper gate each group is a
+// crew job: the groups run concurrently and the coordinator tightens their
+// leaves in R node order as it retires them, so every bound — and with it
+// the read schedule — moves exactly as inline.
 func (e *executor) runBand(st *knnState) {
 	band := st.band
 	// Within a band the pop order is the sequence order.
@@ -662,10 +669,21 @@ func (e *executor) runBand(st *knnState) {
 			j++
 		}
 		ri := band[i].ri
-		st.leafGroup(band[i].rn, int(st.nodes[ri].first), band[i:j], &e.local)
-		st.tighten(ri, &e.local)
+		base := int(st.nodes[ri].first)
+		if e.crew == nil {
+			st.leafGroup(band[i].rn, base, band[i:j], &e.arena.leaf, &e.local)
+			st.tighten(ri, &e.local)
+		} else {
+			job := e.slot()
+			if job == nil {
+				break // stopped
+			}
+			job.kind, job.nr, job.st, job.group, job.ri, job.base = knnJob, band[i].rn, st, band[i:j], ri, base
+			e.publish()
+		}
 		i = j
 	}
+	e.drain()
 	st.band = band[:0]
 }
 

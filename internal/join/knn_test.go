@@ -674,7 +674,7 @@ func checkLeafGroup(t *testing.T, rn *rtree.Node, sns []*rtree.Node, seedData []
 	}
 	got, want := newState(), newState()
 	var local, product metrics.Local
-	got.leafGroup(rn, 0, pairs, &local)
+	got.leafGroup(rn, 0, pairs, new(leafScratch), &local)
 	for _, sn := range sns {
 		want.productPair(rn, 0, sn, &product)
 	}
@@ -696,7 +696,7 @@ func checkLeafGroup(t *testing.T, rn *rtree.Node, sns []*rtree.Node, seedData []
 	}
 
 	got = newState()
-	got.leafGroup(rn, 0, pairs, &local)
+	got.leafGroup(rn, 0, pairs, new(leafScratch), &local)
 	got.tighten(0, &local)
 	for i := range got.items {
 		if got.nodes[0].bound < got.tau(i) {

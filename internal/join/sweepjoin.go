@@ -27,10 +27,10 @@ func (e *executor) runSweep(method Method) {
 
 // sweepJoin joins two nodes using spatial sorting and the plane-sweep
 // intersection test (section 4.2) and schedules the child reads according to
-// the selected method (section 4.3).  All scratch space comes from the
-// arena's frame for this depth, so in steady state the routine allocates
-// nothing; the accumulated costs are flushed to the shared collector once
-// when the node pair is done.
+// the selected method (section 4.3).  A pair of leaves goes to the leaf stage
+// (leafPair).  All scratch space comes from the arena's frame for this
+// depth, so in steady state the routine allocates nothing; the accumulated
+// costs are flushed to the shared collector once when the node pair is done.
 //
 //repro:hotpath
 func (e *executor) sweepJoin(nr, ns *rtree.Node, rect geom.Rect, method Method, depth int) {
@@ -41,6 +41,10 @@ func (e *executor) sweepJoin(nr, ns *rtree.Node, rect geom.Rect, method Method, 
 	}
 	if handled := e.handleHeightDifference(nr, ns, &rect); handled {
 		e.local.FlushTo(e.metrics)
+		return
+	}
+	if nr.IsLeaf() && ns.IsLeaf() {
+		e.leafPair(nr, ns, rect)
 		return
 	}
 
@@ -54,44 +58,8 @@ func (e *executor) sweepJoin(nr, ns *rtree.Node, rect geom.Rect, method Method, 
 	if e.opts.DisableRestriction {
 		restrict = nil
 	}
-	f.rIdx, f.rRects = restrictSorted(nr, restrict, e.eps, f.rIdx[:0], f.rRects[:0], &e.local)
-	f.sIdx, f.sRects = restrictSorted(ns, restrict, 0, f.sIdx[:0], f.sRects[:0], &e.local)
-	if len(f.rIdx) == 0 || len(f.sIdx) == 0 {
-		e.local.FlushTo(e.metrics)
-		return
-	}
-
-	// The sorted intersection test produces the qualifying pairs in local
-	// plane-sweep order.
-	f.pairs = sweep.AppendPairs(f.rRects, f.sRects, &e.local, f.pairs[:0])
-	e.local.PairsTested += int64(len(f.pairs))
+	sweepNodes(nr, ns, restrict, e.eps, &f.sweepScratch, &e.local)
 	if len(f.pairs) == 0 {
-		e.local.FlushTo(e.metrics)
-		return
-	}
-
-	if nr.IsLeaf() && ns.IsLeaf() {
-		switch {
-		case e.eps > 0:
-			// The sweep filtered on expanded rectangles (a Chebyshev ball);
-			// the predicate is Euclidean, so corner pairs need the exact
-			// counted distance test before emission.
-			var comps int64
-			for _, p := range f.pairs {
-				er := &nr.Entries[f.rIdx[p.R]]
-				es := &ns.Entries[f.sIdx[p.S]]
-				ok, cost := geom.WithinDistSquaredCost(er.Rect, es.Rect, e.eps2)
-				comps += cost
-				if ok {
-					e.emit(Pair{R: er.Data, S: es.Data})
-				}
-			}
-			e.local.Comparisons += comps
-		default:
-			for _, p := range f.pairs {
-				e.emit(Pair{R: nr.Entries[f.rIdx[p.R]].Data, S: ns.Entries[f.sIdx[p.S]].Data})
-			}
-		}
 		e.local.FlushTo(e.metrics)
 		return
 	}
@@ -121,6 +89,81 @@ func (e *executor) sweepJoin(nr, ns *rtree.Node, rect geom.Rect, method Method, 
 	default: // SJ4 and SJ5 use pinning.
 		e.processWithPinning(nr, ns, f, method, depth)
 	}
+}
+
+// leafPair runs the leaf stage of a leaf x leaf pair whose pages the
+// coordinator has read: inline below the helper gate, else as a job for the
+// crew, which finishes it in queue order (helpers.go).  Either way the same
+// joinLeaves produces the pairs and the coordinator emits them.
+//
+//repro:hotpath
+func (e *executor) leafPair(nr, ns *rtree.Node, rect geom.Rect) {
+	if e.crewed() {
+		if j := e.slot(); j != nil {
+			j.kind, j.nr, j.ns, j.rect = sweepJob, nr, ns, rect
+			e.publish()
+			e.retireFinished()
+		}
+		return
+	}
+	sc := &e.arena.leaf
+	restrict := &rect
+	if e.opts.DisableRestriction {
+		restrict = nil
+	}
+	sc.out = joinLeaves(nr, ns, restrict, e.eps, e.eps2, &sc.sweepScratch, sc.out[:0], &e.local)
+	e.emitPairs(sc.out)
+	e.local.FlushTo(e.metrics)
+}
+
+// sweepNodes restricts both nodes to rect (nil takes them whole), the R side
+// expanded by eps, and runs the sorted intersection test over the survivors:
+// sc.pairs holds the qualifying pairs in local plane-sweep order (section
+// 4.2), charged to local.
+//
+//repro:hotpath
+func sweepNodes(nr, ns *rtree.Node, rect *geom.Rect, eps float64, sc *sweepScratch, local *metrics.Local) {
+	sc.rIdx, sc.rRects = restrictSorted(nr, rect, eps, sc.rIdx[:0], sc.rRects[:0], local)
+	sc.sIdx, sc.sRects = restrictSorted(ns, rect, 0, sc.sIdx[:0], sc.sRects[:0], local)
+	sc.pairs = sc.pairs[:0]
+	if len(sc.rIdx) == 0 || len(sc.sIdx) == 0 {
+		return
+	}
+	sc.pairs = sweep.AppendPairs(sc.rRects, sc.sRects, local, sc.pairs)
+	local.PairsTested += int64(len(sc.pairs))
+}
+
+// joinLeaves is the leaf stage of the sweep joins: it sweeps two leaves
+// (sweepNodes) and appends to out the pairs that satisfy the predicate, in
+// sweep order, charging local.  Under the within-distance predicate (eps >
+// 0) the sweep's corner pairs get the exact counted Euclidean test.  It
+// reads only the two nodes, which no join mutates, and its arguments, so a
+// helper can run it while the coordinator reads further pages.
+//
+//repro:hotpath
+func joinLeaves(nr, ns *rtree.Node, rect *geom.Rect, eps, eps2 float64, sc *sweepScratch, out []Pair, local *metrics.Local) []Pair {
+	sweepNodes(nr, ns, rect, eps, sc, local)
+	if eps > 0 {
+		// The sweep filtered on expanded rectangles (a Chebyshev ball); the
+		// predicate is Euclidean, so corner pairs need the exact counted
+		// distance test.
+		var comps int64
+		for _, p := range sc.pairs {
+			er := &nr.Entries[sc.rIdx[p.R]]
+			es := &ns.Entries[sc.sIdx[p.S]]
+			ok, cost := geom.WithinDistSquaredCost(er.Rect, es.Rect, eps2)
+			comps += cost
+			if ok {
+				out = append(out, Pair{R: er.Data, S: es.Data})
+			}
+		}
+		local.Comparisons += comps
+		return out
+	}
+	for _, p := range sc.pairs {
+		out = append(out, Pair{R: nr.Entries[sc.rIdx[p.R]].Data, S: ns.Entries[sc.sIdx[p.S]].Data})
+	}
+	return out
 }
 
 // descend reads the two child pages and joins them recursively.
