@@ -585,16 +585,16 @@ func BenchmarkLargeJoinParallelStatic(b *testing.B) {
 }
 
 // BenchmarkLargeJoinPartition compares the two partition strategies — the
-// spatial schedule and the work-stealing scheduler — on the large pair at 2
-// and 8 workers, in the ledger's join_par configuration (bench/batch.go:
-// SJ4, 128 KiB buffer plus path buffer, pairs materialised, the default task
+// spatial schedule and the shared queue — on the large pair at 2 and 8
+// workers, in the ledger's join_par configuration (bench/batch.go: SJ4,
+// 128 KiB buffer plus path buffer, pairs materialised, the default task
 // granularity), so strategy=stealing/workers=2 on a two-core host reproduces
 // join_par outside the ledger.  Besides wall clock it reports the
 // counted-cost quality of each schedule: the cost-model est-speedup, the
 // per-worker task, comparison and disk skew, the buffer-locality hit rate,
-// the steal count and the disk-access overhead over the sequential join (the
-// price of the partitioned buffer, which the spatial-region schedule is
-// built to shrink).
+// the tasks run off their planned worker and the disk-access overhead over
+// the sequential join (the price of the partitioned buffer, which the
+// spatial-region schedule is built to shrink).
 func BenchmarkLargeJoinPartition(b *testing.B) {
 	skipLargeInShort(b)
 	r, s := largeTreesForBench()
@@ -640,11 +640,7 @@ func BenchmarkLargeJoinPartition(b *testing.B) {
 				b.ReportMetric(res.DiskSkew(), "disk-skew")
 				b.ReportMetric(res.TimeSkew(model, r.PageSize()), "time-skew")
 				b.ReportMetric(res.WorkerBufferHitRate(), "hit-rate")
-				steals := 0
-				for _, n := range res.WorkerSteals {
-					steals += n
-				}
-				b.ReportMetric(float64(steals), "steals")
+				b.ReportMetric(float64(res.StolenTasks), "stolen")
 			})
 		}
 	}

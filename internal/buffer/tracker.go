@@ -1,6 +1,8 @@
 package buffer
 
 import (
+	"sync/atomic"
+
 	"repro/internal/metrics"
 	"repro/internal/storage"
 )
@@ -20,6 +22,7 @@ type Tracker struct {
 	readers  map[int]PageReader
 	cache    *PageCache
 	readErr  error
+	halt     *atomic.Bool
 }
 
 // PageReader is the measured-I/O hook: when a tree has one attached, every
@@ -86,7 +89,7 @@ func (t *Tracker) Access(tree, level int, id storage.PageID) bool {
 		return true
 	}
 	t.metrics.AddDiskRead(int64(t.pageSize))
-	if r, ok := t.readers[tree]; ok && t.readErr == nil {
+	if r, ok := t.readers[tree]; ok && !t.Halted() {
 		// Counted miss = real read: the page leaves the disk exactly when the
 		// simulation says it does.  A read failure (torn page, dead sector
 		// after retries) is latched and surfaced by the join, not swallowed.
@@ -95,13 +98,13 @@ func (t *Tracker) Access(tree, level int, id storage.PageID) bool {
 		if t.cache != nil {
 			if _, ok := t.cache.Get(key); !ok {
 				if data, err := r.ReadPage(id); err != nil {
-					t.readErr = err
+					t.latch(err)
 				} else {
 					t.cache.Put(key, data)
 				}
 			}
 		} else if _, err := r.ReadPage(id); err != nil {
-			t.readErr = err
+			t.latch(err)
 		}
 	}
 	t.lru.Insert(key)
@@ -136,6 +139,23 @@ func (t *Tracker) SetPageReader(tree int, r PageReader) {
 // attached PageReader, or nil.
 func (t *Tracker) ReadErr() error { return t.readErr }
 
+// latch records a physical read failure and trips the attached halt flag.
+func (t *Tracker) latch(err error) {
+	t.readErr = err
+	if t.halt != nil {
+		t.halt.Store(true)
+	}
+}
+
+// SetHalt attaches a stop flag shared by the trackers of one join: the
+// tracker whose physical read fails trips it, and no tracker performs a
+// physical read once it is set.  Pass nil to detach.
+func (t *Tracker) SetHalt(h *atomic.Bool) { t.halt = h }
+
+// Halted reports whether the tracker performs no further physical reads:
+// its own read failed, or the attached halt flag is set.
+func (t *Tracker) Halted() bool { return t.readErr != nil || t.halt != nil && t.halt.Load() }
+
 // Pin keeps the page of the given tree in the LRU buffer until Unpin.
 func (t *Tracker) Pin(tree int, id storage.PageID) {
 	t.lru.Pin(FrameKey{Tree: tree, Page: id})
@@ -167,4 +187,5 @@ func (t *Tracker) Reconfigure(m *metrics.Collector, pageSize int, usePathBuffer 
 	clear(t.readers)
 	t.cache = nil
 	t.readErr = nil
+	t.halt = nil
 }

@@ -352,7 +352,7 @@ func TestTableParallelShape(t *testing.T) {
 	var buf bytes.Buffer
 	PrintTableParallel(&buf, rows)
 	out := buf.String()
-	for _, want := range []string{"spatial", "stealing", "steals", "est speedup"} {
+	for _, want := range []string{"spatial", "stealing", "stolen", "est speedup"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("PrintTableParallel output is missing %q", want)
 		}

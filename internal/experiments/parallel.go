@@ -52,10 +52,8 @@ type ParallelRow struct {
 	// trade I/O against CPU (the locality-driven schedules do), so neither
 	// component skew alone decides whether the workers finish together.
 	TimeSkew float64
-	// Steals is the number of successful steal operations and StolenTasks the
-	// number of tasks that changed owners (stealing strategy only; both 0 for
-	// the spatial schedule).
-	Steals      int
+	// StolenTasks is the number of tasks a worker ran that the spatial
+	// schedule had given another worker (0 for the spatial schedule).
 	StolenTasks int
 	// EstSpeedup is the speedup in estimated execution time (the paper's
 	// section-5 cost model) of the parallel run over the sequential SJ4 with
@@ -67,13 +65,13 @@ type ParallelRow struct {
 }
 
 // TableParallel joins the main pair with ParallelJoin (SJ4) for each
-// partition strategy (the spatial schedule and the work-stealing scheduler)
-// and worker count, and reports per-worker load-balance skew, buffer
-// locality, steal counts and the disk-access overhead over the sequential
-// join, using the per-worker snapshots the parallel executor publishes.  The
-// spatial rows are deterministic machine properties of the plan; the
-// stealing rows depend on runtime scheduling and show how the rebalancing
-// trades a little locality for wall-clock balance.
+// partition strategy (the spatial schedule and the shared queue) and worker
+// count, and reports per-worker load-balance skew, buffer locality, the
+// tasks run off their planned worker and the disk-access overhead over the
+// sequential join, using the per-worker snapshots the parallel executor
+// publishes.  The spatial rows are deterministic machine properties of the
+// plan; the stealing rows depend on runtime scheduling and show what the
+// shared queue's interleaving costs in locality.
 func (s *Suite) TableParallel() []ParallelRow {
 	r, t := s.mainPair(ParallelPageSize)
 	seq := s.runJoin(r, t, join.SJ4, ParallelBufferKB, nil)
@@ -109,9 +107,6 @@ func (s *Suite) TableParallel() []ParallelRow {
 				DiskSkew:     res.DiskSkew(),
 				TimeSkew:     res.TimeSkew(s.model, ParallelPageSize),
 				StolenTasks:  res.StolenTasks,
-			}
-			for _, n := range res.WorkerSteals {
-				row.Steals += n
 			}
 			for _, n := range res.WorkerTasks {
 				row.Tasks += n
@@ -176,7 +171,7 @@ func PrintTableParallel(w io.Writer, rows []ParallelRow) {
 	writeHeader(w, "Parallel join (SJ4, 4 KByte pages, 128 KB buffer): partition strategies")
 	fmt.Fprintf(w, "%-12s %-8s %6s %8s %12s %9s %8s %10s %10s %10s %10s %7s %11s\n",
 		"strategy", "workers", "tasks", "pairs", "disk acc", "overhead", "hit rate",
-		"task skew", "comp skew", "disk skew", "time skew", "steals", "est speedup")
+		"task skew", "comp skew", "disk skew", "time skew", "stolen", "est speedup")
 	last := join.PartitionStrategy(-1)
 	for _, row := range rows {
 		if row.Strategy != last && last != join.PartitionStrategy(-1) {
@@ -186,11 +181,12 @@ func PrintTableParallel(w io.Writer, rows []ParallelRow) {
 		fmt.Fprintf(w, "%-12s %-8d %6d %8d %12d %9.2f %8.2f %10.2f %10.2f %10.2f %10.2f %7d %11.2f\n",
 			row.Strategy, row.Workers, row.Tasks, row.Pairs, row.DiskAccesses,
 			row.DiskOverhead, row.HitRate, row.TaskSkew, row.CompSkew, row.DiskSkew,
-			row.TimeSkew, row.Steals, row.EstSpeedup)
+			row.TimeSkew, row.StolenTasks, row.EstSpeedup)
 	}
 	fmt.Fprintln(w, "(skew = max/mean over the workers, 1.00 is perfectly balanced; time skew ="+
 		"\n skew of per-worker estimated execution times, the critical-path balance;"+
-		"\n overhead = disk accesses over the sequential join's; steals = successful"+
-		"\n steal operations of the work-stealing scheduler; est speedup = estimated"+
-		"\n sequential time over the parallel critical path, section-5 cost model)")
+		"\n overhead = disk accesses over the sequential join's; stolen = tasks a"+
+		"\n worker took from the shared queue that the spatial schedule gave another;"+
+		"\n est speedup = estimated sequential time over the parallel critical path,"+
+		"\n section-5 cost model)")
 }

@@ -45,7 +45,6 @@ type UpdateRow struct {
 	// freshly built one.
 	EstErrPct float64
 	TimeSkew  float64
-	Steals    int
 }
 
 // UpdatePair is one relation under update churn: its tree, its live items
@@ -153,9 +152,6 @@ func (s *Suite) TableUpdates() []UpdateRow {
 			for _, n := range res.WorkerTasks {
 				row.Tasks += n
 			}
-			for _, n := range res.WorkerSteals {
-				row.Steals += n
-			}
 			if strategy == join.PartitionSpatial {
 				if err, ok := MeanEstErrPct(s.model, res, ParallelPageSize); ok {
 					row.EstErrPct = err
@@ -173,16 +169,16 @@ func PrintTableUpdates(w io.Writer, rows []UpdateRow) {
 	writeHeader(w, fmt.Sprintf(
 		"Update-heavy workload (SJ4, %d workers, %d%% turnover per round)",
 		UpdateWorkers, UpdateBatchPercent))
-	fmt.Fprintf(w, "%-6s %-12s %6s %8s %9s %10s %10s %7s\n",
-		"round", "strategy", "tasks", "pairs", "hint rate", "est err %", "time skew", "steals")
+	fmt.Fprintf(w, "%-6s %-12s %6s %8s %9s %10s %10s\n",
+		"round", "strategy", "tasks", "pairs", "hint rate", "est err %", "time skew")
 	for _, row := range rows {
 		estErr := "-"
 		if row.EstErrPct >= 0 {
 			estErr = fmt.Sprintf("%.1f", row.EstErrPct)
 		}
-		fmt.Fprintf(w, "%-6d %-12s %6d %8d %9.2f %10s %10.2f %7d\n",
+		fmt.Fprintf(w, "%-6d %-12s %6d %8d %9.2f %10s %10.2f\n",
 			row.Round, row.Strategy, row.Tasks, row.Pairs, row.HintHitRate,
-			estErr, row.TimeSkew, row.Steals)
+			estErr, row.TimeSkew)
 	}
 	fmt.Fprintln(w, "(each round deletes the oldest batch and Hilbert-buffer-inserts a fresh one on"+
 		"\n both relations, then joins with every partition strategy; hint rate = share of"+

@@ -85,12 +85,12 @@ func TestParallelJoinInvariants(t *testing.T) {
 	}
 }
 
-// TestStealingJoinInvariants is the stealing strategy's own wall: SJ1-SJ5,
+// TestStealingJoinInvariants is the shared queue's own wall: SJ1-SJ5,
 // worker counts 1, 2 and 8, both pair modes and a fine task granularity so
-// that steals actually fire — the result set must equal the sequential
-// join's in every cell no matter how the nondeterministic steal/pop
-// interleaving plays out.  CI runs the
-// package under -race, which turns this into the stealing data-race wall.
+// that workers take many tasks off their planned run — the result set must
+// equal the sequential join's in every cell no matter how the workers
+// interleave on the cursor.  CI runs the package under -race, which turns
+// this into the shared queue's data-race wall.
 func TestStealingJoinInvariants(t *testing.T) {
 	r, s, _, _ := buildPair(t, 1500, 1500, storage.PageSize1K)
 	for _, method := range Methods {
@@ -118,7 +118,7 @@ func TestStealingJoinInvariants(t *testing.T) {
 
 // TestStealingExecutesEveryTaskOnce checks the scheduling invariant behind
 // the result-set equality: across all workers exactly len(tasks) sub-joins
-// run, no matter how many runs changed owners through stealing.
+// run, no matter how the shared cursor spread them over the workers.
 func TestStealingExecutesEveryTaskOnce(t *testing.T) {
 	r, s, _, _ := buildPair(t, 3000, 3000, storage.PageSize1K)
 	for _, workers := range []int{2, 4, 8} {
@@ -150,15 +150,11 @@ func TestStealingExecutesEveryTaskOnce(t *testing.T) {
 		if got != want {
 			t.Errorf("workers=%d: stealing executed %d tasks, spatial schedule has %d", workers, got, want)
 		}
-		if len(res.WorkerSteals) != workers {
-			t.Errorf("workers=%d: WorkerSteals has %d entries", workers, len(res.WorkerSteals))
+		if ref.StolenTasks != 0 {
+			t.Errorf("workers=%d: spatial ran %d tasks off their planned worker", workers, ref.StolenTasks)
 		}
-		steals := 0
-		for _, n := range res.WorkerSteals {
-			steals += n
-		}
-		if steals == 0 && res.StolenTasks != 0 {
-			t.Errorf("workers=%d: StolenTasks=%d with zero steal operations", workers, res.StolenTasks)
+		if res.StolenTasks < 0 || res.StolenTasks > got {
+			t.Errorf("workers=%d: StolenTasks=%d outside [0, %d]", workers, res.StolenTasks, got)
 		}
 	}
 }

@@ -198,21 +198,20 @@ type Result struct {
 	// sequential algorithm).  The experiments use it to report load-balance
 	// skew across workers.
 	WorkerMetrics []metrics.Snapshot
-	// WorkerTasks[i] is the number of sub-join tasks worker i executed (its
-	// own region queue plus any runs it stole); it is aligned with
-	// WorkerMetrics.
+	// WorkerTasks[i] is the number of sub-join tasks worker i executed; it
+	// is aligned with WorkerMetrics.
 	WorkerTasks []int
-	// WorkerSteals[i] is the number of successful steal operations worker i
-	// performed as a thief (all zero under PartitionSpatial).
-	WorkerSteals []int
-	// StolenTasks is the total number of tasks that changed owners through
-	// stealing (zero under PartitionSpatial).
+	// StolenTasks is the number of tasks a worker ran that the spatial
+	// schedule had given another worker: under PartitionStealing, the tasks
+	// a worker took from the shared cursor outside its own run; always zero
+	// under PartitionSpatial.
 	StolenTasks int
-	// WorkerEstSeconds[i] is the cost-model estimate of worker i's spatial
-	// schedule (the sum of its tasks' estimates).  Comparing it against the
-	// measured per-worker costs gives the estimator's error; under
-	// PartitionStealing it describes the initial queues, before any run-time
-	// rebalancing.
+	// WorkerEstSeconds[i] is the cost-model estimate of worker i's run in
+	// the spatial schedule (the sum of its tasks' estimates).  Under
+	// PartitionSpatial it is the worker's predicted load, and comparing it
+	// against the measured per-worker costs gives the estimator's error;
+	// under PartitionStealing it describes the planned split, not the tasks
+	// each worker took from the shared cursor.
 	WorkerEstSeconds []float64
 	// PlanMetrics is the planning-only slice of Metrics for a ParallelJoin:
 	// the root and split reads plus the qualifying-pair comparisons charged
@@ -222,16 +221,13 @@ type Result struct {
 	PlanMetrics metrics.Snapshot
 }
 
-// workerSkew folds one value per worker with fn and returns max/mean over
+// maxOverMean folds one integer value per worker and returns max/mean over
 // the workers (1.0 = perfectly balanced), or 0 when there are no workers or
 // the values sum to zero.
-func (r *Result) workerSkew(fn func(metrics.Snapshot) int64) float64 {
-	if len(r.WorkerMetrics) == 0 {
-		return 0
-	}
+func maxOverMean[T any](workers []T, value func(T) int64) float64 {
 	var sum, max int64
-	for _, m := range r.WorkerMetrics {
-		v := fn(m)
+	for _, w := range workers {
+		v := value(w)
 		sum += v
 		if v > max {
 			max = v
@@ -240,41 +236,28 @@ func (r *Result) workerSkew(fn func(metrics.Snapshot) int64) float64 {
 	if sum == 0 {
 		return 0
 	}
-	return float64(max) * float64(len(r.WorkerMetrics)) / float64(sum)
+	return float64(max) * float64(len(workers)) / float64(sum)
 }
 
 // TaskSkew returns max/mean of the per-worker task counts of a ParallelJoin
 // (1.0 = perfectly balanced, 0 for sequential results).
 func (r *Result) TaskSkew() float64 {
-	if len(r.WorkerTasks) == 0 {
-		return 0
-	}
-	var sum, max int
-	for _, n := range r.WorkerTasks {
-		sum += n
-		if n > max {
-			max = n
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	return float64(max) * float64(len(r.WorkerTasks)) / float64(sum)
+	return maxOverMean(r.WorkerTasks, func(n int) int64 { return int64(n) })
 }
 
 // ComparisonSkew returns max/mean of the per-worker join comparisons.
 func (r *Result) ComparisonSkew() float64 {
-	return r.workerSkew(func(m metrics.Snapshot) int64 { return m.Comparisons })
+	return maxOverMean(r.WorkerMetrics, func(m metrics.Snapshot) int64 { return m.Comparisons })
 }
 
 // DiskSkew returns max/mean of the per-worker disk accesses.
 func (r *Result) DiskSkew() float64 {
-	return r.workerSkew(func(m metrics.Snapshot) int64 { return m.DiskAccesses() })
+	return maxOverMean(r.WorkerMetrics, func(m metrics.Snapshot) int64 { return m.DiskAccesses() })
 }
 
 // PairSkew returns max/mean of the per-worker reported pairs.
 func (r *Result) PairSkew() float64 {
-	return r.workerSkew(func(m metrics.Snapshot) int64 { return m.PairsReported })
+	return maxOverMean(r.WorkerMetrics, func(m metrics.Snapshot) int64 { return m.PairsReported })
 }
 
 // TimeSkew returns max/mean of the per-worker estimated execution times
@@ -488,11 +471,12 @@ type executor struct {
 }
 
 // stopped reports whether the traversal should unwind: its context fired,
-// or a physical page read failed.  Either way Join returns an error and no
-// Result, so the traversal polls it once per node pair and neither reads
-// further pages nor hands an OnPair observer further pairs.
+// or a physical page read failed — in a ParallelJoin, any worker's, through
+// the halt flag the workers' trackers share.  Either way the join returns an
+// error and no Result, so the traversal polls it once per node pair and
+// neither reads further pages nor hands an OnPair observer further pairs.
 func (e *executor) stopped() bool {
-	return e.cancel.cancelled() || e.tracker.ReadErr() != nil
+	return e.cancel.cancelled() || e.tracker.Halted()
 }
 
 // emit reports one result pair.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/buffer"
 	"repro/internal/geom"
@@ -24,11 +25,13 @@ type ParallelOptions struct {
 	// Workers is clamped to the number of tasks, so small joins never spin up
 	// idle goroutines with starved buffer partitions.
 	Workers int
-	// Strategy selects whether workers steal.  The default,
-	// PartitionStealing, rebalances the spatial region queues at run time
-	// for wall clock; PartitionSpatial runs the schedule as planned, which
-	// makes the per-worker snapshots reproducible and the cost-model speedup
-	// of a simulated N-worker execution meaningful on any machine.
+	// Strategy selects how workers take the tasks of the spatial schedule.
+	// The default, PartitionStealing, has every worker take the next task
+	// of the whole schedule from one shared cursor, so a worker is idle only
+	// once no task is left; PartitionSpatial has each worker run its own
+	// part of the schedule, which makes the per-worker snapshots
+	// reproducible and the cost-model speedup of a simulated N-worker
+	// execution meaningful on any machine.
 	Strategy PartitionStrategy
 	// MinTasksPerWorker, when above 1, makes the planner keep splitting
 	// tasks one level deeper until it has at least MinTasksPerWorker tasks
@@ -38,9 +41,8 @@ type ParallelOptions struct {
 	// the spatial schedule balance load and give each worker enough
 	// neighbouring tasks to share subtrees.  0 or 1 keeps the default:
 	// split only while there are fewer tasks than workers.  The split
-	// rounds themselves run on the worker goroutines (restriction and
-	// plane-sweep in parallel, I/O charged deterministically afterwards), so
-	// fine granularities no longer make planning the critical-path floor.
+	// rounds run on the calling goroutine before any worker starts, so a
+	// fine granularity lengthens the serial planning phase.
 	MinTasksPerWorker int
 }
 
@@ -62,6 +64,7 @@ type parallelWorker struct {
 	tracker *buffer.Tracker
 	pairs   []Pair
 	tasks   int
+	stolen  int // tasks the spatial schedule gave another worker
 }
 
 var parallelWorkerPool sync.Pool
@@ -108,7 +111,6 @@ func getParallelWorker(bufferBytes, pageSize int, usePathBuffer bool) *parallelW
 	w.lru.ReconfigureForBytes(bufferBytes, pageSize)
 	w.tracker.Reconfigure(w.col, pageSize, usePathBuffer)
 	w.pairs = w.pairs[:0]
-	w.tasks = 0
 	return w
 }
 
@@ -118,18 +120,25 @@ func getParallelWorker(bufferBytes, pageSize int, usePathBuffer bool) *parallelW
 // parallel execution the paper lists as future work (section 6, referring to
 // parallel R-trees); it is an extension beyond the published algorithms.
 //
-// The execution is contention-free in steady state: every worker owns its
-// collector, its LRU buffer, its result buffer and its queue of
-// Hilbert-contiguous regions (scheduleSpatial), which only a thief touches
-// besides the owner.  Worker state is resident: collectors, LRU frame pools,
-// trackers and pair buffers are recycled through a pool across joins, so
-// repeated joins reach a steady state without per-run buffer construction.
+// The execution shares one thing in steady state: under PartitionStealing,
+// the cursor over the schedule's Hilbert-contiguous regions
+// (scheduleSpatial), one atomic add per task.  Every worker owns its
+// collector, its LRU buffer and its result buffer; under PartitionSpatial it
+// also owns its run of regions.  Worker state is resident: collectors, LRU
+// frame pools, trackers and pair buffers are recycled through a pool across
+// joins, so repeated joins reach a steady state without per-run buffer
+// construction.
 // The per-worker results and counters are merged into the shared result
 // exactly once at the end, and the per-worker snapshots are published as
 // Result.WorkerMetrics / Result.WorkerTasks for load-balance diagnostics.
 // When the root fan-out is smaller than the worker count, the planner splits
 // the qualifying pairs one level deeper (repeatedly, while it helps) so
 // every worker has work to do.
+//
+// A physical read fault in any worker stops every worker at its next node
+// pair, as it stops Join: the workers read no further pages, take no
+// further tasks and hand OnPair no further pairs, and the join returns the
+// wrapped error and no Result.
 //
 // The result set is identical to the sequential join; the order of the
 // materialised pairs depends on the scheduling (SortPairs restores a
@@ -249,14 +258,14 @@ func ParallelJoin(r, s *rtree.Tree, popts ParallelOptions) (*Result, error) {
 	if popts.MinTasksPerWorker > 1 {
 		minTasks = workers * popts.MinTasksPerWorker
 	}
-	var scratches []*splitScratch
+	var sc splitScratch
 	for len(tasks) > 0 && len(tasks) < minTasks && !watch.cancelled() {
 		var split []parallelTask
 		var ok bool
 		if knn {
 			split, ok = splitTasksKNN(r, tasks, planTracker)
 		} else {
-			split, ok = splitTasksParallel(r, s, tasks, planTracker, &plan, workers, &scratches, eps)
+			split, ok = splitTasks(r, s, tasks, planTracker, &plan, &sc, eps)
 		}
 		if !ok {
 			break
@@ -286,27 +295,32 @@ func ParallelJoin(r, s *rtree.Tree, popts ParallelOptions) (*Result, error) {
 	// The estimator reads only the trees' catalog statistics, never the
 	// unvisited child pages, so estimation charges no I/O.  The estimates are
 	// (io, cpu) vectors: the region packing balances the components
-	// separately, while the queue loads use the io+cpu totals.
+	// separately, while the per-worker estimates use the io+cpu totals.
 	vecs := newTaskEstimator(r, s, opts.Predicate).vectors(tasks)
 	est := scalars(vecs)
 	schedule := scheduleSpatial(r, s, tasks, vecs, workers)
 	// Publish the predicted per-worker loads of the schedule so the
 	// experiments can report estimator error against the measured per-worker
-	// costs; under stealing they describe the initial queues.
+	// costs.  The schedule's runs are concatenated in worker order: worker
+	// w's own run is order[bounds[w]:bounds[w+1]].  Under spatial a worker
+	// walks its own run; under stealing every worker takes the next position
+	// of the whole concatenation from one shared cursor.
 	res.WorkerEstSeconds = make([]float64, workers)
-	for w, idxs := range schedule {
-		for _, i := range idxs {
+	order := make([]int32, 0, len(tasks))
+	bounds := make([]int, workers+1)
+	for w, run := range schedule {
+		for _, i := range run {
 			res.WorkerEstSeconds[w] += est[i]
 		}
+		order = append(order, run...)
+		bounds[w+1] = len(order)
 	}
-	// The schedule becomes the workers' region queues; from here on a steal
-	// may move task runs between queues, so the schedule slices must no
-	// longer be read.  Without a flight tracker nobody steals.
-	queues := newStealQueues(schedule, est)
-	var flight *stealFlight
-	if popts.Strategy == PartitionStealing {
-		flight = newStealFlight()
-	}
+	shared := popts.Strategy == PartitionStealing
+	var cursor atomic.Int64
+	// halt is the join-wide stop every worker's tracker shares: the tracker
+	// whose physical read fails trips it, and from then on no worker reads a
+	// page or takes a task (executor.stopped).
+	var halt atomic.Bool
 	perWorkerBuffer := opts.BufferBytes / workers
 	if opts.BufferBytes > 0 && perWorkerBuffer < r.PageSize() {
 		// A configured buffer smaller than one page per worker would silently
@@ -333,6 +347,7 @@ func ParallelJoin(r, s *rtree.Tree, popts ParallelOptions) (*Result, error) {
 	for w := 0; w < workers; w++ {
 		ws[w] = getParallelWorker(perWorkerBuffer, r.PageSize(), opts.UsePathBuffer)
 		attachReaders(ws[w].tracker, r, s, opts)
+		ws[w].tracker.SetHalt(&halt)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -352,21 +367,25 @@ func ParallelJoin(r, s *rtree.Tree, popts ParallelOptions) (*Result, error) {
 				eps:     eps,
 				eps2:    eps * eps,
 			}
-			// Consume the owned region queue front to back; once it drains,
-			// a stealing worker refills it with the tail half of the
-			// most-loaded victim's queue (see stealing.go).
-			q := queues[w]
-			var stealBuf []int32
-			for !watch.cancelled() {
-				i, ok := q.pop(est)
-				if !ok {
-					if flight == nil || !steal(queues, w, &stealBuf, est, flight) {
-						break
-					}
-					continue
+			lo, hi := bounds[w], bounds[w+1]
+			p, end := lo, hi
+			if shared {
+				end = len(order)
+			}
+			var ran, stolen int
+			for !e.stopped() {
+				if shared {
+					p = int(cursor.Add(1)) - 1
 				}
-				worker.tasks++
-				t := tasks[i]
+				if p >= end {
+					break
+				}
+				if p < lo || p >= hi {
+					stolen++
+				}
+				t := tasks[order[p]]
+				p++
+				ran++
 				if knn {
 					// The best-first traversal reads its pages on pop,
 					// including the task's two subtree roots.
@@ -389,17 +408,13 @@ func ParallelJoin(r, s *rtree.Tree, popts ParallelOptions) (*Result, error) {
 			}
 			e.local.FlushTo(worker.col)
 			arenaPool.Put(ar)
+			worker.tasks, worker.stolen = ran, stolen
 			worker.pairs = e.pairs
 			workerCounts[w] = e.count
 		}(w)
 	}
 	wg.Wait()
 
-	res.WorkerSteals = make([]int, workers)
-	for w, q := range queues {
-		res.WorkerSteals[w] = q.steals
-		res.StolenTasks += q.stolenTasks
-	}
 	res.WorkerMetrics = make([]metrics.Snapshot, workers)
 	res.WorkerTasks = make([]int, workers)
 	var readErr error
@@ -407,6 +422,7 @@ func ParallelJoin(r, s *rtree.Tree, popts ParallelOptions) (*Result, error) {
 		worker := ws[w]
 		res.WorkerMetrics[w] = worker.col.Snapshot()
 		res.WorkerTasks[w] = worker.tasks
+		res.StolenTasks += worker.stolen
 		if err := worker.tracker.ReadErr(); err != nil && readErr == nil {
 			readErr = err
 		}
@@ -457,12 +473,13 @@ type splitScratch struct {
 	pairs          []sweep.Pair
 }
 
-// expandTasks is the CPU half of one split round over a contiguous chunk of
-// the task list: every task whose two subtrees are directory nodes is
-// replaced by the qualifying pairs of their children, charging the
-// restriction and sweep comparisons to plan but performing no I/O
-// accounting (the reads, and the sorts they pay for, are chargeSplitReads').
-// It appends to out and reports whether anything was split.
+// splitTasks runs one split round: every task whose two subtrees are
+// directory nodes is replaced by the qualifying pairs of their children.  It
+// reports false when nothing could be split (all tasks reference leaf
+// nodes), in which case the task list is returned unchanged.  The two nodes
+// of an expanded task are read through the plan tracker in task order, and
+// the restriction and sweep comparisons are charged to plan (but no
+// PairsTested accounting).
 //
 // The qualifying child pairs are found the way the CPU-tuned sequential
 // algorithms find them — restrict both nodes' xl-orders to the parents'
@@ -473,11 +490,9 @@ type splitScratch struct {
 // Splitting preserves the result set: a child pair whose rectangles do not
 // intersect cannot contribute any result, and the search-space restriction
 // never removes entries that take part in an intersecting pair.
-func expandTasks(tasks []parallelTask, sc *splitScratch, plan *metrics.Local, out []parallelTask, eps float64) ([]parallelTask, bool) {
+func splitTasks(r, s *rtree.Tree, tasks []parallelTask, tracker *buffer.Tracker, plan *metrics.Local, sc *splitScratch, eps float64) ([]parallelTask, bool) {
 	split := false
-	if out == nil {
-		out = make([]parallelTask, 0, 2*len(tasks))
-	}
+	out := make([]parallelTask, 0, 2*len(tasks))
 	for _, t := range tasks {
 		if t.er.Child.IsLeaf() || t.es.Child.IsLeaf() {
 			out = append(out, t)
@@ -489,6 +504,8 @@ func expandTasks(tasks []parallelTask, sc *splitScratch, plan *metrics.Local, ou
 		}
 		split = true
 		nr, ns := t.er.Child, t.es.Child
+		readSorted(r, tracker, nr, plan)
+		readSorted(s, tracker, ns, plan)
 		sc.rIdx, sc.rRects = restrictSorted(nr, &inter, eps, sc.rIdx[:0], sc.rRects[:0], plan)
 		sc.sIdx, sc.sRects = restrictSorted(ns, &inter, 0, sc.sIdx[:0], sc.sRects[:0], plan)
 		sc.pairs = sweep.AppendPairs(sc.rRects, sc.sRects, plan, sc.pairs[:0])
@@ -496,36 +513,9 @@ func expandTasks(tasks []parallelTask, sc *splitScratch, plan *metrics.Local, ou
 			out = append(out, parallelTask{er: nr.Entries[sc.rIdx[p.R]], es: ns.Entries[sc.sIdx[p.S]]})
 		}
 	}
-	return out, split
-}
-
-// chargeSplitReads is the I/O half of one split round: it charges the node
-// reads of every expanded task to the plan tracker serially, in task order —
-// exactly the access sequence the sequential split performed — so the
-// planning I/O accounting, and the sorts charged on its counted reads, are
-// bit-identical no matter how many goroutines ran the CPU half.
-func chargeSplitReads(r, s *rtree.Tree, tasks []parallelTask, tracker *buffer.Tracker, plan *metrics.Local, eps float64) {
-	for _, t := range tasks {
-		if t.er.Child.IsLeaf() || t.es.Child.IsLeaf() {
-			continue
-		}
-		if !expandEps(t.er.Rect, eps).Intersects(t.es.Rect) {
-			continue
-		}
-		readSorted(r, tracker, t.er.Child, plan)
-		readSorted(s, tracker, t.es.Child, plan)
-	}
-}
-
-// splitTasks runs one split round on a single goroutine.  It reports false
-// when nothing could be split (all tasks reference leaf nodes), in which
-// case the task list is returned unchanged.
-func splitTasks(r, s *rtree.Tree, tasks []parallelTask, tracker *buffer.Tracker, plan *metrics.Local, sc *splitScratch, eps float64) ([]parallelTask, bool) {
-	out, split := expandTasks(tasks, sc, plan, nil, eps)
 	if !split {
 		return tasks, false
 	}
-	chargeSplitReads(r, s, tasks, tracker, plan, eps)
 	return out, true
 }
 
@@ -551,61 +541,6 @@ func splitTasksKNN(r *rtree.Tree, tasks []parallelTask, tracker *buffer.Tracker)
 	}
 	if !split {
 		return tasks, false
-	}
-	return out, true
-}
-
-// planChunkMinTasks is the smallest chunk worth a planning goroutine; finer
-// chunks would spend more on spawning than on the restriction sweeps.
-const planChunkMinTasks = 16
-
-// splitTasksParallel runs one split round with the restriction and
-// plane-sweep work fanned out over up to workers goroutines, each with its
-// own scratch and local counters (grown in scratches and reused across
-// rounds).  The deterministic parts of the plan are preserved exactly: the
-// output task order equals the sequential round's (chunks are contiguous and
-// concatenated in order), the comparison counters are order-independent
-// sums, and the I/O is charged serially in task order afterwards, so plan
-// metrics are bit-identical to the single-goroutine round
-// (TestParallelPlanningMatchesSequential pins this).  This closes the
-// planning critical-path floor: at fine MinTasksPerWorker granularities the
-// split rounds dominated planning and ran on one goroutine only.
-func splitTasksParallel(r, s *rtree.Tree, tasks []parallelTask, tracker *buffer.Tracker, plan *metrics.Local, workers int, scratches *[]*splitScratch, eps float64) ([]parallelTask, bool) {
-	chunks := workers
-	if max := len(tasks) / planChunkMinTasks; chunks > max {
-		chunks = max
-	}
-	for len(*scratches) < chunks || len(*scratches) == 0 {
-		*scratches = append(*scratches, &splitScratch{})
-	}
-	if chunks <= 1 {
-		return splitTasks(r, s, tasks, tracker, plan, (*scratches)[0], eps)
-	}
-	outs := make([][]parallelTask, chunks)
-	locals := make([]metrics.Local, chunks)
-	splits := make([]bool, chunks)
-	var wg sync.WaitGroup
-	for c := 0; c < chunks; c++ {
-		lo, hi := c*len(tasks)/chunks, (c+1)*len(tasks)/chunks
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			outs[c], splits[c] = expandTasks(tasks[lo:hi], (*scratches)[c], &locals[c], nil, eps)
-		}(c, lo, hi)
-	}
-	wg.Wait()
-	split := false
-	for c := range locals {
-		split = split || splits[c]
-		plan.Comparisons += locals[c].Comparisons
-	}
-	if !split {
-		return tasks, false
-	}
-	chargeSplitReads(r, s, tasks, tracker, plan, eps)
-	out := outs[0]
-	for _, o := range outs[1:] {
-		out = append(out, o...)
 	}
 	return out, true
 }

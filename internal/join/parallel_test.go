@@ -126,7 +126,7 @@ func TestParallelWorkers1MatchesSequentialDiskAccesses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// With one worker the stealing strategy has no victims, so it
+			// With one worker the shared queue is the worker's own run, so it
 			// degenerates to the spatial schedule and the same bounds apply.
 			for _, strategy := range PartitionStrategies {
 				par, err := ParallelJoin(r, s, ParallelOptions{Options: opts, Workers: 1, Strategy: strategy})
@@ -187,44 +187,6 @@ func TestParallelPlanningChargesNodesOnce(t *testing.T) {
 	}
 }
 
-// TestParallelPlanningMatchesSequential pins the parallelised split rounds:
-// fanning the restriction+plane-sweep work over worker goroutines must not
-// change the plan by a single counter.  Both runs below reach the same
-// minimum task count (workers * MinTasksPerWorker = 64), so they perform the
-// same split rounds — one on a single goroutine, one fanned out — and their
-// planning metrics must be bit-identical (comparisons are order-independent
-// sums and the I/O is charged serially in task order).
-func TestParallelPlanningMatchesSequential(t *testing.T) {
-	r, s, _, _ := buildPair(t, 4000, 4000, storage.PageSize1K)
-	opts := Options{Method: SJ4, BufferBytes: 128 << 10, UsePathBuffer: true, DiscardPairs: true}
-	one, err := ParallelJoin(r, s, ParallelOptions{
-		Options: opts, Workers: 1, Strategy: PartitionSpatial, MinTasksPerWorker: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	many, err := ParallelJoin(r, s, ParallelOptions{
-		Options: opts, Workers: 8, Strategy: PartitionSpatial, MinTasksPerWorker: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.PlanMetrics != many.PlanMetrics {
-		t.Errorf("plan metrics differ between 1 and 8 planning goroutines:\n1: %+v\n8: %+v",
-			one.PlanMetrics, many.PlanMetrics)
-	}
-	oneTasks, manyTasks := 0, 0
-	for _, n := range one.WorkerTasks {
-		oneTasks += n
-	}
-	for _, n := range many.WorkerTasks {
-		manyTasks += n
-	}
-	if oneTasks != manyTasks {
-		t.Errorf("task lists differ: %d vs %d tasks", oneTasks, manyTasks)
-	}
-}
-
 // TestSpatialPartitionIsHostIndependent pins why PartitionSpatial survives
 // next to stealing: its per-worker split is a property of the plan, not of
 // the host.  Eight workers on one core and on four, twice each, must report
@@ -263,7 +225,7 @@ func TestSpatialPartitionIsHostIndependent(t *testing.T) {
 }
 
 // TestWorkerBufferHitRatesNaNFree pins the divide-by-zero fix: a worker with
-// no node accesses (an empty region — all its tasks stolen, or only
+// no node accesses (one that took no task from the shared queue, or only
 // non-intersecting pairs) must report hit rate 0, not NaN, both per worker
 // and in the aggregate.
 func TestWorkerBufferHitRatesNaNFree(t *testing.T) {
@@ -301,7 +263,7 @@ func TestWorkerBufferHitRatesNaNFree(t *testing.T) {
 	}
 
 	// End to end: a real stealing run must produce finite rates for every
-	// worker even when steals leave some queue empty.
+	// worker, however the shared queue split the tasks.
 	r, s, _, _ := buildPair(t, 1500, 1500, storage.PageSize1K)
 	res2, err := ParallelJoin(r, s, ParallelOptions{
 		Options:           Options{Method: SJ4, BufferBytes: 32 << 10, DiscardPairs: true},

@@ -12,23 +12,24 @@ import (
 )
 
 // PartitionStrategy selects how ParallelJoin runs the planned sub-join tasks.
-// Both strategies start from the same schedule — every worker owns one queue
-// of Hilbert-contiguous regions (scheduleSpatial) — and share one worker loop;
-// they differ only in whether a worker whose queue drains may steal.
+// Both strategies start from the same schedule — one run of
+// Hilbert-contiguous regions per worker (scheduleSpatial) — and share one
+// worker loop; they differ only in where a worker takes its next task.
 type PartitionStrategy int
 
 const (
-	// PartitionStealing, the default, lets a worker whose region queue
-	// drains steal half of the *tail* of the queue with the largest
-	// remaining estimated load.  Tail-stealing keeps the victim's Hilbert
-	// prefix intact, so locality degrades by one region split per steal,
-	// while the stealing supplies the wall-clock load balance no static cut
-	// can guarantee.  The result set is identical to the sequential join;
-	// the per-worker split (and therefore the worker snapshots) depends on
-	// runtime scheduling.  Judge it by wall clock.
+	// PartitionStealing, the default, concatenates the workers' runs in
+	// worker order and lets every worker take the next task from one shared
+	// atomic cursor, so no worker idles while a task is left: the
+	// wall-clock balance no static cut can guarantee.  Consecutive tasks
+	// stay Hilbert neighbours, but the workers interleave on them, so each
+	// private buffer sees less reuse than under PartitionSpatial.  The
+	// result set is identical to the sequential join; the per-worker split
+	// (and therefore the worker snapshots) depends on runtime scheduling.
+	// Judge it by wall clock.  (The name predates the shared cursor.)
 	PartitionStealing PartitionStrategy = iota
-	// PartitionSpatial is the same loop with stealing switched off: each
-	// worker runs exactly the regions the spatial schedule gave it.  Tasks
+	// PartitionSpatial has each worker run exactly the regions the spatial
+	// schedule gave it, in order.  Tasks
 	// that share a subtree have nearby intersection centres, so they land
 	// on the same worker and its private LRU partition gets reuse — the
 	// shared-nothing region assignment the paper's future-work section

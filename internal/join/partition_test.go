@@ -213,98 +213,6 @@ func TestContiguousSplitProperties(t *testing.T) {
 	}
 }
 
-// TestStealQueueProperties drives one queue with an arbitrary interleaving
-// of owner pops and tail steals (testing/quick) and checks the tail-stealing
-// invariants: the owner always consumes a prefix of the original run in
-// order, every stolen run is a contiguous tail of the victim's remainder in
-// original order, no task is ever delivered twice, and pops plus steals
-// together deliver every task exactly once.
-func TestStealQueueProperties(t *testing.T) {
-	f := func(sizeSeed uint16, ops []bool) bool {
-		n := 1 + int(sizeSeed)%300
-		est := make([]float64, n)
-		orig := make([]int32, n)
-		for i := range orig {
-			est[i] = 1 + float64(i%7)
-			orig[i] = int32(n - 1 - i) // arbitrary task ids, not positions
-		}
-		q := &stealQueue{tasks: append([]int32(nil), orig...)}
-		flight := newStealFlight()
-		var load float64
-		for _, i := range orig {
-			load += est[i]
-		}
-		q.setLoadLocked(load)
-
-		delivered := make(map[int32]int, n)
-		popped := 0
-		var stolen [][]int32
-		var buf []int32
-		for _, stealOp := range ops {
-			if stealOp {
-				run, _ := q.stealTail(buf, est, flight)
-				if len(run) > 0 {
-					cp := append([]int32(nil), run...)
-					stolen = append(stolen, cp)
-					for _, i := range cp {
-						delivered[i]++
-					}
-				}
-				buf = run
-			} else {
-				i, ok := q.pop(est)
-				if !ok {
-					continue
-				}
-				// Owner pops must walk the original prefix in order.
-				if i != orig[popped] {
-					return false
-				}
-				delivered[i]++
-				popped++
-			}
-		}
-		// Drain the queue; the remainder plus everything delivered must be
-		// the original run, each task exactly once.
-		for {
-			i, ok := q.pop(est)
-			if !ok {
-				break
-			}
-			if i != orig[popped] {
-				return false
-			}
-			delivered[i]++
-			popped++
-		}
-		// Stolen runs are contiguous tails in original order: each steal
-		// removed the tail of the then-remainder, so the last steal sits
-		// closest to the popped prefix and concatenating the runs in reverse
-		// steal order must reconstruct orig[popped:] exactly.
-		tail := make([]int32, 0, n-popped)
-		for s := len(stolen) - 1; s >= 0; s-- {
-			tail = append(tail, stolen[s]...)
-		}
-		if len(tail) != n-popped {
-			return false
-		}
-		for k, i := range tail {
-			if orig[popped+k] != i {
-				return false
-			}
-		}
-		for _, i := range orig {
-			if delivered[i] != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPartitionStrategyString(t *testing.T) {
 	want := map[PartitionStrategy]string{
 		PartitionStealing:     "stealing",

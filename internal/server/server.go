@@ -118,8 +118,8 @@ func (c Config) withDefaults() Config {
 // JoinRequest is one query: join the current snapshot against S.  Every
 // request runs SJ4, the paper's recommended join (section 4.3).
 type JoinRequest struct {
-	// Workers > 1 runs a ParallelJoin (the default stealing scheduler) with
-	// that many workers, clamped to GOMAXPROCS.
+	// Workers > 1 runs a ParallelJoin (the default shared-queue strategy)
+	// with that many workers, clamped to GOMAXPROCS.
 	Workers int
 	// Predicate selects the join condition; the zero value is intersection.
 	Predicate join.Predicate

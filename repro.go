@@ -154,15 +154,16 @@ func TreeJoin(r, s *RTree, opts JoinOptions) (*JoinResult, error) { return join.
 // ParallelJoinOptions configures ParallelTreeJoin.
 type ParallelJoinOptions = join.ParallelOptions
 
-// PartitionStrategy selects whether ParallelTreeJoin's workers steal.
+// PartitionStrategy selects how ParallelTreeJoin's workers take their tasks.
 type PartitionStrategy = join.PartitionStrategy
 
-// Partition strategies.  Both give every worker a queue of Hilbert-ordered,
-// contiguous spatial regions packed on cost-model estimates.
-// StealingPartition, the zero value, lets a worker whose queue drains steal
-// the tail half of the most-loaded queue: it balances wall clock, and its
-// per-worker split depends on the host.  SpatialPartition runs the regions as
-// planned: its per-worker split, and so every counted skew, is deterministic.
+// Partition strategies.  Both plan the same schedule: every worker gets a run
+// of Hilbert-ordered, contiguous spatial regions packed on cost-model
+// estimates.  StealingPartition, the zero value, has all workers take the
+// next task of the whole schedule from one shared queue: it balances wall
+// clock, and its per-worker split depends on the host.  SpatialPartition
+// has each worker run its own regions as planned: its per-worker split, and
+// so every counted skew, is deterministic.
 const (
 	StealingPartition = join.PartitionStealing
 	SpatialPartition  = join.PartitionSpatial

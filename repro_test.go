@@ -85,8 +85,8 @@ func TestFacadeStealingJoinAndCatalogStats(t *testing.T) {
 			t.Fatalf("pair %d differs: %v vs %v", i, par.Pairs[i], seq.Pairs[i])
 		}
 	}
-	if len(par.WorkerSteals) != len(par.WorkerMetrics) {
-		t.Fatalf("WorkerSteals has %d entries for %d workers", len(par.WorkerSteals), len(par.WorkerMetrics))
+	if len(par.WorkerTasks) != len(par.WorkerMetrics) {
+		t.Fatalf("WorkerTasks has %d entries for %d workers", len(par.WorkerTasks), len(par.WorkerMetrics))
 	}
 	for w, rate := range par.WorkerBufferHitRates() {
 		if rate != rate || rate < 0 || rate > 1 {

@@ -14,10 +14,10 @@ import (
 // while another absorbed the I/O.
 //
 // Only SpatialPartition is held to the bound.  Counted balance is the static
-// schedule's contract; stealing is judged by wall clock.  Without the
-// virtual-clock pacer its workers run at the host's pace, so 8 workers on a
-// 2-core host steal by who got the cores: its counted time skew read 2.7-4.2
-// there, while the spatial schedule reads 1.05 on any host.
+// schedule's contract; stealing is judged by wall clock.  Its workers take
+// tasks from the shared queue at the host's pace, so 8 workers on a 2-core
+// host split the tasks by who got the cores and its counted time skew is a
+// host measurement, while the spatial schedule reads 1.05 on any host.
 func TestLargeJoinVectorPackingSkew(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping 120k-rect tree family in -short mode")
