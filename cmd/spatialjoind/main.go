@@ -98,7 +98,7 @@ func parseFlags(args []string) (daemonConfig, error) {
 	fs.StringVar(&cfg.db, "db", "spatialjoin.db", "path of the pager-backed R relation")
 	fs.IntVar(&cfg.pageSize, "page", storage.PageSize4K, "page size in bytes")
 	fs.DurationVar(&cfg.roundEvery, "round", 500*time.Millisecond, "round ticker interval (0 disables; use POST /round)")
-	fs.DurationVar(&cfg.deadline, "deadline", 10*time.Second, "default per-request deadline")
+	fs.DurationVar(&cfg.deadline, "deadline", 10*time.Second, "default per-request deadline; also the time a client gets to send a request's header")
 	fs.IntVar(&cfg.maxInflight, "max-inflight", 64, "admission slots before shedding")
 	fs.DurationVar(&cfg.costBudget, "cost-budget", 30*time.Second, "estimated-cost budget before shedding (negative disables)")
 	fs.IntVar(&cfg.cacheBytes, "cache", 1<<20, "per-epoch page cache in bytes (0 disables)")
@@ -134,7 +134,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	defer closeStorage()
 
 	handler := server.NewHandler(srv, server.HandlerConfig{Shard: cfg.shard})
-	httpSrv := &http.Server{Addr: cfg.addr, Handler: handler}
+	// A client gets -deadline to send a request's header, so one that sends
+	// half a request line cannot hold a connection and a goroutine forever.
+	// Keep-alive waits between requests are not bounded by it.
+	httpSrv := &http.Server{Addr: cfg.addr, Handler: handler, ReadHeaderTimeout: cfg.deadline}
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err
@@ -153,7 +156,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			ln.Close()
 			return err
 		}
-		pprofSrv = &http.Server{Handler: pprofHandler()}
+		pprofSrv = &http.Server{Handler: pprofHandler(), ReadHeaderTimeout: cfg.deadline}
 		logger.Printf("profiles on http://%s/debug/pprof/", pln.Addr())
 	}
 

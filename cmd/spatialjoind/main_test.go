@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -332,6 +334,58 @@ func TestDaemonRunServesPprof(t *testing.T) {
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatalf("run: %v", err)
+	}
+}
+
+// TestDaemonBoundsHeaderReads: a client that sends half a request line
+// and nothing more is hung up on once -deadline has passed, on the join
+// listener and on the -pprof one, instead of holding a connection and a
+// goroutine for good.
+func TestDaemonBoundsHeaderReads(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := &syncBuffer{}
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-pprof", "127.0.0.1:0", "-db", filepath.Join(t.TempDir(), "r.db"),
+			"-s-items", "100", "-round", "0", "-deadline", "200ms"}, out)
+	}()
+	var addrs []string
+	for deadline := time.Now().Add(10 * time.Second); addrs == nil; time.Sleep(10 * time.Millisecond) {
+		join := regexp.MustCompile(`serving on (\S+)`).FindStringSubmatch(out.String())
+		prof := regexp.MustCompile(`profiles on http://([^/\s]+)`).FindStringSubmatch(out.String())
+		if join != nil && prof != nil {
+			addrs = []string{join[1], prof[1]}
+		} else if time.Now().After(deadline) {
+			t.Fatalf("no listen addresses logged: %q", out.String())
+		}
+	}
+	for _, addr := range addrs {
+		checkHalfHeaderClosed(t, addr)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("run: %v", err)
+	}
+}
+
+// checkHalfHeaderClosed sends half a request line to addr and requires the
+// server to close the connection within a second.
+func checkHalfHeaderClosed(t *testing.T, addr string) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /jo"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(time.Second))
+	_, err = io.Copy(io.Discard, conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("%s: the connection is still open %v after half a request line", addr, time.Since(start))
 	}
 }
 

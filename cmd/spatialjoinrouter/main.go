@@ -66,7 +66,7 @@ func parseFlags(args []string) (routerFlags, error) {
 	var shards string
 	fs.StringVar(&cfg.addr, "addr", ":7460", "listen address")
 	fs.StringVar(&shards, "shards", "", "comma-separated shard base URLs (ranges are learned from each shard's /stats)")
-	fs.DurationVar(&cfg.deadline, "deadline", 30*time.Second, "per-attempt shard request timeout")
+	fs.DurationVar(&cfg.deadline, "deadline", 30*time.Second, "per-attempt shard request timeout; also the time a client gets to send a request's header")
 	fs.IntVar(&cfg.retries, "retries", 3, "attempts per shard request before the shard counts as failed")
 	fs.DurationVar(&cfg.backoff, "backoff", 50*time.Millisecond, "first retry delay (doubles per attempt)")
 	fs.DurationVar(&cfg.maxRetryAfter, "max-retry-after", 2*time.Second, "cap on a shedding shard's honoured Retry-After")
@@ -174,7 +174,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		logger.Printf("shard %s owns %s", sh.URL, sh.Range)
 	}
 
-	httpSrv := &http.Server{Addr: cfg.addr, Handler: router.NewHandler(rt)}
+	// A client gets -deadline to send a request's header, so one that sends
+	// half a request line cannot hold a connection and a goroutine forever.
+	// Keep-alive waits between requests are not bounded by it.
+	httpSrv := &http.Server{Addr: cfg.addr, Handler: router.NewHandler(rt), ReadHeaderTimeout: cfg.deadline}
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err

@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -274,6 +277,48 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
+}
+
+// TestRouterBoundsHeaderReads: a client that sends half a request line
+// and nothing more is hung up on once -deadline has passed, instead of
+// holding a connection and a goroutine for good.
+func TestRouterBoundsHeaderReads(t *testing.T) {
+	sItems := []rtree.Item{{Rect: geom.Rect{XL: 0, YL: 0, XU: 1, YU: 1}, Data: 0}}
+	url := newShardDaemon(t, zorder.KeyRange{Lo: 0, Hi: zorder.KeySpace}, sItems)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := &syncBuffer{}
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-shards", url, "-deadline", "200ms"}, out)
+	}()
+	var addr string
+	for deadline := time.Now().Add(10 * time.Second); addr == ""; time.Sleep(10 * time.Millisecond) {
+		if m := regexp.MustCompile(`routing on (\S+)`).FindStringSubmatch(out.String()); m != nil {
+			addr = m[1]
+		} else if time.Now().After(deadline) {
+			t.Fatalf("no listen address logged: %q", out.String())
+		}
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /jo"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(time.Second))
+	_, err = io.Copy(io.Discard, conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("the connection is still open %v after half a request line", time.Since(start))
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("run: %v", err)
+	}
 }
 
 // TestRunDrainsOnSignal boots the real run() against a live shard, waits

@@ -2,9 +2,11 @@ package server
 
 import (
 	"math/rand"
+	"net/http"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/join"
 	"repro/internal/rtree"
 	"repro/internal/storage"
 )
@@ -85,5 +87,35 @@ func BenchmarkChurnRound(b *testing.B) {
 		if st.Applied != len(round) {
 			b.Fatalf("round applied %d of %d ops", st.Applied, len(round))
 		}
+	}
+}
+
+// discardWriter is an http.ResponseWriter that drops the body.
+type discardWriter struct{ header http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) WriteHeader(int)             {}
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+
+// BenchmarkPairEncoder encodes a streamed reply of 40 000 pairs, with ids
+// in the ledger's ranges, the way the /join handler does: pair by pair,
+// then close.  On more than one proc the writer goroutine encodes the
+// blocks; at GOMAXPROCS=1 the benchmark's own goroutine does.
+func BenchmarkPairEncoder(b *testing.B) {
+	rng := rand.New(rand.NewSource(73))
+	pairs := make([]join.Pair, 40000)
+	for i := range pairs {
+		pairs[i] = join.Pair{R: rng.Int31n(20000), S: 1_000_000 + rng.Int31n(20000)}
+	}
+	w := &discardWriter{header: http.Header{}}
+	b.SetBytes(int64(len(pairs)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := newPairEncoder(w, WireChunk)
+		for _, p := range pairs {
+			e.pair(p)
+		}
+		e.close(1, len(pairs), 0)
+		e.release()
 	}
 }

@@ -55,6 +55,11 @@ type JoinRequestWire struct {
 // fields known only at the end follow.  A kNN join, or one with Workers > 1,
 // sends its pairs sorted by (R, S): a parallel join's own order depends on
 // the schedule, and the router checks kNN answers one R at a time.
+//
+// The shard never encodes this struct: its pair codec (paircodec.go) writes
+// exactly json.NewEncoder(w).Encode's bytes for it, newline included, in
+// WireChunk writes, and the router reads them back with PairScanner.  The
+// struct is the codec's reference, and the client's decoding target.
 type JoinResponseWire struct {
 	Pairs   [][2]int32 `json:"pairs,omitempty"`
 	Epoch   uint64     `json:"epoch"`
@@ -184,14 +189,25 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 		if stream {
 			jr.OnPair = enc.pair
 		}
+		// A failed join stops the writer with its queue dropped, a finished
+		// one once the queue is sent; only then does the handler look at
+		// what left the process.
 		resp, err := srv.Join(ctx, jr)
+		if err != nil {
+			enc.halt()
+		}
 		if errors.Is(err, ErrTransient) && !enc.sent {
-			// The fault cut a stream that never left the buffer: run the
+			// The fault cut a stream that never left the process: run the
 			// join once more into a clean one, counting the cut attempt.
 			enc.reset()
 			if resp, err = srv.Join(ctx, jr); err == nil {
 				resp.Retries++
+			} else {
+				enc.halt()
 			}
+		}
+		if err == nil {
+			enc.drain()
 		}
 		if err == nil && enc.sent {
 			// The traversal sees its context through an asynchronous watch,
@@ -212,9 +228,7 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 		}
 		if !req.DiscardPairs && !stream {
 			join.SortPairs(resp.Pairs)
-			for _, p := range resp.Pairs {
-				enc.pair(p)
-			}
+			enc.sorted(resp.Pairs)
 		}
 		enc.close(resp.Epoch, resp.Count, resp.Retries)
 	})

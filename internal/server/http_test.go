@@ -185,7 +185,7 @@ func TestHandlerAbortsFailedStreams(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var fx *fixture
-			fx = newWideFixture(t, Config{DefaultDeadline: -1, Sleep: func(context.Context, time.Duration) {
+			fx = newStreamFixture(t, Config{DefaultDeadline: -1, Sleep: func(context.Context, time.Duration) {
 				if tc.heal {
 					fx.fs.SetScript(storage.FaultScript{})
 				}
@@ -243,7 +243,7 @@ func TestHandlerAbortsFailedStreams(t *testing.T) {
 // and the cut attempt counted as a retry.
 func TestHandlerRerunsUnsentStreams(t *testing.T) {
 	var fx *fixture
-	fx = newWideFixture(t, Config{Sleep: func(context.Context, time.Duration) {
+	fx = newStreamFixture(t, Config{Sleep: func(context.Context, time.Duration) {
 		fx.fs.SetScript(storage.FaultScript{})
 	}})
 	h := NewHandler(fx.srv, HandlerConfig{})
@@ -305,7 +305,7 @@ func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net:
 // the deadline, the join ends, and Close does not wait on it.
 func TestHandlerStalledClientReleasesJoin(t *testing.T) {
 	const deadline = 200 * time.Millisecond
-	fx := newWideFixture(t, Config{DefaultDeadline: deadline})
+	fx := newStreamFixture(t, Config{DefaultDeadline: deadline})
 	ln := newPipeListener()
 	hs := &http.Server{Handler: NewHandler(fx.srv, HandlerConfig{})}
 	go hs.Serve(ln)

@@ -2,11 +2,16 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"net/http"
+	"runtime"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/join"
@@ -26,75 +31,231 @@ import (
 // WireChunk is how many bytes of a /join body the shard, or the gateway,
 // gathers before it writes them to the connection.  A body of at most one
 // chunk goes out in one piece with its Content-Length; a larger one is sent
-// as it is encoded (chunked transfer), by the shard in chunks of exactly
-// this size.  Measured on the
-// ledger's sharded workload (EXPERIMENTS.md, "Stream the pair answer").
+// as it is encoded (chunked transfer), by the shard in writes of exactly
+// this size but the last, whichever goroutine encodes them.  Measured on
+// the ledger's sharded workload (EXPERIMENTS.md, "Stream the pair answer").
 const WireChunk = 32 << 10
 
-// encoderPool recycles encoders and their chunk buffers.
-var encoderPool = sync.Pool{New: func() any { return new(pairEncoder) }}
+// Pair blocks.  The join hands its pairs to the encoder in blocks of
+// blockPairs.  Past the first full block, on a host with a spare core, a
+// writer goroutine encodes and sends them while the traversal goes on.  The
+// ring is ringBlocks blocks (64 KiB), the one being filled among them: a
+// join that has filled them all waits for the writer, so a client that
+// stops reading still holds the join, as when the join wrote its own chunks.
+const (
+	blockPairs = 2048
+	ringBlocks = 4
+)
+
+// encoderPool recycles encoders with their chunk buffers and ring blocks.
+var encoderPool = sync.Pool{New: func() any {
+	e := &pairEncoder{
+		queue:   make(chan pairBlock, ringBlocks),
+		free:    make(chan []join.Pair, ringBlocks),
+		stopped: make(chan struct{}),
+	}
+	ring := make([]join.Pair, ringBlocks*blockPairs)
+	e.fill = ring[:0:blockPairs]
+	for k := blockPairs; k < len(ring); k += blockPairs {
+		e.free <- ring[k : k : k+blockPairs]
+	}
+	return e
+}}
+
+// pairBlock is a block on its way to the writer.  ring says it is one of the
+// encoder's own blocks, which comes back through free; a sorted reply's
+// block is a sub-slice of its pairs.  A block with no pairs stops the writer.
+type pairBlock struct {
+	pairs []join.Pair
+	ring  bool
+}
 
 // pairEncoder writes one /join response body while the pairs are still
-// arriving: pair appends one, close appends the fields that follow them and
+// arriving: pair takes one, close appends the fields that follow them and
 // writes the rest.  Pairs come first so that the fields known only at the
 // end of a join can follow them, and the bytes stay encoding/json's for the
 // struct.
 //
-// A chunk is written from inside the traversal, so a client that stops
+// pair only appends to a block.  A full block is encoded by one routine,
+// encode, which has two callers: the writer goroutine, started at the first
+// full block when GOMAXPROCS > 1, and otherwise the join's own goroutine.
+// One of them owns the ResponseWriter and the body state (buf, pairs, sent,
+// failed) at a time: the writer from its start until drain or halt stops
+// it, the handler before and after.  drain sends everything queued; halt
+// drops it.  The handler reads sent, and so chooses between a rerun and an
+// abort, only once the writer has stopped.
+//
+// A chunk may be written while the join runs, so a client that stops
 // reading must not hold the join there: from the first chunk on, writes
-// carry the join's deadline, and a failed write cancels the join.
+// carry the join's deadline, and a failed write cancels the join.  After
+// one, the writer keeps taking blocks without writing them, so the join
+// never waits on a dead writer.
 type pairEncoder struct {
 	w     http.ResponseWriter
 	chunk int
-	buf   []byte
-	pairs int
-	// sent reports whether a chunk has been written, which commits the
-	// response to 200 with no Content-Length.
-	sent bool
 	// deadline bounds every write once a chunk has gone out (zero: none);
 	// cancel, if set, is called when a write fails.
 	deadline time.Time
 	cancel   context.CancelFunc
+
+	// The body state, which the owner of w holds.
+	buf   []byte
+	pairs int
+	// sent reports whether a chunk has been written, which commits the
+	// response to 200 with no Content-Length; failed, that a write failed.
+	sent, failed bool
+
+	// The join's side: the block being filled, and whether the writer runs.
+	fill    []join.Pair
+	writing bool
+
+	// queue carries blocks to the writer, free brings ring blocks back, and
+	// stopped says the writer is gone.  drop, set by halt, makes the writer
+	// discard what is still queued.
+	queue   chan pairBlock
+	free    chan []join.Pair
+	stopped chan struct{}
+	drop    atomic.Bool
 }
 
 // newPairEncoder takes an encoder from the pool; release returns it.
 func newPairEncoder(w http.ResponseWriter, chunk int) *pairEncoder {
 	e := encoderPool.Get().(*pairEncoder)
-	*e = pairEncoder{w: w, chunk: chunk, buf: e.buf[:0]}
+	e.w, e.chunk = w, chunk
 	return e
 }
 
+// release stops the writer, dropping what it still holds, and returns the
+// encoder to the pool.
 func (e *pairEncoder) release() {
-	e.w, e.cancel = nil, nil
+	e.halt()
+	e.reset()
+	e.w, e.cancel, e.deadline = nil, nil, time.Time{}
+	e.sent, e.failed = false, false
 	encoderPool.Put(e)
 }
 
-// reset drops the pairs buffered so far; it is only valid before a chunk
-// has been written.
+// reset drops the pairs encoded so far.  It is valid only once the writer
+// has stopped and before a chunk has been written.
 func (e *pairEncoder) reset() {
 	e.buf, e.pairs = e.buf[:0], 0
 }
 
-// pair encodes one pair and writes every whole chunk buffered.
+// pair appends one pair to the block being filled and passes the block on
+// when it is full.
 func (e *pairEncoder) pair(p join.Pair) {
-	if e.pairs == 0 {
-		e.buf = append(e.buf, `{"pairs":[`...)
-	} else {
-		e.buf = append(e.buf, ',')
+	e.fill = append(e.fill, p)
+	if len(e.fill) == blockPairs {
+		e.fill = e.put(e.fill, true)
 	}
-	e.pairs++
-	e.buf = appendPair(e.buf, p.R, p.S)
-	if len(e.buf) >= e.chunk {
+}
+
+// sorted takes a sorted reply's pairs: whole blocks go on as sub-slices of
+// ps, with no copy, and the rest is encoded once the writer has stopped.
+func (e *pairEncoder) sorted(ps []join.Pair) {
+	for ; len(ps) >= blockPairs; ps = ps[blockPairs:] {
+		e.put(ps[:blockPairs:blockPairs], false)
+	}
+	e.drain()
+	e.encode(ps)
+}
+
+// put passes a full block on — to the writer, which it starts at the first
+// block when there is a spare core, or else straight to encode — and
+// returns the ring block to fill next (nil for a sorted reply's block).
+// With every ring block in flight it waits for the writer to free one.
+func (e *pairEncoder) put(b []join.Pair, ring bool) []join.Pair {
+	if !e.writing {
+		if runtime.GOMAXPROCS(0) == 1 {
+			e.encode(b)
+			return b[:0]
+		}
+		e.writing = true
+		go e.write()
+	}
+	e.queue <- pairBlock{pairs: b, ring: ring}
+	if !ring {
+		return nil
+	}
+	return <-e.free
+}
+
+// write is the writer goroutine: it encodes the queued blocks in order
+// until the block that stops it.
+func (e *pairEncoder) write() {
+	for {
+		b := <-e.queue
+		if b.pairs == nil {
+			e.stopped <- struct{}{}
+			return
+		}
+		if !e.drop.Load() {
+			e.encode(b.pairs)
+		}
+		if b.ring {
+			e.free <- b.pairs[:0]
+		}
+	}
+}
+
+// drain stops the writer once it has sent every block queued, then encodes
+// the block being filled.  The handler owns the ResponseWriter after it.
+func (e *pairEncoder) drain() {
+	e.stop()
+	e.encode(e.fill)
+	e.fill = e.fill[:0]
+}
+
+// halt stops the writer, dropping the blocks queued and the one being
+// filled.  The handler owns the ResponseWriter after it.
+func (e *pairEncoder) halt() {
+	e.drop.Store(true)
+	e.stop()
+	e.drop.Store(false)
+	e.fill = e.fill[:0]
+}
+
+func (e *pairEncoder) stop() {
+	if e.writing {
+		e.queue <- pairBlock{}
+		<-e.stopped
+		e.writing = false
+	}
+}
+
+// encode appends a block's pairs to the body and writes every whole chunk
+// buffered.
+func (e *pairEncoder) encode(ps []join.Pair) {
+	if len(ps) == 0 || e.failed {
+		return
+	}
+	buf := e.buf
+	if e.pairs == 0 {
+		buf = appendPair(append(buf, `{"pairs":[`...), ps[0].R, ps[0].S)
+		e.pairs, ps = 1, ps[1:]
+	}
+	for _, p := range ps {
+		buf = appendPair(append(buf, ','), p.R, p.S)
+		if len(buf) >= e.chunk {
+			e.buf = buf
+			e.flush()
+			buf = e.buf
+		}
+	}
+	e.buf = buf
+	e.pairs += len(ps)
+	if len(buf) >= e.chunk {
 		e.flush()
 	}
 }
 
-// close appends the trailing fields of
+// close encodes what is left of the pairs, appends the trailing fields of
 // JoinResponseWire{pairs, epoch, count, retries} and the encoder's newline,
 // then writes what is buffered: with its Content-Length when no chunk has
 // gone out and it fits in one, else as the body's last chunks.  Like the
 // struct's omitempty tags it leaves out a zero retries and an empty pairs.
 func (e *pairEncoder) close(epoch uint64, count, retries int) {
+	e.drain()
 	if e.pairs > 0 {
 		e.buf = append(e.buf, `],"epoch":`...)
 	} else {
@@ -128,6 +289,9 @@ func (e *pairEncoder) flush() {
 }
 
 func (e *pairEncoder) send(b []byte) {
+	if e.failed {
+		return
+	}
 	if !e.sent {
 		e.sent = true
 		if !e.deadline.IsZero() {
@@ -138,17 +302,79 @@ func (e *pairEncoder) send(b []byte) {
 		e.w.Header().Set("Content-Type", "application/json")
 		e.w.WriteHeader(http.StatusOK)
 	}
-	if _, err := e.w.Write(b); err != nil && e.cancel != nil {
-		e.cancel()
+	if _, err := e.w.Write(b); err != nil {
+		e.failed = true
+		if e.cancel != nil {
+			e.cancel()
+		}
 	}
 }
 
+// digitPairs[i] holds the two decimal digits of i < 100 in ASCII, the first
+// in the low byte, so four of them make eight digits of a little-endian
+// uint64.
+var digitPairs = func() (t [100]uint16) {
+	for i := range t {
+		t[i] = uint16('0'+i/10) | uint16('0'+i%10)<<8
+	}
+	return t
+}()
+
+// pow10 holds the powers of ten below 2^32.
+var pow10 = [...]uint32{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
+
+// maxPair is the longest pair, [-2147483648,-2147483648].
+const maxPair = 25
+
+// appendPair appends [r,s], each number as strconv.AppendInt writes it.
 func appendPair(dst []byte, r, s int32) []byte {
-	dst = append(dst, '[')
-	dst = strconv.AppendInt(dst, int64(r), 10)
-	dst = append(dst, ',')
-	dst = strconv.AppendInt(dst, int64(s), 10)
-	return append(dst, ']')
+	n := len(dst)
+	dst = slices.Grow(dst, maxPair)
+	b := dst[n : n+maxPair]
+	b[0] = '['
+	i := 1 + putInt32(b[1:], r)
+	b[i] = ','
+	i += 1 + putInt32(b[i+1:], s)
+	b[i] = ']'
+	return dst[:n+i+1]
+}
+
+// putInt32 writes v in decimal at the front of b and returns its length.
+// It stores eight digits at a time, leading zeros shifted out, so b must
+// hold eight bytes past where they start; a pair's maxPair bytes leave room
+// for both numbers.
+func putInt32(b []byte, v int32) int {
+	u, i := uint32(v), 0
+	if v < 0 {
+		u, b[0], i = -u, '-', 1 // MinInt32 too: its magnitude fits a uint32
+	}
+	if u >= 1e8 {
+		top := u / 1e8 // 1 to 42
+		if d := digitPairs[top]; top < 10 {
+			b[i], i = byte(d>>8), i+1
+		} else {
+			binary.LittleEndian.PutUint16(b[i:], d)
+			i += 2
+		}
+		binary.LittleEndian.PutUint64(b[i:], eightDigits(u-top*1e8))
+		return i + 8
+	}
+	n := bits.Len32(u) * 1233 >> 12 // log10(2) is about 1233/4096: n or n+1 digits
+	if u >= pow10[n] {
+		n++
+	}
+	n = max(n, 1)
+	binary.LittleEndian.PutUint64(b[i:], eightDigits(u)>>(64-8*n))
+	return i + n
+}
+
+// eightDigits is u < 10^8 as eight ASCII digits, leading zeros included,
+// the first in the low byte.
+func eightDigits(u uint32) uint64 {
+	hi := u / 1e4
+	lo := u - hi*1e4
+	a, b := hi/100, lo/100
+	return uint64(digitPairs[a]) | uint64(digitPairs[hi-a*100])<<16 | uint64(digitPairs[b])<<32 | uint64(digitPairs[lo-b*100])<<48
 }
 
 // PairScanner reads a shard's /join body as it arrives, chunk by chunk, and

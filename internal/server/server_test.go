@@ -46,21 +46,76 @@ type fixture struct {
 
 func newFixture(t testing.TB, cfg Config) *fixture {
 	t.Helper()
-	return newFixtureWithSide(t, cfg, 0.02)
+	return newSizedFixture(t, cfg, 400, 300, 0.02)
 }
 
 // newWideFixture's rectangles are five times as wide: its full join is
 // about 4 800 pairs, a /join body of several wire chunks.
 func newWideFixture(t testing.TB, cfg Config) *fixture {
 	t.Helper()
-	return newFixtureWithSide(t, cfg, 0.1)
+	return newSizedFixture(t, cfg, 400, 300, 0.1)
 }
 
-func newFixtureWithSide(t testing.TB, cfg Config, side float64) *fixture {
+// newStreamFixture is the fixture of the streaming-fault tests.  Its full
+// join streams many times the encoder's ring of pairs, so the first chunk
+// leaves while the join still has pages to read, and it meets more leaf
+// pairs than the join's helper gate.  The test runs on at least two
+// procs, so the join starts its helpers and the encoder its writer.
+func newStreamFixture(t testing.TB, cfg Config) *fixture {
+	t.Helper()
+	atLeastTwoProcs(t)
+	fx := newSizedFixture(t, cfg, 6000, 4000, 0.02)
+	// Twice the join's gate of 256 leaf pairs.
+	if n := leafPairs(fx.srv.cfg.Store.Tree(), fx.srv.cfg.S); n < 512 {
+		t.Fatalf("the stream fixture meets %d leaf pairs, too few to pass the join's helper gate", n)
+	}
+	res, err := join.Join(fx.srv.cfg.Store.Tree(), fx.srv.cfg.S, join.Options{Method: join.SJ4, DiscardPairs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Count < 3*ringBlocks*blockPairs {
+		t.Fatalf("the stream fixture's join has %d pairs, too few to overrun the encoder's ring", res.Count)
+	}
+	return fx
+}
+
+// atLeastTwoProcs raises GOMAXPROCS to 2 for the test if it is lower.
+func atLeastTwoProcs(t testing.TB) {
+	if old := runtime.GOMAXPROCS(0); old < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	}
+}
+
+// leafPairs counts the pairs of leaves, one from each tree, whose
+// rectangles intersect: the leaf pairs an intersection join meets.
+func leafPairs(r, s *rtree.Tree) int {
+	leaves := func(t *rtree.Tree) []geom.Rect {
+		var out []geom.Rect
+		t.Walk(func(n *rtree.Node) {
+			if n.IsLeaf() {
+				out = append(out, n.MBR())
+			}
+		})
+		return out
+	}
+	n := 0
+	sLeaves := leaves(s)
+	for _, a := range leaves(r) {
+		for _, b := range sLeaves {
+			if a.Intersects(b) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+func newSizedFixture(t testing.TB, cfg Config, nR, nS int, side float64) *fixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(61))
-	rItems := genItems(rng, 400, 0, side)
-	sItems := genItems(rng, 300, 1_000_000, side)
+	rItems := genItems(rng, nR, 0, side)
+	sItems := genItems(rng, nS, 1_000_000, side)
 	rTree, err := rtree.BulkLoadSTR(testTreeOpts, rItems)
 	if err != nil {
 		t.Fatal(err)
@@ -578,7 +633,7 @@ func TestServerRetriesOnlyUnobservedJoins(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var f *fixture
-			f = newFixture(t, Config{RetryAttempts: 2, Sleep: func(context.Context, time.Duration) {
+			f = newStreamFixture(t, Config{RetryAttempts: 2, Sleep: func(context.Context, time.Duration) {
 				if !tc.persists {
 					f.fs.SetScript(storage.FaultScript{})
 				}
