@@ -99,8 +99,7 @@ func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 
 // BenchmarkPairEncoder encodes a streamed reply of 40 000 pairs, with ids
 // in the ledger's ranges, the way the /join handler does: pair by pair,
-// then close.  On more than one proc the writer goroutine encodes the
-// blocks; at GOMAXPROCS=1 the benchmark's own goroutine does.
+// then close; the writer goroutine encodes the blocks.
 func BenchmarkPairEncoder(b *testing.B) {
 	rng := rand.New(rand.NewSource(73))
 	pairs := make([]join.Pair, 40000)

@@ -189,9 +189,9 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 		if stream {
 			jr.OnPair = enc.pair
 		}
-		// A failed join stops the writer with its queue dropped, a finished
-		// one once the queue is sent; only then does the handler look at
-		// what left the process.
+		// A failed join stops the writer with what is still queued dropped,
+		// a finished one once the queue is sent; only then does the handler
+		// look at what left the process.
 		resp, err := srv.Join(ctx, jr)
 		if err != nil {
 			enc.halt()
@@ -228,7 +228,7 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 		}
 		if !req.DiscardPairs && !stream {
 			join.SortPairs(resp.Pairs)
-			enc.sorted(resp.Pairs)
+			enc.encode(resp.Pairs)
 		}
 		enc.close(resp.Epoch, resp.Count, resp.Retries)
 	})

@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/bits"
 	"net/http"
-	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -37,8 +36,8 @@ import (
 const WireChunk = 32 << 10
 
 // Pair blocks.  The join hands its pairs to the encoder in blocks of
-// blockPairs.  Past the first full block, on a host with a spare core, a
-// writer goroutine encodes and sends them while the traversal goes on.  The
+// blockPairs.  From the first full block on, a writer goroutine encodes and
+// sends them while the traversal goes on.  The
 // ring is ringBlocks blocks (64 KiB), the one being filled among them: a
 // join that has filled them all waits for the writer, so a client that
 // stops reading still holds the join, as when the join wrote its own chunks.
@@ -50,7 +49,7 @@ const (
 // encoderPool recycles encoders with their chunk buffers and ring blocks.
 var encoderPool = sync.Pool{New: func() any {
 	e := &pairEncoder{
-		queue:   make(chan pairBlock, ringBlocks),
+		queue:   make(chan []join.Pair, ringBlocks),
 		free:    make(chan []join.Pair, ringBlocks),
 		stopped: make(chan struct{}),
 	}
@@ -62,28 +61,20 @@ var encoderPool = sync.Pool{New: func() any {
 	return e
 }}
 
-// pairBlock is a block on its way to the writer.  ring says it is one of the
-// encoder's own blocks, which comes back through free; a sorted reply's
-// block is a sub-slice of its pairs.  A block with no pairs stops the writer.
-type pairBlock struct {
-	pairs []join.Pair
-	ring  bool
-}
-
 // pairEncoder writes one /join response body while the pairs are still
 // arriving: pair takes one, close appends the fields that follow them and
 // writes the rest.  Pairs come first so that the fields known only at the
 // end of a join can follow them, and the bytes stay encoding/json's for the
 // struct.
 //
-// pair only appends to a block.  A full block is encoded by one routine,
-// encode, which has two callers: the writer goroutine, started at the first
-// full block when GOMAXPROCS > 1, and otherwise the join's own goroutine.
-// One of them owns the ResponseWriter and the body state (buf, pairs, sent,
-// failed) at a time: the writer from its start until drain or halt stops
-// it, the handler before and after.  drain sends everything queued; halt
-// drops it.  The handler reads sent, and so chooses between a rerun and an
-// abort, only once the writer has stopped.
+// pair only appends to a block.  Full blocks go to a writer goroutine,
+// started at the first of them, which encodes them.  One goroutine owns the
+// ResponseWriter and the body state (buf, pairs, sent, failed) at a time:
+// the writer from its start until drain or halt stops it, the handler
+// before and after.  drain sends everything queued; halt drops what is
+// still queued.  The handler reads sent, and so chooses between a rerun and
+// an abort, only once the writer has stopped.  A reply that is sorted
+// before it is sent starts no writer: the handler encodes it whole.
 //
 // A chunk may be written while the join runs, so a client that stops
 // reading must not hold the join there: from the first chunk on, writes
@@ -109,10 +100,10 @@ type pairEncoder struct {
 	fill    []join.Pair
 	writing bool
 
-	// queue carries blocks to the writer, free brings ring blocks back, and
-	// stopped says the writer is gone.  drop, set by halt, makes the writer
-	// discard what is still queued.
-	queue   chan pairBlock
+	// queue carries full blocks to the writer, and a nil block stops it;
+	// free brings the blocks back, and stopped says the writer is gone.
+	// drop, set by halt, makes the writer discard what is still queued.
+	queue   chan []join.Pair
 	free    chan []join.Pair
 	stopped chan struct{}
 	drop    atomic.Bool
@@ -146,55 +137,35 @@ func (e *pairEncoder) reset() {
 func (e *pairEncoder) pair(p join.Pair) {
 	e.fill = append(e.fill, p)
 	if len(e.fill) == blockPairs {
-		e.fill = e.put(e.fill, true)
+		e.fill = e.put(e.fill)
 	}
 }
 
-// sorted takes a sorted reply's pairs: whole blocks go on as sub-slices of
-// ps, with no copy, and the rest is encoded once the writer has stopped.
-func (e *pairEncoder) sorted(ps []join.Pair) {
-	for ; len(ps) >= blockPairs; ps = ps[blockPairs:] {
-		e.put(ps[:blockPairs:blockPairs], false)
-	}
-	e.drain()
-	e.encode(ps)
-}
-
-// put passes a full block on — to the writer, which it starts at the first
-// block when there is a spare core, or else straight to encode — and
-// returns the ring block to fill next (nil for a sorted reply's block).
-// With every ring block in flight it waits for the writer to free one.
-func (e *pairEncoder) put(b []join.Pair, ring bool) []join.Pair {
+// put passes a full block to the writer, which it starts at the first
+// block, and returns the block to fill next.  With every block in flight it
+// waits for the writer to free one.
+func (e *pairEncoder) put(b []join.Pair) []join.Pair {
 	if !e.writing {
-		if runtime.GOMAXPROCS(0) == 1 {
-			e.encode(b)
-			return b[:0]
-		}
 		e.writing = true
 		go e.write()
 	}
-	e.queue <- pairBlock{pairs: b, ring: ring}
-	if !ring {
-		return nil
-	}
+	e.queue <- b
 	return <-e.free
 }
 
 // write is the writer goroutine: it encodes the queued blocks in order
-// until the block that stops it.
+// until the nil block that stops it.
 func (e *pairEncoder) write() {
 	for {
 		b := <-e.queue
-		if b.pairs == nil {
+		if b == nil {
 			e.stopped <- struct{}{}
 			return
 		}
 		if !e.drop.Load() {
-			e.encode(b.pairs)
+			e.encode(b)
 		}
-		if b.ring {
-			e.free <- b.pairs[:0]
-		}
+		e.free <- b[:0]
 	}
 }
 
@@ -217,7 +188,7 @@ func (e *pairEncoder) halt() {
 
 func (e *pairEncoder) stop() {
 	if e.writing {
-		e.queue <- pairBlock{}
+		e.queue <- nil
 		<-e.stopped
 		e.writing = false
 	}

@@ -98,45 +98,42 @@ func checkWireWrites(t *testing.T, name string, rec *chunkRecorder, want []byte)
 
 // TestJoinReplyByteWall drives the handler with a recorder that keeps every
 // write: each reply must be json.NewEncoder's bytes for the value it owes,
-// cut into WireChunk writes, whether the writer goroutine encoded it or, at
-// GOMAXPROCS=1, the handler did.  The last request's reply spans a full
-// block but fits one chunk, so it keeps its Content-Length with the writer
-// started.
+// cut into WireChunk writes, whether the writer goroutine encoded it (a
+// streamed reply) or the handler did (a sorted one, and one with no pairs).
+// The last request's reply spans a full block but fits one chunk, so it
+// keeps its Content-Length with the writer started.
 func TestJoinReplyByteWall(t *testing.T) {
 	big := newStreamFixture(t, Config{})
 	small := newSizedFixture(t, Config{}, 700, 300, 0.02)
 	for _, tc := range []struct {
-		fx  *fixture
-		req JoinRequestWire
+		fx     *fixture
+		req    JoinRequestWire
+		writer bool // the writer goroutine makes the reply's writes
 	}{
-		{big, JoinRequestWire{}},
-		{big, JoinRequestWire{Predicate: "within:0.0025"}},
-		{big, JoinRequestWire{Predicate: "knn:4"}},
-		{big, JoinRequestWire{DiscardPairs: true}},
-		{big, JoinRequestWire{Workers: 2}},
-		{small, JoinRequestWire{Predicate: "knn:3"}},
+		{big, JoinRequestWire{}, true},
+		{big, JoinRequestWire{Predicate: "within:0.0025"}, true},
+		{big, JoinRequestWire{Predicate: "knn:4"}, false},
+		{big, JoinRequestWire{DiscardPairs: true}, false},
+		{big, JoinRequestWire{Workers: 2}, false},
+		{small, JoinRequestWire{Predicate: "within:0.034"}, true},
 	} {
 		wire := wantReply(t, tc.fx, tc.req)
 		want := referenceEncode(t, wire)
 		if tc.fx == small && (len(wire.Pairs) < blockPairs || len(want) > WireChunk) {
 			t.Fatalf("%+v: %d pairs in %d bytes, not a full block under one chunk", tc.req, len(wire.Pairs), len(want))
 		}
-		h := NewHandler(tc.fx.srv, HandlerConfig{})
-		for _, procs := range []int{runtime.GOMAXPROCS(0), 1} {
-			old := runtime.GOMAXPROCS(procs)
-			rec := &wallRecorder{chunkRecorder: chunkRecorder{header: http.Header{}}}
-			var body bytes.Buffer
-			if err := json.NewEncoder(&body).Encode(tc.req); err != nil {
-				t.Fatal(err)
-			}
-			h.ServeHTTP(rec, httptest.NewRequest("POST", "/join", &body))
-			runtime.GOMAXPROCS(old)
+		rec := &wallRecorder{chunkRecorder: chunkRecorder{header: http.Header{}}}
+		var body bytes.Buffer
+		if err := json.NewEncoder(&body).Encode(tc.req); err != nil {
+			t.Fatal(err)
+		}
+		NewHandler(tc.fx.srv, HandlerConfig{}).ServeHTTP(rec, httptest.NewRequest("POST", "/join", &body))
 
-			name := fmt.Sprintf("%+v at GOMAXPROCS=%d", tc.req, procs)
-			checkWireWrites(t, name, &rec.chunkRecorder, want)
-			if writer := len(wire.Pairs) >= blockPairs && len(want) > 2*WireChunk && procs > 1; writer != (rec.onWriter > 0) {
-				t.Fatalf("%s: %d of %d writes on the writer goroutine", name, rec.onWriter, len(rec.writes))
-			}
+		name := fmt.Sprintf("%+v", tc.req)
+		checkWireWrites(t, name, &rec.chunkRecorder, want)
+		// A one-chunk reply is written by the handler whoever encoded it.
+		if writer := tc.writer && len(want) > WireChunk; writer != (rec.onWriter > 0) {
+			t.Fatalf("%s: %d of %d writes on the writer goroutine", name, rec.onWriter, len(rec.writes))
 		}
 	}
 }
@@ -241,9 +238,8 @@ func TestWriterAbortAfterBytesAreOut(t *testing.T) {
 // TestPairEncoderReusedAfterHalt: an encoder halted with its writer
 // running — the pairs of a cut join queued — encodes the next reply with
 // none of them, whether the handler reruns into it after a reset or the
-// pool hands it out again after release, and the writer is gone.
+// pool hands an encoder out after release, and the writer is gone.
 func TestPairEncoderReusedAfterHalt(t *testing.T) {
-	atLeastTwoProcs(t)
 	base := runtime.NumGoroutine()
 	pairs := func(n int, base int32) []join.Pair {
 		out := make([]join.Pair, n)
@@ -280,7 +276,8 @@ func TestPairEncoderReusedAfterHalt(t *testing.T) {
 	e.close(9, len(rerun), 0)
 	check("rerun after halt", rec, rerun)
 
-	// A join halted with chunks out, its encoder released and reused.
+	// A join halted with chunks out, its encoder released; the pool
+	// usually hands the same one out next, and any it hands out is clean.
 	e.release()
 	rec = &chunkRecorder{header: http.Header{}}
 	e = newPairEncoder(rec, WireChunk)
@@ -290,12 +287,12 @@ func TestPairEncoderReusedAfterHalt(t *testing.T) {
 		t.Fatal("five blocks sent no chunk")
 	}
 	e.release()
-	if len(e.buf) != 0 || e.pairs != 0 || len(e.fill) != 0 || e.writing || e.sent || e.failed || e.w != nil || len(e.queue) != 0 {
-		t.Fatalf("released encoder keeps state: %d bytes, %d pairs, %d filling, writing %v, sent %v, failed %v, %d queued",
+	rec = &chunkRecorder{header: http.Header{}}
+	e = newPairEncoder(rec, WireChunk)
+	if len(e.buf) != 0 || e.pairs != 0 || len(e.fill) != 0 || e.writing || e.sent || e.failed || e.cancel != nil || len(e.queue) != 0 {
+		t.Fatalf("pooled encoder keeps state: %d bytes, %d pairs, %d filling, writing %v, sent %v, failed %v, %d queued",
 			len(e.buf), e.pairs, len(e.fill), e.writing, e.sent, e.failed, len(e.queue))
 	}
-	rec = &chunkRecorder{header: http.Header{}}
-	e.w, e.chunk = rec, WireChunk // as newPairEncoder does when the pool hands it back
 	next := pairs(2*blockPairs+1, 900)
 	encode(e, next)
 	e.close(9, len(next), 0)
@@ -324,7 +321,6 @@ func (g *gatedRecorder) Write(b []byte) (int, error) {
 // second of three queued blocks, waits until halt has begun; sending the
 // third block would take a second write.
 func TestPairEncoderHaltDropsTheQueue(t *testing.T) {
-	atLeastTwoProcs(t)
 	rec := &gatedRecorder{chunkRecorder: chunkRecorder{header: http.Header{}}, entered: make(chan struct{}), gate: make(chan struct{})}
 	e := newPairEncoder(rec, WireChunk)
 	for i := int32(0); i < 3*blockPairs+1; i++ {
