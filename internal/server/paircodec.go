@@ -37,10 +37,10 @@ const WireChunk = 32 << 10
 
 // Pair blocks.  The join hands its pairs to the encoder in blocks of
 // blockPairs.  From the first full block on, a writer goroutine encodes and
-// sends them while the traversal goes on.  The
-// ring is ringBlocks blocks (64 KiB), the one being filled among them: a
-// join that has filled them all waits for the writer, so a client that
-// stops reading still holds the join, as when the join wrote its own chunks.
+// sends them while the traversal goes on.  The ring is ringBlocks blocks
+// (64 KiB), the one being filled among them: a join that has filled them
+// all waits for the writer, so a client that stops reading still holds the
+// join, as when the join wrote its own chunks.
 const (
 	blockPairs = 2048
 	ringBlocks = 4
