@@ -9,8 +9,8 @@ import "repro/internal/storage"
 
 // JoinLikeRead performs a raw page read outside any sanctioned wrapper —
 // the counted I/O would silently diverge from measured I/O.
-func JoinLikeRead(p *storage.Pager, id storage.PageID) ([]byte, error) {
-	return p.Read(id) // want `raw page read \(\*storage\.Pager\)\.Read outside a //repro:io-boundary wrapper`
+func JoinLikeRead(p *storage.Pager, id storage.PageID, frame []byte) ([]byte, error) {
+	return p.Read(id, frame) // want `raw page read \(\*storage\.Pager\)\.Read outside a //repro:io-boundary wrapper`
 }
 
 // JoinLikeDecode decodes a node from raw bytes outside a sanctioned wrapper.
@@ -23,8 +23,8 @@ func JoinLikeDecode(buf []byte, pageSize int) error {
 // measured-I/O surface, like TreeStore.ReadPage and EpochReader.ReadPage.
 //
 //repro:io-boundary
-func BoundaryRead(p *storage.Pager, id storage.PageID) ([]byte, error) {
-	buf, err := p.Read(id)
+func BoundaryRead(p *storage.Pager, id storage.PageID, frame []byte) ([]byte, error) {
+	buf, err := p.Read(id, frame)
 	if err != nil {
 		return nil, err
 	}
@@ -35,7 +35,7 @@ func BoundaryRead(p *storage.Pager, id storage.PageID) ([]byte, error) {
 }
 
 // SuppressedRead documents a deliberate exception at the call site.
-func SuppressedRead(p *storage.Pager, id storage.PageID) ([]byte, error) {
+func SuppressedRead(p *storage.Pager, id storage.PageID, frame []byte) ([]byte, error) {
 	//repolint:ignore accounting recovery path reads before any tracker exists
-	return p.Read(id)
+	return p.Read(id, frame)
 }

@@ -12,7 +12,7 @@ import "repro/internal/storage"
 // DescendRaw walks a page chain by reading straight from the pager: every
 // read here is invisible to the counted I/O the experiments report.
 func DescendRaw(p *storage.Pager, id storage.PageID, pageSize int) error {
-	buf, err := p.Read(id)
+	buf, err := p.Read(id, nil)
 	if err != nil {
 		return err
 	}

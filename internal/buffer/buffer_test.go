@@ -262,7 +262,7 @@ type stubReader struct {
 	fail  error
 }
 
-func (r *stubReader) ReadPage(id storage.PageID) ([]byte, error) {
+func (r *stubReader) ReadPage(id storage.PageID, _ []byte) ([]byte, error) {
 	r.reads = append(r.reads, id)
 	return nil, r.fail
 }
@@ -313,5 +313,41 @@ func TestTrackerPageReaderMirrorsCountedMisses(t *testing.T) {
 	tr.Reconfigure(m, 1024, false)
 	if err := tr.ReadErr(); err != nil {
 		t.Fatalf("Reconfigure did not clear the latched error: %v", err)
+	}
+}
+
+// frameReader records the buffer of every read it serves.
+type frameReader struct{ bufs [][]byte }
+
+func (r *frameReader) ReadPage(id storage.PageID, buf []byte) ([]byte, error) {
+	r.bufs = append(r.bufs, buf)
+	return buf[:1], nil
+}
+
+// TestTrackerReadsIntoItsOwnFrame: every physical read of a tracker lands in
+// one frame sized for a whole page frame, and a pooled tracker keeps that
+// frame across Reconfigure.
+func TestTrackerReadsIntoItsOwnFrame(t *testing.T) {
+	tr := NewTracker(NewLRU(0), metrics.NewCollector(), storage.PageSize4K, false)
+	r := &frameReader{}
+	tr.SetPageReader(1, r)
+	tr.SetPageCache(NewPageCache(1))
+	for i := 0; i < 4; i++ {
+		tr.Access(1, 0, storage.PageID(i))
+	}
+	tr.Reconfigure(metrics.NewCollector(), storage.PageSize4K, false)
+	tr.SetPageReader(1, r)
+	tr.Access(1, 0, 9)
+	if len(r.bufs) != 5 {
+		t.Fatalf("%d physical reads, want 5", len(r.bufs))
+	}
+	first := r.bufs[0]
+	if len(first) < storage.FrameSize(storage.PageSize4K) {
+		t.Fatalf("read frame of %d bytes, want at least %d", len(first), storage.FrameSize(storage.PageSize4K))
+	}
+	for i, b := range r.bufs {
+		if &b[0] != &first[0] {
+			t.Fatalf("read %d got a different frame", i)
+		}
 	}
 }

@@ -11,9 +11,11 @@ import "sync"
 // byte cache over the pager.
 //
 // The cache is safe for concurrent use by any number of trackers and
-// readers; the server's query workers share one instance across epochs.
-// Eviction is LRU over a fixed page budget.  Attaching a PageCache is opt-in
-// (see Tracker.SetPageCache): the disk experiments keep the exact
+// readers; the server gives each epoch a cache of its own, shared by that
+// epoch's query workers.  Eviction is LRU over a fixed page budget, and a
+// full cache recycles the evicted entry and its bytes for the page it
+// admits, so a warm cache allocates nothing per Put.  Attaching a PageCache
+// is opt-in (see Tracker.SetPageCache): the disk experiments keep the exact
 // counted-miss == physical-read invariant by simply not attaching one.
 type PageCache struct {
 	mu       sync.Mutex
@@ -70,7 +72,9 @@ func NewPageCacheForBytes(bytes, pageSize int) *PageCache {
 }
 
 // Get returns the cached payload for key and whether it was present.  The
-// returned slice is shared — callers must treat it as read-only.
+// returned slice is the cache's own frame: callers must treat it as
+// read-only, and it is valid only until the next Put on this cache, which
+// may recycle the frame for another page.
 func (c *PageCache) Get(key FrameKey) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -85,8 +89,9 @@ func (c *PageCache) Get(key FrameKey) ([]byte, bool) {
 }
 
 // Put stores the payload for key, copying it so later mutations of the
-// caller's buffer cannot corrupt the cache.  A zero-capacity cache ignores
-// the call.
+// caller's buffer cannot corrupt the cache.  When the cache is full the
+// least recently used entry is evicted and its frame reused for the copy.
+// A zero-capacity cache ignores the call.
 func (c *PageCache) Put(key FrameKey, data []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -98,10 +103,15 @@ func (c *PageCache) Put(key FrameKey, data []byte) {
 		c.moveToFront(e)
 		return
 	}
+	var e *pcEntry
 	for len(c.frames) >= c.capacity {
-		c.evictTail()
+		e = c.evictTail()
 	}
-	e := &pcEntry{key: key, data: append([]byte(nil), data...)}
+	if e == nil {
+		e = &pcEntry{}
+	}
+	e.key = key
+	e.data = append(e.data[:0], data...)
 	c.frames[key] = e
 	c.pushFront(e)
 }
@@ -195,15 +205,16 @@ func (c *PageCache) moveToFront(e *pcEntry) {
 	c.pushFront(e)
 }
 
-// evictTail drops the least recently used entry.
+// evictTail drops the least recently used entry and returns it for reuse.
 //
 //repro:locked
-func (c *PageCache) evictTail() {
+func (c *PageCache) evictTail() *pcEntry {
 	e := c.tail
 	if e == nil {
-		return
+		return nil
 	}
 	c.unlink(e)
 	delete(c.frames, e.key)
 	c.evictions++
+	return e
 }

@@ -23,14 +23,22 @@ type Tracker struct {
 	cache    *PageCache
 	readErr  error
 	halt     *atomic.Bool
+	// frame is the buffer every physical read of this tracker lands in.  It
+	// is sized when the first reader is attached and stays with a pooled
+	// tracker across Reconfigure, so a steady-state read allocates nothing.
+	frame []byte
 }
 
 // PageReader is the measured-I/O hook: when a tree has one attached, every
 // counted disk access also performs a real page read against it, so the
 // simulation's counted I/O and the pager's measured I/O describe the same
 // run.  storage.Pager implements the contract through rtree.TreeStore.
+//
+// ReadPage reads the page into buf, growing it if it is short, and returns
+// the payload, which may alias buf (see storage.Pager.Read): the caller owns
+// buf and the payload is valid until its next read into it.
 type PageReader interface {
-	ReadPage(id storage.PageID) ([]byte, error)
+	ReadPage(id storage.PageID, buf []byte) ([]byte, error)
 }
 
 // NewTracker creates a tracker that charges accesses to m.  pageSize is used
@@ -95,15 +103,17 @@ func (t *Tracker) Access(tree, level int, id storage.PageID) bool {
 		// after retries) is latched and surfaced by the join, not swallowed.
 		// With a page cache attached the hierarchy is real: a cached frame is
 		// served from memory and only a cache miss reaches the pager.
+		// The read lands in the tracker's own frame; Put copies it into a
+		// recycled cache frame, so neither allocates once the cache is full.
 		if t.cache != nil {
 			if _, ok := t.cache.Get(key); !ok {
-				if data, err := r.ReadPage(id); err != nil {
+				if data, err := r.ReadPage(id, t.frame); err != nil {
 					t.latch(err)
 				} else {
 					t.cache.Put(key, data)
 				}
 			}
-		} else if _, err := r.ReadPage(id); err != nil {
+		} else if _, err := r.ReadPage(id, t.frame); err != nil {
 			t.latch(err)
 		}
 	}
@@ -133,6 +143,9 @@ func (t *Tracker) SetPageReader(tree int, r PageReader) {
 		return
 	}
 	t.readers[tree] = r
+	if n := storage.FrameSize(t.pageSize); cap(t.frame) < n {
+		t.frame = make([]byte, n)
+	}
 }
 
 // ReadErr returns the first physical read error encountered through an
@@ -178,7 +191,8 @@ func (t *Tracker) Reset() {
 // Reconfigure prepares a pooled tracker for a new run: accesses are charged
 // to m with the given page size and path-buffer setting, and the per-tree
 // path buffers are dropped (the next run joins different trees).  The LRU
-// buffer is not touched; callers reconfigure it separately.
+// buffer is not touched; callers reconfigure it separately.  The read frame
+// is kept for the next run's readers.
 func (t *Tracker) Reconfigure(m *metrics.Collector, pageSize int, usePathBuffer bool) {
 	t.metrics = m
 	t.pageSize = pageSize

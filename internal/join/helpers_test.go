@@ -167,7 +167,7 @@ type faultReader struct {
 
 var errDeadSector = errors.New("dead sector")
 
-func (f *faultReader) ReadPage(storage.PageID) ([]byte, error) {
+func (f *faultReader) ReadPage(storage.PageID, []byte) ([]byte, error) {
 	f.reads++
 	if f.hook != nil {
 		f.hook(f.reads)

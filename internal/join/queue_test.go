@@ -127,7 +127,7 @@ type sharedFaultReader struct {
 	failAt int64
 }
 
-func (f *sharedFaultReader) ReadPage(storage.PageID) ([]byte, error) {
+func (f *sharedFaultReader) ReadPage(storage.PageID, []byte) ([]byte, error) {
 	if f.reads.Add(1) == f.failAt {
 		return nil, errDeadSector
 	}

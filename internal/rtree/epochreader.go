@@ -58,10 +58,11 @@ func (r *EpochReader) Stats() EpochReaderStats {
 
 // ReadPage implements buffer.PageReader for the snapshot's epoch.  Like
 // TreeStore.ReadPage it is the sanctioned physical-read path under the
-// tracker: its raw pager read is the counted miss.
+// tracker: its raw pager read is the counted miss, into buf.  A page served
+// from the version store is the reader's own immutable encoding, not buf.
 //
 //repro:io-boundary
-func (r *EpochReader) ReadPage(id storage.PageID) ([]byte, error) {
+func (r *EpochReader) ReadPage(id storage.PageID, buf []byte) ([]byte, error) {
 	r.s.mu.RLock()
 	page, bound := r.s.byNode[id]
 	stale := r.s.writtenAt[id] > r.seq
@@ -70,7 +71,7 @@ func (r *EpochReader) ReadPage(id storage.PageID) ([]byte, error) {
 		// under the read lock so a concurrent commit cannot swap the page.
 		defer r.s.mu.RUnlock()
 		r.physical.Add(1)
-		return r.s.p.Read(page)
+		return r.s.p.Read(page, buf)
 	}
 	r.s.mu.RUnlock()
 	return r.versionedPage(id)

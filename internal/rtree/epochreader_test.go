@@ -62,7 +62,7 @@ func TestEpochReaderServesSnapshotState(t *testing.T) {
 	pageSize := snap.PageSize()
 	var checked, mismatches int
 	snap.Walk(func(n *Node) {
-		buf, err := reader.ReadPage(n.ID)
+		buf, err := reader.ReadPage(n.ID, nil)
 		if err != nil {
 			t.Fatalf("reading snapshot node %d: %v", n.ID, err)
 		}
@@ -98,7 +98,7 @@ func TestEpochReaderServesSnapshotState(t *testing.T) {
 	snap2 := s.Tree().Snapshot()
 	reader2 := s.EpochReader(snap2)
 	snap2.Walk(func(n *Node) {
-		if _, err := reader2.ReadPage(n.ID); err != nil {
+		if _, err := reader2.ReadPage(n.ID, nil); err != nil {
 			t.Fatalf("current-epoch read of node %d: %v", n.ID, err)
 		}
 	})
@@ -125,7 +125,7 @@ func TestTreeStoreWriteThroughCache(t *testing.T) {
 	// Warm the cache with every page, as a tracker would.
 	var keys []buffer.FrameKey
 	s.Tree().Walk(func(n *Node) {
-		buf, err := s.ReadPage(n.ID)
+		buf, err := s.ReadPage(n.ID, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestTreeStoreWriteThroughCache(t *testing.T) {
 	if surviving == 0 {
 		t.Fatal("commit invalidated every page — write-through should only drop rewritten ones")
 	}
-	fresh, err := s.ReadPage(rootID)
+	fresh, err := s.ReadPage(rootID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestTreeStoreConcurrentReadersDuringCommit(t *testing.T) {
 				default:
 				}
 				id := ids[r.Intn(len(ids))]
-				if _, err := reader.ReadPage(id); err != nil {
+				if _, err := reader.ReadPage(id, nil); err != nil {
 					t.Errorf("epoch read of %d: %v", id, err)
 					return
 				}

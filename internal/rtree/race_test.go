@@ -1,0 +1,7 @@
+//go:build race
+
+package rtree
+
+// raceEnabled reports whether the race detector instruments the test binary;
+// it allocates for every goroutine it tracks, so allocation counts differ.
+const raceEnabled = true

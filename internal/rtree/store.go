@@ -99,30 +99,29 @@ func OpenTreeStore(p *storage.Pager, opts Options) (*TreeStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := t.load(p, root); err != nil {
-		return nil, err
-	}
-	// load validated the page graph (checksums, cycle guard, level
-	// discipline); a lockstep walk over the freshly built nodes and their
-	// source pages rebinds node ids to pager pages and seeds the checksum
-	// diff, so unchanged nodes are never rewritten.
-	if err := s.bind(t.root, root); err != nil {
+	if err := s.load(root); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// load replaces the empty tree t with the tree committed to p under the
-// given root page.
+// load replaces the store's empty tree with the tree committed to its pager
+// under the given root page, binding every node to the page it was read
+// from and seeding the checksum diff as it goes, so unchanged nodes are
+// never rewritten.  Every page is read once, through one reused frame.
 //
-// load never trusts the pages it reads: a decode failure is an error, a page
-// referenced twice is an error, and a child whose stored level does not sit
-// exactly one below its parent is an error.  Together these bound the
-// recursion by the root's level and make load terminate on any input —
-// corrupted or adversarial page graphs (cycles, diamonds, level loops)
-// produce a wrapped error, never a crash or an endless walk.
-func (t *Tree) load(p *storage.Pager, root storage.PageID) error {
-	node, size, err := t.loadNode(p, root, -1, make(map[storage.PageID]bool))
+// load never trusts the pages it reads: a checksum or decode failure is an
+// error, a page referenced twice is an error, and a child whose stored level
+// does not sit exactly one below its parent is an error.  Together these
+// bound the recursion by the root's level and make load terminate on any
+// input — corrupted or adversarial page graphs (cycles, diamonds, level
+// loops) produce a wrapped error, never a crash or an endless walk.
+//
+//repro:locked
+func (s *TreeStore) load(root storage.PageID) error {
+	t := s.t
+	frame := make([]byte, storage.FrameSize(t.opts.PageSize))
+	node, size, err := s.loadNode(root, -1, make(map[storage.PageID]bool), frame)
 	if err != nil {
 		return err
 	}
@@ -132,22 +131,25 @@ func (t *Tree) load(p *storage.Pager, root storage.PageID) error {
 	return nil
 }
 
-// loadNode reads the page with the given id, decodes it and recursively loads
-// its children.  wantLevel is the level the parent expects (-1 for the root,
-// whose level is read from its page); visited holds every page id already on
-// or below the walked path, so a cycle or shared subtree is detected the
-// moment it is re-entered.  It returns the node and the number of data
-// entries below it.  Loading runs once at open, before any measured join,
-// so its decodes bypass the tracker by design.
+// loadNode reads the page with the given id into frame, decodes it, binds
+// the new node to the page and recursively loads its children.  wantLevel
+// is the level the parent expects (-1 for the root, whose level is read from
+// its page); visited holds every page id already on or below the walked
+// path, so a cycle or shared subtree is detected the moment it is
+// re-entered.  It returns the node and the number of data entries below it.
+// Loading runs once at open, before any join can observe the store, so its
+// reads and decodes bypass the tracker by design.
 //
 //repro:io-boundary
-func (t *Tree) loadNode(p *storage.Pager, id storage.PageID, wantLevel int, visited map[storage.PageID]bool) (*Node, int, error) {
+//repro:locked
+func (s *TreeStore) loadNode(id storage.PageID, wantLevel int, visited map[storage.PageID]bool, frame []byte) (*Node, int, error) {
+	t := s.t
 	if visited[id] {
 		return nil, 0, fmt.Errorf("rtree: page %d referenced twice (cycle or shared subtree): %w",
 			id, storage.ErrCorruptPage)
 	}
 	visited[id] = true
-	buf, err := p.Read(id)
+	buf, err := s.p.Read(id, frame)
 	if err != nil {
 		return nil, 0, fmt.Errorf("rtree: reading page %d: %w", id, err)
 	}
@@ -160,15 +162,20 @@ func (t *Tree) loadNode(p *storage.Pager, id storage.PageID, wantLevel int, visi
 			id, dn.Level, wantLevel, storage.ErrCorruptPage)
 	}
 	n := t.newNode(int(dn.Level))
+	s.byNode[n.ID] = id
+	s.owner[id] = n.ID
+	s.crcs[id] = storage.Checksum(buf)
 	if dn.Level == 0 {
 		for _, de := range dn.Entries {
 			n.Entries = append(n.Entries, Entry{Rect: de.Rect, Data: int32(de.Ref)})
 		}
 		return n, len(n.Entries), nil
 	}
+	// dn holds its own copy of the entries: the children below may reuse
+	// the frame.
 	total := 0
 	for _, de := range dn.Entries {
-		child, sub, err := t.loadNode(p, storage.PageID(de.Ref), int(dn.Level)-1, visited)
+		child, sub, err := s.loadNode(storage.PageID(de.Ref), int(dn.Level)-1, visited, frame)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -176,40 +183,6 @@ func (t *Tree) loadNode(p *storage.Pager, id storage.PageID, wantLevel int, visi
 		total += sub
 	}
 	return n, total, nil
-}
-
-// bind walks the in-memory subtree and its on-disk image in lockstep,
-// recording the node-to-page mapping and the stored payload checksums.
-// Rebinding happens once at open, before any join can observe the store, so
-// its reads are not part of the measured I/O.
-//
-//repro:io-boundary
-//repro:locked
-func (s *TreeStore) bind(n *Node, page storage.PageID) error {
-	buf, err := s.p.Read(page)
-	if err != nil {
-		return fmt.Errorf("rtree: rebinding page %d: %w", page, err)
-	}
-	s.byNode[n.ID] = page
-	s.owner[page] = n.ID
-	s.crcs[page] = storage.Checksum(buf)
-	if n.IsLeaf() {
-		return nil
-	}
-	dn, err := storage.DecodeNode(buf, s.t.opts.PageSize)
-	if err != nil {
-		return fmt.Errorf("rtree: rebinding page %d: %w", page, err)
-	}
-	if len(dn.Entries) != len(n.Entries) {
-		return fmt.Errorf("rtree: rebinding page %d: %d entries on disk, %d in memory: %w",
-			page, len(dn.Entries), len(n.Entries), storage.ErrCorruptPage)
-	}
-	for i, e := range n.Entries {
-		if err := s.bind(e.Child, storage.PageID(dn.Entries[i].Ref)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Tree returns the bound tree.
@@ -341,15 +314,16 @@ func (s *TreeStore) Commit() (CommitStats, error) {
 // touch committed state.  The read lock is held across the pager read, so a
 // concurrent Commit cannot swap the page out from under the caller.  This is
 // the sanctioned physical-read path: buffer.Tracker calls it on a counted
-// miss, so the raw pager read below is exactly the measured I/O.
+// miss, so the raw pager read below is exactly the measured I/O.  The page
+// is read into buf as Pager.Read reads it; the payload aliases buf.
 //
 //repro:io-boundary
-func (s *TreeStore) ReadPage(id storage.PageID) ([]byte, error) {
+func (s *TreeStore) ReadPage(id storage.PageID, buf []byte) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	page, ok := s.byNode[id]
 	if !ok {
 		return nil, fmt.Errorf("rtree: node %d has no committed page: %w", id, storage.ErrUnknownPage)
 	}
-	return s.p.Read(page)
+	return s.p.Read(page, buf)
 }

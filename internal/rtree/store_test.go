@@ -176,7 +176,7 @@ func TestOpenTreeStoreRoundTrip(t *testing.T) {
 	// And ReadPage serves every committed node.
 	var readErr error
 	s2.Tree().Walk(func(n *Node) {
-		if _, err := s2.ReadPage(n.ID); err != nil && readErr == nil {
+		if _, err := s2.ReadPage(n.ID, nil); err != nil && readErr == nil {
 			readErr = err
 		}
 	})
@@ -202,7 +202,7 @@ func TestTreeStoreErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReadPage(42); !errors.Is(err, storage.ErrUnknownPage) {
+	if _, err := s.ReadPage(42, nil); !errors.Is(err, storage.ErrUnknownPage) {
 		t.Errorf("ReadPage of uncommitted node: %v", err)
 	}
 }

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"context"
 	"math/rand"
 	"net/http"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/geom"
@@ -88,6 +90,55 @@ func BenchmarkChurnRound(b *testing.B) {
 			b.Fatalf("round applied %d of %d ops", st.Applied, len(round))
 		}
 	}
+}
+
+// BenchmarkServedJoin times one intersection join served from a published
+// epoch in the shape of the ledger's serve-churn workload: R holds 20 000
+// rectangles with sides up to 0.004 in a store of 4 KiB pages on an OS file,
+// ingested through Update and Round; S holds 10 000 squares of side 0.005;
+// the epoch's page cache is 128 KiB, a quarter of R's pages, so about half
+// of the join's counted misses are physical reads.  It reports them per op.
+func BenchmarkServedJoin(b *testing.B) {
+	rng := rand.New(rand.NewSource(39))
+	opts := rtree.Options{PageSize: storage.PageSize4K}
+	p, err := storage.OpenPager(storage.OSVFS{}, filepath.Join(b.TempDir(), "r.db"), storage.PageSize4K, storage.PagerOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	store, err := rtree.NewTreeStore(rtree.MustNew(opts), p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sTree, err := rtree.BulkLoadSTR(opts, genItems(rng, 10000, 1_000_000, 0.005))
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := New(Config{Store: store, S: sTree, CacheBytes: 128 << 10, CostBudget: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	if err := srv.Update(churnOps(rng, 20000, 0, 0.004)); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := srv.Round(); err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := srv.Join(ctx, JoinRequest{}); err != nil {
+		b.Fatal(err)
+	}
+	reads := p.Stats().Reads
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := srv.Join(ctx, JoinRequest{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(p.Stats().Reads-reads)/float64(b.N), "reads/op")
 }
 
 // discardWriter is an http.ResponseWriter that drops the body.

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -223,6 +224,45 @@ func TestServerJoinMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	samePairs(t, pairSet(par.Pairs), want, "parallel server join")
+}
+
+// TestServerJoinsShareRecyclingCache runs concurrent joins, sequential and
+// parallel, over one epoch whose page cache holds four pages: every miss
+// reads into its tracker's own frame and every Put recycles a frame another
+// join's tracker may just have read from the cache.  Every answer must be
+// the model's (and, under -race, free of data races on those frames).
+func TestServerJoinsShareRecyclingCache(t *testing.T) {
+	atLeastTwoProcs(t)
+	f := newFixture(t, Config{CacheBytes: 4 * storage.PageSize1K})
+	want := brutePairs(f.rItems, f.sItems)
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	got := make([][]join.Pair, 8)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				resp, err := f.srv.Join(context.Background(), JoinRequest{Workers: 1 + g%2})
+				if err != nil {
+					errs <- err
+					return
+				}
+				got[g] = resp.Pairs
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for g, pairs := range got {
+		samePairs(t, pairSet(pairs), want, fmt.Sprintf("join %d over the recycling cache", g))
+	}
+	if st := f.srv.Cache().Stats(); st.Pages != 4 || st.Evictions == 0 || st.Misses == 0 {
+		t.Fatalf("cache stats %+v: want a full four-page cache that evicted", st)
+	}
 }
 
 // TestServerClampsWorkers is the regression for the unbounded wire value: a

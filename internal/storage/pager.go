@@ -42,6 +42,11 @@ const (
 	metaBodySize        = 4 + 4 + 4 + 4 + 4 + 4 + 8
 )
 
+// FrameSize returns the size of one page frame in the main file for the
+// given page size: the checksum and length header plus the payload slot.
+// A buffer of this size holds any page Pager.Read returns.
+func FrameSize(pageSize int) int { return frameHeaderSize + pageSize }
+
 // DefaultCheckpointEvery is the number of commits between automatic
 // checkpoints (fsync the main file, truncate the WAL).
 const DefaultCheckpointEvery = 8
@@ -155,7 +160,7 @@ func OpenPager(fs VFS, path string, pageSize int, opts PagerOptions) (*Pager, er
 		path:        path,
 		opts:        opts.withDefaults(),
 		pageSize:    pageSize,
-		frameSize:   frameHeaderSize + pageSize,
+		frameSize:   FrameSize(pageSize),
 		next:        1,
 		alive:       make(map[PageID]bool),
 		staged:      make(map[PageID][]byte),
@@ -434,7 +439,13 @@ func (p *Pager) Free(id PageID) {
 // written since the last commit, otherwise the checksum-verified frame from
 // disk.  Read errors are retried with exponential backoff and surfaced after
 // exhaustion; checksum failures quarantine the page.
-func (p *Pager) Read(id PageID) ([]byte, error) {
+//
+// The page is read into buf, which is grown when it holds fewer than
+// FrameSize(PageSize()) bytes, and the returned payload aliases it: a
+// caller that passes the same frame to every read allocates nothing, and
+// the payload is valid until the caller's next read into that frame.  On
+// an error no payload is returned, whatever buf now holds.
+func (p *Pager) Read(id PageID, buf []byte) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.broken != nil {
@@ -443,13 +454,13 @@ func (p *Pager) Read(id PageID) ([]byte, error) {
 	if err, ok := p.quarantined[id]; ok {
 		return nil, err
 	}
-	if buf, ok := p.staged[id]; ok {
-		return append([]byte(nil), buf...), nil
+	if staged, ok := p.staged[id]; ok {
+		return append(buf[:0], staged...), nil
 	}
 	if !p.alive[id] {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownPage, id)
 	}
-	return p.readFrame(id)
+	return p.readFrame(id, buf)
 }
 
 // Commit makes every staged mutation durable as one atomic transaction: page
@@ -656,10 +667,14 @@ func (p *Pager) writeFrame(id PageID, payload []byte) error {
 	return nil
 }
 
-// readFrame reads and verifies one frame, retrying I/O errors with backoff.
-// Checksum failures quarantine the page.
-func (p *Pager) readFrame(id PageID) ([]byte, error) {
-	frame := make([]byte, p.frameSize)
+// readFrame reads and verifies one frame into buf (grown to a whole frame
+// if it is shorter), retrying I/O errors with backoff, and returns the
+// payload, which aliases buf.  Checksum failures quarantine the page.
+func (p *Pager) readFrame(id PageID, buf []byte) ([]byte, error) {
+	if cap(buf) < p.frameSize {
+		buf = make([]byte, p.frameSize)
+	}
+	frame := buf[:p.frameSize]
 	if _, err := p.readFullRetry(p.db, frame, int64(id)*int64(p.frameSize)); err != nil {
 		return nil, fmt.Errorf("storage: reading frame %d: %w", id, err)
 	}
@@ -673,7 +688,7 @@ func (p *Pager) readFrame(id PageID) ([]byte, error) {
 		return nil, p.quarantine(id, fmt.Errorf("%w: frame %d checksum %#x, want %#x (torn or corrupted page)",
 			ErrCorruptPage, id, got, want))
 	}
-	return append([]byte(nil), frame[frameHeaderSize:frameHeaderSize+length]...), nil
+	return frame[frameHeaderSize : frameHeaderSize+length], nil
 }
 
 // quarantine records a corrupt page and returns its error; subsequent reads
@@ -729,7 +744,7 @@ func (p *Pager) writeMeta() error {
 
 // readMeta loads the meta frame.
 func (p *Pager) readMeta() error {
-	body, err := p.readFrame(InvalidPage)
+	body, err := p.readFrame(InvalidPage, nil)
 	if err != nil {
 		return err
 	}
@@ -761,12 +776,13 @@ func (p *Pager) readMeta() error {
 func (p *Pager) loadFreeList() error {
 	seen := make(map[PageID]bool)
 	var chain []PageID // head first
+	frame := make([]byte, p.frameSize)
 	for id := p.metaFreeHead; id != InvalidPage; {
 		if seen[id] || id >= p.next || int64(len(chain)) > int64(p.next) {
 			return fmt.Errorf("%w: free chain cycles at page %d", ErrCorruptPage, id)
 		}
 		seen[id] = true
-		body, err := p.readFrame(id)
+		body, err := p.readFrame(id, frame)
 		if err != nil {
 			return fmt.Errorf("storage: free chain at page %d: %w", id, err)
 		}

@@ -150,10 +150,10 @@ func TestPagerLifecycleAndReopen(t *testing.T) {
 			if got := q.Root(); got != b {
 				t.Fatalf("root after reopen: %d, want %d", got, b)
 			}
-			if buf, err := q.Read(a); err != nil || string(buf) != "alpha" {
+			if buf, err := q.Read(a, nil); err != nil || string(buf) != "alpha" {
 				t.Fatalf("page a after reopen: %q, %v", buf, err)
 			}
-			if buf, err := q.Read(b); err != nil || string(buf) != "beta" {
+			if buf, err := q.Read(b, nil); err != nil || string(buf) != "beta" {
 				t.Fatalf("page b after reopen: %q, %v", buf, err)
 			}
 			if q.Len() != 2 {
@@ -175,7 +175,7 @@ func TestPagerUncommittedStateIsInvisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Staged reads come back before commit...
-	if buf, err := p.Read(id); err != nil || string(buf) != "staged" {
+	if buf, err := p.Read(id, nil); err != nil || string(buf) != "staged" {
 		t.Fatalf("staged read: %q, %v", buf, err)
 	}
 	// ...but a crash before commit loses them.
@@ -213,7 +213,7 @@ func TestPagerWALReplayAfterCrash(t *testing.T) {
 	if q.Seq() != seq {
 		t.Fatalf("recovered seq %d, want %d", q.Seq(), seq)
 	}
-	if buf, err := q.Read(id); err != nil || string(buf) != "durable" {
+	if buf, err := q.Read(id, nil); err != nil || string(buf) != "durable" {
 		t.Fatalf("recovered page: %q, %v", buf, err)
 	}
 	if q.Root() != id {
@@ -240,7 +240,7 @@ func TestPagerFreeListReuseAcrossReopen(t *testing.T) {
 	if _, err := p.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Read(ids[1]); !errors.Is(err, ErrUnknownPage) {
+	if _, err := p.Read(ids[1], nil); !errors.Is(err, ErrUnknownPage) {
 		t.Fatalf("freed page still readable: %v", err)
 	}
 	// Freed ids are reused before the file grows.
@@ -291,7 +291,7 @@ func TestPagerChecksumQuarantinesCorruptPage(t *testing.T) {
 	if _, err := f.WriteAt([]byte{0xFF}, int64(id)*int64(frameHeaderSize+PageSize1K)+frameHeaderSize); err != nil {
 		t.Fatal(err)
 	}
-	_, err := p.Read(id)
+	_, err := p.Read(id, nil)
 	if !errors.Is(err, ErrCorruptPage) || !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("corrupt read error: %v", err)
 	}
@@ -300,7 +300,7 @@ func TestPagerChecksumQuarantinesCorruptPage(t *testing.T) {
 	if q := p.Quarantined(); len(q) != 1 || q[0] != id {
 		t.Fatalf("Quarantined() = %v", q)
 	}
-	if _, err2 := p.Read(id); !errors.Is(err2, ErrQuarantined) {
+	if _, err2 := p.Read(id, nil); !errors.Is(err2, ErrQuarantined) {
 		t.Fatalf("second read: %v", err2)
 	}
 	// Rewriting the page clears the quarantine.
@@ -310,7 +310,7 @@ func TestPagerChecksumQuarantinesCorruptPage(t *testing.T) {
 	if _, err := p.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if buf, err := p.Read(id); err != nil || string(buf) != "restored" {
+	if buf, err := p.Read(id, nil); err != nil || string(buf) != "restored" {
 		t.Fatalf("after rewrite: %q, %v", buf, err)
 	}
 	if len(p.Quarantined()) != 0 {
@@ -338,7 +338,7 @@ func TestPagerReadRetriesTransientErrors(t *testing.T) {
 	opts := PagerOptions{Sleep: func(d time.Duration) { slept = append(slept, d) }}
 	q := mustOpen(t, fs, "t.db", PageSize1K, opts)
 	defer q.Close()
-	if buf, err := q.Read(id); err != nil || string(buf) != "flaky" {
+	if buf, err := q.Read(id, nil); err != nil || string(buf) != "flaky" {
 		t.Fatalf("read through transient faults: %q, %v", buf, err)
 	}
 	if q.Stats().ReadRetries == 0 {
@@ -374,7 +374,7 @@ func TestPagerReadExhaustionSurfaces(t *testing.T) {
 	// Every read fails from here on: retries must exhaust and the error must
 	// surface with both the retry marker and the injected cause.
 	q.db = &failingFile{q.db}
-	_, err := q.Read(id)
+	_, err := q.Read(id, nil)
 	if !errors.Is(err, ErrReadExhausted) || !errors.Is(err, ErrInjectedRead) {
 		t.Fatalf("exhausted read error: %v", err)
 	}
@@ -408,7 +408,7 @@ func TestPagerCommitRetryAfterSyncFailure(t *testing.T) {
 	if seq != 1 {
 		t.Fatalf("committed seq %d, want 1", seq)
 	}
-	if buf, err := p.Read(id); err != nil || string(buf) != "persist me" {
+	if buf, err := p.Read(id, nil); err != nil || string(buf) != "persist me" {
 		t.Fatalf("after retried commit: %q, %v", buf, err)
 	}
 }
@@ -432,13 +432,13 @@ func TestPagerBrokenAfterWriteBackFailure(t *testing.T) {
 	if _, err := p.Commit(); !errors.Is(err, ErrPagerBroken) {
 		t.Fatalf("commit after write-back failure: %v", err)
 	}
-	if _, err := p.Read(id); !errors.Is(err, ErrPagerBroken) {
+	if _, err := p.Read(id, nil); !errors.Is(err, ErrPagerBroken) {
 		t.Fatalf("reads must refuse stale state: %v", err)
 	}
 	// Reopening replays the WAL: v2 was durable the moment the WAL synced.
 	q := mustOpen(t, base, "t.db", PageSize1K, testPagerOptions())
 	defer q.Close()
-	if buf, err := q.Read(id); err != nil || string(buf) != "v2" {
+	if buf, err := q.Read(id, nil); err != nil || string(buf) != "v2" {
 		t.Fatalf("recovered page: %q, %v", buf, err)
 	}
 }
@@ -489,7 +489,7 @@ func TestPagerCheckpointFailureIsStickyAndRecoverable(t *testing.T) {
 	if q.Seq() != 1 {
 		t.Fatalf("recovered seq %d, want 1", q.Seq())
 	}
-	if buf, err := q.Read(id); err != nil || string(buf) != "v1" {
+	if buf, err := q.Read(id, nil); err != nil || string(buf) != "v1" {
 		t.Fatalf("recovered page: %q, %v", buf, err)
 	}
 }
@@ -518,7 +518,7 @@ func TestPagerNoLossAfterWALResetFailure(t *testing.T) {
 	}
 	// Reopening re-derives the WAL state; new commits land and recover.
 	q := mustOpen(t, base, "t.db", PageSize1K, testPagerOptions())
-	if buf, err := q.Read(id); err != nil || string(buf) != "v1" {
+	if buf, err := q.Read(id, nil); err != nil || string(buf) != "v1" {
 		t.Fatalf("page after reopen: %q, %v", buf, err)
 	}
 	if err := q.Write(id, []byte("v2")); err != nil {
@@ -532,7 +532,7 @@ func TestPagerNoLossAfterWALResetFailure(t *testing.T) {
 	}
 	r := mustOpen(t, base, "t.db", PageSize1K, testPagerOptions())
 	defer r.Close()
-	if buf, err := r.Read(id); err != nil || string(buf) != "v2" {
+	if buf, err := r.Read(id, nil); err != nil || string(buf) != "v2" {
 		t.Fatalf("commit after recovery lost: %q, %v", buf, err)
 	}
 }
@@ -555,7 +555,7 @@ func TestPagerFullReadWithEOFIsSuccess(t *testing.T) {
 	q := mustOpen(t, base, "t.db", PageSize1K, testPagerOptions())
 	defer q.Close()
 	q.db = eofFile{q.db}
-	if buf, err := q.Read(id); err != nil || string(buf) != "edge" {
+	if buf, err := q.Read(id, nil); err != nil || string(buf) != "edge" {
 		t.Fatalf("full read with io.EOF: %q, %v", buf, err)
 	}
 	if n := q.Stats().ReadRetries; n != 0 {
@@ -613,7 +613,7 @@ func TestPagerErrors(t *testing.T) {
 	if err := p.Write(99, []byte("x")); !errors.Is(err, ErrUnknownPage) {
 		t.Fatalf("write to unallocated page: %v", err)
 	}
-	if _, err := p.Read(99); !errors.Is(err, ErrUnknownPage) {
+	if _, err := p.Read(99, nil); !errors.Is(err, ErrUnknownPage) {
 		t.Fatalf("read of unallocated page: %v", err)
 	}
 	id := p.Allocate()
