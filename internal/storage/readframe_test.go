@@ -115,7 +115,9 @@ func sameNode(got, want DiskNode) bool {
 	}
 	for i, e := range want.Entries {
 		g := got.Entries[i]
-		if g.Ref != e.Ref || float32(g.Rect.XL) != float32(e.Rect.XL) || float32(g.Rect.YU) != float32(e.Rect.YU) {
+		r, w := g.Rect, e.Rect
+		if g.Ref != e.Ref || float32(r.XL) != float32(w.XL) || float32(r.YL) != float32(w.YL) ||
+			float32(r.XU) != float32(w.XU) || float32(r.YU) != float32(w.YU) {
 			return false
 		}
 	}
