@@ -216,7 +216,9 @@ func fuzzMixedItems(data []byte, max int) (items []rtree.Item, malformed bool) {
 // well-formed rectangles.  On well-formed trees SJ1-SJ5 must return the
 // nested loop's pair set for the intersection and the within-distance
 // predicates, with helpers handed the leaf stage from the first leaf pair
-// and without; and the helpers must not move a single pair of the order.
+// and without; the helpers must not move a single pair of the order; and
+// the counting join (DiscardPairs, no OnPair) must report the same count
+// and every counter.
 func FuzzJoinMethods(f *testing.F) {
 	f.Add([]byte{10, 10, 4, 4, 0, 200, 200, 8, 8, 210, 100, 20, 200, 3, 240}, []byte{12, 12, 4, 4, 0, 0, 0, 255, 7, 235}, uint8(20), uint8(1))
 	f.Add([]byte{0, 0, 0, 0, 0}, []byte{255, 255, 0, 0, 0, 1, 1, 1, 1, 250}, uint8(255), uint8(2))
@@ -276,6 +278,21 @@ func FuzzJoinMethods(f *testing.F) {
 				comparePairSets(t, m.String()+" "+pred.String(), inline.Pairs, want)
 				if !slices.Equal(inline.Pairs, helped.Pairs) || inline.Metrics != helped.Metrics {
 					t.Fatalf("%v %v: %d helpers changed the join: %d pairs, inline %d", m, pred, helpers, len(helped.Pairs), len(inline.Pairs))
+				}
+				// A join that neither keeps nor observes its pairs counts
+				// them: the same count and every counter, inline and helped.
+				counting := opts
+				counting.DiscardPairs = true
+				for _, n := range []int{0, helpers} {
+					withHelpers(t, n)
+					counted, err := Join(r, s, counting)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if counted.Count != len(inline.Pairs) || counted.Metrics != inline.Metrics {
+						t.Fatalf("%v %v: counting with %d helpers: %d pairs, materialised %d; metrics\n counted      %+v\n materialised %+v",
+							m, pred, n, counted.Count, len(inline.Pairs), counted.Metrics, inline.Metrics)
+					}
 				}
 			}
 		}

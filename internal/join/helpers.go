@@ -12,11 +12,11 @@ import (
 
 // Helpers: the sequential join on the spare cores.
 //
-// Join traverses on the calling goroutine, the coordinator.  Once it has met
-// a join's gate of leaf pairs it hands the leaf stage to helper goroutines:
-// the leaf x leaf sweeps of SJ3-SJ5 (joinLeaves) and the leaf groups of a
-// kNN band (leafGroup).  A job reads immutable nodes and writes only its own
-// output — its pairs, or the heaps of its R leaf — and its own
+// Join traverses on the calling goroutine, the coordinator.  From its first
+// leaf pair it hands the leaf stage to helper goroutines: the leaf x leaf
+// sweeps of SJ3-SJ5 (joinLeaves) and the leaf groups of a kNN band
+// (leafGroup).  A job reads immutable nodes and writes only its own output —
+// its pairs or their count, or the heaps of its R leaf — and its own
 // metrics.Local.  The coordinator keeps everything whose order matters: the
 // directory traversal, every page read (tracker, LRU, path buffer, page
 // cache, pager) and sort charge, every pinning decision, every emit and
@@ -32,17 +32,6 @@ import (
 // on a head job a helper holds.
 
 const (
-	// helperGate is the number of leaf pairs a join meets before it starts
-	// helpers.  Below it the join runs inline and starts nothing: a serving
-	// join of a few hundred leaf pairs would spend more on the handoff than
-	// the second core saves it.
-	helperGate = 256
-	// knnHelperGate is the gate of a kNN join.  A kNN leaf pair feeds the
-	// heaps of a whole R leaf from an S leaf, about ten times the work of a
-	// sweep's leaf pair (some 55 us against 5 us on the ledger's shapes), and
-	// the band that holds most of a join's pairs comes first: a gate of 256
-	// would open after it.
-	knnHelperGate = 32
 	// maxHelpers caps the helpers of one join: the coordinator's own share —
 	// the traversal and the reads — bounds the speed-up anyway.
 	maxHelpers = 3
@@ -52,24 +41,18 @@ const (
 )
 
 // helperOverride, when non-negative, replaces the helper count derived from
-// GOMAXPROCS and moves the gate to the first leaf pair; tests set it
-// (export_test.go).
+// GOMAXPROCS; tests set it (export_test.go).
 var helperOverride = -1
 
-// joinHelpers returns the number of helpers a sequential join may start and
-// the leaf pair at which it starts them (0: never).
-func joinHelpers(pred PredicateKind) (helpers, gate int) {
-	helpers, gate = min(runtime.GOMAXPROCS(0)-1, maxHelpers), helperGate
-	if pred == PredKNN {
-		gate = knnHelperGate
-	}
+// joinHelpers returns the number of helpers a sequential join starts at its
+// first leaf pair: one per spare core, at most maxHelpers, none at
+// GOMAXPROCS=1.
+func joinHelpers() int {
+	helpers := min(runtime.GOMAXPROCS(0)-1, maxHelpers)
 	if helperOverride >= 0 {
-		helpers, gate = min(helperOverride, maxHelpers), 1
+		helpers = min(helperOverride, maxHelpers)
 	}
-	if helpers <= 0 {
-		return 0, 0
-	}
-	return helpers, gate
+	return max(helpers, 0)
 }
 
 type jobKind uint8
@@ -92,8 +75,10 @@ type leafJob struct {
 	group []knnPair
 	ri    int32
 	base  int
-	// out holds a sweep job's pairs in sweep order; local the job's counters.
+	// out holds a sweep job's pairs in sweep order and n their number; a
+	// counting join leaves out empty.  local holds the job's counters.
 	out   []Pair
+	n     int
 	local metrics.Local
 	// done is set by the job's runner once out and local are final.  It is
 	// stored under the crew's mu, so a parked coordinator cannot miss it,
@@ -103,8 +88,8 @@ type leafJob struct {
 
 // crew is one join's ring of jobs and the state its helpers share with the
 // coordinator.  Jobs [head, next) of the ring are claimed (some finished),
-// [next, tail) wait for a runner.  Crews are pooled: a warm join past the
-// gate allocates nothing for its helpers.
+// [next, tail) wait for a runner.  Crews are pooled: a warm join allocates
+// nothing for its helpers.
 type crew struct {
 	mu sync.Mutex
 	// work parks helpers until a job is queued or the crew quits; idle parks
@@ -127,16 +112,17 @@ type crew struct {
 	// slots counts the helpers that took a scratch slot.
 	slots   int //repro:guardedBy mu
 	scratch [maxHelpers]leafScratch
-	// The leaf stage's parameters, fixed for the join.
-	eps, eps2 float64
-	restrict  bool
+	// The leaf stage's parameters, fixed for the join: keep is unset when
+	// the join counts its pairs instead of building them.
+	eps, eps2      float64
+	restrict, keep bool
 }
 
 // crewPool holds idle crews with their grown buffers.  It is a channel, not
 // a sync.Pool, which a garbage collection would empty between joins.  It
-// needs one crew per join running past its gate at once; 16 covers a
-// server's admitted joins on a small host, and a crew that finds the pool
-// full is dropped.
+// needs one crew per sequential join running at once; 16 covers a server's
+// admitted joins on a small host, and a crew that finds the pool full is
+// dropped.
 var crewPool = make(chan *crew, 16)
 
 // getCrew returns an idle crew, or a new one.
@@ -201,21 +187,19 @@ func (c *crew) run(j *leafJob, sc *leafScratch) {
 		if !c.restrict {
 			rect = nil
 		}
-		j.out = joinLeaves(j.nr, j.ns, rect, c.eps, c.eps2, &sc.sweepScratch, j.out[:0], &j.local)
+		j.out, j.n = joinLeaves(j.nr, j.ns, rect, c.eps, c.eps2, &sc.sweepScratch, c.keep, j.out[:0], &j.local)
 	case knnJob:
 		j.st.leafGroup(j.nr, j.base, j.group, sc, &j.local)
 	}
 }
 
-// crewed counts one leaf pair the join meets, starts the helpers when the
-// count reaches the gate, and reports whether the join's leaf work goes to
-// the crew.
+// crewed reports whether the join's leaf work goes to the crew, starting the
+// crew at the join's first leaf pair when it may start helpers.
 //
 //repro:hotpath
 func (e *executor) crewed() bool {
 	if e.crew == nil {
-		e.leafPairs++
-		if e.leafPairs != e.gate {
+		if e.helpers == 0 {
 			return false
 		}
 		e.startCrew()
@@ -226,7 +210,8 @@ func (e *executor) crewed() bool {
 // startCrew takes a crew from the pool and starts the join's helpers.
 func (e *executor) startCrew() {
 	c := getCrew()
-	c.eps, c.eps2, c.restrict = e.eps, e.eps2, !e.opts.DisableRestriction
+	c.eps, c.eps2 = e.eps, e.eps2
+	c.restrict, c.keep = !e.opts.DisableRestriction, !e.counting()
 	started := 0
 	for range e.helpers {
 		select {
@@ -337,7 +322,7 @@ func (e *executor) retire(j *leafJob) {
 	}
 	switch j.kind {
 	case sweepJob:
-		e.emitPairs(j.out)
+		e.emitLeaf(j.out, j.n)
 	case knnJob:
 		j.st.tighten(j.ri, &e.local)
 	}
@@ -346,9 +331,11 @@ func (e *executor) retire(j *leafJob) {
 
 // dismiss ends the crew's part in the join: the helpers quit — one running a
 // job finishes it, none claims another — and once they are gone the crew,
-// reset, goes back to the pool.  So no helper outlives its join.  Safe
+// reset, goes back to the pool.  So no helper outlives its join, and the
+// join starts no other crew: the rest of it, if any, runs inline.  Safe
 // without a crew.
 func (e *executor) dismiss() {
+	e.helpers = 0
 	c := e.crew
 	if c == nil {
 		return

@@ -11,13 +11,14 @@ import (
 	"time"
 
 	"repro/internal/datagen"
+	"repro/internal/geom"
 	"repro/internal/rtree"
 	"repro/internal/storage"
 )
 
 // ledgerJoinPair rebuilds the shape of the ledger's batch join (bench/batch.go)
 // at a sixth of its size: Streets against Rivers, STR-loaded on 4 KiB pages.
-// Its SJ4 join meets about 500 leaf pairs, past the helper gate.
+// Its SJ4 join meets about 500 leaf pairs, enough to keep a crew's ring full.
 func ledgerJoinPair(tb testing.TB) (r, s *rtree.Tree) {
 	tb.Helper()
 	var err error
@@ -77,11 +78,30 @@ func sameJoin(t *testing.T, label string, a, b observed) {
 	}
 }
 
+// sameCount fails unless the counting join c reports what the materialising
+// join p did: its number of pairs and every counter.
+func sameCount(t *testing.T, label string, p, c observed) {
+	t.Helper()
+	if p.err != nil || c.err != nil {
+		t.Fatalf("%s: errors %v / %v", label, p.err, c.err)
+	}
+	if c.res.Count != p.res.Count || c.res.Count != len(p.res.Pairs) || c.res.Pairs != nil {
+		t.Errorf("%s: counted %d (%d pairs kept), the materialised join %d pairs (count %d)",
+			label, c.res.Count, len(c.res.Pairs), len(p.res.Pairs), p.res.Count)
+	}
+	if c.res.Metrics != p.res.Metrics {
+		t.Errorf("%s: metrics\n counted      %+v\n materialised %+v", label, c.res.Metrics, p.res.Metrics)
+	}
+}
+
 // TestHelpersChangeNoBit is the bit-identity wall of the helpers: with one
 // and with three helpers handed work from the first leaf pair, every sweep
 // join (SJ3-SJ5 x intersects/within) and the best-first kNN join, on the
 // golden datasets and on a ledger-shaped pair, must return the inline
-// join's pairs in its order, its OnPair sequence and every counter.
+// join's pairs in its order, its OnPair sequence and every counter.  Across
+// the modes, the counting join (discard: no pairs kept, none observed) must
+// report the materialising join's count and every one of its counters,
+// inline and with helpers.
 func TestHelpersChangeNoBit(t *testing.T) {
 	goldenR, goldenS, _, _ := buildPair(t, 2000, 2000, storage.PageSize1K)
 	heightR, heightS := buildHeightPair(t)
@@ -117,43 +137,155 @@ func TestHelpersChangeNoBit(t *testing.T) {
 	}
 
 	for _, rn := range runs {
+		withHelpers(t, 0)
+		materialised := joinObserved(rn.r, rn.s, rn.opts, "pairs")
 		for _, mode := range []string{"pairs", "discard", "onpair"} {
 			withHelpers(t, 0)
 			inline := joinObserved(rn.r, rn.s, rn.opts, mode)
+			if mode == "discard" {
+				sameCount(t, rn.name+"/discard/inline", materialised, inline)
+			}
 			for _, n := range []int{1, maxHelpers} {
 				withHelpers(t, n)
-				sameJoin(t, fmt.Sprintf("%s/%s/%d helpers", rn.name, mode, n), inline, joinObserved(rn.r, rn.s, rn.opts, mode))
+				helped := joinObserved(rn.r, rn.s, rn.opts, mode)
+				label := fmt.Sprintf("%s/%s/%d helpers", rn.name, mode, n)
+				sameJoin(t, label, inline, helped)
+				if mode == "discard" {
+					sameCount(t, label, materialised, helped)
+				}
 			}
 		}
 	}
 }
 
-// TestHelpersStartAtTheGate: with the default gate a join that meets fewer
-// leaf pairs than helperGate starts no crew, and one that meets more starts
-// it at the gate's pair, when the host has a spare core.
-func TestHelpersStartAtTheGate(t *testing.T) {
-	helpers, gate := joinHelpers(PredIntersects)
-	if runtime.GOMAXPROCS(0) == 1 {
-		if helpers != 0 || gate != 0 {
-			t.Fatalf("GOMAXPROCS=1: %d helpers at gate %d, want none", helpers, gate)
-		}
-		return
+// goroutinesInOnPair runs the join once, returning how many goroutines more
+// than before it the first OnPair call saw: the helpers (and, in a
+// ParallelJoin, the workers) the join runs at its first pair.
+func goroutinesInOnPair(t *testing.T, join func(Options) (*Result, error), opts Options) int {
+	t.Helper()
+	// A finished join's helpers may still be leaving: wait until the count
+	// holds still.
+	base := -1
+	for n := runtime.NumGoroutine(); n != base; n = runtime.NumGoroutine() {
+		base = n
+		time.Sleep(5 * time.Millisecond)
 	}
-	if helpers != min(runtime.GOMAXPROCS(0)-1, maxHelpers) || gate != helperGate {
-		t.Fatalf("%d helpers at gate %d, want %d at %d", helpers, gate, min(runtime.GOMAXPROCS(0)-1, maxHelpers), helperGate)
-	}
-	e := &executor{helpers: helpers, gate: gate}
-	for i := 1; i < helperGate; i++ {
-		if e.crewed() {
-			t.Fatalf("crew started at leaf pair %d, gate %d", i, helperGate)
+	seen := -1
+	opts.OnPair = func(Pair) {
+		if seen < 0 {
+			seen = runtime.NumGoroutine() - base
 		}
 	}
+	if _, err := join(opts); err != nil {
+		t.Fatal(err)
+	}
+	if seen < 0 {
+		t.Fatal("the join reported no pair")
+	}
+	return seen
+}
+
+// TestHelpersStartAtTheFirstLeafPair: with a spare core a sequential join
+// starts its crew at its first leaf pair — a join of one leaf pair runs it
+// too — and at GOMAXPROCS=1 or in a ParallelJoin worker none starts.  A
+// dismissed crew does not restart.
+func TestHelpersStartAtTheFirstLeafPair(t *testing.T) {
+	withHelpers(t, -1) // the helper count GOMAXPROCS gives
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	if n := joinHelpers(); n != 0 {
+		t.Fatalf("GOMAXPROCS=1: %d helpers, want none", n)
+	}
+	for procs, want := range map[int]int{2: 1, 4: 3, 8: maxHelpers} {
+		runtime.GOMAXPROCS(procs)
+		if n := joinHelpers(); n != want {
+			t.Fatalf("GOMAXPROCS=%d: %d helpers, want %d", procs, n, want)
+		}
+	}
+
+	runtime.GOMAXPROCS(2)
+	e := &executor{helpers: joinHelpers()}
 	if !e.crewed() || e.crew == nil {
-		t.Fatalf("no crew at the gate's leaf pair %d", helperGate)
+		t.Fatal("no crew at the first leaf pair")
 	}
 	e.dismiss()
-	if e.crewed() {
+	if e.crewed() || e.crew != nil {
 		t.Fatal("a dismissed crew restarted")
+	}
+
+	// One leaf of each side: the whole join is one leaf pair.
+	var items []rtree.Item
+	for i := range 8 {
+		x := float64(i) / 16
+		items = append(items, rtree.Item{Rect: geom.Rect{XL: x, YL: x, XU: x + 0.2, YU: x + 0.2}, Data: int32(i)})
+	}
+	leafR, err := rtree.BulkLoadSTR(rtree.Options{PageSize: storage.PageSize1K}, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leafS, err := rtree.BulkLoadSTR(rtree.Options{PageSize: storage.PageSize1K}, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !leafR.Root().IsLeaf() || !leafS.Root().IsLeaf() {
+		t.Fatal("the one-leaf trees have a directory level")
+	}
+	seq := func(opts Options) (*Result, error) { return Join(leafR, leafS, opts) }
+	if n := goroutinesInOnPair(t, seq, Options{Method: SJ4}); n != 1 {
+		t.Errorf("GOMAXPROCS=2: a join of one leaf pair ran %d helpers at its first pair, want 1", n)
+	}
+	runtime.GOMAXPROCS(1)
+	if n := goroutinesInOnPair(t, seq, Options{Method: SJ4}); n != 0 {
+		t.Errorf("GOMAXPROCS=1: the join ran %d helpers, want none", n)
+	}
+
+	// A ParallelJoin worker already owns a core: even with helpers forced,
+	// the first pair sees the workers and nothing else.
+	runtime.GOMAXPROCS(4)
+	withHelpers(t, maxHelpers)
+	r, s := ledgerJoinPair(t)
+	const workers = 2
+	par := func(opts Options) (*Result, error) {
+		return ParallelJoin(r, s, ParallelOptions{Options: opts, Workers: workers})
+	}
+	if n := goroutinesInOnPair(t, par, ledgerJoinOptions(SJ4)); n > workers {
+		t.Errorf("a ParallelJoin of %d workers ran %d goroutines at its first pair", workers, n)
+	}
+}
+
+// TestCountingJoinBuildsNoPairs: a join that neither keeps nor observes its
+// pairs has its crew count them — every job's pair buffer stays empty —
+// while a materialising join's jobs hold its pairs.
+func TestCountingJoinBuildsNoPairs(t *testing.T) {
+	r, s := ledgerJoinPair(t)
+	withHelpers(t, 1)
+	for _, pred := range []Predicate{Intersects(), WithinDistance(0.002)} {
+		opts := ledgerJoinOptions(SJ4)
+		opts.Predicate = pred
+		for _, discard := range []bool{true, false} {
+			for len(crewPool) > 0 {
+				<-crewPool // the join takes a fresh crew and leaves it in the pool
+			}
+			opts.DiscardPairs = discard
+			res, err := Join(r, s, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(crewPool) != 1 {
+				t.Fatalf("%v: %d crews in the pool after one join, want 1", pred, len(crewPool))
+			}
+			c := <-crewPool
+			built := 0
+			for i := range c.jobs {
+				built += cap(c.jobs[i].out)
+			}
+			if discard && built != 0 {
+				t.Errorf("%v: a counting join of %d pairs built room for %d in its jobs", pred, res.Count, built)
+			}
+			if !discard && built == 0 {
+				t.Errorf("%v: a materialising join of %d pairs built none in its jobs", pred, res.Count)
+			}
+		}
 	}
 }
 
@@ -281,13 +413,14 @@ func TestHelpersStopCleanly(t *testing.T) {
 	}
 }
 
-// TestWarmJoinPastTheGateAllocatesNoMore: a warm join whose helpers run from
-// its first leaf pair allocates no more than the inline join — the ring, the
+// TestWarmHelpedJoinAllocatesNoMore: a warm join whose helpers run from its
+// first leaf pair allocates no more than the inline join — the ring, the
 // helpers' scratch and the job buffers are pooled, and a helper starts
-// without a closure.  Each side keeps its fewest allocations over five
-// measurements: a garbage collection that empties the arena pool lands on
-// one of them, an allocation per join on all.
-func TestWarmJoinPastTheGateAllocatesNoMore(t *testing.T) {
+// without a closure.  Both joins count their pairs.  Each side keeps its
+// fewest allocations over five measurements: a garbage collection that
+// empties the arena pool lands on one of them, an allocation per join on
+// all.
+func TestWarmHelpedJoinAllocatesNoMore(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates for every goroutine it tracks")
 	}

@@ -13,8 +13,8 @@
 // a metrics.Collector as floating-point comparisons and I/O cost as page
 // accesses through a shared LRU buffer, mirroring the paper's cost measures.
 //
-// The sequential join keeps one schedule but not one core: past a gate of
-// leaf pairs it hands its leaf stage — the leaf x leaf sweeps of SJ3-SJ5 and
+// The sequential join keeps one schedule but not one core: from its first
+// leaf pair it hands its leaf stage — the leaf x leaf sweeps of SJ3-SJ5 and
 // the leaf groups of a kNN band — to helper goroutines, while the calling
 // goroutine keeps the traversal, every read, every pinning decision and
 // every emitted pair, in schedule order (helpers.go).  ParallelJoin is the
@@ -142,7 +142,9 @@ type Options struct {
 	// and returned in the result.
 	Collector *metrics.Collector
 	// DiscardPairs suppresses materialising the result pairs; only the count
-	// is reported.  Benchmarks use it to avoid measuring slice growth.
+	// is reported.  Benchmarks use it to avoid measuring slice growth.  With
+	// OnPair nil as well the sweep joins and kNN count their qualifying pairs
+	// without building them.
 	DiscardPairs bool
 	// DisableRestriction turns off the search-space restriction in the
 	// sweep-based joins (SJ3-SJ5).  It reproduces "version (I)" of the
@@ -329,12 +331,12 @@ var (
 // Join computes the MBR-spatial-join of the two trees.
 //
 // The traversal, the page reads and the emission run on the calling
-// goroutine.  On a host with GOMAXPROCS > 1 a join that meets enough leaf
-// pairs (256; 32 under kNN) also runs leaf sweeps and kNN leaf groups on up
-// to three helper goroutines.  It emits their pairs in the order the inline
-// join would.  The pairs, their order, the OnPair sequence, the read schedule
-// and every counter are those of the join without helpers; only the wall
-// time moves.  The helpers are gone when Join returns.
+// goroutine.  On a host with GOMAXPROCS > 1 a join also runs its leaf sweeps
+// and kNN leaf groups on up to three helper goroutines, from its first leaf
+// pair on.  It emits their pairs in the order the inline join would.  The
+// pairs, their order, the OnPair sequence, the read schedule and every
+// counter are those of the join without helpers; only the wall time moves.
+// The helpers are gone when Join returns.
 func Join(r, s *rtree.Tree, opts Options) (*Result, error) {
 	if r == nil || s == nil {
 		return nil, ErrNilTree
@@ -354,17 +356,9 @@ func Join(r, s *rtree.Tree, opts Options) (*Result, error) {
 	}
 	before := collector.Snapshot()
 
-	lru := buffer.NewLRUForBytes(opts.BufferBytes, r.PageSize())
-	tracker := buffer.NewTracker(lru, collector, r.PageSize(), opts.UsePathBuffer)
-	if opts.PageReaderR != nil {
-		tracker.SetPageReader(r.ID(), opts.PageReaderR)
-	}
-	if opts.PageReaderS != nil {
-		tracker.SetPageReader(s.ID(), opts.PageReaderS)
-	}
-	if opts.PageCache != nil {
-		tracker.SetPageCache(opts.PageCache)
-	}
+	tracker := getTracker(opts.BufferBytes, r.PageSize(), opts.UsePathBuffer, collector)
+	defer putTracker(tracker)
+	attachReaders(tracker, r, s, opts)
 
 	watch := newCancelWatch(opts.Context)
 	defer watch.stop()
@@ -386,7 +380,7 @@ func Join(r, s *rtree.Tree, opts Options) (*Result, error) {
 		e.eps = opts.Predicate.Epsilon
 		e.eps2 = e.eps * e.eps
 	}
-	e.helpers, e.gate = joinHelpers(opts.Predicate.Kind)
+	e.helpers = joinHelpers()
 
 	switch {
 	case opts.Predicate.Kind == PredKNN:
@@ -427,6 +421,38 @@ func Join(r, s *rtree.Tree, opts Options) (*Result, error) {
 	return res, nil
 }
 
+// trackerPool holds idle trackers, each with its LRU and read frame, for
+// the sequential join and ParallelJoin's planning.  Like crewPool it is a
+// channel: a sync.Pool loses its items to a garbage collection, and an item
+// put on one P is not seen by a Get on another, so a warm join would now
+// and then build a fresh tracker, LRU and read frame.  A tracker that finds
+// the pool full is dropped.
+var trackerPool = make(chan *buffer.Tracker, 16)
+
+// getTracker returns the tracker of one join: over an empty LRU of
+// bufferBytes, charging col, with no page reader, page cache, halt flag or
+// read error left from an earlier join.
+func getTracker(bufferBytes, pageSize int, usePathBuffer bool, col *metrics.Collector) *buffer.Tracker {
+	select {
+	case t := <-trackerPool:
+		t.LRU().ReconfigureForBytes(bufferBytes, pageSize)
+		t.Reconfigure(col, pageSize, usePathBuffer)
+		return t
+	default:
+		return buffer.NewTracker(buffer.NewLRUForBytes(bufferBytes, pageSize), col, pageSize, usePathBuffer)
+	}
+}
+
+// putTracker returns t to the pool detached from its join's collector, page
+// readers and page cache, so an idle tracker holds no epoch's pages.
+func putTracker(t *buffer.Tracker) {
+	t.Reconfigure(nil, 0, false)
+	select {
+	case trackerPool <- t:
+	default:
+	}
+}
+
 // executor bundles the state shared by all join algorithms of one run.
 //
 // Cost accounting goes through the plain (non-atomic) local batch counter,
@@ -462,12 +488,11 @@ type executor struct {
 	chunked bool
 	full    int
 
-	// helpers is the number of helper goroutines the join may start, once
-	// it has met gate leaf pairs (leafPairs counts them; a gate of 0 never
-	// opens).  crew is non-nil while they run (helpers.go).  Only Join sets
-	// them: a ParallelJoin worker already owns a core.
-	helpers, gate, leafPairs int
-	crew                     *crew
+	// helpers is the number of helper goroutines the join starts at its
+	// first leaf pair; crew is non-nil while they run (helpers.go).  Only
+	// Join sets helpers: a ParallelJoin worker already owns a core.
+	helpers int
+	crew    *crew
 }
 
 // stopped reports whether the traversal should unwind: its context fired,
@@ -477,6 +502,12 @@ type executor struct {
 // neither reads further pages nor hands an OnPair observer further pairs.
 func (e *executor) stopped() bool {
 	return e.cancel.cancelled() || e.tracker.Halted()
+}
+
+// counting reports whether the join neither keeps nor observes its pairs,
+// so its leaf stage and kNN count them instead of building them.
+func (e *executor) counting() bool {
+	return e.discard && e.onPair == nil
 }
 
 // emit reports one result pair.
@@ -500,8 +531,7 @@ func (e *executor) emit(p Pair) {
 //
 //repro:hotpath
 func (e *executor) emitPairs(ps []Pair) {
-	e.count += len(ps)
-	e.local.PairsReported += int64(len(ps))
+	e.countPairs(len(ps))
 	if e.onPair != nil {
 		for _, p := range ps {
 			e.onPair(p)
@@ -521,6 +551,26 @@ func (e *executor) emitPairs(ps []Pair) {
 		e.pairs = append(e.pairs, ps[:n]...)
 		ps = ps[n:]
 	}
+}
+
+// emitLeaf reports the n pairs of one leaf pair's sweep: the run out, or,
+// when the join counts, n pairs it never built.
+//
+//repro:hotpath
+func (e *executor) emitLeaf(out []Pair, n int) {
+	if e.counting() {
+		e.countPairs(n)
+		return
+	}
+	e.emitPairs(out)
+}
+
+// countPairs reports n result pairs without building them.
+//
+//repro:hotpath
+func (e *executor) countPairs(n int) {
+	e.count += n
+	e.local.PairsReported += int64(n)
 }
 
 // nextChunk retires the chunk emit has filled, if any, and points pairs at

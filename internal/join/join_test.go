@@ -3,8 +3,10 @@ package join
 import (
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/buffer"
 	"repro/internal/datagen"
 	"repro/internal/geom"
 	"repro/internal/metrics"
@@ -332,5 +334,79 @@ func TestMethodAndPolicyStrings(t *testing.T) {
 		if p.String() == "" {
 			t.Errorf("empty string for policy %d", int(p))
 		}
+	}
+}
+
+// TestPooledJoinBuffersResetPerJoin runs joins of different settings one
+// after the other on one pooled tracker, with its LRU and read frame, and
+// holds each to the same join on a fresh one: the count and every counter.  The buffer size and
+// the path buffer must be the join's own, a page reader or page cache left
+// by an earlier join must not be read, a latched read error must not fail a
+// later join, and a halt flag must not stop its reads.
+func TestPooledJoinBuffersResetPerJoin(t *testing.T) {
+	r, s, _, _ := buildPair(t, 2000, 2000, storage.PageSize1K)
+	drain := func() {
+		for len(trackerPool) > 0 {
+			<-trackerPool
+		}
+	}
+	first := &faultReader{}
+	failing := &faultReader{fail: true}
+	last := &faultReader{}
+	runs := []struct {
+		name    string
+		opts    Options
+		wantErr bool
+	}{
+		{"readers+cache", Options{Method: SJ4, BufferBytes: 64 << 10, UsePathBuffer: true,
+			PageReaderR: first, PageReaderS: first, PageCache: buffer.NewPageCacheForBytes(16<<10, storage.PageSize1K)}, false},
+		{"no buffer, no readers", Options{Method: SJ4}, false},
+		{"failing reader", Options{Method: SJ3, BufferBytes: 16 << 10, PageReaderR: failing}, true},
+		{"small buffer", Options{Method: SJ4, BufferBytes: 16 << 10, UsePathBuffer: true}, false},
+		{"reader after a halt", Options{Method: SJ4, BufferBytes: 8 << 10, PageReaderS: last}, false},
+	}
+	fresh := make([]*Result, len(runs))
+	for i, rn := range runs {
+		drain()
+		res, err := Join(r, s, rn.opts)
+		if (err != nil) != rn.wantErr {
+			t.Fatalf("%s on a fresh tracker: error %v", rn.name, err)
+		}
+		fresh[i] = res
+	}
+	firstReads, lastReads := first.reads, last.reads
+
+	drain()
+	for i, rn := range runs {
+		if rn.name == "reader after a halt" {
+			var halt atomic.Bool
+			halt.Store(true)
+			tr := <-trackerPool
+			tr.SetHalt(&halt)
+			trackerPool <- tr
+		}
+		res, err := Join(r, s, rn.opts)
+		if len(trackerPool) != 1 {
+			t.Fatalf("%s: %d trackers pooled, want the one reused", rn.name, len(trackerPool))
+		}
+		if rn.wantErr {
+			if !errors.Is(err, errDeadSector) {
+				t.Fatalf("%s: want the read fault, got %v", rn.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s on a reused tracker: %v", rn.name, err)
+		}
+		if res.Count != fresh[i].Count || res.Metrics != fresh[i].Metrics {
+			t.Errorf("%s: reused tracker %d pairs, metrics %+v; fresh %d pairs, metrics %+v",
+				rn.name, res.Count, res.Metrics, fresh[i].Count, fresh[i].Metrics)
+		}
+	}
+	if first.reads != 2*firstReads {
+		t.Errorf("the first join's reader was read %d times, %d by its own two joins", first.reads, 2*firstReads)
+	}
+	if last.reads != 2*lastReads || lastReads == 0 {
+		t.Errorf("the last join's reader was read %d times, want %d (twice its fresh %d)", last.reads, 2*lastReads, lastReads)
 	}
 }

@@ -631,7 +631,6 @@ func (e *executor) knnFrom(rn, sn *rtree.Node) {
 			// The leaf kernel scans sn in xl-order: a counted read sorts it.
 			readSorted(e.s, e.tracker, p.sn, &e.local)
 			st.band = append(st.band, p)
-			e.crewed()
 		} else {
 			e.s.AccessNode(e.tracker, p.sn)
 			e.knnExpand(st, p)
@@ -650,10 +649,10 @@ func (e *executor) knnFrom(rn, sn *rtree.Node) {
 // runBand joins the pending band of leaf pairs, all popped at one distance:
 // one leafGroup per R leaf over its S leaves in pop order, then one tighten.
 // Heaps of different R leaves are disjoint, so the groups' order does not
-// matter; they run in R node order.  Past the helper gate each group is a
-// crew job: the groups run concurrently and the coordinator tightens their
-// leaves in R node order as it retires them, so every bound — and with it
-// the read schedule — moves exactly as inline.
+// matter; they run in R node order.  When the join has helpers each group is
+// a crew job, the first starting the crew: the groups run concurrently and
+// the coordinator tightens their leaves in R node order as it retires them,
+// so every bound — and with it the read schedule — moves exactly as inline.
 func (e *executor) runBand(st *knnState) {
 	band := st.band
 	// Within a band the pop order is the sequence order.
@@ -670,7 +669,7 @@ func (e *executor) runBand(st *knnState) {
 		}
 		ri := band[i].ri
 		base := int(st.nodes[ri].first)
-		if e.crew == nil {
+		if !e.crewed() {
 			st.leafGroup(band[i].rn, base, band[i:j], &e.arena.leaf, &e.local)
 			st.tighten(ri, &e.local)
 		} else {
@@ -688,13 +687,22 @@ func (e *executor) runBand(st *knnState) {
 }
 
 // emitKNN reports the finished heaps in registration order, each item's
-// neighbours ascending by (distance, S id).
+// neighbours ascending by (distance, S id).  A counting join sums the heap
+// sizes instead: the order costs no counted comparison.
 func (e *executor) emitKNN(st *knnState) {
-	for i := range st.items {
-		h := st.heap(i)
-		sortCands(h)
-		for _, c := range h {
-			e.emit(Pair{R: st.items[i].id, S: c.sID})
+	if e.counting() {
+		n := 0
+		for i := range st.items {
+			n += int(st.items[i].n)
+		}
+		e.countPairs(n)
+	} else {
+		for i := range st.items {
+			h := st.heap(i)
+			sortCands(h)
+			for _, c := range h {
+				e.emit(Pair{R: st.items[i].id, S: c.sID})
+			}
 		}
 	}
 	e.local.FlushTo(e.metrics)

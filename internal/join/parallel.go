@@ -69,30 +69,6 @@ type parallelWorker struct {
 
 var parallelWorkerPool sync.Pool
 
-// planState is the planning-side buffer state (LRU plus tracker), recycled
-// through a pool like the worker state so repeated joins do not rebuild the
-// frame pool per run.
-type planState struct {
-	lru     *buffer.LRU
-	tracker *buffer.Tracker
-}
-
-var planPool sync.Pool
-
-// getPlanState returns a plan tracker backed by a buffer of bufferBytes,
-// charging accesses to col.
-func getPlanState(bufferBytes, pageSize int, usePathBuffer bool, col *metrics.Collector) *planState {
-	v := planPool.Get()
-	if v == nil {
-		lru := buffer.NewLRUForBytes(bufferBytes, pageSize)
-		return &planState{lru: lru, tracker: buffer.NewTracker(lru, col, pageSize, usePathBuffer)}
-	}
-	p := v.(*planState)
-	p.lru.ReconfigureForBytes(bufferBytes, pageSize)
-	p.tracker.Reconfigure(col, pageSize, usePathBuffer)
-	return p
-}
-
 // getParallelWorker returns a worker configured for this run's buffer
 // partition, reusing pooled state when available.
 func getParallelWorker(bufferBytes, pageSize int, usePathBuffer bool) *parallelWorker {
@@ -222,8 +198,7 @@ func ParallelJoin(r, s *rtree.Tree, popts ParallelOptions) (*Result, error) {
 	// before the buffer is partitioned across workers — so a child node that
 	// qualifies in several pairs is charged one disk read, not one per pair.
 	var plan metrics.Local
-	ps := getPlanState(opts.BufferBytes, r.PageSize(), opts.UsePathBuffer, collector)
-	planTracker := ps.tracker
+	planTracker := getTracker(opts.BufferBytes, r.PageSize(), opts.UsePathBuffer, collector)
 	attachReaders(planTracker, r, s, opts)
 	r.AccessNode(planTracker, r.Root())
 	s.AccessNode(planTracker, s.Root())
@@ -274,7 +249,7 @@ func ParallelJoin(r, s *rtree.Tree, popts ParallelOptions) (*Result, error) {
 	}
 	plan.FlushTo(collector)
 	planErr := planTracker.ReadErr()
-	planPool.Put(ps)
+	putTracker(planTracker)
 	if watch.cancelled() {
 		return nil, cancelErr(opts.Context)
 	}
@@ -448,9 +423,9 @@ func ParallelJoin(r, s *rtree.Tree, popts ParallelOptions) (*Result, error) {
 }
 
 // attachReaders wires the measured-I/O hooks (per-tree PageReaders and the
-// optional shared PageCache) into a tracker, so ParallelJoin's planning and
-// worker trackers follow the same physical-read discipline as the
-// sequential join.
+// optional shared PageCache) into a tracker, so the sequential join and
+// ParallelJoin's planning and worker trackers follow one physical-read
+// discipline.
 func attachReaders(tr *buffer.Tracker, r, s *rtree.Tree, opts Options) {
 	if opts.PageReaderR != nil {
 		tr.SetPageReader(r.ID(), opts.PageReaderR)

@@ -92,9 +92,10 @@ func (e *executor) sweepJoin(nr, ns *rtree.Node, rect geom.Rect, method Method, 
 }
 
 // leafPair runs the leaf stage of a leaf x leaf pair whose pages the
-// coordinator has read: inline below the helper gate, else as a job for the
-// crew, which finishes it in queue order (helpers.go).  Either way the same
-// joinLeaves produces the pairs and the coordinator emits them.
+// coordinator has read: as a job for the crew, which finishes it in queue
+// order (helpers.go), or inline when the join has no helpers — at
+// GOMAXPROCS=1 and in a ParallelJoin worker.  Either way the same joinLeaves
+// produces the pairs, or only their count, and the coordinator emits them.
 //
 //repro:hotpath
 func (e *executor) leafPair(nr, ns *rtree.Node, rect geom.Rect) {
@@ -111,8 +112,9 @@ func (e *executor) leafPair(nr, ns *rtree.Node, rect geom.Rect) {
 	if e.opts.DisableRestriction {
 		restrict = nil
 	}
-	sc.out = joinLeaves(nr, ns, restrict, e.eps, e.eps2, &sc.sweepScratch, sc.out[:0], &e.local)
-	e.emitPairs(sc.out)
+	var n int
+	sc.out, n = joinLeaves(nr, ns, restrict, e.eps, e.eps2, &sc.sweepScratch, !e.counting(), sc.out[:0], &e.local)
+	e.emitLeaf(sc.out, n)
 	e.local.FlushTo(e.metrics)
 }
 
@@ -134,36 +136,40 @@ func sweepNodes(nr, ns *rtree.Node, rect *geom.Rect, eps float64, sc *sweepScrat
 }
 
 // joinLeaves is the leaf stage of the sweep joins: it sweeps two leaves
-// (sweepNodes) and appends to out the pairs that satisfy the predicate, in
-// sweep order, charging local.  Under the within-distance predicate (eps >
-// 0) the sweep's corner pairs get the exact counted Euclidean test.  It
-// reads only the two nodes, which no join mutates, and its arguments, so a
-// helper can run it while the coordinator reads further pages.
+// (sweepNodes) and returns the number of pairs that satisfy the predicate,
+// charging local; with keep set it also appends them to out, in sweep order.
+// Under the within-distance predicate (eps > 0) the sweep's corner pairs get
+// the exact counted Euclidean test, kept or not.  It reads only the two
+// nodes, which no join mutates, and its arguments, so a helper can run it
+// while the coordinator reads further pages.
 //
 //repro:hotpath
-func joinLeaves(nr, ns *rtree.Node, rect *geom.Rect, eps, eps2 float64, sc *sweepScratch, out []Pair, local *metrics.Local) []Pair {
+func joinLeaves(nr, ns *rtree.Node, rect *geom.Rect, eps, eps2 float64, sc *sweepScratch, keep bool, out []Pair, local *metrics.Local) ([]Pair, int) {
 	sweepNodes(nr, ns, rect, eps, sc, local)
 	if eps > 0 {
 		// The sweep filtered on expanded rectangles (a Chebyshev ball); the
 		// predicate is Euclidean, so corner pairs need the exact counted
 		// distance test.
-		var comps int64
+		var comps, n int64
 		for _, p := range sc.pairs {
 			er := &nr.Entries[sc.rIdx[p.R]]
 			es := &ns.Entries[sc.sIdx[p.S]]
 			ok, cost := geom.WithinDistSquaredCost(er.Rect, es.Rect, eps2)
 			comps += cost
-			if ok {
+			n += geom.Bit(ok)
+			if keep && ok {
 				out = append(out, Pair{R: er.Data, S: es.Data})
 			}
 		}
 		local.Comparisons += comps
-		return out
+		return out, int(n)
 	}
-	for _, p := range sc.pairs {
-		out = append(out, Pair{R: nr.Entries[sc.rIdx[p.R]].Data, S: ns.Entries[sc.sIdx[p.S]].Data})
+	if keep {
+		for _, p := range sc.pairs {
+			out = append(out, Pair{R: nr.Entries[sc.rIdx[p.R]].Data, S: ns.Entries[sc.sIdx[p.S]].Data})
+		}
 	}
-	return out
+	return out, len(sc.pairs)
 }
 
 // descend reads the two child pages and joins them recursively.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/http"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/geom"
@@ -92,43 +93,52 @@ func BenchmarkChurnRound(b *testing.B) {
 	}
 }
 
-// BenchmarkServedJoin times one intersection join served from a published
-// epoch in the shape of the ledger's serve-churn workload: R holds 20 000
+// newServedJoin builds the server of BenchmarkServedJoin: R holds 20 000
 // rectangles with sides up to 0.004 in a store of 4 KiB pages on an OS file,
 // ingested through Update and Round; S holds 10 000 squares of side 0.005;
-// the epoch's page cache is 128 KiB, a quarter of R's pages, so about half
-// of the join's counted misses are physical reads.  It reports them per op.
-func BenchmarkServedJoin(b *testing.B) {
+// the epoch's page cache is 128 KiB, a quarter of R's pages.  It returns
+// the server after one join, and the pager under R.
+func newServedJoin(tb testing.TB) (*Server, *storage.Pager) {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(39))
 	opts := rtree.Options{PageSize: storage.PageSize4K}
-	p, err := storage.OpenPager(storage.OSVFS{}, filepath.Join(b.TempDir(), "r.db"), storage.PageSize4K, storage.PagerOptions{})
+	p, err := storage.OpenPager(storage.OSVFS{}, filepath.Join(tb.TempDir(), "r.db"), storage.PageSize4K, storage.PagerOptions{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer p.Close()
+	tb.Cleanup(func() { p.Close() })
 	store, err := rtree.NewTreeStore(rtree.MustNew(opts), p)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	sTree, err := rtree.BulkLoadSTR(opts, genItems(rng, 10000, 1_000_000, 0.005))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	srv, err := New(Config{Store: store, S: sTree, CacheBytes: 128 << 10, CostBudget: -1})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer srv.Close()
+	tb.Cleanup(func() { srv.Close() })
 	if err := srv.Update(churnOps(rng, 20000, 0, 0.004)); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if _, err := srv.Round(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	if _, err := srv.Join(context.Background(), JoinRequest{}); err != nil {
+		tb.Fatal(err)
+	}
+	return srv, p
+}
+
+// BenchmarkServedJoin times one intersection join served from a published
+// epoch in the shape of the ledger's serve-churn workload (newServedJoin):
+// the page cache holds a quarter of R's pages, so about half of the join's
+// counted misses are physical reads.  It reports them per op.
+func BenchmarkServedJoin(b *testing.B) {
+	srv, p := newServedJoin(b)
 	ctx := context.Background()
-	if _, err := srv.Join(ctx, JoinRequest{}); err != nil {
-		b.Fatal(err)
-	}
 	reads := p.Stats().Reads
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -139,6 +149,69 @@ func BenchmarkServedJoin(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(p.Stats().Reads-reads)/float64(b.N), "reads/op")
+}
+
+// TestWarmServedJoinBuildsNoBuffers: a warm join in BenchmarkServedJoin's
+// shape allocates no tracker, no LRU and no read frame — the sequential
+// join takes its tracker, with its LRU and frame, from a pool.  Every
+// allocation of the measured joins is profiled, and those made under the
+// three constructors counted.
+func TestWarmServedJoinBuildsNoBuffers(t *testing.T) {
+	srv, p := newServedJoin(t)
+	ctx := context.Background()
+	const joins = 20
+	run := func() {
+		for range joins {
+			if _, err := srv.Join(ctx, JoinRequest{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The pool holds up to 16 trackers and sequential joins take them in
+	// turn; a tracker last used on smaller pages grows its frame once.
+	run()
+	old := runtime.MemProfileRate
+	runtime.MemProfileRate = 1
+	defer func() { runtime.MemProfileRate = old }()
+	before, reads := bufferAllocs(), p.Stats().Reads
+	run()
+	if p.Stats().Reads == reads {
+		t.Fatal("the joins read no page: the read frame was never needed")
+	}
+	if n := bufferAllocs() - before; n != 0 {
+		t.Errorf("%d warm joins made %d allocations building a tracker, an LRU or a read frame", joins, n)
+	}
+}
+
+// bufferAllocs returns the allocations the memory profile attributes to the
+// constructors of a join's tracker: buffer.NewTracker, buffer.NewLRU and
+// the read frame Tracker.SetPageReader sizes.  A garbage collection
+// publishes the allocations made before it; the second leaves a margin.
+func bufferAllocs() int64 {
+	runtime.GC()
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	for n, ok := runtime.MemProfile(nil, true); !ok; {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+		recs = recs[:min(n, len(recs))]
+	}
+	var total int64
+	for i := range recs {
+		frames := runtime.CallersFrames(recs[i].Stack())
+		for {
+			f, more := frames.Next()
+			switch f.Function {
+			case "repro/internal/buffer.NewTracker", "repro/internal/buffer.NewLRU", "repro/internal/buffer.(*Tracker).SetPageReader":
+				total += recs[i].AllocObjects
+				more = false
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return total
 }
 
 // discardWriter is an http.ResponseWriter that drops the body.

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -240,12 +241,19 @@ func TestHandlerAbortsFailedStreams(t *testing.T) {
 // TestHandlerRerunsUnsentStreams: a transient fault after the first pair
 // but before the first chunk cut a stream that never left the handler's
 // buffer, so the handler runs the join again and answers 200 with every pair
-// and the cut attempt counted as a retry.
+// and the cut attempt counted as a retry.  The fault is placed by a count of
+// page reads, which lands between the first pair and the first chunk only
+// when the join emits each leaf pair's pairs before its next read: at
+// GOMAXPROCS=1, where it runs no helpers.  With helpers the reads run up to
+// a ring of leaf pairs ahead of the emission, and the fifth read fails
+// before any pair is out.
 func TestHandlerRerunsUnsentStreams(t *testing.T) {
 	var fx *fixture
 	fx = newStreamFixture(t, Config{Sleep: func(context.Context, time.Duration) {
 		fx.fs.SetScript(storage.FaultScript{})
 	}})
+	old := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 	h := NewHandler(fx.srv, HandlerConfig{})
 	want := decodeWire(t, doHTTP(t, h, "POST", "/join", JoinRequestWire{}))
 

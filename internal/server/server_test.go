@@ -59,17 +59,12 @@ func newWideFixture(t testing.TB, cfg Config) *fixture {
 
 // newStreamFixture is the fixture of the streaming-fault tests.  Its full
 // join streams many times the encoder's ring of pairs, so the first chunk
-// leaves while the join still has pages to read, and it meets more leaf
-// pairs than the join's helper gate.  The test runs on at least two
-// procs, so the join starts its helpers and the encoder its writer.
+// leaves while the join still has pages to read.  The test runs on at least
+// two procs, so the join runs its helpers and the encoder its writer.
 func newStreamFixture(t testing.TB, cfg Config) *fixture {
 	t.Helper()
 	atLeastTwoProcs(t)
 	fx := newSizedFixture(t, cfg, 6000, 4000, 0.02)
-	// Twice the join's gate of 256 leaf pairs.
-	if n := leafPairs(fx.srv.cfg.Store.Tree(), fx.srv.cfg.S); n < 512 {
-		t.Fatalf("the stream fixture meets %d leaf pairs, too few to pass the join's helper gate", n)
-	}
 	res, err := join.Join(fx.srv.cfg.Store.Tree(), fx.srv.cfg.S, join.Options{Method: join.SJ4, DiscardPairs: true})
 	if err != nil {
 		t.Fatal(err)
@@ -86,30 +81,6 @@ func atLeastTwoProcs(t testing.TB) {
 		runtime.GOMAXPROCS(2)
 		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 	}
-}
-
-// leafPairs counts the pairs of leaves, one from each tree, whose
-// rectangles intersect: the leaf pairs an intersection join meets.
-func leafPairs(r, s *rtree.Tree) int {
-	leaves := func(t *rtree.Tree) []geom.Rect {
-		var out []geom.Rect
-		t.Walk(func(n *rtree.Node) {
-			if n.IsLeaf() {
-				out = append(out, n.MBR())
-			}
-		})
-		return out
-	}
-	n := 0
-	sLeaves := leaves(s)
-	for _, a := range leaves(r) {
-		for _, b := range sLeaves {
-			if a.Intersects(b) {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 func newSizedFixture(t testing.TB, cfg Config, nR, nS int, side float64) *fixture {
