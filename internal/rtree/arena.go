@@ -1,7 +1,7 @@
 package rtree
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -17,11 +17,10 @@ import (
 // during one operation (now an epoch-marked slice), the candidate index slice
 // of the overlap-minimising ChooseSubtree (allocated per directory node per
 // insert), and the sort.Slice scratch of the split machinery (entry copies,
-// prefix/suffix MBR arrays, distance sortings).  All sorts go through
-// preallocated sort.Interface values driven by sort.Sort, which runs the
-// identical pdqsort the sort.Slice calls used, so every permutation — and
-// with it every tree shape — is bit-identical to the original
-// (internal/rtree/parity_test.go pins this with structural goldens).
+// prefix/suffix MBR arrays, distance sortings).  Every sort runs on keyed
+// records (see below) with the same pdqsort the sort.Slice calls used, so
+// every permutation — and with it every tree shape — is bit-identical to the
+// original (internal/rtree/parity_test.go pins this with structural goldens).
 type buildArena struct {
 	// epoch marks one Insert or Delete; reinserted[level] == epoch encodes
 	// "this level already performed a forced re-insertion during the current
@@ -44,21 +43,29 @@ type buildArena struct {
 	// Purely observational: plain Insert never reads it.
 	lastLeaf *Node
 
-	// ChooseSubtree candidate scratch.
-	candIdx    []int
-	candEnl    []float64
-	candSorter candSorter
+	// keys holds the records of the current sort on keys (sibling order,
+	// ChooseSubtree candidates, forced-reinsert distances, split axes), and
+	// entries a copy of the node forced re-insertion rearranges.
+	keys    []keyed
+	entries []Entry
 
-	// Forced-reinsert distance sorting.
-	dists      []distEntry
-	distSorter distSorter
+	// ChooseSubtree scratch: the candidate indexes, the least-enlargement
+	// records they come from, and the overlap terms of one candidate's
+	// window with a bit per sibling that has one.
+	candIdx []int
+	top     []keyed
+	terms   []float64
+	hits    []uint64
+
+	// removals counts forced re-insertions: an insert whose descent saw it
+	// change recomputes the directory rectangles above (insertRec).
+	removals int64
 
 	// R*-split scratch: the entries sorted by lower/upper corner per axis
 	// ([axis][corner]), and the prefix/suffix MBRs of one sorting.
-	sorted     [2][2][]Entry
-	axisSorter axisEntrySorter
-	prefix     []geom.Rect
-	suffix     []geom.Rect
+	sorted [2][2][]Entry
+	prefix []geom.Rect
+	suffix []geom.Rect
 
 	// Quadratic-split scratch.
 	groupA    []Entry
@@ -124,80 +131,69 @@ func (a *buildArena) prefixSuffixMBRs(sorted []Entry) (prefix, suffix []geom.Rec
 	return prefix, suffix
 }
 
-// --- preallocated sorters ---------------------------------------------------
+// --- sorts on keys ----------------------------------------------------------
 //
-// Each sorter is a value stored in the arena and passed to sort.Sort as a
-// pointer, so the interface conversion never allocates.  sort.Sort and
-// sort.Slice are instantiations of the same pdqsort, so given identical Less
-// outcomes they produce identical permutations; the structural goldens depend
-// on exactly that.
+// Every construction sort orders (key, index) records with slices.SortFunc
+// (or slices.SortStableFunc), whose pdqsort (or insertion-sort-and-merge) is
+// generated from the same template as sort.Sort's (sort.Stable's): given the
+// same outcomes of "a before b" they make the same moves, so the records
+// come out in the permutation the sort.Interface sorters of earlier versions
+// produced, ties included, without an interface call per comparison or a
+// 48-byte entry per swap.  The structural goldens depend on exactly that,
+// and TestKeyedSortMatchesSortSort holds each sort to its sort.Sort form.
+// The comparison functions answer "before" with a plain < or >, as the
+// sorters' Less did: NaN keys sort as they always did.
 
-// candSorter orders the candidate indexes of ChooseSubtree by ascending area
-// enlargement, mirroring the original sort.Slice closure (which recomputed
-// the enlargement per comparison; the values are precomputed here, which
-// cannot change any comparison outcome).
-type candSorter struct {
-	idx []int
-	enl []float64
+// keyed is one record of a sort on keys: a float key and the index of the
+// entry it belongs to.
+type keyed struct {
+	key float64
+	idx int32
 }
 
-func (s *candSorter) Len() int           { return len(s.idx) }
-func (s *candSorter) Swap(i, j int)      { s.idx[i], s.idx[j] = s.idx[j], s.idx[i] }
-func (s *candSorter) Less(i, j int) bool { return s.enl[s.idx[i]] < s.enl[s.idx[j]] }
-
-// distEntry pairs an entry with the distance of its centre from the node
-// centre, for the forced-reinsert ordering.
-type distEntry struct {
-	dist float64
-	e    Entry
-}
-
-// distSorter orders by decreasing distance (farthest entries are removed).
-type distSorter struct {
-	d []distEntry
-}
-
-func (s *distSorter) Len() int           { return len(s.d) }
-func (s *distSorter) Swap(i, j int)      { s.d[i], s.d[j] = s.d[j], s.d[i] }
-func (s *distSorter) Less(i, j int) bool { return s.d[i].dist > s.d[j].dist }
-
-// axisEntrySorter orders entries by the lower or upper corner of their
-// rectangles along one axis, the four sortings of the R*-split.
-type axisEntrySorter struct {
-	e     []Entry
-	axis  int  // 0 = x, 1 = y
-	upper bool // sort by upper instead of lower corner
-}
-
-func (s *axisEntrySorter) Len() int      { return len(s.e) }
-func (s *axisEntrySorter) Swap(i, j int) { s.e[i], s.e[j] = s.e[j], s.e[i] }
-func (s *axisEntrySorter) Less(i, j int) bool {
-	if s.axis == 0 {
-		if s.upper {
-			return s.e[i].Rect.XU < s.e[j].Rect.XU
-		}
-		return s.e[i].Rect.XL < s.e[j].Rect.XL
+// ascending orders keyed records by increasing key.
+func ascending(a, b keyed) int {
+	if a.key < b.key {
+		return -1
 	}
-	if s.upper {
-		return s.e[i].Rect.YU < s.e[j].Rect.YU
+	if b.key < a.key {
+		return 1
 	}
-	return s.e[i].Rect.YL < s.e[j].Rect.YL
+	return 0
 }
 
-// sortByAxis copies entries into the arena buffer for (axis, corner) and
-// sorts it, returning the sorted scratch slice.
+// descending orders keyed records by decreasing key.
+func descending(a, b keyed) int { return ascending(b, a) }
+
+// sortByAxis sorts entries by the lower or upper corner along one axis into
+// the arena buffer for (axis, corner), the four sortings of the R*-split,
+// and returns the sorted scratch slice.
 func (a *buildArena) sortByAxis(entries []Entry, axis, corner int) []Entry {
-	buf := a.sorted[axis][corner]
+	recs := a.keys[:0]
+	for i := range entries {
+		r := &entries[i].Rect
+		var k float64
+		switch {
+		case axis == 0 && corner == 0:
+			k = r.XL
+		case axis == 0:
+			k = r.XU
+		case corner == 0:
+			k = r.YL
+		default:
+			k = r.YU
+		}
+		recs = append(recs, keyed{key: k, idx: int32(i)})
+	}
+	a.keys = recs
+	slices.SortFunc(recs, ascending)
+	buf := a.sorted[axis][corner][:0]
 	if cap(buf) < len(entries) {
 		buf = make([]Entry, 0, len(entries))
 	}
-	buf = buf[:len(entries)]
-	copy(buf, entries)
+	for _, k := range recs {
+		buf = append(buf, entries[k.idx])
+	}
 	a.sorted[axis][corner] = buf
-	a.axisSorter.e = buf
-	a.axisSorter.axis = axis
-	a.axisSorter.upper = corner == 1
-	sort.Sort(&a.axisSorter)
-	a.axisSorter.e = nil
 	return buf
 }

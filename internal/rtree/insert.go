@@ -2,7 +2,8 @@ package rtree
 
 import (
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -62,9 +63,20 @@ func (t *Tree) insertEntry(e Entry, level int) {
 // insertRec descends from n to the target level, inserts the entry and
 // resolves overflows bottom-up.  It returns a directory entry for a newly
 // created sibling (and true) if n itself was split.
+//
+// The entry for the child it descended into grows by union when nothing left
+// the child's subtree (no split of the child, no forced re-insertion below
+// it): a directory rectangle equals its child's MBR (CheckInvariants holds
+// it to that), the child now covers what it covered plus e, and Go's min and
+// max fold to the same bits in any order, signed zeros included.  Equal
+// values have equal bits except for a zero, which may carry either sign
+// (the insertion buffer's leaf hint appends a -0 corner inside a +0 one
+// without touching the ancestors), or NaN; a rectangle with such a corner
+// is recomputed as the child's MBR, as is the entry of a child that lost
+// entries.
 func (t *Tree) insertRec(n *Node, e Entry, level int) (Entry, bool) {
 	if n.Level == level {
-		n.setEntries(append(n.Entries, e))
+		n.appendEntry(e)
 		if n.Level == 0 {
 			// Remember the leaf that received the entry: the insertion
 			// buffer seeds its next descent from it (see insertbuf.go).
@@ -73,16 +85,27 @@ func (t *Tree) insertRec(n *Node, e Entry, level int) (Entry, bool) {
 	} else {
 		idx := t.chooseSubtree(n, e.Rect)
 		child := t.ownChild(n, idx)
+		removals := t.build.removals
 		split, ok := t.insertRec(child, e, level)
-		n.setRect(idx, child.MBR())
+		if old := n.Entries[idx].Rect; ok || t.build.removals != removals || !nonzeroCorners(old) {
+			n.setRect(idx, child.MBR())
+		} else {
+			n.setRect(idx, old.Union(e.Rect))
+		}
 		if ok {
-			n.setEntries(append(n.Entries, split))
+			n.appendEntry(split)
 		}
 	}
 	if len(n.Entries) > t.maxEnt {
 		return t.overflow(n)
 	}
 	return Entry{}, false
+}
+
+// nonzeroCorners reports whether every corner of r is a number other than
+// zero, whose value fixes its bits.
+func nonzeroCorners(r geom.Rect) bool {
+	return (r.XL < 0 || r.XL > 0) && (r.YL < 0 || r.YL > 0) && (r.XU < 0 || r.XU > 0) && (r.YU < 0 || r.YU > 0)
 }
 
 // chooseSubtree returns the index of the entry of n whose subtree the new
@@ -97,15 +120,20 @@ func (t *Tree) chooseSubtree(n *Node, r geom.Rect) int {
 	// R*-tree, children are leaves: minimise overlap enlargement.  For large
 	// capacities only the chooseSubtreeCandidates entries with the least area
 	// enlargement are examined (the R*-tree paper's optimisation).
-	candidates := t.candidateIndexes(n.Entries, r)
+	o := t.siblings(n)
+	candidates := t.candidateIndexes(n.Entries, o, r)
 	if len(candidates) == 1 {
 		return candidates[0]
 	}
 	best := candidates[0]
-	bestOverlap := overlapEnlargement(n.Entries, best, r)
+	bestOverlap := t.overlapEnlargement(n.Entries, o, best, r, math.Inf(1))
 	bestEnlarge := n.Entries[best].Rect.Enlargement(r)
 	bestArea := n.Entries[best].Rect.Area()
 	for _, i := range candidates[1:] {
+		if math.IsNaN(bestOverlap) {
+			// No overlap enlargement compares below or equal to NaN.
+			break
+		}
 		enl := n.Entries[i].Rect.Enlargement(r)
 		area := n.Entries[i].Rect.Area()
 		if bestOverlap == 0 && !(enl < bestEnlarge || (enl == bestEnlarge && area < bestArea)) {
@@ -115,7 +143,7 @@ func (t *Tree) chooseSubtree(n *Node, r geom.Rect) int {
 			// could not change the choice.
 			continue
 		}
-		o := overlapEnlargement(n.Entries, i, r)
+		o := t.overlapEnlargement(n.Entries, o, i, r, bestOverlap)
 		if o < bestOverlap ||
 			(o == bestOverlap && enl < bestEnlarge) ||
 			(o == bestOverlap && enl == bestEnlarge && area < bestArea) {
@@ -144,42 +172,92 @@ func leastEnlargement(entries []Entry, r geom.Rect) int {
 // candidateIndexes returns the indexes of the entries to examine for the
 // overlap-minimising ChooseSubtree: all of them for small nodes, otherwise
 // the chooseSubtreeCandidates entries with the least area enlargement.  The
-// index and enlargement buffers live in the build arena.
+// index buffer and the sort's records live in the build arena.
 //
 // A large node whose least enlargement belongs to one entry alone, with a
 // zero overlap enlargement, yields that entry as the only candidate, unsorted:
 // the sort would put it first, and no later candidate can beat a zero
 // overlap enlargement with a larger area enlargement (see chooseSubtree).
-func (t *Tree) candidateIndexes(entries []Entry, r geom.Rect) []int {
+// When the least enlargements are distinct, an insertion selection finds
+// them without the sort (leastDistinct).
+func (t *Tree) candidateIndexes(entries []Entry, o *siblingOrder, r geom.Rect) []int {
 	a := &t.build
 	idx := a.candIdx[:0]
-	for i := range entries {
-		idx = append(idx, i)
-	}
-	a.candIdx = idx
 	if len(entries) <= chooseSubtreeCandidates {
+		for i := range entries {
+			idx = append(idx, i)
+		}
+		a.candIdx = idx
 		return idx
 	}
-	enl := a.candEnl[:0]
+	recs := a.keys[:0]
 	least, sole, nan := 0, true, false
 	for i := range entries {
 		e := entries[i].Rect.Enlargement(r)
-		enl = append(enl, e)
+		recs = append(recs, keyed{key: e, idx: int32(i)})
 		nan = nan || math.IsNaN(e) // NaN keys leave the sorted order undefined
-		if e < enl[least] {
+		if e < recs[least].key {
 			least, sole = i, true
-		} else if i > 0 && e == enl[least] {
+		} else if i > 0 && e == recs[least].key {
 			sole = false
 		}
 	}
-	a.candEnl = enl
-	if sole && !nan && overlapEnlargement(entries, least, r) == 0 {
-		return idx[least : least+1]
+	a.keys = recs
+	if sole && !nan && t.overlapEnlargement(entries, o, least, r, 0) == 0 {
+		a.candIdx = append(idx, least)
+		return a.candIdx
 	}
-	a.candSorter.idx, a.candSorter.enl = idx, enl
-	sort.Sort(&a.candSorter)
-	a.candSorter.idx, a.candSorter.enl = nil, nil
-	return idx[:chooseSubtreeCandidates]
+	var top []keyed
+	distinct := false
+	if !nan {
+		if a.top == nil {
+			a.top = make([]keyed, 0, chooseSubtreeCandidates)
+		}
+		top, distinct = leastDistinct(recs, chooseSubtreeCandidates, a.top[:0])
+	}
+	if !distinct {
+		slices.SortFunc(recs, ascending)
+		top = recs[:chooseSubtreeCandidates]
+	}
+	for _, k := range top {
+		idx = append(idx, int(k.idx))
+	}
+	a.candIdx = idx
+	return idx
+}
+
+// leastDistinct appends to top the k records of recs with the least keys, in
+// ascending order of key, by insertion, and reports whether those keys are
+// distinct and below every key left out.  Then every sort of recs puts just
+// these records, in this order, first, so they are the candidates the
+// pdqsort would have chosen, without its comparisons through a function
+// value; otherwise (ties, which are common at an enlargement of 0) the
+// caller sorts.  recs must hold more than k records, none with a NaN key.
+func leastDistinct(recs []keyed, k int, top []keyed) ([]keyed, bool) {
+	out := math.Inf(1) // the least key left out
+	for _, r := range recs {
+		if len(top) == k {
+			last := top[k-1].key
+			if !(r.key < last) {
+				out = min(out, r.key)
+				continue
+			}
+			out = min(out, last)
+			top = top[:k-1]
+		}
+		j := len(top)
+		top = append(top, r)
+		for ; j > 0 && top[j-1].key > r.key; j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = r
+	}
+	for j := 1; j < len(top); j++ {
+		if !(top[j-1].key < top[j].key) {
+			return top, false
+		}
+	}
+	return top, top[len(top)-1].key < out
 }
 
 // overlapEnlargement returns the increase of the overlap between entry i and
@@ -195,22 +273,65 @@ func (t *Tree) candidateIndexes(entries []Entry, r geom.Rect) []int {
 // a is finite because it is at most area(Ri), which the guard checks is
 // finite (siblings with a NaN coordinate, which CheckInvariants rejects,
 // are the one input this shortcut does not reproduce).
-func overlapEnlargement(entries []Entry, i int, r geom.Rect) float64 {
+//
+// A sibling strictly beside E on either axis has an intersection extent
+// below zero, hence area 0, so an interval test rejects it before the area
+// is computed; a NaN coordinate fails the test's comparisons and is measured
+// as before.  With the node's sibling order o (nil: none, as for a node
+// with a NaN x-corner) only the window of siblings whose x-interval can
+// meet E's is tested at all.  The terms found are added in sibling order,
+// so the sum keeps its bits.
+//
+// The scan stops early, returning a value above bound, once a term exceeds
+// bound: adding a term of at least +0 never lowers a rounded sum, so the
+// sum is at least each of its terms (or NaN).  A candidate whose overlap enlargement exceeds the best one so far
+// loses to it whatever the exact value, so chooseSubtree passes that best
+// one; +Inf asks for the sum itself.
+func (t *Tree) overlapEnlargement(entries []Entry, o *siblingOrder, i int, r geom.Rect, bound float64) float64 {
 	ri := entries[i].Rect
 	if ri.Contains(r) && ri.Area() <= math.MaxFloat64 {
 		return 0
 	}
-	enlarged := ri.Union(r)
-	var delta float64
-	for j := range entries {
-		if j == i {
+	e := ri.Union(r)
+	a := &t.build
+	if len(a.terms) < len(entries) {
+		c := max(len(entries), t.maxEnt+1)
+		a.terms = make([]float64, c)
+		a.hits = make([]uint64, (c+63)/64)
+	}
+	lo, hi := 0, len(entries)
+	var perm []int32
+	if o != nil && !math.IsNaN(e.XL) && !math.IsNaN(e.XU) {
+		lo, hi = o.window(e.XL, e.XU)
+		perm = o.perm
+	}
+	for k := lo; k < hi; k++ {
+		j := k
+		if perm != nil {
+			j = int(perm[k])
+		}
+		rj := &entries[j].Rect
+		if j == i || rj.XL > e.XU || rj.XU < e.XL || rj.YL > e.YU || rj.YU < e.YL {
 			continue
 		}
-		grown := enlarged.IntersectionArea(entries[j].Rect)
+		grown := e.IntersectionArea(*rj)
 		if grown == 0 {
 			continue
 		}
-		delta += grown - ri.IntersectionArea(entries[j].Rect)
+		term := grown - ri.IntersectionArea(*rj)
+		if term > bound {
+			clear(a.hits)
+			return term
+		}
+		a.terms[j] = term
+		a.hits[j>>6] |= 1 << (j & 63)
+	}
+	var delta float64
+	for w, word := range a.hits {
+		for ; word != 0; word &= word - 1 {
+			delta += a.terms[w<<6|bits.TrailingZeros64(word)]
+		}
+		a.hits[w] = 0
 	}
 	return delta
 }
@@ -249,25 +370,24 @@ func (t *Tree) forcedReinsert(n *Node) bool {
 	}
 	a := &t.build
 	center := n.MBR().Center()
-	dists := a.dists[:0]
-	for _, e := range n.Entries {
-		dists = append(dists, distEntry{dist: e.Rect.Center().Distance(center), e: e})
+	dists := a.keys[:0]
+	for i := range n.Entries {
+		dists = append(dists, keyed{key: n.Entries[i].Rect.Center().Distance(center), idx: int32(i)})
 	}
-	a.dists = dists
-	a.distSorter.d = dists
-	sort.Sort(&a.distSorter)
-	a.distSorter.d = nil
+	a.keys = dists
+	slices.SortFunc(dists, descending)
 
-	removed := dists[:p]
-	kept := n.Entries[:0]
-	for _, d := range dists[p:] {
-		kept = append(kept, d.e)
-	}
-	n.setEntries(kept)
 	// Close reinsert: queue the removed entries ordered by increasing
 	// distance from the centre.
-	for i := len(removed) - 1; i >= 0; i-- {
-		a.pushPending(removed[i].e, n.Level)
+	for k := p - 1; k >= 0; k-- {
+		a.pushPending(n.Entries[dists[k].idx], n.Level)
 	}
+	a.entries = append(a.entries[:0], n.Entries...)
+	kept := n.Entries[:0]
+	for _, d := range dists[p:] {
+		kept = append(kept, a.entries[d.idx])
+	}
+	n.setEntries(kept)
+	a.removals++
 	return true
 }

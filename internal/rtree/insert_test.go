@@ -3,6 +3,7 @@ package rtree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -37,13 +38,18 @@ func gridRect(rng *rand.Rand, cells int) geom.Rect {
 // of tiny, subnormal-area and huge rectangles, and on signed zeros.
 func TestOverlapEnlargementMatchesFullSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	tr := MustNew(Options{})
 	check := func(entries []Entry, r geom.Rect) {
 		t.Helper()
+		o := tr.siblings(&Node{Level: 1, Entries: entries})
 		for i := range entries {
-			got, want := overlapEnlargement(entries, i, r), refOverlapEnlargement(entries, i, r)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("entry %d of %v, r %v: got %v (%#x), full sum %v (%#x)",
-					i, entries, r, got, math.Float64bits(got), want, math.Float64bits(want))
+			want := refOverlapEnlargement(entries, i, r)
+			for _, o := range []*siblingOrder{nil, o} {
+				got := tr.overlapEnlargement(entries, o, i, r, math.Inf(1))
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("entry %d of %v, r %v, window %v: got %v (%#x), full sum %v (%#x)",
+						i, entries, r, o != nil, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
 			}
 		}
 	}
@@ -79,7 +85,7 @@ func refChooseSubtree(entries []Entry, r geom.Rect) int {
 		idx[i], enl[i] = i, entries[i].Rect.Enlargement(r)
 	}
 	if len(entries) > chooseSubtreeCandidates {
-		sort.Sort(&candSorter{idx: idx, enl: enl})
+		sort.Sort(&refCandSorter{idx: idx, enl: enl})
 		idx = idx[:chooseSubtreeCandidates]
 	}
 	best := idx[0]
@@ -96,27 +102,205 @@ func refChooseSubtree(entries []Entry, r geom.Rect) int {
 }
 
 // TestChooseSubtreeMatchesDefinition compares the R* ChooseSubtree, with
-// its zero-overlap pruning and sole-least-enlargement shortcut, with the
-// full definition on leaf-parents of 2 to 120 entries drawn from a coarse
-// grid, so equal enlargements, equal areas, duplicate rectangles and
-// candidates that contain the new rectangle are all common.  The huge scale
-// makes areas overflow to +Inf and enlargements NaN.
+// its zero-overlap pruning, sole-least-enlargement shortcut, sibling window
+// and early exit, with the full definition on leaf-parents of 2 to 205
+// entries (a 4 KiB page's capacity plus the overflowing one) drawn from a
+// coarse grid, so equal enlargements, equal areas, duplicate rectangles and
+// candidates that contain the new rectangle are all common.  Each node then
+// goes through the mutations the insert paths make, every one through the
+// choke points that keep its sibling order: the chosen entry grows in place
+// (insertRec's union), shrinks beside a new sibling (a child split), the
+// node keeps a subset and takes the rest back one by one (its own forced
+// re-insertion or split), or it is copied for a snapshot.  The choice is
+// compared again after every step.  Mirrored rectangles put signed zeros on
+// the grid; the tiny scale makes areas subnormal, and the huge scale makes
+// them overflow to +Inf and enlargements NaN.  One trial in four uses a fine
+// grid, whose enlargements seldom tie.
 func TestChooseSubtreeMatchesDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tr := MustNew(Options{})
-	for trial := 0; trial < 4000; trial++ {
+	const maxEntries = 205
+	steps := 0
+	for trial := 0; trial < 600; trial++ {
 		scale := []float64{1, 1e-160, 1e300}[trial%3]
 		cells := 1 + rng.Intn(12)
-		n := &Node{Level: 1, Entries: make([]Entry, 2+rng.Intn(119))}
-		for i := range n.Entries {
+		if trial%4 == 3 {
+			// A fine grid: enlargements rarely tie, so the candidates come
+			// from leastDistinct rather than the sort.
+			cells = 1 << 20
+		}
+		draw := func(cells int) geom.Rect {
 			g := gridRect(rng, cells)
-			n.Entries[i].Rect = geom.Rect{XL: g.XL * scale, YL: g.YL * scale, XU: g.XU * scale, YU: g.YU * scale}
+			if rng.Intn(2) == 0 {
+				g.XL, g.XU = -g.XU, -g.XL
+			}
+			return geom.Rect{XL: g.XL * scale, YL: g.YL * scale, XU: g.XU * scale, YU: g.YU * scale}
 		}
-		g := gridRect(rng, 2*cells)
-		r := geom.Rect{XL: g.XL * scale, YL: g.YL * scale, XU: g.XU * scale, YU: g.YU * scale}
-		if got, want := tr.chooseSubtree(n, r), refChooseSubtree(n.Entries, r); got != want {
-			t.Fatalf("trial %d: %d entries, r %v: chose %d, the definition chooses %d", trial, len(n.Entries), r, got, want)
+		n := &Node{Level: 1, Entries: make([]Entry, 2+rng.Intn(maxEntries-1))}
+		for i := range n.Entries {
+			n.Entries[i].Rect = draw(cells)
 		}
+		for step := 0; step < 12; step++ {
+			steps++
+			r := draw(2 * cells)
+			got, want := tr.chooseSubtree(n, r), refChooseSubtree(n.Entries, r)
+			if got != want {
+				t.Fatalf("trial %d step %d: %d entries, r %v: chose %d, the definition chooses %d",
+					trial, step, len(n.Entries), r, got, want)
+			}
+			switch rng.Intn(5) {
+			case 0, 1: // the chosen child took r
+				n.setRect(got, n.Entries[got].Rect.Union(r))
+			case 2: // the chosen child split
+				if len(n.Entries) < maxEntries {
+					n.setRect(got, draw(cells))
+					n.appendEntry(Entry{Rect: draw(cells)})
+				}
+			case 3: // the node kept a subset and takes the rest back
+				moved := append([]Entry(nil), n.Entries...)
+				rng.Shuffle(len(moved), func(i, j int) { moved[i], moved[j] = moved[j], moved[i] })
+				keep := 1 + rng.Intn(len(moved))
+				n.setEntries(append(n.Entries[:0], moved[:keep]...))
+				for _, e := range moved[keep:] {
+					if rng.Intn(3) > 0 {
+						n.appendEntry(e)
+					}
+				}
+				if len(n.Entries) < 2 {
+					n.appendEntry(Entry{Rect: draw(cells)})
+				}
+			default: // a snapshot's copy carries the order
+				n = tr.copyNode(n)
+			}
+			if n.sib != nil && n.sib.valid {
+				if err := checkSiblingOrder(n, n.sib); err != nil {
+					t.Fatalf("trial %d step %d: %v", trial, step, err)
+				}
+			}
+		}
+	}
+	t.Logf("%d choices compared", steps)
+}
+
+// TestKeyedSortMatchesSortSort holds every sort on keyed records to the
+// sort.Sort (or sort.Stable) over a sort.Interface it replaced, on inputs
+// whose keys repeat a lot (and include NaN and signed zeros): the tree
+// shapes depend on the permutation of ties, and the two are the same only
+// because the standard library generates both from one template.  A Go
+// release that changed either would fail here before it moved a golden.
+// ChooseSubtree's insertion selection (leastDistinct), where it claims the
+// least keys are distinct, must name the sort's first candidates.
+func TestKeyedSortMatchesSortSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	negZero := math.Copysign(0, -1)
+	key := func(distinct int) float64 {
+		switch k := rng.Intn(distinct + 3); k {
+		case distinct:
+			return math.NaN()
+		case distinct + 1:
+			return negZero
+		case distinct + 2:
+			return 0
+		default:
+			return float64(k) / 4
+		}
+	}
+	tr := MustNew(Options{})
+	a := &tr.build
+	selected := 0
+	for trial := 0; trial < 3000; trial++ {
+		n := rng.Intn(300)
+		distinct := 1 + rng.Intn(12)
+		if trial%10 == 0 {
+			distinct = 1 << 20
+		}
+		withNaN := trial%3 == 0
+		keys := make([]float64, n)
+		entries := make([]Entry, n)
+		for i := range keys {
+			if keys[i] = key(distinct); !withNaN && math.IsNaN(keys[i]) {
+				keys[i] = 1
+			}
+			entries[i] = Entry{Rect: geom.Rect{XL: key(distinct), YL: key(distinct), XU: key(distinct), YU: key(distinct)}, Data: int32(i)}
+		}
+		if trial%10 == 5 && n > chooseSubtreeCandidates {
+			// Distinct keys but for one tie across the candidates' cut.
+			for i, v := range rng.Perm(n) {
+				keys[i] = float64(v)
+			}
+			keys[slices.Index(keys, chooseSubtreeCandidates)] = chooseSubtreeCandidates - 1
+		}
+
+		// ChooseSubtree's candidates, ascending area enlargement.
+		idx := make([]int, n)
+		recs := make([]keyed, n)
+		for i := range idx {
+			idx[i], recs[i] = i, keyed{key: keys[i], idx: int32(i)}
+		}
+		sort.Sort(&refCandSorter{idx: idx, enl: keys})
+		if n > chooseSubtreeCandidates && !withNaN {
+			// The insertion selection stands in for the sort only when its
+			// keys are distinct and below the rest.
+			if top, ok := leastDistinct(recs, chooseSubtreeCandidates, nil); ok {
+				selected++
+				for k := range top {
+					if int(top[k].idx) != idx[k] {
+						t.Fatalf("trial %d: least distinct candidate %d is entry %d, the sort's is %d", trial, k, top[k].idx, idx[k])
+					}
+				}
+			}
+		}
+		slices.SortFunc(recs, ascending)
+		for k := range idx {
+			if int(recs[k].idx) != idx[k] {
+				t.Fatalf("trial %d: candidate sort differs at position %d", trial, k)
+			}
+		}
+
+		// Forced re-insertion's distances, descending.
+		dists := make([]refDistEntry, n)
+		for i := range dists {
+			dists[i], recs[i] = refDistEntry{dist: keys[i], e: entries[i]}, keyed{key: keys[i], idx: int32(i)}
+		}
+		sort.Sort(refDistSorter(dists))
+		slices.SortFunc(recs, descending)
+		for k := range dists {
+			if recs[k].idx != dists[k].e.Data {
+				t.Fatalf("trial %d: distance sort differs at position %d", trial, k)
+			}
+		}
+
+		// The R*-split's four axis sorts.
+		for axis := 0; axis < 2; axis++ {
+			for corner := 0; corner < 2; corner++ {
+				want := append([]Entry(nil), entries...)
+				sort.Sort(&refAxisSorter{e: want, axis: axis, upper: corner == 1})
+				got := a.sortByAxis(entries, axis, corner)
+				for k := range want {
+					if got[k].Data != want[k].Data {
+						t.Fatalf("trial %d: axis %d corner %d sort differs at position %d", trial, axis, corner, k)
+					}
+				}
+			}
+		}
+
+		// The insertion buffer's stable Hilbert-key sort.
+		h := refHilbertSorter{keys: make([]uint64, n), order: make([]int32, n)}
+		hrecs := make([]hilbertKeyed, n)
+		for i := range h.keys {
+			h.keys[i], h.order[i] = uint64(rng.Intn(distinct)), int32(i)
+			hrecs[i] = hilbertKeyed{key: h.keys[i], idx: int32(i)}
+		}
+		sort.Stable(&h)
+		slices.SortStableFunc(hrecs, byHilbertKey)
+		for k := range h.order {
+			if hrecs[k].idx != h.order[k] {
+				t.Fatalf("trial %d: Hilbert sort differs at position %d", trial, k)
+			}
+		}
+	}
+	if selected == 0 {
+		t.Fatal("no trial had distinct least keys")
 	}
 }
 

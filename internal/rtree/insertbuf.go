@@ -1,7 +1,8 @@
 package rtree
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/zorder"
@@ -12,14 +13,15 @@ import (
 // Dynamic R*-tree construction is CPU-bound in ChooseSubtree's
 // overlap-enlargement scan: every insert descends from the root and, at the
 // leaf-parent level, measures for up to 32 candidate entries how much their
-// overlap with the siblings would grow.  A scanned candidate tests every
-// sibling once (O(fan-out) intersection areas), but only the siblings its
-// enlarged rectangle overlaps cost a second one, a candidate that already
-// contains the rectangle costs nothing, and once a candidate with zero
-// overlap growth is found only candidates that could still win on the
-// tie-breakers are scanned (chooseSubtree, overlapEnlargement).  In the
-// worst case that is still O(candidates × fan-out) per insert, and an
-// arbitrary insertion order pays the descent for every single rectangle.
+// overlap with the siblings would grow.  A scanned candidate tests only the
+// siblings in its x-window (the node's sibling order, siblingorder.go), only
+// the siblings its enlarged rectangle overlaps cost intersection areas, a
+// candidate that already contains the rectangle costs nothing, a scan stops
+// once the candidate has lost, and once a candidate with zero overlap growth
+// is found only candidates that could still win on the tie-breakers are
+// scanned (chooseSubtree, overlapEnlargement).  In the worst case that is
+// still O(candidates × fan-out) per insert, and an arbitrary insertion order
+// pays the descent for every single rectangle.
 //
 // The insertion buffer stages inserts, sorts each batch by the Hilbert key of
 // the rectangle centres — the same curve the Hilbert bulk loader and the
@@ -83,9 +85,7 @@ type InsertBuffer struct {
 	hintFill int // max entries the fast path fills a leaf to
 
 	ops   []stagedOp
-	keys  []uint64
-	order []int32
-	srt   hilbertOrderSorter
+	order []hilbertKeyed
 
 	// Leaf hint: the leaf the previous applied insert landed in, its MBR, and
 	// the tree mutation epoch the hint was taken at.
@@ -203,18 +203,14 @@ func (b *InsertBuffer) Flush() {
 	if bounds, ok := b.t.Bounds(); ok {
 		world = world.Union(bounds)
 	}
-	b.keys = b.keys[:0]
 	b.order = b.order[:0]
 	for i, op := range b.ops {
-		b.keys = append(b.keys, zorder.HilbertKey(op.item.Rect.Center(), world))
-		b.order = append(b.order, int32(i))
+		b.order = append(b.order, hilbertKeyed{key: zorder.HilbertKey(op.item.Rect.Center(), world), idx: int32(i)})
 	}
 	// Stable on the staging order, so equal keys keep a deterministic order.
-	b.srt.order, b.srt.keys = b.order, b.keys
-	sort.Stable(&b.srt)
-	b.srt.order, b.srt.keys = nil, nil
-	for _, i := range b.order {
-		op := b.ops[i]
+	slices.SortStableFunc(b.order, byHilbertKey)
+	for _, k := range b.order {
+		op := b.ops[k.idx]
 		if op.del {
 			b.applyDelete(op.item)
 		} else {
@@ -267,17 +263,17 @@ func (b *InsertBuffer) applyOne(it Item) {
 	b.hintEpoch = t.muts
 }
 
-// hilbertOrderSorter orders the index slice by ascending Hilbert key.
-type hilbertOrderSorter struct {
-	order []int32
-	keys  []uint64
+// hilbertKeyed is one staged op's record in the flush's sort: the Hilbert
+// key of its centre and its staging index.  slices.SortStableFunc moves the
+// records as sort.Stable moved an index slice ordered by the same keys (see
+// arena.go), so the apply order is the one it always was.
+type hilbertKeyed struct {
+	key uint64
+	idx int32
 }
 
-func (s *hilbertOrderSorter) Len() int      { return len(s.order) }
-func (s *hilbertOrderSorter) Swap(i, j int) { s.order[i], s.order[j] = s.order[j], s.order[i] }
-func (s *hilbertOrderSorter) Less(i, j int) bool {
-	return s.keys[s.order[i]] < s.keys[s.order[j]]
-}
+// byHilbertKey orders records by ascending key.
+func byHilbertKey(a, b hilbertKeyed) int { return cmp.Compare(a.key, b.key) }
 
 // InsertItemsBuffered inserts all items through a Hilbert insertion buffer
 // sized to the whole batch (one sort, maximum run length).  It is the

@@ -446,3 +446,41 @@ func TestInsertBufferHintFillTarget(t *testing.T) {
 		t.Errorf("hintFill %d below minimum fill %d", b.hintFill, tr.minEnt)
 	}
 }
+
+// BenchmarkServedIngest builds a daemon's R the way POST /update does:
+// uniform rectangles, float32-exact like the ledger's, staged into an
+// insertion buffer over a 4 KiB-page tree in 20 batches, each flushed and
+// published as a snapshot (the writer's round).  "churn" is serve-churn's R
+// (20 000 rectangles of side up to 0.004), "read" serve-read's (10 000 of
+// side up to 0.02).
+func BenchmarkServedIngest(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		n    int
+		side float64
+	}{{"churn", 20000, 0.004}, {"read", 10000, 0.02}} {
+		rng := rand.New(rand.NewSource(1))
+		f32 := func(v float64) float64 { return float64(float32(v)) }
+		items := make([]Item, c.n)
+		for i := range items {
+			w, h := c.side*(1-rng.Float64()), c.side*(1-rng.Float64())
+			x, y := rng.Float64()*(1-c.side), rng.Float64()*(1-c.side)
+			items[i] = Item{Rect: geom.Rect{XL: f32(x), YL: f32(y), XU: f32(x + w), YU: f32(y + h)}, Data: int32(i)}
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tr := MustNew(Options{PageSize: storage.PageSize4K})
+				buf := NewInsertBuffer(tr, 0)
+				per := len(items) / 20
+				for k := 0; k < len(items); k += per {
+					for _, it := range items[k:min(k+per, len(items))] {
+						buf.Stage(it.Rect, it.Data)
+					}
+					buf.Flush()
+					tr.Snapshot()
+				}
+			}
+		})
+	}
+}

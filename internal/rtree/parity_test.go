@@ -18,8 +18,9 @@ import (
 // fan-outs, entry rectangles and object identifiers in depth-first order.
 //
 // The tree shape is sensitive to the exact permutation the (unstable) sorts
-// produce, so these goldens pin that the preallocated sort.Sort-based sorters
-// replicate the sort.Slice calls they replaced.
+// produce, so these goldens pin that the sorts on keyed records (arena.go)
+// replicate the sort.Slice calls, and then the sort.Sort sorters, they
+// replaced.
 
 // shape is a structural fingerprint of one tree.
 type shape struct {

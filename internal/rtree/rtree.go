@@ -117,6 +117,10 @@ type Node struct {
 	// xlOrder caches the entries' stable ascending-XL order for the sweep
 	// joins; nil until first used and again after every mutation (xlorder.go).
 	xlOrder atomic.Pointer[XLOrder]
+	// sib is the writer's order of the entries for ChooseSubtree's overlap
+	// scan; nil until a leaf-parent's first R* choice (siblingorder.go).
+	// Readers of a snapshot never touch it.
+	sib *siblingOrder
 }
 
 // IsLeaf reports whether the node is a leaf (level 0).

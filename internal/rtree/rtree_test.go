@@ -1,6 +1,8 @@
 package rtree
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -368,6 +370,15 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	root.Entries[0].Rect = geom.Rect{XL: saved.XL, YL: saved.YL, XU: saved.XL, YU: saved.YL}
 	if err := tr.CheckInvariants(); err == nil {
 		t.Fatal("expected invariant violation after corrupting a directory rectangle")
+	}
+	root.Entries[0].Rect = saved
+
+	// A directory rectangle that covers its child but is larger than the
+	// child's MBR breaks the exactness insertion relies on (insertRec grows
+	// a parent rectangle by union).
+	root.Entries[0].Rect.XU = math.Nextafter(saved.XU, math.Inf(1))
+	if err := tr.CheckInvariants(); !errors.Is(err, ErrInvalidMBR) {
+		t.Fatalf("covering but inexact directory rectangle: CheckInvariants = %v, want ErrInvalidMBR", err)
 	}
 	root.Entries[0].Rect = saved
 

@@ -93,7 +93,8 @@ func (t *Tree) ownChild(n *Node, idx int) *Node {
 
 // copyNode returns a private copy of a shared node: same page identifier and
 // level, entries copied into a fresh slice with overflow headroom, stamped
-// with the current write epoch.
+// with the current write epoch.  A valid sibling order comes along, so a
+// leaf-parent's copy does not re-sort its entries; the xl-order does not.
 func (t *Tree) copyNode(n *Node) *Node {
 	capEnt := t.maxEnt + 1
 	if len(n.Entries) > capEnt {
@@ -101,5 +102,6 @@ func (t *Tree) copyNode(n *Node) *Node {
 	}
 	c := &Node{ID: n.ID, Level: n.Level, epoch: t.cowEpoch}
 	c.Entries = append(make([]Entry, 0, capEnt), n.Entries...)
+	c.sib = n.sib.clone(capEnt)
 	return c
 }

@@ -7,7 +7,7 @@ import (
 
 // Validation errors.
 var (
-	ErrInvalidMBR     = errors.New("rtree: directory rectangle does not cover child")
+	ErrInvalidMBR     = errors.New("rtree: directory rectangle is not its child's MBR")
 	ErrUnderflow      = errors.New("rtree: node below minimum fill")
 	ErrOverflow       = errors.New("rtree: node above capacity")
 	ErrUnbalanced     = errors.New("rtree: leaves at different depths")
@@ -32,7 +32,9 @@ var (
 //     rectangles, and the insert paths take them on trust,
 //   - every node that has an xl-order (see XLOrder) has the one a fresh sort
 //     of its current entries produces — a mutation that forgot to drop the
-//     order shows up here.
+//     order shows up here — and every valid sibling order (the writer's,
+//     see siblingOrder) lists the entries in ascending XL with the running
+//     maximum of XU they give.
 //
 // It returns nil if the tree is structurally sound.
 func (t *Tree) CheckInvariants() error {
@@ -74,6 +76,11 @@ func (t *Tree) checkNode(n *Node, wantLevel int) (int, error) {
 			return 0, err
 		}
 	}
+	if n.sib != nil && n.sib.valid {
+		if err := checkSiblingOrder(n, n.sib); err != nil {
+			return 0, err
+		}
+	}
 	if n.IsLeaf() {
 		return len(n.Entries), nil
 	}
@@ -83,8 +90,8 @@ func (t *Tree) checkNode(n *Node, wantLevel int) (int, error) {
 			return 0, fmt.Errorf("%w: directory entry of node %d has no child", ErrLevelMismatch, n.ID)
 		}
 		childMBR := e.Child.MBR()
-		if !e.Rect.Contains(childMBR) {
-			return 0, fmt.Errorf("%w: node %d entry %v does not cover child MBR %v",
+		if !e.Rect.Equal(childMBR) {
+			return 0, fmt.Errorf("%w: node %d entry %v is not its child's MBR %v",
 				ErrInvalidMBR, n.ID, e.Rect, childMBR)
 		}
 		sub, err := t.checkNode(e.Child, wantLevel-1)
@@ -146,6 +153,40 @@ func checkXLOrder(n *Node, o *XLOrder) error {
 		if o.PrefixMaxYU[k] != fresh.PrefixMaxYU[k] {
 			return fmt.Errorf("%w: node %d strip %d position %d: running YU maximum %g, entries give %g",
 				ErrStaleOrder, n.ID, k/StripLen, k, o.PrefixMaxYU[k], fresh.PrefixMaxYU[k])
+		}
+	}
+	return nil
+}
+
+// checkSiblingOrder verifies a valid sibling order against the node's
+// current entries: a permutation of the entry indices, ascending in XL, each
+// position's key the entry's XL and its running maximum the entries' XU.
+func checkSiblingOrder(n *Node, o *siblingOrder) error {
+	if len(o.perm) != len(n.Entries) || len(o.xl) != len(o.perm) || len(o.maxXU) != len(o.perm) {
+		return fmt.Errorf("%w: node %d's sibling order keeps %d positions, %d keys and %d running maxima for %d entries",
+			ErrStaleOrder, n.ID, len(o.perm), len(o.xl), len(o.maxXU), len(n.Entries))
+	}
+	seen := make([]bool, len(n.Entries))
+	for k, i := range o.perm {
+		if i < 0 || int(i) >= len(seen) || seen[i] {
+			return fmt.Errorf("%w: node %d's sibling order, position %d: entry %d out of range or repeated", ErrStaleOrder, n.ID, k, i)
+		}
+		seen[i] = true
+		r := n.Entries[i].Rect
+		m := r.XU
+		if k > 0 {
+			m = max(m, o.maxXU[k-1])
+		}
+		switch {
+		case o.xl[k] != r.XL:
+			return fmt.Errorf("%w: node %d's sibling order, position %d: key %g, entry %d starts at %g",
+				ErrStaleOrder, n.ID, k, o.xl[k], i, r.XL)
+		case k > 0 && o.xl[k-1] > o.xl[k]:
+			return fmt.Errorf("%w: node %d's sibling order, positions %d,%d: xl %g before %g",
+				ErrStaleOrder, n.ID, k-1, k, o.xl[k-1], o.xl[k])
+		case o.maxXU[k] != m:
+			return fmt.Errorf("%w: node %d's sibling order, position %d: running XU maximum %g, entries give %g",
+				ErrStaleOrder, n.ID, k, o.maxXU[k], m)
 		}
 	}
 	return nil

@@ -139,20 +139,37 @@ func (s *xlSorter) Less(i, j int) bool {
 
 func (s *xlSorter) Swap(i, j int) { s.perm[i], s.perm[j] = s.perm[j], s.perm[i] }
 
-// setEntries replaces the node's entry slice.  Together with setRect it is
-// the only way the mutation paths change a node's entries in place, which is
-// what keeps the xl-order from going stale.  Only code filling a node it has
-// just allocated (the bulk packer, the page loader, copyNode) assigns Entries
+// setEntries replaces the node's entry slice.  Together with setRect and
+// appendEntry it is the only way the mutation paths change a node's entries
+// in place, which is what keeps the xl-order from going stale and the
+// writer's sibling order current.  Only code filling a node it has just
+// allocated (the bulk packer, the page loader, copyNode) assigns Entries
 // directly.
 func (n *Node) setEntries(entries []Entry) {
 	n.Entries = entries
 	n.dropXLOrder()
+	if n.sib != nil {
+		n.sib.valid = false
+	}
+}
+
+// appendEntry adds one entry at the end of the node's entries.
+func (n *Node) appendEntry(e Entry) {
+	n.Entries = append(n.Entries, e)
+	n.dropXLOrder()
+	if n.sib != nil && n.sib.valid {
+		n.sib.added(n.Entries)
+	}
 }
 
 // setRect replaces the rectangle of entry i.
 func (n *Node) setRect(i int, r geom.Rect) {
+	old := n.Entries[i].Rect.XL
 	n.Entries[i].Rect = r
 	n.dropXLOrder()
+	if n.sib != nil && n.sib.valid {
+		n.sib.moved(n.Entries, i, old)
+	}
 }
 
 // dropXLOrder forgets the order; the load keeps the common case (a node the

@@ -112,11 +112,12 @@ func TestCheckInvariantsDetectsStaleOrder(t *testing.T) {
 		corrupt func(n *Node)
 	}{
 		{"rect moved in place", func(n *Node) {
-			// Move the leftmost entry to the far right without touching its
-			// parent's rectangle check (a leaf's parent covers a shrunk MBR).
-			i := n.XLOrder().Perm[0]
-			last := n.Entries[n.XLOrder().Perm[len(n.Entries)-1]].Rect
-			n.Entries[i].Rect.XL, n.Entries[i].Rect.XU = last.XL, last.XU
+			// Move the leftmost entry to the far right and the rightmost to
+			// the far left: the leaf's x-intervals, and with them its MBR
+			// and its parent's rectangle, stay what they were.
+			o := n.XLOrder()
+			a, b := &n.Entries[o.Perm[0]].Rect, &n.Entries[o.Perm[len(n.Entries)-1]].Rect
+			a.XL, a.XU, b.XL, b.XU = b.XL, b.XU, a.XL, a.XU
 		}},
 		{"entries swapped", func(n *Node) {
 			o := n.XLOrder()
@@ -152,7 +153,11 @@ func TestCheckInvariantsDetectsStaleOrder(t *testing.T) {
 			n.xlOrder.Store(&XLOrder{Perm: o.Perm, PrefixMaxXU: stale, SortComparisons: o.SortComparisons})
 		}},
 		{"tie out of index order", func(n *Node) {
-			n.Entries[1].Rect.XL, n.Entries[1].Rect.XU = n.Entries[0].Rect.XL, n.Entries[0].Rect.XU
+			// Both entries take the union of their x-intervals, which keeps
+			// the leaf's MBR.
+			a, b := &n.Entries[0].Rect, &n.Entries[1].Rect
+			a.XL, a.XU = min(a.XL, b.XL), max(a.XU, b.XU)
+			b.XL, b.XU = a.XL, a.XU
 			n.xlOrder.Store(nil)
 			o := n.XLOrder()
 			perm := append([]int32(nil), o.Perm...)

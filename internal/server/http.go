@@ -208,6 +208,9 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 		}
 		if err == nil {
 			enc.drain()
+			if enc.expired() {
+				err = errReplyExpired
+			}
 		}
 		if err == nil && enc.sent {
 			// The traversal sees its context through an asynchronous watch,

@@ -162,17 +162,22 @@ func (h *firstWriteHook) Unwrap() http.ResponseWriter { return h.ResponseWriter 
 // a cancel — aborts the connection, so the client's read fails and what it
 // did receive does not decode.  A failure is never a well-formed partial
 // answer.  Only a storage fault that outlasts the retries breaks the server.
+//
+// The deadline that passes after the first chunk is a minute away, so it
+// cannot pass before the first chunk however slowly the join runs; the
+// hook expires it, ending the request's context as its deadline would.
 func TestHandlerAbortsFailedStreams(t *testing.T) {
 	dead := storage.FaultScript{ReadErrEvery: 1}
-	faultOnFirst := func(fx *fixture, _ context.Context, _ context.CancelFunc) { fx.fs.SetScript(dead) }
+	faultOnFirst := func(fx *fixture, _ context.CancelFunc, _ func()) { fx.fs.SetScript(dead) }
 	for _, tc := range []struct {
 		name string
 		// timeout is the request's deadline; negative means already expired.
 		timeout time.Duration
 		// before runs ahead of the request; onFirst once the first chunk
-		// is written, with the request's context and its cancel function.
+		// is written, with the request's cancel function and one that ends
+		// its context as an expired deadline does.
 		before  func(fx *fixture)
-		onFirst func(fx *fixture, ctx context.Context, cancel context.CancelFunc)
+		onFirst func(fx *fixture, cancel context.CancelFunc, expire func())
 		heal    bool // the retry backoff heals the disk
 		code    int  // 0: the body must be aborted
 		broken  bool // the server ends broken
@@ -181,8 +186,8 @@ func TestHandlerAbortsFailedStreams(t *testing.T) {
 		{name: "expired before the first byte", timeout: -time.Second, code: http.StatusGatewayTimeout},
 		{name: "transient fault after the first chunk", onFirst: faultOnFirst, heal: true},
 		{name: "persistent fault after the first chunk", onFirst: faultOnFirst, broken: true},
-		{name: "deadline after the first chunk", timeout: 50 * time.Millisecond, onFirst: func(_ *fixture, ctx context.Context, _ context.CancelFunc) { <-ctx.Done() }},
-		{name: "cancel after the first chunk", onFirst: func(_ *fixture, _ context.Context, cancel context.CancelFunc) { cancel() }},
+		{name: "deadline after the first chunk", timeout: time.Minute, onFirst: func(_ *fixture, _ context.CancelFunc, expire func()) { expire() }},
+		{name: "cancel after the first chunk", onFirst: func(_ *fixture, cancel context.CancelFunc, _ func()) { cancel() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var fx *fixture
@@ -201,8 +206,12 @@ func TestHandlerAbortsFailedStreams(t *testing.T) {
 					ctx, cancel = context.WithCancel(r.Context())
 				}
 				defer cancel()
+				ctx, expire := context.WithCancelCause(ctx)
+				defer expire(nil)
 				if tc.onFirst != nil {
-					w = &firstWriteHook{ResponseWriter: w, fn: func() { tc.onFirst(fx, ctx, cancel) }}
+					w = &firstWriteHook{ResponseWriter: w, fn: func() {
+						tc.onFirst(fx, cancel, func() { expire(context.DeadlineExceeded) })
+					}}
 				}
 				h.ServeHTTP(w, r.WithContext(ctx))
 			}))
@@ -235,6 +244,42 @@ func TestHandlerAbortsFailedStreams(t *testing.T) {
 				t.Fatalf("the %d bytes before the abort decode as a response with %d pairs", len(body), len(wire.Pairs))
 			}
 		})
+	}
+}
+
+// staleDeadline reports a deadline its context does not keep: the request
+// runs to the end, but its reply's first chunk is due after the deadline.
+type staleDeadline struct {
+	context.Context
+	at time.Time
+}
+
+func (c staleDeadline) Deadline() (time.Time, bool) { return c.at, true }
+
+// TestHandlerAnswers504WhenTheDeadlinePassesBeforeTheFirstChunk forces the
+// order the deadline-after-the-first-chunk case must not be confused with:
+// the deadline passes while the join runs, before its first chunk is due.
+// Nothing is on the wire yet, so the answer is the typed 504 with an error
+// body, not a status line whose first write fails.  The streamed join's
+// chunks go out from the encoder's writer goroutine, the sorted kNN reply's
+// from the handler after the join; both must hold back.
+func TestHandlerAnswers504WhenTheDeadlinePassesBeforeTheFirstChunk(t *testing.T) {
+	fx := newStreamFixture(t, Config{DefaultDeadline: -1})
+	h := NewHandler(fx.srv, HandlerConfig{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r.WithContext(staleDeadline{Context: r.Context(), at: time.Now()}))
+	}))
+	defer ts.Close()
+	for _, body := range []string{`{}`, `{"predicate":"knn:8"}`} {
+		resp, err := http.Post(ts.URL+"/join", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, readErr := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusGatewayTimeout || readErr != nil || !bytes.HasPrefix(got, []byte(`{"error":`)) {
+			t.Fatalf("%s: status %d, read error %v, body %.80q: want 504 and an error object", body, resp.StatusCode, readErr, got)
+		}
 	}
 }
 

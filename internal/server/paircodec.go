@@ -80,7 +80,9 @@ var encoderPool = sync.Pool{New: func() any {
 // reading must not hold the join there: from the first chunk on, writes
 // carry the join's deadline, and a failed write cancels the join.  After
 // one, the writer keeps taking blocks without writing them, so the join
-// never waits on a dead writer.
+// never waits on a dead writer.  A first chunk due after the deadline is
+// not written at all: the response stays uncommitted (failed, not sent),
+// so the handler can still answer with the typed 504 (see expired).
 type pairEncoder struct {
 	w     http.ResponseWriter
 	chunk int
@@ -240,7 +242,7 @@ func (e *pairEncoder) close(epoch uint64, count, retries int) {
 		e.buf = strconv.AppendInt(e.buf, int64(retries), 10)
 	}
 	e.buf = append(e.buf, '}', '\n')
-	if !e.sent && len(e.buf) <= e.chunk {
+	if !e.sent && !e.failed && len(e.buf) <= e.chunk {
 		WriteJSONBytes(e.w, http.StatusOK, e.buf)
 		return
 	}
@@ -248,7 +250,18 @@ func (e *pairEncoder) close(epoch uint64, count, retries int) {
 	if len(e.buf) > 0 {
 		e.send(e.buf)
 	}
+	if e.expired() {
+		WriteJoinError(e.w, errReplyExpired)
+	}
 }
+
+// errReplyExpired is the error of a reply whose first chunk was due after
+// the join's deadline.
+var errReplyExpired = fmt.Errorf("%w: %w before the reply's first chunk", ErrDeadline, context.DeadlineExceeded)
+
+// expired reports whether the deadline passed before the first chunk could
+// be written: nothing is committed, and the reply is the typed 504.
+func (e *pairEncoder) expired() bool { return e.failed && !e.sent }
 
 // flush writes every whole chunk buffered and keeps the remainder.
 func (e *pairEncoder) flush() {
@@ -264,6 +277,13 @@ func (e *pairEncoder) send(b []byte) {
 		return
 	}
 	if !e.sent {
+		if !e.deadline.IsZero() && !time.Now().Before(e.deadline) {
+			// The status line is not out yet: leave the response to the
+			// handler's 504 rather than commit a 200 whose first write
+			// must fail.  The join's own deadline stops it.
+			e.failed = true
+			return
+		}
 		e.sent = true
 		if !e.deadline.IsZero() {
 			// A writer that cannot take a deadline (a test recorder, a
