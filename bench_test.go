@@ -340,23 +340,6 @@ func BenchmarkWindowQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkGuttmanVsRStarQuery compares window-query work between the R*-tree
-// and the quadratic R-tree (ablation of the index variant).
-func BenchmarkGuttmanQuery(b *testing.B) {
-	items := GenerateDataset(DatasetConfig{Kind: Streets, Count: 8000, Seed: 1})
-	tree, err := BuildRTree(RTreeOptions{PageSize: PageSize1K, Variant: Quadratic}, items, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	window := NewRect(0.4, 0.4, 0.45, 0.45)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		tree.Search(window, func(TreeEntry) bool { n++; return true })
-	}
-}
-
 // BenchmarkHeightPolicies compares the three policies of section 4.4.
 func BenchmarkHeightPolicies(b *testing.B) {
 	big := GenerateDataset(DatasetConfig{Kind: Streets, Count: 12000, Seed: 4})

@@ -128,18 +128,6 @@ func (c *PageCache) Invalidate(key FrameKey) {
 	}
 }
 
-// InvalidateTree drops every cached page of the given tree.
-func (c *PageCache) InvalidateTree(tree int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for key, e := range c.frames {
-		if key.Tree == tree {
-			c.unlink(e)
-			delete(c.frames, key)
-		}
-	}
-}
-
 // Stats returns a snapshot of the counters.
 func (c *PageCache) Stats() PageCacheStats {
 	c.mu.Lock()

@@ -246,29 +246,6 @@ func TestPageCacheEvictionOrder(t *testing.T) {
 	}
 }
 
-// TestPageCacheInvalidateTree pins the per-tree isolation the server's epoch
-// flips rely on: dropping one tree's pages leaves every other tree's pages
-// untouched, so invalidating the churned R tree cannot cold-start S.
-func TestPageCacheInvalidateTree(t *testing.T) {
-	c := NewPageCache(16)
-	for p := 0; p < 4; p++ {
-		c.Put(FrameKey{Tree: 1, Page: storage.PageID(p)}, []byte{1, byte(p)})
-		c.Put(FrameKey{Tree: 2, Page: storage.PageID(p)}, []byte{2, byte(p)})
-	}
-	c.InvalidateTree(1)
-	for p := 0; p < 4; p++ {
-		if _, ok := c.Get(FrameKey{Tree: 1, Page: storage.PageID(p)}); ok {
-			t.Fatalf("tree 1 page %d survived InvalidateTree(1)", p)
-		}
-		if got, ok := c.Get(FrameKey{Tree: 2, Page: storage.PageID(p)}); !ok || !bytes.Equal(got, []byte{2, byte(p)}) {
-			t.Fatalf("tree 2 page %d lost or corrupted by InvalidateTree(1): %q, %v", p, got, ok)
-		}
-	}
-	if st := c.Stats(); st.Pages != 4 {
-		t.Fatalf("%d pages cached after InvalidateTree, want 4", st.Pages)
-	}
-}
-
 // TestPageCacheEpochIsolation drives the cache the way the server does across
 // a commit boundary: two trackers (the old and the new epoch) share one
 // cache; the commit invalidates the pages it rewrote, so the new epoch reads

@@ -244,55 +244,3 @@ type Dataset struct {
 	Kind  Kind
 	Items []rtree.Item
 }
-
-// TestPair describes one of the paper's join experiments (A)-(E): two
-// relations and their cardinalities.
-type TestPair struct {
-	Name     string
-	R, S     Config
-	SelfJoin bool // test (D) joins a relation with itself
-}
-
-// PaperTestPairs returns the five dataset pairs of Table 8, scaled by the
-// given factor (1.0 reproduces the paper's cardinalities; smaller factors are
-// used by the default test and benchmark configurations to bound runtime).
-func PaperTestPairs(scale float64) []TestPair {
-	if scale <= 0 {
-		scale = 1
-	}
-	n := func(count int) int {
-		v := int(float64(count) * scale)
-		if v < 100 {
-			v = 100
-		}
-		return v
-	}
-	return []TestPair{
-		{
-			Name: "A",
-			R:    Config{Kind: Streets, Count: n(PaperStreetsCount), Seed: 101},
-			S:    Config{Kind: Rivers, Count: n(PaperRiversRailwaysCount), Seed: 202},
-		},
-		{
-			Name: "B",
-			R:    Config{Kind: Streets, Count: n(PaperStreetsCount), Seed: 101},
-			S:    Config{Kind: Streets, Count: n(PaperStreets2Count), Seed: 303},
-		},
-		{
-			Name: "C",
-			R:    Config{Kind: Streets, Count: n(PaperLargeStreetsCount), Seed: 404},
-			S:    Config{Kind: Rivers, Count: n(PaperRiversRailwaysCount), Seed: 202},
-		},
-		{
-			Name:     "D",
-			R:        Config{Kind: Rivers, Count: n(PaperRiversRailwaysCount), Seed: 202},
-			S:        Config{Kind: Rivers, Count: n(PaperRiversRailwaysCount), Seed: 202},
-			SelfJoin: true,
-		},
-		{
-			Name: "E",
-			R:    Config{Kind: Regions, Count: n(PaperRegionRCount), Seed: 505},
-			S:    Config{Kind: Regions, Count: n(PaperRegionSCount), Seed: 606},
-		},
-	}
-}

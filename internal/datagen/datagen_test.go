@@ -175,45 +175,6 @@ func TestJoinSelectivityOrdering(t *testing.T) {
 	}
 }
 
-func TestPaperTestPairs(t *testing.T) {
-	pairs := PaperTestPairs(1.0)
-	if len(pairs) != 5 {
-		t.Fatalf("expected 5 test pairs, got %d", len(pairs))
-	}
-	wantCounts := map[string][2]int{
-		"A": {PaperStreetsCount, PaperRiversRailwaysCount},
-		"B": {PaperStreetsCount, PaperStreets2Count},
-		"C": {PaperLargeStreetsCount, PaperRiversRailwaysCount},
-		"D": {PaperRiversRailwaysCount, PaperRiversRailwaysCount},
-		"E": {PaperRegionRCount, PaperRegionSCount},
-	}
-	for _, p := range pairs {
-		want, ok := wantCounts[p.Name]
-		if !ok {
-			t.Fatalf("unexpected test pair %q", p.Name)
-		}
-		if p.R.Count != want[0] || p.S.Count != want[1] {
-			t.Errorf("pair %s counts = %d/%d, want %d/%d", p.Name, p.R.Count, p.S.Count, want[0], want[1])
-		}
-	}
-	if !pairs[3].SelfJoin {
-		t.Error("test D must be marked as a self join")
-	}
-
-	scaled := PaperTestPairs(0.01)
-	if scaled[0].R.Count >= pairs[0].R.Count {
-		t.Error("scaling must reduce cardinalities")
-	}
-	defaulted := PaperTestPairs(0)
-	if defaulted[0].R.Count != pairs[0].R.Count {
-		t.Error("scale 0 must default to the paper cardinalities")
-	}
-	tiny := PaperTestPairs(0.000001)
-	if tiny[0].R.Count < 100 {
-		t.Error("scaled cardinalities must keep a sensible minimum")
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if Streets.String() == "" || Rivers.String() == "" || Regions.String() == "" || Kind(42).String() == "" {
 		t.Error("Kind.String must not be empty")

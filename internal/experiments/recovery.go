@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"time"
 
@@ -137,21 +136,7 @@ func (w *recoveryWorkload) joinHashes(r *rtree.Tree) [5]uint64 {
 		if err != nil {
 			panic(fmt.Sprintf("experiments: recovery join %v: %v", method, err))
 		}
-		join.SortPairs(res.Pairs)
-		h := fnv.New64a()
-		var buf [8]byte
-		for _, p := range res.Pairs {
-			buf[0] = byte(p.R)
-			buf[1] = byte(p.R >> 8)
-			buf[2] = byte(p.R >> 16)
-			buf[3] = byte(p.R >> 24)
-			buf[4] = byte(p.S)
-			buf[5] = byte(p.S >> 8)
-			buf[6] = byte(p.S >> 16)
-			buf[7] = byte(p.S >> 24)
-			h.Write(buf[:])
-		}
-		hashes[i] = h.Sum64()
+		hashes[i] = pairSetHash(res.Pairs)
 	}
 	return hashes
 }

@@ -7,10 +7,10 @@ import (
 )
 
 // buildArena is the reusable scratch space of one tree's construction and
-// maintenance path: insertion, forced re-insertion, both split algorithms and
-// deletion.  Every buffer is grown on first use and reused for the lifetime
-// of the tree, so in steady state an Insert allocates only when a node
-// actually splits (the new page and its entry slice, which the tree keeps).
+// maintenance path: insertion, forced re-insertion, the split and deletion.
+// Every buffer is grown on first use and reused for the lifetime of the
+// tree, so in steady state an Insert allocates only when a node actually
+// splits (the new page and its entry slice, which the tree keeps).
 //
 // The arena replaces three per-operation allocation sources of the original
 // implementation: the map[int]bool recording which levels already re-inserted
@@ -66,11 +66,6 @@ type buildArena struct {
 	sorted [2][2][]Entry
 	prefix []geom.Rect
 	suffix []geom.Rect
-
-	// Quadratic-split scratch.
-	groupA    []Entry
-	groupB    []Entry
-	remaining []Entry
 }
 
 // begin starts one Insert or Delete: levels re-inserted during earlier

@@ -3,11 +3,9 @@ package rtree
 import (
 	"math"
 	"sort"
-
-	"repro/internal/zorder"
 )
 
-// BulkLoadFill is the target node fill used by the bulk loaders.  Packing
+// BulkLoadFill is the target node fill used by the bulk loader.  Packing
 // nodes completely full makes every subsequent insertion split; 90% leaves
 // headroom while still producing far fewer pages than dynamic insertion.
 const BulkLoadFill = 0.90
@@ -63,22 +61,6 @@ func (s *centerYSorter) Less(i, j int) bool {
 	return s.e[i].Rect.Center().Y < s.e[j].Rect.Center().Y
 }
 
-// hilbertSorter orders entries by precomputed Hilbert keys of their centres.
-// The original implementation recomputed the key inside the comparison
-// closure; precomputing cannot change any comparison outcome, so the
-// permutation (and the tree shape) is unchanged.
-type hilbertSorter struct {
-	e    []Entry
-	keys []uint64
-}
-
-func (s *hilbertSorter) Len() int { return len(s.e) }
-func (s *hilbertSorter) Swap(i, j int) {
-	s.e[i], s.e[j] = s.e[j], s.e[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
-func (s *hilbertSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-
 // BulkLoadSTR builds a tree from the given items with the Sort-Tile-Recursive
 // packing algorithm: items are sorted by the x-coordinate of their centres,
 // cut into vertical slices, each slice is sorted by y and cut into nodes.
@@ -111,46 +93,6 @@ func BulkLoadSTR(opts Options, items []Item) (*Tree, error) {
 			t.size = len(items)
 			return t, nil
 		}
-		entries = b.nextLevel()
-		level++
-	}
-}
-
-// BulkLoadHilbert builds a tree by sorting the items along the Hilbert curve
-// of their centres and packing consecutive runs into nodes, level by level.
-// Its items carry BulkLoadSTR's precondition.
-func BulkLoadHilbert(opts Options, items []Item) (*Tree, error) {
-	t, err := New(opts)
-	if err != nil {
-		return nil, err
-	}
-	if len(items) == 0 {
-		return t, nil
-	}
-	world := items[0].Rect
-	for _, it := range items[1:] {
-		world = world.Union(it.Rect)
-	}
-	var b bulkScratch
-	entries := b.fillEntries(items)
-	h := hilbertSorter{e: entries, keys: make([]uint64, len(entries))}
-	for i := range entries {
-		h.keys[i] = zorder.HilbertKey(entries[i].Rect.Center(), world)
-	}
-	sort.Sort(&h)
-	perNode := targetFill(t.maxEnt)
-
-	level := 0
-	for {
-		b.nodes = t.packRuns(b.nodes[:0], entries, level, perNode)
-		if len(b.nodes) == 1 {
-			t.root = b.nodes[0]
-			t.height = level + 1
-			t.size = len(items)
-			return t, nil
-		}
-		// Directory entries are already in curve order because their children
-		// were packed from a curve-ordered sequence.
 		entries = b.nextLevel()
 		level++
 	}

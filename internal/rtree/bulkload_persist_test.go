@@ -45,33 +45,6 @@ func TestBulkLoadSTRStructureAndQueries(t *testing.T) {
 	}
 }
 
-func TestBulkLoadHilbert(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	items := randomItems(rng, 5000, 0.005)
-	tr, err := BulkLoadHilbert(Options{PageSize: storage.PageSize1K}, items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != len(items) {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("invariants violated: %v", err)
-	}
-	query := geom.Rect{XL: 0.7, YL: 0.1, XU: 0.75, YU: 0.2}
-	want := 0
-	for _, it := range items {
-		if it.Rect.Intersects(query) {
-			want++
-		}
-	}
-	got := 0
-	tr.Search(query, func(Entry) bool { got++; return true })
-	if got != want {
-		t.Fatalf("query returned %d results, want %d", got, want)
-	}
-}
-
 func TestBulkLoadEmptyAndErrors(t *testing.T) {
 	tr, err := BulkLoadSTR(Options{}, nil)
 	if err != nil || tr.Len() != 0 {
@@ -79,13 +52,6 @@ func TestBulkLoadEmptyAndErrors(t *testing.T) {
 	}
 	if _, err := BulkLoadSTR(Options{PageSize: 16}, nil); err == nil {
 		t.Fatal("expected error for tiny page")
-	}
-	if _, err := BulkLoadHilbert(Options{PageSize: 16}, nil); err == nil {
-		t.Fatal("expected error for tiny page")
-	}
-	tr2, err := BulkLoadHilbert(Options{}, nil)
-	if err != nil || tr2.Len() != 0 {
-		t.Fatalf("empty Hilbert bulk load: %v", err)
 	}
 }
 
@@ -216,7 +182,8 @@ func TestBatchSearchSubtreeMatchesIndividualQueries(t *testing.T) {
 		})
 	}
 	got := make(map[[2]int32]bool)
-	tr.BatchSearchSubtree(tr.Root(), queries, nil, func(qi int, e Entry) {
+	var scratch BatchScratch
+	tr.BatchSearchSubtreeScratch(tr.Root(), queries, nil, &scratch, func(qi int, e Entry) {
 		got[[2]int32{int32(qi), e.Data}] = true
 	})
 	if len(got) != len(want) {
@@ -232,11 +199,11 @@ func TestBatchSearchSubtreeMatchesIndividualQueries(t *testing.T) {
 	// at most once even without any buffer.
 	m := metrics.NewCollector()
 	tracker := buffer.NewTracker(buffer.NewLRU(0), m, storage.PageSize1K, false)
-	tr.BatchSearchSubtree(tr.Root(), queries, tracker, func(int, Entry) {})
+	tr.BatchSearchSubtreeScratch(tr.Root(), queries, tracker, &scratch, func(int, Entry) {})
 	if m.DiskReads() > int64(tr.Stats().TotalPages()) {
 		t.Fatalf("batch search read %d pages, tree has only %d", m.DiskReads(), tr.Stats().TotalPages())
 	}
 
 	// Empty query list is a no-op.
-	tr.BatchSearchSubtree(tr.Root(), nil, nil, func(int, Entry) { t.Fatal("unexpected callback") })
+	tr.BatchSearchSubtreeScratch(tr.Root(), nil, nil, &scratch, func(int, Entry) { t.Fatal("unexpected callback") })
 }

@@ -128,27 +128,18 @@ func TestCatalogIsExactAfterMutations(t *testing.T) {
 		tree func(t *testing.T) *Tree
 	}
 	var starts []start
-	for _, variant := range []Variant{RStar, Quadratic} {
-		for _, pageSize := range []int{8 * storage.EntrySize, storage.PageSize1K} {
-			opts := Options{PageSize: pageSize, Variant: variant}
-			starts = append(starts, start{
-				name: fmt.Sprintf("%v-%dB", variant, pageSize),
-				tree: func(*testing.T) *Tree { return MustNew(opts) },
-			})
-		}
+	for _, pageSize := range []int{8 * storage.EntrySize, storage.PageSize1K} {
+		opts := Options{PageSize: pageSize}
+		starts = append(starts, start{
+			name: fmt.Sprintf("R*-tree-%dB", pageSize),
+			tree: func(*testing.T) *Tree { return MustNew(opts) },
+		})
 	}
 	items := sampleItems(1500, 17)
 	opts := Options{PageSize: storage.PageSize1K}
 	starts = append(starts,
 		start{"str", func(t *testing.T) *Tree {
 			tr, err := BulkLoadSTR(opts, items)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return tr
-		}},
-		start{"hilbert", func(t *testing.T) *Tree {
-			tr, err := BulkLoadHilbert(opts, items)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -255,13 +246,6 @@ func TestCatalogStatsMatchStructure(t *testing.T) {
 	build := map[string]func() *Tree{
 		"bulk-str": func() *Tree {
 			tr, err := BulkLoadSTR(Options{PageSize: storage.PageSize1K}, items)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return tr
-		},
-		"bulk-hilbert": func() *Tree {
-			tr, err := BulkLoadHilbert(Options{PageSize: storage.PageSize1K}, items)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -111,10 +111,9 @@ func nonzeroCorners(r geom.Rect) bool {
 // chooseSubtree returns the index of the entry of n whose subtree the new
 // rectangle should be inserted into.
 func (t *Tree) chooseSubtree(n *Node, r geom.Rect) int {
-	if t.opts.Variant == Quadratic || n.Level > 1 {
-		// Guttman's ChooseLeaf criterion, also used by the R*-tree for
-		// directory levels above the leaves: least area enlargement, ties
-		// broken by smallest area.
+	if n.Level > 1 {
+		// Directory levels above the leaves: least area enlargement, ties
+		// broken by smallest area (Guttman's ChooseLeaf criterion).
 		return leastEnlargement(n.Entries, r)
 	}
 	// R*-tree, children are leaves: minimise overlap enlargement.  For large
@@ -338,10 +337,10 @@ func (t *Tree) overlapEnlargement(entries []Entry, o *siblingOrder, i int, r geo
 
 // overflow resolves a node that exceeds the capacity M: the R*-tree removes a
 // fraction of the entries for re-insertion the first time a level overflows
-// during one insertion, otherwise (and always for the root and the Quadratic
-// variant) the node is split.
+// during one insertion, otherwise (and always for the root) the node is
+// split.
 func (t *Tree) overflow(n *Node) (Entry, bool) {
-	if t.opts.Variant == RStar && n != t.root && !t.build.wasReinserted(n.Level) && t.opts.ReinsertFraction > 0 {
+	if n != t.root && !t.build.wasReinserted(n.Level) {
 		t.build.markReinserted(n.Level)
 		if t.forcedReinsert(n) {
 			return Entry{}, false
@@ -350,13 +349,14 @@ func (t *Tree) overflow(n *Node) (Entry, bool) {
 	return t.splitNode(n), true
 }
 
-// forcedReinsert removes the ReinsertFraction of the node's entries whose
-// rectangle centres are farthest from the centre of the node's MBR and queues
-// them for re-insertion at the node's level ("close reinsert": the removed
-// entries are re-inserted starting with the one closest to the centre).
+// forcedReinsert removes the DefaultReinsertFraction of the node's entries
+// whose rectangle centres are farthest from the centre of the node's MBR and
+// queues them for re-insertion at the node's level ("close reinsert": the
+// removed entries are re-inserted starting with the one closest to the
+// centre).
 // It reports whether any entries were removed; if not, the caller must split.
 func (t *Tree) forcedReinsert(n *Node) bool {
-	p := int(float64(len(n.Entries)) * t.opts.ReinsertFraction)
+	p := int(float64(len(n.Entries)) * DefaultReinsertFraction)
 	if p < 1 {
 		p = 1
 	}

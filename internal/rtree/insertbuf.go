@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"repro/internal/geom"
@@ -24,17 +25,17 @@ import (
 // pays the descent for every single rectangle.
 //
 // The insertion buffer stages inserts, sorts each batch by the Hilbert key of
-// the rectangle centres — the same curve the Hilbert bulk loader and the
-// spatial join partitioner use — and applies them in curve order.  Spatially
-// consecutive inserts overwhelmingly land in the same leaf, so the buffer
-// seeds each insert from the leaf the previous one chose: while the staged
-// rectangle lies inside that leaf's MBR and the leaf has room, the entry is
-// appended directly — no directory rectangle grows (the rectangle is covered),
-// no node overflows (capacity was checked), so the tree's invariants are
-// untouched and the whole root-to-leaf descent with its overlap scan is
-// skipped.  This is the disk-resident update batching of EMBANKS-style
-// buffer trees reduced to its in-memory essence: buffer, order spatially,
-// apply in locality order.
+// the rectangle centres — the same curve the spatial join partitioner uses —
+// and applies them in curve order.  Spatially consecutive inserts
+// overwhelmingly land in the same leaf, so the buffer seeds each insert from
+// the leaf the previous one chose: while the staged rectangle leaves that
+// leaf's MBR unchanged and the leaf has room, the entry is appended directly
+// — no directory rectangle grows (the rectangle is covered), no node
+// overflows (capacity was checked), so the tree's invariants are untouched
+// and the whole root-to-leaf descent with its overlap scan is skipped.  This
+// is the disk-resident update batching of EMBANKS-style buffer trees reduced
+// to its in-memory essence: buffer, order spatially, apply in locality
+// order.
 //
 // Buffered insertion produces a different (but equally valid) tree shape than
 // plain insertion order — exactly as any insertion order does.  The tree
@@ -51,8 +52,8 @@ const DefaultInsertBufferCapacity = 4096
 // DefaultHintFillPercent caps how full the leaf-hint fast path packs a leaf,
 // as a percentage of the page capacity.  Appending up to the raw capacity
 // packs hint-run leaves to 100%, so the very next insert or a later update in
-// that region forces an immediate split — the same reason the bulk loaders
-// stop at BulkLoadFill.  90% matches BulkLoadFill and leaves every hint-built
+// that region forces an immediate split — the same reason the bulk loader
+// stops at BulkLoadFill.  90% matches BulkLoadFill and leaves every hint-built
 // leaf the same headroom a packed leaf gets.
 const DefaultHintFillPercent = 90
 
@@ -109,28 +110,9 @@ func NewInsertBuffer(t *Tree, capacity int) *InsertBuffer {
 	if capacity <= 0 {
 		capacity = DefaultInsertBufferCapacity
 	}
-	b := &InsertBuffer{t: t, capacity: capacity}
-	b.SetHintFillPercent(DefaultHintFillPercent)
-	return b
-}
-
-// SetHintFillPercent sets how full (in percent of the page capacity) the
-// leaf-hint fast path may pack a leaf before falling back to a full descent.
-// Values outside [50, 100] are clamped; the result never drops below the
-// tree's minimum fill, so the fast path always leaves a structurally valid
-// leaf behind.
-func (b *InsertBuffer) SetHintFillPercent(pct int) {
-	if pct < 50 {
-		pct = 50
-	}
-	if pct > 100 {
-		pct = 100
-	}
-	fill := b.t.maxEnt * pct / 100
-	if fill < b.t.minEnt {
-		fill = b.t.minEnt
-	}
-	b.hintFill = fill
+	// 90% of M is at least the minimum fill m <= M/2, so the fast path
+	// always leaves a structurally valid leaf behind.
+	return &InsertBuffer{t: t, capacity: capacity, hintFill: t.maxEnt * DefaultHintFillPercent / 100}
 }
 
 // Stage adds one rectangle to the buffer, flushing if the batch is full.  The
@@ -239,11 +221,12 @@ func (b *InsertBuffer) applyOne(it Item) {
 	b.applied++
 	if b.hint != nil && b.hintEpoch == t.muts && b.hint.Level == 0 &&
 		len(b.hint.Entries) > 0 && len(b.hint.Entries) < b.hintFill &&
-		b.hintMBR.Contains(it.Rect) {
-		// The rectangle lies inside the hinted leaf's MBR and the leaf has
-		// room: appending it changes no directory rectangle (every ancestor
-		// already covers the leaf MBR) and overflows nothing, so the R-tree
-		// invariants hold without touching the path above the leaf.
+		sameBits(b.hintMBR.Union(it.Rect), b.hintMBR) {
+		// The rectangle leaves the hinted leaf's MBR bit for bit as it was
+		// (it lies inside, and no -0 corner meets a +0 one), and the leaf
+		// has room: appending it changes no directory rectangle and
+		// overflows nothing, so the R-tree invariants hold without touching
+		// the path above the leaf.
 		b.hint.setEntries(append(b.hint.Entries, Entry{Rect: it.Rect, Data: it.Data}))
 		t.size++
 		t.muts++
@@ -261,6 +244,13 @@ func (b *InsertBuffer) applyOne(it Item) {
 		b.hintMBR = b.hint.MBR()
 	}
 	b.hintEpoch = t.muts
+}
+
+// sameBits reports whether two rectangles have bit-identical corners, which
+// tells +0 from -0 where Rect.Equal does not.
+func sameBits(r, s geom.Rect) bool {
+	return math.Float64bits(r.XL) == math.Float64bits(s.XL) && math.Float64bits(r.YL) == math.Float64bits(s.YL) &&
+		math.Float64bits(r.XU) == math.Float64bits(s.XU) && math.Float64bits(r.YU) == math.Float64bits(s.YU)
 }
 
 // hilbertKeyed is one staged op's record in the flush's sort: the Hilbert

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -268,7 +269,7 @@ func FuzzInsertBuffer(f *testing.F) {
 // the mutation counter the hint is epoch-checked against — this test pins
 // that the check actually fires inside a single flush.
 func TestInsertBufferStagedDeleteInvalidatesHint(t *testing.T) {
-	tr := MustNew(smallOpts(RStar)) // M = 8, hintFill = 7
+	tr := MustNew(smallOpts()) // M = 8, hintFill = 7
 	buf := NewInsertBuffer(tr, 64)
 	rect := geom.Rect{XL: 0.4, YL: 0.4, XU: 0.6, YU: 0.6}
 
@@ -309,6 +310,48 @@ func TestInsertBufferStagedDeleteInvalidatesHint(t *testing.T) {
 	sortItems(want)
 	if !itemsEqual(treeContents(tr), want) {
 		t.Fatal("mixed batch left wrong contents")
+	}
+}
+
+// TestInsertBufferHintKeepsZeroSigns is the regression test for the leaf
+// hint's signed-zero corner: a rectangle whose corner is -0 lies inside a
+// leaf whose MBR has +0 there (Contains compares values), but appending it
+// turns the leaf's MBR corner to -0 while the parent's rectangle keeps +0.
+// The fast path must leave such a rectangle to the full descent, so every
+// directory rectangle stays its child's MBR bit for bit.
+func TestInsertBufferHintKeepsZeroSigns(t *testing.T) {
+	tr := MustNew(smallOpts())
+	tr.InsertItems(randomItems(rand.New(rand.NewSource(43)), 60, 0.05))
+	buf := NewInsertBuffer(tr, 0)
+	plus := geom.Rect{XL: 0, YL: 0.1, XU: 0.5, YU: 0.2}
+	minus := plus
+	minus.XL = math.Copysign(0, -1)
+
+	buf.Stage(plus, 1000)
+	buf.Flush()
+	if buf.hint == nil || buf.hintEpoch != tr.muts || len(buf.hint.Entries) >= buf.hintFill ||
+		!buf.hintMBR.Contains(minus) || math.Signbit(buf.hintMBR.XL) {
+		t.Fatal("the +0 insert left no hot hint with room and a +0 corner: test premise broken")
+	}
+	buf.Stage(minus, 1001)
+	buf.Flush()
+
+	bits := func(r geom.Rect) [4]uint64 {
+		return [4]uint64{math.Float64bits(r.XL), math.Float64bits(r.YL), math.Float64bits(r.XU), math.Float64bits(r.YU)}
+	}
+	tr.Walk(func(n *Node) {
+		for _, e := range n.Entries {
+			if e.Child != nil && bits(e.Rect) != bits(e.Child.MBR()) {
+				t.Errorf("node %d: directory rectangle %v has bits %x, its child's MBR %x",
+					n.ID, e.Rect, bits(e.Rect), bits(e.Child.MBR()))
+			}
+		}
+	})
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != 62 {
+		t.Fatalf("Len = %d, want 62", tr.Len())
 	}
 }
 
@@ -390,60 +433,31 @@ func BenchmarkInsertBuffered(b *testing.B) {
 	})
 }
 
-// TestInsertBufferHintFillTarget pins the configurable fill target of the
-// leaf-hint fast path: the hint appends into a leaf only while it holds
-// fewer than hintFill entries, so a lower target hands more inserts to the
-// full descent, and out-of-range percentages are clamped to [50, 100].
+// TestInsertBufferHintFillTarget pins the fill target of the leaf-hint fast
+// path: the hint appends into a leaf only while it holds fewer than
+// hintFill entries (90% of M), so of eight identical inserts into a leaf of
+// M = 8 the first descends, the next six ride the hint and the eighth takes
+// a full descent again.  At every capacity the target lies between the
+// minimum fill m and M, so the fast path leaves a valid leaf with room.
 func TestInsertBufferHintFillTarget(t *testing.T) {
-	opts := smallOpts(RStar) // capacity M = 8, m = 3
+	tr := MustNew(smallOpts())
+	b := NewInsertBuffer(tr, 8)
 	rect := geom.Rect{XL: 0.4, YL: 0.4, XU: 0.6, YU: 0.6}
-
-	run := func(pct, n int) (*Tree, *InsertBuffer) {
-		tr := MustNew(opts)
-		b := NewInsertBuffer(tr, n)
-		b.SetHintFillPercent(pct)
-		for i := 0; i < n; i++ {
-			// Identical rectangles: after the first full descent seeds the
-			// hint, every later insert is covered by the hinted leaf's MBR, so
-			// only the fill target decides when the fast path stops.
-			b.Stage(rect, int32(i))
+	for i := 0; i < 8; i++ {
+		b.Stage(rect, int32(i))
+	}
+	b.Flush()
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if b.HintHits() != 6 {
+		t.Errorf("%d hint hits, want 6", b.HintHits())
+	}
+	for capacity := 4; capacity <= 204; capacity++ {
+		tr := MustNew(Options{PageSize: capacity * storage.EntrySize})
+		if fill := NewInsertBuffer(tr, 1).hintFill; fill < tr.minEnt || fill >= tr.maxEnt {
+			t.Errorf("M = %d: hintFill %d outside [m, M) = [%d, %d)", tr.maxEnt, fill, tr.minEnt, tr.maxEnt)
 		}
-		b.Flush()
-		if err := tr.CheckInvariants(); err != nil {
-			t.Fatalf("pct %d: %v", pct, err)
-		}
-		return tr, b
-	}
-
-	// At 100% the fast path packs the leaf to capacity: first insert
-	// descends, the remaining M-1 are hint hits.
-	if _, b := run(100, 8); b.HintHits() != 7 {
-		t.Errorf("100%% fill: %d hint hits, want 7", b.HintHits())
-	}
-	// At the default 90% (fill 7 of 8) the eighth insert must leave the fast
-	// path and take a full descent.
-	if _, b := run(DefaultHintFillPercent, 8); b.HintHits() != 6 {
-		t.Errorf("90%% fill: %d hint hits, want 6", b.HintHits())
-	}
-	// At 50% (fill 4) only three inserts ride the hint.
-	if _, b := run(50, 8); b.HintHits() != 3 {
-		t.Errorf("50%% fill: %d hint hits, want 3", b.HintHits())
-	}
-
-	// Clamping: out-of-range percentages behave as the nearest bound.
-	tr := MustNew(opts)
-	b := NewInsertBuffer(tr, 1)
-	b.SetHintFillPercent(10)
-	if b.hintFill != tr.maxEnt*50/100 {
-		t.Errorf("pct 10 clamps to 50%%: hintFill = %d", b.hintFill)
-	}
-	b.SetHintFillPercent(300)
-	if b.hintFill != tr.maxEnt {
-		t.Errorf("pct 300 clamps to 100%%: hintFill = %d", b.hintFill)
-	}
-	// The target never drops below the tree's minimum fill.
-	if b.SetHintFillPercent(50); b.hintFill < tr.minEnt {
-		t.Errorf("hintFill %d below minimum fill %d", b.hintFill, tr.minEnt)
 	}
 }
 

@@ -62,7 +62,7 @@ func (t *Tree) refInsertRec(n *Node, e Entry, level int) (Entry, bool) {
 		}
 	} else {
 		var idx int
-		if t.opts.Variant == Quadratic || n.Level > 1 {
+		if n.Level > 1 {
 			idx = leastEnlargement(n.Entries, e.Rect)
 		} else {
 			idx = refChooseSubtree(n.Entries, e.Rect)
@@ -75,27 +75,21 @@ func (t *Tree) refInsertRec(n *Node, e Entry, level int) (Entry, bool) {
 		}
 	}
 	if len(n.Entries) > t.maxEnt {
-		if t.opts.Variant == RStar && n != t.root && !t.build.wasReinserted(n.Level) && t.opts.ReinsertFraction > 0 {
+		if n != t.root && !t.build.wasReinserted(n.Level) {
 			t.build.markReinserted(n.Level)
 			if t.refForcedReinsert(n) {
 				return Entry{}, false
 			}
 		}
-		var second []Entry
-		if t.opts.Variant == Quadratic {
-			second = t.quadraticSplit(n)
-		} else {
-			second = t.refRStarSplit(n)
-		}
 		sibling := t.newNode(n.Level)
-		sibling.setEntries(second)
+		sibling.setEntries(t.refRStarSplit(n))
 		return Entry{Rect: sibling.MBR(), Child: sibling}, true
 	}
 	return Entry{}, false
 }
 
 func (t *Tree) refForcedReinsert(n *Node) bool {
-	p := int(float64(len(n.Entries)) * t.opts.ReinsertFraction)
+	p := int(float64(len(n.Entries)) * DefaultReinsertFraction)
 	if p < 1 {
 		p = 1
 	}
@@ -214,7 +208,7 @@ func (b *refBuffer) flush() {
 		}
 		if b.hint != nil && b.hintEpoch == t.muts && b.hint.Level == 0 &&
 			len(b.hint.Entries) > 0 && len(b.hint.Entries) < b.hintFill &&
-			b.hintMBR.Contains(it.Rect) {
+			b.hintMBR.Contains(it.Rect) && sameBits(b.hintMBR.Union(it.Rect), b.hintMBR) {
 			b.hint.setEntries(append(b.hint.Entries, Entry{Rect: it.Rect, Data: it.Data}))
 			t.size++
 			t.muts++
@@ -300,8 +294,7 @@ func (s *refHilbertSorter) Less(i, j int) bool {
 // zeros occur, at a scale the seed picks: 1, one whose areas are subnormal,
 // or one whose areas overflow and whose enlargements are NaN.  The seed also
 // picks the page capacity (4 to 40 entries, so leaf-parents past the 32
-// ChooseSubtree candidates occur) and, for one seed in five, the quadratic
-// variant.
+// ChooseSubtree candidates occur).
 func FuzzInsertMatchesReference(f *testing.F) {
 	f.Add(int64(0), []byte{0, 6, 12, 1, 4, 2, 3, 4, 5, 0, 2})
 	f.Add(int64(3), bytes.Repeat([]byte{90, 90, 90, 7, 4, 5, 2, 3, 4}, 12))
@@ -311,15 +304,15 @@ func FuzzInsertMatchesReference(f *testing.F) {
 	f.Add(int64(1), bytes.Repeat([]byte{90, 2, 84, 4}, 30))
 	f.Add(int64(5), bytes.Repeat([]byte{90, 2, 8, 4, 3, 0}, 30))
 	f.Add(int64(2), bytes.Repeat([]byte{90, 90, 2, 2, 4}, 30))
+	// A staged -0 corner inside a hinted leaf's +0 one: without the leaf
+	// hint's zero-sign guard the flush leaves a +0 parent over a -0 leaf.
+	f.Add(int64(23), []byte("2a0000122021X0"))
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		if len(ops) > 256 {
 			ops = ops[:256]
 		}
 		u := uint64(seed)
 		opts := Options{PageSize: []int{4, 8, 12, 40}[u%4] * storage.EntrySize}
-		if u%5 == 4 {
-			opts.Variant = Quadratic
-		}
 		scale := []float64{1, 1e-160, 1e300}[u/4%3]
 		cells := 2 + int(u/12%7)
 		rng := rand.New(rand.NewSource(seed))

@@ -180,33 +180,6 @@ func goldenShapes() []goldenShape {
 			want: shape{Height: 3, Nodes: 118, Size: 4000, Levels: []uint64{0x4663fbcf7f9df574, 0x1e77cd0a97f495e3, 0xbc3a03bcf87f3f38}},
 		},
 		{
-			label: "rstar-reinsert-heavy",
-			build: func(tb testing.TB) *Tree {
-				t := MustNew(Options{PageSize: smallPage(), ReinsertFraction: 0.45})
-				t.InsertItems(goldenItems(2000, 13))
-				return t
-			},
-			want: shape{Height: 5, Nodes: 419, Size: 2000, Levels: []uint64{0x4502ec6ea1434ede, 0xd56901fe059280e3, 0xbca85efc12d5cfd2, 0x8dedb91ffc1ee1a9, 0x3521ed5fcb0374cf}},
-		},
-		{
-			label: "quadratic-insert-smallpage",
-			build: func(tb testing.TB) *Tree {
-				t := MustNew(Options{PageSize: smallPage(), Variant: Quadratic})
-				t.InsertItems(goldenItems(2000, 14))
-				return t
-			},
-			want: shape{Height: 5, Nodes: 429, Size: 2000, Levels: []uint64{0x1b035ff286c40080, 0xb66244967edd9179, 0xc7ffa06792af5666, 0x739f2438948eed23, 0x5e8623e64933af5f}},
-		},
-		{
-			label: "quadratic-insert-1k",
-			build: func(tb testing.TB) *Tree {
-				t := MustNew(Options{PageSize: storage.PageSize1K, Variant: Quadratic})
-				t.InsertItems(goldenItems(3000, 15))
-				return t
-			},
-			want: shape{Height: 3, Nodes: 90, Size: 3000, Levels: []uint64{0x2c60fb741d74d39a, 0x2e6b74ec55bb5f70, 0xb8582c5797b6886d}},
-		},
-		{
 			label: "rstar-delete-then-insert",
 			build: func(tb testing.TB) *Tree {
 				items := goldenItems(3000, 16)
@@ -221,22 +194,6 @@ func goldenShapes() []goldenShape {
 				return t
 			},
 			want: shape{Height: 3, Nodes: 76, Size: 2800, Levels: []uint64{0x857ef8b152a0a379, 0x290f7cfc0630a200, 0xc9f533438b7b94b0}},
-		},
-		{
-			label: "quadratic-delete-then-insert",
-			build: func(tb testing.TB) *Tree {
-				items := goldenItems(1500, 18)
-				t := MustNew(Options{PageSize: smallPage(), Variant: Quadratic})
-				t.InsertItems(items)
-				for i := 0; i < 1000; i += 3 {
-					if !t.Delete(items[i].Rect, items[i].Data) {
-						tb.Fatalf("delete %d failed", i)
-					}
-				}
-				t.InsertItems(goldenItems(500, 19))
-				return t
-			},
-			want: shape{Height: 5, Nodes: 362, Size: 1666, Levels: []uint64{0xc0d17610e9544cf9, 0x173f392fe8cd7e5b, 0x8683cfa762aec66a, 0xf307bc43eac205f6, 0x35fd858437801a8f}},
 		},
 		{
 			label: "str-bulkload-1k",
@@ -259,17 +216,6 @@ func goldenShapes() []goldenShape {
 				return t
 			},
 			want: shape{Height: 5, Nodes: 503, Size: 3000, Levels: []uint64{0xb556dbd8307af786, 0x1ba5e46f8f21a0eb, 0x24dbe6072610d9b0, 0x5cdf77232476f0ca, 0x17528adf75306981}},
-		},
-		{
-			label: "hilbert-bulkload-1k",
-			build: func(tb testing.TB) *Tree {
-				t, err := BulkLoadHilbert(Options{PageSize: storage.PageSize1K}, goldenItems(12000, 22))
-				if err != nil {
-					tb.Fatal(err)
-				}
-				return t
-			},
-			want: shape{Height: 3, Nodes: 274, Size: 12000, Levels: []uint64{0x987406e4fd45552b, 0x580de98aab03fa41, 0x9f6cc993b899a103}},
 		},
 	}
 }

@@ -1,8 +1,6 @@
 package rtree
 
 import (
-	"sync"
-
 	"repro/internal/buffer"
 	"repro/internal/geom"
 )
@@ -80,25 +78,14 @@ func (s *BatchScratch) level(depth int) []int32 {
 	return s.active[depth][:0]
 }
 
-// batchScratchPool backs the scratch-less BatchSearchSubtree entry point.
-var batchScratchPool = sync.Pool{New: func() any { return new(BatchScratch) }}
-
-// BatchSearchSubtree evaluates several window queries against the subtree
-// rooted at n in a single traversal: a child is descended into at most once
-// even if multiple query rectangles intersect it.  This implements policy (b)
-// of section 4.4, which guarantees that each page of the subtree is read only
-// once.  fn receives the index of the matching query rectangle and the data
-// entry.
-func (t *Tree) BatchSearchSubtree(n *Node, queries []geom.Rect, tr *buffer.Tracker, fn func(q int, e Entry)) {
-	s := batchScratchPool.Get().(*BatchScratch)
-	t.BatchSearchSubtreeScratch(n, queries, tr, s, fn)
-	batchScratchPool.Put(s)
-}
-
-// BatchSearchSubtreeScratch is BatchSearchSubtree with caller-provided
-// scratch, so tight loops (the height-difference join runs one batch search
-// per directory entry) reuse the active sets instead of allocating them per
-// node visited.
+// BatchSearchSubtreeScratch evaluates several window queries against the
+// subtree rooted at n in a single traversal: a child is descended into at
+// most once even if multiple query rectangles intersect it.  This implements
+// policy (b) of section 4.4, which guarantees that each page of the subtree
+// is read only once.  fn receives the index of the matching query rectangle
+// and the data entry.  The caller's scratch holds the active query sets, so
+// tight loops (the height-difference join runs one batch search per
+// directory entry) reuse them instead of allocating them per node visited.
 func (t *Tree) BatchSearchSubtreeScratch(n *Node, queries []geom.Rect, tr *buffer.Tracker, s *BatchScratch, fn func(q int, e Entry)) {
 	if len(queries) == 0 {
 		return

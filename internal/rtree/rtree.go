@@ -1,7 +1,6 @@
-// Package rtree implements the R-tree family of spatial access methods used
-// by the paper: the R*-tree (Beckmann et al. 1990) with overlap-minimising
-// subtree choice, forced re-insertion and the margin-driven split, and the
-// original Guttman R-tree with quadratic split as a baseline variant.
+// Package rtree implements the spatial access method the paper joins: the
+// R*-tree (Beckmann et al. 1990) with overlap-minimising subtree choice,
+// forced re-insertion and the margin-driven split.
 //
 // One node corresponds to one page of the simulated secondary storage
 // (internal/storage); the node capacity M is derived from the page size and
@@ -21,35 +20,15 @@ import (
 	"repro/internal/storage"
 )
 
-// Variant selects the insertion and split strategy of the tree.
-type Variant int
-
-const (
-	// RStar is the R*-tree: overlap-minimising ChooseSubtree at the leaf
-	// level, forced re-insertion on overflow and the topological
-	// (margin/overlap driven) split.  This is the variant the paper uses.
-	RStar Variant = iota
-	// Quadratic is the original Guttman R-tree with quadratic split and
-	// area-driven ChooseLeaf.  It serves as an ablation baseline.
-	Quadratic
-)
-
-// String implements fmt.Stringer.
-func (v Variant) String() string {
-	switch v {
-	case RStar:
-		return "R*-tree"
-	case Quadratic:
-		return "R-tree(quadratic)"
-	default:
-		return fmt.Sprintf("Variant(%d)", int(v))
-	}
-}
-
 // DefaultReinsertFraction is the share p of entries removed from an
 // overflowing node for forced re-insertion; 30% is the value recommended by
 // the R*-tree paper.
 const DefaultReinsertFraction = 0.30
+
+// minFillPercent is the minimum node fill m as a percentage of the capacity
+// M, the R*-tree paper's recommendation.  New clamps it so that
+// 2 <= m <= M/2, as the R-tree definition requires.
+const minFillPercent = 40
 
 // chooseSubtreeCandidates bounds the number of entries examined by the
 // overlap-minimising ChooseSubtree.  The R*-tree paper proposes examining
@@ -62,28 +41,6 @@ type Options struct {
 	// PageSize is the size of one node page in bytes.  It determines the node
 	// capacity M = PageSize / storage.EntrySize.  Defaults to 4 KByte.
 	PageSize int
-	// Variant selects the insertion/split strategy.  Defaults to RStar.
-	Variant Variant
-	// MinFillPercent is the minimum node fill m expressed as a percentage of
-	// M.  Defaults to 40 (the R*-tree recommendation).  It is clamped so that
-	// 2 <= m <= M/2 as required by the R-tree definition.
-	MinFillPercent int
-	// ReinsertFraction is the share of entries re-inserted on overflow
-	// (R*-tree only).  Defaults to DefaultReinsertFraction.
-	ReinsertFraction float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.PageSize == 0 {
-		o.PageSize = storage.PageSize4K
-	}
-	if o.MinFillPercent == 0 {
-		o.MinFillPercent = 40
-	}
-	if o.ReinsertFraction == 0 {
-		o.ReinsertFraction = DefaultReinsertFraction
-	}
-	return o
 }
 
 // Entry is one slot of a node: a rectangle plus either a child node
@@ -150,7 +107,7 @@ type Item struct {
 // different trees can share one buffer without colliding.
 var treeIDs atomic.Int64
 
-// Tree is an R-tree or R*-tree over two-dimensional rectangles.
+// Tree is an R*-tree over two-dimensional rectangles.
 //
 // A Tree is not safe for concurrent mutation; concurrent read-only queries
 // are safe once construction is complete.
@@ -184,21 +141,14 @@ type pendingEntry struct {
 
 // New creates an empty tree.
 func New(opts Options) (*Tree, error) {
-	opts = opts.withDefaults()
+	if opts.PageSize == 0 {
+		opts.PageSize = storage.PageSize4K
+	}
 	maxEnt := storage.CapacityForPage(opts.PageSize)
 	if maxEnt < 4 {
 		return nil, fmt.Errorf("rtree: page size %d holds only %d entries, need at least 4", opts.PageSize, maxEnt)
 	}
-	minEnt := maxEnt * opts.MinFillPercent / 100
-	if minEnt < 2 {
-		minEnt = 2
-	}
-	if minEnt > maxEnt/2 {
-		minEnt = maxEnt / 2
-	}
-	if opts.ReinsertFraction < 0 || opts.ReinsertFraction > 0.5 {
-		return nil, fmt.Errorf("rtree: reinsert fraction %g outside [0, 0.5]", opts.ReinsertFraction)
-	}
+	minEnt := min(max(maxEnt*minFillPercent/100, 2), maxEnt/2)
 	t := &Tree{
 		id:     int(treeIDs.Add(1)),
 		opts:   opts,
@@ -250,13 +200,6 @@ func (t *Tree) MinEntries() int { return t.minEnt }
 
 // PageSize returns the page size in bytes of the tree's nodes.
 func (t *Tree) PageSize() int { return t.opts.PageSize }
-
-// Variant returns the tree's insertion/split strategy.
-func (t *Tree) Variant() Variant { return t.opts.Variant }
-
-// Options returns the options (with defaults applied) the tree was built
-// with.
-func (t *Tree) Options() Options { return t.opts }
 
 // Bounds returns the minimum bounding rectangle of all stored data
 // rectangles and false if the tree is empty.
@@ -319,6 +262,6 @@ func (t *Tree) Walk(fn func(*Node)) { t.walk(t.root, fn) }
 // String implements fmt.Stringer with a compact summary.
 func (t *Tree) String() string {
 	s := t.Stats()
-	return fmt.Sprintf("%s{pageSize=%d M=%d m=%d height=%d entries=%d dirPages=%d dataPages=%d}",
-		t.opts.Variant, t.opts.PageSize, t.maxEnt, t.minEnt, t.height, t.size, s.DirPages, s.DataPages)
+	return fmt.Sprintf("R*-tree{pageSize=%d M=%d m=%d height=%d entries=%d dirPages=%d dataPages=%d}",
+		t.opts.PageSize, t.maxEnt, t.minEnt, t.height, t.size, s.DirPages, s.DataPages)
 }

@@ -12,8 +12,8 @@ import (
 
 // smallOpts returns options with a small capacity so that structural code
 // paths (splits, re-insertion, shrinking) are exercised with few entries.
-func smallOpts(v Variant) Options {
-	return Options{PageSize: 8 * storage.EntrySize, Variant: v}
+func smallOpts() Options {
+	return Options{PageSize: 8 * storage.EntrySize}
 }
 
 func randomItems(rng *rand.Rand, n int, maxSide float64) []Item {
@@ -40,9 +40,6 @@ func TestNewDefaultsAndAccessors(t *testing.T) {
 	if tr.MinEntries() != 81 {
 		t.Errorf("m = %d, want 81", tr.MinEntries())
 	}
-	if tr.Variant() != RStar {
-		t.Errorf("variant = %v", tr.Variant())
-	}
 	if tr.Height() != 1 || tr.Len() != 0 {
 		t.Errorf("empty tree height=%d len=%d", tr.Height(), tr.Len())
 	}
@@ -52,11 +49,8 @@ func TestNewDefaultsAndAccessors(t *testing.T) {
 	if tr.ID() == MustNew(Options{}).ID() {
 		t.Error("tree ids must be unique")
 	}
-	if tr.String() == "" || RStar.String() == "" || Quadratic.String() == "" || Variant(9).String() == "" {
-		t.Error("String methods must not be empty")
-	}
-	if tr.Options().MinFillPercent != 40 {
-		t.Errorf("default min fill = %d", tr.Options().MinFillPercent)
+	if tr.String() == "" {
+		t.Error("String must not be empty")
 	}
 }
 
@@ -64,40 +58,35 @@ func TestNewErrors(t *testing.T) {
 	if _, err := New(Options{PageSize: 32}); err == nil {
 		t.Error("expected error for page too small")
 	}
-	if _, err := New(Options{ReinsertFraction: 0.9}); err == nil {
-		t.Error("expected error for out-of-range reinsert fraction")
-	}
 }
 
 func TestInsertAndSearchSmall(t *testing.T) {
-	for _, variant := range []Variant{RStar, Quadratic} {
-		tr := MustNew(smallOpts(variant))
-		items := randomItems(rand.New(rand.NewSource(1)), 500, 0.02)
-		tr.InsertItems(items)
+	tr := MustNew(smallOpts())
+	items := randomItems(rand.New(rand.NewSource(1)), 500, 0.02)
+	tr.InsertItems(items)
 
-		if tr.Len() != len(items) {
-			t.Fatalf("%v: Len = %d, want %d", variant, tr.Len(), len(items))
-		}
-		if err := tr.CheckInvariants(); err != nil {
-			t.Fatalf("%v: invariants violated: %v", variant, err)
-		}
-		if tr.Height() < 2 {
-			t.Fatalf("%v: expected the tree to have grown, height=%d", variant, tr.Height())
-		}
+	if tr.Len() != len(items) {
+		t.Fatalf("Len = %d, want %d", tr.Len(), len(items))
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatalf("invariants violated: %v", err)
+	}
+	if tr.Height() < 2 {
+		t.Fatalf("expected the tree to have grown, height=%d", tr.Height())
+	}
 
-		// Every stored rectangle must be found by a window query with itself.
-		for _, it := range items[:50] {
-			found := false
-			tr.Search(it.Rect, func(e Entry) bool {
-				if e.Data == it.Data {
-					found = true
-					return false
-				}
-				return true
-			})
-			if !found {
-				t.Fatalf("%v: item %d not found by window query", variant, it.Data)
+	// Every stored rectangle must be found by a window query with itself.
+	for _, it := range items[:50] {
+		found := false
+		tr.Search(it.Rect, func(e Entry) bool {
+			if e.Data == it.Data {
+				found = true
+				return false
 			}
+			return true
+		})
+		if !found {
+			t.Fatalf("item %d not found by window query", it.Data)
 		}
 	}
 }
@@ -133,7 +122,7 @@ func TestWindowQueryMatchesLinearScan(t *testing.T) {
 }
 
 func TestSearchEarlyTermination(t *testing.T) {
-	tr := MustNew(smallOpts(RStar))
+	tr := MustNew(smallOpts())
 	tr.InsertItems(randomItems(rand.New(rand.NewSource(3)), 200, 0.5))
 	calls := 0
 	tr.Search(geom.WorldRect(), func(Entry) bool {
@@ -146,7 +135,7 @@ func TestSearchEarlyTermination(t *testing.T) {
 }
 
 func TestSearchPointAndAllAndItems(t *testing.T) {
-	tr := MustNew(smallOpts(RStar))
+	tr := MustNew(smallOpts())
 	items := []Item{
 		{Rect: geom.Rect{XL: 0, YL: 0, XU: 1, YU: 1}, Data: 1},
 		{Rect: geom.Rect{XL: 2, YL: 2, XU: 3, YU: 3}, Data: 2},
@@ -202,40 +191,8 @@ func TestStatsMatchStructure(t *testing.T) {
 	}
 }
 
-func TestRStarBeatsQuadraticOnOverlap(t *testing.T) {
-	// The R*-tree's directory rectangles should overlap less than the
-	// quadratic R-tree's for the same skewed data, which is the design goal
-	// the paper relies on.  We compare the total pairwise overlap area of
-	// leaf-parent rectangles.
-	items := randomItems(rand.New(rand.NewSource(5)), 4000, 0.01)
-	overlap := func(v Variant) float64 {
-		tr := MustNew(Options{PageSize: storage.PageSize1K, Variant: v})
-		tr.InsertItems(items)
-		var nodes []*Node
-		tr.Walk(func(n *Node) {
-			if n.Level == 1 {
-				nodes = append(nodes, n)
-			}
-		})
-		var total float64
-		for _, n := range nodes {
-			for i := 0; i < len(n.Entries); i++ {
-				for j := i + 1; j < len(n.Entries); j++ {
-					total += n.Entries[i].Rect.IntersectionArea(n.Entries[j].Rect)
-				}
-			}
-		}
-		return total
-	}
-	rstar := overlap(RStar)
-	quad := overlap(Quadratic)
-	if rstar > quad {
-		t.Errorf("R*-tree leaf-level overlap %.6f exceeds quadratic R-tree overlap %.6f", rstar, quad)
-	}
-}
-
 func TestDelete(t *testing.T) {
-	tr := MustNew(smallOpts(RStar))
+	tr := MustNew(smallOpts())
 	items := randomItems(rand.New(rand.NewSource(6)), 400, 0.02)
 	tr.InsertItems(items)
 
@@ -293,7 +250,7 @@ func TestDelete(t *testing.T) {
 }
 
 func TestDeleteReducesHeight(t *testing.T) {
-	tr := MustNew(smallOpts(RStar))
+	tr := MustNew(smallOpts())
 	items := randomItems(rand.New(rand.NewSource(7)), 600, 0.02)
 	tr.InsertItems(items)
 	before := tr.Height()
@@ -312,7 +269,7 @@ func TestInsertDeleteInterleavedProperty(t *testing.T) {
 	// Random interleaving of inserts and deletes must keep the tree
 	// consistent with a reference map at all times.
 	rng := rand.New(rand.NewSource(8))
-	tr := MustNew(smallOpts(RStar))
+	tr := MustNew(smallOpts())
 	reference := make(map[int32]geom.Rect)
 	next := int32(0)
 	for step := 0; step < 3000; step++ {
@@ -355,7 +312,7 @@ func TestInsertDeleteInterleavedProperty(t *testing.T) {
 }
 
 func TestValidateDetectsCorruption(t *testing.T) {
-	tr := MustNew(smallOpts(RStar))
+	tr := MustNew(smallOpts())
 	tr.InsertItems(randomItems(rand.New(rand.NewSource(9)), 300, 0.02))
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("fresh tree invalid: %v", err)

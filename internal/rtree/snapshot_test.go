@@ -44,75 +44,73 @@ func treeFingerprint(t *Tree) uint64 {
 // batches, splits, condenses and height changes included.
 func TestSnapshotImmutableAcrossMutations(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for _, variant := range []Variant{RStar, Quadratic} {
-		tree := MustNew(smallOpts(variant))
-		items := randomItems(rng, 400, 40)
-		tree.InsertItems(items)
+	tree := MustNew(smallOpts())
+	items := randomItems(rng, 400, 40)
+	tree.InsertItems(items)
 
-		type snap struct {
-			tree  *Tree
-			fp    uint64
-			items []Item
+	type snap struct {
+		tree  *Tree
+		fp    uint64
+		items []Item
+	}
+	var snaps []snap
+	take := func() {
+		s := tree.Snapshot()
+		snaps = append(snaps, snap{tree: s, fp: treeFingerprint(s), items: sortedItems(s)})
+	}
+	take()
+
+	live := append([]Item(nil), items...)
+	nextID := int32(10_000)
+	for round := 0; round < 6; round++ {
+		// Delete a deterministic slice of the oldest tenth.
+		del := len(live) / 10
+		for _, it := range live[:del] {
+			if !tree.Delete(it.Rect, it.Data) {
+				t.Fatalf("delete of live item %d failed", it.Data)
+			}
 		}
-		var snaps []snap
-		take := func() {
-			s := tree.Snapshot()
-			snaps = append(snaps, snap{tree: s, fp: treeFingerprint(s), items: sortedItems(s)})
+		live = live[del:]
+		// Insert a fresh batch, every other round through the buffered
+		// (leaf-hint) path to cover the append fast path too.
+		fresh := randomItems(rng, del+13, 40)
+		for i := range fresh {
+			fresh[i].Data = nextID
+			nextID++
 		}
+		if round%2 == 0 {
+			tree.InsertItemsBuffered(fresh)
+		} else {
+			tree.InsertItems(fresh)
+		}
+		live = append(live, fresh...)
 		take()
+	}
 
-		live := append([]Item(nil), items...)
-		nextID := int32(10_000)
-		for round := 0; round < 6; round++ {
-			// Delete a deterministic slice of the oldest tenth.
-			del := len(live) / 10
-			for _, it := range live[:del] {
-				if !tree.Delete(it.Rect, it.Data) {
-					t.Fatalf("%v: delete of live item %d failed", variant, it.Data)
-				}
-			}
-			live = live[del:]
-			// Insert a fresh batch, every other round through the buffered
-			// (leaf-hint) path to cover the append fast path too.
-			fresh := randomItems(rng, del+13, 40)
-			for i := range fresh {
-				fresh[i].Data = nextID
-				nextID++
-			}
-			if round%2 == 0 {
-				tree.InsertItemsBuffered(fresh)
-			} else {
-				tree.InsertItems(fresh)
-			}
-			live = append(live, fresh...)
-			take()
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatalf("writer tree invalid after rounds: %v", err)
+	}
+	for i, s := range snaps {
+		if got := treeFingerprint(s.tree); got != s.fp {
+			t.Errorf("snapshot %d structure changed: fingerprint %x -> %x", i, s.fp, got)
 		}
-
-		if err := tree.CheckInvariants(); err != nil {
-			t.Fatalf("%v: writer tree invalid after rounds: %v", variant, err)
+		if got := sortedItems(s.tree); !itemsEqual(got, s.items) {
+			t.Errorf("snapshot %d contents changed (%d -> %d items)", i, len(s.items), len(got))
 		}
-		for i, s := range snaps {
-			if got := treeFingerprint(s.tree); got != s.fp {
-				t.Errorf("%v: snapshot %d structure changed: fingerprint %x -> %x", variant, i, s.fp, got)
-			}
-			if got := sortedItems(s.tree); !itemsEqual(got, s.items) {
-				t.Errorf("%v: snapshot %d contents changed (%d -> %d items)", variant, i, len(s.items), len(got))
-			}
-			if err := s.tree.CheckInvariants(); err != nil {
-				t.Errorf("%v: snapshot %d invalid: %v", variant, i, err)
-			}
+		if err := s.tree.CheckInvariants(); err != nil {
+			t.Errorf("snapshot %d invalid: %v", i, err)
 		}
-		// The writer's final contents must equal the reference model.
-		want := append([]Item(nil), live...)
-		sort.Slice(want, func(i, j int) bool {
-			if want[i].Data != want[j].Data {
-				return want[i].Data < want[j].Data
-			}
-			return want[i].Rect.XL < want[j].Rect.XL
-		})
-		if got := sortedItems(tree); !itemsEqual(got, want) {
-			t.Errorf("%v: writer contents diverged from model (%d vs %d items)", variant, len(got), len(want))
+	}
+	// The writer's final contents must equal the reference model.
+	want := append([]Item(nil), live...)
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].Data != want[j].Data {
+			return want[i].Data < want[j].Data
 		}
+		return want[i].Rect.XL < want[j].Rect.XL
+	})
+	if got := sortedItems(tree); !itemsEqual(got, want) {
+		t.Errorf("writer contents diverged from model (%d vs %d items)", len(got), len(want))
 	}
 }
 
@@ -153,7 +151,7 @@ func TestSnapshotSharesUntouchedNodes(t *testing.T) {
 // hot paths (and their structural goldens) are untouched.
 func TestSnapshotNoCopiesWithoutSnapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	tree := MustNew(smallOpts(RStar))
+	tree := MustNew(smallOpts())
 	tree.InsertItems(randomItems(rng, 200, 30))
 	before := map[*Node]bool{}
 	tree.Walk(func(n *Node) { before[n] = true })
@@ -238,7 +236,7 @@ func TestSnapshotQuickSequences(t *testing.T) {
 	}
 	for seq := 0; seq < seqs; seq++ {
 		rng := rand.New(rand.NewSource(int64(7000 + seq)))
-		tree := MustNew(smallOpts(RStar))
+		tree := MustNew(smallOpts())
 		model := map[int32]geom.Rect{}
 		nextID := int32(1)
 

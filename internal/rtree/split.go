@@ -8,14 +8,8 @@ import "math"
 // group assembly) lives in the build arena; the only allocations are the
 // sibling node and its entry slice, which the tree keeps.
 func (t *Tree) splitNode(n *Node) Entry {
-	var second []Entry
-	if t.opts.Variant == Quadratic {
-		second = t.quadraticSplit(n)
-	} else {
-		second = t.rstarSplit(n)
-	}
 	sibling := t.newNode(n.Level)
-	sibling.setEntries(second)
+	sibling.setEntries(t.rstarSplit(n))
 	return Entry{Rect: sibling.MBR(), Child: sibling}
 }
 
@@ -98,92 +92,4 @@ func (t *Tree) chooseSplitIndex(s [2][]Entry, m int) splitChoice {
 		}
 	}
 	return best
-}
-
-// quadraticSplit implements Guttman's quadratic split: pick the pair of
-// entries that would waste the most area if placed together as seeds, then
-// repeatedly assign the entry with the greatest preference for one group.
-// Groups are assembled in arena scratch and copied out once.
-func (t *Tree) quadraticSplit(n *Node) []Entry {
-	a := &t.build
-	entries := n.Entries
-	m := t.minEnt
-	seedA, seedB := pickSeeds(entries)
-	groupA := append(a.groupA[:0], entries[seedA])
-	groupB := append(a.groupB[:0], entries[seedB])
-	mbrA := entries[seedA].Rect
-	mbrB := entries[seedB].Rect
-
-	remaining := a.remaining[:0]
-	for i, e := range entries {
-		if i != seedA && i != seedB {
-			remaining = append(remaining, e)
-		}
-	}
-
-	for len(remaining) > 0 {
-		// If one group must take all remaining entries to reach the minimum
-		// fill, assign them wholesale.
-		if len(groupA)+len(remaining) == m {
-			groupA = append(groupA, remaining...)
-			remaining = remaining[:0]
-			break
-		}
-		if len(groupB)+len(remaining) == m {
-			groupB = append(groupB, remaining...)
-			remaining = remaining[:0]
-			break
-		}
-		// PickNext: the entry with the maximum difference of enlargements.
-		bestIdx, bestDiff := 0, -1.0
-		for i, e := range remaining {
-			dA := mbrA.Enlargement(e.Rect)
-			dB := mbrB.Enlargement(e.Rect)
-			diff := math.Abs(dA - dB)
-			if diff > bestDiff {
-				bestIdx, bestDiff = i, diff
-			}
-		}
-		e := remaining[bestIdx]
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-		dA := mbrA.Enlargement(e.Rect)
-		dB := mbrB.Enlargement(e.Rect)
-		switch {
-		case dA < dB:
-			groupA = append(groupA, e)
-			mbrA = mbrA.Union(e.Rect)
-		case dB < dA:
-			groupB = append(groupB, e)
-			mbrB = mbrB.Union(e.Rect)
-		case mbrA.Area() < mbrB.Area():
-			groupA = append(groupA, e)
-			mbrA = mbrA.Union(e.Rect)
-		case len(groupA) <= len(groupB) && mbrA.Area() == mbrB.Area():
-			groupA = append(groupA, e)
-			mbrA = mbrA.Union(e.Rect)
-		default:
-			groupB = append(groupB, e)
-			mbrB = mbrB.Union(e.Rect)
-		}
-	}
-	a.groupA, a.groupB, a.remaining = groupA[:0], groupB[:0], remaining[:0]
-	return t.keepFirstGroup(n, groupA, groupB)
-}
-
-// pickSeeds returns the indexes of the two entries that would waste the most
-// area if they were placed in the same group.
-func pickSeeds(entries []Entry) (int, int) {
-	seedA, seedB := 0, 1
-	worst := math.Inf(-1)
-	for i := 0; i < len(entries); i++ {
-		for j := i + 1; j < len(entries); j++ {
-			waste := entries[i].Rect.Union(entries[j].Rect).Area() -
-				entries[i].Rect.Area() - entries[j].Rect.Area()
-			if waste > worst {
-				worst = waste
-				seedA, seedB = i, j
-			}
-		}
-	}
-	return seedA, seedB
 }

@@ -25,7 +25,8 @@ var (
 //   - every non-root node holds between m and M entries,
 //   - all leaves are at the same distance from the root,
 //   - every directory rectangle covers all rectangles of its child node
-//     (and is exactly the child's MBR),
+//     (and is the child's MBR bit for bit, so the sign of a zero corner
+//     matches too),
 //   - the stored data-entry count matches the tree's size,
 //   - every entry rectangle is well formed (geom.Rect.WellFormed): the
 //     sweep's window and the kNN leaf kernel are exact only on such
@@ -90,7 +91,7 @@ func (t *Tree) checkNode(n *Node, wantLevel int) (int, error) {
 			return 0, fmt.Errorf("%w: directory entry of node %d has no child", ErrLevelMismatch, n.ID)
 		}
 		childMBR := e.Child.MBR()
-		if !e.Rect.Equal(childMBR) {
+		if !sameBits(e.Rect, childMBR) {
 			return 0, fmt.Errorf("%w: node %d entry %v is not its child's MBR %v",
 				ErrInvalidMBR, n.ID, e.Rect, childMBR)
 		}

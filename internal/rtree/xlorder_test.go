@@ -93,7 +93,7 @@ func TestXLOrderMatchesSliceStable(t *testing.T) {
 // mutators' back in each way an order can be wrong.
 func TestCheckInvariantsDetectsStaleOrder(t *testing.T) {
 	build := func() (*Tree, *Node) {
-		tr := MustNew(smallOpts(RStar))
+		tr := MustNew(smallOpts())
 		tr.InsertItems(randomItems(rand.New(rand.NewSource(9)), 300, 0.02))
 		touchOrders(tr)
 		if err := tr.CheckInvariants(); err != nil {
@@ -308,7 +308,7 @@ func BenchmarkXLOrder(b *testing.B) {
 // so it never inherits the shared node's order, and building an order on the
 // shared node later does not leak into the copy.
 func TestCopyNodeStartsWithoutOrder(t *testing.T) {
-	tr := MustNew(smallOpts(RStar))
+	tr := MustNew(smallOpts())
 	tr.InsertItems(randomItems(rand.New(rand.NewSource(3)), 200, 0.02))
 	snap := tr.Snapshot()
 	touchOrders(snap)

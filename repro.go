@@ -4,9 +4,8 @@
 //
 // It provides
 //
-//   - an R*-tree (and classic Guttman R-tree) spatial index over
-//     two-dimensional rectangles with insertion, deletion, window queries
-//     and bulk loading,
+//   - an R*-tree spatial index over two-dimensional rectangles with
+//     insertion, deletion, window queries and bulk loading,
 //   - the paper's spatial-join algorithms SpatialJoin1 through SpatialJoin5
 //     (synchronized tree traversal, search-space restriction, plane-sweep
 //     intersection test, read schedules with pinning and z-ordering) plus the
@@ -49,21 +48,15 @@ func WorldRect() Rect { return geom.WorldRect() }
 
 // R-tree index.
 type (
-	// RTree is an R*-tree (or Guttman R-tree) over rectangles.
+	// RTree is an R*-tree over rectangles.
 	RTree = rtree.Tree
-	// RTreeOptions configures page size, variant and fill factors.
+	// RTreeOptions configures the page size.
 	RTreeOptions = rtree.Options
 	// Item is one data rectangle with its object identifier.
 	Item = rtree.Item
 	// TreeEntry is one slot of a tree node; window queries report data
 	// entries of this type.
 	TreeEntry = rtree.Entry
-)
-
-// R-tree variants.
-const (
-	RStar     = rtree.RStar
-	Quadratic = rtree.Quadratic
 )
 
 // Page sizes studied by the paper (its fourth, 8 KByte, is internal-only).

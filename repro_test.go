@@ -138,7 +138,7 @@ func TestFacadeBufferedInsertion(t *testing.T) {
 
 func TestFacadeWindowQuery(t *testing.T) {
 	items := GenerateDataset(DatasetConfig{Kind: Streets, Count: 2000, Seed: 3})
-	tree, err := BuildRTree(RTreeOptions{PageSize: PageSize2K, Variant: RStar}, items, false)
+	tree, err := BuildRTree(RTreeOptions{PageSize: PageSize2K}, items, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,14 +223,11 @@ func TestFacadeExperiments(t *testing.T) {
 	}
 }
 
-func TestFacadeHeightPolicyAndVariantConstants(t *testing.T) {
+func TestFacadeConstantsAreDistinct(t *testing.T) {
 	// The exported constants must map onto the internal ones (compile-time
 	// aliasing is checked implicitly; here we make sure they are distinct).
 	if WindowPerPair == BatchedWindows || BatchedWindows == SweepOrder {
 		t.Fatal("height policies must be distinct")
-	}
-	if RStar == Quadratic {
-		t.Fatal("variants must be distinct")
 	}
 	if MBRJoin == IDJoin || IDJoin == ObjectJoin {
 		t.Fatal("join types must be distinct")
