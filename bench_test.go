@@ -250,19 +250,6 @@ func BenchmarkRStarInsert(b *testing.B) {
 	}
 }
 
-// BenchmarkSTRBulkLoad measures STR bulk loading of the same data (ablation:
-// dynamic insertion vs packing).
-func BenchmarkSTRBulkLoad(b *testing.B) {
-	items := GenerateDataset(DatasetConfig{Kind: Streets, Count: 20000, Seed: 9})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildRTree(RTreeOptions{PageSize: PageSize2K}, items, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkBuildRTreeDynamic measures full R*-tree construction by dynamic
 // insertion (the paper's build method).  The plain variant pays the full
 // ChooseSubtree overlap scan per insert; the hilbert-buffered variant stages
@@ -311,19 +298,25 @@ func BenchmarkBuildRTreeDynamic(b *testing.B) {
 	})
 }
 
-// BenchmarkBuildRTreeSTR measures STR bulk loading of the same data.
+// BenchmarkBuildRTreeSTR measures STR bulk loading (ablation: dynamic
+// insertion vs packing) of BenchmarkBuildRTreeDynamic's 20 000 streets at
+// 2 KiB pages, and of 120 000 streets at 4 KiB pages, the batch workload's
+// tree size.  A load includes building every node's xl-order.
 func BenchmarkBuildRTreeSTR(b *testing.B) {
-	items := GenerateDataset(DatasetConfig{Kind: Streets, Count: 20000, Seed: 9})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t, err := BuildRTree(RTreeOptions{PageSize: PageSize2K}, items, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if t.Len() != len(items) {
-			b.Fatal("lost entries")
-		}
+	for _, c := range []struct{ count, pageSize int }{{20000, PageSize2K}, {120000, PageSize4K}} {
+		items := GenerateDataset(DatasetConfig{Kind: Streets, Count: c.count, Seed: 9})
+		b.Run(fmt.Sprintf("items=%d", c.count), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				t, err := BuildRTree(RTreeOptions{PageSize: c.pageSize}, items, true)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if t.Len() != len(items) {
+					b.Fatal("lost entries")
+				}
+			}
+		})
 	}
 }
 

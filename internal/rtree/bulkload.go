@@ -2,7 +2,13 @@ package rtree
 
 import (
 	"math"
-	"sort"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/geom"
+	"repro/internal/storage"
 )
 
 // BulkLoadFill is the target node fill used by the bulk loader.  Packing
@@ -10,61 +16,64 @@ import (
 // headroom while still producing far fewer pages than dynamic insertion.
 const BulkLoadFill = 0.90
 
-// bulkScratch bundles the buffers one bulk load reuses across all levels:
-// one entry buffer (the leaves' data entries, overwritten in place by each
-// level's directory entries — node i consumes entries at positions >= i, so
-// the prefix is free to reuse), one node buffer, and the preallocated
-// sorters.  A bulk load therefore performs a constant number of scratch
-// allocations regardless of depth or slice count; the remaining allocations
-// are the nodes themselves and their entry slices, which the tree keeps.
+// bulkScratch bundles what one bulk load reuses across all levels: the
+// items (the leaf level's entries, read in place), one entry buffer (each
+// directory level's entries, overwritten in place by the next level's — a
+// level's nodes hold copies of its entries, so the buffer is free once they
+// are packed), one buffer of sort records (the x-sort's, which each slab
+// re-keys in place for its y-sort) and one node buffer.  A bulk load
+// therefore performs a constant number of scratch allocations regardless of
+// depth or slab count; the remaining allocations are the nodes, their entry
+// slices and their xl-orders, which the tree keeps.
 type bulkScratch struct {
+	items   []Item // nil once the leaves are packed
 	entries []Entry
+	recs    []keyed
 	nodes   []*Node
-	byX     centerXSorter
-	byY     centerYSorter
+	procs   int // goroutines the load may run on, the caller's among them
 }
 
-// fillEntries loads the items into the scratch entry buffer.
-func (b *bulkScratch) fillEntries(items []Item) []Entry {
-	b.entries = make([]Entry, len(items))
-	for i, it := range items {
-		b.entries[i] = Entry{Rect: it.Rect, Data: it.Data}
+// rect returns the rectangle of entry i of the level being packed.
+func (b *bulkScratch) rect(i int32) geom.Rect {
+	if b.items != nil {
+		return b.items[i].Rect
 	}
-	return b.entries
+	return b.entries[i].Rect
 }
 
-// nextLevel overwrites the buffer prefix with directory entries over the
-// nodes just packed and returns the shortened buffer.
-func (b *bulkScratch) nextLevel() []Entry {
-	for i, n := range b.nodes {
-		b.entries[i] = Entry{Rect: n.MBR(), Child: n}
+// entry returns entry i of the level being packed.
+func (b *bulkScratch) entry(i int32) Entry {
+	if b.items != nil {
+		return Entry{Rect: b.items[i].Rect, Data: b.items[i].Data}
 	}
-	b.entries = b.entries[:len(b.nodes)]
-	return b.entries
+	return b.entries[i]
 }
 
-// centerXSorter orders entries by the x-coordinate of their centres.
-type centerXSorter struct{ e []Entry }
-
-func (s *centerXSorter) Len() int      { return len(s.e) }
-func (s *centerXSorter) Swap(i, j int) { s.e[i], s.e[j] = s.e[j], s.e[i] }
-func (s *centerXSorter) Less(i, j int) bool {
-	return s.e[i].Rect.Center().X < s.e[j].Rect.Center().X
-}
-
-// centerYSorter orders entries by the y-coordinate of their centres.
-type centerYSorter struct{ e []Entry }
-
-func (s *centerYSorter) Len() int      { return len(s.e) }
-func (s *centerYSorter) Swap(i, j int) { s.e[i], s.e[j] = s.e[j], s.e[i] }
-func (s *centerYSorter) Less(i, j int) bool {
-	return s.e[i].Rect.Center().Y < s.e[j].Rect.Center().Y
+// nextLevel replaces the level just packed with directory entries over its
+// nodes and returns their number.
+func (b *bulkScratch) nextLevel() int {
+	b.items = nil
+	b.entries = slices.Grow(b.entries[:0], len(b.nodes))
+	for _, n := range b.nodes {
+		b.entries = append(b.entries, Entry{Rect: n.MBR(), Child: n})
+	}
+	return len(b.entries)
 }
 
 // BulkLoadSTR builds a tree from the given items with the Sort-Tile-Recursive
 // packing algorithm: items are sorted by the x-coordinate of their centres,
-// cut into vertical slices, each slice is sorted by y and cut into nodes.
+// cut into vertical slabs, each slab is sorted by y and cut into nodes.
 // The same procedure packs the directory levels.
+//
+// Every node of the returned tree already holds its xl-order (Node.XLOrder),
+// so the first join over the tree sorts no page.  The load runs on
+// min(GOMAXPROCS, slabs) goroutines, the caller's among them, all of which
+// end before it returns: the x-sort hands subranges to spare goroutines,
+// and the slabs' y-sorts, their nodes and the nodes' orders are built in
+// parallel, level by level.  The tree, its page identifiers and its orders
+// are the same bit for bit at any GOMAXPROCS: every sort makes sort.Sort's
+// moves (keyedsort.go), and every slab owns its records, its nodes and
+// their identifiers.
 //
 // Bulk loading is an extension beyond the paper (the paper builds its trees
 // by dynamic insertion); it is provided because packed trees are a common
@@ -80,21 +89,18 @@ func BulkLoadSTR(opts Options, items []Item) (*Tree, error) {
 	if len(items) == 0 {
 		return t, nil
 	}
-	var b bulkScratch
-	entries := b.fillEntries(items)
+	b := bulkScratch{items: items, procs: runtime.GOMAXPROCS(0)}
 	perNode := targetFill(t.maxEnt)
 
-	level := 0
-	for {
-		b.nodes = t.packSTR(b.nodes[:0], &b, entries, level, perNode)
+	for level, n := 0, len(items); ; level++ {
+		t.packSTR(&b, n, level, perNode)
 		if len(b.nodes) == 1 {
 			t.root = b.nodes[0]
 			t.height = level + 1
 			t.size = len(items)
 			return t, nil
 		}
-		entries = b.nextLevel()
-		level++
+		n = b.nextLevel()
 	}
 }
 
@@ -110,39 +116,90 @@ func targetFill(capacity int) int {
 	return per
 }
 
-// packSTR packs entries into nodes of the given level using Sort-Tile-
-// Recursive tiling, appending the nodes to dst.  Entries are sorted in
-// place; callers pass the reusable level buffer.
-func (t *Tree) packSTR(dst []*Node, b *bulkScratch, entries []Entry, level, perNode int) []*Node {
-	n := len(entries)
+// packSTR packs the n entries of the level being packed into the nodes of
+// the given level using Sort-Tile-Recursive tiling, leaving them in b.nodes
+// with their xl-orders built.  Slab s holds the sorted positions
+// [s*perSlab, (s+1)*perSlab) and becomes nodes [s*slabNodes,
+// (s+1)*slabNodes), whose page identifiers follow t.nextID in that order:
+// the order a sequential packer would allocate them in.
+func (t *Tree) packSTR(b *bulkScratch, n, level, perNode int) {
 	nodeCount := (n + perNode - 1) / perNode
-	sliceCount := int(math.Ceil(math.Sqrt(float64(nodeCount))))
-	perSlice := sliceCount * perNode
+	slabNodes := int(math.Ceil(math.Sqrt(float64(nodeCount))))
+	perSlab := slabNodes * perNode
+	slabs := (n + perSlab - 1) / perSlab
 
-	b.byX.e = entries
-	sort.Sort(&b.byX)
-	b.byX.e = nil
-
-	for start := 0; start < n; start += perSlice {
-		end := start + perSlice
-		if end > n {
-			end = n
-		}
-		slice := entries[start:end]
-		b.byY.e = slice
-		sort.Sort(&b.byY)
-		b.byY.e = nil
-		dst = t.packRuns(dst, slice, level, perNode)
+	recs := slices.Grow(b.recs[:0], n)
+	for i := range int32(n) {
+		recs = append(recs, keyed{key: b.rect(i).Center().X, idx: i})
 	}
-	rebalanceTail(t, dst)
-	return dst
+	b.recs = recs
+	sortKeyed(recs, b.procs)
+
+	b.nodes = slices.Grow(b.nodes[:0], nodeCount)[:nodeCount]
+	firstID := t.nextID
+	t.nextID += storage.PageID(nodeCount)
+	pack := func(s int) {
+		slab := recs[s*perSlab : min(n, (s+1)*perSlab)]
+		for j := range slab {
+			slab[j].key = b.rect(slab[j].idx).Center().Y
+		}
+		sortKeyed(slab, 1)
+		first := s * slabNodes
+		nodes := b.nodes[first : first+(len(slab)+perNode-1)/perNode]
+		for k := range nodes {
+			run := slab[k*perNode : min(len(slab), (k+1)*perNode)]
+			node := &Node{ID: firstID + storage.PageID(first+k+1), Level: level, epoch: t.cowEpoch}
+			node.Entries = make([]Entry, len(run))
+			for j, r := range run {
+				node.Entries[j] = b.entry(r.idx)
+			}
+			nodes[k] = node
+		}
+		rebalanceTail(t, nodes)
+		for _, node := range nodes {
+			node.xlOrder.Store(buildXLOrder(node.Entries))
+		}
+	}
+	forEachSlab(b.procs, slabs, pack)
+
+	// The last slab may hold a single underfilled node, which borrows from
+	// the slab before it; both rebuild their orders.
+	if rebalanceTail(t, b.nodes) {
+		for _, node := range b.nodes[nodeCount-2:] {
+			node.XLOrder()
+		}
+	}
 }
 
-// rebalanceTail fixes up a possible underfilled final node produced by the
-// last (short) slice by borrowing entries from its predecessor.
-func rebalanceTail(t *Tree, nodes []*Node) {
+// forEachSlab runs pack on every slab index below slabs, on min(procs,
+// slabs) goroutines (the caller's among them), and returns once all are
+// done.  Which goroutine packs which slab does not matter: pack writes only
+// what belongs to its slab.
+func forEachSlab(procs, slabs int, pack func(s int)) {
+	var next atomic.Int64
+	work := func() {
+		for s := int(next.Add(1) - 1); s < slabs; s = int(next.Add(1) - 1) {
+			pack(s)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(procs, slabs); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// rebalanceTail fixes up a possible underfilled final node by borrowing
+// entries from its predecessor so that both satisfy the R-tree fill
+// invariant, and reports whether it moved any.
+func rebalanceTail(t *Tree, nodes []*Node) bool {
 	if len(nodes) < 2 {
-		return
+		return false
 	}
 	last := nodes[len(nodes)-1]
 	prev := nodes[len(nodes)-2]
@@ -151,29 +208,9 @@ func rebalanceTail(t *Tree, nodes []*Node) {
 		moved := append([]Entry(nil), prev.Entries[cut:]...)
 		prev.setEntries(prev.Entries[:cut])
 		last.setEntries(append(moved, last.Entries...))
+		return true
 	}
-}
-
-// packRuns packs consecutive runs of entries into nodes of the given level,
-// appending them to dst.  If the final run would fall below the minimum fill
-// m, entries are shifted from the previous node so that both satisfy the
-// R-tree fill invariant (considering only the nodes packed by this call).
-func (t *Tree) packRuns(dst []*Node, entries []Entry, level, perNode int) []*Node {
-	first := len(dst)
-	for start := 0; start < len(entries); start += perNode {
-		end := start + perNode
-		if end > len(entries) {
-			end = len(entries)
-		}
-		node := t.newNode(level)
-		node.Entries = make([]Entry, end-start)
-		copy(node.Entries, entries[start:end])
-		dst = append(dst, node)
-	}
-	if len(dst)-first >= 2 {
-		rebalanceTail(t, dst)
-	}
-	return dst
+	return false
 }
 
 // Build constructs a tree from items either by repeated insertion (the

@@ -112,9 +112,9 @@ func checkOrders(t *testing.T, tr *Tree) {
 
 // TestCatalogIsExactAfterMutations drives randomized insert/delete/buffered-
 // insert sequences and checks after every batch that the catalog equals an
-// oracle walk bit for bit — on writer trees of both variants and small pages
-// (deep trees, frequent splits, forced re-insertions and condenses), on STR
-// and Hilbert bulk loads, and on trees reopened from a pager.  Every batch
+// oracle walk bit for bit — on writer trees at a small and a 1 KiB page
+// (deep trees, frequent splits, forced re-insertions and condenses), on an
+// STR bulk load, and on a tree reopened from a pager.  Every batch
 // also publishes a snapshot whose catalog must describe the snapshot, not the
 // writer: it is read before the writer mutates again (on even batches) or
 // only after (on odd ones, so the snapshot's first walk runs on a version the
@@ -123,29 +123,34 @@ func checkOrders(t *testing.T, tr *Tree) {
 // leave no stale order behind; every few batches the sweep joins are checked
 // against the nested loop.
 func TestCatalogIsExactAfterMutations(t *testing.T) {
+	// Each start seeds its own mutation stream, so adding or removing a
+	// start moves no other start's stream.
 	type start struct {
 		name string
+		seed int64
 		tree func(t *testing.T) *Tree
 	}
 	var starts []start
-	for _, pageSize := range []int{8 * storage.EntrySize, storage.PageSize1K} {
+	for i, pageSize := range []int{8 * storage.EntrySize, storage.PageSize1K} {
 		opts := Options{PageSize: pageSize}
 		starts = append(starts, start{
 			name: fmt.Sprintf("R*-tree-%dB", pageSize),
+			seed: 1000 + int64(i),
 			tree: func(*testing.T) *Tree { return MustNew(opts) },
 		})
 	}
 	items := sampleItems(1500, 17)
 	opts := Options{PageSize: storage.PageSize1K}
 	starts = append(starts,
-		start{"str", func(t *testing.T) *Tree {
+		// A bulk load starts with every node's xl-order built.
+		start{"str", 1002, func(t *testing.T) *Tree {
 			tr, err := BulkLoadSTR(opts, items)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return tr
 		}},
-		start{"reopened", func(t *testing.T) *Tree {
+		start{"reopened", 1003, func(t *testing.T) *Tree {
 			p := memPager(t, opts.PageSize)
 			s, err := NewTreeStore(MustNew(opts), p)
 			if err != nil {
@@ -163,9 +168,9 @@ func TestCatalogIsExactAfterMutations(t *testing.T) {
 		}},
 	)
 
-	for i, st := range starts {
+	for _, st := range starts {
 		t.Run(st.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(1000 + i)))
+			rng := rand.New(rand.NewSource(st.seed))
 			tr := st.tree(t)
 			checkCatalog(t, tr, "fresh")
 			buf := NewInsertBuffer(tr, 64)

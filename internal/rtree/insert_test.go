@@ -189,7 +189,11 @@ func TestChooseSubtreeMatchesDefinition(t *testing.T) {
 // because the standard library generates both from one template.  A Go
 // release that changed either would fail here before it moved a golden.
 // ChooseSubtree's insertion selection (leastDistinct), where it claims the
-// least keys are distinct, must name the sort's first candidates.
+// least keys are distinct, must name the sort's first candidates.  The bulk
+// load's centre sorts (keyedsort.go's pdqsort, on one goroutine and split
+// across several) and a page's xl-order (its counted stable sort) are held
+// to sort.Sort and sort.Stable the same way, the xl-order on its comparison
+// count too, at lengths up to 300 and from 20 000 to 200 000.
 func TestKeyedSortMatchesSortSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	negZero := math.Copysign(0, -1)
@@ -298,9 +302,71 @@ func TestKeyedSortMatchesSortSort(t *testing.T) {
 				t.Fatalf("trial %d: Hilbert sort differs at position %d", trial, k)
 			}
 		}
+
+		// The STR bulk load's centre sorts and a page's xl-order.
+		checkCenterSorts(t, entries, trial%2, 1, 4)
+		checkXLSort(t, entries)
 	}
 	if selected == 0 {
 		t.Fatal("no trial had distinct least keys")
+	}
+
+	// Lengths past 2*parallelSortMin, where the bulk load's x-sort hands
+	// subranges to other goroutines: few distinct keys with NaN, many with
+	// signed zeros, and nearly all distinct.
+	for i, n := range []int{20000, 65536, 200000} {
+		distinct := []int{3, 1000, 1 << 20}[i]
+		entries := make([]Entry, n)
+		for j := range entries {
+			entries[j] = Entry{Rect: geom.Rect{XL: key(distinct), YL: key(distinct), XU: key(distinct), YU: key(distinct)}, Data: int32(j)}
+		}
+		checkCenterSorts(t, entries, i%2, 1, 2, 4)
+		checkXLSort(t, entries)
+	}
+}
+
+// checkCenterSorts sorts the entries by the centre coordinate on one axis
+// with sortKeyed, once for each goroutine count in procs, and requires
+// sort.Sort's permutation over refCenterSorter every time.  Entry i must
+// carry Data i.
+func checkCenterSorts(t *testing.T, entries []Entry, axis int, procs ...int) {
+	t.Helper()
+	want := append([]Entry(nil), entries...)
+	sort.Sort(&refCenterSorter{e: want, axis: axis})
+	recs := make([]keyed, len(entries))
+	for _, p := range procs {
+		for i := range entries {
+			c := entries[i].Rect.Center()
+			recs[i] = keyed{key: c.X, idx: int32(i)}
+			if axis == 1 {
+				recs[i].key = c.Y
+			}
+		}
+		sortKeyed(recs, p)
+		for k := range want {
+			if recs[k].idx != want[k].Data {
+				t.Fatalf("%d entries, axis %d, %d goroutines: centre sort differs at position %d", len(entries), axis, p, k)
+			}
+		}
+	}
+}
+
+// checkXLSort requires the entries' xl-order to be sort.Stable's
+// permutation over refXLSorter and its SortComparisons that sort's Less
+// calls.
+func checkXLSort(t *testing.T, entries []Entry) {
+	t.Helper()
+	ref := refXLSorter{perm: make([]int32, len(entries)), entries: entries}
+	for i := range ref.perm {
+		ref.perm[i] = int32(i)
+	}
+	sort.Stable(&ref)
+	o := buildXLOrder(entries)
+	if !slices.Equal(o.Perm, ref.perm) {
+		t.Fatalf("%d entries: xl-order differs from sort.Stable's", len(entries))
+	}
+	if o.SortComparisons != ref.comps {
+		t.Fatalf("%d entries: xl-order counted %d comparisons, sort.Stable made %d", len(entries), o.SortComparisons, ref.comps)
 	}
 }
 

@@ -285,6 +285,39 @@ func (s *refHilbertSorter) Less(i, j int) bool {
 	return s.keys[s.order[i]] < s.keys[s.order[j]]
 }
 
+// refCenterSorter orders entries by the x (axis 0) or y (axis 1) coordinate
+// of their centres: the STR bulk load's slab and node sorts.
+type refCenterSorter struct {
+	e    []Entry
+	axis int
+}
+
+func (s *refCenterSorter) Len() int      { return len(s.e) }
+func (s *refCenterSorter) Swap(i, j int) { s.e[i], s.e[j] = s.e[j], s.e[i] }
+func (s *refCenterSorter) Less(i, j int) bool {
+	if s.axis == 0 {
+		return s.e[i].Rect.Center().X < s.e[j].Rect.Center().X
+	}
+	return s.e[i].Rect.Center().Y < s.e[j].Rect.Center().Y
+}
+
+// refXLSorter orders entry indexes by lower x-corner and counts its Less
+// calls: under sort.Stable, a page's xl-order and its SortComparisons.
+type refXLSorter struct {
+	perm    []int32
+	entries []Entry
+	comps   int64
+}
+
+func (s *refXLSorter) Len() int { return len(s.perm) }
+
+func (s *refXLSorter) Less(i, j int) bool {
+	s.comps++
+	return s.entries[s.perm[i]].Rect.XL < s.entries[s.perm[j]].Rect.XL
+}
+
+func (s *refXLSorter) Swap(i, j int) { s.perm[i], s.perm[j] = s.perm[j], s.perm[i] }
+
 // FuzzInsertMatchesReference runs one stream of inserts, deletes, staged
 // inserts and deletes, flushes and snapshots through Tree and through the
 // reference insert, and requires the two trees to agree after every

@@ -12,15 +12,15 @@ import (
 // The golden shapes below were captured from the pre-arena implementation
 // (per-Insert map[int]bool bookkeeping, sort.Slice over entry copies in the
 // split machinery, per-slice allocations in the bulk loaders) on the
-// deterministic datasets built below.  The build arena, the preallocated
-// sorters and the buffer-reusing bulk loaders must reproduce every tree
+// deterministic datasets built below.  The build arena, the keyed sorts
+// and the buffer-reusing, parallel bulk loader must reproduce every tree
 // bit-identically: same height, same node count, same per-level hash over
 // fan-outs, entry rectangles and object identifiers in depth-first order.
 //
 // The tree shape is sensitive to the exact permutation the (unstable) sorts
-// produce, so these goldens pin that the sorts on keyed records (arena.go)
-// replicate the sort.Slice calls, and then the sort.Sort sorters, they
-// replaced.
+// produce, so these goldens pin that the sorts on keyed records (arena.go,
+// keyedsort.go) replicate the sort.Slice calls, and then the sort.Sort
+// sorters, they replaced.
 
 // shape is a structural fingerprint of one tree.
 type shape struct {

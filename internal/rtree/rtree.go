@@ -72,7 +72,8 @@ type Node struct {
 	// with that snapshot and must be copied before mutation (see snapshot.go).
 	epoch int64
 	// xlOrder caches the entries' stable ascending-XL order for the sweep
-	// joins; nil until first used and again after every mutation (xlorder.go).
+	// joins, built at bulk load or on first use; nil again after every
+	// mutation (xlorder.go).
 	xlOrder atomic.Pointer[XLOrder]
 	// sib is the writer's order of the entries for ChooseSubtree's overlap
 	// scan; nil until a leaf-parent's first R* choice (siblingorder.go).

@@ -1,10 +1,6 @@
 package rtree
 
-import (
-	"sort"
-
-	"repro/internal/geom"
-)
+import "repro/internal/geom"
 
 // XLOrder is a node's entries in the order the plane sweep consumes them
 // (section 4.2): sorted by the lower x-corner, ties in entry order.  It lives
@@ -47,7 +43,9 @@ type XLOrder struct {
 // and y-scan stay short together.
 const StripLen = 16
 
-// XLOrder returns the node's xl-order, building it on first use.  The order
+// XLOrder returns the node's xl-order, built at bulk load or on first use
+// (BulkLoadSTR builds every node's; the page loader, insertion and the
+// copies a round makes leave theirs to the first join).  The order
 // is a pure function of Entries, so concurrent readers of an immutable node
 // (parallel join workers, daemon readers of one epoch) may race to build it:
 // every builder publishes the same value.  Every in-place mutation drops it
@@ -64,22 +62,35 @@ func (n *Node) XLOrder() *XLOrder {
 
 // buildXLOrder stable-sorts the entry indices by lower x-corner, counting the
 // key comparisons, takes the running maximum of XU along the result and
-// builds the y-sorted strips.  Both index arrays share one allocation, as do
-// both running maxima.
+// builds the y-sorted strips.  The sort runs on keyed records, in a stack
+// buffer for every page up to maxStackOrder entries, and makes sort.Stable's
+// moves and comparisons (keyedsort.go).  Both index arrays share one
+// allocation, as do both running maxima.
 func buildXLOrder(entries []Entry) *XLOrder {
 	n := len(entries)
-	idx := make([]int32, 2*n)
-	s := xlSorter{perm: idx[:n:n], entries: entries}
-	for i := range s.perm {
-		s.perm[i] = int32(i)
+	var stack [maxStackOrder]keyed
+	recs := stack[:0]
+	if n > maxStackOrder {
+		recs = make([]keyed, 0, n)
 	}
-	sort.Stable(&s)
+	for i := range entries {
+		recs = append(recs, keyed{key: entries[i].Rect.XL, idx: int32(i)})
+	}
+	comps := stableKeyed(recs)
+	idx := make([]int32, 2*n)
+	for j, r := range recs {
+		idx[j] = r.idx
+	}
 	maxima := make([]float64, 2*n)
-	o := &XLOrder{Perm: s.perm, PrefixMaxXU: maxima[:n:n], YPerm: idx[n:], PrefixMaxYU: maxima[n:], SortComparisons: s.comps}
+	o := &XLOrder{Perm: idx[:n:n], PrefixMaxXU: maxima[:n:n], YPerm: idx[n:], PrefixMaxYU: maxima[n:], SortComparisons: comps}
 	prefixMaxXU(entries, o.Perm, o.PrefixMaxXU)
 	yStrips(entries, o.Perm, o.YPerm, o.PrefixMaxYU)
 	return o
 }
+
+// maxStackOrder is the largest node whose xl-order sort runs in a stack
+// buffer: a full 4 KiB page (204 entries) fits.
+const maxStackOrder = 256
 
 // prefixMaxXU fills out with the running maximum of XU along perm.  It is
 // one pass over an already sorted page, not part of the sort Table 4 prices,
@@ -123,21 +134,6 @@ func yStrips(entries []Entry, perm, yperm []int32, maxYU []float64) {
 		}
 	}
 }
-
-type xlSorter struct {
-	perm    []int32
-	entries []Entry
-	comps   int64
-}
-
-func (s *xlSorter) Len() int { return len(s.perm) }
-
-func (s *xlSorter) Less(i, j int) bool {
-	s.comps++
-	return s.entries[s.perm[i]].Rect.XL < s.entries[s.perm[j]].Rect.XL
-}
-
-func (s *xlSorter) Swap(i, j int) { s.perm[i], s.perm[j] = s.perm[j], s.perm[i] }
 
 // setEntries replaces the node's entry slice.  Together with setRect and
 // appendEntry it is the only way the mutation paths change a node's entries
