@@ -138,8 +138,8 @@ func (a *buildArena) prefixSuffixMBRs(sorted []Entry) (prefix, suffix []geom.Rec
 // and TestKeyedSortMatchesSortSort holds each sort to its sort.Sort form.
 // The comparison functions answer "before" with a plain < or >, as the
 // sorters' Less did: NaN keys sort as they always did.  The bulk load's
-// centre sorts and the xl-order's counted stable sort run keyedsort.go's
-// copies of the same template, specialised to keyed records.
+// centre sorts run keyedsort.go's copy of the same pdqsort, specialised to
+// keyed records.
 
 // keyed is one record of a sort on keys: a float key and the index of the
 // entry it belongs to.

@@ -148,7 +148,7 @@ func (t *Tree) packSTR(b *bulkScratch, n, level, perNode int) {
 		nodes := b.nodes[first : first+(len(slab)+perNode-1)/perNode]
 		for k := range nodes {
 			run := slab[k*perNode : min(len(slab), (k+1)*perNode)]
-			node := &Node{ID: firstID + storage.PageID(first+k+1), Level: level, epoch: t.cowEpoch}
+			node := t.nodeWithID(firstID+storage.PageID(first+k+1), level)
 			node.Entries = make([]Entry, len(run))
 			for j, r := range run {
 				node.Entries[j] = b.entry(r.idx)

@@ -1,12 +1,15 @@
-// The sorts below are copied from Go 1.24's src/slices/zsortanyfunc.go,
-// which src/sort/gen_sort_variants.go generates from the same template as
-// sort.Sort's pdqsort and sort.Stable's insertion-sort-and-symMerge.  They
-// are specialised to keyed records ordered by an inline key < key, the
-// comparison cmp(a, b) < 0 stands for in the template; pdqsortKeyed may
-// hand subranges to other goroutines and stableKeyed counts its
-// comparisons.  Otherwise every comparison and every move is the
-// template's, so they produce the permutations sort.Sort and sort.Stable
-// produce over a Less of the same keys, ties and NaN included.
+// The sort below is copied from Go 1.24's src/slices/zsortanyfunc.go, which
+// src/sort/gen_sort_variants.go generates from the same template as
+// sort.Sort's pdqsort.  It is specialised to keyed records ordered by an
+// inline key < key, the comparison cmp(a, b) < 0 stands for in the
+// template, and pdqsortKeyed may hand subranges to other goroutines.
+// Otherwise every comparison and every move is the template's, so it
+// produces the permutation sort.Sort produces over a Less of the same keys,
+// ties and NaN included.  The bulk load's centre sorts run it: against
+// slices.SortFunc(recs, ascending), whose comparison is a call through a
+// function value, the inline < and the split each shorten the batch
+// workload's set-up by more than its run-to-run spread (EXPERIMENTS.md,
+// "Join-ready bulk loads", has the pairs).
 //
 // Copyright 2022 The Go Authors. All rights reserved.
 // Use of this source code is governed by a BSD-style
@@ -409,177 +412,4 @@ func (r *xorshift) Next() uint64 {
 
 func nextPowerOfTwo(length int) uint {
 	return 1 << bits.Len(uint(length))
-}
-
-// --- stable sort (sort.Stable's permutation and comparison count) -----------
-
-// stableKeyed sorts data stably by ascending key and returns the number of
-// key comparisons it made, which equals sort.Stable's Less calls on the
-// same keys.
-func stableKeyed(data []keyed) int64 {
-	s := countedSort{data: data}
-	n := len(data)
-	blockSize := 20 // must be > 0
-	a, b := 0, blockSize
-	for b <= n {
-		s.insertionSort(a, b)
-		a = b
-		b += blockSize
-	}
-	s.insertionSort(a, n)
-
-	for blockSize < n {
-		a, b = 0, 2*blockSize
-		for b <= n {
-			s.symMerge(a, a+blockSize, b)
-			a = b
-			b += 2 * blockSize
-		}
-		if m := a + blockSize; m < n {
-			s.symMerge(a, m, n)
-		}
-		blockSize *= 2
-	}
-	return s.comps
-}
-
-// countedSort is one stableKeyed run: the records and the comparisons so
-// far.
-type countedSort struct {
-	data  []keyed
-	comps int64
-}
-
-// less reports data[i].key < data[j].key and counts the comparison.
-func (s *countedSort) less(data []keyed, i, j int) bool {
-	s.comps++
-	return data[i].key < data[j].key
-}
-
-// insertionSort sorts data[a:b] using insertion sort.
-func (s *countedSort) insertionSort(a, b int) {
-	data := s.data
-	for i := a + 1; i < b; i++ {
-		for j := i; j > a && s.less(data, j, j-1); j-- {
-			data[j], data[j-1] = data[j-1], data[j]
-		}
-	}
-}
-
-// symMerge merges the two sorted subsequences data[a:m] and data[m:b] using
-// the SymMerge algorithm from Pok-Son Kim and Arne Kutzner, "Stable Minimum
-// Storage Merging by Symmetric Comparisons", in Susanne Albers and Tomasz
-// Radzik, editors, Algorithms - ESA 2004, volume 3221 of Lecture Notes in
-// Computer Science, pages 714-723. Springer, 2004.
-//
-// symMerge assumes non-degenerate arguments: a < m && m < b.
-func (s *countedSort) symMerge(a, m, b int) {
-	data := s.data
-	// Avoid unnecessary recursions of symMerge
-	// by direct insertion of data[a] into data[m:b]
-	// if data[a:m] only contains one element.
-	if m-a == 1 {
-		// Use binary search to find the lowest index i
-		// such that data[i] >= data[a] for m <= i < b.
-		// Exit the search loop with i == b in case no such index exists.
-		i := m
-		j := b
-		for i < j {
-			h := int(uint(i+j) >> 1)
-			if s.less(data, h, a) {
-				i = h + 1
-			} else {
-				j = h
-			}
-		}
-		// Swap values until data[a] reaches the position before i.
-		for k := a; k < i-1; k++ {
-			data[k], data[k+1] = data[k+1], data[k]
-		}
-		return
-	}
-
-	// Avoid unnecessary recursions of symMerge
-	// by direct insertion of data[m] into data[a:m]
-	// if data[m:b] only contains one element.
-	if b-m == 1 {
-		// Use binary search to find the lowest index i
-		// such that data[i] > data[m] for a <= i < m.
-		// Exit the search loop with i == m in case no such index exists.
-		i := a
-		j := m
-		for i < j {
-			h := int(uint(i+j) >> 1)
-			if !s.less(data, m, h) {
-				i = h + 1
-			} else {
-				j = h
-			}
-		}
-		// Swap values until data[m] reaches the position i.
-		for k := m; k > i; k-- {
-			data[k], data[k-1] = data[k-1], data[k]
-		}
-		return
-	}
-
-	mid := int(uint(a+b) >> 1)
-	n := mid + m
-	var start, r int
-	if m > mid {
-		start = n - b
-		r = mid
-	} else {
-		start = a
-		r = m
-	}
-	p := n - 1
-
-	for start < r {
-		c := int(uint(start+r) >> 1)
-		if !s.less(data, p-c, c) {
-			start = c + 1
-		} else {
-			r = c
-		}
-	}
-
-	end := n - start
-	if start < m && m < end {
-		s.rotate(start, m, end)
-	}
-	if a < start && start < mid {
-		s.symMerge(a, start, mid)
-	}
-	if mid < end && end < b {
-		s.symMerge(mid, end, b)
-	}
-}
-
-// rotate rotates two consecutive blocks u = data[a:m] and v = data[m:b] in data:
-// Data of the form 'x u v y' is changed to 'x v u y'.
-// rotate performs at most b-a many calls to data.Swap,
-// and it assumes non-degenerate arguments: a < m && m < b.
-func (s *countedSort) rotate(a, m, b int) {
-	i := m - a
-	j := b - m
-
-	for i != j {
-		if i > j {
-			s.swapRange(m-i, m, j)
-			i -= j
-		} else {
-			s.swapRange(m-i, m+j-i, i)
-			j -= i
-		}
-	}
-	// i == j
-	s.swapRange(m-i, m, i)
-}
-
-func (s *countedSort) swapRange(a, b, n int) {
-	data := s.data
-	for i := 0; i < n; i++ {
-		data[a+i], data[b+i] = data[b+i], data[a+i]
-	}
 }

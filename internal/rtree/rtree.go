@@ -175,7 +175,14 @@ func MustNew(opts Options) *Tree {
 // allocation order), owned by the current write epoch.
 func (t *Tree) newNode(level int) *Node {
 	t.nextID++
-	return &Node{ID: t.nextID, Level: level, epoch: t.cowEpoch}
+	return t.nodeWithID(t.nextID, level)
+}
+
+// nodeWithID allocates a node with a page identifier the caller reserved
+// (the bulk loader reserves a level's identifiers at once), owned by the
+// current write epoch.
+func (t *Tree) nodeWithID(id storage.PageID, level int) *Node {
+	return &Node{ID: id, Level: level, epoch: t.cowEpoch}
 }
 
 // ID returns the process-wide unique identifier of the tree, used to

@@ -1,6 +1,10 @@
 package rtree
 
-import "repro/internal/geom"
+import (
+	"slices"
+
+	"repro/internal/geom"
+)
 
 // XLOrder is a node's entries in the order the plane sweep consumes them
 // (section 4.2): sorted by the lower x-corner, ties in entry order.  It lives
@@ -63,9 +67,11 @@ func (n *Node) XLOrder() *XLOrder {
 // buildXLOrder stable-sorts the entry indices by lower x-corner, counting the
 // key comparisons, takes the running maximum of XU along the result and
 // builds the y-sorted strips.  The sort runs on keyed records, in a stack
-// buffer for every page up to maxStackOrder entries, and makes sort.Stable's
-// moves and comparisons (keyedsort.go).  Both index arrays share one
-// allocation, as do both running maxima.
+// buffer for every page up to maxStackOrder entries, through
+// slices.SortStableFunc: it makes sort.Stable's moves and calls the
+// comparison once per Less, so counting the calls counts sort.Stable's
+// comparisons.  Both index arrays share one allocation, as do both running
+// maxima.
 func buildXLOrder(entries []Entry) *XLOrder {
 	n := len(entries)
 	var stack [maxStackOrder]keyed
@@ -76,7 +82,11 @@ func buildXLOrder(entries []Entry) *XLOrder {
 	for i := range entries {
 		recs = append(recs, keyed{key: entries[i].Rect.XL, idx: int32(i)})
 	}
-	comps := stableKeyed(recs)
+	var comps int64
+	slices.SortStableFunc(recs, func(a, b keyed) int {
+		comps++
+		return ascending(a, b)
+	})
 	idx := make([]int32, 2*n)
 	for j, r := range recs {
 		idx[j] = r.idx
