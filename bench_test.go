@@ -369,37 +369,13 @@ func BenchmarkHeightPolicies(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelJoin compares the sequential SJ4 with the work-partitioned
-// parallel execution (extension; the paper's future-work section).
-func BenchmarkParallelJoin(b *testing.B) {
-	r, s := treesForBench()
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := ParallelTreeJoin(r, s, ParallelJoinOptions{
-					Options: JoinOptions{Method: SpatialJoin4, BufferBytes: 128 << 10, DiscardPairs: true},
-					Workers: workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Count == 0 {
-					b.Fatal("empty result")
-				}
-			}
-		})
-	}
-}
-
 // --- Large-tree join benchmarks --------------------------------------------
 //
 // The small bench trees above (8k rects) finish a join in about a
-// millisecond, so ParallelJoin's planning and spawn cost dominates and the
-// parallel speedup cannot show.  The large family joins two 120k-rect trees
-// (STR bulk loaded; dynamic insertion of trees this size is what
-// BenchmarkBuildRTreeDynamic measures) where the sequential sweep join runs
-// long enough for the work partitioning to amortise.
+// millisecond.  The large family joins two 120k-rect trees (STR bulk
+// loaded; dynamic insertion of trees this size is what
+// BenchmarkBuildRTreeDynamic measures), where the join runs long enough for
+// its helpers on the spare cores to show.
 //
 // Building the two 120k-rect trees takes far longer than the benchmark
 // smoke's -benchtime 1x iterations, so the whole family is gated behind
@@ -486,152 +462,12 @@ func BenchmarkLargeJoinWithin(b *testing.B) {
 	}
 }
 
-// BenchmarkLargeJoinParallel sweeps the worker count on the large tree pair;
-// the 8-worker configuration is the scaling target recorded in BENCH_2.json.
-func BenchmarkLargeJoinParallel(b *testing.B) {
-	skipLargeInShort(b)
-	r, s := largeTreesForBench()
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := ParallelTreeJoin(r, s, ParallelJoinOptions{
-					Options: JoinOptions{
-						Method:        SpatialJoin4,
-						BufferBytes:   1 << 20,
-						UsePathBuffer: true,
-						DiscardPairs:  true,
-					},
-					Workers: workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Count == 0 {
-					b.Fatal("empty result")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkLargeJoinParallelStatic runs the deterministic spatial schedule
-// and reports "est-speedup": the cost-model (section 5) speedup of the
-// partitioned execution's critical path — planning plus the slowest worker —
-// over the sequential SJ4 baseline.  This is the paper's simulation-style
-// measure of parallel scaling; wall-clock ns/op can only show the speedup on
-// a machine that actually has the cores, whereas the counted costs show the
-// quality of the partitioning anywhere.
-func BenchmarkLargeJoinParallelStatic(b *testing.B) {
-	skipLargeInShort(b)
-	r, s := largeTreesForBench()
-	opts := JoinOptions{
-		Method:        SpatialJoin4,
-		BufferBytes:   1 << 20,
-		UsePathBuffer: true,
-		DiscardPairs:  true,
-	}
-	seq, err := TreeJoin(r, s, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	model := DefaultCostModel()
-	seqEst := model.EstimateSnapshot(seq.Metrics, r.PageSize())
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			speedup := 0.0
-			for i := 0; i < b.N; i++ {
-				res, err := ParallelTreeJoin(r, s, ParallelJoinOptions{
-					Options:  opts,
-					Workers:  workers,
-					Strategy: SpatialPartition,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				par := experiments.ParallelEstimate(model, res, r.PageSize())
-				if par.TotalSeconds() > 0 {
-					speedup = seqEst.TotalSeconds() / par.TotalSeconds()
-				}
-			}
-			b.ReportMetric(speedup, "est-speedup")
-		})
-	}
-}
-
-// BenchmarkLargeJoinPartition compares the two partition strategies — the
-// spatial schedule and the shared queue — on the large pair at 2 and 8
-// workers, in the ledger's join_par configuration (bench/batch.go: SJ4,
-// 128 KiB buffer plus path buffer, pairs materialised, the default task
-// granularity), so strategy=stealing/workers=2 on a two-core host reproduces
-// join_par outside the ledger.  Besides wall clock it reports the
-// counted-cost quality of each schedule: the cost-model est-speedup, the
-// per-worker task, comparison and disk skew, the buffer-locality hit rate,
-// the tasks run off their planned worker and the disk-access overhead over
-// the sequential join (the price of the partitioned buffer, which the
-// spatial-region schedule is built to shrink).
-func BenchmarkLargeJoinPartition(b *testing.B) {
-	skipLargeInShort(b)
-	r, s := largeTreesForBench()
-	opts := JoinOptions{
-		Method:        SpatialJoin4,
-		BufferBytes:   128 << 10,
-		UsePathBuffer: true,
-	}
-	seq, err := TreeJoin(r, s, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	model := DefaultCostModel()
-	seqEst := model.EstimateSnapshot(seq.Metrics, r.PageSize())
-	seqDisk := float64(seq.Metrics.DiskAccesses())
-	for _, strategy := range []PartitionStrategy{SpatialPartition, StealingPartition} {
-		for _, workers := range []int{2, 8} {
-			b.Run(fmt.Sprintf("strategy=%v/workers=%d", strategy, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				var res *JoinResult
-				for i := 0; i < b.N; i++ {
-					res, err = ParallelTreeJoin(r, s, ParallelJoinOptions{
-						Options:  opts,
-						Workers:  workers,
-						Strategy: strategy,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Count != seq.Count {
-						b.Fatalf("%d pairs, sequential %d", res.Count, seq.Count)
-					}
-				}
-				par := experiments.ParallelEstimate(model, res, r.PageSize())
-				if par.TotalSeconds() > 0 {
-					b.ReportMetric(seqEst.TotalSeconds()/par.TotalSeconds(), "est-speedup")
-				}
-				if seqDisk > 0 {
-					b.ReportMetric(float64(res.Metrics.DiskAccesses())/seqDisk, "disk-overhead")
-				}
-				b.ReportMetric(res.TaskSkew(), "task-skew")
-				b.ReportMetric(res.ComparisonSkew(), "comp-skew")
-				b.ReportMetric(res.DiskSkew(), "disk-skew")
-				b.ReportMetric(res.TimeSkew(model, r.PageSize()), "time-skew")
-				b.ReportMetric(res.WorkerBufferHitRate(), "hit-rate")
-				b.ReportMetric(float64(res.StolenTasks), "stolen")
-			})
-		}
-	}
-}
-
 // BenchmarkLargeJoinUpdates is the update-heavy workload on the 120k-rect
 // configuration: each iteration turns over 10% of both relations (deletes of
 // the oldest rectangles, Hilbert-buffered inserts of fresh ones) and then
-// runs the spatial-partition SJ4 at 8 workers on the mutated trees.  Reported
-// metrics: est-err must not drift away from est-err-baseline (the same
-// measure on the unmutated pair — per-worker error on this bulk-loaded pair
-// is large at any scale; the experiment-scale TableUpdates shows the ~12%
-// band), and the hint-hit rate shows the insertion buffer working at size.
-// Uses private trees — the shared large pair must stay immutable for the
-// other benchmarks.
+// runs SJ4 on the mutated trees.  The hint-hit rate shows the insertion
+// buffer working at size.  Uses private trees — the shared large pair must
+// stay immutable for the other benchmarks.
 func BenchmarkLargeJoinUpdates(b *testing.B) {
 	skipLargeInShort(b)
 	itemsR := GenerateDataset(DatasetConfig{Kind: Streets, Count: largeBenchCount, Seed: 41})
@@ -644,57 +480,32 @@ func BenchmarkLargeJoinUpdates(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	model := DefaultCostModel()
-	estErrOf := func(res *JoinResult) float64 {
-		err, _ := experiments.MeanEstErrPct(model, res, r.PageSize())
-		return err
+	opts := JoinOptions{
+		Method:        SpatialJoin4,
+		BufferBytes:   1 << 20,
+		UsePathBuffer: true,
+		DiscardPairs:  true,
 	}
-	updateOpts := ParallelJoinOptions{
-		Options: JoinOptions{
-			Method:        SpatialJoin4,
-			BufferBytes:   1 << 20,
-			UsePathBuffer: true,
-			DiscardPairs:  true,
-		},
-		Workers:           8,
-		Strategy:          SpatialPartition,
-		MinTasksPerWorker: 16,
-	}
-	baseRes, err := ParallelTreeJoin(r, s, updateOpts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	baseErr := estErrOf(baseRes)
 	// Same turnover protocol the experiment table runs, at 120k scale.
 	pairR := &experiments.UpdatePair{Tree: r, Live: itemsR, Kind: Streets, Seed: 1000, NextID: 1 << 20}
 	pairS := &experiments.UpdatePair{Tree: s, Live: itemsS, Kind: Rivers, Seed: 2000, NextID: 1 << 20}
-	var estErr, hitRate float64
+	var hitRate float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hitsR, appliedR := pairR.TurnOver(i)
 		hitsS, appliedS := pairS.TurnOver(i)
 		hitRate = float64(hitsR+hitsS) / float64(appliedR+appliedS)
-		res, err := ParallelTreeJoin(r, s, updateOpts)
+		res, err := TreeJoin(r, s, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if res.Count == 0 {
 			b.Fatal("empty result")
 		}
-		estErr = estErrOf(res)
 	}
 	b.StopTimer()
-	b.ReportMetric(estErr, "est-err-pct")
-	b.ReportMetric(baseErr, "est-err-baseline-pct")
 	b.ReportMetric(hitRate, "hint-hit-rate")
-	// Bounded-drift pin: the estimate on mutated trees must not rot.
-	// Per-worker error on this pair is large before and after turnover
-	// (~125% unmutated, ~157% after); statistics that stopped describing the
-	// mutated trees blow it far past the baseline, which this bound catches.
-	if baseErr > 0 && estErr > 2*baseErr+10 {
-		b.Fatalf("estimator error after updates %.1f%% drifted past the bound (baseline %.1f%%)", estErr, baseErr)
-	}
 }
 
 // BenchmarkSweepAppendPairs isolates the allocation-free sorted intersection

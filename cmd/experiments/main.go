@@ -36,7 +36,6 @@ func run(args []string, out io.Writer) error {
 		table    = fs.Int("table", 0, "run only this table (1-8)")
 		figure   = fs.Int("figure", 0, "run only this figure (2, 8, 9 or 10)")
 		bulk     = fs.Bool("bulk", false, "build trees with STR bulk loading instead of insertion")
-		parallel = fs.Bool("parallel", false, "run only the parallel load-balance experiment (extension)")
 		updates  = fs.Bool("updates", false, "run only the update-heavy workload experiment (extension)")
 		disk     = fs.Bool("disk", false, "run only the measured-I/O disk experiments on real files (extension)")
 		recovery = fs.Bool("recovery", false, "run only the crash-recovery property harness (extension)")
@@ -101,8 +100,6 @@ func run(args []string, out io.Writer) error {
 		}
 	case *updates:
 		experiments.PrintTableUpdates(out, suite.TableUpdates())
-	case *parallel:
-		experiments.PrintTableParallel(out, suite.TableParallel())
 	case *table == 0 && *figure == 0:
 		suite.RunAll(out)
 	case *table != 0:

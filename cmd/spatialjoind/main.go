@@ -24,7 +24,7 @@
 //
 //	POST /update  JSON [{"xl":..,"yl":..,"xu":..,"yu":..,"data":1,"delete":false}, ...]
 //	POST /round   commit staged mutations and flip the snapshot now
-//	POST /join    JSON {"workers":4,"predicate":"knn:3","discard_pairs":false} (body optional)
+//	POST /join    JSON {"predicate":"knn:3","discard_pairs":false} (body optional)
 //	GET  /stats   server counters, epoch state and coverage summary
 //
 // -pprof ADDR serves net/http/pprof's profiles under /debug/pprof/ on a
@@ -33,8 +33,8 @@
 // the daemon under load.
 //
 // Every join runs SJ4, the paper's recommended algorithm; a request picks
-// only the predicate (intersection when left out), the parallel workers and
-// whether pairs come back.  A body naming any other field is a 400.  Shard
+// only the predicate (intersection when left out) and whether pairs come
+// back.  A body naming any other field is a 400.  Shard
 // keys are Hilbert keys over the unit square (server.UnitWorld), the same
 // grid the router routes by.  Rectangles need not lie in the unit square:
 // any well-formed rectangle is accepted, the join has no world, and a

@@ -122,7 +122,7 @@ func TestDaemonUpdateRoundJoin(t *testing.T) {
 		t.Fatalf("round: %d %s", w.Code, w.Body)
 	}
 
-	w = doJSON(t, h, "POST", "/join", server.JoinRequestWire{Workers: 2})
+	w = doJSON(t, h, "POST", "/join", server.JoinRequestWire{})
 	if w.Code != http.StatusOK {
 		t.Fatalf("join: %d %s", w.Code, w.Body)
 	}

@@ -38,8 +38,8 @@ const nilNode = int32(-1)
 // that is reused through a free list, so after warm-up Touch/Insert/evict
 // cycles allocate nothing.
 //
-// LRU is not safe for concurrent use; the join algorithms are sequential, as
-// in the paper (ParallelJoin gives each worker its own buffer).
+// LRU is not safe for concurrent use; each join owns its buffer, as in the
+// paper.
 type LRU struct {
 	capacity    int
 	nodes       []lruNode
@@ -239,8 +239,8 @@ func (b *LRU) Pinned(k FrameKey) bool {
 
 // ReconfigureForBytes empties the buffer and resizes it to bufferBytes /
 // pageSize frames, keeping the frame pool and map storage.  Pooled buffers
-// (ParallelJoin's resident worker state) use it to be reused across joins
-// with different buffer configurations without reallocating.
+// (the join's tracker pool) use it to be reused across joins with different
+// buffer configurations without reallocating.
 func (b *LRU) ReconfigureForBytes(bufferBytes, pageSize int) {
 	capacity := framesForBytes(bufferBytes, pageSize)
 	if capacity < 0 {

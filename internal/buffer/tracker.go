@@ -1,8 +1,6 @@
 package buffer
 
 import (
-	"sync/atomic"
-
 	"repro/internal/metrics"
 	"repro/internal/storage"
 )
@@ -22,7 +20,6 @@ type Tracker struct {
 	readers  map[int]PageReader
 	cache    *PageCache
 	readErr  error
-	halt     *atomic.Bool
 	// frame is the buffer every physical read of this tracker lands in.  It
 	// is sized when the first reader is attached and stays with a pooled
 	// tracker across Reconfigure, so a steady-state read allocates nothing.
@@ -108,13 +105,13 @@ func (t *Tracker) Access(tree, level int, id storage.PageID) bool {
 		if t.cache != nil {
 			if _, ok := t.cache.Get(key); !ok {
 				if data, err := r.ReadPage(id, t.frame); err != nil {
-					t.latch(err)
+					t.readErr = err
 				} else {
 					t.cache.Put(key, data)
 				}
 			}
 		} else if _, err := r.ReadPage(id, t.frame); err != nil {
-			t.latch(err)
+			t.readErr = err
 		}
 	}
 	t.lru.Insert(key)
@@ -152,22 +149,9 @@ func (t *Tracker) SetPageReader(tree int, r PageReader) {
 // attached PageReader, or nil.
 func (t *Tracker) ReadErr() error { return t.readErr }
 
-// latch records a physical read failure and trips the attached halt flag.
-func (t *Tracker) latch(err error) {
-	t.readErr = err
-	if t.halt != nil {
-		t.halt.Store(true)
-	}
-}
-
-// SetHalt attaches a stop flag shared by the trackers of one join: the
-// tracker whose physical read fails trips it, and no tracker performs a
-// physical read once it is set.  Pass nil to detach.
-func (t *Tracker) SetHalt(h *atomic.Bool) { t.halt = h }
-
 // Halted reports whether the tracker performs no further physical reads:
-// its own read failed, or the attached halt flag is set.
-func (t *Tracker) Halted() bool { return t.readErr != nil || t.halt != nil && t.halt.Load() }
+// one of its reads failed.
+func (t *Tracker) Halted() bool { return t.readErr != nil }
 
 // Pin keeps the page of the given tree in the LRU buffer until Unpin.
 func (t *Tracker) Pin(tree int, id storage.PageID) {
@@ -201,5 +185,4 @@ func (t *Tracker) Reconfigure(m *metrics.Collector, pageSize int, usePathBuffer 
 	clear(t.readers)
 	t.cache = nil
 	t.readErr = nil
-	t.halt = nil
 }

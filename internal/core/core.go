@@ -314,13 +314,6 @@ func refinePair(a, b Object, pred join.Predicate) (bool, int64) {
 	return refine.IntersectsCost(ga, gb)
 }
 
-// geometriesIntersect is the boolean refinement test for intersection (kept
-// for WindowQuery-style callers that do not account costs).
-func geometriesIntersect(a, b Object) bool {
-	ok, _ := refinePair(a, b, join.Intersects())
-	return ok
-}
-
 // LineObjectsFromItems converts MBR items (as produced by internal/datagen
 // for street and river maps) into objects whose exact geometry is the line
 // segment spanning the MBR diagonal — exactly the segment the generator

@@ -79,27 +79,3 @@ func (c Catalog) SubtreePages(level int) float64 {
 	}
 	return pages / roots
 }
-
-// SubtreeEntries returns the expected number of data rectangles below one
-// node at the given level.
-func (c Catalog) SubtreeEntries(level int) float64 {
-	if !c.Valid() {
-		return 0
-	}
-	level = c.clampLevel(level)
-	roots := float64(c.Levels[level].Nodes)
-	if roots == 0 {
-		return 0
-	}
-	return float64(c.DataEntries()) / roots
-}
-
-// LeafExtent returns the mean data-rectangle width (0 for an invalid
-// catalog).  Selectivity estimates use it to turn "entries in a region" into
-// "expected x-overlapping pairs".
-func (c Catalog) LeafExtent() float64 {
-	if !c.Valid() {
-		return 0
-	}
-	return c.Levels[0].AvgEntryWidth
-}

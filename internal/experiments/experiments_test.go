@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/join"
 	"repro/internal/storage"
 )
 
@@ -321,79 +320,28 @@ func TestSortedKeysHelper(t *testing.T) {
 	}
 }
 
-func TestTableParallelShape(t *testing.T) {
-	s := tinySuite()
-	rows := s.TableParallel()
-	want := len(join.PartitionStrategies) * len(ParallelWorkerCounts)
-	if len(rows) != want {
-		t.Fatalf("TableParallel returned %d rows, want %d", len(rows), want)
-	}
-	i := 0
-	for _, strategy := range join.PartitionStrategies {
-		for _, workers := range ParallelWorkerCounts {
-			row := rows[i]
-			i++
-			if row.Strategy != strategy || row.Workers != workers {
-				t.Fatalf("row %d is %v/%d, want %v/%d", i-1, row.Strategy, row.Workers, strategy, workers)
-			}
-			if row.Pairs != rows[0].Pairs {
-				t.Errorf("%v/%d: %d pairs, want %d (result set must not depend on the schedule)",
-					strategy, workers, row.Pairs, rows[0].Pairs)
-			}
-			if row.Tasks <= 0 || row.DiskAccesses <= 0 || row.EstSpeedup <= 0 || row.DiskOverhead <= 0 {
-				t.Errorf("%v/%d: empty counters in %+v", strategy, workers, row)
-			}
-			if workers > 1 && (row.TaskSkew < 1 || row.CompSkew < 1 || row.DiskSkew < 1) {
-				t.Errorf("%v/%d: skews below 1 in %+v", strategy, workers, row)
-			}
-		}
-	}
-
-	var buf bytes.Buffer
-	PrintTableParallel(&buf, rows)
-	out := buf.String()
-	for _, want := range []string{"spatial", "stealing", "stolen", "est speedup"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("PrintTableParallel output is missing %q", want)
-		}
-	}
-}
-
 func TestTableUpdatesShape(t *testing.T) {
 	s := tinySuite()
 	rows := s.TableUpdates()
-	strategies := len(join.PartitionStrategies)
-	if want := UpdateRounds * strategies; len(rows) != want {
-		t.Fatalf("TableUpdates returned %d rows, want %d", len(rows), want)
+	if len(rows) != UpdateRounds {
+		t.Fatalf("TableUpdates returned %d rows, want %d", len(rows), UpdateRounds)
 	}
-	i := 0
-	for round := 1; round <= UpdateRounds; round++ {
-		var pairs int
-		for j := 0; j < strategies; j++ {
-			row := rows[i]
-			i++
-			if row.Round != round {
-				t.Fatalf("row %d is round %d, want round %d", i-1, row.Round, round)
-			}
-			if j == 0 {
-				pairs = row.Pairs
-			} else if row.Pairs != pairs {
-				t.Errorf("round %d %v: %d pairs, want %d (result must not depend on the schedule)",
-					round, row.Strategy, row.Pairs, pairs)
-			}
-			if row.Tasks <= 0 || row.TimeSkew < 1 {
-				t.Errorf("degenerate row %+v", row)
-			}
-			if row.HintHitRate <= 0 || row.HintHitRate > 1 {
-				t.Errorf("round %d: hint hit rate %v outside (0,1]", round, row.HintHitRate)
-			}
+	for i, row := range rows {
+		if row.Round != i+1 {
+			t.Fatalf("row %d is round %d, want round %d", i, row.Round, i+1)
+		}
+		if row.Pairs <= 0 {
+			t.Errorf("degenerate row %+v", row)
+		}
+		if row.HintHitRate <= 0 || row.HintHitRate > 1 {
+			t.Errorf("round %d: hint hit rate %v outside (0,1]", row.Round, row.HintHitRate)
 		}
 	}
 
 	var buf bytes.Buffer
 	PrintTableUpdates(&buf, rows)
 	out := buf.String()
-	for _, want := range []string{"hint rate", "est err", "spatial", "stealing"} {
+	for _, want := range []string{"round", "pairs", "hint rate"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("PrintTableUpdates output is missing %q", want)
 		}

@@ -177,5 +177,4 @@ func (s *Suite) RunAll(w io.Writer) {
 	PrintFigure9(w, s.Figure9())
 	PrintTable8(w, s.Table8())
 	PrintFigure10(w, s.Figure10())
-	PrintTableParallel(w, s.TableParallel())
 }

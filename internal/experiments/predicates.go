@@ -30,7 +30,7 @@ import (
 //     refinement.
 //
 // Every filter result is checked against an independent brute-force oracle,
-// and SJ1..SJ5 plus the parallel join must all agree pairwise.  The suite
+// and SJ1..SJ5 must all agree pairwise.  The suite
 // also closes ROADMAP 5(b): the same predicate workload is run on trees
 // built by plain insertion and by Hilbert-buffered insertion, pinning that
 // the buffered build's speedup costs nothing downstream.
@@ -48,9 +48,6 @@ type PredicateBenchConfig struct {
 	Epsilon float64
 	// K is the kNN neighbour count (default 4).
 	K int
-	// Workers is the parallel worker count of the cross-check join
-	// (default 4).
-	Workers int
 }
 
 func (c PredicateBenchConfig) withDefaults() PredicateBenchConfig {
@@ -65,9 +62,6 @@ func (c PredicateBenchConfig) withDefaults() PredicateBenchConfig {
 	}
 	if c.K <= 0 {
 		c.K = 4
-	}
-	if c.Workers <= 0 {
-		c.Workers = 4
 	}
 	return c
 }
@@ -90,7 +84,7 @@ type PredicateRow struct {
 	RefineOps     int64
 	RefineSeconds float64
 	// ParityOK: the filter pairs match the brute-force oracle, and SJ1..SJ5
-	// and the parallel join agree.
+	// agree.
 	ParityOK bool
 }
 
@@ -275,8 +269,8 @@ func RunPredicateBench(cfg PredicateBenchConfig) *PredicateReport {
 			ParityOK:         true,
 		}
 
-		// Filter parity: every sequential method and the parallel join must
-		// match the brute-force oracle bit for bit.
+		// Filter parity: every method must match the brute-force oracle bit
+		// for bit.
 		for _, m := range []join.Method{join.SJ1, join.SJ2, join.SJ3, join.SJ4, join.SJ5} {
 			fres, err := join.Join(relR.Tree(), relS.Tree(), join.Options{Method: m, Predicate: pred, UsePathBuffer: true})
 			if err != nil {
@@ -287,20 +281,6 @@ func RunPredicateBench(cfg PredicateBenchConfig) *PredicateReport {
 			join.SortPairs(fres.Pairs)
 			if !samePairSlices(fres.Pairs, oracle) {
 				rep.failf("%s: %v filter pairs diverge from oracle (%d vs %d)", pred, m, len(fres.Pairs), len(oracle))
-				row.ParityOK = false
-			}
-		}
-		pres, err := join.ParallelJoin(relR.Tree(), relS.Tree(), join.ParallelOptions{
-			Options: join.Options{Method: join.SJ4, Predicate: pred, UsePathBuffer: true},
-			Workers: cfg.Workers,
-		})
-		if err != nil {
-			rep.failf("%s: parallel filter: %v", pred, err)
-			row.ParityOK = false
-		} else {
-			join.SortPairs(pres.Pairs)
-			if !samePairSlices(pres.Pairs, oracle) {
-				rep.failf("%s: parallel filter pairs diverge from oracle", pred)
 				row.ParityOK = false
 			}
 		}

@@ -59,11 +59,6 @@ type ServerTortureConfig struct {
 	// shed rate.
 	MaxInflight int
 	CostBudget  time.Duration
-	// QueryWorkers > 1 runs each query as a ParallelJoin.  On a single-CPU
-	// host sequential queries never yield mid-join, so admission overlap —
-	// and therefore shedding — only shows up when the worker handoff gives
-	// the scheduler a switch point.
-	QueryWorkers int
 	// Seed seeds the workload (default 7).
 	Seed int64
 }
@@ -282,7 +277,7 @@ func (h *tortureHarness) query(res *ServerPhaseResult, lat *[]time.Duration, mu 
 	ctx, cancel := context.WithTimeout(context.Background(), h.cfg.Deadline)
 	defer cancel()
 	start := time.Now()
-	resp, err := h.srv.Join(ctx, server.JoinRequest{Workers: h.cfg.QueryWorkers})
+	resp, err := h.srv.Join(ctx, server.JoinRequest{})
 	elapsed := time.Since(start)
 
 	mu.Lock()

@@ -7,18 +7,23 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/join"
 	"repro/internal/rtree"
+	"repro/internal/storage"
 )
 
 // ---------------------------------------------------------------------------
 // Update-heavy workloads (extension): Hilbert-buffered update batches
-// interleaved with parallel joins.
+// interleaved with joins.
 // ---------------------------------------------------------------------------
 
 // UpdateRounds is the number of update-then-join rounds the experiment runs.
 const UpdateRounds = 2
 
-// UpdateWorkers is the worker count of the interleaved parallel joins.
-const UpdateWorkers = 8
+// UpdatePageSize and UpdateBufferKB fix the joins of the update experiment:
+// the paper's recommended SJ4 at 4 KByte pages with a 128 KByte buffer.
+const (
+	UpdatePageSize = storage.PageSize4K
+	UpdateBufferKB = 128
+)
 
 // UpdateBatchPercent is the share of each relation turned over per round:
 // that many per cent of the live rectangles are deleted (oldest first) and
@@ -26,25 +31,16 @@ const UpdateWorkers = 8
 // buffer.
 const UpdateBatchPercent = 10
 
-// UpdateRow is one strategy's join after one update round.
+// UpdateRow is the join after one update round.
 type UpdateRow struct {
 	// Round is the 1-based update round.
-	Round    int
-	Strategy join.PartitionStrategy
-	// Tasks and Pairs describe the join after the round's updates; Pairs is
-	// checked against the sequential join inside the experiment.
-	Tasks int
+	Round int
+	// Pairs is the join's count after the round's updates; it is checked
+	// against the nested loop inside the experiment.
 	Pairs int
 	// HintHitRate is the share of the round's buffered inserts that took the
-	// leaf-hint fast path (one value per round, repeated on each row).
+	// leaf-hint fast path.
 	HintHitRate float64
-	// EstErrPct is the mean over workers of |predicted - actual| / actual in
-	// per cent, for the spatial schedule.  It is -1 for stealing, whose split
-	// is not the predicted schedule.  This is the estimator-freshness
-	// measure: the catalog of a mutated tree must keep it in the band of a
-	// freshly built one.
-	EstErrPct float64
-	TimeSkew  float64
 }
 
 // UpdatePair is one relation under update churn: its tree, its live items
@@ -95,11 +91,9 @@ func (u *UpdatePair) TurnOver(round int) (hits, applied int) {
 
 // TableUpdates interleaves batched updates (Hilbert-buffered inserts plus
 // oldest-first deletes, UpdateBatchPercent of each relation per round) with
-// SJ4 parallel joins under both partition strategies, on freshly built trees
-// (the suite's cached trees must stay immutable for the other tables).  Every
-// join's result is verified against the sequential join on the mutated
-// trees, and EstErrPct shows the estimator staying healthy on the mutated
-// trees' statistics.
+// SJ4 joins, on freshly built trees (the suite's cached trees must stay
+// immutable for the other tables).  Every round's join count is verified
+// against the index-free nested loop on the mutated trees.
 func (s *Suite) TableUpdates() []UpdateRow {
 	r := &UpdatePair{
 		Live: append([]rtree.Item(nil), s.streets()...),
@@ -110,7 +104,7 @@ func (s *Suite) TableUpdates() []UpdateRow {
 		Kind: datagen.Rivers, Seed: 7202, NextID: 1 << 20,
 	}
 	for _, u := range []*UpdatePair{r, t} {
-		u.Tree = rtree.MustNew(rtree.Options{PageSize: ParallelPageSize})
+		u.Tree = rtree.MustNew(rtree.Options{PageSize: UpdatePageSize})
 		u.Tree.InsertItems(u.Live)
 	}
 
@@ -122,66 +116,25 @@ func (s *Suite) TableUpdates() []UpdateRow {
 		if appliedR+appliedT > 0 {
 			hintRate = float64(hitsR+hitsT) / float64(appliedR+appliedT)
 		}
-		seq := s.runJoin(r.Tree, t.Tree, join.SJ4, ParallelBufferKB, nil)
-		for _, strategy := range join.PartitionStrategies {
-			res, err := join.ParallelJoin(r.Tree, t.Tree, join.ParallelOptions{
-				Options: join.Options{
-					Method:        join.SJ4,
-					BufferBytes:   ParallelBufferKB << 10,
-					UsePathBuffer: s.cfg.UsePathBuffer,
-					DiscardPairs:  true,
-				},
-				Workers:  UpdateWorkers,
-				Strategy: strategy,
-			})
-			if err != nil {
-				panic(fmt.Sprintf("experiments: update join %v round %d: %v", strategy, round, err))
-			}
-			if res.Count != seq.Count {
-				panic(fmt.Sprintf("experiments: update join %v round %d found %d pairs, sequential %d",
-					strategy, round, res.Count, seq.Count))
-			}
-			row := UpdateRow{
-				Round:       round,
-				Strategy:    strategy,
-				Pairs:       res.Count,
-				HintHitRate: hintRate,
-				EstErrPct:   -1,
-				TimeSkew:    res.TimeSkew(s.model, ParallelPageSize),
-			}
-			for _, n := range res.WorkerTasks {
-				row.Tasks += n
-			}
-			if strategy == join.PartitionSpatial {
-				if err, ok := MeanEstErrPct(s.model, res, ParallelPageSize); ok {
-					row.EstErrPct = err
-				}
-			}
-			rows = append(rows, row)
+		res := s.runJoin(r.Tree, t.Tree, join.SJ4, UpdateBufferKB, nil)
+		oracle := s.runJoin(r.Tree, t.Tree, join.NestedLoop, UpdateBufferKB, nil)
+		if res.Count != oracle.Count {
+			panic(fmt.Sprintf("experiments: update join round %d found %d pairs, nested loop %d",
+				round, res.Count, oracle.Count))
 		}
+		rows = append(rows, UpdateRow{Round: round, Pairs: res.Count, HintHitRate: hintRate})
 	}
 	return rows
 }
 
-// PrintTableUpdates writes the update-workload rows, one per round and
-// strategy.
+// PrintTableUpdates writes the update-workload rows, one per round.
 func PrintTableUpdates(w io.Writer, rows []UpdateRow) {
-	writeHeader(w, fmt.Sprintf(
-		"Update-heavy workload (SJ4, %d workers, %d%% turnover per round)",
-		UpdateWorkers, UpdateBatchPercent))
-	fmt.Fprintf(w, "%-6s %-12s %6s %8s %9s %10s %10s\n",
-		"round", "strategy", "tasks", "pairs", "hint rate", "est err %", "time skew")
+	writeHeader(w, fmt.Sprintf("Update-heavy workload (SJ4, %d%% turnover per round)", UpdateBatchPercent))
+	fmt.Fprintf(w, "%-6s %8s %9s\n", "round", "pairs", "hint rate")
 	for _, row := range rows {
-		estErr := "-"
-		if row.EstErrPct >= 0 {
-			estErr = fmt.Sprintf("%.1f", row.EstErrPct)
-		}
-		fmt.Fprintf(w, "%-6d %-12s %6d %8d %9.2f %10s %10.2f\n",
-			row.Round, row.Strategy, row.Tasks, row.Pairs, row.HintHitRate,
-			estErr, row.TimeSkew)
+		fmt.Fprintf(w, "%-6d %8d %9.2f\n", row.Round, row.Pairs, row.HintHitRate)
 	}
 	fmt.Fprintln(w, "(each round deletes the oldest batch and Hilbert-buffer-inserts a fresh one on"+
-		"\n both relations, then joins with every partition strategy; hint rate = share of"+
-		"\n buffered inserts that skipped the ChooseSubtree descent; est err = mean per-"+
-		"\n worker |predicted-actual|/actual for the spatial schedule)")
+		"\n both relations, then joins them; pairs match the nested loop; hint rate = share"+
+		"\n of buffered inserts that skipped the ChooseSubtree descent)")
 }

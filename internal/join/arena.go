@@ -62,12 +62,12 @@ type heightsScratch struct {
 
 // arena bundles all scratch buffers of one join run.  Arenas are recycled
 // through a sync.Pool so repeated joins (benchmarks, experiment sweeps,
-// parallel workers) reach a steady state without any per-run slice growth.
+// concurrent requests) reach a steady state without any per-run slice growth.
 type arena struct {
 	frames  []*frame
 	leaf    leafScratch
 	heights heightsScratch
-	// chunks are the blocks of pairChunk pairs a sequential join collects its
+	// chunks are the blocks of pairChunk pairs a join collects its
 	// result in (executor.emit); like the frames they are reused, so a
 	// materialising join allocates its result once, at its final size.  A
 	// pooled arena therefore holds the largest result it has collected (one

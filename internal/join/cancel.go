@@ -13,7 +13,7 @@ import (
 // context.DeadlineExceeded) distinguish the two.
 var ErrCancelled = errors.New("join: cancelled")
 
-// cancelErr builds the typed error Join and ParallelJoin return for an
+// cancelErr builds the typed error Join returns for an
 // aborted run.
 func cancelErr(ctx context.Context) error {
 	return fmt.Errorf("%w: %w", ErrCancelled, context.Cause(ctx))

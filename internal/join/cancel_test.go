@@ -112,37 +112,6 @@ func TestJoinContextCompletesUnchanged(t *testing.T) {
 	}
 }
 
-// TestParallelJoinCancel: cancellation mid-run stops every worker of every
-// partition strategy, recycles their state, and yields the typed error.
-func TestParallelJoinCancel(t *testing.T) {
-	r, s := cancelTestTrees(t, 2000)
-	for _, strat := range PartitionStrategies {
-		ctx, cancel := context.WithCancel(context.Background())
-		fired := 0
-		res, err := ParallelJoin(r, s, ParallelOptions{
-			Workers:  4,
-			Strategy: strat,
-			Options: Options{
-				Method:  SJ4,
-				Context: ctx,
-				OnPair: func(Pair) {
-					fired++
-					if fired == 1 {
-						cancel()
-					}
-				},
-			},
-		})
-		cancel()
-		if res != nil {
-			t.Fatalf("%v: cancelled parallel join returned a result", strat)
-		}
-		if !errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled) {
-			t.Fatalf("%v: want ErrCancelled, got %v", strat, err)
-		}
-	}
-}
-
 // TestJoinCancelNoGoroutineLeak: the context watcher must exit with the join,
 // cancelled or not.
 func TestJoinCancelNoGoroutineLeak(t *testing.T) {

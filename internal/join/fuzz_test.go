@@ -11,9 +11,9 @@ import (
 	"repro/internal/rtree"
 )
 
-// Native Go fuzz targets for the pure scheduling kernels.  CI runs each as a
-// short fuzzing smoke (-fuzztime per target) on top of the seed corpora
-// below; locally, `go test -fuzz FuzzContiguousSplit ./internal/join` digs
+// Native Go fuzz targets for the pair sort and the join methods.  CI runs
+// each as a short fuzzing smoke (-fuzztime per target) on top of the seed
+// corpora below; locally, `go test -fuzz FuzzSortPairs ./internal/join` digs
 // deeper.
 
 // fuzzPairs decodes a byte string into join pairs, 8 bytes per pair.
@@ -54,50 +54,6 @@ func FuzzSortPairs(f *testing.F) {
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkSortPairs(t, fuzzPairs(data))
-	})
-}
-
-// FuzzContiguousSplit checks the spatial cut on arbitrary estimate vectors
-// (one byte per task, so zeros and heavy skews both occur) and bin counts:
-// the result must always be a partition of the input order into exactly
-// bins non-empty contiguous runs, in order — every task scheduled exactly
-// once, no duplicates, prefix structure intact.
-func FuzzContiguousSplit(f *testing.F) {
-	f.Add([]byte{10, 20, 30}, uint8(2))
-	f.Add([]byte{0, 0, 0, 0}, uint8(4))
-	f.Add([]byte{255, 0, 0, 0, 0, 0, 0, 255}, uint8(3))
-	f.Add([]byte{1}, uint8(1))
-	f.Fuzz(func(t *testing.T, data []byte, binSeed uint8) {
-		n := len(data)
-		if n == 0 {
-			return
-		}
-		est := make([]float64, n)
-		order := make([]int32, n)
-		for i, v := range data {
-			est[i] = float64(v)
-			order[i] = int32(i)
-		}
-		bins := 1 + int(binSeed)%n
-		split := contiguousSplit(order, est, bins)
-		if len(split) != bins {
-			t.Fatalf("got %d bins, want %d", len(split), bins)
-		}
-		pos := 0
-		for b, run := range split {
-			if len(run) == 0 {
-				t.Fatalf("bin %d is empty (n=%d bins=%d)", b, n, bins)
-			}
-			for _, i := range run {
-				if pos >= n || order[pos] != i {
-					t.Fatalf("bin %d breaks the order at position %d", b, pos)
-				}
-				pos++
-			}
-		}
-		if pos != n {
-			t.Fatalf("split covers %d of %d tasks", pos, n)
-		}
 	})
 }
 

@@ -159,9 +159,9 @@ func TestHelpersChangeNoBit(t *testing.T) {
 }
 
 // goroutinesInOnPair runs the join once, returning how many goroutines more
-// than before it the first OnPair call saw: the helpers (and, in a
-// ParallelJoin, the workers) the join runs at its first pair.
-func goroutinesInOnPair(t *testing.T, join func(Options) (*Result, error), opts Options) int {
+// than before it the first OnPair call saw: the helpers the join runs at its
+// first pair.
+func goroutinesInOnPair(t *testing.T, r, s *rtree.Tree, opts Options) int {
 	t.Helper()
 	// A finished join's helpers may still be leaving: wait until the count
 	// holds still.
@@ -176,7 +176,7 @@ func goroutinesInOnPair(t *testing.T, join func(Options) (*Result, error), opts 
 			seen = runtime.NumGoroutine() - base
 		}
 	}
-	if _, err := join(opts); err != nil {
+	if _, err := Join(r, s, opts); err != nil {
 		t.Fatal(err)
 	}
 	if seen < 0 {
@@ -187,8 +187,8 @@ func goroutinesInOnPair(t *testing.T, join func(Options) (*Result, error), opts 
 
 // TestHelpersStartAtTheFirstLeafPair: with a spare core a sequential join
 // starts its crew at its first leaf pair — a join of one leaf pair runs it
-// too — and at GOMAXPROCS=1 or in a ParallelJoin worker none starts.  A
-// dismissed crew does not restart.
+// too — and at GOMAXPROCS=1 none starts.  A dismissed crew does not
+// restart.
 func TestHelpersStartAtTheFirstLeafPair(t *testing.T) {
 	withHelpers(t, -1) // the helper count GOMAXPROCS gives
 	old := runtime.GOMAXPROCS(1)
@@ -230,26 +230,12 @@ func TestHelpersStartAtTheFirstLeafPair(t *testing.T) {
 	if !leafR.Root().IsLeaf() || !leafS.Root().IsLeaf() {
 		t.Fatal("the one-leaf trees have a directory level")
 	}
-	seq := func(opts Options) (*Result, error) { return Join(leafR, leafS, opts) }
-	if n := goroutinesInOnPair(t, seq, Options{Method: SJ4}); n != 1 {
+	if n := goroutinesInOnPair(t, leafR, leafS, Options{Method: SJ4}); n != 1 {
 		t.Errorf("GOMAXPROCS=2: a join of one leaf pair ran %d helpers at its first pair, want 1", n)
 	}
 	runtime.GOMAXPROCS(1)
-	if n := goroutinesInOnPair(t, seq, Options{Method: SJ4}); n != 0 {
+	if n := goroutinesInOnPair(t, leafR, leafS, Options{Method: SJ4}); n != 0 {
 		t.Errorf("GOMAXPROCS=1: the join ran %d helpers, want none", n)
-	}
-
-	// A ParallelJoin worker already owns a core: even with helpers forced,
-	// the first pair sees the workers and nothing else.
-	runtime.GOMAXPROCS(4)
-	withHelpers(t, maxHelpers)
-	r, s := ledgerJoinPair(t)
-	const workers = 2
-	par := func(opts Options) (*Result, error) {
-		return ParallelJoin(r, s, ParallelOptions{Options: opts, Workers: workers})
-	}
-	if n := goroutinesInOnPair(t, par, ledgerJoinOptions(SJ4)); n > workers {
-		t.Errorf("a ParallelJoin of %d workers ran %d goroutines at its first pair", workers, n)
 	}
 }
 

@@ -13,12 +13,11 @@
 // a metrics.Collector as floating-point comparisons and I/O cost as page
 // accesses through a shared LRU buffer, mirroring the paper's cost measures.
 //
-// The sequential join keeps one schedule but not one core: from its first
-// leaf pair it hands its leaf stage — the leaf x leaf sweeps of SJ3-SJ5 and
-// the leaf groups of a kNN band — to helper goroutines, while the calling
-// goroutine keeps the traversal, every read, every pinning decision and
-// every emitted pair, in schedule order (helpers.go).  ParallelJoin is the
-// partitioned alternative.
+// Join keeps one schedule but not one core: from its first leaf pair it
+// hands its leaf stage — the leaf x leaf sweeps of SJ3-SJ5 and the leaf
+// groups of a kNN band — to helper goroutines, while the calling goroutine
+// keeps the traversal, every read, every pinning decision and every emitted
+// pair, in schedule order (helpers.go).
 //
 //repro:measured
 package join
@@ -29,7 +28,6 @@ import (
 	"fmt"
 
 	"repro/internal/buffer"
-	"repro/internal/costmodel"
 	"repro/internal/metrics"
 	"repro/internal/rtree"
 )
@@ -169,7 +167,7 @@ type Options struct {
 	Context context.Context
 	// PageReaderR and PageReaderS attach real page sources for the two trees
 	// (keyed by their node identifiers, as rtree.TreeStore serves them).
-	// When set, every counted disk read of the sequential join also performs
+	// When set, every counted disk read of the join also performs
 	// a physical page read — the measured-I/O mode of the disk experiments.
 	// A physical read failure stops the traversal at the next node pair and
 	// fails the join with the wrapped error.
@@ -195,131 +193,10 @@ type Result struct {
 	Method Method
 	// Predicate records the join condition the result answers.
 	Predicate Predicate
-	// WorkerMetrics holds one counter snapshot per worker for a ParallelJoin
-	// (nil for sequential joins and for parallel runs that fell back to the
-	// sequential algorithm).  The experiments use it to report load-balance
-	// skew across workers.
-	WorkerMetrics []metrics.Snapshot
-	// WorkerTasks[i] is the number of sub-join tasks worker i executed; it
-	// is aligned with WorkerMetrics.
-	WorkerTasks []int
-	// StolenTasks is the number of tasks a worker ran that the spatial
-	// schedule had given another worker: under PartitionStealing, the tasks
-	// a worker took from the shared cursor outside its own run; always zero
-	// under PartitionSpatial.
+	// StolenTasks is always 0.  It is the ledger's join.par_stolen_tasks
+	// (bench/ladder.go:499), kept only so the bench module compiles; ROADMAP
+	// item 8(d) deletes it with ledgercompat.go.
 	StolenTasks int
-	// WorkerEstSeconds[i] is the cost-model estimate of worker i's run in
-	// the spatial schedule (the sum of its tasks' estimates).  Under
-	// PartitionSpatial it is the worker's predicted load, and comparing it
-	// against the measured per-worker costs gives the estimator's error;
-	// under PartitionStealing it describes the planned split, not the tasks
-	// each worker took from the shared cursor.
-	WorkerEstSeconds []float64
-	// PlanMetrics is the planning-only slice of Metrics for a ParallelJoin:
-	// the root and split reads plus the qualifying-pair comparisons charged
-	// before any worker ran.  Metrics minus PlanMetrics is the sum of
-	// WorkerMetrics; on the sequential fallback (no workers) PlanMetrics
-	// equals Metrics.
-	PlanMetrics metrics.Snapshot
-}
-
-// maxOverMean folds one integer value per worker and returns max/mean over
-// the workers (1.0 = perfectly balanced), or 0 when there are no workers or
-// the values sum to zero.
-func maxOverMean[T any](workers []T, value func(T) int64) float64 {
-	var sum, max int64
-	for _, w := range workers {
-		v := value(w)
-		sum += v
-		if v > max {
-			max = v
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	return float64(max) * float64(len(workers)) / float64(sum)
-}
-
-// TaskSkew returns max/mean of the per-worker task counts of a ParallelJoin
-// (1.0 = perfectly balanced, 0 for sequential results).
-func (r *Result) TaskSkew() float64 {
-	return maxOverMean(r.WorkerTasks, func(n int) int64 { return int64(n) })
-}
-
-// ComparisonSkew returns max/mean of the per-worker join comparisons.
-func (r *Result) ComparisonSkew() float64 {
-	return maxOverMean(r.WorkerMetrics, func(m metrics.Snapshot) int64 { return m.Comparisons })
-}
-
-// DiskSkew returns max/mean of the per-worker disk accesses.
-func (r *Result) DiskSkew() float64 {
-	return maxOverMean(r.WorkerMetrics, func(m metrics.Snapshot) int64 { return m.DiskAccesses() })
-}
-
-// PairSkew returns max/mean of the per-worker reported pairs.
-func (r *Result) PairSkew() float64 {
-	return maxOverMean(r.WorkerMetrics, func(m metrics.Snapshot) int64 { return m.PairsReported })
-}
-
-// TimeSkew returns max/mean of the per-worker estimated execution times
-// under the given cost model — the load-balance measure the parallel
-// critical path actually depends on.  Comparison and disk skew each watch
-// one cost component; a worker can trade I/O against CPU (locality-driven
-// schedules do), so only the combined time says whether the workers finish
-// together.  It returns 0 for sequential results or a zero-cost run.
-func (r *Result) TimeSkew(model costmodel.Model, pageSize int) float64 {
-	if len(r.WorkerMetrics) == 0 {
-		return 0
-	}
-	var sum, max float64
-	for _, m := range r.WorkerMetrics {
-		v := model.EstimateSnapshot(m, pageSize).TotalSeconds()
-		sum += v
-		if v > max {
-			max = v
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	return max * float64(len(r.WorkerMetrics)) / sum
-}
-
-// WorkerBufferHitRate returns the share of worker node accesses satisfied
-// from a buffer (LRU or path), the locality measure of the partitioning: a
-// schedule whose tasks share subtrees hits its per-worker buffer partition
-// more often.  It returns a NaN-free 0 when no worker metrics are present
-// or no worker performed any node access.
-func (r *Result) WorkerBufferHitRate() float64 {
-	var hits, reads int64
-	for _, m := range r.WorkerMetrics {
-		hits += m.BufferHits + m.PathHits
-		reads += m.DiskReads
-	}
-	total := hits + reads
-	if total == 0 {
-		return 0
-	}
-	return float64(hits) / float64(total)
-}
-
-// WorkerBufferHitRates returns one buffer hit rate per worker, aligned with
-// WorkerMetrics.  A worker that performed no node accesses — its region was
-// empty, held only non-intersecting pairs, or was stolen before it ran —
-// reports a NaN-free 0 instead of 0/0.
-func (r *Result) WorkerBufferHitRates() []float64 {
-	if len(r.WorkerMetrics) == 0 {
-		return nil
-	}
-	rates := make([]float64, len(r.WorkerMetrics))
-	for i, m := range r.WorkerMetrics {
-		hits := m.BufferHits + m.PathHits
-		if total := hits + m.DiskReads; total > 0 {
-			rates[i] = float64(hits) / float64(total)
-		}
-	}
-	return rates
 }
 
 // Errors returned by Join.
@@ -358,7 +235,15 @@ func Join(r, s *rtree.Tree, opts Options) (*Result, error) {
 
 	tracker := getTracker(opts.BufferBytes, r.PageSize(), opts.UsePathBuffer, collector)
 	defer putTracker(tracker)
-	attachReaders(tracker, r, s, opts)
+	if opts.PageReaderR != nil {
+		tracker.SetPageReader(r.ID(), opts.PageReaderR)
+	}
+	if opts.PageReaderS != nil {
+		tracker.SetPageReader(s.ID(), opts.PageReaderS)
+	}
+	if opts.PageCache != nil {
+		tracker.SetPageCache(opts.PageCache)
+	}
 
 	watch := newCancelWatch(opts.Context)
 	defer watch.stop()
@@ -374,7 +259,6 @@ func Join(r, s *rtree.Tree, opts Options) (*Result, error) {
 		cancel:  watch,
 		onPair:  opts.OnPair,
 		discard: opts.DiscardPairs,
-		chunked: true,
 	}
 	if opts.Predicate.Kind == PredWithinDist {
 		e.eps = opts.Predicate.Epsilon
@@ -422,7 +306,7 @@ func Join(r, s *rtree.Tree, opts Options) (*Result, error) {
 }
 
 // trackerPool holds idle trackers, each with its LRU and read frame, for
-// the sequential join and ParallelJoin's planning.  Like crewPool it is a
+// the joins.  Like crewPool it is a
 // channel: a sync.Pool loses its items to a garbage collection, and an item
 // put on one P is not seen by a Get on another, so a warm join would now
 // and then build a fresh tracker, LRU and read frame.  A tracker that finds
@@ -430,8 +314,7 @@ func Join(r, s *rtree.Tree, opts Options) (*Result, error) {
 var trackerPool = make(chan *buffer.Tracker, 16)
 
 // getTracker returns the tracker of one join: over an empty LRU of
-// bufferBytes, charging col, with no page reader, page cache, halt flag or
-// read error left from an earlier join.
+// bufferBytes, charging col, with no page reader, page cache or read error left from an earlier join.
 func getTracker(bufferBytes, pageSize int, usePathBuffer bool, col *metrics.Collector) *buffer.Tracker {
 	select {
 	case t := <-trackerPool:
@@ -479,25 +362,21 @@ type executor struct {
 	onPair  func(Pair)
 	discard bool
 	count   int
-	// pairs is where emit appends.  A sequential join (chunked) fills the
-	// arena's fixed-size chunks one after the other — pairs is the one being
-	// filled, full of them are behind it — and copies them once into an
-	// exactly sized result, so a large result is never regrown and recopied.
-	// A worker of a parallel join appends to its pooled buffer instead.
-	pairs   []Pair
-	chunked bool
-	full    int
+	// pairs is where emit appends: the join fills the arena's fixed-size
+	// chunks one after the other — pairs is the one being filled, full of
+	// them are behind it — and copies them once into an exactly sized
+	// result, so a large result is never regrown and recopied.
+	pairs []Pair
+	full  int
 
 	// helpers is the number of helper goroutines the join starts at its
-	// first leaf pair; crew is non-nil while they run (helpers.go).  Only
-	// Join sets helpers: a ParallelJoin worker already owns a core.
+	// first leaf pair; crew is non-nil while they run (helpers.go).
 	helpers int
 	crew    *crew
 }
 
 // stopped reports whether the traversal should unwind: its context fired,
-// or a physical page read failed — in a ParallelJoin, any worker's, through
-// the halt flag the workers' trackers share.  Either way the join returns an
+// or a physical page read failed.  Either way the join returns an
 // error and no Result, so the traversal polls it once per node pair and
 // neither reads further pages nor hands an OnPair observer further pairs.
 func (e *executor) stopped() bool {
@@ -518,7 +397,7 @@ func (e *executor) emit(p Pair) {
 		e.onPair(p)
 	}
 	if !e.discard {
-		if e.chunked && len(e.pairs) == cap(e.pairs) {
+		if len(e.pairs) == cap(e.pairs) {
 			e.nextChunk()
 		}
 		e.pairs = append(e.pairs, p)
@@ -541,13 +420,10 @@ func (e *executor) emitPairs(ps []Pair) {
 		return
 	}
 	for len(ps) > 0 {
-		if e.chunked && len(e.pairs) == cap(e.pairs) {
+		if len(e.pairs) == cap(e.pairs) {
 			e.nextChunk()
 		}
-		n := len(ps)
-		if e.chunked {
-			n = min(n, cap(e.pairs)-len(e.pairs))
-		}
+		n := min(len(ps), cap(e.pairs)-len(e.pairs))
 		e.pairs = append(e.pairs, ps[:n]...)
 		ps = ps[n:]
 	}
@@ -586,7 +462,7 @@ func (e *executor) nextChunk() {
 	e.pairs = a.chunks[e.full]
 }
 
-// collectPairs copies a sequential join's chunks into its result.  Join calls
+// collectPairs copies a join's chunks into its result.  Join calls
 // it after its error checks, so a cancelled or failed join copies nothing,
 // and before the arena goes back to the pool.
 func (e *executor) collectPairs() []Pair {

@@ -3,7 +3,6 @@ package join
 import (
 	"errors"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/buffer"
@@ -341,8 +340,8 @@ func TestMethodAndPolicyStrings(t *testing.T) {
 // after the other on one pooled tracker, with its LRU and read frame, and
 // holds each to the same join on a fresh one: the count and every counter.  The buffer size and
 // the path buffer must be the join's own, a page reader or page cache left
-// by an earlier join must not be read, a latched read error must not fail a
-// later join, and a halt flag must not stop its reads.
+// by an earlier join must not be read, and a latched read error must neither
+// fail a later join nor stop its reads.
 func TestPooledJoinBuffersResetPerJoin(t *testing.T) {
 	r, s, _, _ := buildPair(t, 2000, 2000, storage.PageSize1K)
 	drain := func() {
@@ -363,7 +362,7 @@ func TestPooledJoinBuffersResetPerJoin(t *testing.T) {
 		{"no buffer, no readers", Options{Method: SJ4}, false},
 		{"failing reader", Options{Method: SJ3, BufferBytes: 16 << 10, PageReaderR: failing}, true},
 		{"small buffer", Options{Method: SJ4, BufferBytes: 16 << 10, UsePathBuffer: true}, false},
-		{"reader after a halt", Options{Method: SJ4, BufferBytes: 8 << 10, PageReaderS: last}, false},
+		{"reader after a fault", Options{Method: SJ4, BufferBytes: 8 << 10, PageReaderS: last}, false},
 	}
 	fresh := make([]*Result, len(runs))
 	for i, rn := range runs {
@@ -378,13 +377,6 @@ func TestPooledJoinBuffersResetPerJoin(t *testing.T) {
 
 	drain()
 	for i, rn := range runs {
-		if rn.name == "reader after a halt" {
-			var halt atomic.Bool
-			halt.Store(true)
-			tr := <-trackerPool
-			tr.SetHalt(&halt)
-			trackerPool <- tr
-		}
 		res, err := Join(r, s, rn.opts)
 		if len(trackerPool) != 1 {
 			t.Fatalf("%s: %d trackers pooled, want the one reused", rn.name, len(trackerPool))

@@ -20,7 +20,7 @@ import (
 // candidates, whose root is the item's pruning bound tau; ties on distance
 // are broken towards the smaller S identifier, which makes the result set
 // independent of the traversal order and therefore identical across
-// sequential, parallel and sharded executions.
+// local and sharded executions.
 //
 // Nothing is tested that the R items it can reach no longer need, at three
 // levels (section 4 of the paper: restrict the search space, sort, sweep):
@@ -132,7 +132,7 @@ type knnItem struct {
 
 // knnNode is the per-run pruning state of one node of the R subtree.  It
 // lives here and not on rtree.Node: a node is shared by every reader of its
-// copy-on-write epoch and by every task of a parallel join.
+// copy-on-write epoch.
 type knnNode struct {
 	// bound is no smaller than the kth-best distance of every item below the
 	// node (+Inf while one of them holds fewer than k candidates).  It may
@@ -572,15 +572,9 @@ func (st *knnState) productPair(rn *rtree.Node, base int, sn *rtree.Node, local 
 	local.PairsTested += int64(len(rn.Entries) * len(sn.Entries))
 }
 
-// runKNN executes the kNN join with the best-first node-pair traversal.
-// The read-schedule methods SJ1-SJ5 do not apply here: the priority order
-// *is* the read schedule.
-func (e *executor) runKNN() {
-	e.knnFrom(e.r.Root(), e.s.Root())
-}
-
-// knnFrom joins the R subtree rooted at rn against the S tree, whose root is
-// sn, and emits the nearest neighbours of every R entry of the subtree.
+// runKNN executes the kNN join with the best-first node-pair traversal and
+// emits the nearest neighbours of every R entry.  The read-schedule methods
+// SJ1-SJ5 do not apply here: the priority order *is* the read schedule.
 // Pages are read when their pair is popped — the queue's priority order is
 // the read schedule, and a pair is dropped unread, at push or at pop, once
 // its distance strictly exceeds the bound of its own R node; the subtree
@@ -593,9 +587,8 @@ func (e *executor) runKNN() {
 // with or without them; a pair further than d that a stale-high bound lets
 // into the queue is dropped unread at its pop, when the band has been run
 // and the bounds are those the pair-at-a-time join would hold.
-// ParallelJoin calls knnFrom once per R root entry, so the per-task results
-// are disjoint in R and merge by concatenation under any schedule.
-func (e *executor) knnFrom(rn, sn *rtree.Node) {
+func (e *executor) runKNN() {
+	rn, sn := e.r.Root(), e.s.Root()
 	k := e.knnK()
 	if k == 0 {
 		return

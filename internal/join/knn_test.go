@@ -288,8 +288,6 @@ func TestKNNDuplicateRIdentifiers(t *testing.T) {
 		opts := Options{Method: SJ4, BufferBytes: 64 << 10, Predicate: NearestNeighbors(k)}
 		res, err := Join(r, s, opts)
 		check("best-first", res, err)
-		res, err = ParallelJoin(r, s, ParallelOptions{Options: opts, Workers: 3, Strategy: PartitionStealing, MinTasksPerWorker: 4})
-		check("parallel", res, err)
 		opts.Method = NestedLoop
 		res, err = Join(r, s, opts)
 		check("nested loop", res, err)
@@ -376,9 +374,8 @@ func checkNeighbourOrder(t *testing.T, label string, pairs []Pair, rRects, sRect
 
 // TestKNNTieWall runs the tie and boundary cases — more than K equidistant
 // candidates, S identifiers inserted in descending order so that every later
-// candidate must displace an earlier one — through the oracle, the
-// sequential join and the parallel join under all five strategies, on trees
-// of every height combination and with k > |S|.  Each prune is exact only
+// candidate must displace an earlier one — through the oracle, the nested
+// loop and the best-first join, on trees of every height combination and with k > |S|.  Each prune is exact only
 // because it is strict: making the leaf stop, either y-gap check or either
 // pop-time bound test non-strict fails here (the push-time test has
 // TestKNNPushBoundIsStrict; the 8-entry leaves are one strip each, so the
@@ -421,18 +418,6 @@ func TestKNNTieWall(t *testing.T) {
 						}
 						comparePairSets(t, label+"/"+method.String(), res.Pairs, want)
 						checkNeighbourOrder(t, label+"/"+method.String(), res.Pairs, rByID, sByID)
-					}
-					for _, strategy := range PartitionStrategies {
-						res, err := ParallelJoin(r, s, ParallelOptions{
-							Options:           Options{Method: SJ4, BufferBytes: 8 << 10, Predicate: NearestNeighbors(k)},
-							Workers:           3,
-							Strategy:          strategy,
-							MinTasksPerWorker: 2,
-						})
-						if err != nil {
-							t.Fatalf("%s/%v: %v", label, strategy, err)
-						}
-						comparePairSets(t, label+"/"+strategy.String(), res.Pairs, want)
 					}
 				}
 			}

@@ -111,17 +111,6 @@ func (e *executor) runSJ2() {
 	e.sj2(e.r.Root(), e.s.Root(), rootRect, 0)
 }
 
-// rootIntersection returns the intersection of the MBRs of both trees; if the
-// trees do not overlap at all the join result is empty.
-func rootIntersection(r, s *rtree.Tree) (geom.Rect, bool) {
-	rb, okR := r.Bounds()
-	sb, okS := s.Bounds()
-	if !okR || !okS {
-		return geom.Rect{}, false
-	}
-	return rb.Intersection(sb)
-}
-
 // rootRect returns the initial search-space restriction of this run: the
 // intersection of the (epsilon-expanded, for within-distance) R bounds with
 // the S bounds.  An empty intersection means an empty join result.

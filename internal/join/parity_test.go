@@ -152,91 +152,3 @@ func TestJoinIsDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelJoinCountsMatchSequential asserts that the contention-free
-// parallel execution reports exactly the sequential result count and pair set
-// for every method and worker count (run under -race in CI).
-func TestParallelJoinCountsMatchSequential(t *testing.T) {
-	r, s, _, _ := buildPair(t, 3000, 3000, storage.PageSize1K)
-	for _, method := range Methods {
-		seq, err := Join(r, s, Options{Method: method, BufferBytes: 128 << 10, UsePathBuffer: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := asPairSet(seq.Pairs)
-		for _, workers := range []int{1, 3, 8, 64} {
-			par, err := ParallelJoin(r, s, ParallelOptions{
-				Options: Options{Method: method, BufferBytes: 128 << 10, UsePathBuffer: true},
-				Workers: workers,
-			})
-			if err != nil {
-				t.Fatalf("%v/%d: %v", method, workers, err)
-			}
-			if par.Count != seq.Count {
-				t.Fatalf("%v/%d workers: count %d, sequential %d", method, workers, par.Count, seq.Count)
-			}
-			got := asPairSet(par.Pairs)
-			if len(got) != len(want) {
-				t.Fatalf("%v/%d workers: %d distinct pairs, want %d", method, workers, len(got), len(want))
-			}
-			for p := range want {
-				if !got[p] {
-					t.Fatalf("%v/%d workers: missing pair %v", method, workers, p)
-				}
-			}
-		}
-	}
-}
-
-// TestParallelJoinTinyBufferStillBuffers exercises the buffer-partitioning
-// fix: with BufferBytes set to less than one page per worker, every worker
-// must still get at least one page instead of silently losing buffering.
-func TestParallelJoinTinyBufferStillBuffers(t *testing.T) {
-	r, s, _, _ := buildPair(t, 3000, 3000, storage.PageSize1K)
-	seq, err := Join(r, s, Options{Method: SJ4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3 workers but only 2 pages worth of buffer: the unfixed partitioning
-	// computed 2048/3 = 682 bytes per worker, truncating to a zero-page
-	// buffer and silently disabling buffering (and with it SJ4's pinning).
-	res, err := ParallelJoin(r, s, ParallelOptions{
-		Options: Options{Method: SJ4, BufferBytes: 2 * storage.PageSize1K},
-		Workers: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Count != seq.Count {
-		t.Fatalf("count %d, sequential %d", res.Count, seq.Count)
-	}
-	if res.Metrics.BufferHits == 0 {
-		t.Fatal("per-worker buffers must hold at least one page, got zero buffer hits")
-	}
-}
-
-// TestParallelJoinSplitsSmallFanOut asserts that a worker count exceeding the
-// root fan-out still yields the sequential result (the planner splits the
-// task list one level deeper until it offers enough parallelism).
-func TestParallelJoinSplitsSmallFanOut(t *testing.T) {
-	r, s, itemsR, itemsS := buildPair(t, 2000, 2000, storage.PageSize4K)
-	rootFanOut := len(r.Root().Entries) * len(s.Root().Entries)
-	workers := rootFanOut + 13
-	res, err := ParallelJoin(r, s, ParallelOptions{
-		Options: Options{Method: SJ4, BufferBytes: 64 << 10},
-		Workers: workers,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := bruteForce(itemsR, itemsS)
-	got := asPairSet(res.Pairs)
-	if len(got) != len(want) {
-		t.Fatalf("%d distinct pairs, want %d", len(got), len(want))
-	}
-	for p := range want {
-		if !got[p] {
-			t.Fatalf("missing pair %v", p)
-		}
-	}
-}

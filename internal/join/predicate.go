@@ -31,7 +31,7 @@ const (
 	PredKNN
 )
 
-// Predicate selects the join condition evaluated by Join and ParallelJoin.
+// Predicate selects the join condition evaluated by Join.
 // The zero value is the intersection predicate, which keeps every existing
 // call site — and its cost accounting — bit-identical.
 type Predicate struct {
@@ -129,8 +129,8 @@ func (p Predicate) Validate() error {
 
 // expandEps returns the rectangle expanded by eps on every side, or the
 // rectangle itself when eps is zero — the free-function form of the
-// executor's expandR, used by the parallel planner, which tests R-side
-// rectangles before any executor exists.
+// executor's expandR, for the restriction scans, which take the R side's
+// epsilon and the S side's zero as an argument.
 func expandEps(r geom.Rect, eps float64) geom.Rect {
 	if eps == 0 {
 		return r
@@ -142,7 +142,7 @@ func expandEps(r geom.Rect, eps float64) geom.Rect {
 // The within-distance join is, at the filter level, the intersection join
 // over (expand(R, eps), S): every test an R rectangle takes part in sees the
 // expanded rectangle, and the rest of the machinery — restriction, sorting,
-// plane sweep, read schedules, task splitting — is inherited unchanged.  For
+// plane sweep, read schedules — is inherited unchanged.  For
 // the intersection predicate eps is 0 and the rectangle is returned as is,
 // keeping that path bit-identical.
 func (e *executor) expandR(r geom.Rect) geom.Rect {

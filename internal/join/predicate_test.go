@@ -235,119 +235,6 @@ func TestIntersectionCostUnchangedByPredicatePlumbing(t *testing.T) {
 	}
 }
 
-// TestParallelPredicateInvariants runs the full schedule matrix over the new
-// predicates: every tree algorithm SJ1-SJ5 under both partition strategies
-// must produce exactly the brute-force within-distance and kNN result sets.
-// MinTasksPerWorker forces split rounds, so the epsilon-expanded task
-// splitting and the R-side-only kNN splitting are exercised too.
-func TestParallelPredicateInvariants(t *testing.T) {
-	r, s, itemsR, itemsS := buildPair(t, 1500, 1500, storage.PageSize1K)
-	preds := []struct {
-		pred Predicate
-		want map[Pair]bool
-	}{
-		{WithinDistance(0.01), bruteForceDistance(itemsR, itemsS, 0.01)},
-		{NearestNeighbors(3), bruteForceKNN(itemsR, itemsS, 3)},
-	}
-	for _, pc := range preds {
-		for _, method := range Methods {
-			for _, strategy := range PartitionStrategies {
-				res, err := ParallelJoin(r, s, ParallelOptions{
-					Options: Options{
-						Method:      method,
-						BufferBytes: 64 << 10,
-						Predicate:   pc.pred,
-					},
-					Workers:           4,
-					Strategy:          strategy,
-					MinTasksPerWorker: 4,
-				})
-				label := pc.pred.String() + "/" + method.String() + "/" + strategy.String()
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				comparePairSets(t, label, res.Pairs, pc.want)
-				if res.Predicate != pc.pred {
-					t.Fatalf("%s: result predicate = %v", label, res.Predicate)
-				}
-			}
-		}
-	}
-}
-
-// TestParallelPredicateHeights runs the parallel predicate matrix over trees
-// of different heights, so the leaf-vs-directory orientation logic runs
-// inside worker tasks under every strategy.
-func TestParallelPredicateHeights(t *testing.T) {
-	for _, sizes := range [][2]int{{2400, 60}, {60, 2400}} {
-		r, s, itemsR, itemsS := buildPair(t, sizes[0], sizes[1], storage.PageSize1K)
-		wantDist := bruteForceDistance(itemsR, itemsS, 0.01)
-		wantKNN := bruteForceKNN(itemsR, itemsS, 3)
-		for _, strategy := range PartitionStrategies {
-			res, err := ParallelJoin(r, s, ParallelOptions{
-				Options:  Options{Method: SJ4, BufferBytes: 64 << 10, Predicate: WithinDistance(0.01)},
-				Workers:  3,
-				Strategy: strategy,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			comparePairSets(t, "dist/"+strategy.String(), res.Pairs, wantDist)
-			res, err = ParallelJoin(r, s, ParallelOptions{
-				Options:  Options{Method: SJ4, BufferBytes: 64 << 10, Predicate: NearestNeighbors(3)},
-				Workers:  3,
-				Strategy: strategy,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			comparePairSets(t, "knn/"+strategy.String(), res.Pairs, wantKNN)
-		}
-	}
-}
-
-// TestParallelPredicateValidation pins that ParallelJoin rejects invalid
-// predicates before planning.
-func TestParallelPredicateValidation(t *testing.T) {
-	r, s, _, _ := buildPair(t, 200, 200, storage.PageSize1K)
-	_, err := ParallelJoin(r, s, ParallelOptions{
-		Options: Options{Method: SJ4, Predicate: Predicate{Kind: PredWithinDist, Epsilon: -1}},
-	})
-	if err == nil {
-		t.Fatal("expected validation error")
-	}
-}
-
-// TestParallelIntersectionPlanUnchanged pins that the predicate threading
-// left the intersection plan bit-identical: plan metrics, worker metrics and
-// result hash all match between an implicit and an explicit intersection
-// predicate.
-func TestParallelIntersectionPlanUnchanged(t *testing.T) {
-	r, s, _, _ := buildPair(t, 1500, 1500, storage.PageSize1K)
-	run := func(p Predicate) *Result {
-		res, err := ParallelJoin(r, s, ParallelOptions{
-			Options:           Options{Method: SJ3, BufferBytes: 64 << 10, Predicate: p},
-			Workers:           4,
-			Strategy:          PartitionSpatial,
-			MinTasksPerWorker: 4,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	base, explicit := run(Predicate{}), run(Intersects())
-	if base.PlanMetrics != explicit.PlanMetrics {
-		t.Fatalf("plan metrics changed:\n%+v\nvs\n%+v", base.PlanMetrics, explicit.PlanMetrics)
-	}
-	if base.Metrics != explicit.Metrics {
-		t.Fatalf("metrics changed:\n%+v\nvs\n%+v", base.Metrics, explicit.Metrics)
-	}
-	if sortedPairHash(sortedCopy(base.Pairs)) != sortedPairHash(sortedCopy(explicit.Pairs)) {
-		t.Fatal("result changed")
-	}
-}
-
 func sortedCopy(pairs []Pair) []Pair {
 	out := append([]Pair(nil), pairs...)
 	SortPairs(out)

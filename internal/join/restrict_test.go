@@ -219,12 +219,11 @@ func TestRestrictSortedWarmBuffersDoNotAllocate(t *testing.T) {
 	}
 }
 
-// TestConcurrentJoinsBuildOrdersOnce starts a ParallelJoin with eight workers
-// and several sequential joins at the same moment over freshly bulk-loaded
-// trees, none of whose nodes has an xl-order yet, so every goroutine races to
-// build and publish them (run under -race in CI).  The orders are a pure
-// function of the entries: every join must return the same pairs, and the
-// sequential joins the same counters as a join run alone afterwards —
+// TestConcurrentJoinsBuildOrdersOnce starts eight joins at the same moment
+// over freshly bulk-loaded trees, so every goroutine reads the nodes'
+// xl-orders at once, with its own helpers beside it (run under -race in CI).
+// The orders are a pure function of the entries: every join must return the
+// pairs, in the order, and the counters of a join run alone afterwards —
 // including the sorting charge, which is the node's stored count no matter
 // who built the order.
 func TestConcurrentJoinsBuildOrdersOnce(t *testing.T) {
@@ -240,9 +239,8 @@ func TestConcurrentJoinsBuildOrdersOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := Options{Method: SJ4, BufferBytes: 64 << 10, UsePathBuffer: true, Predicate: pred}
-		const sequential = 4
-		results := make([]*Result, sequential+1)
-		errs := make([]error, sequential+1)
+		results := make([]*Result, 8)
+		errs := make([]error, len(results))
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		for i := range results {
@@ -250,11 +248,7 @@ func TestConcurrentJoinsBuildOrdersOnce(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				<-start
-				if i == sequential {
-					results[i], errs[i] = ParallelJoin(r, s, ParallelOptions{Options: opts, Workers: 8, MinTasksPerWorker: 4})
-				} else {
-					results[i], errs[i] = Join(r, s, opts)
-				}
+				results[i], errs[i] = Join(r, s, opts)
 			}(i)
 		}
 		close(start)
@@ -263,15 +257,13 @@ func TestConcurrentJoinsBuildOrdersOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		SortPairs(alone.Pairs)
 		for i, res := range results {
 			if errs[i] != nil {
 				t.Fatal(errs[i])
 			}
-			if i < sequential && res.Metrics != alone.Metrics {
+			if res.Metrics != alone.Metrics {
 				t.Fatalf("%+v: concurrent join %d counted %+v, alone %+v", pred, i, res.Metrics, alone.Metrics)
 			}
-			SortPairs(res.Pairs)
 			if len(res.Pairs) != len(alone.Pairs) {
 				t.Fatalf("%+v: join %d found %d pairs, alone %d", pred, i, len(res.Pairs), len(alone.Pairs))
 			}

@@ -20,9 +20,8 @@ type sortScratch struct {
 
 var sortScratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
 
-// SortPairs sorts result pairs by (R, S).  ParallelJoin's pair order depends
-// on the schedule, so the wire (and every test and golden comparison) sorts
-// before comparing against the sequential result.
+// SortPairs sorts result pairs by (R, S): the order of a kNN reply on the
+// wire, and the canonical order tests compare pair sets in.
 //
 // It is an LSD radix sort over pairKey, one byte per pass.  A single pass
 // over the input builds all eight histograms and notices already-sorted

@@ -120,3 +120,27 @@ func TestSortPairsConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+func TestSortPairs(t *testing.T) {
+	pairs := []Pair{{R: 2, S: 1}, {R: 1, S: 2}, {R: 1, S: 1}, {R: 2, S: 0}}
+	SortPairs(pairs)
+	want := []Pair{{R: 1, S: 1}, {R: 1, S: 2}, {R: 2, S: 0}, {R: 2, S: 1}}
+	for i := range want {
+		if pairs[i] != want[i] {
+			t.Fatalf("pairs[%d] = %v, want %v", i, pairs[i], want[i])
+		}
+	}
+}
+
+// sortedPairHash returns the order-insensitive golden hash of a result set:
+// the FNV-1a fold of the pairs after SortPairs.  The pairs slice is sorted
+// in place.
+func sortedPairHash(pairs []Pair) uint64 {
+	SortPairs(pairs)
+	h := uint64(14695981039346656037)
+	for _, p := range pairs {
+		h = (h ^ uint64(uint32(p.R))) * 1099511628211
+		h = (h ^ uint64(uint32(p.S))) * 1099511628211
+	}
+	return h
+}

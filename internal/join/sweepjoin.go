@@ -93,8 +93,8 @@ func (e *executor) sweepJoin(nr, ns *rtree.Node, rect geom.Rect, method Method, 
 
 // leafPair runs the leaf stage of a leaf x leaf pair whose pages the
 // coordinator has read: as a job for the crew, which finishes it in queue
-// order (helpers.go), or inline when the join has no helpers — at
-// GOMAXPROCS=1 and in a ParallelJoin worker.  Either way the same joinLeaves
+// order (helpers.go), or inline when the join has no helpers, as at
+// GOMAXPROCS=1.  Either way the same joinLeaves
 // produces the pairs, or only their count, and the coordinator emits them.
 //
 //repro:hotpath

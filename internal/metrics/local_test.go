@@ -76,15 +76,3 @@ func TestLocalNilSafety(t *testing.T) {
 		t.Fatal("nil Local must snapshot to zero")
 	}
 }
-
-func TestAddSnapshotMerges(t *testing.T) {
-	c := NewCollector()
-	c.AddComparisons(5)
-	c.AddSnapshot(Snapshot{Comparisons: 10, DiskReads: 3, BytesRead: 3072, PairsReported: 2})
-	s := c.Snapshot()
-	if s.Comparisons != 15 || s.DiskReads != 3 || s.BytesRead != 3072 || s.PairsReported != 2 {
-		t.Fatalf("unexpected merged snapshot %#v", s)
-	}
-	var nilC *Collector
-	nilC.AddSnapshot(Snapshot{Comparisons: 1}) // must not panic
-}

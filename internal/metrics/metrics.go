@@ -4,8 +4,7 @@
 // counters such as buffer hits and node sorts that the experiments report.
 //
 // A Collector is safe for concurrent use; all counters are updated with
-// atomic operations so that parallel benchmark workers can share one
-// collector.
+// atomic operations so that concurrent joins can share one collector.
 package metrics
 
 import (
@@ -157,26 +156,6 @@ func (c *Collector) PairsTested() int64 { return c.pairsTested.Load() }
 
 // PairsReported returns the number of result pairs reported.
 func (c *Collector) PairsReported() int64 { return c.pairsReported.Load() }
-
-// AddSnapshot adds every counter of s to the collector.  ParallelJoin uses it
-// to merge per-worker collectors into the shared one once at the end of the
-// run instead of contending on shared atomics throughout.
-func (c *Collector) AddSnapshot(s Snapshot) {
-	if c == nil {
-		return
-	}
-	c.comparisons.Add(s.Comparisons)
-	c.sortComparisons.Add(s.SortComparisons)
-	c.diskReads.Add(s.DiskReads)
-	c.diskWrites.Add(s.DiskWrites)
-	c.bufferHits.Add(s.BufferHits)
-	c.pathHits.Add(s.PathHits)
-	c.bytesRead.Add(s.BytesRead)
-	c.bytesWritten.Add(s.BytesWritten)
-	c.nodeSorts.Add(s.NodeSorts)
-	c.pairsTested.Add(s.PairsTested)
-	c.pairsReported.Add(s.PairsReported)
-}
 
 // Reset zeroes every counter.
 func (c *Collector) Reset() {

@@ -17,7 +17,7 @@ import (
 //
 //	POST /update  JSON [{"xl":..,"yl":..,"xu":..,"yu":..,"data":1}, ...]
 //	POST /round   commit staged mutations on every shard
-//	POST /join    JSON {"workers":4,"predicate":"knn:3","discard_pairs":false} (body optional)
+//	POST /join    JSON {"predicate":"knn:3","discard_pairs":false} (body optional)
 //	GET  /stats   per-shard server counters and coverage summaries
 //
 // Request bodies are strict: a field the server does not know is a 400.
@@ -56,7 +56,6 @@ func NewHandler(rt *Router) http.Handler {
 			return
 		}
 		fo, err := rt.fanOut(r.Context(), JoinRequest{
-			Workers:      req.Workers,
 			Predicate:    req.Predicate,
 			DiscardPairs: req.DiscardPairs,
 		}, true)

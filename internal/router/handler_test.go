@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -146,7 +147,7 @@ func TestGatewayJoinOverDeployment(t *testing.T) {
 	want := bruteForcePairs(rOps, genSItems(200, 5))
 	h := NewHandler(rt)
 
-	for _, body := range []string{``, `{"workers":3}`, `{"discard_pairs":true}`} {
+	for _, body := range []string{``, `{"predicate":"intersects"}`, `{"discard_pairs":true}`} {
 		w := postJSON(h, "/join", body)
 		if w.Code != http.StatusOK {
 			t.Fatalf("join %s: %d %s", body, w.Code, w.Body)
@@ -165,7 +166,7 @@ func TestGatewayJoinOverDeployment(t *testing.T) {
 		}
 		var req server.JoinRequestWire
 		json.Unmarshal([]byte(body), &req)
-		res, err := rt.Join(context.Background(), JoinRequest{Workers: req.Workers, DiscardPairs: req.DiscardPairs})
+		res, err := rt.Join(context.Background(), JoinRequest{Predicate: req.Predicate, DiscardPairs: req.DiscardPairs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,6 +185,30 @@ func TestGatewayJoinOverDeployment(t *testing.T) {
 		wall := regexp.MustCompile(`"Wall":\d+`)
 		if again := postJSON(h, "/join", body).Body.Bytes(); !bytes.Equal(wall.ReplaceAll(again, nil), wall.ReplaceAll(raw, nil)) {
 			t.Errorf("join %s: a replay on the same epochs got different bytes", body)
+		}
+	}
+}
+
+// TestWorkersIsAnUnknownField: every join is join.Join, so the wire has no
+// workers field, and the shard handler and the gateway both answer a body
+// naming it with a 400 from the strict decoder, as any other unknown field.
+func TestWorkersIsAnUnknownField(t *testing.T) {
+	rt, shards := newDeployment(t, 1, nil)
+	for _, gw := range []struct {
+		name string
+		url  string
+	}{{"shard", shards[0].url}, {"gateway", gatewayServer(t, rt)}} {
+		resp, err := http.Post(gw.url+"/join", "application/json", strings.NewReader(`{"workers":2}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "workers") {
+			t.Errorf("%s: {\"workers\":2} got %d %s, want a 400 naming the field", gw.name, resp.StatusCode, body)
 		}
 	}
 }

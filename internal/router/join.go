@@ -15,8 +15,6 @@ import (
 // JoinRequest is one fan-out join; the zero value is the intersection join
 // with pairs.  Every shard runs the same request.
 type JoinRequest struct {
-	// Workers > 1 runs a parallel join on each shard.
-	Workers int
 	// Predicate is the join condition in join.ParsePredicate's textual form
 	// ("intersects", "within:EPS", "knn:K"); empty means intersection.  The
 	// fan-out is exact for every predicate because R is sharded disjointly
@@ -51,7 +49,7 @@ type JoinResult struct {
 	// Pairs is the exact pair set in a deterministic order: the shards'
 	// streams one after the other in ascending key range, each in its
 	// shard's wire order — traversal order for intersects and within, (R, S)
-	// order for kNN and parallel joins.  It is the order of the gateway's
+	// order for kNN.  It is the order of the gateway's
 	// reply.  Nil when the request discarded pairs.
 	Pairs [][2]int32
 	// Shards holds the per-shard outcomes in key-range order.

@@ -90,23 +90,21 @@ func TestRouterPredicateParity(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			rt, _ := newDeployment(t, n, nil)
 			loadDeployment(t, rt, rOps)
-			for _, workers := range []int{0, 3} {
-				res, err := rt.Join(ctx, JoinRequest{Predicate: fmt.Sprintf("within:%g", eps), Workers: workers})
-				if err != nil {
-					t.Fatalf("within workers=%d: %v", workers, err)
-				}
-				assertPairsEqual(t, fmt.Sprintf("within workers=%d", workers), sortedPairs(res.Pairs), wantDist)
-				res, err = rt.Join(ctx, JoinRequest{Predicate: fmt.Sprintf("knn:%d", k), Workers: workers})
-				if err != nil {
-					t.Fatalf("knn workers=%d: %v", workers, err)
-				}
-				assertPairsEqual(t, fmt.Sprintf("knn workers=%d", workers), sortedPairs(res.Pairs), wantKNN)
-				rest := res.Pairs
-				for _, o := range res.Shards {
-					run := rest[:o.Count]
-					assertPairsEqual(t, fmt.Sprintf("knn workers=%d, %s's run", workers, o.Shard), run, sortedPairs(run))
-					rest = rest[o.Count:]
-				}
+			res, err := rt.Join(ctx, JoinRequest{Predicate: fmt.Sprintf("within:%g", eps)})
+			if err != nil {
+				t.Fatalf("within: %v", err)
+			}
+			assertPairsEqual(t, "within", sortedPairs(res.Pairs), wantDist)
+			res, err = rt.Join(ctx, JoinRequest{Predicate: fmt.Sprintf("knn:%d", k)})
+			if err != nil {
+				t.Fatalf("knn: %v", err)
+			}
+			assertPairsEqual(t, "knn", sortedPairs(res.Pairs), wantKNN)
+			rest := res.Pairs
+			for _, o := range res.Shards {
+				run := rest[:o.Count]
+				assertPairsEqual(t, fmt.Sprintf("knn, %s's run", o.Shard), run, sortedPairs(run))
+				rest = rest[o.Count:]
 			}
 		})
 	}

@@ -80,7 +80,7 @@ func (rt *Router) fanOut(ctx context.Context, req JoinRequest, forward bool) (*f
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	fo := &fanout{cancel: cancel}
-	wire := server.JoinRequestWire{Workers: req.Workers, Predicate: req.Predicate, DiscardPairs: req.DiscardPairs}
+	wire := server.JoinRequestWire{Predicate: req.Predicate, DiscardPairs: req.DiscardPairs}
 	for _, sh := range rt.shards {
 		st := &shardStream{
 			sh:       sh,

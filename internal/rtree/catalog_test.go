@@ -274,10 +274,7 @@ func TestCatalogStatsMatchStructure(t *testing.T) {
 		if got := cat.SubtreePages(root); got != float64(totalPages) {
 			t.Errorf("%s: SubtreePages(root) = %v, want %d", name, got, totalPages)
 		}
-		if got := cat.SubtreeEntries(root); got != float64(tr.Len()) {
-			t.Errorf("%s: SubtreeEntries(root) = %v, want %d", name, got, tr.Len())
-		}
-		if w := cat.LeafExtent(); w <= 0 || w > 0.05 {
+		if w := cat.Levels[0].AvgEntryWidth; w <= 0 || w > 0.05 {
 			t.Errorf("%s: leaf width %v outside (0, 0.05]", name, w)
 		}
 	}

@@ -55,10 +55,6 @@ type Entry struct {
 	Data int32
 }
 
-// IsLeafEntry reports whether the entry references a spatial object rather
-// than a child node.
-func (e Entry) IsLeafEntry() bool { return e.Child == nil }
-
 // Node is one node of the tree and corresponds to exactly one page.
 type Node struct {
 	// ID is the page identifier of the node.

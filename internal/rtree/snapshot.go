@@ -37,10 +37,6 @@ package rtree
 // paths are bit-identical to the pre-snapshot code — the structural parity
 // goldens pin that.
 
-// SnapshotEpoch returns the epoch fence of the latest snapshot (0 while no
-// snapshot was ever taken).
-func (t *Tree) SnapshotEpoch() int64 { return t.cowEpoch }
-
 // Snapshot publishes the tree's current state as an immutable version and
 // returns it as a read-only Tree sharing all nodes.  Subsequent mutations of
 // the receiver copy any shared node before touching it, so the returned tree

@@ -51,7 +51,7 @@ const StripLen = 16
 // (BulkLoadSTR builds every node's; the page loader, insertion and the
 // copies a round makes leave theirs to the first join).  The order
 // is a pure function of Entries, so concurrent readers of an immutable node
-// (parallel join workers, daemon readers of one epoch) may race to build it:
+// (concurrent joins, daemon readers of one epoch) may race to build it:
 // every builder publishes the same value.  Every in-place mutation drops it
 // (setEntries, setRect) and copyNode never carries it over, so an order can
 // never outlive the entries it was built from; CheckInvariants verifies that.

@@ -38,8 +38,6 @@ func (o OpWire) Rect() geom.Rect {
 // zero value is the intersection join with pairs.  A body naming any other
 // field is rejected (400).
 type JoinRequestWire struct {
-	// Workers > 1 runs a parallel join with that many workers.
-	Workers int `json:"workers,omitempty"`
 	// Predicate selects the join condition in join.ParsePredicate's textual
 	// form: "intersects" (the default when the field is left out),
 	// "within:EPS" or "knn:K".
@@ -52,9 +50,8 @@ type JoinRequestWire struct {
 // deterministic: the same request on the same epoch gets the same bytes.  A
 // sequential intersection or within-distance join sends its pairs in
 // traversal order as it finds them, which is why Pairs comes first and the
-// fields known only at the end follow.  A kNN join, or one with Workers > 1,
-// sends its pairs sorted by (R, S): a parallel join's own order depends on
-// the schedule, and the router checks kNN answers one R at a time.
+// fields known only at the end follow.  A kNN join sends its pairs sorted by
+// (R, S): the router checks kNN answers one R at a time.
 //
 // The shard never encodes this struct: its pair codec (paircodec.go) writes
 // exactly json.NewEncoder(w).Encode's bytes for it, newline included, in
@@ -174,7 +171,7 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 		}
 		// A sequential traversal's pair order is fixed by the epoch and the
 		// request, so its pairs are encoded and sent as they are found.
-		stream := !req.DiscardPairs && req.Workers <= 1 && pred.Kind != join.PredKNN
+		stream := !req.DiscardPairs && pred.Kind != join.PredKNN
 		ctx, cancel := srv.withDeadline(r.Context())
 		defer cancel()
 		enc := newPairEncoder(w, WireChunk)
@@ -182,7 +179,6 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 		enc.deadline, _ = ctx.Deadline()
 		enc.cancel = cancel
 		jr := JoinRequest{
-			Workers:      req.Workers,
 			Predicate:    pred,
 			DiscardPairs: req.DiscardPairs || stream,
 		}

@@ -90,30 +90,20 @@ func sortedWire(pairs [][2]int32) [][2]int32 {
 	return out
 }
 
-// TestHandlerSortsParallelAndKNNPairs pins the responses that stay sorted:
-// a parallel join's own order depends on the schedule and the router checks
-// kNN answers one R item at a time, so those pairs go out in ascending
-// (R, S) order.  A sequential join's pairs, in traversal order, are the same
-// set.
-func TestHandlerSortsParallelAndKNNPairs(t *testing.T) {
+// TestHandlerSortsKNNPairs pins the one reply that stays sorted: the router
+// checks kNN answers one R item at a time, so their pairs go out in
+// ascending (R, S) order, the set join.Join finds.
+func TestHandlerSortsKNNPairs(t *testing.T) {
 	fx := newFixture(t, Config{})
 	h := NewHandler(fx.srv, HandlerConfig{})
-
-	seq := decodeWire(t, doHTTP(t, h, "POST", "/join", JoinRequestWire{}))
-	if seq.Count == 0 {
-		t.Fatal("the sequential join found no pairs")
+	resp := decodeWire(t, doHTTP(t, h, "POST", "/join", JoinRequestWire{Predicate: "knn:3"}))
+	want, err := join.Join(fx.srv.cfg.Store.Tree(), fx.srv.cfg.S, join.Options{Method: join.SJ4, Predicate: join.NearestNeighbors(3)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, req := range []JoinRequestWire{{Workers: 4}, {Predicate: "knn:3"}, {Predicate: "knn:3", Workers: 4}} {
-		resp := decodeWire(t, doHTTP(t, h, "POST", "/join", req))
-		if resp.Count == 0 {
-			t.Fatalf("%+v: no pairs", req)
-		}
-		if !reflect.DeepEqual(resp.Pairs, sortedWire(resp.Pairs)) {
-			t.Fatalf("%+v: pairs not in (R, S) order", req)
-		}
-		if req.Predicate == "" && !reflect.DeepEqual(resp.Pairs, sortedWire(seq.Pairs)) {
-			t.Fatalf("%+v: %d pairs, not the sequential join's %d", req, resp.Count, seq.Count)
-		}
+	join.SortPairs(want.Pairs)
+	if resp.Count == 0 || !reflect.DeepEqual(resp.Pairs, wirePairs(want.Pairs)) {
+		t.Fatalf("knn:3: %d pairs, not join.Join's %d in (R, S) order", resp.Count, want.Count)
 	}
 }
 
@@ -432,7 +422,8 @@ func TestHandlerRejectsUnknownMethod(t *testing.T) {
 		{"/join", `{"method":0}`, http.StatusBadRequest, "method"},
 		{"/join", `{"discard_pairs":true,"method":6}`, http.StatusBadRequest, "method"},
 		{"/join", `{"buffer_bytes":65536}`, http.StatusBadRequest, "buffer_bytes"},
-		{"/join", `{"Workers":2}`, http.StatusOK, ""}, // encoding/json matches field names case-insensitively
+		{"/join", `{"workers":2}`, http.StatusBadRequest, "workers"},
+		{"/join", `{"Discard_Pairs":true}`, http.StatusOK, ""}, // encoding/json matches field names case-insensitively
 		{"/join", `{"discard_pairs":true}`, http.StatusOK, ""},
 		{"/update", `[{"xl":0.1,"yl":0.1,"xu":0.2,"yu":0.2,"data":7,"world":1}]`, http.StatusBadRequest, "world"},
 		{"/update", `[{"xl":0.1,"yl":0.1,"xu":0.2,"yu":0.2,"data":7}]`, http.StatusAccepted, ""},

@@ -324,7 +324,7 @@ func TestJoinResponseBytesAreEncodingJSONs(t *testing.T) {
 func TestHandlerJoinBodyIsCanonical(t *testing.T) {
 	fx := newWideFixture(t, Config{})
 	h := NewHandler(fx.srv, HandlerConfig{})
-	for _, req := range []JoinRequestWire{{}, {Predicate: "within:0.01"}, {Workers: 3}, {DiscardPairs: true}, {Predicate: "knn:2"}} {
+	for _, req := range []JoinRequestWire{{}, {Predicate: "within:0.01"}, {DiscardPairs: true}, {Predicate: "knn:2"}} {
 		w := doHTTP(t, h, "POST", "/join", req)
 		if w.Code != http.StatusOK {
 			t.Fatalf("%+v: %d %s", req, w.Code, w.Body)

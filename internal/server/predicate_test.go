@@ -62,7 +62,7 @@ func bruteKNNPairs(rItems, sItems []rtree.Item, k int) map[join.Pair]bool {
 
 // TestServerPredicateJoinsUnderChurn drives rounds of inserts and deletes
 // through the server and, after every flip, checks that within-distance and
-// kNN joins over the published snapshot — sequential and parallel — match
+// kNN joins over the published snapshot match
 // the brute-force oracles over the model item set.
 func TestServerPredicateJoinsUnderChurn(t *testing.T) {
 	f := newFixture(t, Config{})
@@ -76,18 +76,16 @@ func TestServerPredicateJoinsUnderChurn(t *testing.T) {
 		t.Helper()
 		wantDist := bruteDistancePairs(model, f.sItems, eps)
 		wantKNN := bruteKNNPairs(model, f.sItems, k)
-		for _, workers := range []int{0, 4} {
-			resp, err := f.srv.Join(ctx, JoinRequest{Workers: workers, Predicate: join.WithinDistance(eps)})
-			if err != nil {
-				t.Fatalf("round %d workers=%d within: %v", round, workers, err)
-			}
-			samePairs(t, pairSet(resp.Pairs), wantDist, "within-distance under churn")
-			resp, err = f.srv.Join(ctx, JoinRequest{Workers: workers, Predicate: join.NearestNeighbors(k)})
-			if err != nil {
-				t.Fatalf("round %d workers=%d knn: %v", round, workers, err)
-			}
-			samePairs(t, pairSet(resp.Pairs), wantKNN, "kNN under churn")
+		resp, err := f.srv.Join(ctx, JoinRequest{Predicate: join.WithinDistance(eps)})
+		if err != nil {
+			t.Fatalf("round %d within: %v", round, err)
 		}
+		samePairs(t, pairSet(resp.Pairs), wantDist, "within-distance under churn")
+		resp, err = f.srv.Join(ctx, JoinRequest{Predicate: join.NearestNeighbors(k)})
+		if err != nil {
+			t.Fatalf("round %d knn: %v", round, err)
+		}
+		samePairs(t, pairSet(resp.Pairs), wantKNN, "kNN under churn")
 	}
 
 	check(0)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,8 +117,9 @@ func (c Config) withDefaults() Config {
 // JoinRequest is one query: join the current snapshot against S.  Every
 // request runs SJ4, the paper's recommended join (section 4.3).
 type JoinRequest struct {
-	// Workers > 1 runs a ParallelJoin (the default shared-queue strategy)
-	// with that many workers, clamped to GOMAXPROCS.
+	// Workers is ignored: every request runs join.Join, which uses the
+	// spare cores itself.  It is kept only for the ledger's call at
+	// bench/ladder.go:394; ROADMAP item 8(d) deletes it.
 	Workers int
 	// Predicate selects the join condition; the zero value is intersection.
 	Predicate join.Predicate
@@ -368,25 +368,9 @@ func (s *Server) Join(ctx context.Context, req JoinRequest) (*JoinResponse, erro
 			onPair(p)
 		}
 	}
-	// Shard and gateway requests both arrive here, so this is where the
-	// wire's workers value is bounded: more workers than cores buys no
-	// parallelism, and ParallelJoin would otherwise split the plan towards
-	// leaf pairs and start a goroutine, a collector and a pooled LRU for
-	// every task.
-	workers := min(req.Workers, runtime.GOMAXPROCS(0))
-
 	var retries int
 	for attempt := 0; ; attempt++ {
-		var res *join.Result
-		var err error
-		if workers > 1 {
-			res, err = join.ParallelJoin(e.tree, s.cfg.S, join.ParallelOptions{
-				Options: opts,
-				Workers: workers,
-			})
-		} else {
-			res, err = join.Join(e.tree, s.cfg.S, opts)
-		}
+		res, err := join.Join(e.tree, s.cfg.S, opts)
 		if err == nil {
 			if cut != nil {
 				s.stats.Failed.Add(1)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -188,17 +189,9 @@ func TestServerJoinMatchesSequential(t *testing.T) {
 			t.Fatalf("pair %d: server %v, sequential %v", i, resp.Pairs[i], seq.Pairs[i])
 		}
 	}
-
-	// Parallel requests return the same pair set.
-	par, err := f.srv.Join(context.Background(), JoinRequest{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	samePairs(t, pairSet(par.Pairs), want, "parallel server join")
 }
 
-// TestServerJoinsShareRecyclingCache runs concurrent joins, sequential and
-// parallel, over one epoch whose page cache holds four pages: every miss
+// TestServerJoinsShareRecyclingCache runs concurrent joins over one epoch whose page cache holds four pages: every miss
 // reads into its tracker's own frame and every Put recycles a frame another
 // join's tracker may just have read from the cache.  Every answer must be
 // the model's (and, under -race, free of data races on those frames).
@@ -214,7 +207,7 @@ func TestServerJoinsShareRecyclingCache(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				resp, err := f.srv.Join(context.Background(), JoinRequest{Workers: 1 + g%2})
+				resp, err := f.srv.Join(context.Background(), JoinRequest{})
 				if err != nil {
 					errs <- err
 					return
@@ -236,20 +229,24 @@ func TestServerJoinsShareRecyclingCache(t *testing.T) {
 	}
 }
 
-// TestServerClampsWorkers is the regression for the unbounded wire value: a
-// request for a million workers used to plan down to leaf pairs and start one
-// goroutine, collector and pooled LRU per task.  The server clamps it to
-// GOMAXPROCS; the answer stays the sequential join's.
-func TestServerClampsWorkers(t *testing.T) {
+// TestServerIgnoresWorkers: JoinRequest.Workers, kept for the ledger, is
+// ignored.  A request for a million workers is the request without them:
+// the same pairs in the same order and the same counters.
+func TestServerIgnoresWorkers(t *testing.T) {
 	f := newFixture(t, Config{})
+	want, err := f.srv.Join(context.Background(), JoinRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	resp, err := f.srv.Join(context.Background(), JoinRequest{Workers: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, procs := len(resp.WorkerMetrics), runtime.GOMAXPROCS(0); n > procs {
-		t.Fatalf("Workers: 1<<20 ran %d workers, want at most GOMAXPROCS = %d", n, procs)
+	if !reflect.DeepEqual(resp.Pairs, want.Pairs) || resp.Metrics != want.Metrics {
+		t.Fatalf("Workers: 1<<20 found %d pairs, metrics %+v; without it %d, %+v",
+			resp.Count, resp.Metrics, want.Count, want.Metrics)
 	}
-	samePairs(t, pairSet(resp.Pairs), brutePairs(f.rItems, f.sItems), "clamped parallel join")
+	samePairs(t, pairSet(resp.Pairs), brutePairs(f.rItems, f.sItems), "join with Workers set")
 }
 
 func TestServerUpdateInvisibleUntilRound(t *testing.T) {

@@ -66,7 +66,7 @@ func wantReply(t *testing.T, fx *fixture, req JoinRequestWire) JoinResponseWire 
 	}
 	wire := JoinResponseWire{Epoch: fx.srv.CurrentEpoch(), Count: res.Count}
 	if !req.DiscardPairs {
-		if pred.Kind == join.PredKNN || req.Workers > 1 {
+		if pred.Kind == join.PredKNN {
 			join.SortPairs(res.Pairs)
 		}
 		wire.Pairs = wirePairs(res.Pairs)
@@ -114,7 +114,6 @@ func TestJoinReplyByteWall(t *testing.T) {
 		{big, JoinRequestWire{Predicate: "within:0.0025"}, true},
 		{big, JoinRequestWire{Predicate: "knn:4"}, false},
 		{big, JoinRequestWire{DiscardPairs: true}, false},
-		{big, JoinRequestWire{Workers: 2}, false},
 		{small, JoinRequestWire{Predicate: "within:0.034"}, true},
 	} {
 		wire := wantReply(t, tc.fx, tc.req)

@@ -27,16 +27,16 @@ func TestServerJoinsAcrossFlipsBuildOrders(t *testing.T) {
 	type reply struct {
 		epoch   uint64
 		pairs   []join.Pair
-		metrics *metrics.Snapshot // nil for the ParallelJoin reader
+		metrics metrics.Snapshot
 	}
 	var mu sync.Mutex
 	var replies []reply
 	seen := map[uint64]int{} // replies per epoch
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for r := 0; r < readers; r++ {
+	for range readers {
 		wg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
 			for {
 				select {
@@ -44,25 +44,18 @@ func TestServerJoinsAcrossFlipsBuildOrders(t *testing.T) {
 					return
 				default:
 				}
-				req := JoinRequest{}
-				if r == 0 {
-					req.Workers = 4 // one reader through ParallelJoin
-				}
-				resp, err := f.srv.Join(context.Background(), req)
+				resp, err := f.srv.Join(context.Background(), JoinRequest{})
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				rep := reply{epoch: resp.Epoch, pairs: resp.Pairs}
-				if r != 0 {
-					rep.metrics = &resp.Metrics
-				}
+				rep := reply{epoch: resp.Epoch, pairs: resp.Pairs, metrics: resp.Metrics}
 				mu.Lock()
 				replies = append(replies, rep)
 				seen[rep.epoch]++
 				mu.Unlock()
 			}
-		}(r)
+		}()
 	}
 	// Each round first waits for a reply from the epoch it retires, so that
 	// readers starved by a busy machine cannot miss every flip.
@@ -106,10 +99,10 @@ func TestServerJoinsAcrossFlipsBuildOrders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replies = append(replies, reply{epoch: resp.Epoch, pairs: resp.Pairs, metrics: &resp.Metrics})
+	replies = append(replies, reply{epoch: resp.Epoch, pairs: resp.Pairs, metrics: resp.Metrics})
 
 	want := map[uint64]map[join.Pair]bool{}
-	sequential := map[uint64]metrics.Snapshot{}
+	counters := map[uint64]metrics.Snapshot{}
 	for _, rep := range replies {
 		model, ok := models[rep.epoch]
 		if !ok {
@@ -119,13 +112,10 @@ func TestServerJoinsAcrossFlipsBuildOrders(t *testing.T) {
 			want[rep.epoch] = brutePairs(model, f.sItems)
 		}
 		samePairs(t, pairSet(rep.pairs), want[rep.epoch], "join during churn")
-		if rep.metrics == nil {
-			continue
+		if prev, ok := counters[rep.epoch]; ok && prev != rep.metrics {
+			t.Fatalf("epoch %d: two joins disagree on their counters:\n%+v\n%+v", rep.epoch, prev, rep.metrics)
 		}
-		if prev, ok := sequential[rep.epoch]; ok && prev != *rep.metrics {
-			t.Fatalf("epoch %d: two sequential joins disagree on their counters:\n%+v\n%+v", rep.epoch, prev, *rep.metrics)
-		}
-		sequential[rep.epoch] = *rep.metrics
+		counters[rep.epoch] = rep.metrics
 	}
 	if len(want) < 2 {
 		t.Fatalf("readers only ever saw %d epoch(s); the flips were not exercised", len(want))

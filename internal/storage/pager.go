@@ -339,18 +339,6 @@ func (p *Pager) Len() int {
 	return len(p.alive)
 }
 
-// IDs returns the live page identifiers in ascending order.
-func (p *Pager) IDs() []PageID {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ids := make([]PageID, 0, len(p.alive))
-	for id := range p.alive {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 // Quarantined returns the identifiers of pages whose frames failed their
 // checksum, in ascending order.
 func (p *Pager) Quarantined() []PageID {

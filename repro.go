@@ -129,8 +129,7 @@ const (
 // Join predicates: the condition a result pair must satisfy.  The zero
 // Predicate is MBR intersection (the paper's join); within-distance and kNN
 // are the distance-based extensions of ROADMAP item 4, supported by every
-// sequential method, every parallel partition strategy, the server wire
-// protocol and the shard router.
+// method, the server wire protocol and the shard router.
 type JoinPredicate = join.Predicate
 
 // WithinDistancePredicate keeps pairs whose MBRs come within eps of each
@@ -144,34 +143,8 @@ func ParseJoinPredicate(s string) (JoinPredicate, error) { return join.ParsePred
 // TreeJoin computes the MBR-spatial-join of two R-trees.
 func TreeJoin(r, s *RTree, opts JoinOptions) (*JoinResult, error) { return join.Join(r, s, opts) }
 
-// ParallelJoinOptions configures ParallelTreeJoin.
-type ParallelJoinOptions = join.ParallelOptions
-
-// PartitionStrategy selects how ParallelTreeJoin's workers take their tasks.
-type PartitionStrategy = join.PartitionStrategy
-
-// Partition strategies.  Both plan the same schedule: every worker gets a run
-// of Hilbert-ordered, contiguous spatial regions packed on cost-model
-// estimates.  StealingPartition, the zero value, has all workers take the
-// next task of the whole schedule from one shared queue: it balances wall
-// clock, and its per-worker split depends on the host.  SpatialPartition
-// has each worker run its own regions as planned: its per-worker split, and
-// so every counted skew, is deterministic.
-const (
-	StealingPartition = join.PartitionStealing
-	SpatialPartition  = join.PartitionSpatial
-)
-
-// ParallelTreeJoin computes the MBR-spatial-join with several workers, each
-// joining a partition of the qualifying root-entry pairs (the parallel
-// execution the paper lists as future work).
-func ParallelTreeJoin(r, s *RTree, opts ParallelJoinOptions) (*JoinResult, error) {
-	return join.ParallelJoin(r, s, opts)
-}
-
-// SortJoinPairs sorts result pairs by (R, S); parallel results are
-// schedule-ordered, so callers sort before comparing against a sequential
-// result.
+// SortJoinPairs sorts result pairs by (R, S), the canonical order for
+// comparing the pair sets of different methods.
 func SortJoinPairs(pairs []IDPair) { join.SortPairs(pairs) }
 
 // SortMergeJoin computes the MBR-spatial-join of two unindexed relations by
@@ -249,8 +222,7 @@ type (
 	CostModel = costmodel.Model
 	// TreeCatalog is the per-level catalog statistics of an R-tree
 	// (RTree.CatalogStats): node and entry counts and the mean entry width
-	// per level, computed by one walk of the tree version.  The parallel
-	// planner's task estimator consumes it.
+	// per level, computed by one walk of the tree version.
 	TreeCatalog = costmodel.Catalog
 )
 

@@ -45,53 +45,15 @@ func TestFacadeTreeJoinWorkflow(t *testing.T) {
 	}
 }
 
-func TestFacadeStealingJoinAndCatalogStats(t *testing.T) {
+func TestFacadeCatalogStats(t *testing.T) {
 	streets := GenerateDataset(DatasetConfig{Kind: Streets, Count: 3000, Seed: 6})
-	rivers := GenerateDataset(DatasetConfig{Kind: Rivers, Count: 3000, Seed: 7})
 	r, err := BuildRTree(RTreeOptions{PageSize: PageSize1K}, streets, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := BuildRTree(RTreeOptions{PageSize: PageSize1K}, rivers, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	var cat TreeCatalog = r.CatalogStats()
-	if !cat.Valid() || cat.DataEntries() != int64(len(streets)) {
-		t.Fatalf("catalog stats invalid: %+v", cat)
-	}
-
-	seq, err := TreeJoin(r, s, JoinOptions{Method: SpatialJoin4, BufferBytes: 128 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := ParallelTreeJoin(r, s, ParallelJoinOptions{
-		Options:           JoinOptions{Method: SpatialJoin4, BufferBytes: 128 << 10},
-		Workers:           4,
-		Strategy:          StealingPartition,
-		MinTasksPerWorker: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Count != seq.Count {
-		t.Fatalf("stealing join found %d pairs, sequential %d", par.Count, seq.Count)
-	}
-	SortJoinPairs(par.Pairs)
-	SortJoinPairs(seq.Pairs)
-	for i := range seq.Pairs {
-		if par.Pairs[i] != seq.Pairs[i] {
-			t.Fatalf("pair %d differs: %v vs %v", i, par.Pairs[i], seq.Pairs[i])
-		}
-	}
-	if len(par.WorkerTasks) != len(par.WorkerMetrics) {
-		t.Fatalf("WorkerTasks has %d entries for %d workers", len(par.WorkerTasks), len(par.WorkerMetrics))
-	}
-	for w, rate := range par.WorkerBufferHitRates() {
-		if rate != rate || rate < 0 || rate > 1 {
-			t.Fatalf("worker %d hit rate %v outside [0,1]", w, rate)
-		}
+	if !cat.Valid() || cat.DataEntries() != int64(len(streets)) || len(cat.Levels) != r.Height() {
+		t.Fatalf("catalog stats %+v do not describe a tree of %d entries and height %d", cat, len(streets), r.Height())
 	}
 }
 
