@@ -134,7 +134,9 @@ type Options struct {
 	// buffer, as the paper's R*-tree implementation does.
 	UsePathBuffer bool
 	// HeightPolicy selects the strategy for joining trees of different
-	// heights.  The default is PolicyBatchedWindows (policy (b)).
+	// heights.  The zero value is PolicyWindowPerPair (policy (a)); the
+	// paper recommends PolicyBatchedWindows (policy (b)), which the server
+	// runs.
 	HeightPolicy HeightPolicy
 	// Collector receives the cost counters.  If nil a fresh collector is used
 	// and returned in the result.

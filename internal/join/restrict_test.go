@@ -220,23 +220,24 @@ func TestRestrictSortedWarmBuffersDoNotAllocate(t *testing.T) {
 }
 
 // TestConcurrentJoinsBuildOrdersOnce starts eight joins at the same moment
-// over freshly bulk-loaded trees, so every goroutine reads the nodes'
-// xl-orders at once, with its own helpers beside it (run under -race in CI).
-// The orders are a pure function of the entries: every join must return the
-// pairs, in the order, and the counters of a join run alone afterwards —
-// including the sorting charge, which is the node's stored count no matter
-// who built the order.
+// over freshly inserted trees, whose nodes carry no xl-order yet (a bulk
+// load builds every one), so every goroutine builds and publishes the
+// orders it reads at once, with its own helpers beside it (run under -race
+// in CI).  The orders are a pure function of the entries: every join must
+// return the pairs, in the order, and the counters of a join run alone
+// afterwards — including the sorting charge, which is the node's stored
+// count no matter who built the order.
 func TestConcurrentJoinsBuildOrdersOnce(t *testing.T) {
 	itemsR := datagen.Generate(datagen.Config{Kind: datagen.Streets, Count: 6000, Seed: 42})
 	itemsS := datagen.Generate(datagen.Config{Kind: datagen.Rivers, Count: 6000, Seed: 43})
 	for _, pred := range []Predicate{{}, {Kind: PredWithinDist, Epsilon: 0.002}} {
-		r, err := rtree.BulkLoadSTR(rtree.Options{PageSize: storage.PageSize1K}, itemsR)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := rtree.BulkLoadSTR(rtree.Options{PageSize: storage.PageSize1K}, itemsS)
-		if err != nil {
-			t.Fatal(err)
+		r, s := rtree.MustNew(rtree.Options{PageSize: storage.PageSize1K}), rtree.MustNew(rtree.Options{PageSize: storage.PageSize1K})
+		r.InsertItems(itemsR)
+		s.InsertItems(itemsS)
+		for _, tr := range []*rtree.Tree{r, s} {
+			if n := nodesWithOrders(tr.Root()); n != 0 {
+				t.Fatalf("%d nodes of a freshly inserted tree carry an xl-order: the joins would not race to build them", n)
+			}
 		}
 		opts := Options{Method: SJ4, BufferBytes: 64 << 10, UsePathBuffer: true, Predicate: pred}
 		results := make([]*Result, 8)
@@ -279,5 +280,22 @@ func TestConcurrentJoinsBuildOrdersOnce(t *testing.T) {
 		if err := s.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
+		if nodesWithOrders(r.Root()) == 0 {
+			t.Fatal("no node of R carries an xl-order after the joins")
+		}
 	}
+}
+
+// nodesWithOrders counts the nodes of a subtree whose xl-order is built.
+func nodesWithOrders(n *rtree.Node) int {
+	c := 0
+	if n.HasXLOrder() {
+		c++
+	}
+	if !n.IsLeaf() {
+		for _, e := range n.Entries {
+			c += nodesWithOrders(e.Child)
+		}
+	}
+	return c
 }

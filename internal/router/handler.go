@@ -21,6 +21,9 @@ import (
 //	GET  /stats   per-shard server counters and coverage summaries
 //
 // Request bodies are strict: a field the server does not know is a 400.
+// An /update body is read by server.DecodeOps, as on a shard, and every
+// shard's part of it is posted at once (Router.Update); when some shard
+// fails, the error reply also carries how many ops the others staged.
 //
 // A /join reply is {"pairs":[[r,s],...],"count":N,"shards":[...]}: the
 // pair set in Router.Join's order (left out when empty), then the total and
@@ -32,20 +35,20 @@ import (
 func NewHandler(rt *Router) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /update", func(w http.ResponseWriter, r *http.Request) {
-		var ops []server.OpWire
-		if !server.DecodeRequest(w, r, server.MaxUpdateBody, &ops) {
+		ops, ok := server.DecodeOpsRequest(w, r)
+		if !ok {
 			return
 		}
 		staged, err := rt.Update(r.Context(), ops)
 		if err != nil {
-			writeRouterError(w, err)
+			writeRouterError(w, err, map[string]any{"staged": staged})
 			return
 		}
 		writeJSON(w, http.StatusAccepted, map[string]int{"staged": staged})
 	})
 	mux.HandleFunc("POST /round", func(w http.ResponseWriter, r *http.Request) {
 		if err := rt.Round(r.Context()); err != nil {
-			writeRouterError(w, err)
+			writeRouterError(w, err, nil)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
@@ -60,7 +63,7 @@ func NewHandler(rt *Router) http.Handler {
 			DiscardPairs: req.DiscardPairs,
 		}, true)
 		if err != nil {
-			writeRouterError(w, err)
+			writeRouterError(w, err, nil)
 			return
 		}
 		defer fo.close()
@@ -71,7 +74,7 @@ func NewHandler(rt *Router) http.Handler {
 		switch {
 		case err == nil:
 		case !rw.sent:
-			writeRouterError(w, err)
+			writeRouterError(w, err, nil)
 		default:
 			// The status line and part of the pairs are out.  Ending the body
 			// normally would hand the client a well-formed partial answer;
@@ -83,7 +86,7 @@ func NewHandler(rt *Router) http.Handler {
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		stats, err := rt.Stats(r.Context())
 		if err != nil {
-			writeRouterError(w, err)
+			writeRouterError(w, err, nil)
 			return
 		}
 		writeJSON(w, http.StatusOK, stats)
@@ -177,8 +180,9 @@ func (rw *replyWriter) setDeadline() {
 // shedding — or refusing an update for a full backlog — means the
 // deployment is overloaded, so the router sheds too (503 with the largest
 // shard Retry-After); any other partial fan-out is a 502 naming the failed
-// shards; a deadline is a 504.
-func writeRouterError(w http.ResponseWriter, err error) {
+// shards; a deadline is a 504.  The error object also carries the fields
+// of extra (an update's staged count).
+func writeRouterError(w http.ResponseWriter, err error, extra map[string]any) {
 	var perr *PartialError
 	var serr *ShardError
 	var failed []*ShardError
@@ -188,31 +192,27 @@ func writeRouterError(w http.ResponseWriter, err error) {
 	case errors.As(err, &serr):
 		failed = []*ShardError{serr}
 	}
-	if after, allShed := allShedding(failed); allShed {
+	body := map[string]any{"error": err.Error()}
+	for k, v := range extra {
+		body[k] = v
+	}
+	code := http.StatusInternalServerError
+	switch after, allShed := allShedding(failed); {
+	case allShed:
 		secs := int(after / time.Second)
 		if secs < 1 {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"error": "all shards shedding", "failed": shardNames(failed),
-		})
-		return
-	}
-	switch {
+		code, body["error"], body["failed"] = http.StatusServiceUnavailable, "all shards shedding", shardNames(failed)
 	case errors.Is(err, ErrBadRequest):
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		code = http.StatusBadRequest
 	case perr != nil:
-		writeJSON(w, http.StatusBadGateway, map[string]any{
-			"error":     err.Error(),
-			"failed":    shardNames(failed),
-			"succeeded": perr.Succeeded,
-		})
+		code, body["failed"], body["succeeded"] = http.StatusBadGateway, shardNames(failed), perr.Succeeded
 	case errors.Is(err, context.DeadlineExceeded):
-		writeJSON(w, http.StatusGatewayTimeout, map[string]string{"error": err.Error()})
-	default:
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+		code = http.StatusGatewayTimeout
 	}
+	writeJSON(w, code, body)
 }
 
 // allShedding reports whether every failed shard's terminal error was a

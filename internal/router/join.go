@@ -147,42 +147,55 @@ func pairLess(a, b [2]int32) bool {
 }
 
 // Update routes each op to the shard owning its rectangle's centre key and
-// stages the per-shard batches in shard order.  It returns the number of
-// ops staged; on a shard failure it returns the count staged so far and a
-// *ShardError (staged ops on earlier shards stay staged — they become
-// visible at those shards' next rounds whether or not this call succeeded,
-// which is the same at-least-staged contract a retried direct update has).
+// stages every shard's part at once, each part encoded once
+// (server.AppendOps) and kept in the order of ops.  It returns the number
+// of ops the shards staged.  If some shard fails after its retries, the
+// others' parts stay staged — they become visible at those shards' next
+// rounds, the same at-least-staged contract a retried direct update has —
+// and Update returns their count with a *PartialError naming the failed
+// shards.
 func (rt *Router) Update(ctx context.Context, ops []server.OpWire) (int, error) {
 	// The shards run the same check, but a batch split across them would be
-	// staged on the shards before the one that rejects its part.
+	// staged on the shards that accept their parts.
 	for i, op := range ops {
 		if err := server.CheckOp(i, op.Rect()); err != nil {
 			return 0, fmt.Errorf("%w: %w", ErrBadRequest, err)
 		}
 	}
-	batches := make([][]server.OpWire, len(rt.shards))
+	parts := make([][]server.OpWire, len(rt.shards))
 	for i, op := range ops {
 		key := zorder.HilbertKey(op.Rect().Center(), server.UnitWorld)
 		shard := rt.shardFor(key)
 		if shard < 0 {
 			return 0, fmt.Errorf("router: op %d: centre key %d outside the key space", i, key)
 		}
-		batches[shard] = append(batches[shard], op)
+		parts[shard] = append(parts[shard], op)
 	}
-	staged := 0
-	for i, batch := range batches {
-		if len(batch) == 0 {
+	var wg sync.WaitGroup
+	staged := make([]int, len(rt.shards))
+	errs := make([]error, len(rt.shards))
+	for i, part := range parts {
+		if len(part) == 0 {
 			continue
 		}
-		var resp struct {
-			Staged int `json:"staged"`
-		}
-		if _, err := rt.do(ctx, rt.shards[i], http.MethodPost, "/update", batch, decodeJSON(&resp)); err != nil {
-			return staged, &ShardError{Shard: rt.shards[i].Name, Err: err}
-		}
-		staged += resp.Staged
+		body := server.AppendOps(nil, part)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var resp struct {
+				Staged int `json:"staged"`
+			}
+			if _, errs[i] = rt.do(ctx, rt.shards[i], http.MethodPost, "/update", body, decodeJSON(&resp)); errs[i] == nil {
+				staged[i] = resp.Staged
+			}
+		}()
 	}
-	return staged, nil
+	wg.Wait()
+	total := 0
+	for _, n := range staged {
+		total += n
+	}
+	return total, rt.partial(errs)
 }
 
 // Round commits staged mutations on every shard.  Like Join it is
@@ -199,18 +212,7 @@ func (rt *Router) Round(ctx context.Context) error {
 		}(i, sh)
 	}
 	wg.Wait()
-	var perr PartialError
-	for i, err := range errs {
-		if err != nil {
-			perr.Failures = append(perr.Failures, &ShardError{Shard: rt.shards[i].Name, Err: err})
-		} else {
-			perr.Succeeded = append(perr.Succeeded, rt.shards[i].Name)
-		}
-	}
-	if len(perr.Failures) > 0 {
-		return &perr
-	}
-	return nil
+	return rt.partial(errs)
 }
 
 // Stats fetches a fresh stats snapshot from every shard, keyed by shard
@@ -237,6 +239,12 @@ func (rt *Router) Stats(ctx context.Context) (map[string]server.StatsWire, error
 		}(i, sh)
 	}
 	wg.Wait()
+	return out, rt.partial(errs)
+}
+
+// partial gathers the per-shard errors of a fan-out, indexed like
+// rt.shards, into a *PartialError, or nil if every shard succeeded.
+func (rt *Router) partial(errs []error) error {
 	var perr PartialError
 	for i, err := range errs {
 		if err != nil {
@@ -246,7 +254,7 @@ func (rt *Router) Stats(ctx context.Context) (map[string]server.StatsWire, error
 		}
 	}
 	if len(perr.Failures) > 0 {
-		return out, &perr
+		return &perr
 	}
-	return out, nil
+	return nil
 }

@@ -71,9 +71,12 @@ type shardFixture struct {
 	url  string
 	srv  *server.Server
 	fs   *storage.FaultFS
+	// pager returns the pager under the shard's store, the one the last
+	// reopen opened.
+	pager func() *storage.Pager
 }
 
-func newShardServer(t *testing.T, name string, keys zorder.KeyRange, sItems []rtree.Item) *shardFixture {
+func newShardServer(t testing.TB, name string, keys zorder.KeyRange, sItems []rtree.Item) *shardFixture {
 	t.Helper()
 	treeOpts := rtree.Options{PageSize: storage.PageSize1K}
 	pagerOpts := storage.PagerOptions{ReadRetries: 1, Sleep: func(time.Duration) {}}
@@ -134,12 +137,16 @@ func newShardServer(t *testing.T, name string, keys zorder.KeyRange, sItems []rt
 		//repolint:ignore latchederr fault tests end with a deliberately broken pager
 		cur.Close()
 	})
-	return &shardFixture{name: name, url: ts.URL, srv: srv, fs: fs}
+	return &shardFixture{name: name, url: ts.URL, srv: srv, fs: fs, pager: func() *storage.Pager {
+		mu.Lock()
+		defer mu.Unlock()
+		return cur
+	}}
 }
 
 // newDeployment builds n shard servers tiling the key space uniformly and
 // a router over them.  mutate adjusts the router config before New.
-func newDeployment(t *testing.T, n int, mutate func(*Config)) (*Router, []*shardFixture) {
+func newDeployment(t testing.TB, n int, mutate func(*Config)) (*Router, []*shardFixture) {
 	t.Helper()
 	sItems := genSItems(200, 5)
 	ranges := zorder.UniformKeyRanges(n)

@@ -2,6 +2,7 @@ package router
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -78,9 +79,12 @@ func (rt *Router) fanOut(ctx context.Context, req JoinRequest, forward bool) (*f
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
+	body, err := json.Marshal(server.JoinRequestWire{Predicate: req.Predicate, DiscardPairs: req.DiscardPairs})
+	if err != nil {
+		return nil, err
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	fo := &fanout{cancel: cancel}
-	wire := server.JoinRequestWire{Predicate: req.Predicate, DiscardPairs: req.DiscardPairs}
 	for _, sh := range rt.shards {
 		st := &shardStream{
 			sh:       sh,
@@ -97,7 +101,7 @@ func (rt *Router) fanOut(ctx context.Context, req JoinRequest, forward bool) (*f
 		fo.wg.Add(1)
 		go func() {
 			defer fo.wg.Done()
-			st.run(ctx, rt, wire)
+			st.run(ctx, rt, body)
 		}()
 	}
 	var perr PartialError
@@ -193,9 +197,9 @@ func (fo *fanout) close() {
 
 // run is the stream's goroutine: the request with its retries, then the
 // end of the stream.
-func (st *shardStream) run(ctx context.Context, rt *Router, wire server.JoinRequestWire) {
+func (st *shardStream) run(ctx context.Context, rt *Router, body []byte) {
 	start := rt.cfg.now()
-	attempts, err := rt.do(ctx, st.sh, http.MethodPost, "/join", wire, st.read)
+	attempts, err := rt.do(ctx, st.sh, http.MethodPost, "/join", body, st.read)
 	st.mu.Lock()
 	st.attempts, st.err, st.wall, st.finished = attempts, err, rt.cfg.now().Sub(start), true
 	st.mu.Unlock()

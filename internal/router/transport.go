@@ -28,7 +28,8 @@ func (e *ShardError) Error() string { return fmt.Sprintf("shard %s: %v", e.Shard
 func (e *ShardError) Unwrap() error { return e.Err }
 
 // PartialError reports which shards of a fan-out failed and which answered.
-// It unwraps to ErrPartialFailure so callers can classify without digging.
+// It unwraps to ErrPartialFailure so callers can classify without digging,
+// and to each failure, so errors.As finds a shard's *StatusError.
 type PartialError struct {
 	Failures  []*ShardError
 	Succeeded []string
@@ -39,7 +40,13 @@ func (e *PartialError) Error() string {
 		len(e.Failures), len(e.Failures)+len(e.Succeeded), e.Failures[0])
 }
 
-func (e *PartialError) Unwrap() error { return ErrPartialFailure }
+func (e *PartialError) Unwrap() []error {
+	errs := []error{ErrPartialFailure}
+	for _, f := range e.Failures {
+		errs = append(errs, f)
+	}
+	return errs
+}
 
 // StatusError is a non-2xx shard response.  It survives the retry
 // wrapping, so a caller holding a *PartialError can classify each shard's
@@ -71,8 +78,9 @@ func (e *retryableError) Unwrap() error { return e.err }
 // permanent, and context cancellation stops everything.  read, if set,
 // consumes a 2xx body within the attempt's deadline; it reports a failure
 // worth another attempt as a *retryableError.  do returns the number of
-// attempts made.
-func (rt *Router) do(ctx context.Context, sh Shard, method, path string, body any, read bodyReader) (int, error) {
+// attempts made.  body, the request body if not nil, is sent as it is on
+// every attempt.
+func (rt *Router) do(ctx context.Context, sh Shard, method, path string, body []byte, read bodyReader) (int, error) {
 	var lastErr error
 	for attempt := 1; ; attempt++ {
 		err := rt.once(ctx, sh, method, path, body, read)
@@ -114,7 +122,7 @@ func decodeJSON(out any) bodyReader {
 // outcome: nil on 2xx (with the body read), *retryableError on transport
 // failures, 5xx and bodies read says are worth another try, a permanent
 // error otherwise.
-func (rt *Router) once(ctx context.Context, sh Shard, method, path string, body any, read bodyReader) error {
+func (rt *Router) once(ctx context.Context, sh Shard, method, path string, body []byte, read bodyReader) error {
 	attemptCtx := ctx
 	if rt.cfg.ShardTimeout > 0 {
 		var cancel context.CancelFunc
@@ -123,11 +131,7 @@ func (rt *Router) once(ctx context.Context, sh Shard, method, path string, body 
 	}
 	var reqBody io.Reader
 	if body != nil {
-		buf, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		reqBody = bytes.NewReader(buf)
+		reqBody = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(attemptCtx, method, sh.URL+path, reqBody)
 	if err != nil {

@@ -64,6 +64,10 @@ func (n *Node) XLOrder() *XLOrder {
 	return o
 }
 
+// HasXLOrder reports whether the node's xl-order is built: by bulk load or
+// by a reader's first XLOrder call since the last mutation.
+func (n *Node) HasXLOrder() bool { return n.xlOrder.Load() != nil }
+
 // buildXLOrder stable-sorts the entry indices by lower x-corner, counting the
 // key comparisons, takes the running maximum of XU along the result and
 // builds the y-sorted strips.  The sort runs on keyed records, in a stack

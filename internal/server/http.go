@@ -122,8 +122,8 @@ func DecodeRequest(w http.ResponseWriter, r *http.Request, limit int64, v any) b
 func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /update", func(w http.ResponseWriter, r *http.Request) {
-		var ops []OpWire
-		if !DecodeRequest(w, r, MaxUpdateBody, &ops) {
+		ops, ok := DecodeOpsRequest(w, r)
+		if !ok {
 			return
 		}
 		batch := make([]Op, len(ops))

@@ -706,9 +706,9 @@ func applyOpWires(items []rtree.Item, ops []OpWire) []rtree.Item {
 
 // FuzzUpdateRequest feeds arbitrary bodies to POST /update.  Every body is
 // answered 202, 400 or 413; a rejected batch stages nothing, an accepted
-// one stages every op it decodes to; and after POST /round the daemon's
-// join (SJ4) holds exactly the pairs a nested loop finds over the fixture's
-// R with the accepted ops applied.  The seeds are well-formed inserts and
+// one stages every op DecodeOps reads from it; and after POST /round the
+// daemon's join (SJ4) holds exactly the pairs a nested loop finds over the
+// fixture's R with those ops applied.  The seeds are well-formed inserts and
 // deletes of fixture entries, swapped corners, zero-area rectangles, huge
 // finite and out-of-world coordinates, and bodies with unknown fields.
 func FuzzUpdateRequest(f *testing.F) {
@@ -756,13 +756,11 @@ func FuzzUpdateRequest(f *testing.F) {
 		rItems := fx.rItems
 		switch w.Code {
 		case http.StatusAccepted:
-			// The handler decodes the first JSON value of the body the
-			// same way.
-			var ops []OpWire
-			dec := json.NewDecoder(bytes.NewReader(body))
-			dec.DisallowUnknownFields()
-			if err := dec.Decode(&ops); err != nil {
-				t.Fatalf("body %q: 202 for a body the strict decoder rejects: %v", body, err)
+			// The handler stages what DecodeOps reads, every op of it:
+			// FuzzDecodeOps holds DecodeOps to encoding/json.
+			ops, err := DecodeOps(body)
+			if err != nil {
+				t.Fatalf("body %q: 202 for a body DecodeOps rejects: %v", body, err)
 			}
 			if n := fx.srv.Pending(); n != len(ops) {
 				t.Fatalf("body %q: %d ops pending, %d accepted", body, n, len(ops))

@@ -115,7 +115,8 @@ func (c Config) withDefaults() Config {
 }
 
 // JoinRequest is one query: join the current snapshot against S.  Every
-// request runs SJ4, the paper's recommended join (section 4.3).
+// request runs SJ4, the paper's recommended join (section 4.3), and over
+// trees of different heights its recommended policy (b) (section 4.4).
 type JoinRequest struct {
 	// Workers is ignored: every request runs join.Join, which uses the
 	// spare cores itself.  It is kept only for the ledger's call at
@@ -349,6 +350,7 @@ func (s *Server) Join(ctx context.Context, req JoinRequest) (*JoinResponse, erro
 
 	opts := join.Options{
 		Method:       join.SJ4,
+		HeightPolicy: join.PolicyBatchedWindows,
 		Context:      ctx,
 		PageReaderR:  e.reader,
 		PageCache:    e.cache,
