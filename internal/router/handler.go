@@ -184,13 +184,9 @@ func (rw *replyWriter) setDeadline() {
 // of extra (an update's staged count).
 func writeRouterError(w http.ResponseWriter, err error, extra map[string]any) {
 	var perr *PartialError
-	var serr *ShardError
 	var failed []*ShardError
-	switch {
-	case errors.As(err, &perr):
+	if errors.As(err, &perr) {
 		failed = perr.Failures
-	case errors.As(err, &serr):
-		failed = []*ShardError{serr}
 	}
 	body := map[string]any{"error": err.Error()}
 	for k, v := range extra {

@@ -48,14 +48,18 @@ func (e *OpsSyntaxError) Error() string {
 }
 
 // The op keys, in the order AppendOps writes them; each is a bit of an op's
-// seen set.
-var opKeys = [...]string{"xl", "yl", "xu", "yu", "data", "delete"}
-
+// seen set, and every key before keyDelete is required.
 const (
-	keyData     = 4
-	keyDelete   = 5
+	keyXL = iota
+	keyYL
+	keyXU
+	keyYU
+	keyData
+	keyDelete
 	requiredSet = 1<<keyDelete - 1
 )
+
+var opKeys = [...]string{keyXL: "xl", keyYL: "yl", keyXU: "xu", keyYU: "yu", keyData: "data", keyDelete: "delete"}
 
 // DecodeOps parses an /update body into its ops.  It makes one allocation,
 // the result: a body of n ops holds at least n '{' bytes, so the slice is
@@ -150,13 +154,13 @@ func (d *opDecoder) object() (OpWire, error) {
 			}
 			d.space()
 			switch k {
-			case 0:
+			case keyXL:
 				op.XL, err = d.float()
-			case 1:
+			case keyYL:
 				op.YL, err = d.float()
-			case 2:
+			case keyXU:
 				op.XU, err = d.float()
-			case 3:
+			case keyYU:
 				op.YU, err = d.float()
 			case keyData:
 				op.Data, err = d.int32()
