@@ -351,7 +351,7 @@ func AppendOps(dst []byte, ops []OpWire) []byte {
 
 // appendFloat writes f as encoding/json does: the shortest decimal that
 // reads back as f, in exponent form only below 1e-6 or from 1e21 on, with
-// an exponent of one digit not padded to two.
+// a one-digit negative exponent not padded to two (1e-7, not 1e-07).
 func appendFloat(dst []byte, f float64) []byte {
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
