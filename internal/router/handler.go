@@ -22,8 +22,10 @@ import (
 //
 // Request bodies are strict: a field the server does not know is a 400.
 // An /update body is read by server.DecodeOps, as on a shard, and every
-// shard's part of it is posted at once (Router.Update); when some shard
-// fails, the error reply also carries how many ops the others staged.
+// shard's part of it is posted at once (Router.Update).  When some shard
+// fails after another staged its part, the reply is a 502 naming them with
+// the staged count, whatever the failure: the staged part would be staged
+// again by the resend a 503's Retry-After asks for.
 //
 // A /join reply is {"pairs":[[r,s],...],"count":N,"shards":[...]}: the
 // pair set in Router.Join's order (left out when empty), then the total and
@@ -40,15 +42,26 @@ func NewHandler(rt *Router) http.Handler {
 			return
 		}
 		staged, err := rt.Update(r.Context(), ops)
-		if err != nil {
-			writeRouterError(w, err, map[string]any{"staged": staged})
-			return
+		var perr *PartialError
+		switch {
+		case err == nil:
+			writeJSON(w, http.StatusAccepted, map[string]int{"staged": staged})
+		case staged > 0 && errors.As(err, &perr):
+			// Some shard staged its part, so this is never the 503 that
+			// asks for a resend: a resend would stage that part again.
+			writeJSON(w, http.StatusBadGateway, map[string]any{
+				"error":     err.Error(),
+				"failed":    shardNames(perr.Failures),
+				"succeeded": perr.Succeeded,
+				"staged":    staged,
+			})
+		default:
+			writeRouterError(w, err)
 		}
-		writeJSON(w, http.StatusAccepted, map[string]int{"staged": staged})
 	})
 	mux.HandleFunc("POST /round", func(w http.ResponseWriter, r *http.Request) {
 		if err := rt.Round(r.Context()); err != nil {
-			writeRouterError(w, err, nil)
+			writeRouterError(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
@@ -63,7 +76,7 @@ func NewHandler(rt *Router) http.Handler {
 			DiscardPairs: req.DiscardPairs,
 		}, true)
 		if err != nil {
-			writeRouterError(w, err, nil)
+			writeRouterError(w, err)
 			return
 		}
 		defer fo.close()
@@ -74,7 +87,7 @@ func NewHandler(rt *Router) http.Handler {
 		switch {
 		case err == nil:
 		case !rw.sent:
-			writeRouterError(w, err, nil)
+			writeRouterError(w, err)
 		default:
 			// The status line and part of the pairs are out.  Ending the body
 			// normally would hand the client a well-formed partial answer;
@@ -86,7 +99,7 @@ func NewHandler(rt *Router) http.Handler {
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		stats, err := rt.Stats(r.Context())
 		if err != nil {
-			writeRouterError(w, err, nil)
+			writeRouterError(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, stats)
@@ -180,35 +193,38 @@ func (rw *replyWriter) setDeadline() {
 // shedding — or refusing an update for a full backlog — means the
 // deployment is overloaded, so the router sheds too (503 with the largest
 // shard Retry-After); any other partial fan-out is a 502 naming the failed
-// shards; a deadline is a 504.  The error object also carries the fields
-// of extra (an update's staged count).
-func writeRouterError(w http.ResponseWriter, err error, extra map[string]any) {
+// shards; a deadline is a 504.
+func writeRouterError(w http.ResponseWriter, err error) {
 	var perr *PartialError
 	var failed []*ShardError
 	if errors.As(err, &perr) {
 		failed = perr.Failures
 	}
-	body := map[string]any{"error": err.Error()}
-	for k, v := range extra {
-		body[k] = v
-	}
-	code := http.StatusInternalServerError
-	switch after, allShed := allShedding(failed); {
-	case allShed:
+	if after, allShed := allShedding(failed); allShed {
 		secs := int(after / time.Second)
 		if secs < 1 {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		code, body["error"], body["failed"] = http.StatusServiceUnavailable, "all shards shedding", shardNames(failed)
-	case errors.Is(err, ErrBadRequest):
-		code = http.StatusBadRequest
-	case perr != nil:
-		code, body["failed"], body["succeeded"] = http.StatusBadGateway, shardNames(failed), perr.Succeeded
-	case errors.Is(err, context.DeadlineExceeded):
-		code = http.StatusGatewayTimeout
+		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+			"error": "all shards shedding", "failed": shardNames(failed),
+		})
+		return
 	}
-	writeJSON(w, code, body)
+	switch {
+	case errors.Is(err, ErrBadRequest):
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+	case perr != nil:
+		writeJSON(w, http.StatusBadGateway, map[string]any{
+			"error":     err.Error(),
+			"failed":    shardNames(failed),
+			"succeeded": perr.Succeeded,
+		})
+	case errors.Is(err, context.DeadlineExceeded):
+		writeJSON(w, http.StatusGatewayTimeout, map[string]string{"error": err.Error()})
+	default:
+		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+	}
 }
 
 // allShedding reports whether every failed shard's terminal error was a

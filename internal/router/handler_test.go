@@ -290,7 +290,7 @@ func TestWriteRouterErrorMapping(t *testing.T) {
 		{"other", errors.New("boom"), http.StatusInternalServerError, "", nil},
 	} {
 		w := httptest.NewRecorder()
-		writeRouterError(w, tc.err, nil)
+		writeRouterError(w, tc.err)
 		var body struct {
 			Error  string   `json:"error"`
 			Failed []string `json:"failed"`

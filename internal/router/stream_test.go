@@ -329,8 +329,10 @@ func TestGatewayBacklogIs503(t *testing.T) {
 	}
 	ops := genROps(3, 1)
 	staged, err := rt.Update(context.Background(), ops)
+	var perr *PartialError
 	var se *StatusError
-	if staged != 0 || !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable || se.RetryAfter != time.Second {
+	if staged != 0 || !errors.As(err, &perr) || !errors.As(perr.Failures[0], &se) ||
+		se.Code != http.StatusServiceUnavailable || se.RetryAfter != time.Second {
 		t.Fatalf("Update = %d, %v; want 0 and the shard's 503 with its Retry-After", staged, err)
 	}
 	body, _ := json.Marshal(ops)

@@ -28,8 +28,7 @@ func (e *ShardError) Error() string { return fmt.Sprintf("shard %s: %v", e.Shard
 func (e *ShardError) Unwrap() error { return e.Err }
 
 // PartialError reports which shards of a fan-out failed and which answered.
-// It unwraps to ErrPartialFailure so callers can classify without digging,
-// and to each failure, so errors.As finds a shard's *StatusError.
+// It unwraps to ErrPartialFailure so callers can classify without digging.
 type PartialError struct {
 	Failures  []*ShardError
 	Succeeded []string
@@ -40,13 +39,7 @@ func (e *PartialError) Error() string {
 		len(e.Failures), len(e.Failures)+len(e.Succeeded), e.Failures[0])
 }
 
-func (e *PartialError) Unwrap() []error {
-	errs := []error{ErrPartialFailure}
-	for _, f := range e.Failures {
-		errs = append(errs, f)
-	}
-	return errs
-}
+func (e *PartialError) Unwrap() error { return ErrPartialFailure }
 
 // StatusError is a non-2xx shard response.  It survives the retry
 // wrapping, so a caller holding a *PartialError can classify each shard's

@@ -40,7 +40,10 @@ func splitByShard(ops []server.OpWire, ranges []zorder.KeyRange) [][]server.OpWi
 // shard staged and a *PartialError naming the failed and the succeeded
 // shard, and the gateway's 502 carries the same names and the staged count.
 // The first shard failing is the case that posting the parts one after the
-// other, in shard order, got wrong: it never posted the second part.
+// other, in shard order, got wrong: it never posted the second part.  The
+// test posts the batch twice (once through Router.Update, once through the
+// gateway) and checks only the replies of the second: the update is
+// at-least-staged, so the accepting shard then holds its part twice.
 func TestGatewayUpdateStagesEveryShardAtOnce(t *testing.T) {
 	ops := genROps(400, 21)
 	sItems := genSItems(200, 5)
@@ -71,7 +74,7 @@ func TestGatewayUpdateStagesEveryShardAtOnce(t *testing.T) {
 			staged, err := rt.Update(context.Background(), ops)
 			var perr *PartialError
 			var se *StatusError
-			if !errors.As(err, &perr) || !errors.As(err, &se) || se.Code != http.StatusBadRequest ||
+			if !errors.As(err, &perr) || !errors.As(perr.Failures[0], &se) || se.Code != http.StatusBadRequest ||
 				len(perr.Failures) != 1 || perr.Failures[0].Shard != shards[failing].Name ||
 				!slices.Equal(perr.Succeeded, []string{shards[ok].Name}) {
 				t.Fatalf("Update = %d, %v; want a *PartialError naming %s failed with a 400 and %s succeeded",
@@ -94,8 +97,60 @@ func TestGatewayUpdateStagesEveryShardAtOnce(t *testing.T) {
 				reply.Staged != len(parts[ok]) {
 				t.Fatalf("gateway POST /update: %d %s; want 502 naming the shards, %d staged", w.Code, w.Body, len(parts[ok]))
 			}
-			if n := fixtures[ok].srv.Pending(); n != 2*len(parts[ok]) {
-				t.Fatalf("the accepting shard has %d ops pending after two updates, want %d", n, 2*len(parts[ok]))
+		})
+	}
+}
+
+// TestGatewayUpdateAfterAStageIsNever503: when one shard sheds its part of
+// an update and the other stages its own, the gateway answers 502 with the
+// staged count and no Retry-After.  A 503 with Retry-After would ask the
+// client to resend the batch, and the resend would stage the accepted part
+// a second time.  With nothing staged, a shed stays the 503 a client may
+// retry.
+func TestGatewayUpdateAfterAStageIsNever503(t *testing.T) {
+	ops := genROps(400, 27)
+	ranges := zorder.UniformKeyRanges(2)
+	parts := splitByShard(ops, ranges)
+	body, err := json.Marshal(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shed := func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "2")
+		http.Error(w, `{"error":"shed"}`, http.StatusServiceUnavailable)
+	}
+	for _, tc := range []struct {
+		name       string
+		real       bool // shard0 is a real shard rather than a shedding one
+		code       int
+		retryAfter string
+		staged     int
+	}{
+		{"one shard staged", true, http.StatusBadGateway, "", len(parts[0])},
+		{"nothing staged", false, http.StatusServiceUnavailable, "2", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			shards := []Shard{stubShard(t, http.HandlerFunc(shed)), stubShard(t, http.HandlerFunc(shed))}
+			if tc.real {
+				shards[0].URL = newShardServer(t, "shard0", ranges[0], genSItems(200, 5)).url
+			}
+			for i := range shards {
+				shards[i].Name, shards[i].Range = fmt.Sprintf("shard%d", i), ranges[i]
+			}
+			rt, err := New(Config{Shards: shards, RetryAttempts: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := postJSON(NewHandler(rt), "/update", string(body))
+			var reply struct {
+				Failed []string `json:"failed"`
+				Staged int      `json:"staged"`
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &reply); err != nil || w.Code != tc.code ||
+				w.Header().Get("Retry-After") != tc.retryAfter || reply.Staged != tc.staged ||
+				!slices.Contains(reply.Failed, "shard1") {
+				t.Fatalf("gateway POST /update: %d, Retry-After %q, %s; want %d, Retry-After %q, %d staged, shard1 failed",
+					w.Code, w.Header().Get("Retry-After"), w.Body, tc.code, tc.retryAfter, tc.staged)
 			}
 		})
 	}

@@ -105,17 +105,22 @@ const (
 func DecodeRequest(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	if err == nil {
-		return true
+	if err := dec.Decode(v); err != nil {
+		writeRequestError(w, err)
+		return false
 	}
+	return true
+}
+
+// writeRequestError writes the response to a request body that could not
+// be read or decoded: 413 past the body limit, 400 otherwise.
+func writeRequestError(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		code = http.StatusRequestEntityTooLarge
 	}
 	httpError(w, code, err)
-	return false
 }
 
 // NewHandler builds the HTTP surface over a join server.

@@ -2,13 +2,11 @@ package server
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // The op codec.  A POST /update body is an array of a thousand or so ops,
@@ -61,16 +59,22 @@ const (
 
 var opKeys = [...]string{keyXL: "xl", keyYL: "yl", keyXU: "xu", keyYU: "yu", keyData: "data", keyDelete: "delete"}
 
+// minOpLen is the length of the shortest op: a body of n ops is at least
+// n times as long.
+const minOpLen = len(`{"xl":0,"yl":0,"xu":0,"yu":0,"data":0}`)
+
 // DecodeOps parses an /update body into its ops.  It makes one allocation,
-// the result: a body of n ops holds at least n '{' bytes, so the slice is
-// sized by counting them first.
+// the result: a body of n ops holds at least n '{' bytes and at least
+// n*minOpLen bytes, so the slice is sized by the smaller of the two bounds
+// before the ops are read.  The second keeps a body of nothing but '{'
+// from sizing a slice 40 times its length.
 func DecodeOps(b []byte) ([]OpWire, error) {
 	d := opDecoder{b: b, op: -1}
 	d.space()
 	if !d.take('[') {
 		return nil, d.fail("want the '[' of an array of ops")
 	}
-	ops := make([]OpWire, 0, bytes.Count(b, []byte{'{'}))
+	ops := make([]OpWire, 0, min(bytes.Count(b, []byte{'{'}), len(b)/minOpLen))
 	d.space()
 	if !d.take(']') {
 		for {
@@ -365,40 +369,24 @@ func appendFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
-// bodyPool recycles the buffers /update bodies are read into.  A body's
-// ops are decoded out of it before it goes back.
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPooledBody is the largest buffer kept for the next body.
-const maxPooledBody = 1 << 20
+// maxPresized bounds the buffer an /update body's Content-Length sizes
+// before the body arrives, so that a false length costs little: about ten
+// ledger batches.  A longer body grows the buffer as it is read.
+const maxPresized = 1 << 20
 
 // DecodeOpsRequest reads an /update body of at most MaxUpdateBody bytes and
-// decodes it with DecodeOps.  On failure it writes the error response — 413
-// for an oversize body, 400 for one DecodeOps refuses — and reports false.
+// decodes it with DecodeOps.  On failure it writes the error response, as
+// DecodeRequest does, and reports false.
 func DecodeOpsRequest(w http.ResponseWriter, r *http.Request) ([]OpWire, bool) {
-	buf := bodyPool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledBody {
-			buf.Reset()
-			bodyPool.Put(buf)
-		}
-	}()
-	if n := r.ContentLength; n > 0 && n <= MaxUpdateBody {
-		buf.Grow(int(n) + bytes.MinRead)
-	}
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), maxPresized)+bytes.MinRead))
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxUpdateBody))
 	var ops []OpWire
 	if err == nil {
 		ops, err = DecodeOps(buf.Bytes())
 	}
-	if err == nil {
-		return ops, true
+	if err != nil {
+		writeRequestError(w, err)
+		return nil, false
 	}
-	code := http.StatusBadRequest
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		code = http.StatusRequestEntityTooLarge
-	}
-	httpError(w, code, err)
-	return nil, false
+	return ops, true
 }

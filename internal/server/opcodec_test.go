@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -142,7 +143,7 @@ func TestDecodeOpsGrammar(t *testing.T) {
 }
 
 // TestDecodeOpsAllocatesOnce: decoding a ledger-sized body allocates the
-// result and nothing else, also on the way to an error in its last op.
+// result and nothing else.
 func TestDecodeOpsAllocatesOnce(t *testing.T) {
 	body, err := json.Marshal(updateBodyOps(1000, 0, 3))
 	if err != nil {
@@ -154,6 +155,26 @@ func TestDecodeOpsAllocatesOnce(t *testing.T) {
 		}
 	}); allocs != 1 {
 		t.Fatalf("DecodeOps of a 1 000-op body: %.0f allocations, want 1", allocs)
+	}
+}
+
+// TestDecodeOpsBoundsAFloodOfBraces: a body of '[' and then nothing but
+// '{' holds a '{' per byte but not one op.  DecodeOps refuses it at op 0
+// having allocated about the body's length, not the 40 bytes of an OpWire
+// for every '{'.
+func TestDecodeOpsBoundsAFloodOfBraces(t *testing.T) {
+	body := append([]byte{'['}, bytes.Repeat([]byte{'{'}, 1<<20)...)
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := DecodeOps(body); err == nil {
+			t.Fatal("DecodeOps accepted a flood of '{'")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 2*uint64(len(body)) {
+		t.Fatalf("DecodeOps of a %d-byte flood of '{' allocated %d bytes, want at most twice the body", len(body), perRun)
 	}
 }
 
