@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -369,20 +370,14 @@ func appendFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
-// maxPresized bounds the buffer an /update body's Content-Length sizes
-// before the body arrives, so that a false length costs little: about ten
-// ledger batches.  A longer body grows the buffer as it is read.
-const maxPresized = 1 << 20
-
 // DecodeOpsRequest reads an /update body of at most MaxUpdateBody bytes and
 // decodes it with DecodeOps.  On failure it writes the error response, as
 // DecodeRequest does, and reports false.
 func DecodeOpsRequest(w http.ResponseWriter, r *http.Request) ([]OpWire, bool) {
-	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), maxPresized)+bytes.MinRead))
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxUpdateBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxUpdateBody))
 	var ops []OpWire
 	if err == nil {
-		ops, err = DecodeOps(buf.Bytes())
+		ops, err = DecodeOps(body)
 	}
 	if err != nil {
 		writeRequestError(w, err)
