@@ -109,6 +109,14 @@ func (r *Relation) Len() int { return len(r.objects) }
 // Tree returns the R*-tree index.
 func (r *Relation) Tree() *rtree.Tree { return r.tree }
 
+// published returns the index ready to join, and reads a ready one only.
+func (r *Relation) published() *rtree.Tree {
+	if r.tree.Ready() {
+		return r.tree
+	}
+	return r.tree.Snapshot()
+}
+
 // Object returns the object with the given identifier.
 func (r *Relation) Object(id int32) (Object, bool) {
 	o, ok := r.objects[id]
@@ -229,7 +237,7 @@ func SpatialJoin(r, s *Relation, opts JoinOptions) (*Result, error) {
 	if opts.Type != MBRJoin && opts.Type != IDJoin && opts.Type != ObjectJoin {
 		return nil, fmt.Errorf("core: unknown join type %v", opts.Type)
 	}
-	filterRes, err := join.Join(r.tree, s.tree, withMaterialised(opts.Filter))
+	filterRes, err := join.Join(r.published(), s.published(), withMaterialised(opts.Filter))
 	if err != nil {
 		return nil, fmt.Errorf("core: filter step: %w", err)
 	}

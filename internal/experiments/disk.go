@@ -113,7 +113,7 @@ func (s *Suite) TableDiskIO(fs storage.VFS, dir string) []DiskIORow {
 	for _, bufferKB := range []int{0, 128} {
 		for _, method := range join.Methods {
 			beforeR, beforeS := storeR.Pager().Stats(), storeS.Pager().Stats()
-			res := s.runJoin(storeR.Tree(), storeS.Tree(), method, bufferKB, func(o *join.Options) {
+			res := s.runJoin(storeR.Tree().Snapshot(), storeS.Tree().Snapshot(), method, bufferKB, func(o *join.Options) {
 				o.PageReaderR = storeR
 				o.PageReaderS = storeS
 			})
@@ -164,7 +164,7 @@ func (s *Suite) TableDiskUpdates(fs storage.VFS, dir string) []DiskUpdateRow {
 		after := storeR.Pager().Stats()
 
 		joinBeforeR, joinBeforeS := storeR.Pager().Stats(), storeS.Pager().Stats()
-		res := s.runJoin(storeR.Tree(), storeS.Tree(), join.SJ4, 0, func(o *join.Options) {
+		res := s.runJoin(storeR.Tree().Snapshot(), storeS.Tree().Snapshot(), join.SJ4, 0, func(o *join.Options) {
 			o.PageReaderR = storeR
 			o.PageReaderS = storeS
 		})

@@ -124,12 +124,14 @@ func newRecoveryWorkload(cfg RecoveryConfig) *recoveryWorkload {
 	})
 	w.sTree = rtree.MustNew(rtree.Options{PageSize: cfg.PageSize})
 	w.sTree.InsertItems(sItems)
+	w.sTree = w.sTree.Snapshot()
 	return w
 }
 
-// joinHashes joins r against the static S with every method and returns one
-// canonical (sorted, FNV-1a) hash per method.
+// joinHashes publishes r, joins it against the static S with every method
+// and returns one canonical (sorted, FNV-1a) hash per method.
 func (w *recoveryWorkload) joinHashes(r *rtree.Tree) [5]uint64 {
+	r = r.Snapshot()
 	var hashes [5]uint64
 	for i, method := range join.Methods {
 		res, err := join.Join(r, w.sTree, join.Options{Method: method})

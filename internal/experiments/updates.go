@@ -116,8 +116,9 @@ func (s *Suite) TableUpdates() []UpdateRow {
 		if appliedR+appliedT > 0 {
 			hintRate = float64(hitsR+hitsT) / float64(appliedR+appliedT)
 		}
-		res := s.runJoin(r.Tree, t.Tree, join.SJ4, UpdateBufferKB, nil)
-		oracle := s.runJoin(r.Tree, t.Tree, join.NestedLoop, UpdateBufferKB, nil)
+		rs, ts := r.Tree.Snapshot(), t.Tree.Snapshot()
+		res := s.runJoin(rs, ts, join.SJ4, UpdateBufferKB, nil)
+		oracle := s.runJoin(rs, ts, join.NestedLoop, UpdateBufferKB, nil)
 		if res.Count != oracle.Count {
 			panic(fmt.Sprintf("experiments: update join round %d found %d pairs, nested loop %d",
 				round, res.Count, oracle.Count))

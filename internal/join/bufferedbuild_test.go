@@ -21,6 +21,7 @@ func TestBufferedBuildJoinsIdentical(t *testing.T) {
 	plainS := rtree.MustNew(rtree.Options{PageSize: storage.PageSize1K})
 	plainR.InsertItems(itemsR)
 	plainS.InsertItems(itemsS)
+	plainR, plainS = plainR.Snapshot(), plainS.Snapshot()
 
 	bufR, err := rtree.BuildBuffered(rtree.Options{PageSize: storage.PageSize1K}, itemsR)
 	if err != nil {

@@ -31,7 +31,7 @@ func cancelTestTrees(t testing.TB, n int) (*rtree.Tree, *rtree.Tree) {
 	s := rtree.MustNew(rtree.Options{PageSize: storage.PageSize1K})
 	r.InsertItems(makeItems())
 	s.InsertItems(makeItems())
-	return r, s
+	return r.Snapshot(), s.Snapshot()
 }
 
 // TestJoinCancelledBeforeStart: a join handed an already-cancelled context

@@ -19,6 +19,7 @@ func buildUnevenPair(t testing.TB, nBig, nSmall int) (*rtree.Tree, *rtree.Tree, 
 	s := rtree.MustNew(rtree.Options{PageSize: storage.PageSize1K})
 	r.InsertItems(big)
 	s.InsertItems(small)
+	r, s = r.Snapshot(), s.Snapshot()
 	if r.Height() == s.Height() {
 		t.Fatalf("test setup: expected different heights, both are %d", r.Height())
 	}

@@ -205,9 +205,11 @@ type Result struct {
 var (
 	ErrNilTree          = errors.New("join: nil tree")
 	ErrPageSizeMismatch = errors.New("join: trees must use the same page size")
+	// ErrNotReady refuses a tree mutated since it was made ready (Snapshot).
+	ErrNotReady = errors.New("join: tree mutated since it was made ready")
 )
 
-// Join computes the MBR-spatial-join of the two trees.
+// Join computes the MBR-spatial-join of two ready trees (rtree.Tree.Ready).
 //
 // The traversal, the page reads and the emission run on the calling
 // goroutine.  On a host with GOMAXPROCS > 1 a join also runs its leaf sweeps
@@ -222,6 +224,9 @@ func Join(r, s *rtree.Tree, opts Options) (*Result, error) {
 	}
 	if r.PageSize() != s.PageSize() {
 		return nil, fmt.Errorf("%w: %d vs %d", ErrPageSizeMismatch, r.PageSize(), s.PageSize())
+	}
+	if !r.Ready() || !s.Ready() {
+		return nil, ErrNotReady
 	}
 	if err := opts.Predicate.Validate(); err != nil {
 		return nil, err

@@ -24,7 +24,7 @@ func buildPair(t testing.TB, nR, nS, pageSize int) (*rtree.Tree, *rtree.Tree, []
 	s := rtree.MustNew(rtree.Options{PageSize: pageSize})
 	r.InsertItems(itemsR)
 	s.InsertItems(itemsS)
-	return r, s, itemsR, itemsS
+	return r.Snapshot(), s.Snapshot(), itemsR, itemsS
 }
 
 // bruteForce computes the reference result set.
@@ -109,10 +109,94 @@ func TestJoinErrors(t *testing.T) {
 	}
 }
 
+// TestJoinRefusesTreesMutatedSinceReady: a join only reads, so every method
+// refuses, with ErrNotReady, a tree that an insert, a delete or a buffered
+// insert changed since it was last made ready, on either side.  A snapshot
+// taken while the tree was ready, and the ready partner, still join as
+// before: the same pairs, in the same order, with the same counters.  A
+// Snapshot of the mutated tree joins again.
+func TestJoinRefusesTreesMutatedSinceReady(t *testing.T) {
+	itemsR := datagen.Generate(datagen.Config{Kind: datagen.Streets, Count: 800, Seed: 42})
+	itemsS := datagen.Generate(datagen.Config{Kind: datagen.Rivers, Count: 600, Seed: 43})
+	methods := append([]Method{NestedLoop}, Methods...)
+	preds := []Predicate{{}, WithinDistance(0.01), NearestNeighbors(2)}
+	mutations := map[string]func(r *rtree.Tree){
+		"insert": func(r *rtree.Tree) { r.Insert(geom.Rect{XL: 0.5, YL: 0.5, XU: 0.51, YU: 0.51}, 1<<20) },
+		"delete": func(r *rtree.Tree) {
+			if !r.Delete(itemsR[7].Rect, itemsR[7].Data) {
+				t.Fatal("delete of a stored item failed")
+			}
+		},
+		"buffered insert": func(r *rtree.Tree) {
+			buf := rtree.NewInsertBuffer(r, 4)
+			buf.Stage(geom.Rect{XL: 0.2, YL: 0.2, XU: 0.21, YU: 0.21}, 1<<20)
+			buf.Flush()
+		},
+	}
+	for name, mutate := range mutations {
+		r, err := rtree.Build(rtree.Options{PageSize: storage.PageSize1K}, itemsR, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := rtree.Build(rtree.Options{PageSize: storage.PageSize1K}, itemsS, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := r.Snapshot()
+		type run struct {
+			pairs   []Pair
+			metrics metrics.Snapshot
+		}
+		before := map[[2]int]run{}
+		for i, m := range methods {
+			for j, pred := range preds {
+				res, err := Join(r, s, Options{Method: m, Predicate: pred})
+				if err != nil {
+					t.Fatalf("%s: %v %+v on the ready tree: %v", name, m, pred, err)
+				}
+				before[[2]int{i, j}] = run{res.Pairs, res.Metrics}
+			}
+		}
+		mutate(r)
+		if r.Ready() {
+			t.Fatalf("%s: the tree is still ready", name)
+		}
+		for i, m := range methods {
+			for j, pred := range preds {
+				opts := Options{Method: m, Predicate: pred}
+				if _, err := Join(r, s, opts); !errors.Is(err, ErrNotReady) {
+					t.Fatalf("%s: %v %+v with R mutated: %v, want ErrNotReady", name, m, pred, err)
+				}
+				if _, err := Join(s, r, opts); !errors.Is(err, ErrNotReady) {
+					t.Fatalf("%s: %v %+v with S mutated: %v, want ErrNotReady", name, m, pred, err)
+				}
+				res, err := Join(snap, s, opts)
+				if err != nil {
+					t.Fatalf("%s: %v %+v on the snapshot: %v", name, m, pred, err)
+				}
+				want := before[[2]int{i, j}]
+				if res.Metrics != want.metrics || len(res.Pairs) != len(want.pairs) {
+					t.Fatalf("%s: %v %+v on the snapshot: %d pairs %+v, before %d pairs %+v",
+						name, m, pred, len(res.Pairs), res.Metrics, len(want.pairs), want.metrics)
+				}
+				for k := range want.pairs {
+					if res.Pairs[k] != want.pairs[k] {
+						t.Fatalf("%s: %v %+v on the snapshot: pair %d is %v, before %v", name, m, pred, k, res.Pairs[k], want.pairs[k])
+					}
+				}
+			}
+		}
+		if _, err := Join(r.Snapshot(), s, Options{Method: SJ4}); err != nil {
+			t.Fatalf("%s: the mutated tree's snapshot: %v", name, err)
+		}
+	}
+}
+
 func TestJoinEmptyTrees(t *testing.T) {
 	empty := rtree.MustNew(rtree.Options{PageSize: storage.PageSize1K})
 	full := rtree.MustNew(rtree.Options{PageSize: storage.PageSize1K})
 	full.Insert(geom.Rect{XL: 0, YL: 0, XU: 1, YU: 1}, 1)
+	full = full.Snapshot()
 	for _, method := range append([]Method{NestedLoop}, Methods...) {
 		for _, pair := range [][2]*rtree.Tree{{empty, full}, {full, empty}, {empty, empty}} {
 			res, err := Join(pair[0], pair[1], Options{Method: method})
@@ -136,6 +220,7 @@ func TestJoinDisjointTrees(t *testing.T) {
 		x, y = 0.6+rng.Float64()*0.4, 0.6+rng.Float64()*0.4
 		s.Insert(geom.Rect{XL: x, YL: y, XU: x + 0.01, YU: y + 0.01}, int32(i))
 	}
+	r, s = r.Snapshot(), s.Snapshot()
 	for _, method := range Methods {
 		res, err := Join(r, s, Options{Method: method})
 		if err != nil {
@@ -155,7 +240,7 @@ func TestSelfJoinFindsAllIdentityPairs(t *testing.T) {
 	s := rtree.MustNew(rtree.Options{PageSize: storage.PageSize1K})
 	r.InsertItems(items)
 	s.InsertItems(items)
-	res, err := Join(r, s, Options{Method: SJ4, BufferBytes: 128 << 10})
+	res, err := Join(r.Snapshot(), s.Snapshot(), Options{Method: SJ4, BufferBytes: 128 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,9 +56,9 @@ func ledgerKNNOptions() Options {
 
 // daemonKNNPair rebuilds the shape a spatialjoind kNN request joins
 // (bench/serve.go): nR uniform R rectangles with sides up to rMaxSide and
-// float32-exact corners, inserted through a 256-op insert buffer as the
-// daemon's writer applies them, against nS STR-loaded squares of side sSide
-// (the daemon's synthetic S), both on 4 KiB pages.
+// float32-exact corners, inserted through a 256-op insert buffer and
+// published as the daemon's writer applies them, against nS STR-loaded
+// squares of side sSide (the daemon's synthetic S), both on 4 KiB pages.
 func daemonKNNPair(tb testing.TB, nR int, rMaxSide float64, nS int, sSide float64, seed int64) (r, s *rtree.Tree) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -82,7 +82,7 @@ func daemonKNNPair(tb testing.TB, nR int, rMaxSide float64, nS int, sSide float6
 	if s, err = rtree.BulkLoadSTR(rtree.Options{PageSize: storage.PageSize4K}, sItems); err != nil {
 		tb.Fatal(err)
 	}
-	return r, s
+	return r.Snapshot(), s
 }
 
 // serveReadKNNPair is the serve-read workload's shape: 10 000 R rectangles
@@ -472,17 +472,22 @@ func TestKNNPushBoundIsStrict(t *testing.T) {
 // 3/16, so that equal corners, equal distances and duplicate rectangles are
 // the common case.
 func fuzzLeaf(data []byte, max int, firstID, idStep int32) *rtree.Node {
-	n := &rtree.Node{}
+	return readyLeaf(fuzzEntries(data, max, firstID, idStep))
+}
+
+// fuzzEntries decodes fuzzLeaf's entries.
+func fuzzEntries(data []byte, max int, firstID, idStep int32) []rtree.Entry {
+	var entries []rtree.Entry
 	for i := 0; len(data) >= 4 && i < max; i++ {
 		x, y := float64(data[0]%16)/16, float64(data[1]%16)/16
 		w, h := float64(data[2]%4)/16, float64(data[3]%4)/16
-		n.Entries = append(n.Entries, rtree.Entry{
+		entries = append(entries, rtree.Entry{
 			Rect: geom.Rect{XL: x, YL: y, XU: x + w, YU: y + h},
 			Data: firstID + int32(i)*idStep,
 		})
 		data = data[4:]
 	}
-	return n
+	return entries
 }
 
 // leafBytes encodes n entries for fuzzLeaf, entry i's four bytes from at(i).
@@ -583,16 +588,16 @@ func FuzzKNNLeafKernel(f *testing.F) {
 // is set, so a tie's smaller identifier can sit in an earlier or a later
 // leaf.
 func fuzzGroup(data []byte, cuts uint8) []*rtree.Node {
-	all := fuzzLeaf(data, 40, 0, 2)
-	n := len(all.Entries)
+	all := fuzzEntries(data, 40, 0, 2)
+	n := len(all)
 	if cuts&4 != 0 {
-		for p := range all.Entries {
-			all.Entries[p].Data = int32(2 * (n - 1 - p))
+		for p := range all {
+			all[p].Data = int32(2 * (n - 1 - p))
 		}
 	}
 	leaves := make([]*rtree.Node, min(1+int(cuts%4), n))
 	for j := range leaves {
-		leaves[j] = &rtree.Node{Entries: all.Entries[j*n/len(leaves) : (j+1)*n/len(leaves)]}
+		leaves[j] = readyLeaf(all[j*n/len(leaves) : (j+1)*n/len(leaves)])
 	}
 	return leaves
 }

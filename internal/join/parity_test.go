@@ -80,6 +80,7 @@ func buildHeightPair(t testing.TB) (*rtree.Tree, *rtree.Tree) {
 	sb := rtree.MustNew(rtree.Options{PageSize: storage.PageSize1K})
 	rb.InsertItems(big)
 	sb.InsertItems(small)
+	rb, sb = rb.Snapshot(), sb.Snapshot()
 	if rb.Height() == sb.Height() {
 		t.Fatalf("want different heights, got %d and %d", rb.Height(), sb.Height())
 	}

@@ -38,7 +38,7 @@ func randomTreePair(seed int64, n int) (*rtree.Tree, *rtree.Tree, []rtree.Item, 
 	s := rtree.MustNew(opts)
 	r.InsertItems(itemsR)
 	s.InsertItems(itemsS)
-	return r, s, itemsR, itemsS
+	return r.Snapshot(), s.Snapshot(), itemsR, itemsS
 }
 
 // TestJoinResultIndependentOfPhysicalConfiguration: the same pair set must be

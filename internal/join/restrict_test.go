@@ -43,7 +43,7 @@ func checkRestrictSorted(t testing.TB, entries []rtree.Entry, rect *geom.Rect, e
 	t.Helper()
 	wantIdx, wantRects, wantComps := refRestrictSorted(entries, rect, eps)
 	var local metrics.Local
-	node := &rtree.Node{Entries: entries}
+	node := readyLeaf(entries)
 	// Dirty prefixes check that the routine appends rather than overwrites.
 	idx, rects := restrictSorted(node, rect, eps, []int32{-7}, []geom.Rect{{XL: -7}}, &local)
 	idx, rects = idx[1:], rects[1:]
@@ -204,7 +204,7 @@ func TestRestrictSortedWarmBuffersDoNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	data := make([]byte, 4*204)
 	rng.Read(data)
-	node := &rtree.Node{Entries: gridEntries(data)}
+	node := readyLeaf(gridEntries(data))
 	var local metrics.Local
 	idx, rects := restrictSorted(node, nil, 0.5, nil, nil, &local)
 	rect := &geom.Rect{XL: 6, YL: 3, XU: 22, YU: 30}
@@ -219,25 +219,24 @@ func TestRestrictSortedWarmBuffersDoNotAllocate(t *testing.T) {
 	}
 }
 
-// TestConcurrentJoinsBuildOrdersOnce starts eight joins at the same moment
-// over freshly inserted trees, whose nodes carry no xl-order yet (a bulk
-// load builds every one), so every goroutine builds and publishes the
-// orders it reads at once, with its own helpers beside it (run under -race
-// in CI).  The orders are a pure function of the entries: every join must
-// return the pairs, in the order, and the counters of a join run alone
-// afterwards — including the sorting charge, which is the node's stored
-// count no matter who built the order.
-func TestConcurrentJoinsBuildOrdersOnce(t *testing.T) {
+// TestConcurrentJoinsReadReadyTrees starts eight joins at the same moment
+// over two trees built by insertion, which rtree.Build leaves ready, each
+// join with its own helpers beside it (run under -race in CI: a join that
+// wrote to a node would show up there).  Every join must return the pairs,
+// in the order, and the counters of a join run alone afterwards, including
+// the sorting charge, which is each node's stored count; the trees must
+// still be ready, with every order a fresh build's.
+func TestConcurrentJoinsReadReadyTrees(t *testing.T) {
 	itemsR := datagen.Generate(datagen.Config{Kind: datagen.Streets, Count: 6000, Seed: 42})
 	itemsS := datagen.Generate(datagen.Config{Kind: datagen.Rivers, Count: 6000, Seed: 43})
 	for _, pred := range []Predicate{{}, {Kind: PredWithinDist, Epsilon: 0.002}} {
-		r, s := rtree.MustNew(rtree.Options{PageSize: storage.PageSize1K}), rtree.MustNew(rtree.Options{PageSize: storage.PageSize1K})
-		r.InsertItems(itemsR)
-		s.InsertItems(itemsS)
-		for _, tr := range []*rtree.Tree{r, s} {
-			if n := nodesWithOrders(tr.Root()); n != 0 {
-				t.Fatalf("%d nodes of a freshly inserted tree carry an xl-order: the joins would not race to build them", n)
-			}
+		r, err := rtree.Build(rtree.Options{PageSize: storage.PageSize1K}, itemsR, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := rtree.Build(rtree.Options{PageSize: storage.PageSize1K}, itemsS, false)
+		if err != nil {
+			t.Fatal(err)
 		}
 		opts := Options{Method: SJ4, BufferBytes: 64 << 10, UsePathBuffer: true, Predicate: pred}
 		results := make([]*Result, 8)
@@ -280,22 +279,8 @@ func TestConcurrentJoinsBuildOrdersOnce(t *testing.T) {
 		if err := s.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		if nodesWithOrders(r.Root()) == 0 {
-			t.Fatal("no node of R carries an xl-order after the joins")
+		if !r.Ready() || !s.Ready() {
+			t.Fatal("the joins left a tree not ready")
 		}
 	}
-}
-
-// nodesWithOrders counts the nodes of a subtree whose xl-order is built.
-func nodesWithOrders(n *rtree.Node) int {
-	c := 0
-	if n.HasXLOrder() {
-		c++
-	}
-	if !n.IsLeaf() {
-		for _, e := range n.Entries {
-			c += nodesWithOrders(e.Child)
-		}
-	}
-	return c
 }

@@ -267,7 +267,7 @@ func restrictSorted(n *rtree.Node, rect *geom.Rect, eps float64, idx []int32, re
 // readSorted charges one read of n for a sweep.  Section 4.2 sorts a page's
 // entries "each time a page is read into the buffer" and Table 4 prices one
 // sorting pass per page read, so a counted disk read also charges the node's
-// sort — the comparison count stored with its xl-order, whoever built it —
+// sort — the comparison count the writer stored with its xl-order —
 // and a buffer hit finds the page already sorted.
 //
 //repro:hotpath

@@ -65,8 +65,8 @@ func (b *bulkScratch) nextLevel() int {
 // cut into vertical slabs, each slab is sorted by y and cut into nodes.
 // The same procedure packs the directory levels.
 //
-// Every node of the returned tree already holds its xl-order (Node.XLOrder),
-// so the first join over the tree sorts no page.  The load runs on
+// The returned tree is ready (Tree.Ready): every node holds its xl-order
+// (Node.XLOrder), so no join over the tree sorts a page.  The load runs on
 // min(GOMAXPROCS, slabs) goroutines, the caller's among them, all of which
 // end before it returns: the x-sort hands subranges to spare goroutines,
 // and the slabs' y-sorts, their nodes and the nodes' orders are built in
@@ -98,6 +98,7 @@ func BulkLoadSTR(opts Options, items []Item) (*Tree, error) {
 			t.root = b.nodes[0]
 			t.height = level + 1
 			t.size = len(items)
+			t.makeReady()
 			return t, nil
 		}
 		n = b.nextLevel()
@@ -157,18 +158,15 @@ func (t *Tree) packSTR(b *bulkScratch, n, level, perNode int) {
 		}
 		rebalanceTail(t, nodes)
 		for _, node := range nodes {
-			node.xlOrder.Store(buildXLOrder(node.Entries))
+			node.xlOrder = buildXLOrder(node.Entries)
 		}
 	}
 	forEachSlab(b.procs, slabs, pack)
 
 	// The last slab may hold a single underfilled node, which borrows from
-	// the slab before it; both rebuild their orders.
-	if rebalanceTail(t, b.nodes) {
-		for _, node := range b.nodes[nodeCount-2:] {
-			node.XLOrder()
-		}
-	}
+	// the slab before it; the two lose their orders, which BulkLoadSTR's
+	// makeReady rebuilds.
+	rebalanceTail(t, b.nodes)
 }
 
 // forEachSlab runs pack on every slab index below slabs, on min(procs,
@@ -196,10 +194,10 @@ func forEachSlab(procs, slabs int, pack func(s int)) {
 
 // rebalanceTail fixes up a possible underfilled final node by borrowing
 // entries from its predecessor so that both satisfy the R-tree fill
-// invariant, and reports whether it moved any.
-func rebalanceTail(t *Tree, nodes []*Node) bool {
+// invariant.
+func rebalanceTail(t *Tree, nodes []*Node) {
 	if len(nodes) < 2 {
-		return false
+		return
 	}
 	last := nodes[len(nodes)-1]
 	prev := nodes[len(nodes)-2]
@@ -208,14 +206,12 @@ func rebalanceTail(t *Tree, nodes []*Node) bool {
 		moved := append([]Entry(nil), prev.Entries[cut:]...)
 		prev.setEntries(prev.Entries[:cut])
 		last.setEntries(append(moved, last.Entries...))
-		return true
 	}
-	return false
 }
 
 // Build constructs a tree from items either by repeated insertion (the
-// paper's method) or by STR bulk loading when bulk is true.  It is a
-// convenience wrapper used by the experiment harness and the examples.
+// paper's method) or by STR bulk loading when bulk is true, ready to join.
+// It is a convenience wrapper used by the experiment harness and examples.
 func Build(opts Options, items []Item, bulk bool) (*Tree, error) {
 	if bulk {
 		return BulkLoadSTR(opts, items)
@@ -225,5 +221,6 @@ func Build(opts Options, items []Item, bulk bool) (*Tree, error) {
 		return nil, err
 	}
 	t.InsertItems(items)
+	t.makeReady()
 	return t, nil
 }

@@ -38,8 +38,7 @@ func pageIDs(t *Tree) uint64 {
 // runs on one, two and four goroutines.  Every build must match the
 // fingerprint and page identifiers the sequential sort.Sort loader of
 // earlier versions produced, every node must already hold its xl-order,
-// equal to the order a lazy first use builds, and CheckInvariants must be
-// clean.
+// equal to a fresh build's, and CheckInvariants must be clean.
 func TestBulkLoadSTRIsBitIdenticalAtAnyGOMAXPROCS(t *testing.T) {
 	items := tiedItems(120000, 44)
 	centres := make([]float64, len(items))
@@ -79,15 +78,15 @@ func TestBulkLoadSTRIsBitIdenticalAtAnyGOMAXPROCS(t *testing.T) {
 				t.Errorf("GOMAXPROCS %d, %d B pages: page identifiers hash %#x, want %#x", procs, c.pageSize, got, c.ids)
 			}
 			tr.Walk(func(n *Node) {
-				o := n.xlOrder.Load()
+				o := n.xlOrder
 				if o == nil {
 					t.Fatalf("GOMAXPROCS %d, %d B pages: node %d has no xl-order", procs, c.pageSize, n.ID)
 				}
-				lazy := (&Node{Entries: n.Entries}).XLOrder()
-				if !slices.Equal(o.Perm, lazy.Perm) || !slices.Equal(o.PrefixMaxXU, lazy.PrefixMaxXU) ||
-					!slices.Equal(o.YPerm, lazy.YPerm) || !slices.Equal(o.PrefixMaxYU, lazy.PrefixMaxYU) ||
-					o.SortComparisons != lazy.SortComparisons {
-					t.Fatalf("GOMAXPROCS %d, %d B pages: node %d's xl-order differs from a lazy build", procs, c.pageSize, n.ID)
+				fresh := buildXLOrder(n.Entries)
+				if !slices.Equal(o.Perm, fresh.Perm) || !slices.Equal(o.PrefixMaxXU, fresh.PrefixMaxXU) ||
+					!slices.Equal(o.YPerm, fresh.YPerm) || !slices.Equal(o.PrefixMaxYU, fresh.PrefixMaxYU) ||
+					o.SortComparisons != fresh.SortComparisons {
+					t.Fatalf("GOMAXPROCS %d, %d B pages: node %d's xl-order differs from a fresh build", procs, c.pageSize, n.ID)
 				}
 			})
 			if err := tr.CheckInvariants(); err != nil {

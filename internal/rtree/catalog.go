@@ -1,45 +1,20 @@
 package rtree
 
-import (
-	"sync"
+import "repro/internal/costmodel"
 
-	"repro/internal/costmodel"
-)
-
-// Catalog statistics: the exact per-level structure of a tree — node and
-// entry counts, and the mean entry width — as the planner's catalog.
-//
-// The statistics are a function of the tree, not of its history: one
-// depth-first walk computes them, and the result is cached until the next
-// mutation advances the tree's mutation counter.  A published snapshot never
-// mutates, so it walks at most once; the server pays that walk on the first
-// join of each epoch.  Collection is read-only observation: it never changes
-// the tree shape, so the structural parity goldens are unaffected.
-
-// catalogCache holds the statistics of one tree version.  The mutex guards
-// the lazy walk: concurrent read-only users of a finished tree (the
-// documented concurrency contract) may all call CatalogStats, and the first
-// one in walks while the rest wait.
-type catalogCache struct {
-	mu    sync.Mutex
-	valid bool
-	muts  int64 // the tree's mutation counter when cat was walked
-	cat   costmodel.Catalog
-}
-
-// CatalogStats returns the tree's catalog statistics, walking the tree once
-// per version: per-level node and entry counts, and per level the mean over
-// its nodes of each node's mean entry width (at the leaves, the mean data-
-// rectangle width).  An empty tree has an invalid catalog with no levels.
+// CatalogStats returns the tree's catalog statistics, the exact per-level
+// structure of a tree as the planner's catalog: per-level node and entry
+// counts, and per level the mean over its nodes of each node's mean entry
+// width (at the leaves, the mean data-rectangle width).  They are a function
+// of the tree, not of its history, and reading them changes nothing.  A
+// ready tree returns the catalog the writer walked when it made the tree
+// ready; a tree mutated since walks afresh.  An empty tree has an invalid
+// catalog with no levels.
 func (t *Tree) CatalogStats() costmodel.Catalog {
-	c := &t.catalog
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.valid || c.muts != t.muts {
-		c.cat = t.walkCatalog()
-		c.valid, c.muts = true, t.muts
+	if t.Ready() {
+		return t.cat
 	}
-	return c.cat
+	return t.walkCatalog()
 }
 
 // walkCatalog computes the catalog with one depth-first walk.  Nodes of a

@@ -117,11 +117,10 @@ func checkOrders(t *testing.T, tr *Tree) {
 // STR bulk load, and on a tree reopened from a pager.  Every batch
 // also publishes a snapshot whose catalog must describe the snapshot, not the
 // writer: it is read before the writer mutates again (on even batches) or
-// only after (on odd ones, so the snapshot's first walk runs on a version the
-// writer has moved past), and re-checked after the next batch.  Every
-// mutation starts from a fully swept tree (all xl-orders built) and must
-// leave no stale order behind; every few batches the sweep joins are checked
-// against the nested loop.
+// only after (on odd ones), and re-checked after the next batch.  Every
+// mutation starts from a ready tree (all xl-orders built) and must leave no
+// stale order behind; every few batches the sweep joins are checked against
+// the nested loop.
 func TestCatalogIsExactAfterMutations(t *testing.T) {
 	// Each start seeds its own mutation stream, so adding or removing a
 	// start moves no other start's stream.
@@ -186,7 +185,7 @@ func TestCatalogIsExactAfterMutations(t *testing.T) {
 					for i := 0; i < 30; i++ {
 						it := randomItem(rng, next)
 						next++
-						touchOrders(tr)
+						tr.makeReady()
 						tr.Insert(it.Rect, it.Data)
 						live = append(live, it)
 						checkOrders(t, tr)
@@ -199,7 +198,7 @@ func TestCatalogIsExactAfterMutations(t *testing.T) {
 						buf.Stage(it.Rect, it.Data)
 						live = append(live, it)
 					}
-					touchOrders(tr)
+					tr.makeReady()
 					buf.Flush()
 				default:
 					// Deletes, including enough to trigger condenses.
@@ -208,7 +207,7 @@ func TestCatalogIsExactAfterMutations(t *testing.T) {
 						it := live[j]
 						live[j] = live[len(live)-1]
 						live = live[:len(live)-1]
-						touchOrders(tr)
+						tr.makeReady()
 						if !tr.Delete(it.Rect, it.Data) {
 							t.Fatalf("delete of live item %d failed", it.Data)
 						}
@@ -302,14 +301,15 @@ func TestCatalogStatsDeterministic(t *testing.T) {
 			t.Errorf("level %d differs:\n%+v\n%+v", l, ca.Levels[l], cb.Levels[l])
 		}
 	}
-	// The lazy walk must agree with itself across calls (cache hit or not).
+	// The catalog must agree with itself across calls.
 	if again := a.CatalogStats(); again.Levels[0] != ca.Levels[0] {
 		t.Error("repeated CatalogStats calls disagree")
 	}
 }
 
-// TestCatalogStatsInvalidation: mutations must invalidate the cache, and the
-// next walk must describe the mutated tree.
+// TestCatalogStatsInvalidation: a mutation leaves the tree unready, so the
+// next CatalogStats walks and describes the mutated tree, not the catalog
+// the tree was last made ready with.
 func TestCatalogStatsInvalidation(t *testing.T) {
 	tr := MustNew(Options{PageSize: storage.PageSize1K})
 	items := sampleItems(800, 3)

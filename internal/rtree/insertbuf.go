@@ -280,14 +280,15 @@ func (t *Tree) InsertItemsBuffered(items []Item) {
 	b.Flush()
 }
 
-// BuildBuffered constructs a tree from items by Hilbert-buffered insertion:
-// a dynamically built tree (the paper's construction method, unlike the bulk
-// loaders' packing) at a fraction of the ChooseSubtree cost.
+// BuildBuffered constructs a ready tree from items by Hilbert-buffered
+// insertion: a dynamically built tree (the paper's construction method,
+// unlike the bulk loaders' packing) at a fraction of the ChooseSubtree cost.
 func BuildBuffered(opts Options, items []Item) (*Tree, error) {
 	t, err := New(opts)
 	if err != nil {
 		return nil, err
 	}
 	t.InsertItemsBuffered(items)
+	t.makeReady()
 	return t, nil
 }

@@ -185,9 +185,10 @@ func TestInsertBufferSurvivesInterleavedMutations(t *testing.T) {
 // FuzzInsertBuffer drives a mixed op stream (stage / flush / plain insert /
 // delete) decoded from fuzz bytes and checks the invariants after every op,
 // and the contents and the catalog at the end.  Every op starts from a
-// tree whose nodes all carry an xl-order, as after a join, and must leave no
-// stale one behind (CheckInvariants); at every explicit flush and at the end
-// the sweep joins over the tree must still match the nested loop.
+// ready tree, whose nodes all carry an xl-order, and must leave no stale one
+// behind (CheckInvariants); at every explicit flush and at the end the tree
+// is made ready again and the sweep joins over it must still match the
+// nested loop.
 func FuzzInsertBuffer(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 0, 0, 4, 5})
 	f.Add(int64(42), []byte{2, 2, 2, 1, 0, 3, 3, 3, 3, 1})
@@ -202,7 +203,7 @@ func FuzzInsertBuffer(f *testing.F) {
 		var live, staged []Item
 		next := int32(0)
 		for i, op := range ops {
-			touchOrders(tr)
+			tr.makeReady()
 			switch op % 4 {
 			case 0: // stage
 				it := randomItem(rng, next)
@@ -218,6 +219,7 @@ func FuzzInsertBuffer(f *testing.F) {
 				live = append(live, staged...)
 				staged = staged[:0]
 				if i < 64 {
+					tr.makeReady()
 					JoinCheck(t, tr)
 				}
 			case 2: // plain insert, bypassing the buffer
@@ -241,9 +243,10 @@ func FuzzInsertBuffer(f *testing.F) {
 				t.Fatalf("op %d (%d): %v", i, op%4, err)
 			}
 		}
-		touchOrders(tr)
+		tr.makeReady()
 		buf.Flush()
 		live = append(live, staged...)
+		tr.makeReady()
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}

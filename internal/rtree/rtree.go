@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/costmodel"
 	"repro/internal/geom"
 	"repro/internal/storage"
 )
@@ -67,10 +68,10 @@ type Node struct {
 	// nodes whose epoch predates the tree's latest snapshot fence are shared
 	// with that snapshot and must be copied before mutation (see snapshot.go).
 	epoch int64
-	// xlOrder caches the entries' stable ascending-XL order for the sweep
-	// joins, built at bulk load or on first use; nil again after every
-	// mutation (xlorder.go).
-	xlOrder atomic.Pointer[XLOrder]
+	// xlOrder is the entries' stable ascending-XL order for the sweep joins,
+	// built by the writer before the tree is ready; nil again after every
+	// in-place mutation (xlorder.go).
+	xlOrder *XLOrder
 	// sib is the writer's order of the entries for ChooseSubtree's overlap
 	// scan; nil until a leaf-parent's first R* choice (siblingorder.go).
 	// Readers of a snapshot never touch it.
@@ -109,21 +110,22 @@ var treeIDs atomic.Int64
 // A Tree is not safe for concurrent mutation; concurrent read-only queries
 // are safe once construction is complete.
 type Tree struct {
-	id      int
-	opts    Options
-	maxEnt  int // M
-	minEnt  int // m
-	root    *Node
-	height  int            // number of levels; 1 while the root is a leaf
-	size    int            // number of data entries
-	nextID  storage.PageID // last page identifier newNode handed out; never recycled
-	build   buildArena     // reusable construction scratch (see arena.go)
-	catalog catalogCache   // statistics of the current version (see catalog.go)
-	// muts counts structural mutations (inserts, deletes, buffered appends);
-	// the insertion buffer's leaf hint uses it to detect that the tree changed
-	// underneath a cached leaf pointer (see insertbuf.go), and the catalog
-	// cache to detect that its walk is stale.
-	muts int64
+	id     int
+	opts   Options
+	maxEnt int // M
+	minEnt int // m
+	root   *Node
+	height int            // number of levels; 1 while the root is a leaf
+	size   int            // number of data entries
+	nextID storage.PageID // last page identifier newNode handed out; never recycled
+	build  buildArena     // reusable construction scratch (see arena.go)
+	// muts counts structural mutations (inserts, deletes, buffered appends,
+	// a page load, a snapshot); the insertion buffer's leaf hint uses it to
+	// detect that the tree changed underneath a cached leaf pointer (see
+	// insertbuf.go), and Ready a tree mutated since the writer made it ready.
+	muts  int64
+	ready int64             // muts at the writer's last makeReady (snapshot.go)
+	cat   costmodel.Catalog // the catalog makeReady walked
 	// cowEpoch is the copy-on-write epoch fence: nodes stamped with an older
 	// epoch are shared with a published snapshot and are copied before any
 	// mutation (see snapshot.go).  0 until the first Snapshot, in which case
@@ -154,6 +156,7 @@ func New(opts Options) (*Tree, error) {
 		height: 1,
 	}
 	t.root = t.newNode(0)
+	t.makeReady()
 	return t, nil
 }
 
@@ -228,8 +231,7 @@ type Stats struct {
 // TotalPages returns directory plus data pages (|R|).
 func (s Stats) TotalPages() int { return s.DirPages + s.DataPages }
 
-// Stats returns the tree's structural statistics, read from the catalog
-// (CatalogStats), so a tree version is walked once for both.
+// Stats returns the tree's structural statistics, read from CatalogStats.
 func (t *Tree) Stats() Stats {
 	// An empty tree is one empty leaf page, which the catalog does not count.
 	s := Stats{Height: t.height, DataPages: 1}

@@ -37,34 +37,56 @@ package rtree
 // paths are bit-identical to the pre-snapshot code — the structural parity
 // goldens pin that.
 
-// Snapshot publishes the tree's current state as an immutable version and
-// returns it as a read-only Tree sharing all nodes.  Subsequent mutations of
-// the receiver copy any shared node before touching it, so the returned tree
-// never changes: concurrent read-only use (searches, joins, CatalogStats) is
-// safe for as long as the caller keeps it.
-//
-// The returned tree shares the receiver's identifier — its pages are the
-// same logical pages, so buffers and page caches key them identically — and
-// has a catalog cache of its own: its first CatalogStats walks the immutable
-// version once, never the writer's later state.  Mutating the snapshot
-// itself is not supported.
-//
-// Snapshot advances the mutation counter, which drops any insertion-buffer
-// leaf hint: the hinted leaf may now be shared, and the hint fast path must
-// not append to a published node.
+// Snapshot makes the tree ready and publishes its state as an immutable,
+// read-only Tree sharing all nodes and the tree's identifier (the same
+// logical pages, keyed identically by buffers and page caches).  Later
+// mutations of the receiver copy a shared node before touching it, so the
+// snapshot never changes, and concurrent read-only use of it (searches,
+// joins, CatalogStats) writes nothing.  Mutating the snapshot is not
+// supported.  Snapshot advances the mutation counter, which drops any
+// insertion-buffer leaf hint (the hinted leaf is now shared); the receiver
+// stays ready.
 func (t *Tree) Snapshot() *Tree {
-	snap := &Tree{
-		id:     t.id,
-		opts:   t.opts,
-		maxEnt: t.maxEnt,
-		minEnt: t.minEnt,
-		root:   t.root,
-		height: t.height,
-		size:   t.size,
+	if !t.Ready() {
+		t.makeReady()
 	}
+	snap := &Tree{id: t.id, opts: t.opts, maxEnt: t.maxEnt, minEnt: t.minEnt,
+		root: t.root, height: t.height, size: t.size, cat: t.cat}
 	t.cowEpoch++
 	t.muts++ // invalidate leaf hints: their leaf is now shared
+	t.ready = t.muts
 	return snap
+}
+
+// Ready reports whether the tree is join-ready: nothing has mutated it since
+// the writer last made it ready (New, BulkLoadSTR, Build, BuildBuffered,
+// Snapshot), so every node carries its xl-order and the catalog is walked.
+// A tree OpenTreeStore loads is ready at its first Snapshot.
+func (t *Tree) Ready() bool { return t.ready == t.muts }
+
+// makeReady builds the xl-order of every writer-private node that lacks one,
+// walks the catalog and marks the tree ready.  A node shared with a
+// published snapshot, and with it its subtree, was ready when that snapshot
+// was, so the walk descends only through the nodes the writer created or
+// copied since (epoch == cowEpoch): a round pays for the nodes it changed.
+func (t *Tree) makeReady() {
+	t.readyNode(t.root)
+	t.cat = t.walkCatalog()
+	t.ready = t.muts
+}
+
+func (t *Tree) readyNode(n *Node) {
+	if n.epoch != t.cowEpoch {
+		return
+	}
+	if n.xlOrder == nil {
+		n.xlOrder = buildXLOrder(n.Entries)
+	}
+	for _, e := range n.Entries {
+		if e.Child != nil {
+			t.readyNode(e.Child)
+		}
+	}
 }
 
 // ownRoot makes the root node private to the current write epoch, copying it

@@ -128,6 +128,7 @@ func (s *TreeStore) load(root storage.PageID) error {
 	t.root = node
 	t.height = node.Level + 1
 	t.size = size
+	t.muts++ // the loaded nodes have no xl-orders: ready at the first Snapshot
 	return nil
 }
 

@@ -15,6 +15,7 @@ var (
 	ErrEntryCountDrop = errors.New("rtree: data entry count mismatch")
 	ErrRootInvalid    = errors.New("rtree: root violates minimum children requirement")
 	ErrStaleOrder     = errors.New("rtree: node's xl-order does not match its entries")
+	ErrNotReady       = errors.New("rtree: ready tree has a node without an xl-order")
 	ErrMalformedEntry = errors.New("rtree: entry rectangle is not well formed")
 )
 
@@ -35,7 +36,8 @@ var (
 //     of its current entries produces — a mutation that forgot to drop the
 //     order shows up here — and every valid sibling order (the writer's,
 //     see siblingOrder) lists the entries in ascending XL with the running
-//     maximum of XU they give.
+//     maximum of XU they give,
+//   - on a ready tree (Ready), every node has an xl-order.
 //
 // It returns nil if the tree is structurally sound.
 func (t *Tree) CheckInvariants() error {
@@ -72,10 +74,12 @@ func (t *Tree) checkNode(n *Node, wantLevel int) (int, error) {
 			return 0, fmt.Errorf("%w: node %d entry %d is %v", ErrMalformedEntry, n.ID, i, e.Rect)
 		}
 	}
-	if o := n.xlOrder.Load(); o != nil {
-		if err := checkXLOrder(n, o); err != nil {
+	if n.xlOrder != nil {
+		if err := checkXLOrder(n, n.xlOrder); err != nil {
 			return 0, err
 		}
+	} else if t.Ready() {
+		return 0, fmt.Errorf("%w: node %d", ErrNotReady, n.ID)
 	}
 	if n.sib != nil && n.sib.valid {
 		if err := checkSiblingOrder(n, n.sib); err != nil {

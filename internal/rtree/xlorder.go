@@ -47,26 +47,12 @@ type XLOrder struct {
 // and y-scan stay short together.
 const StripLen = 16
 
-// XLOrder returns the node's xl-order, built at bulk load or on first use
-// (BulkLoadSTR builds every node's; the page loader, insertion and the
-// copies a round makes leave theirs to the first join).  The order
-// is a pure function of Entries, so concurrent readers of an immutable node
-// (concurrent joins, daemon readers of one epoch) may race to build it:
-// every builder publishes the same value.  Every in-place mutation drops it
-// (setEntries, setRect) and copyNode never carries it over, so an order can
-// never outlive the entries it was built from; CheckInvariants verifies that.
-func (n *Node) XLOrder() *XLOrder {
-	if o := n.xlOrder.Load(); o != nil {
-		return o
-	}
-	o := buildXLOrder(n.Entries)
-	n.xlOrder.Store(o)
-	return o
-}
-
-// HasXLOrder reports whether the node's xl-order is built: by bulk load or
-// by a reader's first XLOrder call since the last mutation.
-func (n *Node) HasXLOrder() bool { return n.xlOrder.Load() != nil }
+// XLOrder returns the node's xl-order, which the writer builds before the
+// tree is ready (BulkLoadSTR while it packs, makeReady for the rest): a
+// reader only reads it.  Every in-place mutation clears it and copyNode never
+// carries it over, so an order never outlives its entries; on a ready tree
+// every node has one (CheckInvariants verifies both).
+func (n *Node) XLOrder() *XLOrder { return n.xlOrder }
 
 // buildXLOrder stable-sorts the entry indices by lower x-corner, counting the
 // key comparisons, takes the running maximum of XU along the result and
@@ -157,7 +143,7 @@ func yStrips(entries []Entry, perm, yperm []int32, maxYU []float64) {
 // directly.
 func (n *Node) setEntries(entries []Entry) {
 	n.Entries = entries
-	n.dropXLOrder()
+	n.xlOrder = nil
 	if n.sib != nil {
 		n.sib.valid = false
 	}
@@ -166,7 +152,7 @@ func (n *Node) setEntries(entries []Entry) {
 // appendEntry adds one entry at the end of the node's entries.
 func (n *Node) appendEntry(e Entry) {
 	n.Entries = append(n.Entries, e)
-	n.dropXLOrder()
+	n.xlOrder = nil
 	if n.sib != nil && n.sib.valid {
 		n.sib.added(n.Entries)
 	}
@@ -176,16 +162,8 @@ func (n *Node) appendEntry(e Entry) {
 func (n *Node) setRect(i int, r geom.Rect) {
 	old := n.Entries[i].Rect.XL
 	n.Entries[i].Rect = r
-	n.dropXLOrder()
+	n.xlOrder = nil
 	if n.sib != nil && n.sib.valid {
 		n.sib.moved(n.Entries, i, old)
-	}
-}
-
-// dropXLOrder forgets the order; the load keeps the common case (a node the
-// join never swept) free of an atomic store on the insert path.
-func (n *Node) dropXLOrder() {
-	if n.xlOrder.Load() != nil {
-		n.xlOrder.Store(nil)
 	}
 }

@@ -1,6 +1,7 @@
 package rtree_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -10,10 +11,11 @@ import (
 	"repro/internal/storage"
 )
 
-// The sweep joins read each node's cached xl-order; these tests are the
-// end-to-end half of the staleness net (CheckInvariants is the structural
-// half): after any mutation of a tree a join already swept, SJ3-SJ5 must
-// still agree with the nested-loop baseline, which never looks at an order.
+// The sweep joins read each node's xl-order, which the writer builds when it
+// makes a tree ready; these tests are the end-to-end half of the staleness
+// net (CheckInvariants is the structural half): after any mutation of a
+// ready tree and the next Snapshot, SJ3-SJ5 must still agree with the
+// nested-loop baseline, which never looks at an order.
 
 func init() { rtree.JoinCheck = joinCheck }
 
@@ -37,9 +39,13 @@ func probeTree(t testing.TB, pageSize int) *rtree.Tree {
 // joinCheck joins tr with itself (which sweeps every node, on both sides) and
 // with the probe tree in both orientations, under the intersection and the
 // within-distance predicate, and requires SJ3, SJ4 and SJ5 to return the
-// nested-loop pair set.
+// nested-loop pair set.  A tree mutated since it was ready is published
+// first, as the daemon's writer does.
 func joinCheck(t testing.TB, tr *rtree.Tree) {
 	t.Helper()
+	if !tr.Ready() {
+		tr = tr.Snapshot()
+	}
 	probe := probeTree(t, tr.PageSize())
 	for _, pred := range []join.Predicate{{}, {Kind: join.PredWithinDist, Epsilon: 0.02}} {
 		for _, sides := range [][2]*rtree.Tree{{tr, tr}, {tr, probe}, {probe, tr}} {
@@ -79,9 +85,10 @@ func randomItem(rng *rand.Rand, id int32) rtree.Item {
 	}
 }
 
-// TestJoinAfterDeleteOnLiveTree is the failure a cached order without
-// invalidation produces: join a dynamic tree, delete from it, join again.
-// The second join must not report pairs of the deleted rectangles.
+// TestJoinAfterDeleteOnLiveTree is the failure an order without invalidation
+// produces: join a dynamic tree, delete from it, publish it and join again.
+// The second join must not report pairs of the deleted rectangles, and the
+// tree mutated since its last Snapshot is refused.
 func TestJoinAfterDeleteOnLiveTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	r := rtree.MustNew(rtree.Options{PageSize: storage.PageSize1K})
@@ -94,7 +101,8 @@ func TestJoinAfterDeleteOnLiveTree(t *testing.T) {
 		s.Insert(it.Rect, it.Data)
 	}
 	opts := join.Options{Method: join.SJ4, BufferBytes: 32 << 10}
-	before, err := join.Join(r, s, opts)
+	s = s.Snapshot()
+	before, err := join.Join(r.Snapshot(), s, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +115,15 @@ func TestJoinAfterDeleteOnLiveTree(t *testing.T) {
 		if err := r.CheckInvariants(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		got, err := join.Join(r, s, opts)
+		if _, err := join.Join(r, s, opts); !errors.Is(err, join.ErrNotReady) {
+			t.Fatalf("round %d: join of the mutated tree: %v, want ErrNotReady", round, err)
+		}
+		snap := r.Snapshot()
+		got, err := join.Join(snap, s, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := join.Join(r, s, join.Options{Method: join.NestedLoop})
+		want, err := join.Join(snap, s, join.Options{Method: join.NestedLoop})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,8 +166,8 @@ func TestJoinAcrossSnapshotsAndStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < rounds; round++ {
-		joinCheck(t, tr) // every node of the live tree now has an order
-		snap := tr.Snapshot()
+		snap := tr.Snapshot() // every node of the live tree now has an order
+		joinCheck(t, tr)
 		snapWant, err := join.Join(snap, snap, join.Options{Method: join.SJ4})
 		if err != nil {
 			t.Fatal(err)

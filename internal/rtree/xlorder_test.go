@@ -11,13 +11,6 @@ import (
 	"repro/internal/storage"
 )
 
-// touchOrders makes every node's xl-order exist, the state a tree is in after
-// a join swept it; a mutation that fails to drop one is then visible to
-// CheckInvariants as ErrStaleOrder.
-func touchOrders(tr *Tree) {
-	tr.Walk(func(n *Node) { n.XLOrder() })
-}
-
 // TestXLOrderMatchesSliceStable asserts that a node's order is the
 // permutation sort.SliceStable applies to a copy of the entries and that the
 // stored count is exactly the key comparisons that sort performs, across
@@ -42,8 +35,7 @@ func TestXLOrderMatchesSliceStable(t *testing.T) {
 				return ref[i].Rect.XL < ref[j].Rect.XL
 			})
 
-			node := &Node{Entries: entries}
-			o := node.XLOrder()
+			o := buildXLOrder(entries)
 			if o.SortComparisons != refComps {
 				t.Fatalf("n=%d trial=%d: %d comparisons, sort.SliceStable charged %d", n, trial, o.SortComparisons, refComps)
 			}
@@ -82,22 +74,19 @@ func TestXLOrderMatchesSliceStable(t *testing.T) {
 					}
 				}
 			}
-			if node.XLOrder() != o {
-				t.Fatalf("n=%d: second call rebuilt the order", n)
-			}
 		}
 	}
 }
 
-// TestCheckInvariantsDetectsStaleOrder corrupts a swept node behind the
-// mutators' back in each way an order can be wrong.
+// TestCheckInvariantsDetectsStaleOrder corrupts a node of a ready tree behind
+// the mutators' back in each way an order can be wrong.
 func TestCheckInvariantsDetectsStaleOrder(t *testing.T) {
 	build := func() (*Tree, *Node) {
 		tr := MustNew(smallOpts())
 		tr.InsertItems(randomItems(rand.New(rand.NewSource(9)), 300, 0.02))
-		touchOrders(tr)
+		tr.makeReady()
 		if err := tr.CheckInvariants(); err != nil {
-			t.Fatalf("swept tree invalid: %v", err)
+			t.Fatalf("ready tree invalid: %v", err)
 		}
 		var leaf *Node
 		tr.Walk(func(n *Node) {
@@ -126,13 +115,13 @@ func TestCheckInvariantsDetectsStaleOrder(t *testing.T) {
 		}},
 		{"count corrupted", func(n *Node) {
 			o := n.XLOrder()
-			n.xlOrder.Store(&XLOrder{Perm: o.Perm, PrefixMaxXU: o.PrefixMaxXU, SortComparisons: o.SortComparisons + 1})
+			n.xlOrder = &XLOrder{Perm: o.Perm, PrefixMaxXU: o.PrefixMaxXU, SortComparisons: o.SortComparisons + 1}
 		}},
 		{"not a permutation", func(n *Node) {
 			o := n.XLOrder()
 			perm := append([]int32(nil), o.Perm...)
 			perm[1] = perm[0]
-			n.xlOrder.Store(&XLOrder{Perm: perm, PrefixMaxXU: o.PrefixMaxXU, SortComparisons: o.SortComparisons})
+			n.xlOrder = &XLOrder{Perm: perm, PrefixMaxXU: o.PrefixMaxXU, SortComparisons: o.SortComparisons}
 		}},
 		{"XU grown in place", func(n *Node) {
 			// The permutation and its sort cost only depend on XL, so a
@@ -144,13 +133,13 @@ func TestCheckInvariantsDetectsStaleOrder(t *testing.T) {
 		}},
 		{"running maximum missing", func(n *Node) {
 			o := n.XLOrder()
-			n.xlOrder.Store(&XLOrder{Perm: o.Perm, SortComparisons: o.SortComparisons})
+			n.xlOrder = &XLOrder{Perm: o.Perm, SortComparisons: o.SortComparisons}
 		}},
 		{"running maximum from another node", func(n *Node) {
 			o := n.XLOrder()
 			stale := append([]float64(nil), o.PrefixMaxXU...)
 			stale[len(stale)-1] = stale[0]
-			n.xlOrder.Store(&XLOrder{Perm: o.Perm, PrefixMaxXU: stale, SortComparisons: o.SortComparisons})
+			n.xlOrder = &XLOrder{Perm: o.Perm, PrefixMaxXU: stale, SortComparisons: o.SortComparisons}
 		}},
 		{"tie out of index order", func(n *Node) {
 			// Both entries take the union of their x-intervals, which keeps
@@ -158,15 +147,14 @@ func TestCheckInvariantsDetectsStaleOrder(t *testing.T) {
 			a, b := &n.Entries[0].Rect, &n.Entries[1].Rect
 			a.XL, a.XU = min(a.XL, b.XL), max(a.XU, b.XU)
 			b.XL, b.XU = a.XL, a.XU
-			n.xlOrder.Store(nil)
-			o := n.XLOrder()
+			o := buildXLOrder(n.Entries)
 			perm := append([]int32(nil), o.Perm...)
 			for k := range perm[:len(perm)-1] {
 				if perm[k] == 0 && perm[k+1] == 1 {
 					perm[k], perm[k+1] = 1, 0
 				}
 			}
-			n.xlOrder.Store(&XLOrder{Perm: perm, PrefixMaxXU: o.PrefixMaxXU, SortComparisons: o.SortComparisons})
+			n.xlOrder = &XLOrder{Perm: perm, PrefixMaxXU: o.PrefixMaxXU, SortComparisons: o.SortComparisons}
 		}},
 	}
 	for _, c := range cases {
@@ -186,16 +174,50 @@ func TestCheckInvariantsDetectsStaleOrder(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantsDetectsUnreadyNodes: on a ready tree every node must
+// carry its order, so a node whose order is missing is reported.  A tree
+// mutated since it was ready may lack orders.
+func TestCheckInvariantsDetectsUnreadyNodes(t *testing.T) {
+	for _, bulk := range []bool{false, true} {
+		tr, err := Build(smallOpts(), randomItems(rand.New(rand.NewSource(9)), 300, 0.02), bulk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("bulk=%v: ready tree invalid: %v", bulk, err)
+		}
+		var leaf *Node
+		tr.Walk(func(n *Node) {
+			if n.IsLeaf() {
+				leaf = n
+			}
+		})
+		order := leaf.xlOrder
+		leaf.xlOrder = nil
+		if err := tr.CheckInvariants(); !errors.Is(err, ErrNotReady) {
+			t.Errorf("bulk=%v: node without an order: CheckInvariants = %v, want ErrNotReady", bulk, err)
+		}
+		leaf.xlOrder = order
+		tr.Insert(geom.Rect{XL: 0.5, YL: 0.5, XU: 0.51, YU: 0.51}, 1<<20)
+		if tr.Ready() {
+			t.Fatalf("bulk=%v: still ready after an insert", bulk)
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Errorf("bulk=%v: mutated tree: %v", bulk, err)
+		}
+	}
+}
+
 // TestCheckInvariantsDetectsStaleStrips corrupts the y-sorted strips of a
-// swept leaf in each way they can go stale while the xl-order itself stays
+// leaf of a ready tree in each way they can go stale while the xl-order itself stays
 // right.  The leaves of 1 KiB pages hold three strips and more.
 func TestCheckInvariantsDetectsStaleStrips(t *testing.T) {
 	build := func() (*Tree, *Node) {
 		tr := MustNew(Options{PageSize: 1024})
 		tr.InsertItems(randomItems(rand.New(rand.NewSource(9)), 600, 0.02))
-		touchOrders(tr)
+		tr.makeReady()
 		if err := tr.CheckInvariants(); err != nil {
-			t.Fatalf("swept tree invalid: %v", err)
+			t.Fatalf("ready tree invalid: %v", err)
 		}
 		var leaf *Node
 		tr.Walk(func(n *Node) {
@@ -214,7 +236,7 @@ func TestCheckInvariantsDetectsStaleStrips(t *testing.T) {
 		yperm := append([]int32(nil), o.YPerm...)
 		maxYU := append([]float64(nil), o.PrefixMaxYU...)
 		edit(yperm, maxYU)
-		n.xlOrder.Store(&XLOrder{Perm: o.Perm, PrefixMaxXU: o.PrefixMaxXU, YPerm: yperm, PrefixMaxYU: maxYU, SortComparisons: o.SortComparisons})
+		n.xlOrder = &XLOrder{Perm: o.Perm, PrefixMaxXU: o.PrefixMaxXU, YPerm: yperm, PrefixMaxYU: maxYU, SortComparisons: o.SortComparisons}
 	}
 	cases := []struct {
 		name    string
@@ -228,7 +250,7 @@ func TestCheckInvariantsDetectsStaleStrips(t *testing.T) {
 		}},
 		{"strips missing", func(n *Node) {
 			o := n.XLOrder()
-			n.xlOrder.Store(&XLOrder{Perm: o.Perm, PrefixMaxXU: o.PrefixMaxXU, SortComparisons: o.SortComparisons})
+			n.xlOrder = &XLOrder{Perm: o.Perm, PrefixMaxXU: o.PrefixMaxXU, SortComparisons: o.SortComparisons}
 		}},
 		{"running YU maximum not restarted", func(n *Node) {
 			restrip(n, func(_ []int32, maxYU []float64) { maxYU[StripLen] = max(maxYU[StripLen], maxYU[StripLen-1]) + 1 })
@@ -305,29 +327,28 @@ func BenchmarkXLOrder(b *testing.B) {
 }
 
 // TestCopyNodeStartsWithoutOrder: a copy-on-write copy is made to be mutated,
-// so it never inherits the shared node's order, and building an order on the
-// shared node later does not leak into the copy.
+// so it never inherits the shared node's order, and the shared node keeps
+// its own.
 func TestCopyNodeStartsWithoutOrder(t *testing.T) {
 	tr := MustNew(smallOpts())
 	tr.InsertItems(randomItems(rand.New(rand.NewSource(3)), 200, 0.02))
 	snap := tr.Snapshot()
-	touchOrders(snap)
 	shared := snap.Root()
 	own := tr.ownRoot()
 	if own == shared {
 		t.Fatal("root not copied after a snapshot")
 	}
-	if own.xlOrder.Load() != nil {
+	if own.xlOrder != nil {
 		t.Fatal("copyNode carried the xl-order over")
 	}
-	if shared.xlOrder.Load() == nil {
+	if shared.xlOrder == nil {
 		t.Fatal("copying dropped the shared node's order")
 	}
 }
 
 // TestHintAppendDropsOrder: the insertion buffer's leaf-hint fast path
 // appends to a leaf without descending to it, so it is the one mutation that
-// reaches a node a join may have swept since the previous flush.
+// reaches a node the tree was made ready with since the previous flush.
 func TestHintAppendDropsOrder(t *testing.T) {
 	tr := MustNew(Options{PageSize: 1024})
 	tr.InsertItems(randomItems(rand.New(rand.NewSource(21)), 300, 0.02))
@@ -338,7 +359,7 @@ func TestHintAppendDropsOrder(t *testing.T) {
 		if buf.hint == nil {
 			t.Fatal("flush left no leaf hint")
 		}
-		touchOrders(tr)
+		tr.makeReady()
 		c := buf.hintMBR.Center()
 		hits := buf.HintHits()
 		buf.Stage(geom.Rect{XL: c.X, YL: c.Y, XU: c.X, YU: c.Y}, id)
@@ -347,6 +368,7 @@ func TestHintAppendDropsOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		if buf.HintHits() > hits {
+			tr.makeReady()
 			JoinCheck(t, tr)
 			return
 		}
@@ -356,20 +378,22 @@ func TestHintAppendDropsOrder(t *testing.T) {
 
 // TestMutationDropsRunningMaximum: the running maxima of XU and of YU live
 // in the order, so the mutators that drop the order drop them too, and the
-// next use sees the widened rectangle.
+// next build sees the widened rectangle.
 func TestMutationDropsRunningMaximum(t *testing.T) {
 	n := &Node{Entries: []Entry{
 		{Rect: geom.Rect{XL: 0, XU: 1}},
 		{Rect: geom.Rect{XL: 2, XU: 3}},
 		{Rect: geom.Rect{XL: 4, XU: 5}},
 	}}
+	n.xlOrder = buildXLOrder(n.Entries)
 	if got := n.XLOrder().PrefixMaxXU; got[0] != 1 || got[1] != 3 || got[2] != 5 {
 		t.Fatalf("running maxima %v, want [1 3 5]", got)
 	}
 	n.setRect(0, geom.Rect{XL: 0, XU: 4.5, YU: 2})
-	if n.xlOrder.Load() != nil {
+	if n.xlOrder != nil {
 		t.Fatal("setRect kept the order")
 	}
+	n.xlOrder = buildXLOrder(n.Entries)
 	if got := n.XLOrder().PrefixMaxXU; got[0] != 4.5 || got[1] != 4.5 || got[2] != 5 {
 		t.Fatalf("running maxima %v after widening entry 0, want [4.5 4.5 5]", got)
 	}
@@ -377,7 +401,10 @@ func TestMutationDropsRunningMaximum(t *testing.T) {
 		t.Fatalf("running YU maxima %v after heightening entry 0, want [2 2 2]", got)
 	}
 	n.setEntries(n.Entries[1:])
-	if got := n.XLOrder().PrefixMaxXU; len(got) != 2 || got[0] != 3 || got[1] != 5 {
+	if n.xlOrder != nil {
+		t.Fatal("setEntries kept the order")
+	}
+	if got := buildXLOrder(n.Entries).PrefixMaxXU; len(got) != 2 || got[0] != 3 || got[1] != 5 {
 		t.Fatalf("running maxima %v after removing entry 0, want [3 5]", got)
 	}
 }

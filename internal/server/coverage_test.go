@@ -14,7 +14,8 @@ import (
 // report the catalog of the tree the new epoch published — its exact
 // per-level counts and mean widths — not the previous epoch's.  The first
 // joins and Coverage calls on the fresh epoch run concurrently, so under
-// -race they exercise the snapshot's lazy catalog walk.
+// -race they show that reading the catalog the writer walked writes
+// nothing.
 func TestCoverageFollowsTheEpochFlip(t *testing.T) {
 	f := newFixture(t, Config{})
 	before := f.srv.Coverage()

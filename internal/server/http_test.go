@@ -711,8 +711,14 @@ func applyOpWires(items []rtree.Item, ops []OpWire) []rtree.Item {
 // fixture's R with those ops applied.  The seeds are well-formed inserts and
 // deletes of fixture entries, swapped corners, zero-area rectangles, huge
 // finite and out-of-world coordinates, and bodies with unknown fields.
+//
+// One fixture serves every input: building it, its bulk loads and its first
+// commit, cost more than the rest of a rejected input's check.  An accepted
+// batch is undone by a second round, which restores R's items, though not
+// the shape of its tree.
 func FuzzUpdateRequest(f *testing.F) {
-	fx := newFixture(f, Config{})
+	fx := newFixture(f, Config{CostBudget: -1, DefaultDeadline: -1})
+	h := NewHandler(fx.srv, HandlerConfig{})
 	del := func(i int) OpWire {
 		r := fx.rItems[i].Rect
 		return OpWire{XL: r.XL, YL: r.YL, XU: r.XU, YU: r.YU, Data: fx.rItems[i].Data, Delete: true}
@@ -749,30 +755,28 @@ func FuzzUpdateRequest(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		fx := newFixture(t, Config{CostBudget: -1, DefaultDeadline: -1})
-		h := NewHandler(fx.srv, HandlerConfig{})
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, httptest.NewRequest("POST", "/update", bytes.NewReader(body)))
-		rItems := fx.rItems
 		switch w.Code {
 		case http.StatusAccepted:
-			// The handler stages what DecodeOps reads, every op of it:
-			// FuzzDecodeOps holds DecodeOps to encoding/json.
-			ops, err := DecodeOps(body)
-			if err != nil {
-				t.Fatalf("body %q: 202 for a body DecodeOps rejects: %v", body, err)
-			}
-			if n := fx.srv.Pending(); n != len(ops) {
-				t.Fatalf("body %q: %d ops pending, %d accepted", body, n, len(ops))
-			}
-			rItems = applyOpWires(rItems, ops)
 		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
 			if n := fx.srv.Pending(); n != 0 {
 				t.Fatalf("body %q: %d ops pending after a %d", body, n, w.Code)
 			}
+			return
 		default:
 			t.Fatalf("body %q: status %d %s", body, w.Code, w.Body)
 		}
+		// The handler stages what DecodeOps reads, every op of it:
+		// FuzzDecodeOps holds DecodeOps to encoding/json.
+		ops, err := DecodeOps(body)
+		if err != nil {
+			t.Fatalf("body %q: 202 for a body DecodeOps rejects: %v", body, err)
+		}
+		if n := fx.srv.Pending(); n != len(ops) {
+			t.Fatalf("body %q: %d ops pending, %d accepted", body, n, len(ops))
+		}
+		rItems := applyOpWires(fx.rItems, ops)
 
 		if w := doHTTP(t, h, "POST", "/round", nil); w.Code != http.StatusOK {
 			t.Fatalf("body %q: round %d %s", body, w.Code, w.Body)
@@ -802,5 +806,42 @@ func FuzzUpdateRequest(f *testing.F) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("body %q: join has %d pairs, nested loop %d", body, len(got), len(want))
 		}
+
+		if err := fx.srv.Update(opsBetween(rItems, fx.rItems)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fx.srv.Round(); err != nil {
+			t.Fatal(err)
+		}
+		if undo := opsBetween(fx.srv.cur.Load().tree.Items(), fx.rItems); len(undo) != 0 {
+			t.Fatalf("body %q: undoing the batch left %d items off the fixture's R", body, len(undo))
+		}
 	})
+}
+
+// opsBetween returns the ops that take the multiset of items from to to: a
+// delete for every item from holds more often than to, in from's order, then
+// an insert for every item it holds less often, in to's.
+func opsBetween(from, to []rtree.Item) []Op {
+	excess := map[rtree.Item]int{}
+	for _, it := range from {
+		excess[it]++
+	}
+	for _, it := range to {
+		excess[it]--
+	}
+	var ops []Op
+	for _, it := range from {
+		if excess[it] > 0 {
+			excess[it]--
+			ops = append(ops, Op{Rect: it.Rect, Data: it.Data, Delete: true})
+		}
+	}
+	for _, it := range to {
+		if excess[it] < 0 {
+			excess[it]++
+			ops = append(ops, Op{Rect: it.Rect, Data: it.Data})
+		}
+	}
+	return ops
 }

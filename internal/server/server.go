@@ -31,6 +31,7 @@ type Config struct {
 	// keeps ownership of the pager's lifetime.
 	Store *rtree.TreeStore
 	// S is the static reference tree queries join the snapshot against.
+	// New joins a Snapshot of it if it is not ready (rtree.Tree.Ready).
 	S *rtree.Tree
 	// Reopen rebuilds the store after a storage fault broke the server:
 	// typically by reopening the pager (running WAL recovery) and calling
@@ -209,6 +210,9 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: config needs both Store and S")
 	}
 	cfg = cfg.withDefaults()
+	if !cfg.S.Ready() {
+		cfg.S = cfg.S.Snapshot()
+	}
 	s := &Server{cfg: cfg, model: costmodel.Default(), store: cfg.Store}
 	s.buf = rtree.NewInsertBuffer(cfg.Store.Tree(), cfg.BatchCapacity)
 	if _, err := s.round(); err != nil {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -12,14 +13,14 @@ import (
 	"repro/internal/rtree"
 )
 
-// TestServerJoinsAcrossFlipsBuildOrders runs readers back to back while the
-// writer commits rounds.  Readers of one epoch race to build the xl-orders of
-// the nodes that epoch shares (atomically published, identical values); the
-// writer meanwhile mutates copy-on-write copies that carry no order.  Every
-// reply must be the brute-force answer for the epoch it names, and two
-// replies from one epoch must report the same counters — the sorting charge
-// does not depend on which reader built an order.  Run under -race in CI.
-func TestServerJoinsAcrossFlipsBuildOrders(t *testing.T) {
+// TestServerJoinsAcrossFlipsReadPublishedOrders runs readers back to back
+// while the writer commits rounds.  Readers of one epoch only read the
+// xl-orders the writer built before it published the epoch; the writer
+// meanwhile mutates copy-on-write copies that carry no order.  Every reply
+// must be the brute-force answer for the epoch it names, and two replies
+// from one epoch must report the same counters.  Run under -race in CI: a
+// reader writing a node shared with the writer shows up there.
+func TestServerJoinsAcrossFlipsReadPublishedOrders(t *testing.T) {
 	f := newFixture(t, Config{DefaultDeadline: -1})
 	const readers, rounds = 4, 6
 
@@ -120,4 +121,62 @@ func TestServerJoinsAcrossFlipsBuildOrders(t *testing.T) {
 	if len(want) < 2 {
 		t.Fatalf("readers only ever saw %d epoch(s); the flips were not exercised", len(want))
 	}
+}
+
+// TestEveryPublishedEpochIsReady: the writer makes every epoch ready before
+// it publishes it, so before any join runs, every node of the epoch's tree
+// carries an order equal to a fresh build's (CheckInvariants on a ready tree
+// checks that each node has one and that it matches), and S is ready too.
+// That holds for the initial epoch, every round's, the first after Reopen
+// and the first of a server over a tree OpenTreeStore loaded, whose nodes
+// come off the pages without orders.
+func TestEveryPublishedEpochIsReady(t *testing.T) {
+	checkEpoch := func(label string, srv *Server) {
+		t.Helper()
+		for name, tr := range map[string]*rtree.Tree{"R": srv.cur.Load().tree, "S": srv.cfg.S} {
+			if !tr.Ready() {
+				t.Fatalf("%s: %s is not ready", label, name)
+			}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatalf("%s: %s: %v", label, name, err)
+			}
+		}
+	}
+	f := newFixture(t, Config{DefaultDeadline: -1})
+	checkEpoch("initial epoch", f.srv)
+	rng := rand.New(rand.NewSource(72))
+	for round := 0; round < 3; round++ {
+		var ops []Op
+		for _, it := range f.rItems[round*20 : (round+1)*20] {
+			ops = append(ops, Op{Rect: it.Rect, Data: it.Data, Delete: true})
+		}
+		for _, it := range genItems(rng, 40, int32(800_000+round*1000), 0.02) {
+			ops = append(ops, Op{Rect: it.Rect, Data: it.Data})
+		}
+		if err := f.srv.Update(ops); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.srv.Round(); err != nil {
+			t.Fatal(err)
+		}
+		checkEpoch(fmt.Sprintf("round %d", round), f.srv)
+	}
+	if err := f.srv.Reopen(); err != nil {
+		t.Fatal(err)
+	}
+	checkEpoch("after Reopen", f.srv)
+
+	store, err := f.srv.cfg.Reopen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if store.Tree().Ready() {
+		t.Fatal("a tree OpenTreeStore loaded is ready before its first Snapshot")
+	}
+	srv, err := New(Config{Store: store, S: f.srv.cfg.S, DefaultDeadline: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	checkEpoch("server over an opened store", srv)
 }

@@ -140,7 +140,7 @@ func WithinDistancePredicate(eps float64) JoinPredicate { return join.WithinDist
 // lines and the wire: "intersects" (or empty), "within:EPS", "knn:K".
 func ParseJoinPredicate(s string) (JoinPredicate, error) { return join.ParsePredicate(s) }
 
-// TreeJoin computes the MBR-spatial-join of two R-trees.
+// TreeJoin computes the MBR-spatial-join of two ready R-trees (RTree.Ready).
 func TreeJoin(r, s *RTree, opts JoinOptions) (*JoinResult, error) { return join.Join(r, s, opts) }
 
 // SortJoinPairs sorts result pairs by (R, S), the canonical order for
